@@ -4,8 +4,8 @@ Every inequality the library verifies has a stable identifier.  A check
 evaluates both sides as enclosing intervals: radius estimates contribute
 [value, value + cert_error], norms and diagonal maxima enter as points
 with a small relative pad, and sec/tan factors are evaluated at the
-computed sector index inflated by a configurable margin so that sampling
-slack in the index can never manufacture a false failure.  The verdict
+computed sector index inflated by a configurable margin, and the inflated
+index is verified to bound the numerical range before it is used.  The verdict
 is certified only when the intervals separate.
 
 IDs whose statement involves the classical numerical radius always run
@@ -88,9 +88,10 @@ class CheckContext:
     """Shared numerical settings for a batch of checks.
 
     ``alpha_inflation`` is added to every computed sector index before a
-    sec or tan factor is taken, covering the index's own (one-sided)
-    sampling error.  ``cert_floor`` relaxes only the certified gap of
-    inner radius computations, never their soundness.
+    sec or tan factor is taken, covering the index's rounding error; the
+    inflated index is then checked to contain the numerical range and the
+    inflation doubled until it does.  ``cert_floor`` relaxes only the
+    certified gap of inner radius computations, never their soundness.
     """
 
     grid: int = 256
@@ -98,7 +99,6 @@ class CheckContext:
     cert_floor: float = 0.0
     alpha_inflation: float = 1e-8
     phi_samples: int = 512
-    boundary_samples: int = 128
     psd_tol: float = 1e-9
     m_fold: int = 3
 
@@ -109,6 +109,7 @@ DEFAULT_NORMS = (OPERATOR, TRACE, FROBENIUS, schatten(3))
 
 _NORM_PAD = 1e-12
 _DIAG_PAD = 1e-15
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class Inapplicable(Exception):
@@ -129,35 +130,54 @@ def _norm_iv(spec: NormSpec, X: np.ndarray) -> Interval:
 
 def _class_info(X: np.ndarray, ctx: CheckContext) -> SectorInfo:
     try:
-        return rotation_to_sector(X, ctx.phi_samples, boundary_samples=ctx.boundary_samples)
+        info = rotation_to_sector(X, ctx.phi_samples)
     except NotSectorialError as exc:
         raise Inapplicable(f"input is not sectorial: {exc}") from None
+    return _verified(info, X, ctx)
 
 
 def _accretive_info(X: np.ndarray, ctx: CheckContext) -> SectorInfo:
     try:
-        return sector_index(X, boundary_samples=ctx.boundary_samples)
+        info = sector_index(X)
     except (NotSectorialError, ValueError) as exc:
         raise Inapplicable(f"input is not accretive sectorial: {exc}") from None
+    return _verified(info, X, ctx)
 
 
-def _inflated(alpha: float, ctx: CheckContext) -> float:
-    a = alpha + ctx.alpha_inflation
-    if a >= math.pi / 2:
-        raise Inapplicable(f"inflated sector index {a:.12f} reaches pi/2")
-    return a
+def _verified(info: SectorInfo, X: np.ndarray, ctx: CheckContext) -> SectorInfo:
+    """``info`` with its index inflated until W(zX) provably fits the sector.
+
+    For a < pi/2, W(Y) lies in the closed sector of half-width a exactly
+    when Im(e^{-ia} Y) <= 0 and Im(e^{ia} Y) >= 0, that is when both
+    +-cos(a) Im Y - sin(a) Re Y are negative semidefinite.  Their computed
+    top eigenvalues must clear the eigensolver's backward error
+    n * eps * ||H||; the inflation starts at ``alpha_inflation`` and
+    doubles until they do.
+    """
+    re, im = cartesian_decompose(info.rotation_z * X)
+    slack = X.shape[0] * _EPS * (frobenius(re) + frobenius(im))
+    inflation = ctx.alpha_inflation
+    while True:
+        a = info.index_alpha + inflation
+        if a >= math.pi / 2:
+            raise Inapplicable(f"inflated sector index {a:.12f} reaches pi/2")
+        c, s = math.cos(a), math.sin(a)
+        top = np.linalg.eigvalsh(np.stack([c * im - s * re, -c * im - s * re]))[:, -1]
+        if top.max() <= -slack:
+            return replace(info, index_alpha=a)
+        inflation = max(2.0 * inflation, _EPS)
 
 
-def _sec_iv(alpha: float, ctx: CheckContext) -> Interval:
-    return Interval.point(1.0 / math.cos(_inflated(alpha, ctx)), rel=_NORM_PAD)
+def _sec_iv(alpha: float) -> Interval:
+    return Interval.point(1.0 / math.cos(alpha), rel=_NORM_PAD)
 
 
-def _tan_iv(alpha: float, ctx: CheckContext) -> Interval:
-    return Interval.point(math.tan(_inflated(alpha, ctx)), rel=_NORM_PAD)
+def _tan_iv(alpha: float) -> Interval:
+    return Interval.point(math.tan(alpha), rel=_NORM_PAD)
 
 
-def _one_plus_tan_iv(alpha: float, ctx: CheckContext) -> Interval:
-    return Interval.point(1.0 + math.tan(_inflated(alpha, ctx)), rel=_NORM_PAD)
+def _one_plus_tan_iv(alpha: float) -> Interval:
+    return Interval.point(1.0 + math.tan(alpha), rel=_NORM_PAD)
 
 
 def _power_iv(base: Interval, m: int) -> Interval:
@@ -249,7 +269,7 @@ def _sectorial_pair_rhs(mats, spec, ctx):
     X, Y = mats
     sx = _class_info(X, ctx)
     sy = _class_info(Y, ctx)
-    return _sec_iv(sx.index_alpha, ctx) * _sec_iv(sy.index_alpha, ctx)
+    return _sec_iv(sx.index_alpha) * _sec_iv(sy.index_alpha)
 
 
 def _chk_ii_prod_sec(mats, spec, ctx):
@@ -284,21 +304,21 @@ def _chk_l1_norm_sec(mats, spec, ctx):
     zX = info.rotation_z * X
     re, _ = cartesian_decompose(zX)
     lhs = _norm_iv(spec, zX)
-    rhs = _sec_iv(info.index_alpha, ctx) * _norm_iv(spec, re)
+    rhs = _sec_iv(info.index_alpha) * _norm_iv(spec, re)
     return lhs, rhs, ""
 
 
 def _chk_l2_block_tan(mats, spec, ctx):
     (X,) = mats
     info = _class_info(X, ctx)
-    block = tan_block(info.rotation_z * X, _inflated(info.index_alpha, ctx))
+    block = tan_block(info.rotation_z * X, info.index_alpha)
     return _psd_comparison(block, ctx)
 
 
 def _chk_l3_block_sec(mats, spec, ctx):
     (X,) = mats
     info = _class_info(X, ctx)
-    block = sec_block(info.rotation_z * X, _inflated(info.index_alpha, ctx))
+    block = sec_block(info.rotation_z * X, info.index_alpha)
     return _psd_comparison(block, ctx)
 
 
@@ -313,7 +333,7 @@ def _chk_p2_im_tan(mats, spec, ctx):
     info = _class_info(X, ctx)
     re, im = cartesian_decompose(info.rotation_z * X)
     lhs = _omega_iv(spec, im, ctx)
-    rhs = _tan_iv(info.index_alpha, ctx) * _omega_iv(spec, re, ctx)
+    rhs = _tan_iv(info.index_alpha) * _omega_iv(spec, re, ctx)
     return lhs, rhs, ""
 
 
@@ -323,7 +343,7 @@ def _chk_p3_sec(mats, spec, ctx):
     zX = info.rotation_z * X
     re, _ = cartesian_decompose(zX)
     lhs = _omega_iv(spec, zX, ctx)
-    rhs = _sec_iv(info.index_alpha, ctx) * _omega_iv(spec, re, ctx)
+    rhs = _sec_iv(info.index_alpha) * _omega_iv(spec, re, ctx)
     return lhs, rhs, ""
 
 
@@ -340,7 +360,7 @@ def _chk_c_b2_sec2(mats, spec, ctx):
     X, Y = mats
     sx = _class_info(X, ctx)
     sy = _class_info(Y, ctx)
-    sec = _sec_iv(max(sx.index_alpha, sy.index_alpha), ctx)
+    sec = _sec_iv(max(sx.index_alpha, sy.index_alpha))
     lhs = _omega_iv(spec, X @ Y, ctx)
     rhs = sec * sec * _omega_iv(spec, X, ctx) * _omega_iv(spec, Y, ctx)
     return lhs, rhs, ""
@@ -357,7 +377,7 @@ def _chk_c_ad_prod2(mats, spec, ctx):
 
 def _chk_c_mprod(mats, spec, ctx):
     infos = [_class_info(M, ctx) for M in mats]
-    factor = reduce(lambda a, b: a * b, (_sec_iv(i.index_alpha, ctx) for i in infos))
+    factor = reduce(lambda a, b: a * b, (_sec_iv(i.index_alpha) for i in infos))
     lhs = _omega_iv(spec, reduce(np.matmul, mats), ctx)
     rhs = reduce(lambda a, b: a * b, (_omega_iv(spec, M, ctx) for M in mats), factor)
     return lhs, rhs, ""
@@ -365,7 +385,7 @@ def _chk_c_mprod(mats, spec, ctx):
 
 def _chk_c_secm(mats, spec, ctx):
     infos = [_class_info(M, ctx) for M in mats]
-    sec = _sec_iv(max(i.index_alpha for i in infos), ctx)
+    sec = _sec_iv(max(i.index_alpha for i in infos))
     lhs = _omega_iv(spec, reduce(np.matmul, mats), ctx)
     rhs = reduce(lambda a, b: a * b, (_omega_iv(spec, M, ctx) for M in mats), _power_iv(sec, len(mats)))
     return lhs, rhs, ""
@@ -397,7 +417,7 @@ def _chk_c_c2_had(mats, spec, ctx):
     X, Y = mats
     sx = _class_info(X, ctx)
     sy = _class_info(Y, ctx)
-    sec = _sec_iv(max(sx.index_alpha, sy.index_alpha), ctx)
+    sec = _sec_iv(max(sx.index_alpha, sy.index_alpha))
     lhs = _omega_iv(spec, hadamard(X, Y), ctx)
     rhs = sec * sec * _omega_iv(spec, X, ctx) * _omega_iv(spec, Y, ctx)
     return lhs, rhs, ""
@@ -405,7 +425,7 @@ def _chk_c_c2_had(mats, spec, ctx):
 
 def _chk_t_had_m(mats, spec, ctx):
     infos = [_class_info(M, ctx) for M in mats]
-    factor = reduce(lambda a, b: a * b, (_sec_iv(i.index_alpha, ctx) for i in infos))
+    factor = reduce(lambda a, b: a * b, (_sec_iv(i.index_alpha) for i in infos))
     lhs = _omega_iv(spec, reduce(hadamard, mats), ctx)
     rhs = reduce(lambda a, b: a * b, (_omega_iv(spec, M, ctx) for M in mats), factor)
     return lhs, rhs, ""
@@ -480,8 +500,8 @@ def _chk_t_onetan_min(mats, spec, ctx):
     re_x, _ = cartesian_decompose(X)
     re_y, _ = cartesian_decompose(Y)
     lhs = _omega_iv(spec, hadamard(X, Y), ctx)
-    via_x = _one_plus_tan_iv(ax.index_alpha, ctx) * _omega_iv(spec, re_x, ctx) * _omega_iv(spec, Y, ctx)
-    via_y = _one_plus_tan_iv(ay.index_alpha, ctx) * _omega_iv(spec, X, ctx) * _omega_iv(spec, re_y, ctx)
+    via_x = _one_plus_tan_iv(ax.index_alpha) * _omega_iv(spec, re_x, ctx) * _omega_iv(spec, Y, ctx)
+    via_y = _one_plus_tan_iv(ay.index_alpha) * _omega_iv(spec, X, ctx) * _omega_iv(spec, re_y, ctx)
     return lhs, Interval.min_of(via_x, via_y), ""
 
 
@@ -489,7 +509,7 @@ def _chk_c_onetan(mats, spec, ctx):
     X, Y = mats
     ax = _accretive_info(X, ctx)
     ay = _accretive_info(Y, ctx)
-    factor = _one_plus_tan_iv(max(ax.index_alpha, ay.index_alpha), ctx)
+    factor = _one_plus_tan_iv(max(ax.index_alpha, ay.index_alpha))
     lhs = _omega_iv(spec, hadamard(X, Y), ctx)
     rhs = factor * _omega_iv(spec, X, ctx) * _omega_iv(spec, Y, ctx)
     return lhs, rhs, ""

@@ -5,10 +5,13 @@ whose supremum over theta defines the generalized numerical radius.  The
 profile has period pi, is Lipschitz with constant L = N(Re X) + N(Im X),
 and is a pointwise maximum of sinusoids of amplitude at most sup f (one
 sinusoid per dual-norm certificate).  omega_n combines a uniform grid,
-golden-section polishing of the best cells, and a subdivision pass whose
-per-cell upper caps come from that sinusoid structure; the result is a
-lower bound ``value`` together with a guaranteed gap ``cert_error`` so
-that the true supremum lies in [value, value + cert_error].
+a few safeguarded Newton steps on the analytic profile from the best
+cells (derivatives from one batched eigendecomposition per step), and a
+subdivision pass whose per-cell upper caps come from that sinusoid
+structure; the result is a lower bound ``value`` together with a
+guaranteed gap ``cert_error`` so that the true supremum lies in
+[value, value + cert_error].  Only the subdivision pass carries the
+guarantee; the Newton steps just make ``value`` good early.
 """
 
 from __future__ import annotations
@@ -30,7 +33,12 @@ __all__ = [
     "numerical_range_boundary",
 ]
 
-_GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
+# Newton steps taken from each of the best grid cells before certification.
+_NEWTON_STEPS = 4
+
+# Eigenvalue gaps (relative to the largest |eigenvalue|) below which two
+# branches are treated as one in the second-derivative formulas.
+_GAP_FLOOR = 1e-8
 
 # Relative slack added to every certified cap, covering the backward error
 # of the dense Hermitian eigensolver on each profile evaluation.
@@ -87,28 +95,78 @@ class _Best:
             self.theta = float(thetas[i])
 
 
-def _golden_polish(evaluate, lo: np.ndarray, hi: np.ndarray, tol: float, best: _Best) -> None:
-    """Lockstep golden-section maximization over a batch of brackets."""
-    a = lo.astype(np.float64).copy()
-    b = hi.astype(np.float64).copy()
-    x1 = b - _GOLDEN_RATIO * (b - a)
-    x2 = a + _GOLDEN_RATIO * (b - a)
-    f1 = evaluate(x1)
-    f2 = evaluate(x2)
-    best.update(x1, f1)
-    best.update(x2, f2)
-    max_iter = int(math.ceil(math.log(max((b - a).max(), tol) / tol) / -math.log(_GOLDEN_RATIO))) + 2
-    for _ in range(max_iter):
-        if (b - a).max() <= tol:
+def _profile_slopes(lam: np.ndarray, C: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """First and second theta-derivatives of the profile branch being polished.
+
+    ``lam`` holds ascending eigenvalues of H(theta) and ``C`` is H'(theta)
+    in the eigenbasis.  Since H'' = -H, eigenvalue perturbation theory gives
+    lam_i' = C_ii and lam_i'' = -lam_i + 2 sum_{j != i} |C_ji|^2 / (lam_i - lam_j).
+    For p = inf the branch is the eigenvalue of largest modulus; for finite p
+    it is g = sum |lam_i|^p (same maximizers as the norm), whose second
+    derivative is -sum phi'(lam_i) lam_i + sum_ij |C_ij|^2 phi'[lam_i, lam_j]
+    with phi = |.|^p and phi'[.,.] the divided difference of phi'.  Each
+    lane is scaled by its largest |lam| first, which leaves the Newton step
+    unchanged and keeps |lam|^p from overflowing.
+    """
+    scale = np.abs(lam).max(axis=-1)
+    scale = np.where(scale > 0.0, scale, 1.0)
+    mu = lam / scale[:, None]
+    D = C / scale[:, None, None]
+    slope = D.diagonal(axis1=1, axis2=2).real
+    W = np.abs(D) ** 2
+    gap = mu[:, :, None] - mu[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if math.isinf(p):
+            rows = np.arange(len(mu))
+            k = np.abs(mu).argmax(axis=-1)
+            sign = np.sign(mu[rows, k])
+            g = gap[rows, k, :]
+            # Exactly or nearly equal eigenvalues carry no usable coupling.
+            coupling = np.where(np.abs(g) > _GAP_FLOOR, W[rows, :, k] / g, 0.0).sum(axis=-1)
+            return sign * slope[rows, k], sign * (-mu[rows, k] + 2.0 * coupling)
+        a = np.abs(mu)
+        d_phi = p * a ** (p - 1.0) * np.sign(mu)
+        # phi'' at the midpoint stands in for the divided difference of
+        # (nearly) equal eigenvalues, including the diagonal i = j.
+        mid = 0.5 * (a[:, :, None] + a[:, None, :])
+        dd_mid = np.zeros_like(mid) if p == 1.0 else p * (p - 1.0) * mid ** (p - 2.0)
+        divided = np.where(
+            np.abs(gap) > _GAP_FLOOR, (d_phi[:, :, None] - d_phi[:, None, :]) / gap, dd_mid
+        )
+        first = (d_phi * slope).sum(axis=-1)
+        second = -(d_phi * mu).sum(axis=-1) + (W * divided).sum(axis=(-2, -1))
+    return first, second
+
+
+def _newton_polish(
+    A: np.ndarray, B: np.ndarray, p: float, theta: np.ndarray, h: float, tol: float, best: _Best
+) -> None:
+    """Safeguarded Newton ascent from each start angle, one batched eigh per step.
+
+    A lane steps only where its branch is concave (f'' < 0), and every
+    step is clipped to [start - h, start + h].  A lane stops once its step
+    is below ``tol``; all stop after _NEWTON_STEPS steps.  Every evaluated
+    angle feeds ``best``; the certification pass does not rely on
+    convergence here, so a stalled lane only costs extra rounds there.
+    """
+    lo = theta - h
+    hi = theta + h
+    for step in range(_NEWTON_STEPS + 1):
+        c = np.cos(theta)[:, None, None]
+        s = np.sin(theta)[:, None, None]
+        lam, V = np.linalg.eigh(c * A - s * B)
+        best.update(theta, np.atleast_1d(schatten_value(np.abs(lam), p)))
+        if step == _NEWTON_STEPS:
             break
-        right = f2 >= f1
-        a = np.where(right, x1, a)
-        b = np.where(right, b, x2)
-        x_new = np.where(right, a + _GOLDEN_RATIO * (b - a), b - _GOLDEN_RATIO * (b - a))
-        f_new = evaluate(x_new)
-        x1, x2 = np.where(right, x2, x_new), np.where(right, x_new, x1)
-        f1, f2 = np.where(right, f2, f_new), np.where(right, f_new, f1)
-        best.update(x_new, f_new)
+        dH = -s * A - c * B
+        C = np.conj(np.swapaxes(V, -1, -2)) @ dH @ V
+        first, second = _profile_slopes(lam, C, p)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            target = np.clip(theta - first / second, lo, hi)
+        move = (second < 0.0) & (np.abs(target - theta) > tol)
+        if not move.any():
+            break
+        theta, lo, hi = target[move], lo[move], hi[move]
 
 
 def _cell_caps(values: np.ndarray, r: float, M: float) -> np.ndarray:
@@ -158,8 +216,8 @@ def omega_n(
     grid:
         Uniform samples of the profile on [0, pi); at least 8.
     refine_tol:
-        Bracket width at which golden-section polishing stops, and the
-        target width of the certification pass.
+        Step size below which Newton polishing stops, and the target
+        width of the certification pass.
     cert_floor:
         Optional larger width target for the certification pass only,
         trading a bigger (still guaranteed) cert_error for speed.
@@ -193,9 +251,9 @@ def omega_n(
     best = _Best()
     best.update(centers, values)
 
-    # Polish the most promising cells down to refine_tol wide brackets.
+    # Polish the most promising cells with Newton steps on the profile.
     top = np.argsort(values)[::-1][: min(8, grid)]
-    _golden_polish(evaluate, centers[top] - h, centers[top] + h, refine_tol, best)
+    _newton_polish(A, B, p, centers[top], h, refine_tol, best)
 
     # Certification: subdivide until the covering bound is within g_stop
     # of the best sample or the budget runs out.  The bound stays valid

@@ -6,11 +6,11 @@ More generally a matrix belongs to the rotated sector class when some
 unit-modulus z makes zX accretive; the minimal achievable index and the
 witnessing rotation are what ``rotation_to_sector`` computes.
 
-Indices are read off support points of the numerical range.  Seen from
-the origin (which lies outside the range whenever a rotation exists),
-the argument along the boundary has exactly one maximum arc and one
-minimum arc, so a coarse sweep plus golden-section refinement finds the
-extreme arguments reliably.
+Indices are exact.  For accretive Y = A + iB, arg <Yx, x> is
+arctan(<Bx, x> / <Ax, x>), so the extreme arguments over the numerical
+range are arctan of the extreme eigenvalues of L^{-1} B L^{-*} with
+L = chol(A): the representation Y = S(I + iT)S* read backwards.  Only the
+search for an accretive rotation in ``rotation_to_sector`` samples.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DomainError, as_matrix, block2x2, cartesian_decompose, frobenius
-from .radius import _support_points
 
 __all__ = [
     "NotSectorialError",
@@ -59,61 +58,40 @@ class SectorInfo:
     lambda_min_re: float
 
 
-def _refine_arg_extremes(X: np.ndarray, samples: int) -> tuple[float, float]:
-    """(min, max) argument over support points, refined by golden section."""
-    thetas = 2.0 * math.pi * np.arange(samples) / samples
-    args = np.angle(_support_points(X, thetas))
-    step = 2.0 * math.pi / samples
+def _arg_extremes(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
+    """(min, max) of arg <Yx, x> over x != 0 for accretive Y = A + iB.
 
-    def signed(ths: np.ndarray) -> np.ndarray:
-        # Lane 0 maximizes +arg, lane 1 maximizes -arg.
-        vals = np.angle(_support_points(X, ths))
-        return vals * np.array([1.0, -1.0])
-
-    k_hi = int(np.argmax(args))
-    k_lo = int(np.argmin(args))
-    centers = np.array([thetas[k_hi], thetas[k_lo]])
-    lo = centers - step
-    hi = centers + step
-    a = lo.copy()
-    b = hi.copy()
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - gr * (b - a)
-    x2 = a + gr * (b - a)
-    f1 = signed(x1)
-    f2 = signed(x2)
-    best = np.maximum(np.array([args[k_hi], -args[k_lo]]), np.maximum(f1, f2))
-    for _ in range(64):
-        if (b - a).max() <= 1e-9:
-            break
-        right = f2 >= f1
-        a = np.where(right, x1, a)
-        b = np.where(right, b, x2)
-        x_new = np.where(right, a + gr * (b - a), b - gr * (b - a))
-        f_new = signed(x_new)
-        x1, x2 = np.where(right, x2, x_new), np.where(right, x_new, x1)
-        f1, f2 = np.where(right, f2, f_new), np.where(right, f_new, f1)
-        best = np.maximum(best, f_new)
-    return -float(best[1]), float(best[0])
+    arg <Yx, x> = arctan(<Bx, x> / <Ax, x>), and the Rayleigh quotient
+    <Bx, x> / <Ax, x> ranges exactly over the eigenvalues of L^{-1} B L^{-*}
+    with L = chol(A).  A is first scaled to unit diagonal (a congruence,
+    which leaves the quotient's range unchanged), so inputs that are badly
+    scaled only through a diagonal congruence keep full accuracy.
+    """
+    d = 1.0 / np.sqrt(A.diagonal().real)
+    L = np.linalg.cholesky(d[:, None] * A * d)
+    W = np.linalg.solve(L, d[:, None] * B * d)
+    M = np.linalg.solve(L, W.conj().T)
+    lam = np.linalg.eigvalsh((M + M.conj().T) / 2)
+    return math.atan(lam[0]), math.atan(lam[-1])
 
 
-def sector_index(X, boundary_samples: int = 256) -> SectorInfo:
+def sector_index(X) -> SectorInfo:
     """Sectoriality index of an accretive matrix.
 
-    The index is the largest |arg w| over sampled support points of the
-    numerical range, refined by local search; every sampled point of
-    W(X) lies in the sector of half-width index_alpha + 1e-9.  Raises
-    DomainError when Re X is not positive definite.
+    The index is the largest |arg w| over the numerical range, computed
+    exactly (up to rounding) from one Cholesky factorization and one
+    Hermitian eigenproblem.  Raises DomainError when Re X is not positive
+    definite.
     """
     X = as_matrix(X)
-    A, _ = cartesian_decompose(X)
+    A, B = cartesian_decompose(X)
     lam_min = float(np.linalg.eigvalsh(A)[0])
     if lam_min <= ACCRETIVE_RTOL * frobenius(X):
         raise DomainError(
             f"matrix is not accretive: lambda_min(Re X) = {lam_min:.6e} "
             f"is not positive (threshold {ACCRETIVE_RTOL:g} * ||X||_F)"
         )
-    a_min, a_max = _refine_arg_extremes(X, boundary_samples)
+    a_min, a_max = _arg_extremes(A, B)
     index = max(a_max, -a_min, 0.0)
     if index >= math.pi / 2 - _BOUNDARY_MARGIN:
         raise NotSectorialError(
@@ -122,7 +100,7 @@ def sector_index(X, boundary_samples: int = 256) -> SectorInfo:
     return SectorInfo(True, index, complex(1.0, 0.0), lam_min)
 
 
-def rotation_to_sector(X, phi_samples: int = 4096, boundary_samples: int = 128) -> SectorInfo:
+def rotation_to_sector(X, phi_samples: int = 4096) -> SectorInfo:
     """Unit-modulus z minimizing the sectoriality index of zX.
 
     Scans phi over [0, 2*pi) for rotations making e^{i*phi} X accretive,
@@ -150,8 +128,7 @@ def rotation_to_sector(X, phi_samples: int = 4096, boundary_samples: int = 128) 
             f"(best lambda_min over {phi_samples} rotations: {lam_min[k_best]:.6e})"
         )
     phi0 = float(phis[k_best])
-    Y0 = np.exp(1j * phi0) * X
-    a_min, a_max = _refine_arg_extremes(Y0, boundary_samples)
+    a_min, a_max = _arg_extremes(*cartesian_decompose(np.exp(1j * phi0) * X))
     index = max(0.0, (a_max - a_min) / 2.0)
     if index >= math.pi / 2 - _BOUNDARY_MARGIN:
         raise NotSectorialError(

@@ -51,3 +51,26 @@ def oracle_resolution_slack(X: np.ndarray, p: float, samples: int) -> float:
     B = (X - X.conj().T) / 2j
     L = float(norm_of_svals(np.abs(np.linalg.eigvalsh(A)), p) + norm_of_svals(np.abs(np.linalg.eigvalsh(B)), p))
     return L * (math.pi / samples) / 2
+
+
+def mp_sector_index(X: np.ndarray, dps: int = 50) -> float:
+    """Sectoriality index of accretive X in mpmath at ``dps`` digits.
+
+    The extreme arguments over W(X) are arctan of the extreme eigenvalues
+    of A^{-1/2} B A^{-1/2} (A = Re X, B = Im X); the inverse square root
+    comes from an eigendecomposition of A, not from a Cholesky factor,
+    and the Cartesian parts are formed exactly from the input's doubles.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        n = X.shape[0]
+        Xm = mpmath.matrix([[mpmath.mpc(complex(X[i, j])) for j in range(n)] for i in range(n)])
+        A = (Xm + Xm.H) / 2
+        B = (Xm - Xm.H) / mpmath.mpc(0, 2)
+        w, Q = mpmath.eighe(A)
+        inv_sqrt = mpmath.diag([1 / mpmath.sqrt(mpmath.re(e)) for e in w])
+        R = Q * inv_sqrt * Q.H
+        lam = mpmath.eighe(R * B * R, eigvals_only=True)
+        lam = [mpmath.re(v) for v in lam]
+        return float(max(mpmath.atan(max(lam)), -mpmath.atan(min(lam)), 0))

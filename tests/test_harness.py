@@ -1,11 +1,21 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sector_radius.generator import GenConfig, random_accretive_dissipative, random_ginibre, random_pd
+from sector_radius.generator import (
+    GenConfig,
+    random_accretive_dissipative,
+    random_ginibre,
+    random_pd,
+    random_sectorial,
+    random_unitary,
+)
 from sector_radius.harness import (
     CheckContext,
+    Inapplicable,
+    _verified,
     all_ids,
     check_inequality,
     explain,
@@ -15,6 +25,7 @@ from sector_radius.harness import (
 )
 from sector_radius.linalg import DimensionError
 from sector_radius.norms import FROBENIUS, OPERATOR, TRACE, schatten
+from sector_radius.sectorial import sector_index, tan_block
 
 VOLTERRA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 ALL_NORMS = (OPERATOR, TRACE, FROBENIUS, schatten(3))
@@ -106,6 +117,33 @@ class TestCheckInequality:
         r = check_inequality("T1_prod_sec_N", [VOLTERRA, VOLTERRA], FROBENIUS)
         assert r.verdict == "inapplicable"
         assert "sectorial" in r.note
+
+
+class TestVerifiedSectorIndex:
+    def test_first_try_adds_exactly_alpha_inflation(self):
+        ctx = CheckContext()
+        for seed, alpha in ((1, 0.3), (2, 1.2), (3, 1.569)):
+            X = random_sectorial(GenConfig(4, seed), alpha)
+            info = sector_index(X)
+            assert _verified(info, X, ctx).index_alpha == info.index_alpha + ctx.alpha_inflation
+
+    def test_underestimated_index_is_inflated_until_it_holds(self):
+        r = np.exp(1j * 1.0)
+        X = np.diag([1.0, r, (2.0 + 1e-4j) * r, 3.0 * r])
+        U = random_unitary(GenConfig(4, 5))
+        X = U @ X @ U.conj().T
+        exact = sector_index(X)
+        low = replace(exact, index_alpha=1.0)
+        got = _verified(low, X, CheckContext())
+        assert got.index_alpha >= exact.index_alpha
+        assert got.index_alpha < exact.index_alpha + 1e-4
+        assert np.linalg.eigvalsh(tan_block(X, got.index_alpha)).min() >= -1e-12
+
+    def test_inflation_reaching_half_pi_is_inapplicable(self):
+        X = np.diag([1.0, np.exp(1j * (np.pi / 2 - 1e-9))])
+        low = replace(sector_index(X), index_alpha=0.0)
+        with pytest.raises(Inapplicable, match="reaches pi/2"):
+            _verified(low, X, CheckContext())
 
 
 class TestRhsStructure:

@@ -147,6 +147,30 @@ class TestOmegaN:
             omega_n(OPERATOR, np.eye(2), refine_tol=0.0)
 
 
+class TestEigensolverBudget:
+    def test_omega_n_eigensolver_calls(self, monkeypatch):
+        # Newton polishing plus certification stays within 20 batched
+        # eigensolver calls per radius, norms of the Cartesian parts included.
+        calls = []
+        for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rng = np.random.default_rng(16)
+        for n in range(2, 7):
+            for _ in range(3):
+                X = random_complex(rng, n)
+                for spec in ALL_NORMS:
+                    for grid in (256, 1024):
+                        calls.clear()
+                        omega_n(spec, X, grid=grid)
+                        assert len(calls) <= 20, (n, spec.label, grid, len(calls))
+
+
 class TestOmega:
     def test_identity(self):
         assert omega(np.eye(3)).value == pytest.approx(1.0, abs=1e-12)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sector_radius.generator import GenConfig, random_pd, random_sectorial
+from sector_radius.generator import GenConfig, random_pd, random_sectorial, random_unitary
 from sector_radius.linalg import DomainError, is_psd
 from sector_radius.norms import FROBENIUS, OPERATOR, TRACE, evaluate_norm, schatten
 from sector_radius.radius import omega_n
@@ -14,6 +14,8 @@ from sector_radius.sectorial import (
     sector_index,
     tan_block,
 )
+
+from helpers import mp_sector_index
 
 ALL_NORMS = (OPERATOR, TRACE, FROBENIUS, schatten(3))
 
@@ -69,6 +71,40 @@ class TestSectorIndex:
         X = np.diag([1.0, np.exp(1j * (np.pi / 2 - 1e-11))])
         with pytest.raises(NotSectorialError):
             sector_index(X)
+
+
+class TestExactIndex:
+    @pytest.mark.parametrize("alpha", [1.5, 1.565])
+    def test_matches_mpmath_near_half_pi(self, alpha):
+        for n, seed in ((2, 31), (4, 32), (6, 33)):
+            X = random_sectorial(GenConfig(n, seed), alpha)
+            ref = mp_sector_index(X)
+            assert sector_index(X).index_alpha == pytest.approx(ref, abs=1e-13)
+            assert ref == pytest.approx(alpha, abs=1e-12)
+
+    def test_badly_scaled_congruence(self):
+        # D (U Y U*) D spreads Re X over ten decades; a diagonal congruence
+        # leaves the index of Y unchanged.
+        D = np.diag([1.0, 1e-3, 1e-5])
+        for seed in (41, 42, 43):
+            U = random_unitary(GenConfig(3, seed))
+            Y = U @ random_sectorial(GenConfig(3, seed + 10), 1.2) @ U.conj().T
+            X = D @ Y @ D
+            ref = mp_sector_index(X)
+            assert sector_index(X).index_alpha == pytest.approx(ref, abs=1e-13)
+            assert ref == pytest.approx(1.2, abs=1e-10)
+
+    def test_narrow_vertex_is_not_missed(self):
+        # A normal matrix whose largest-argument eigenvalue sits on a vertex
+        # with a 2e-4 wide normal cone, far below any support-angle sweep step.
+        r = np.exp(1j * 1.0)
+        lam = np.array([1.0, r, (2.0 + 1e-4j) * r, 3.0 * r])
+        U = random_unitary(GenConfig(4, 5))
+        X = U @ np.diag(lam) @ U.conj().T
+        exact = float(np.angle(lam[2]))
+        assert mp_sector_index(X) == pytest.approx(exact, abs=1e-13)
+        assert sector_index(X).index_alpha == pytest.approx(exact, abs=1e-13)
+        assert rotation_to_sector(X, 512).index_alpha == pytest.approx(exact / 2, abs=1e-13)
 
 
 class TestRotationToSector:
