@@ -32,7 +32,7 @@ from .harness import (
 )
 from .linalg import read_matrix, write_matrix
 from .norms import parse_norm
-from .radius import numerical_range_boundary, omega, omega_n
+from .radius import DEFAULT_GRID, numerical_range_boundary, omega, omega_n
 from .sectorial import rotation_to_sector, sector_index
 
 
@@ -110,7 +110,7 @@ def _cmd_compute(args) -> int:
         info = sector_index(X)
         _emit(_sector_json(info), args.output)
     elif args.what == "sector-rotation":
-        info = rotation_to_sector(X, phi_samples=args.phi_samples)
+        info = rotation_to_sector(X)
         _emit(_sector_json(info), args.output)
     return 0
 
@@ -204,10 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("-i", "--input", required=True, help="matrix JSON file")
     p_compute.add_argument("-o", "--output", default=None, help="output file (default stdout)")
     p_compute.add_argument("--norm", default="op", help="norm spec: op|tr|fro|sp:<p>")
-    p_compute.add_argument("--grid", type=int, default=1024)
+    p_compute.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p_compute.add_argument("--refine-tol", type=float, default=1e-10)
     p_compute.add_argument("--samples", type=int, default=720)
-    p_compute.add_argument("--phi-samples", type=int, default=4096)
     p_compute.set_defaults(func=_cmd_compute)
 
     p_gen = sub.add_parser("gen", help="generate a seeded random matrix file")

@@ -28,9 +28,17 @@ import numpy as np
 from .generator import GenConfig, mix_seed, random_accretive_dissipative, random_ginibre, random_pd, random_sectorial
 from .linalg import DimensionError, as_matrix, cartesian_decompose, frobenius, hadamard
 from .norms import FROBENIUS, OPERATOR, TRACE, NormSpec, evaluate_norm, schatten
-from .radius import omega_n
+from .radius import DEFAULT_GRID, omega_n
 from .report import CheckResult, IdSummary, Interval, SuiteReport
-from .sectorial import NotSectorialError, SectorInfo, rotation_to_sector, sec_block, sector_index, tan_block
+from .sectorial import (
+    NotSectorialError,
+    SectorInfo,
+    accretive_gate,
+    rotation_to_sector,
+    sec_block,
+    sector_index,
+    tan_block,
+)
 
 __all__ = [
     "InequalityId",
@@ -87,6 +95,9 @@ class InequalityId(str, Enum):
 class CheckContext:
     """Shared numerical settings for a batch of checks.
 
+    ``grid`` is the number of uniform start cells of every radius
+    computation; Newton polishing and certification down to
+    ``refine_tol`` carry the accuracy, so a coarse grid only seeds them.
     ``alpha_inflation`` is added to every computed sector index before a
     sec or tan factor is taken, covering the index's rounding error; the
     inflated index is then checked to contain the numerical range and the
@@ -94,11 +105,10 @@ class CheckContext:
     certified gap of inner radius computations, never their soundness.
     """
 
-    grid: int = 256
+    grid: int = DEFAULT_GRID
     refine_tol: float = 1e-10
     cert_floor: float = 0.0
     alpha_inflation: float = 1e-8
-    phi_samples: int = 512
     psd_tol: float = 1e-9
     m_fold: int = 3
 
@@ -130,7 +140,7 @@ def _norm_iv(spec: NormSpec, X: np.ndarray) -> Interval:
 
 def _class_info(X: np.ndarray, ctx: CheckContext) -> SectorInfo:
     try:
-        info = rotation_to_sector(X, ctx.phi_samples)
+        info = rotation_to_sector(X)
     except NotSectorialError as exc:
         raise Inapplicable(f"input is not sectorial: {exc}") from None
     return _verified(info, X, ctx)
@@ -189,14 +199,13 @@ def _is_hermitian(X: np.ndarray) -> bool:
 
 
 def _require_accretive_dissipative(X: np.ndarray, which: str) -> None:
+    # Im X is Re(-iX), so both parts go through the accretivity gate at once.
     re, im = cartesian_decompose(X)
-    thr = 1e-12 * frobenius(X)
-    lam_re = float(np.linalg.eigvalsh(re)[0])
-    lam_im = float(np.linalg.eigvalsh(im)[0])
-    if lam_re <= thr or lam_im <= thr:
+    passes, lam = accretive_gate(np.stack([re, im]), np.stack([im, -re]))
+    if not passes.all():
         raise Inapplicable(
-            f"{which} is not accretive-dissipative: lambda_min(Re) = {lam_re:.3e}, "
-            f"lambda_min(Im) = {lam_im:.3e}"
+            f"{which} is not accretive-dissipative: lambda_min(D Re D) = {lam[0]:.3e}, "
+            f"lambda_min(D' Im D') = {lam[1]:.3e} (unit-diagonal scalings D, D')"
         )
 
 

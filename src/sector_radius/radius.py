@@ -25,6 +25,7 @@ from .linalg import as_matrix, cartesian_decompose
 from .norms import NormSpec, OPERATOR, hermitian_norm, schatten_value
 
 __all__ = [
+    "DEFAULT_GRID",
     "RadiusEstimate",
     "RangePoint",
     "radius_profile",
@@ -32,6 +33,10 @@ __all__ = [
     "omega",
     "numerical_range_boundary",
 ]
+
+# Uniform start cells of omega_n on [0, pi).  Newton polishing and the
+# certification pass carry the accuracy; the grid only seeds them.
+DEFAULT_GRID = 32
 
 # Newton steps taken from each of the best grid cells before certification.
 _NEWTON_STEPS = 4
@@ -200,7 +205,7 @@ def _covering_bound(values: np.ndarray, r: float) -> float:
 def omega_n(
     spec: NormSpec,
     X,
-    grid: int = 1024,
+    grid: int = DEFAULT_GRID,
     refine_tol: float = 1e-10,
     *,
     cert_floor: float = 0.0,
@@ -291,7 +296,7 @@ def omega_n(
     return RadiusEstimate(best.value, best.theta % math.pi, cert_error, spec)
 
 
-def omega(X, grid: int = 1024, refine_tol: float = 1e-10) -> RadiusEstimate:
+def omega(X, grid: int = DEFAULT_GRID, refine_tol: float = 1e-10) -> RadiusEstimate:
     """Classical numerical radius: omega_n with the operator norm."""
     return omega_n(OPERATOR, X, grid=grid, refine_tol=refine_tol)
 

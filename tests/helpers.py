@@ -74,3 +74,21 @@ def mp_sector_index(X: np.ndarray, dps: int = 50) -> float:
         lam = mpmath.eighe(R * B * R, eigvals_only=True)
         lam = [mpmath.re(v) for v in lam]
         return float(max(mpmath.atan(max(lam)), -mpmath.atan(min(lam)), 0))
+
+
+def count_hermitian_eig_matrices(monkeypatch) -> list[int]:
+    """Patch numpy's Hermitian eigensolvers to record matrices per call.
+
+    Returns the list that each ``eigvalsh``/``eigh`` call appends its
+    batch size to (1 for a single matrix).
+    """
+    counts: list[int] = []
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, **kwargs):
+            counts.append(int(np.prod(np.shape(a)[:-2], dtype=np.int64)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts

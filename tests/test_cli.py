@@ -44,7 +44,7 @@ class TestGenAndCompute:
         m = tmp_path / "m.json"
         run_cli("gen", "sectorial", "--n", "3", "--seed", "11", "--alpha", "0.8", "-o", str(m))
         out = tmp_path / "s.json"
-        assert run_cli("compute", "sector-rotation", "--phi-samples", "1024", "-i", str(m), "-o", str(out)) == 0
+        assert run_cli("compute", "sector-rotation", "-i", str(m), "-o", str(out)) == 0
         data = json.loads(out.read_text())
         assert set(data) == {"accretive", "alpha", "z_re", "z_im", "lambda_min_re"}
         assert data["accretive"] is True

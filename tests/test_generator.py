@@ -90,7 +90,7 @@ class TestRandomSectorial:
         from sector_radius.sectorial import rotation_to_sector
 
         X = random_accretive_dissipative(GenConfig(4, 11))
-        info = rotation_to_sector(X, 1024)
+        info = rotation_to_sector(X)
         assert info.index_alpha <= np.pi / 4 + 1e-9
 
     def test_blocks_psd_at_target(self):

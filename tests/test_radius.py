@@ -6,7 +6,7 @@ import pytest
 from sector_radius.generator import GenConfig, random_unitary
 from sector_radius.norms import FROBENIUS, OPERATOR, TRACE, evaluate_norm, hermitian_norm, schatten
 from sector_radius.radius import numerical_range_boundary, omega, omega_n, radius_profile
-from helpers import oracle_omega, oracle_resolution_slack, random_complex, random_hermitian
+from helpers import count_hermitian_eig_matrices, oracle_omega, oracle_resolution_slack, random_complex, random_hermitian
 
 ALL_NORMS = (OPERATOR, TRACE, FROBENIUS, schatten(3))
 VOLTERRA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -169,6 +169,21 @@ class TestEigensolverBudget:
                         calls.clear()
                         omega_n(spec, X, grid=grid)
                         assert len(calls) <= 20, (n, spec.label, grid, len(calls))
+
+    def test_omega_n_matrices_at_default_grid(self, monkeypatch):
+        # The start grid, Newton polishing and certification together
+        # average at most 150 Hermitian eigensolver matrices per radius.
+        counts = count_hermitian_eig_matrices(monkeypatch)
+        per_call = []
+        rng = np.random.default_rng(17)
+        for n in range(2, 7):
+            for _ in range(3):
+                X = random_complex(rng, n)
+                for spec in ALL_NORMS:
+                    counts.clear()
+                    omega_n(spec, X)
+                    per_call.append(sum(counts))
+        assert np.mean(per_call) <= 150, np.mean(per_call)
 
 
 class TestOmega:

@@ -15,7 +15,7 @@ from sector_radius.sectorial import (
     tan_block,
 )
 
-from helpers import mp_sector_index
+from helpers import count_hermitian_eig_matrices, mp_sector_index
 
 ALL_NORMS = (OPERATOR, TRACE, FROBENIUS, schatten(3))
 
@@ -82,6 +82,14 @@ class TestExactIndex:
             assert sector_index(X).index_alpha == pytest.approx(ref, abs=1e-13)
             assert ref == pytest.approx(alpha, abs=1e-12)
 
+    def test_gate_is_invariant_under_diagonal_congruence(self):
+        # lambda_min(Re X) is about 1e-13 here, below 1e-12 ||X||_F, yet X is
+        # a diagonal congruence of an accretive matrix.
+        D = np.diag([1.0, 1e-3, 1e-6])
+        for seed in (200, 201, 202):
+            X = D @ random_sectorial(GenConfig(3, seed), 1.2) @ D
+            assert sector_index(X).index_alpha == pytest.approx(mp_sector_index(X), abs=1e-9)
+
     def test_badly_scaled_congruence(self):
         # D (U Y U*) D spreads Re X over ten decades; a diagonal congruence
         # leaves the index of Y unchanged.
@@ -104,10 +112,39 @@ class TestExactIndex:
         exact = float(np.angle(lam[2]))
         assert mp_sector_index(X) == pytest.approx(exact, abs=1e-13)
         assert sector_index(X).index_alpha == pytest.approx(exact, abs=1e-13)
-        assert rotation_to_sector(X, 512).index_alpha == pytest.approx(exact / 2, abs=1e-13)
+        assert rotation_to_sector(X).index_alpha == pytest.approx(exact / 2, abs=1e-13)
+
+
+def narrow_arc(k: int) -> np.ndarray:
+    """Rotated *congruence of a diagonal unitary with angles +-1.569 and a
+    spread in between: its accretive rotations form an arc of width 3.6e-3."""
+    n = 3 + k % 3
+    U = random_unitary(GenConfig(n, 70 + k))
+    S = np.diag(np.linspace(1.0, 3.0, n))
+    angles = np.concatenate([[1.569, -1.569], np.linspace(-1.0, 1.0, n - 2)])
+    return np.exp(1j * (0.1 + 0.5 * k)) * U @ S @ np.diag(np.exp(1j * angles)) @ S @ U.conj().T
 
 
 class TestRotationToSector:
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    def test_narrow_accretive_arc_is_found(self, k):
+        # An accretive arc of width 3.6e-3 slips between the angles of any
+        # rotation scan coarser than that; the checks must find it too.
+        from sector_radius.harness import DEFAULT_CONTEXT, _class_info
+
+        X = narrow_arc(k)
+        assert rotation_to_sector(X).index_alpha == pytest.approx(1.569, abs=1e-9)
+        assert _class_info(X, DEFAULT_CONTEXT).index_alpha == pytest.approx(1.569, abs=1e-7)
+
+    def test_hermitian_eigensolver_budget(self, monkeypatch):
+        counts = count_hermitian_eig_matrices(monkeypatch)
+        for n in range(2, 7):
+            for seed in range(3):
+                X = np.exp(2.0j * seed) * random_sectorial(GenConfig(n, 300 + seed), 0.4 * (seed + 1))
+                counts.clear()
+                rotation_to_sector(X)
+                assert sum(counts) <= 8, (n, seed, counts)
+
     def test_rotated_positive_definite(self):
         P = random_pd(GenConfig(3, 8))
         info = rotation_to_sector(1j * P)
@@ -124,7 +161,7 @@ class TestRotationToSector:
 
     def test_rotated_segment(self):
         X = np.diag([np.exp(1j * np.pi / 3), np.exp(2j * np.pi / 3)])
-        info = rotation_to_sector(X, 100000 // 10)
+        info = rotation_to_sector(X)
         assert info.index_alpha == pytest.approx(np.pi / 6, abs=1e-9)
         assert abs(info.rotation_z - np.exp(-1j * np.pi / 2)) <= 1e-6
 
@@ -135,18 +172,18 @@ class TestRotationToSector:
 
     def test_class_index_rotation_invariant(self):
         X = random_sectorial(GenConfig(3, 12), 1.2)
-        base = rotation_to_sector(X, 512).index_alpha
+        base = rotation_to_sector(X).index_alpha
         for phi in (0.5, 2.0, 4.4):
-            got = rotation_to_sector(np.exp(1j * phi) * X, 512).index_alpha
+            got = rotation_to_sector(np.exp(1j * phi) * X).index_alpha
             assert got == pytest.approx(base, abs=1e-9)
 
     def test_class_index_below_accretive_index(self):
         X = random_sectorial(GenConfig(4, 13), 1.0)
-        assert rotation_to_sector(X, 512).index_alpha <= sector_index(X).index_alpha + 1e-9
+        assert rotation_to_sector(X).index_alpha <= sector_index(X).index_alpha + 1e-9
 
     def test_witnessed_rotation_is_accretive_with_reported_index(self):
         X = np.exp(1.9j) * random_sectorial(GenConfig(4, 14), 0.7)
-        info = rotation_to_sector(X, 512)
+        info = rotation_to_sector(X)
         zX = info.rotation_z * X
         back = sector_index(zX)
         assert back.index_alpha <= info.index_alpha + 1e-8
@@ -156,10 +193,6 @@ class TestRotationToSector:
             rotation_to_sector(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         with pytest.raises(NotSectorialError):
             rotation_to_sector(np.diag([1.0, -1.0]).astype(complex))
-
-    def test_phi_samples_validation(self):
-        with pytest.raises(ValueError):
-            rotation_to_sector(np.eye(2), phi_samples=4)
 
 
 class TestSectorBlocks:
@@ -193,7 +226,7 @@ class TestSectorBlocks:
 
     def test_blocks_at_witnessed_class_index(self):
         X = np.exp(0.4j) * random_sectorial(GenConfig(3, 18), 0.9)
-        info = rotation_to_sector(X, 512)
+        info = rotation_to_sector(X)
         zX = info.rotation_z * X
         assert is_psd(tan_block(zX, info.index_alpha + 1e-8), tol=1e-9)
         assert is_psd(sec_block(zX, info.index_alpha + 1e-8), tol=1e-9)
