@@ -1,4 +1,4 @@
-"""The Schatten family of matrix norms and its capability flags.
+"""The Schatten family of matrix norms.
 
 Only this family ships because the inequality suite assumes norms that
 are simultaneously unitarily invariant, submultiplicative, and
@@ -69,20 +69,6 @@ class NormSpec:
             return self.kind
         p = self.p
         return f"sp:{int(p)}" if p == int(p) else f"sp:{p:g}"
-
-    # The whole family is unitarily invariant, submultiplicative under
-    # both ordinary and Hadamard products, and self-adjoint.
-    @property
-    def unitarily_invariant(self) -> bool:
-        return True
-
-    @property
-    def multiplicative(self) -> bool:
-        return True
-
-    @property
-    def self_adjoint(self) -> bool:
-        return True
 
 
 OPERATOR = NormSpec("op")

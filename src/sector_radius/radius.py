@@ -4,14 +4,21 @@ The central object is the angle profile f(theta) = N(Re(e^{i*theta} X)),
 whose supremum over theta defines the generalized numerical radius.  The
 profile has period pi, is Lipschitz with constant L = N(Re X) + N(Im X),
 and is a pointwise maximum of sinusoids of amplitude at most sup f (one
-sinusoid per dual-norm certificate).  omega_n combines a uniform grid,
-a few safeguarded Newton steps on the analytic profile from the best
-cells (derivatives from one batched eigendecomposition per step), and a
-subdivision pass whose per-cell upper caps come from that sinusoid
-structure; the result is a lower bound ``value`` together with a
-guaranteed gap ``cert_error`` so that the true supremum lies in
-[value, value + cert_error].  Only the subdivision pass carries the
-guarantee; the Newton steps just make ``value`` good early.
+sinusoid per dual-norm certificate).  omega_n returns a lower bound
+``value`` (a profile sample) together with a guaranteed gap
+``cert_error`` so that the true supremum lies in
+[value, value + cert_error].
+
+The Frobenius profile is a quadratic form in (cos theta, sin theta), so
+its supremum is read off a 2x2 Gram matrix with a stated rounding pad.
+Every other norm samples a uniform grid and polishes the best cells with
+a few safeguarded Newton steps on the analytic profile (derivatives from
+one batched eigendecomposition per step); the Newton steps only make
+``value`` good early.  The guarantee then comes from one of two upper
+bounds.  For the operator norm, Ando's dilation gives it with one
+Hermitian eigensolve of a 2n x 2n matrix.  Otherwise, and whenever that
+bound does not close, a subdivision pass certifies with per-cell upper
+caps from the sinusoid structure.
 """
 
 from __future__ import annotations
@@ -48,6 +55,23 @@ _GAP_FLOOR = 1e-8
 # Relative slack added to every certified cap, covering the backward error
 # of the dense Hermitian eigensolver on each profile evaluation.
 _EIG_SLACK = 1e-13
+
+# Budget of the subdivision pass; exhausting it enlarges cert_error but
+# never invalidates it.
+_MAX_CELLS = 200000
+_MAX_ROUNDS = 48
+
+# Cyclic-reduction steps allowed for Ando's certificate.  Away from the
+# critical level the iteration converges quadratically; a level within
+# g_stop of w(X) takes about 20 steps, a nilpotent X about log2(n).
+_CR_STEPS = 64
+
+# Backward-error model of the dense Hermitian eigensolver: every computed
+# eigenvalue of an m x m Hermitian M is within _EIG_BACKWARD * m * eps *
+# ||M||_F of an exact one (Weyl's inequality applied to the backward error).
+_EIG_BACKWARD = 4.0
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -202,6 +226,78 @@ def _covering_bound(values: np.ndarray, r: float) -> float:
     return float(values.max()) / math.cos(r)
 
 
+def _ando_bound(X: np.ndarray, gamma: float, tol: float) -> float:
+    """Upper bound on w(X) from one eigensolve of a 2n x 2n Hermitian dilation.
+
+    For every Hermitian Z, Re(e^{i*theta} X) is the compression V* M V of
+    M(Z) = [[-Z, X], [X*, Z]] by the isometry V = [I; e^{i*theta} I] / sqrt(2),
+    so w(X) <= lambda_max(M(Z)).  Ando's theorem (Acta Sci. Math. 34, 1973)
+    makes this tight: if w(X) <= gamma, then Z = gamma (2Y - I), with Y the
+    maximal solution of Y + A* Y^{-1} A = I and A = X / (2 gamma), leaves
+    gamma I - M(Z) positive semidefinite with a vanishing Schur complement,
+    so lambda_max(M(Z)) = gamma.  Y comes from cyclic reduction (Meini,
+    Math. Comp. 71, 2002), stopped once an update of Y, which moves
+    lambda_max by at most 2 gamma times its norm, is below ``tol``.
+
+    The bound holds for whatever Hermitian Z the iteration returns, so an
+    inaccurate Y costs tightness, never soundness.  M is formed exactly
+    from X and Z; the eigensolver's backward error is added as
+    _EIG_BACKWARD * 2n * eps * ||M||_F.  A divergent iteration (gamma below
+    w(X)) yields a non-finite or loose bound, or raises LinAlgError.
+    """
+    n = X.shape[0]
+    A = X / (2.0 * gamma)
+    Q = np.eye(n, dtype=np.complex128)
+    Y = Q.copy()
+    with np.errstate(all="ignore"):
+        for _ in range(_CR_STEPS):
+            W = np.concatenate([A, A.conj().T], axis=1)
+            # [[A* Q^-1 A, A* Q^-1 A*], [A Q^-1 A, A Q^-1 A*]]
+            T = W.conj().T @ np.linalg.solve(Q, W)
+            update = T[:n, :n]
+            Y = Y - update
+            Q = Q - update - T[n:, n:]
+            A = T[n:, :n]
+            # Stops on convergence and on a non-finite update alike.
+            if not np.vdot(update, update).real > tol * tol:
+                break
+        Z = gamma * (Y + Y.conj().T - np.eye(n))
+        M = np.block([[-Z, X], [X.conj().T, Z]])
+        top = float(np.linalg.eigvalsh(M)[-1])
+        return top + _EIG_BACKWARD * 2 * n * _EPS * float(np.linalg.norm(M))
+
+
+def _frobenius_radius(A: np.ndarray, B: np.ndarray, spec: NormSpec) -> RadiusEstimate:
+    """Closed-form Frobenius radius of X = A + iB.
+
+    With a = ||A||_F^2, b = ||B||_F^2 and c = <A, B> = Re tr(AB),
+    f(theta)^2 = a cos^2 - 2 c sin cos + b sin^2 is the quadratic form of
+    G = [[a, -c], [-c, b]] at (cos theta, sin theta), so sup f^2 =
+    lambda_max(G) = (a + b)/2 + hypot((a - b)/2, c), attained at the angle
+    of the top eigenvector, 2 theta* = atan2(-2c, a - b).  ``value`` is the
+    profile evaluated at theta*.
+
+    Rounding pad: each of a, b, c sums n^2 products of entries of the
+    computed Cartesian parts, which are within eps of exact entrywise, so
+    each is within (n^2 + 6) eps (a + b) of its exact value (recursive
+    summation, Higham, Accuracy and Stability, section 3.1, plus
+    Cauchy-Schwarz for c); lambda_max(G) is 1-Lipschitz in each of a, b, c
+    and its formula adds at most 4 eps (a + b).  The pad is twice the sum,
+    (6 n^2 + 44) eps (a + b), added under the square root.
+    """
+    a = float(np.vdot(A, A).real)
+    b = float(np.vdot(B, B).real)
+    if a + b == 0.0:
+        return RadiusEstimate(0.0, 0.0, 0.0, spec)
+    c = float(np.vdot(A, B).real)
+    top = 0.5 * (a + b) + math.hypot(0.5 * (a - b), c)
+    n = A.shape[0]
+    upper = math.sqrt(top + (6 * n * n + 44) * _EPS * (a + b))
+    theta = (0.5 * math.atan2(-2.0 * c, a - b)) % math.pi
+    value = float(_profile_values(A, B, np.asarray([theta]), 2.0)[0])
+    return RadiusEstimate(value, theta, max(0.0, upper - value), spec)
+
+
 def omega_n(
     spec: NormSpec,
     X,
@@ -209,8 +305,6 @@ def omega_n(
     refine_tol: float = 1e-10,
     *,
     cert_floor: float = 0.0,
-    max_cells: int = 200000,
-    max_rounds: int = 48,
 ) -> RadiusEstimate:
     """Generalized numerical radius sup_theta N(Re(e^{i*theta} X)).
 
@@ -226,13 +320,12 @@ def omega_n(
     cert_floor:
         Optional larger width target for the certification pass only,
         trading a bigger (still guaranteed) cert_error for speed.
-    max_cells, max_rounds:
-        Budget for the certification pass; exhausting it enlarges
-        cert_error but never invalidates it.
 
     Returns a RadiusEstimate with value the best profile sample found,
     the angle attaining it, and a certified error so that the true
-    supremum lies in [value, value + cert_error].
+    supremum lies in [value, value + cert_error].  The Frobenius norm
+    takes the closed form, which samples no grid and needs no tolerance;
+    the operator norm tries Ando's bound before subdividing.
     """
     X = as_matrix(X)
     if not isinstance(grid, (int, np.integer)) or grid < 8:
@@ -241,6 +334,8 @@ def omega_n(
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     A, B = cartesian_decompose(X)
     p = spec.schatten_p
+    if p == 2.0:
+        return _frobenius_radius(A, B, spec)
     nA = hermitian_norm(spec, A)
     nB = hermitian_norm(spec, B)
     lipschitz = nA + nB
@@ -260,17 +355,30 @@ def omega_n(
     top = np.argsort(values)[::-1][: min(8, grid)]
     _newton_polish(A, B, p, centers[top], h, refine_tol, best)
 
+    g_stop = 0.5 * lipschitz * max(refine_tol, cert_floor)
+    if math.isinf(p):
+        # Ando's level sits g_stop/2 above the best sample.  A bound that
+        # does not close (Newton found a local maximum only, or the
+        # iteration broke down) falls through to subdivision; NaN
+        # compares false.
+        gamma = best.value + 0.5 * g_stop
+        try:
+            ando = _ando_bound(X, gamma, g_stop / (8.0 * gamma))
+        except np.linalg.LinAlgError:
+            ando = math.inf
+        if ando - best.value <= g_stop:
+            return RadiusEstimate(best.value, best.theta % math.pi, max(0.0, ando - best.value), spec)
+
     # Certification: subdivide until the covering bound is within g_stop
     # of the best sample or the budget runs out.  The bound stays valid
     # at every stage, so exhausting the budget only enlarges cert_error.
-    g_stop = 0.5 * lipschitz * max(refine_tol, cert_floor)
     slack = _EIG_SLACK * math.hypot(nA, nB)
     cell_theta = centers
     cell_val = values
     r = h / 2
     pruned_bound = -math.inf
     bound = min(math.hypot(nA, nB), float(values.max()) + lipschitz * h / 2) + slack
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         # The global maximum lies either in a pruned cell (bounded at
         # prune time) or in an active one (covering bound applies).
         cover = max(best.value, _covering_bound(cell_val, r)) + slack
@@ -285,7 +393,7 @@ def omega_n(
         dropped = ~keep
         if dropped.any():
             pruned_bound = max(pruned_bound, float(caps[dropped].max()))
-        if 2 * int(keep.sum()) > max_cells:
+        if 2 * int(keep.sum()) > _MAX_CELLS:
             break
         th = cell_theta[keep]
         r = r / 2

@@ -76,6 +76,29 @@ def mp_sector_index(X: np.ndarray, dps: int = 50) -> float:
         return float(max(mpmath.atan(max(lam)), -mpmath.atan(min(lam)), 0))
 
 
+def mp_frobenius_radius(X: np.ndarray, dps: int = 50) -> float:
+    """sup_theta ||Re(e^{i*theta} X)||_F in mpmath at ``dps`` digits.
+
+    The squared profile is the quadratic form of the Gram matrix of the
+    Cartesian parts at (cos theta, -sin theta); its top eigenvalue comes
+    from mpmath's symmetric eigensolver, with the parts formed exactly
+    from the input's doubles.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        n = X.shape[0]
+        Xm = mpmath.matrix([[mpmath.mpc(complex(X[i, j])) for j in range(n)] for i in range(n)])
+        A = (Xm + Xm.H) / 2
+        B = (Xm - Xm.H) / mpmath.mpc(0, 2)
+
+        def inner(P, R):
+            return mpmath.re(mpmath.fsum(mpmath.conj(P[i, j]) * R[i, j] for i in range(n) for j in range(n)))
+
+        G = mpmath.matrix([[inner(A, A), inner(A, B)], [inner(B, A), inner(B, B)]])
+        return float(mpmath.sqrt(max(mpmath.eigsy(G, eigvals_only=True))))
+
+
 def count_hermitian_eig_matrices(monkeypatch) -> list[int]:
     """Patch numpy's Hermitian eigensolvers to record matrices per call.
 

@@ -21,10 +21,6 @@ ALL_NORMS = (OPERATOR, TRACE, FROBENIUS, schatten(3))
 
 
 class TestNormSpec:
-    def test_family_flags(self):
-        for spec in ALL_NORMS:
-            assert spec.unitarily_invariant and spec.multiplicative and spec.self_adjoint
-
     def test_aliases(self):
         rng = np.random.default_rng(0)
         X = random_complex(rng, 4)

@@ -2,14 +2,57 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sector_radius.generator import GenConfig, random_unitary
+from sector_radius.linalg import cartesian_decompose
 from sector_radius.norms import FROBENIUS, OPERATOR, TRACE, evaluate_norm, hermitian_norm, schatten
-from sector_radius.radius import numerical_range_boundary, omega, omega_n, radius_profile
-from helpers import count_hermitian_eig_matrices, oracle_omega, oracle_resolution_slack, random_complex, random_hermitian
+from sector_radius.radius import _ando_bound, numerical_range_boundary, omega, omega_n, radius_profile
+from helpers import (
+    count_hermitian_eig_matrices,
+    mp_frobenius_radius,
+    oracle_omega,
+    oracle_resolution_slack,
+    random_complex,
+    random_hermitian,
+)
 
 ALL_NORMS = (OPERATOR, TRACE, FROBENIUS, schatten(3))
 VOLTERRA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+EPS = float(np.finfo(np.float64).eps)
+
+
+def densified(S: np.ndarray, seed: int) -> np.ndarray:
+    """phase * U S U* for a seeded unitary U and unimodular phase."""
+    U = random_unitary(GenConfig(S.shape[0], seed))
+    phase = np.exp(2j * math.pi * np.random.default_rng(seed).random())
+    return phase * (U @ S.astype(complex) @ U.conj().T)
+
+
+def flat_fixtures():
+    """Volterra, Jordan blocks and weighted shifts n = 2..6: flat profiles."""
+    yield "volterra", VOLTERRA
+    for n in range(2, 7):
+        yield f"jordan{n}", densified(np.diag(np.ones(n - 1), 1), 30 + n)
+        weights = np.random.default_rng(40 + n).uniform(0.5, 2.0, n - 1)
+        yield f"shift{n}", densified(np.diag(weights, 1), 50 + n)
+
+
+def forbid_subdivision(monkeypatch, limit: int = 256) -> None:
+    """Fail fast on an eigvalsh batch beyond ``limit`` matrices.
+
+    Only the subdivision pass evaluates such batches; on a flat profile
+    it would go on to rounds of 131072 cells, which at n = 64 need
+    gigabytes.
+    """
+    original = np.linalg.eigvalsh
+
+    def guarded(a, *args, **kwargs):
+        batch = int(np.prod(np.shape(a)[:-2], dtype=np.int64))
+        assert batch <= limit, f"subdivision started: batch of {batch} matrices"
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", guarded)
 
 
 class TestRadiusProfile:
@@ -184,6 +227,88 @@ class TestEigensolverBudget:
                     omega_n(spec, X)
                     per_call.append(sum(counts))
         assert np.mean(per_call) <= 150, np.mean(per_call)
+
+    def test_flat_profiles_need_no_subdivision(self, monkeypatch):
+        # Ando's bound (op) and the closed form (fro) certify flat profiles
+        # directly; the subdivision pass needs about 262k matrices here.
+        counts = count_hermitian_eig_matrices(monkeypatch)
+        refine_tol = 1e-10
+        for name, X in flat_fixtures():
+            A, B = cartesian_decompose(X)
+            for spec in (OPERATOR, FROBENIUS):
+                counts.clear()
+                est = omega_n(spec, X, refine_tol=refine_tol)
+                used = sum(counts)
+                L = hermitian_norm(spec, A) + hermitian_norm(spec, B)
+                assert used <= 150, (name, spec.label, used)
+                assert est.cert_error <= 0.5 * L * refine_tol, (name, spec.label, est.cert_error)
+
+
+class TestCertificateOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), z_scale=st.floats(0.0, 4.0))
+    def test_dilation_bounds_radius_for_any_hermitian_z(self, n, seed, z_scale):
+        # Re(e^{i theta} X) is a compression of [[-Z, X], [X*, Z]] for
+        # every Hermitian Z, so its top eigenvalue bounds w(X) from above.
+        rng = np.random.default_rng(seed)
+        X = random_complex(rng, n)
+        Z = random_hermitian(rng, n, z_scale)
+        M = np.block([[-Z, X], [X.conj().T, Z]])
+        top = float(np.linalg.eigvalsh(M)[-1])
+        pad = 16 * n * EPS * float(np.linalg.norm(M))
+        assert top >= oracle_omega(X, math.inf, 2000) - pad
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), level=st.floats(0.25, 4.0))
+    def test_ando_bound_is_sound_at_any_level(self, n, seed, level):
+        # Below w(X) the Riccati iteration has no solution to find; the
+        # bound must then stay sound, or come out non-finite, or raise.
+        X = random_complex(np.random.default_rng(seed), n)
+        w = oracle_omega(X, math.inf, 2000)
+        try:
+            bound = _ando_bound(X, level * w, 1e-12)
+        except np.linalg.LinAlgError:
+            return
+        assert not bound < w - 16 * n * EPS * evaluate_norm(FROBENIUS, X)
+        if level >= 1.01:
+            assert bound <= level * w * (1 + 1e-9)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_jordan_block_radius(self, n, monkeypatch):
+        # w(J_n) = cos(pi / (n + 1)) on a flat profile.
+        forbid_subdivision(monkeypatch)
+        X = densified(np.diag(np.ones(n - 1), 1), 70 + n)
+        est = omega(X)
+        exact = math.cos(math.pi / (n + 1))
+        pad = 4 * n * n * EPS
+        assert est.value - pad <= exact <= est.value + est.cert_error + pad
+
+    @staticmethod
+    def frobenius_inputs():
+        for k, n in enumerate((2, 3, 4, 6)):
+            U = random_unitary(GenConfig(n, 80 + k))
+            signs = np.random.default_rng(80 + k).choice([-1.0, 1.0], n - 1)
+            d = np.concatenate([[1.0], signs * 1e-8])
+            yield f"rank_deficient{n}", U @ np.diag(d) @ U.conj().T
+            yield f"rank_deficient_phase{n}", densified(np.diag(d), 90 + k)
+        D = np.diag([1.0, 1e-3, 1e-6])
+        for seed in range(3):
+            yield f"badly_scaled{seed}", D @ random_complex(np.random.default_rng(100 + seed), 3) @ D
+        for n in (16, 32, 64):
+            yield f"large{n}", random_complex(np.random.default_rng(110 + n), n)
+
+    def test_frobenius_closed_form_against_mpmath(self):
+        refine_tol = 1e-10
+        for name, X in self.frobenius_inputs():
+            n = X.shape[0]
+            ref = mp_frobenius_radius(X)
+            est = omega_n(FROBENIUS, X, refine_tol=refine_tol)
+            A, B = cartesian_decompose(X)
+            L = hermitian_norm(FROBENIUS, A) + hermitian_norm(FROBENIUS, B)
+            assert ref <= est.value + est.cert_error, (name, ref, est)
+            assert abs(est.value - ref) <= 4 * n * n * EPS * ref, (name, ref, est)
+            assert est.cert_error <= 0.5 * L * refine_tol, (name, est.cert_error)
+            assert radius_profile(FROBENIUS, X, est.theta_star) == est.value
 
 
 class TestOmega:
