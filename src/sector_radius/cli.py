@@ -155,7 +155,6 @@ def _cmd_verify(args) -> int:
         norms,
         args.seed,
         context=context,
-        threads=args.threads,
     )
     if args.out:
         _emit(report.to_json(), args.out)
@@ -229,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--grid", type=int, default=DEFAULT_CONTEXT.grid)
     p_verify.add_argument("--m", type=int, default=DEFAULT_CONTEXT.m_fold, help="inputs per m-fold id")
-    p_verify.add_argument("--threads", type=int, default=None,
-                          help="worker threads (default: SECTOR_RADIUS_THREADS or 1)")
     p_verify.add_argument("--out", default=None, help="write the full JSON report here")
     p_verify.set_defaults(func=_cmd_verify)
 

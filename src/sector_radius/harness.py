@@ -2,11 +2,12 @@
 
 Every inequality the library verifies has a stable identifier.  A check
 evaluates both sides as enclosing intervals: radius estimates contribute
-[value, value + cert_error], norms and diagonal maxima enter as points
-with a small relative pad, and sec/tan factors are evaluated at the
-computed sector index inflated by a configurable margin, and the inflated
-index is verified to bound the numerical range before it is used.  The verdict
-is certified only when the intervals separate.
+[value, value + cert_error], norms enter as points padded by the SVD's
+error model, diagonal maxima with a small relative pad, and sec/tan
+factors are evaluated at the computed sector index inflated by a
+configurable margin, and the inflated index is verified to bound the
+numerical range before it is used.  The verdict is certified only when
+the intervals separate.
 
 IDs whose statement involves the classical numerical radius always run
 with the operator norm regardless of the requested norm; the remaining
@@ -16,9 +17,7 @@ IDs are parametric in any member of the shipped norm family.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
@@ -118,6 +117,7 @@ DEFAULT_DIMS = (2, 3, 4, 5, 6)
 DEFAULT_NORMS = (OPERATOR, TRACE, FROBENIUS, schatten(3))
 
 _NORM_PAD = 1e-12
+_SVD_BACKWARD = 4.0
 _DIAG_PAD = 1e-15
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -135,7 +135,17 @@ def _omega_iv(spec: NormSpec, X: np.ndarray, ctx: CheckContext) -> Interval:
 
 
 def _norm_iv(spec: NormSpec, X: np.ndarray) -> Interval:
-    return Interval.point(evaluate_norm(spec, X), rel=_NORM_PAD)
+    """N(X) from one SVD, padded by the SVD's error model.
+
+    Each computed singular value is within _SVD_BACKWARD * n * eps * sigma_1
+    of the exact one (Golub and Van Loan, Matrix Computations, section
+    8.6), so a Schatten-p norm is within n^(1/p) times that; sigma_1 is
+    at most N(X).
+    """
+    value = evaluate_norm(spec, X)
+    n = X.shape[0]
+    pad = n ** (1.0 / spec.schatten_p) * _SVD_BACKWARD * n * _EPS * value
+    return Interval.point(value, abs_=pad)
 
 
 def _class_info(X: np.ndarray, ctx: CheckContext) -> SectorInfo:
@@ -786,13 +796,6 @@ def _normalize_ids(ids) -> list[InequalityId]:
     return [i for i in all_ids() if i in wanted_set]
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("SECTOR_RADIUS_THREADS", "").strip()
-    return max(1, int(env)) if env else 1
-
-
 def run_suite(
     ids,
     trials: int,
@@ -801,7 +804,6 @@ def run_suite(
     seed: int,
     *,
     context: CheckContext = DEFAULT_CONTEXT,
-    threads: int | None = None,
 ) -> SuiteReport:
     """Randomized certified verification over every requested identifier.
 
@@ -820,7 +822,6 @@ def run_suite(
     norm_list = list(norms)
     if not norm_list:
         raise ValueError("empty norm set")
-    nthreads = _thread_count(threads)
 
     tasks = []
     for idx, ineq in enumerate(id_list):
@@ -837,11 +838,7 @@ def run_suite(
         return check_inequality(ineq, mats, norm, context=context, seed=tseed)
 
     start = time.perf_counter()
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(run_one, tasks))
-    else:
-        results = [run_one(t) for t in tasks]
+    results = [run_one(t) for t in tasks]
     wall = time.perf_counter() - start
 
     per_id = {i.value: IdSummary() for i in id_list}
@@ -858,7 +855,6 @@ def run_suite(
         "cert_floor": context.cert_floor,
         "alpha_inflation": context.alpha_inflation,
         "m_fold": context.m_fold,
-        "threads": nthreads,
         "mode": "verify",
     }
     return SuiteReport(config=config, per_id=per_id, wall_time_s=wall, results=results)

@@ -11,14 +11,18 @@ sinusoid per dual-norm certificate).  omega_n returns a lower bound
 
 The Frobenius profile is a quadratic form in (cos theta, sin theta), so
 its supremum is read off a 2x2 Gram matrix with a stated rounding pad.
-Every other norm samples a uniform grid and polishes the best cells with
-a few safeguarded Newton steps on the analytic profile (derivatives from
-one batched eigendecomposition per step); the Newton steps only make
-``value`` good early.  The guarantee then comes from one of two upper
-bounds.  For the operator norm, Ando's dilation gives it with one
-Hermitian eigensolve of a 2n x 2n matrix.  Otherwise, and whenever that
-bound does not close, a subdivision pass certifies with per-cell upper
-caps from the sinusoid structure.
+Every other norm samples a uniform grid first.  A grid that comes out
+flat (spread within the target width) asks whether X is circular, that
+is unitarily similar to e^{i*phi} X for every phi: a grading K of X's
+kernel flag bounds every angle by the sampled one plus (pi/2) N(KX - XK + X),
+which vanishes for nilpotent shifts such as Jordan blocks.  Otherwise
+the best cells are polished with a few safeguarded Newton steps on the
+analytic profile (derivatives from one batched eigendecomposition per
+step); the Newton steps only make ``value`` good early.  The guarantee
+then comes from one of two upper bounds.  For the operator norm, Ando's
+dilation gives it with one Hermitian eigensolve of a 2n x 2n matrix.
+Otherwise, and whenever that bound does not close, a subdivision pass
+certifies with per-cell upper caps from the sinusoid structure.
 """
 
 from __future__ import annotations
@@ -61,6 +65,10 @@ _EIG_SLACK = 1e-13
 _MAX_CELLS = 200000
 _MAX_ROUNDS = 48
 
+# Largest batch of matrices handed to one eigvalsh call, which bounds the
+# memory of a subdivision round (1024 matrices of 64 x 64 take 64 MiB).
+_EIG_BATCH = 1024
+
 # Cyclic-reduction steps allowed for Ando's certificate.  Away from the
 # critical level the iteration converges quadratically; a level within
 # g_stop of w(X) takes about 20 steps, a nilpotent X about log2(n).
@@ -93,12 +101,18 @@ class RangePoint:
 
 
 def _profile_values(A: np.ndarray, B: np.ndarray, thetas: np.ndarray, p: float) -> np.ndarray:
-    """Batched N(cos(t) A - sin(t) B) via Hermitian eigenvalues."""
-    c = np.cos(thetas)
-    s = np.sin(thetas)
-    H = c[:, None, None] * A - s[:, None, None] * B
-    lam = np.linalg.eigvalsh(H)
-    return np.atleast_1d(schatten_value(np.abs(lam), p))
+    """Batched N(cos(t) A - sin(t) B) via Hermitian eigenvalues.
+
+    At most _EIG_BATCH matrices are formed and solved at once; eigvalsh
+    solves each matrix of a batch independently, so the values do not
+    depend on the chunking.
+    """
+    out = np.empty(len(thetas))
+    for start in range(0, len(thetas), _EIG_BATCH):
+        t = thetas[start : start + _EIG_BATCH]
+        H = np.cos(t)[:, None, None] * A - np.sin(t)[:, None, None] * B
+        out[start : start + len(t)] = schatten_value(np.abs(np.linalg.eigvalsh(H)), p)
+    return out
 
 
 def radius_profile(spec: NormSpec, X, theta: float) -> float:
@@ -267,6 +281,75 @@ def _ando_bound(X: np.ndarray, gamma: float, tol: float) -> float:
         return top + _EIG_BACKWARD * 2 * n * _EPS * float(np.linalg.norm(M))
 
 
+def _flag_grading(X: np.ndarray) -> np.ndarray | None:
+    """Hermitian K with KX - XK = -X when X is a nilpotent shift, else None.
+
+    The orthogonal kernel flag of X has E_0 = ker X, and E_k is the
+    kernel of X modulo E_{<k}, taken on the orthogonal complement of
+    E_{<k}: with Q an orthonormal basis of that complement, it is the
+    null space of Q* X Q, read off one SVD per level.  X maps each E_k
+    into E_{<k}; for a (weighted) shift it maps E_k into E_{k-1}, and then
+    K = sum_k (k - (m-1)/2) P_k, with P_k the projector onto E_k, satisfies
+    KX - XK = -X.  A singular value counts as zero below
+    _EIG_BACKWARD * n^2 * eps * ||X||_F (each of up to n levels adds an
+    SVD backward error of about n eps ||X||_F).  An empty level means X is
+    not nilpotent, and None is returned.  Callers measure how far K is
+    from a grading, so a misjudged rank costs tightness, never soundness.
+    """
+    n = X.shape[0]
+    tol = _EIG_BACKWARD * n * n * _EPS * float(np.linalg.norm(X))
+    Q = np.eye(n, dtype=np.complex128)
+    levels = []
+    while Q.shape[1]:
+        _, s, Vh = np.linalg.svd(Q.conj().T @ X @ Q)
+        rank = int((s > tol).sum())
+        if rank == Q.shape[1]:
+            return None
+        V = Q @ Vh.conj().T
+        levels.append(V[:, rank:])
+        Q = V[:, :rank]
+    m = len(levels)
+    weights = np.concatenate([np.full(E.shape[1], k - 0.5 * (m - 1)) for k, E in enumerate(levels)])
+    basis = np.concatenate(levels, axis=1)
+    K = (basis * weights) @ basis.conj().T
+    return 0.5 * (K + K.conj().T)
+
+
+def _rotation_bound(
+    X: np.ndarray, K: np.ndarray, A: np.ndarray, B: np.ndarray, p: float, value: float
+) -> float:
+    """Upper bound on sup f from one sample ``value`` = f(theta0), for any theta0.
+
+    For every Hermitian K and R = KX - XK + X,
+    d/dphi [e^{-i phi} e^{-i phi K} X e^{i phi K}] = -i e^{-i phi} e^{-i phi K} R e^{i phi K},
+    so e^{i phi} X is within |phi| N(R) of the unitary conjugate
+    e^{-i phi K} X e^{i phi K} in every unitarily invariant norm N.  Since
+    N(Re Y) <= N(Y) and the profile has period pi, every angle is within
+    pi/2 of theta0 and sup f <= f(theta0) + (pi/2) N(R).  The bound is
+    tight when K grades X (KX - XK = -X), as _flag_grading's K does for a
+    shift.
+
+    Error model, as in _frobenius_radius:
+    - N(R) <= n^max(0, 1/p - 1/2) ||R||_F.  The computed R differs from
+      the exact one by at most 4 n eps (2 ||K||_F + 1) ||X||_F (two
+      matrix products and two sums), and the computed ||R||_F is within
+      n^2 eps of relative error (recursive summation).
+    - The sample is within n^(1/p) (_EIG_BACKWARD n + 4 + n) eps
+      (||A||_F + ||B||_F) of the exact f(theta0): the eigensolver's backward
+      error, forming the Cartesian parts and H = cos A - sin B, and
+      summing n moduli.
+    """
+    n = X.shape[0]
+    R = K @ X - X @ K + X
+    fro_X = float(np.linalg.norm(X))
+    fro_R = float(np.linalg.norm(R)) * (1.0 + n * n * _EPS)
+    fro_R += 4.0 * n * _EPS * (2.0 * float(np.linalg.norm(K)) + 1.0) * fro_X
+    drift = n ** max(0.0, 1.0 / p - 0.5) * fro_R
+    sample = n ** (1.0 / p) * ((_EIG_BACKWARD + 1.0) * n + 4.0) * _EPS
+    sample *= float(np.linalg.norm(A)) + float(np.linalg.norm(B))
+    return value + sample + 0.5 * math.pi * drift
+
+
 def _frobenius_radius(A: np.ndarray, B: np.ndarray, spec: NormSpec) -> RadiusEstimate:
     """Closed-form Frobenius radius of X = A + iB.
 
@@ -324,8 +407,9 @@ def omega_n(
     Returns a RadiusEstimate with value the best profile sample found,
     the angle attaining it, and a certified error so that the true
     supremum lies in [value, value + cert_error].  The Frobenius norm
-    takes the closed form, which samples no grid and needs no tolerance;
-    the operator norm tries Ando's bound before subdividing.
+    takes the closed form, which samples no grid and needs no tolerance.
+    A flat start grid tries the rotation bound of a circular X first; the
+    operator norm tries Ando's bound before subdividing.
     """
     X = as_matrix(X)
     if not isinstance(grid, (int, np.integer)) or grid < 8:
@@ -350,12 +434,19 @@ def omega_n(
     values = evaluate(centers)
     best = _Best()
     best.update(centers, values)
+    g_stop = 0.5 * lipschitz * max(refine_tol, cert_floor)
+
+    # A flat grid: try the rotation symmetry of a circular X.
+    K = _flag_grading(X) if float(values.max() - values.min()) <= g_stop else None
+    if K is not None:
+        rotation = _rotation_bound(X, K, A, B, p, best.value)
+        if rotation - best.value <= g_stop:
+            return RadiusEstimate(best.value, best.theta, rotation - best.value, spec)
 
     # Polish the most promising cells with Newton steps on the profile.
     top = np.argsort(values)[::-1][: min(8, grid)]
     _newton_polish(A, B, p, centers[top], h, refine_tol, best)
 
-    g_stop = 0.5 * lipschitz * max(refine_tol, cert_floor)
     if math.isinf(p):
         # Ando's level sits g_stop/2 above the best sample.  A bound that
         # does not close (Newton found a local maximum only, or the

@@ -99,6 +99,20 @@ def mp_frobenius_radius(X: np.ndarray, dps: int = 50) -> float:
         return float(mpmath.sqrt(max(mpmath.eigsy(G, eigvals_only=True))))
 
 
+def mp_schatten_norm(X: np.ndarray, p: float, dps: int = 50) -> float:
+    """Schatten p-norm of X from mpmath's complex SVD at ``dps`` digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        n = X.shape[0]
+        Xm = mpmath.matrix([[mpmath.mpc(complex(X[i, j])) for j in range(n)] for i in range(n)])
+        sigma = mpmath.svd_c(Xm, compute_uv=False)
+        sigma = [abs(sigma[k]) for k in range(n)]
+        if math.isinf(p):
+            return float(max(sigma))
+        return float(mpmath.fsum(v**p for v in sigma) ** (mpmath.mpf(1) / p))
+
+
 def count_hermitian_eig_matrices(monkeypatch) -> list[int]:
     """Patch numpy's Hermitian eigensolvers to record matrices per call.
 

@@ -6,11 +6,31 @@ from hypothesis import given, settings, strategies as st
 
 from sector_radius.generator import GenConfig, random_unitary
 from sector_radius.linalg import cartesian_decompose
-from sector_radius.norms import FROBENIUS, OPERATOR, TRACE, evaluate_norm, hermitian_norm, schatten
-from sector_radius.radius import _ando_bound, numerical_range_boundary, omega, omega_n, radius_profile
+from sector_radius.norms import (
+    FROBENIUS,
+    OPERATOR,
+    TRACE,
+    evaluate_norm,
+    hermitian_norm,
+    schatten,
+    schatten_value,
+)
+from sector_radius import radius
+from sector_radius.radius import (
+    _EIG_BATCH,
+    _ando_bound,
+    _flag_grading,
+    _profile_values,
+    _rotation_bound,
+    numerical_range_boundary,
+    omega,
+    omega_n,
+    radius_profile,
+)
 from helpers import (
     count_hermitian_eig_matrices,
     mp_frobenius_radius,
+    norm_of_svals,
     oracle_omega,
     oracle_resolution_slack,
     random_complex,
@@ -229,19 +249,102 @@ class TestEigensolverBudget:
         assert np.mean(per_call) <= 150, np.mean(per_call)
 
     def test_flat_profiles_need_no_subdivision(self, monkeypatch):
-        # Ando's bound (op) and the closed form (fro) certify flat profiles
-        # directly; the subdivision pass needs about 262k matrices here.
+        # The rotation bound (every norm) and the closed form (fro) certify
+        # flat profiles directly; the subdivision pass needs about 262k
+        # matrices here.
         counts = count_hermitian_eig_matrices(monkeypatch)
         refine_tol = 1e-10
         for name, X in flat_fixtures():
             A, B = cartesian_decompose(X)
-            for spec in (OPERATOR, FROBENIUS):
+            for spec in ALL_NORMS:
                 counts.clear()
                 est = omega_n(spec, X, refine_tol=refine_tol)
                 used = sum(counts)
                 L = hermitian_norm(spec, A) + hermitian_norm(spec, B)
                 assert used <= 150, (name, spec.label, used)
                 assert est.cert_error <= 0.5 * L * refine_tol, (name, spec.label, est.cert_error)
+
+
+    def test_profile_values_are_chunked(self, monkeypatch):
+        # Batches stay within _EIG_BATCH matrices, and chunking leaves
+        # every value bit-for-bit as one unchunked eigvalsh call gives it.
+        rng = np.random.default_rng(18)
+        A, B = cartesian_decompose(random_complex(rng, 5))
+        thetas = rng.uniform(0.0, math.pi, 10000)
+        for spec in ALL_NORMS:
+            p = spec.schatten_p
+            H = np.cos(thetas)[:, None, None] * A - np.sin(thetas)[:, None, None] * B
+            whole = schatten_value(np.abs(np.linalg.eigvalsh(H)), p)
+            with monkeypatch.context() as m:
+                counts = count_hermitian_eig_matrices(m)
+                chunked = _profile_values(A, B, thetas, p)
+            assert max(counts) <= _EIG_BATCH and sum(counts) == len(thetas)
+            assert np.array_equal(chunked, whole), spec.label
+
+
+def rotation_inputs(seed: int):
+    """A random matrix and the non-circular nilpotent J_3 + 0.1 e_1 e_3^T."""
+    yield "random", random_complex(np.random.default_rng(seed), 4)
+    J = np.diag(np.ones(2), 1).astype(complex)
+    J[0, 2] = 0.1
+    yield "non_circular", densified(J, seed)
+
+
+class TestRotationCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        k_scale=st.floats(0.0, 4.0),
+        theta0=st.floats(0.0, math.pi),
+    )
+    def test_bound_holds_for_any_hermitian_k(self, n, seed, k_scale, theta0):
+        # sup f <= f(theta0) + (pi/2) N(KX - XK + X) for every Hermitian K.
+        rng = np.random.default_rng(seed)
+        X = random_complex(rng, n)
+        K = random_hermitian(rng, n, k_scale)
+        A, B = cartesian_decompose(X)
+        for spec in (TRACE, schatten(3), OPERATOR):
+            p = spec.schatten_p
+            bound = _rotation_bound(X, K, A, B, p, radius_profile(spec, X, theta0))
+            pad = 16 * n ** (1.0 / p) * n * EPS * float(np.linalg.norm(X))
+            assert bound >= oracle_omega(X, p, 2000) - pad, spec.label
+
+    def test_shift_grading_is_exact(self):
+        # K X - X K = -X on Jordan blocks and weighted shifts.
+        for name, X in flat_fixtures():
+            K = _flag_grading(X)
+            assert K is not None, name
+            assert np.array_equal(K, K.conj().T)
+            assert np.linalg.norm(K @ X - X @ K + X) <= 1e-12 * np.linalg.norm(X), name
+
+    def test_no_certificate_without_rotation_symmetry(self):
+        refine_tol = 1e-10
+        for name, X in rotation_inputs(19):
+            A, B = cartesian_decompose(X)
+            K = _flag_grading(X)
+            if name == "random":
+                assert K is None
+            for spec in (TRACE, schatten(3), OPERATOR):
+                p = spec.schatten_p
+                g_stop = 0.5 * (hermitian_norm(spec, A) + hermitian_norm(spec, B)) * refine_tol
+                if K is not None:
+                    f0 = radius_profile(spec, X, 0.0)
+                    assert _rotation_bound(X, K, A, B, p, f0) - f0 > g_stop, (name, spec.label)
+                est = omega_n(spec, X, refine_tol=refine_tol)
+                assert oracle_omega(X, p, 20000) <= est.value + est.cert_error + 1e-12, (name, spec.label)
+
+    def test_random_inputs_never_reach_the_rotation_path(self, monkeypatch):
+        # Only a flat start grid asks for the kernel flag.
+        def refuse(X):
+            raise AssertionError("rotation path reached")
+
+        monkeypatch.setattr(radius, "_flag_grading", refuse)
+        rng = np.random.default_rng(20)
+        for n in range(1, 7):
+            for X in (random_complex(rng, n), random_hermitian(rng, n)):
+                for spec in ALL_NORMS:
+                    omega_n(spec, X)
 
 
 class TestCertificateOracles:
@@ -275,13 +378,20 @@ class TestCertificateOracles:
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_jordan_block_radius(self, n, monkeypatch):
-        # w(J_n) = cos(pi / (n + 1)) on a flat profile.
+        # On a flat profile w_N(J_n) = N(Re J_n), whose eigenvalues are
+        # cos(k pi / (n + 1)), k = 1..n.
         forbid_subdivision(monkeypatch)
         X = densified(np.diag(np.ones(n - 1), 1), 70 + n)
-        est = omega(X)
-        exact = math.cos(math.pi / (n + 1))
-        pad = 4 * n * n * EPS
-        assert est.value - pad <= exact <= est.value + est.cert_error + pad
+        A, B = cartesian_decompose(X)
+        eigs = np.abs(np.cos(np.arange(1, n + 1) * math.pi / (n + 1)))
+        refine_tol = 1e-10
+        for spec in (OPERATOR, TRACE, schatten(3)):
+            est = omega_n(spec, X, refine_tol=refine_tol)
+            exact = float(norm_of_svals(eigs, spec.schatten_p))
+            pad = 4 * n * n * EPS * max(1.0, exact)
+            assert est.value - pad <= exact <= est.value + est.cert_error + pad, spec.label
+            L = hermitian_norm(spec, A) + hermitian_norm(spec, B)
+            assert est.cert_error <= 0.5 * L * refine_tol, (spec.label, est.cert_error)
 
     @staticmethod
     def frobenius_inputs():
