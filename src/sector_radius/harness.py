@@ -9,6 +9,11 @@ configurable margin, and the inflated index is verified to bound the
 numerical range before it is used.  The verdict is certified only when
 the intervals separate.
 
+Each identifier is one row of REGISTRY: its inputs, its hypothesis, and
+both sides written in a small vocabulary of terms (see
+docs/inequalities.md).  One evaluator checks the hypothesis and computes
+every distinct term of a row once.
+
 IDs whose statement involves the classical numerical radius always run
 with the operator norm regardless of the requested norm; the remaining
 IDs are parametric in any member of the shipped norm family.
@@ -17,6 +22,7 @@ IDs are parametric in any member of the shipped norm family.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -100,15 +106,13 @@ class CheckContext:
     ``alpha_inflation`` is added to every computed sector index before a
     sec or tan factor is taken, covering the index's rounding error; the
     inflated index is then checked to contain the numerical range and the
-    inflation doubled until it does.  ``cert_floor`` relaxes only the
-    certified gap of inner radius computations, never their soundness.
+    inflation doubled until it does.  ``m_fold`` is the number of inputs
+    suites generate for an m-fold identifier.
     """
 
     grid: int = DEFAULT_GRID
     refine_tol: float = 1e-10
-    cert_floor: float = 0.0
     alpha_inflation: float = 1e-8
-    psd_tol: float = 1e-9
     m_fold: int = 3
 
 
@@ -119,6 +123,7 @@ DEFAULT_NORMS = (OPERATOR, TRACE, FROBENIUS, schatten(3))
 _NORM_PAD = 1e-12
 _SVD_BACKWARD = 4.0
 _DIAG_PAD = 1e-15
+_PSD_TOL = 1e-9
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -126,12 +131,7 @@ class Inapplicable(Exception):
     """A matrix-property precondition of the check does not hold."""
 
 
-# --- interval building blocks -------------------------------------------
-
-
-def _omega_iv(spec: NormSpec, X: np.ndarray, ctx: CheckContext) -> Interval:
-    est = omega_n(spec, X, grid=ctx.grid, refine_tol=ctx.refine_tol, cert_floor=ctx.cert_floor)
-    return Interval(est.value, est.value + est.cert_error)
+# --- hypotheses -------------------------------------------------------------
 
 
 def _norm_iv(spec: NormSpec, X: np.ndarray) -> Interval:
@@ -188,24 +188,12 @@ def _verified(info: SectorInfo, X: np.ndarray, ctx: CheckContext) -> SectorInfo:
         inflation = max(2.0 * inflation, _EPS)
 
 
-def _sec_iv(alpha: float) -> Interval:
-    return Interval.point(1.0 / math.cos(alpha), rel=_NORM_PAD)
-
-
-def _tan_iv(alpha: float) -> Interval:
-    return Interval.point(math.tan(alpha), rel=_NORM_PAD)
-
-
-def _one_plus_tan_iv(alpha: float) -> Interval:
-    return Interval.point(1.0 + math.tan(alpha), rel=_NORM_PAD)
-
-
-def _power_iv(base: Interval, m: int) -> Interval:
-    return reduce(lambda a, b: a * b, [base] * m)
-
-
 def _is_hermitian(X: np.ndarray) -> bool:
     return float(np.linalg.norm(X - X.conj().T)) <= 1e-12 * frobenius(X)
+
+
+def _lambda_min(X: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh((X + X.conj().T) / 2)[0])
 
 
 def _require_accretive_dissipative(X: np.ndarray, which: str) -> None:
@@ -222,316 +210,228 @@ def _require_accretive_dissipative(X: np.ndarray, which: str) -> None:
 def _require_pd(X: np.ndarray, which: str) -> None:
     if not _is_hermitian(X):
         raise Inapplicable(f"{which} is not Hermitian")
-    lam = float(np.linalg.eigvalsh((X + X.conj().T) / 2)[0])
+    lam = _lambda_min(X)
     if lam <= 1e-12 * frobenius(X):
         raise Inapplicable(f"{which} is not positive definite: lambda_min = {lam:.3e}")
 
 
-def _diag_abs_max_iv(X: np.ndarray) -> Interval:
-    return Interval.point(float(np.max(np.abs(np.diag(X)))), rel=_DIAG_PAD)
+class Hypothesis(Enum):
+    """What an identifier assumes of its inputs."""
+
+    SECTORIAL = "each input in a rotated sector class"
+    ACCRETIVE = "each input accretive, no rotation"
+    ACCRETIVE_DISSIPATIVE = "each input accretive-dissipative"
+    PD_SECOND = "second input positive definite"
+    ONE_HERMITIAN = "at least one input Hermitian"
+    PSD_NOTE = "first input PSD; a violation is noted, not refused"
 
 
-def _diag_re_max_iv(X: np.ndarray) -> Interval:
-    return Interval.point(float(np.max(np.diag(X).real)), rel=_DIAG_PAD)
+def _check_hypothesis(kind, mats, ctx: CheckContext, arity: int) -> tuple[list[SectorInfo], str]:
+    """Sector data of each input and a note, once ``kind`` holds.
+
+    Inputs are tested in order and the first violation raises
+    Inapplicable, so its note is the one reported.  Only SECTORIAL and
+    ACCRETIVE return sector data; PSD_NOTE returns a note instead of
+    raising.
+    """
+    if kind is Hypothesis.SECTORIAL:
+        return [_class_info(M, ctx) for M in mats], ""
+    if kind is Hypothesis.ACCRETIVE:
+        return [_accretive_info(M, ctx) for M in mats], ""
+    if kind is Hypothesis.ACCRETIVE_DISSIPATIVE:
+        for k, M in enumerate(mats):
+            _require_accretive_dissipative(M, ("first input", "second input")[k] if arity else f"input {k}")
+    elif kind is Hypothesis.PD_SECOND:
+        _require_pd(mats[1], "second input")
+    elif kind is Hypothesis.ONE_HERMITIAN:
+        if not any(_is_hermitian(M) for M in mats):
+            raise Inapplicable("neither input is Hermitian")
+    elif kind is Hypothesis.PSD_NOTE:
+        A = mats[0]
+        if not (_is_hermitian(A) and _lambda_min(A) >= -1e-10 * max(1.0, frobenius(A))):
+            return [], "hypothesis violated: first factor is not PSD, bound not guaranteed"
+    return [], ""
 
 
-def _psd_comparison(block: np.ndarray, ctx: CheckContext) -> tuple[Interval, Interval, str]:
+def _psd_comparison(block: np.ndarray) -> tuple[Interval, Interval, str]:
     lam_min = float(np.linalg.eigvalsh(block)[0])
     scale = max(1.0, frobenius(block))
     lhs = Interval.point(-lam_min, abs_=1e-12 * scale)
-    rhs = Interval.point(ctx.psd_tol * scale)
+    rhs = Interval.point(_PSD_TOL * scale)
     return lhs, rhs, "PSD test: lhs is -lambda_min(block), rhs the tolerance"
 
 
-# --- per-identifier checks ----------------------------------------------
+# --- statement vocabulary ---------------------------------------------------
+#
+# A side of an inequality is a term, a tuple of sides multiplied as
+# intervals strictly left to right, Scale(c, side) or Min(a, b).  Inside a
+# tuple, Each(T) stands for T(0), ..., T(m - 1) when T is a term class and
+# for m copies of T when T is a term.  A term names a matrix by input
+# index, by PRODUCT (the inputs combined by the row's product), or as
+# Re, Im or Rotated of one of those.
 
+PRODUCT = "product"
+MAX = "max"  # in Sec, Tan or OnePlusTan: the largest index over the inputs
+_X, _Y = 0, 1
 
-def _chk_a_lower(mats, spec, ctx):
-    (X,) = mats
-    return _norm_iv(spec, X).scale(0.5), _omega_iv(spec, X, ctx), ""
 
+@dataclass(frozen=True)
+class Re:
+    of: object
 
-def _chk_a_upper(mats, spec, ctx):
-    (X,) = mats
-    return _omega_iv(spec, X, ctx), _norm_iv(spec, X), ""
+    def matrix(self, ev):
+        return cartesian_decompose(ev.matrix(self.of))[0]
 
 
-def _chk_b_prod4(mats, spec, ctx):
-    X, Y = mats
-    lhs = _omega_iv(spec, X @ Y, ctx)
-    rhs = (_omega_iv(spec, X, ctx) * _omega_iv(spec, Y, ctx)).scale(4.0)
-    return lhs, rhs, ""
+@dataclass(frozen=True)
+class Im:
+    of: object
 
+    def matrix(self, ev):
+        return cartesian_decompose(ev.matrix(self.of))[1]
 
-def _chk_c_had2(mats, spec, ctx):
-    X, Y = mats
-    lhs = _omega_iv(spec, hadamard(X, Y), ctx)
-    rhs = (_omega_iv(spec, X, ctx) * _omega_iv(spec, Y, ctx)).scale(2.0)
-    return lhs, rhs, ""
 
+@dataclass(frozen=True)
+class Rotated:
+    """z X_k, z the witnessing rotation of input k's sector class."""
 
-def _chk_i_diag_psd(mats, spec, ctx):
-    A, X = mats
-    note = ""
-    psd_ok = False
-    if _is_hermitian(A):
-        lam = float(np.linalg.eigvalsh((A + A.conj().T) / 2)[0])
-        psd_ok = lam >= -1e-10 * max(1.0, frobenius(A))
-    if not psd_ok:
-        note = "hypothesis violated: first factor is not PSD, bound not guaranteed"
-    lhs = _omega_iv(spec, hadamard(A, X), ctx)
-    rhs = _diag_re_max_iv(A) * _omega_iv(spec, X, ctx)
-    return lhs, rhs, note
+    of: int
 
+    def matrix(self, ev):
+        return ev.infos[self.of].rotation_z * ev.mats[self.of]
 
-def _sectorial_pair_rhs(mats, spec, ctx):
-    X, Y = mats
-    sx = _class_info(X, ctx)
-    sy = _class_info(Y, ctx)
-    return _sec_iv(sx.index_alpha) * _sec_iv(sy.index_alpha)
 
+@dataclass(frozen=True)
+class Omega:
+    """w_N as [value, value + cert_error] from omega_n."""
 
-def _chk_ii_prod_sec(mats, spec, ctx):
-    X, Y = mats
-    factor = _sectorial_pair_rhs(mats, spec, ctx)
-    lhs = _omega_iv(spec, X @ Y, ctx)
-    rhs = factor * _omega_iv(spec, X, ctx) * _omega_iv(spec, Y, ctx)
-    return lhs, rhs, ""
+    of: object
 
+    def interval(self, ev):
+        est = omega_n(ev.spec, ev.matrix(self.of), grid=ev.ctx.grid, refine_tol=ev.ctx.refine_tol)
+        return Interval(est.value, est.value + est.cert_error)
 
-def _chk_iii_had_sec(mats, spec, ctx):
-    X, Y = mats
-    factor = _sectorial_pair_rhs(mats, spec, ctx)
-    lhs = _omega_iv(spec, hadamard(X, Y), ctx)
-    rhs = factor * _omega_iv(spec, X, ctx) * _omega_iv(spec, Y, ctx)
-    return lhs, rhs, ""
 
+@dataclass(frozen=True)
+class Norm:
+    of: object
 
-def _chk_vi_had_diag_min(mats, spec, ctx):
-    X, Y = mats
-    factor = _sectorial_pair_rhs(mats, spec, ctx)
-    lhs = _omega_iv(spec, hadamard(X, Y), ctx)
-    via_x = _diag_abs_max_iv(X) * _omega_iv(spec, Y, ctx)
-    via_y = _diag_abs_max_iv(Y) * _omega_iv(spec, X, ctx)
-    rhs = factor * Interval.min_of(via_x, via_y)
-    return lhs, rhs, ""
+    def interval(self, ev):
+        return _norm_iv(ev.spec, ev.matrix(self.of))
 
 
-def _chk_l1_norm_sec(mats, spec, ctx):
-    (X,) = mats
-    info = _class_info(X, ctx)
-    zX = info.rotation_z * X
-    re, _ = cartesian_decompose(zX)
-    lhs = _norm_iv(spec, zX)
-    rhs = _sec_iv(info.index_alpha) * _norm_iv(spec, re)
-    return lhs, rhs, ""
+@dataclass(frozen=True)
+class Sec:
+    of: object  # input index or MAX
 
+    def interval(self, ev):
+        return Interval.point(1.0 / math.cos(ev.alpha(self.of)), rel=_NORM_PAD)
 
-def _chk_l2_block_tan(mats, spec, ctx):
-    (X,) = mats
-    info = _class_info(X, ctx)
-    block = tan_block(info.rotation_z * X, info.index_alpha)
-    return _psd_comparison(block, ctx)
 
+@dataclass(frozen=True)
+class Tan:
+    of: object
 
-def _chk_l3_block_sec(mats, spec, ctx):
-    (X,) = mats
-    info = _class_info(X, ctx)
-    block = sec_block(info.rotation_z * X, info.index_alpha)
-    return _psd_comparison(block, ctx)
+    def interval(self, ev):
+        return Interval.point(math.tan(ev.alpha(self.of)), rel=_NORM_PAD)
 
 
-def _chk_p1_re_mono(mats, spec, ctx):
-    (X,) = mats
-    re, _ = cartesian_decompose(X)
-    return _omega_iv(spec, re, ctx), _omega_iv(spec, X, ctx), ""
+@dataclass(frozen=True)
+class OnePlusTan:
+    of: object
 
+    def interval(self, ev):
+        return Interval.point(1.0 + math.tan(ev.alpha(self.of)), rel=_NORM_PAD)
 
-def _chk_p2_im_tan(mats, spec, ctx):
-    (X,) = mats
-    info = _class_info(X, ctx)
-    re, im = cartesian_decompose(info.rotation_z * X)
-    lhs = _omega_iv(spec, im, ctx)
-    rhs = _tan_iv(info.index_alpha) * _omega_iv(spec, re, ctx)
-    return lhs, rhs, ""
 
+@dataclass(frozen=True)
+class DiagAbsMax:
+    of: int
 
-def _chk_p3_sec(mats, spec, ctx):
-    (X,) = mats
-    info = _class_info(X, ctx)
-    zX = info.rotation_z * X
-    re, _ = cartesian_decompose(zX)
-    lhs = _omega_iv(spec, zX, ctx)
-    rhs = _sec_iv(info.index_alpha) * _omega_iv(spec, re, ctx)
-    return lhs, rhs, ""
-
-
-def _chk_sa_omega_le_n(mats, spec, ctx):
-    (X,) = mats
-    return _omega_iv(spec, X, ctx), _norm_iv(spec, X), ""
+    def interval(self, ev):
+        return Interval.point(float(np.max(np.abs(np.diag(ev.matrix(self.of))))), rel=_DIAG_PAD)
 
 
-def _chk_t1_prod_sec_n(mats, spec, ctx):
-    return _chk_ii_prod_sec(mats, spec, ctx)
-
+@dataclass(frozen=True)
+class DiagReMax:
+    of: int
 
-def _chk_c_b2_sec2(mats, spec, ctx):
-    X, Y = mats
-    sx = _class_info(X, ctx)
-    sy = _class_info(Y, ctx)
-    sec = _sec_iv(max(sx.index_alpha, sy.index_alpha))
-    lhs = _omega_iv(spec, X @ Y, ctx)
-    rhs = sec * sec * _omega_iv(spec, X, ctx) * _omega_iv(spec, Y, ctx)
-    return lhs, rhs, ""
+    def interval(self, ev):
+        return Interval.point(float(np.max(np.diag(ev.matrix(self.of)).real)), rel=_DIAG_PAD)
 
 
-def _chk_c_ad_prod2(mats, spec, ctx):
-    X, Y = mats
-    _require_accretive_dissipative(X, "first input")
-    _require_accretive_dissipative(Y, "second input")
-    lhs = _omega_iv(spec, X @ Y, ctx)
-    rhs = (_omega_iv(spec, X, ctx) * _omega_iv(spec, Y, ctx)).scale(2.0)
-    return lhs, rhs, ""
-
-
-def _chk_c_mprod(mats, spec, ctx):
-    infos = [_class_info(M, ctx) for M in mats]
-    factor = reduce(lambda a, b: a * b, (_sec_iv(i.index_alpha) for i in infos))
-    lhs = _omega_iv(spec, reduce(np.matmul, mats), ctx)
-    rhs = reduce(lambda a, b: a * b, (_omega_iv(spec, M, ctx) for M in mats), factor)
-    return lhs, rhs, ""
-
-
-def _chk_c_secm(mats, spec, ctx):
-    infos = [_class_info(M, ctx) for M in mats]
-    sec = _sec_iv(max(i.index_alpha for i in infos))
-    lhs = _omega_iv(spec, reduce(np.matmul, mats), ctx)
-    rhs = reduce(lambda a, b: a * b, (_omega_iv(spec, M, ctx) for M in mats), _power_iv(sec, len(mats)))
-    return lhs, rhs, ""
-
-
-def _chk_c_ad_m(mats, spec, ctx):
-    for k, M in enumerate(mats):
-        _require_accretive_dissipative(M, f"input {k}")
-    factor = Interval.point(2.0 ** (len(mats) / 2.0), rel=_NORM_PAD)
-    lhs = _omega_iv(spec, reduce(np.matmul, mats), ctx)
-    rhs = reduce(lambda a, b: a * b, (_omega_iv(spec, M, ctx) for M in mats), factor)
-    return lhs, rhs, ""
-
-
-def _chk_h2_hermitian_had(mats, spec, ctx):
-    X, Y = mats
-    if not (_is_hermitian(X) or _is_hermitian(Y)):
-        raise Inapplicable("neither input is Hermitian")
-    lhs = _omega_iv(spec, hadamard(X, Y), ctx)
-    rhs = _omega_iv(spec, X, ctx) * _omega_iv(spec, Y, ctx)
-    return lhs, rhs, ""
-
-
-def _chk_h3_had_sec_n(mats, spec, ctx):
-    return _chk_iii_had_sec(mats, spec, ctx)
-
-
-def _chk_c_c2_had(mats, spec, ctx):
-    X, Y = mats
-    sx = _class_info(X, ctx)
-    sy = _class_info(Y, ctx)
-    sec = _sec_iv(max(sx.index_alpha, sy.index_alpha))
-    lhs = _omega_iv(spec, hadamard(X, Y), ctx)
-    rhs = sec * sec * _omega_iv(spec, X, ctx) * _omega_iv(spec, Y, ctx)
-    return lhs, rhs, ""
-
-
-def _chk_t_had_m(mats, spec, ctx):
-    infos = [_class_info(M, ctx) for M in mats]
-    factor = reduce(lambda a, b: a * b, (_sec_iv(i.index_alpha) for i in infos))
-    lhs = _omega_iv(spec, reduce(hadamard, mats), ctx)
-    rhs = reduce(lambda a, b: a * b, (_omega_iv(spec, M, ctx) for M in mats), factor)
-    return lhs, rhs, ""
-
-
-def _chk_c_ad_had_m(mats, spec, ctx):
-    for k, M in enumerate(mats):
-        _require_accretive_dissipative(M, f"input {k}")
-    factor = Interval.point(2.0 ** (len(mats) / 2.0), rel=_NORM_PAD)
-    lhs = _omega_iv(spec, reduce(hadamard, mats), ctx)
-    rhs = reduce(lambda a, b: a * b, (_omega_iv(spec, M, ctx) for M in mats), factor)
-    return lhs, rhs, ""
-
-
-def _chk_l6_had_diag_norm(mats, spec, ctx):
-    X, Y = mats
-    _require_pd(Y, "second input")
-    lhs = _norm_iv(spec, hadamard(X, Y))
-    rhs = _diag_re_max_iv(Y) * _norm_iv(spec, X)
-    return lhs, rhs, ""
-
-
-def _chk_l7_had_diag_omega(mats, spec, ctx):
-    X, Y = mats
-    _require_pd(Y, "second input")
-    lhs = _omega_iv(spec, hadamard(X, Y), ctx)
-    rhs = _diag_re_max_iv(Y) * _omega_iv(spec, X, ctx)
-    return lhs, rhs, ""
-
-
-def _chk_t_diag_x(mats, spec, ctx):
-    X, Y = mats
-    factor = _sectorial_pair_rhs(mats, spec, ctx)
-    lhs = _omega_iv(spec, hadamard(X, Y), ctx)
-    rhs = factor * _diag_abs_max_iv(X) * _omega_iv(spec, Y, ctx)
-    return lhs, rhs, ""
-
-
-def _chk_t_diag_y(mats, spec, ctx):
-    X, Y = mats
-    factor = _sectorial_pair_rhs(mats, spec, ctx)
-    lhs = _omega_iv(spec, hadamard(X, Y), ctx)
-    rhs = factor * _diag_abs_max_iv(Y) * _omega_iv(spec, X, ctx)
-    return lhs, rhs, ""
-
-
-def _chk_c_diag_min(mats, spec, ctx):
-    X, Y = mats
-    factor = _sectorial_pair_rhs(mats, spec, ctx)
-    lhs = _omega_iv(spec, hadamard(X, Y), ctx)
-    via_x = _diag_abs_max_iv(X) * _omega_iv(spec, Y, ctx)
-    via_y = _diag_abs_max_iv(Y) * _omega_iv(spec, X, ctx)
-    rhs = factor * Interval.min_of(via_x, via_y)
-    return lhs, rhs, ""
-
-
-def _chk_c_ad_diag_min2(mats, spec, ctx):
-    X, Y = mats
-    _require_accretive_dissipative(X, "first input")
-    _require_accretive_dissipative(Y, "second input")
-    lhs = _omega_iv(spec, hadamard(X, Y), ctx)
-    via_x = _diag_abs_max_iv(X) * _omega_iv(spec, Y, ctx)
-    via_y = _diag_abs_max_iv(Y) * _omega_iv(spec, X, ctx)
-    rhs = Interval.min_of(via_x, via_y).scale(2.0)
-    return lhs, rhs, ""
-
-
-def _chk_t_onetan_min(mats, spec, ctx):
-    X, Y = mats
-    ax = _accretive_info(X, ctx)
-    ay = _accretive_info(Y, ctx)
-    re_x, _ = cartesian_decompose(X)
-    re_y, _ = cartesian_decompose(Y)
-    lhs = _omega_iv(spec, hadamard(X, Y), ctx)
-    via_x = _one_plus_tan_iv(ax.index_alpha) * _omega_iv(spec, re_x, ctx) * _omega_iv(spec, Y, ctx)
-    via_y = _one_plus_tan_iv(ay.index_alpha) * _omega_iv(spec, X, ctx) * _omega_iv(spec, re_y, ctx)
-    return lhs, Interval.min_of(via_x, via_y), ""
-
-
-def _chk_c_onetan(mats, spec, ctx):
-    X, Y = mats
-    ax = _accretive_info(X, ctx)
-    ay = _accretive_info(Y, ctx)
-    factor = _one_plus_tan_iv(max(ax.index_alpha, ay.index_alpha))
-    lhs = _omega_iv(spec, hadamard(X, Y), ctx)
-    rhs = factor * _omega_iv(spec, X, ctx) * _omega_iv(spec, Y, ctx)
-    return lhs, rhs, ""
+@dataclass(frozen=True)
+class Const:
+    """base^(per_input * m) for m inputs, a point padded by _NORM_PAD."""
+
+    base: float
+    per_input: float
+
+    def interval(self, ev):
+        return Interval.point(self.base ** (self.per_input * len(ev.mats)), rel=_NORM_PAD)
+
+
+@dataclass(frozen=True)
+class Scale:
+    c: float
+    of: object
+
+
+@dataclass(frozen=True)
+class Min:
+    a: object
+    b: object
+
+
+@dataclass(frozen=True)
+class Each:
+    term: object
+
+
+class _Evaluator:
+    """The terms of one check, each computed at most once."""
+
+    def __init__(self, mats, infos, product, spec: NormSpec, ctx: CheckContext):
+        self.mats = mats
+        self.infos = infos
+        self.product = product
+        self.spec = spec
+        self.ctx = ctx
+        self._memo = {}
+
+    def _once(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def matrix(self, of) -> np.ndarray:
+        if isinstance(of, int):
+            return self.mats[of]
+        if of == PRODUCT:
+            return self._once(of, lambda: reduce(self.product, self.mats))
+        return self._once(of, lambda: of.matrix(self))
+
+    def alpha(self, of) -> float:
+        if of == MAX:
+            return max(info.index_alpha for info in self.infos)
+        return self.infos[of].index_alpha
+
+    def side(self, expr) -> Interval:
+        if isinstance(expr, tuple):
+            factors = []
+            for f in expr:
+                if not isinstance(f, Each):
+                    factors.append(self.side(f))
+                elif isinstance(f.term, type):
+                    factors.extend(self.side(f.term(k)) for k in range(len(self.mats)))
+                else:
+                    factors.extend(self.side(f.term) for _ in self.mats)
+            return reduce(operator.mul, factors)
+        if isinstance(expr, Scale):
+            return self.side(expr.of).scale(expr.c)
+        if isinstance(expr, Min):
+            return Interval.min_of(self.side(expr.a), self.side(expr.b))
+        return self._once(expr, lambda: expr.interval(self))
 
 
 # --- registry -------------------------------------------------------------
@@ -539,6 +439,14 @@ def _chk_c_onetan(mats, spec, ctx):
 
 @dataclass(frozen=True)
 class IdInfo:
+    """One identifier as data: its inputs, its hypothesis and both sides.
+
+    ``requires`` is checked before anything else.  ``product`` combines
+    the inputs into PRODUCT (np.matmul, hadamard or None).  A row with
+    ``block`` is a positivity certificate: block(zX, a) is tested for
+    PSD in place of lhs <= rhs.
+    """
+
     id: InequalityId
     arity: int  # 0 means m-fold (any arity >= 2; suites use CheckContext.m_fold)
     profile: str
@@ -546,127 +454,173 @@ class IdInfo:
     comparable: bool
     statement: str
     hypotheses: str
-    fn: object
-
-
-def _info(id, arity, profile, classical, comparable, statement, hypotheses, fn):
-    return IdInfo(id, arity, profile, classical, comparable, statement, hypotheses, fn)
+    requires: Hypothesis | None = None
+    product: object = None
+    lhs: object = None
+    rhs: object = None
+    block: object = None
 
 
 _I = InequalityId
+_H = Hypothesis
+_DIAG_MIN = Min((DiagAbsMax(_X), Omega(_Y)), (DiagAbsMax(_Y), Omega(_X)))
 REGISTRY: dict[InequalityId, IdInfo] = {
     info.id: info
     for info in (
-        _info(_I.A_lower, 1, "any", True, True,
-              "0.5 * ||X|| <= w(X)",
-              "any square X; operator norm", _chk_a_lower),
-        _info(_I.A_upper, 1, "any", True, True,
-              "w(X) <= ||X||",
-              "any square X; operator norm", _chk_a_upper),
-        _info(_I.B_prod4, 2, "any2", True, True,
-              "w(X Y) <= 4 w(X) w(Y)",
-              "any square X, Y; the constant 4 is sharp", _chk_b_prod4),
-        _info(_I.C_had2, 2, "any2", True, True,
-              "w(X o Y) <= 2 w(X) w(Y)",
-              "any square X, Y; the constant 2 is sharp", _chk_c_had2),
-        _info(_I.I_diag_psd, 2, "pd_any", True, True,
-              "w(A o X) <= (max_j a_jj) w(X)",
-              "A positive semidefinite (enforced by suite generation; the check "
-              "still evaluates on other inputs and can certify failure)", _chk_i_diag_psd),
-        _info(_I.II_prod_sec, 2, "sectorial2", True, True,
-              "w(X Y) <= sec(a1) sec(a2) w(X) w(Y)",
-              "X, Y in rotated sector classes with indices a1, a2", _chk_ii_prod_sec),
-        _info(_I.III_had_sec, 2, "sectorial2", True, True,
-              "w(X o Y) <= sec(a1) sec(a2) w(X) w(Y)",
-              "X, Y in rotated sector classes with indices a1, a2", _chk_iii_had_sec),
-        _info(_I.VI_had_diag_min, 2, "sectorial2", True, True,
-              "w(X o Y) <= sec(a1) sec(a2) min(max_j |x_jj| w(Y), max_j |y_jj| w(X))",
-              "X, Y in rotated sector classes with indices a1, a2", _chk_vi_had_diag_min),
-        _info(_I.L1_norm_sec, 1, "sectorial", False, True,
-              "N(zX) <= sec(a) N(Re(zX))",
-              "z the witnessing rotation, a the class index of X", _chk_l1_norm_sec),
-        _info(_I.L2_block_tan, 1, "sectorial", False, False,
-              "[[tan(a) Re(zX), Im(zX)], [Im(zX), tan(a) Re(zX)]] >= 0",
-              "z the witnessing rotation, a the class index of X", _chk_l2_block_tan),
-        _info(_I.L3_block_sec, 1, "sectorial", False, False,
-              "[[sec(a) Re(zX), zX], [(zX)*, sec(a) Re(zX)]] >= 0",
-              "z the witnessing rotation, a the class index of X", _chk_l3_block_sec),
-        _info(_I.P1_re_mono, 1, "any", False, True,
-              "w_N(Re X) <= w_N(X)",
-              "any square X", _chk_p1_re_mono),
-        _info(_I.P2_im_tan, 1, "sectorial", False, True,
-              "w_N(Im(zX)) <= tan(a) w_N(Re(zX))",
-              "z the witnessing rotation, a the class index of X", _chk_p2_im_tan),
-        _info(_I.P3_sec, 1, "sectorial", False, True,
-              "w_N(zX) <= sec(a) w_N(Re(zX))",
-              "z the witnessing rotation, a the class index of X", _chk_p3_sec),
-        _info(_I.SA_omega_le_N, 1, "any", False, True,
-              "w_N(X) <= N(X)",
-              "any square X", _chk_sa_omega_le_n),
-        _info(_I.T1_prod_sec_N, 2, "sectorial2", False, True,
-              "w_N(X Y) <= sec(a1) sec(a2) w_N(X) w_N(Y)",
-              "X, Y in rotated sector classes with indices a1, a2", _chk_t1_prod_sec_n),
-        _info(_I.C_B2_sec2, 2, "sectorial2_same", False, True,
-              "w_N(X Y) <= sec(a)^2 w_N(X) w_N(Y)",
-              "X, Y in a common rotated sector class of index a", _chk_c_b2_sec2),
-        _info(_I.C_AD_prod2, 2, "accdis2", False, True,
-              "w_N(X Y) <= 2 w_N(X) w_N(Y)",
-              "X, Y accretive-dissipative", _chk_c_ad_prod2),
-        _info(_I.C_mprod, 0, "sectorial_m", False, True,
-              "w_N(X_1 ... X_m) <= (prod_j sec(a_j)) prod_j w_N(X_j)",
-              "each X_j in a rotated sector class with index a_j", _chk_c_mprod),
-        _info(_I.C_secm, 0, "sectorial_m_same", False, True,
-              "w_N(X_1 ... X_m) <= sec(a)^m prod_j w_N(X_j)",
-              "all X_j in a common rotated sector class of index a", _chk_c_secm),
-        _info(_I.C_AD_m, 0, "accdis_m", False, True,
-              "w_N(X_1 ... X_m) <= 2^(m/2) prod_j w_N(X_j)",
-              "each X_j accretive-dissipative", _chk_c_ad_m),
-        _info(_I.H2_hermitian_had, 2, "herm_any", False, True,
-              "w_N(X o Y) <= w_N(X) w_N(Y)",
-              "at least one of X, Y Hermitian", _chk_h2_hermitian_had),
-        _info(_I.H3_had_sec_N, 2, "sectorial2", False, True,
-              "w_N(X o Y) <= sec(a1) sec(a2) w_N(X) w_N(Y)",
-              "X, Y in rotated sector classes with indices a1, a2", _chk_h3_had_sec_n),
-        _info(_I.C_C2_had, 2, "sectorial2_same", False, True,
-              "w_N(X o Y) <= sec(a)^2 w_N(X) w_N(Y)",
-              "X, Y in a common rotated sector class of index a", _chk_c_c2_had),
-        _info(_I.T_had_m, 0, "sectorial_m", False, True,
-              "w_N(X_1 o ... o X_m) <= (prod_j sec(a_j)) prod_j w_N(X_j)",
-              "each X_j in a rotated sector class with index a_j", _chk_t_had_m),
-        _info(_I.C_AD_had_m, 0, "accdis_m", False, True,
-              "w_N(X_1 o ... o X_m) <= 2^(m/2) prod_j w_N(X_j)",
-              "each X_j accretive-dissipative", _chk_c_ad_had_m),
-        _info(_I.L6_had_diag_norm, 2, "any_pd", False, True,
-              "N(X o Y) <= (max_i y_ii) N(X)",
-              "Y positive definite", _chk_l6_had_diag_norm),
-        _info(_I.L7_had_diag_omega, 2, "any_pd", False, True,
-              "w_N(X o Y) <= (max_i y_ii) w_N(X)",
-              "Y positive definite", _chk_l7_had_diag_omega),
-        _info(_I.T_diag_x, 2, "sectorial2", False, True,
-              "w_N(X o Y) <= sec(a1) sec(a2) (max_j |x_jj|) w_N(Y)",
-              "X, Y in rotated sector classes with indices a1, a2", _chk_t_diag_x),
-        _info(_I.T_diag_y, 2, "sectorial2", False, True,
-              "w_N(X o Y) <= sec(a1) sec(a2) (max_j |y_jj|) w_N(X)",
-              "X, Y in rotated sector classes with indices a1, a2", _chk_t_diag_y),
-        _info(_I.C_diag_min, 2, "sectorial2", False, True,
-              "w_N(X o Y) <= sec(a1) sec(a2) min(max_j |x_jj| w_N(Y), max_j |y_jj| w_N(X))",
-              "X, Y in rotated sector classes with indices a1, a2", _chk_c_diag_min),
-        _info(_I.C_AD_diag_min2, 2, "accdis2", False, True,
-              "w_N(X o Y) <= 2 min(max_j |x_jj| w_N(Y), max_j |y_jj| w_N(X))",
-              "X, Y accretive-dissipative", _chk_c_ad_diag_min2),
-        _info(_I.T_onetan_min, 2, "accretive2", False, True,
-              "w_N(X o Y) <= min((1 + tan a1) w_N(Re X) w_N(Y), (1 + tan a2) w_N(X) w_N(Re Y))",
-              "X, Y accretive with sector indices a1, a2 (ranges inside the "
-              "sectors themselves, no rotation)", _chk_t_onetan_min),
-        _info(_I.C_onetan, 2, "accretive2_same", False, True,
-              "w_N(X o Y) <= (1 + tan a) w_N(X) w_N(Y), a = max(a1, a2)",
-              "X, Y accretive with sector indices a1, a2", _chk_c_onetan),
+        IdInfo(_I.A_lower, 1, "any", True, True,
+               "0.5 * ||X|| <= w(X)",
+               "any square X; operator norm",
+               lhs=Scale(0.5, Norm(_X)), rhs=Omega(_X)),
+        IdInfo(_I.A_upper, 1, "any", True, True,
+               "w(X) <= ||X||",
+               "any square X; operator norm",
+               lhs=Omega(_X), rhs=Norm(_X)),
+        IdInfo(_I.B_prod4, 2, "any2", True, True,
+               "w(X Y) <= 4 w(X) w(Y)",
+               "any square X, Y; the constant 4 is sharp",
+               product=np.matmul, lhs=Omega(PRODUCT), rhs=Scale(4.0, (Omega(_X), Omega(_Y)))),
+        IdInfo(_I.C_had2, 2, "any2", True, True,
+               "w(X o Y) <= 2 w(X) w(Y)",
+               "any square X, Y; the constant 2 is sharp",
+               product=hadamard, lhs=Omega(PRODUCT), rhs=Scale(2.0, (Omega(_X), Omega(_Y)))),
+        IdInfo(_I.I_diag_psd, 2, "pd_any", True, True,
+               "w(A o X) <= (max_j a_jj) w(X)",
+               "A positive semidefinite (enforced by suite generation; the check "
+               "still evaluates on other inputs and can certify failure)",
+               _H.PSD_NOTE, hadamard, Omega(PRODUCT), (DiagReMax(_X), Omega(_Y))),
+        IdInfo(_I.II_prod_sec, 2, "sectorial2", True, True,
+               "w(X Y) <= sec(a1) sec(a2) w(X) w(Y)",
+               "X, Y in rotated sector classes with indices a1, a2",
+               _H.SECTORIAL, np.matmul, Omega(PRODUCT), (Each(Sec), Each(Omega))),
+        IdInfo(_I.III_had_sec, 2, "sectorial2", True, True,
+               "w(X o Y) <= sec(a1) sec(a2) w(X) w(Y)",
+               "X, Y in rotated sector classes with indices a1, a2",
+               _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), Each(Omega))),
+        IdInfo(_I.VI_had_diag_min, 2, "sectorial2", True, True,
+               "w(X o Y) <= sec(a1) sec(a2) min(max_j |x_jj| w(Y), max_j |y_jj| w(X))",
+               "X, Y in rotated sector classes with indices a1, a2",
+               _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), _DIAG_MIN)),
+        IdInfo(_I.L1_norm_sec, 1, "sectorial", False, True,
+               "N(zX) <= sec(a) N(Re(zX))",
+               "z the witnessing rotation, a the class index of X",
+               _H.SECTORIAL, lhs=Norm(Rotated(_X)), rhs=(Sec(_X), Norm(Re(Rotated(_X))))),
+        IdInfo(_I.L2_block_tan, 1, "sectorial", False, False,
+               "[[tan(a) Re(zX), Im(zX)], [Im(zX), tan(a) Re(zX)]] >= 0",
+               "z the witnessing rotation, a the class index of X",
+               _H.SECTORIAL, block=tan_block),
+        IdInfo(_I.L3_block_sec, 1, "sectorial", False, False,
+               "[[sec(a) Re(zX), zX], [(zX)*, sec(a) Re(zX)]] >= 0",
+               "z the witnessing rotation, a the class index of X",
+               _H.SECTORIAL, block=sec_block),
+        IdInfo(_I.P1_re_mono, 1, "any", False, True,
+               "w_N(Re X) <= w_N(X)",
+               "any square X",
+               lhs=Omega(Re(_X)), rhs=Omega(_X)),
+        IdInfo(_I.P2_im_tan, 1, "sectorial", False, True,
+               "w_N(Im(zX)) <= tan(a) w_N(Re(zX))",
+               "z the witnessing rotation, a the class index of X",
+               _H.SECTORIAL, lhs=Omega(Im(Rotated(_X))), rhs=(Tan(_X), Omega(Re(Rotated(_X))))),
+        IdInfo(_I.P3_sec, 1, "sectorial", False, True,
+               "w_N(zX) <= sec(a) w_N(Re(zX))",
+               "z the witnessing rotation, a the class index of X",
+               _H.SECTORIAL, lhs=Omega(Rotated(_X)), rhs=(Sec(_X), Omega(Re(Rotated(_X))))),
+        IdInfo(_I.SA_omega_le_N, 1, "any", False, True,
+               "w_N(X) <= N(X)",
+               "any square X",
+               lhs=Omega(_X), rhs=Norm(_X)),
+        IdInfo(_I.T1_prod_sec_N, 2, "sectorial2", False, True,
+               "w_N(X Y) <= sec(a1) sec(a2) w_N(X) w_N(Y)",
+               "X, Y in rotated sector classes with indices a1, a2",
+               _H.SECTORIAL, np.matmul, Omega(PRODUCT), (Each(Sec), Each(Omega))),
+        IdInfo(_I.C_B2_sec2, 2, "sectorial2_same", False, True,
+               "w_N(X Y) <= sec(a)^2 w_N(X) w_N(Y)",
+               "X, Y in a common rotated sector class of index a",
+               _H.SECTORIAL, np.matmul, Omega(PRODUCT), (Each(Sec(MAX)), Each(Omega))),
+        IdInfo(_I.C_AD_prod2, 2, "accdis2", False, True,
+               "w_N(X Y) <= 2 w_N(X) w_N(Y)",
+               "X, Y accretive-dissipative",
+               _H.ACCRETIVE_DISSIPATIVE, np.matmul, Omega(PRODUCT),
+               Scale(2.0, (Omega(_X), Omega(_Y)))),
+        IdInfo(_I.C_mprod, 0, "sectorial_m", False, True,
+               "w_N(X_1 ... X_m) <= (prod_j sec(a_j)) prod_j w_N(X_j)",
+               "each X_j in a rotated sector class with index a_j",
+               _H.SECTORIAL, np.matmul, Omega(PRODUCT), (Each(Sec), Each(Omega))),
+        IdInfo(_I.C_secm, 0, "sectorial_m_same", False, True,
+               "w_N(X_1 ... X_m) <= sec(a)^m prod_j w_N(X_j)",
+               "all X_j in a common rotated sector class of index a",
+               _H.SECTORIAL, np.matmul, Omega(PRODUCT), (Each(Sec(MAX)), Each(Omega))),
+        IdInfo(_I.C_AD_m, 0, "accdis_m", False, True,
+               "w_N(X_1 ... X_m) <= 2^(m/2) prod_j w_N(X_j)",
+               "each X_j accretive-dissipative",
+               _H.ACCRETIVE_DISSIPATIVE, np.matmul, Omega(PRODUCT), (Const(2.0, 0.5), Each(Omega))),
+        IdInfo(_I.H2_hermitian_had, 2, "herm_any", False, True,
+               "w_N(X o Y) <= w_N(X) w_N(Y)",
+               "at least one of X, Y Hermitian",
+               _H.ONE_HERMITIAN, hadamard, Omega(PRODUCT), (Omega(_X), Omega(_Y))),
+        IdInfo(_I.H3_had_sec_N, 2, "sectorial2", False, True,
+               "w_N(X o Y) <= sec(a1) sec(a2) w_N(X) w_N(Y)",
+               "X, Y in rotated sector classes with indices a1, a2",
+               _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), Each(Omega))),
+        IdInfo(_I.C_C2_had, 2, "sectorial2_same", False, True,
+               "w_N(X o Y) <= sec(a)^2 w_N(X) w_N(Y)",
+               "X, Y in a common rotated sector class of index a",
+               _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec(MAX)), Each(Omega))),
+        IdInfo(_I.T_had_m, 0, "sectorial_m", False, True,
+               "w_N(X_1 o ... o X_m) <= (prod_j sec(a_j)) prod_j w_N(X_j)",
+               "each X_j in a rotated sector class with index a_j",
+               _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), Each(Omega))),
+        IdInfo(_I.C_AD_had_m, 0, "accdis_m", False, True,
+               "w_N(X_1 o ... o X_m) <= 2^(m/2) prod_j w_N(X_j)",
+               "each X_j accretive-dissipative",
+               _H.ACCRETIVE_DISSIPATIVE, hadamard, Omega(PRODUCT), (Const(2.0, 0.5), Each(Omega))),
+        IdInfo(_I.L6_had_diag_norm, 2, "any_pd", False, True,
+               "N(X o Y) <= (max_i y_ii) N(X)",
+               "Y positive definite",
+               _H.PD_SECOND, hadamard, Norm(PRODUCT), (DiagReMax(_Y), Norm(_X))),
+        IdInfo(_I.L7_had_diag_omega, 2, "any_pd", False, True,
+               "w_N(X o Y) <= (max_i y_ii) w_N(X)",
+               "Y positive definite",
+               _H.PD_SECOND, hadamard, Omega(PRODUCT), (DiagReMax(_Y), Omega(_X))),
+        IdInfo(_I.T_diag_x, 2, "sectorial2", False, True,
+               "w_N(X o Y) <= sec(a1) sec(a2) (max_j |x_jj|) w_N(Y)",
+               "X, Y in rotated sector classes with indices a1, a2",
+               _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), DiagAbsMax(_X), Omega(_Y))),
+        IdInfo(_I.T_diag_y, 2, "sectorial2", False, True,
+               "w_N(X o Y) <= sec(a1) sec(a2) (max_j |y_jj|) w_N(X)",
+               "X, Y in rotated sector classes with indices a1, a2",
+               _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), DiagAbsMax(_Y), Omega(_X))),
+        IdInfo(_I.C_diag_min, 2, "sectorial2", False, True,
+               "w_N(X o Y) <= sec(a1) sec(a2) min(max_j |x_jj| w_N(Y), max_j |y_jj| w_N(X))",
+               "X, Y in rotated sector classes with indices a1, a2",
+               _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), _DIAG_MIN)),
+        IdInfo(_I.C_AD_diag_min2, 2, "accdis2", False, True,
+               "w_N(X o Y) <= 2 min(max_j |x_jj| w_N(Y), max_j |y_jj| w_N(X))",
+               "X, Y accretive-dissipative",
+               _H.ACCRETIVE_DISSIPATIVE, hadamard, Omega(PRODUCT), Scale(2.0, _DIAG_MIN)),
+        IdInfo(_I.T_onetan_min, 2, "accretive2", False, True,
+               "w_N(X o Y) <= min((1 + tan a1) w_N(Re X) w_N(Y), (1 + tan a2) w_N(X) w_N(Re Y))",
+               "X, Y accretive with sector indices a1, a2 (ranges inside the "
+               "sectors themselves, no rotation)",
+               _H.ACCRETIVE, hadamard, Omega(PRODUCT),
+               Min((OnePlusTan(_X), Omega(Re(_X)), Omega(_Y)), (OnePlusTan(_Y), Omega(_X), Omega(Re(_Y))))),
+        IdInfo(_I.C_onetan, 2, "accretive2_same", False, True,
+               "w_N(X o Y) <= (1 + tan a) w_N(X) w_N(Y), a = max(a1, a2)",
+               "X, Y accretive with sector indices a1, a2",
+               _H.ACCRETIVE, hadamard, Omega(PRODUCT), (OnePlusTan(MAX), Omega(_X), Omega(_Y))),
     )
 }
 
 
 def all_ids() -> list[InequalityId]:
     return list(REGISTRY.keys())
+
+
+def _evaluate(info: IdInfo, mats, spec: NormSpec, ctx: CheckContext) -> tuple[Interval, Interval, str]:
+    infos, note = _check_hypothesis(info.requires, mats, ctx, info.arity)
+    ev = _Evaluator(mats, infos, info.product, spec, ctx)
+    if info.block is not None:
+        return _psd_comparison(info.block(ev.matrix(Rotated(_X)), infos[_X].index_alpha))
+    return ev.side(info.lhs), ev.side(info.rhs), note
 
 
 def check_inequality(
@@ -699,7 +653,7 @@ def check_inequality(
             raise DimensionError(f"input {k} has dimension {M.shape[0]}, expected {n}")
     spec_eff = OPERATOR if info.classical else norm
     try:
-        lhs, rhs, note = info.fn(mats, spec_eff, context)
+        lhs, rhs, note = _evaluate(info, mats, spec_eff, context)
     except Inapplicable as exc:
         return CheckResult.inapplicable(ineq.value, str(exc), seed=seed, norm=spec_eff.label, dim=n)
     return CheckResult.from_comparison(
@@ -852,7 +806,6 @@ def run_suite(
         "seed": seed,
         "grid": context.grid,
         "refine_tol": context.refine_tol,
-        "cert_floor": context.cert_floor,
         "alpha_inflation": context.alpha_inflation,
         "m_fold": context.m_fold,
         "mode": "verify",

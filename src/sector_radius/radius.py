@@ -14,11 +14,12 @@ its supremum is read off a 2x2 Gram matrix with a stated rounding pad.
 Every other norm samples a uniform grid first.  A grid that comes out
 flat (spread within the target width) asks whether X is circular, that
 is unitarily similar to e^{i*phi} X for every phi: a grading K of X's
-kernel flag bounds every angle by the sampled one plus (pi/2) N(KX - XK + X),
-which vanishes for nilpotent shifts such as Jordan blocks.  Otherwise
-the best cells are polished with a few safeguarded Newton steps on the
-analytic profile (derivatives from one batched eigendecomposition per
-step); the Newton steps only make ``value`` good early.  The guarantee
+kernel flag bounds every angle by the best sample plus (h/2) N(KX - XK + X),
+h the grid step; the norm vanishes for nilpotent shifts such as Jordan
+blocks.  Otherwise the best cells are polished with a few safeguarded
+Newton steps on the analytic profile (derivatives from one batched
+eigendecomposition per step); the Newton steps only make ``value`` good
+early.  The guarantee
 then comes from one of two upper bounds.  For the operator norm, Ando's
 dilation gives it with one Hermitian eigensolve of a 2n x 2n matrix.
 Otherwise, and whenever that bound does not close, a subdivision pass
@@ -316,26 +317,29 @@ def _flag_grading(X: np.ndarray) -> np.ndarray | None:
 
 
 def _rotation_bound(
-    X: np.ndarray, K: np.ndarray, A: np.ndarray, B: np.ndarray, p: float, value: float
+    X: np.ndarray, K: np.ndarray, A: np.ndarray, B: np.ndarray, p: float, value: float, h: float
 ) -> float:
-    """Upper bound on sup f from one sample ``value`` = f(theta0), for any theta0.
+    """Upper bound on sup f from ``value``, the largest sample of a start grid.
 
-    For every Hermitian K and R = KX - XK + X,
+    The grid is uniform with step ``h`` over the period pi (a single sample
+    is h = pi).  For every Hermitian K and R = KX - XK + X,
     d/dphi [e^{-i phi} e^{-i phi K} X e^{i phi K}] = -i e^{-i phi} e^{-i phi K} R e^{i phi K},
     so e^{i phi} X is within |phi| N(R) of the unitary conjugate
     e^{-i phi K} X e^{i phi K} in every unitarily invariant norm N.  Since
-    N(Re Y) <= N(Y) and the profile has period pi, every angle is within
-    pi/2 of theta0 and sup f <= f(theta0) + (pi/2) N(R).  The bound is
-    tight when K grades X (KX - XK = -X), as _flag_grading's K does for a
-    shift.
+    N(Re Y) <= N(Y), f(theta_j + phi) <= f(theta_j) + |phi| N(R) for every
+    sample theta_j.  The profile has period pi, so every angle is within
+    h/2 of a sample, and sup f <= max_j f(theta_j) + (h/2) N(R).  The
+    computed angles lie within 4 pi eps of the exact grid, which adds
+    4 pi eps N(R).  The bound is tight when K grades X (KX - XK = -X), as
+    _flag_grading's K does for a shift.
 
     Error model, as in _frobenius_radius:
     - N(R) <= n^max(0, 1/p - 1/2) ||R||_F.  The computed R differs from
       the exact one by at most 4 n eps (2 ||K||_F + 1) ||X||_F (two
       matrix products and two sums), and the computed ||R||_F is within
       n^2 eps of relative error (recursive summation).
-    - The sample is within n^(1/p) (_EIG_BACKWARD n + 4 + n) eps
-      (||A||_F + ||B||_F) of the exact f(theta0): the eigensolver's backward
+    - Each sample is within n^(1/p) (_EIG_BACKWARD n + 4 + n) eps
+      (||A||_F + ||B||_F) of the exact f(theta_j): the eigensolver's backward
       error, forming the Cartesian parts and H = cos A - sin B, and
       summing n moduli.
     """
@@ -347,7 +351,7 @@ def _rotation_bound(
     drift = n ** max(0.0, 1.0 / p - 0.5) * fro_R
     sample = n ** (1.0 / p) * ((_EIG_BACKWARD + 1.0) * n + 4.0) * _EPS
     sample *= float(np.linalg.norm(A)) + float(np.linalg.norm(B))
-    return value + sample + 0.5 * math.pi * drift
+    return value + sample + (0.5 * h + 4.0 * math.pi * _EPS) * drift
 
 
 def _frobenius_radius(A: np.ndarray, B: np.ndarray, spec: NormSpec) -> RadiusEstimate:
@@ -381,14 +385,7 @@ def _frobenius_radius(A: np.ndarray, B: np.ndarray, spec: NormSpec) -> RadiusEst
     return RadiusEstimate(value, theta, max(0.0, upper - value), spec)
 
 
-def omega_n(
-    spec: NormSpec,
-    X,
-    grid: int = DEFAULT_GRID,
-    refine_tol: float = 1e-10,
-    *,
-    cert_floor: float = 0.0,
-) -> RadiusEstimate:
+def omega_n(spec: NormSpec, X, grid: int = DEFAULT_GRID, refine_tol: float = 1e-10) -> RadiusEstimate:
     """Generalized numerical radius sup_theta N(Re(e^{i*theta} X)).
 
     Parameters
@@ -400,9 +397,6 @@ def omega_n(
     refine_tol:
         Step size below which Newton polishing stops, and the target
         width of the certification pass.
-    cert_floor:
-        Optional larger width target for the certification pass only,
-        trading a bigger (still guaranteed) cert_error for speed.
 
     Returns a RadiusEstimate with value the best profile sample found,
     the angle attaining it, and a certified error so that the true
@@ -434,12 +428,12 @@ def omega_n(
     values = evaluate(centers)
     best = _Best()
     best.update(centers, values)
-    g_stop = 0.5 * lipschitz * max(refine_tol, cert_floor)
+    g_stop = 0.5 * lipschitz * refine_tol
 
     # A flat grid: try the rotation symmetry of a circular X.
     K = _flag_grading(X) if float(values.max() - values.min()) <= g_stop else None
     if K is not None:
-        rotation = _rotation_bound(X, K, A, B, p, best.value)
+        rotation = _rotation_bound(X, K, A, B, p, best.value, h)
         if rotation - best.value <= g_stop:
             return RadiusEstimate(best.value, best.theta, rotation - best.value, spec)
 

@@ -1,5 +1,8 @@
 import json
+import re
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +15,11 @@ from sector_radius.generator import (
     random_sectorial,
     random_unitary,
 )
+from sector_radius import harness
 from sector_radius.harness import (
+    REGISTRY,
     CheckContext,
+    Hypothesis,
     Inapplicable,
     _norm_iv,
     _verified,
@@ -26,7 +32,7 @@ from sector_radius.harness import (
 )
 from sector_radius.linalg import DimensionError
 from sector_radius.norms import FROBENIUS, OPERATOR, TRACE, schatten
-from sector_radius.sectorial import sector_index, tan_block
+from sector_radius.sectorial import rotation_to_sector, sector_index, tan_block
 from helpers import mp_schatten_norm
 
 VOLTERRA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -260,9 +266,101 @@ class TestExplainAndRegistry:
             assert ineq.value in text
 
     def test_generate_inputs_profiles_match_arity(self):
-        from sector_radius.harness import REGISTRY
-
         for ineq, info in REGISTRY.items():
             mats = generate_inputs(info.profile, 2, seed=9, m_fold=3)
             expect = 3 if info.arity == 0 else info.arity
             assert len(mats) == expect, ineq
+
+    def test_docs_table_lists_every_id_in_order(self):
+        text = (Path(__file__).resolve().parent.parent / "docs" / "inequalities.md").read_text()
+        documented = re.findall(r"^\| `(\w+)` \|", text, flags=re.MULTILINE)
+        assert documented == [i.value for i in all_ids()]
+
+
+# Ginibre(2, seed 0): not sectorial, not accretive, not accretive-dissipative
+# and not Hermitian, and nonsingular, so it fails differently from VOLTERRA.
+GINIBRE = random_ginibre(GenConfig(2, 0))
+REFUSING_IDS = [i for i in all_ids() if REGISTRY[i].requires not in (None, Hypothesis.PSD_NOTE)]
+
+
+def violation(kind: Hypothesis, bad: np.ndarray, k: int, arity: int) -> str:
+    """The part of the note that names input k as the violating one."""
+    if kind is Hypothesis.SECTORIAL:
+        with pytest.raises(ValueError) as exc:
+            rotation_to_sector(bad)
+        return f"input is not sectorial: {exc.value}"
+    if kind is Hypothesis.ACCRETIVE:
+        with pytest.raises(ValueError) as exc:
+            sector_index(bad)
+        return f"input is not accretive sectorial: {exc.value}"
+    which = ("first input", "second input")[k] if arity else f"input {k}"
+    if kind is Hypothesis.ACCRETIVE_DISSIPATIVE:
+        return f"{which} is not accretive-dissipative"
+    if kind is Hypothesis.PD_SECOND:
+        return f"{which} is not Hermitian"
+    return "neither input is Hermitian"
+
+
+class TestTable:
+    @pytest.mark.parametrize("ineq", REFUSING_IDS, ids=lambda i: i.value)
+    def test_first_violating_input_is_reported_before_any_radius(self, ineq, monkeypatch):
+        radii = []
+        monkeypatch.setattr(harness, "omega_n", lambda *a, **k: radii.append(a))
+        info = REGISTRY[ineq]
+        good = generate_inputs(info.profile, 2, seed=5, m_fold=3)
+        kind = info.requires
+        if kind is Hypothesis.ONE_HERMITIAN:
+            positions = [0]
+            good[1] = GINIBRE
+        else:
+            positions = [1] if kind is Hypothesis.PD_SECOND else range(len(good))
+        for k in positions:
+            for bad in (VOLTERRA, GINIBRE):
+                mats = list(good)
+                mats[k] = bad
+                r = check_inequality(ineq, mats, TRACE)
+                assert r.verdict == "inapplicable", (k, r)
+                assert violation(kind, bad, k, info.arity) in r.note, (k, r.note)
+            if k + 1 < len(good) and kind is not Hypothesis.ONE_HERMITIAN:
+                mats = list(good)
+                mats[k], mats[k + 1] = VOLTERRA, GINIBRE
+                first = violation(kind, VOLTERRA, k, info.arity)
+                later = violation(kind, GINIBRE, k + 1, info.arity)
+                assert first != later
+                note = check_inequality(ineq, mats, TRACE).note
+                assert first in note and later not in note, (k, note)
+        assert radii == []
+
+    # Calls of (omega_n, rotation_to_sector, sector_index) in one n = 3 trial
+    # with m = 3: every distinct radius and sector is computed exactly once.
+    WORK = {
+        "A_lower": (1, 0, 0), "A_upper": (1, 0, 0), "B_prod4": (3, 0, 0),
+        "C_had2": (3, 0, 0), "I_diag_psd": (2, 0, 0), "II_prod_sec": (3, 2, 0),
+        "III_had_sec": (3, 2, 0), "VI_had_diag_min": (3, 2, 0), "L1_norm_sec": (0, 1, 0),
+        "L2_block_tan": (0, 1, 0), "L3_block_sec": (0, 1, 0), "P1_re_mono": (2, 0, 0),
+        "P2_im_tan": (2, 1, 0), "P3_sec": (2, 1, 0), "SA_omega_le_N": (1, 0, 0),
+        "T1_prod_sec_N": (3, 2, 0), "C_B2_sec2": (3, 2, 0), "C_AD_prod2": (3, 0, 0),
+        "C_mprod": (4, 3, 0), "C_secm": (4, 3, 0), "C_AD_m": (4, 0, 0),
+        "H2_hermitian_had": (3, 0, 0), "H3_had_sec_N": (3, 2, 0), "C_C2_had": (3, 2, 0),
+        "T_had_m": (4, 3, 0), "C_AD_had_m": (4, 0, 0), "L6_had_diag_norm": (0, 0, 0),
+        "L7_had_diag_omega": (2, 0, 0), "T_diag_x": (2, 2, 0), "T_diag_y": (2, 2, 0),
+        "C_diag_min": (3, 2, 0), "C_AD_diag_min2": (3, 0, 0), "T_onetan_min": (5, 0, 2),
+        "C_onetan": (3, 0, 2),
+    }
+
+    @pytest.mark.parametrize("ineq", all_ids(), ids=lambda i: i.value)
+    def test_each_term_is_computed_once(self, ineq, monkeypatch):
+        calls = Counter()
+        names = ("omega_n", "rotation_to_sector", "sector_index")
+        for name in names:
+            original = getattr(harness, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        mats = generate_inputs(REGISTRY[ineq].profile, 3, seed=5, m_fold=3)
+        r = check_inequality(ineq, mats, TRACE)
+        assert r.verdict == "certified_pass", r
+        assert tuple(calls[name] for name in names) == self.WORK[ineq.value]

@@ -296,19 +296,38 @@ class TestRotationCertificate:
         n=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
         k_scale=st.floats(0.0, 4.0),
+        grid=st.integers(1, 40),
         theta0=st.floats(0.0, math.pi),
     )
-    def test_bound_holds_for_any_hermitian_k(self, n, seed, k_scale, theta0):
-        # sup f <= f(theta0) + (pi/2) N(KX - XK + X) for every Hermitian K.
+    def test_bound_holds_for_any_hermitian_k(self, n, seed, k_scale, grid, theta0):
+        # sup f <= max_j f(theta_j) + (h/2) N(KX - XK + X) for every Hermitian
+        # K and every uniform grid theta_j = theta0 + j h, h = pi / grid.
         rng = np.random.default_rng(seed)
         X = random_complex(rng, n)
         K = random_hermitian(rng, n, k_scale)
         A, B = cartesian_decompose(X)
+        h = math.pi / grid
+        thetas = theta0 + h * np.arange(grid)
         for spec in (TRACE, schatten(3), OPERATOR):
             p = spec.schatten_p
-            bound = _rotation_bound(X, K, A, B, p, radius_profile(spec, X, theta0))
+            value = float(_profile_values(A, B, thetas, p).max())
+            bound = _rotation_bound(X, K, A, B, p, value, h)
             pad = 16 * n ** (1.0 / p) * n * EPS * float(np.linalg.norm(X))
             assert bound >= oracle_omega(X, p, 2000) - pad, spec.label
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_single_sample_at_a_zero_of_the_profile(self, n):
+        # X = diag(1, 0, ...) has f(theta) = |cos theta|; its one sample at
+        # pi/2 reads 0, so with K = 0 the bound must add all of (pi/2) N(X).
+        X = np.zeros((n, n), dtype=complex)
+        X[0, 0] = 1.0
+        A, B = cartesian_decompose(X)
+        K = np.zeros((n, n), dtype=complex)
+        for spec in (schatten(3), OPERATOR):
+            p = spec.schatten_p
+            value = radius_profile(spec, X, 0.5 * math.pi)
+            assert value <= 1e-15
+            assert _rotation_bound(X, K, A, B, p, value, math.pi) >= 1.0, spec.label
 
     def test_shift_grading_is_exact(self):
         # K X - X K = -X on Jordan blocks and weighted shifts.
@@ -329,8 +348,9 @@ class TestRotationCertificate:
                 p = spec.schatten_p
                 g_stop = 0.5 * (hermitian_norm(spec, A) + hermitian_norm(spec, B)) * refine_tol
                 if K is not None:
-                    f0 = radius_profile(spec, X, 0.0)
-                    assert _rotation_bound(X, K, A, B, p, f0) - f0 > g_stop, (name, spec.label)
+                    h = math.pi / radius.DEFAULT_GRID
+                    f0 = float(_profile_values(A, B, (np.arange(radius.DEFAULT_GRID) + 0.5) * h, p).max())
+                    assert _rotation_bound(X, K, A, B, p, f0, h) - f0 > g_stop, (name, spec.label)
                 est = omega_n(spec, X, refine_tol=refine_tol)
                 assert oracle_omega(X, p, 20000) <= est.value + est.cert_error + 1e-12, (name, spec.label)
 
@@ -390,6 +410,20 @@ class TestCertificateOracles:
             exact = float(norm_of_svals(eigs, spec.schatten_p))
             pad = 4 * n * n * EPS * max(1.0, exact)
             assert est.value - pad <= exact <= est.value + est.cert_error + pad, spec.label
+            L = hermitian_norm(spec, A) + hermitian_norm(spec, B)
+            assert est.cert_error <= 0.5 * L * refine_tol, (spec.label, est.cert_error)
+
+    def test_wide_weighted_shift_certifies_by_rotation(self, monkeypatch):
+        # A 64 x 64 weighted shift: a bound using the whole period, pi/2
+        # instead of h/2, misses g_stop here and the operator norm falls
+        # through to subdivision.
+        forbid_subdivision(monkeypatch)
+        weights = np.random.default_rng(64).uniform(0.5, 2.0, 63)
+        X = densified(np.diag(weights, 1), 71)
+        A, B = cartesian_decompose(X)
+        refine_tol = 1e-10
+        for spec in (OPERATOR, TRACE, schatten(3)):
+            est = omega_n(spec, X, refine_tol=refine_tol)
             L = hermitian_norm(spec, A) + hermitian_norm(spec, B)
             assert est.cert_error <= 0.5 * L * refine_tol, (spec.label, est.cert_error)
 
