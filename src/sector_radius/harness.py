@@ -12,7 +12,8 @@ the intervals separate.
 Each identifier is one row of REGISTRY: its inputs, its hypothesis, and
 both sides written in a small vocabulary of terms (see
 docs/inequalities.md).  One evaluator checks the hypothesis and computes
-every distinct term of a row once.
+every distinct term of a row once, all of the row's radii in one
+omega_n call.
 
 IDs whose statement involves the classical numerical radius always run
 with the operator norm regardless of the requested norm; the remaining
@@ -148,19 +149,19 @@ def _norm_iv(spec: NormSpec, X: np.ndarray) -> Interval:
     return Interval.point(value, abs_=pad)
 
 
-def _class_info(X: np.ndarray, ctx: CheckContext) -> SectorInfo:
+def _class_info(X: np.ndarray, ctx: CheckContext, which: str) -> SectorInfo:
     try:
         info = rotation_to_sector(X)
     except NotSectorialError as exc:
-        raise Inapplicable(f"input is not sectorial: {exc}") from None
+        raise Inapplicable(f"{which}: input is not sectorial: {exc}") from None
     return _verified(info, X, ctx)
 
 
-def _accretive_info(X: np.ndarray, ctx: CheckContext) -> SectorInfo:
+def _accretive_info(X: np.ndarray, ctx: CheckContext, which: str) -> SectorInfo:
     try:
         info = sector_index(X)
     except (NotSectorialError, ValueError) as exc:
-        raise Inapplicable(f"input is not accretive sectorial: {exc}") from None
+        raise Inapplicable(f"{which}: input is not accretive sectorial: {exc}") from None
     return _verified(info, X, ctx)
 
 
@@ -234,13 +235,14 @@ def _check_hypothesis(kind, mats, ctx: CheckContext, arity: int) -> tuple[list[S
     ACCRETIVE return sector data; PSD_NOTE returns a note instead of
     raising.
     """
+    names = [("first input", "second input")[k] if arity else f"input {k}" for k in range(len(mats))]
     if kind is Hypothesis.SECTORIAL:
-        return [_class_info(M, ctx) for M in mats], ""
+        return [_class_info(M, ctx, which) for M, which in zip(mats, names)], ""
     if kind is Hypothesis.ACCRETIVE:
-        return [_accretive_info(M, ctx) for M in mats], ""
+        return [_accretive_info(M, ctx, which) for M, which in zip(mats, names)], ""
     if kind is Hypothesis.ACCRETIVE_DISSIPATIVE:
-        for k, M in enumerate(mats):
-            _require_accretive_dissipative(M, ("first input", "second input")[k] if arity else f"input {k}")
+        for M, which in zip(mats, names):
+            _require_accretive_dissipative(M, which)
     elif kind is Hypothesis.PD_SECOND:
         _require_pd(mats[1], "second input")
     elif kind is Hypothesis.ONE_HERMITIAN:
@@ -303,13 +305,13 @@ class Rotated:
 
 @dataclass(frozen=True)
 class Omega:
-    """w_N as [value, value + cert_error] from omega_n."""
+    """w_N as [value, value + cert_error] from omega_n.
+
+    The evaluator computes every Omega term of a row in one omega_n call
+    (_Evaluator.radii) before either side is evaluated.
+    """
 
     of: object
-
-    def interval(self, ev):
-        est = omega_n(ev.spec, ev.matrix(self.of), grid=ev.ctx.grid, refine_tol=ev.ctx.refine_tol)
-        return Interval(est.value, est.value + est.cert_error)
 
 
 @dataclass(frozen=True)
@@ -415,6 +417,39 @@ class _Evaluator:
         if of == MAX:
             return max(info.index_alpha for info in self.infos)
         return self.infos[of].index_alpha
+
+    def terms(self, expr):
+        """The terms of a side, in the order side() first uses them."""
+        if isinstance(expr, tuple):
+            for f in expr:
+                if not isinstance(f, Each):
+                    yield from self.terms(f)
+                elif isinstance(f.term, type):
+                    for k in range(len(self.mats)):
+                        yield from self.terms(f.term(k))
+                else:
+                    yield f.term
+        elif isinstance(expr, Scale):
+            yield from self.terms(expr.of)
+        elif isinstance(expr, Min):
+            yield from self.terms(expr.a)
+            yield from self.terms(expr.b)
+        else:
+            yield expr
+
+    def radii(self, *sides) -> None:
+        """Compute the distinct Omega terms of ``sides`` in one omega_n call.
+
+        The matrices run as lanes of one batch in first-use order, and
+        each interval is memoised for side().
+        """
+        omegas = list(dict.fromkeys(t for s in sides for t in self.terms(s) if isinstance(t, Omega)))
+        if not omegas:
+            return
+        mats = [self.matrix(t.of) for t in omegas]
+        ests = omega_n(self.spec, *mats, grid=self.ctx.grid, refine_tol=self.ctx.refine_tol)
+        for term, est in zip(omegas, ests if len(omegas) > 1 else (ests,)):
+            self._memo[term] = Interval(est.value, est.value + est.cert_error)
 
     def side(self, expr) -> Interval:
         if isinstance(expr, tuple):
@@ -620,6 +655,7 @@ def _evaluate(info: IdInfo, mats, spec: NormSpec, ctx: CheckContext) -> tuple[In
     ev = _Evaluator(mats, infos, info.product, spec, ctx)
     if info.block is not None:
         return _psd_comparison(info.block(ev.matrix(Rotated(_X)), infos[_X].index_alpha))
+    ev.radii(info.lhs, info.rhs)
     return ev.side(info.lhs), ev.side(info.rhs), note
 
 

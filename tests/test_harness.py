@@ -285,15 +285,15 @@ REFUSING_IDS = [i for i in all_ids() if REGISTRY[i].requires not in (None, Hypot
 
 def violation(kind: Hypothesis, bad: np.ndarray, k: int, arity: int) -> str:
     """The part of the note that names input k as the violating one."""
+    which = ("first input", "second input")[k] if arity else f"input {k}"
     if kind is Hypothesis.SECTORIAL:
         with pytest.raises(ValueError) as exc:
             rotation_to_sector(bad)
-        return f"input is not sectorial: {exc.value}"
+        return f"{which}: input is not sectorial: {exc.value}"
     if kind is Hypothesis.ACCRETIVE:
         with pytest.raises(ValueError) as exc:
             sector_index(bad)
-        return f"input is not accretive sectorial: {exc.value}"
-    which = ("first input", "second input")[k] if arity else f"input {k}"
+        return f"{which}: input is not accretive sectorial: {exc.value}"
     if kind is Hypothesis.ACCRETIVE_DISSIPATIVE:
         return f"{which} is not accretive-dissipative"
     if kind is Hypothesis.PD_SECOND:
@@ -331,8 +331,9 @@ class TestTable:
                 assert first in note and later not in note, (k, note)
         assert radii == []
 
-    # Calls of (omega_n, rotation_to_sector, sector_index) in one n = 3 trial
-    # with m = 3: every distinct radius and sector is computed exactly once.
+    # Radii computed by omega_n (matrices over all its calls) and calls of
+    # rotation_to_sector and sector_index in one n = 3 trial with m = 3:
+    # every distinct radius and sector is computed exactly once.
     WORK = {
         "A_lower": (1, 0, 0), "A_upper": (1, 0, 0), "B_prod4": (3, 0, 0),
         "C_had2": (3, 0, 0), "I_diag_psd": (2, 0, 0), "II_prod_sec": (3, 2, 0),
@@ -351,16 +352,20 @@ class TestTable:
     @pytest.mark.parametrize("ineq", all_ids(), ids=lambda i: i.value)
     def test_each_term_is_computed_once(self, ineq, monkeypatch):
         calls = Counter()
+        work = Counter()
         names = ("omega_n", "rotation_to_sector", "sector_index")
         for name in names:
             original = getattr(harness, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
+                # omega_n(spec, X, *more): one radius per matrix
+                work[_name] += len(args) - 1 if _name == "omega_n" else 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(harness, name, counted)
         mats = generate_inputs(REGISTRY[ineq].profile, 3, seed=5, m_fold=3)
         r = check_inequality(ineq, mats, TRACE)
         assert r.verdict == "certified_pass", r
-        assert tuple(calls[name] for name in names) == self.WORK[ineq.value]
+        assert tuple(work[name] for name in names) == self.WORK[ineq.value]
+        assert calls["omega_n"] <= 1

@@ -134,7 +134,7 @@ class TestRotationToSector:
 
         X = narrow_arc(k)
         assert rotation_to_sector(X).index_alpha == pytest.approx(1.569, abs=1e-9)
-        assert _class_info(X, DEFAULT_CONTEXT).index_alpha == pytest.approx(1.569, abs=1e-7)
+        assert _class_info(X, DEFAULT_CONTEXT, "first input").index_alpha == pytest.approx(1.569, abs=1e-7)
 
     def test_hermitian_eigensolver_budget(self, monkeypatch):
         counts = count_hermitian_eig_matrices(monkeypatch)
