@@ -4,16 +4,17 @@ Every inequality the library verifies has a stable identifier.  A check
 evaluates both sides as enclosing intervals: radius estimates contribute
 [value, value + cert_error], norms enter as points padded by the SVD's
 error model, diagonal maxima with a small relative pad, and sec/tan
-factors are evaluated at the computed sector index inflated by a
-configurable margin, and the inflated index is verified to bound the
-numerical range before it is used.  The verdict is certified only when
+factors are evaluated at the computed sector index inflated by a small
+margin, and the inflated index is verified to bound the numerical range
+before it is used.  The verdict is certified only when
 the intervals separate.
 
-Each identifier is one row of REGISTRY: its inputs, its hypothesis, and
-both sides written in a small vocabulary of terms (see
-docs/inequalities.md).  One evaluator checks the hypothesis and computes
-every distinct term of a row once, all of the row's radii in one
-omega_n call.
+Each identifier is one row of REGISTRY and is stated nowhere else: its
+inputs, its hypothesis, and both sides written in a small vocabulary of
+terms (see docs/inequalities.md).  InequalityId is built from the rows,
+and suites draw each row's inputs from its hypothesis.  One evaluator
+checks the hypothesis and computes every distinct term of a row once,
+all of the row's radii in one omega_n call.
 
 IDs whose statement involves the classical numerical radius always run
 with the operator norm regardless of the requested norm; the remaining
@@ -32,7 +33,7 @@ from functools import reduce
 import numpy as np
 
 from .generator import GenConfig, mix_seed, random_accretive_dissipative, random_ginibre, random_pd, random_sectorial
-from .linalg import DimensionError, as_matrix, cartesian_decompose, frobenius, hadamard
+from .linalg import DimensionError, as_matrix, cartesian_decompose, frobenius, hadamard, is_hermitian
 from .norms import FROBENIUS, OPERATOR, TRACE, NormSpec, evaluate_norm, schatten
 from .radius import DEFAULT_GRID, omega_n
 from .report import CheckResult, IdSummary, Interval, SuiteReport
@@ -60,43 +61,6 @@ __all__ = [
 ]
 
 
-class InequalityId(str, Enum):
-    A_lower = "A_lower"
-    A_upper = "A_upper"
-    B_prod4 = "B_prod4"
-    C_had2 = "C_had2"
-    I_diag_psd = "I_diag_psd"
-    II_prod_sec = "II_prod_sec"
-    III_had_sec = "III_had_sec"
-    VI_had_diag_min = "VI_had_diag_min"
-    L1_norm_sec = "L1_norm_sec"
-    L2_block_tan = "L2_block_tan"
-    L3_block_sec = "L3_block_sec"
-    P1_re_mono = "P1_re_mono"
-    P2_im_tan = "P2_im_tan"
-    P3_sec = "P3_sec"
-    SA_omega_le_N = "SA_omega_le_N"
-    T1_prod_sec_N = "T1_prod_sec_N"
-    C_B2_sec2 = "C_B2_sec2"
-    C_AD_prod2 = "C_AD_prod2"
-    C_mprod = "C_mprod"
-    C_secm = "C_secm"
-    C_AD_m = "C_AD_m"
-    H2_hermitian_had = "H2_hermitian_had"
-    H3_had_sec_N = "H3_had_sec_N"
-    C_C2_had = "C_C2_had"
-    T_had_m = "T_had_m"
-    C_AD_had_m = "C_AD_had_m"
-    L6_had_diag_norm = "L6_had_diag_norm"
-    L7_had_diag_omega = "L7_had_diag_omega"
-    T_diag_x = "T_diag_x"
-    T_diag_y = "T_diag_y"
-    C_diag_min = "C_diag_min"
-    C_AD_diag_min2 = "C_AD_diag_min2"
-    T_onetan_min = "T_onetan_min"
-    C_onetan = "C_onetan"
-
-
 @dataclass(frozen=True)
 class CheckContext:
     """Shared numerical settings for a batch of checks.
@@ -104,16 +68,12 @@ class CheckContext:
     ``grid`` is the number of uniform start cells of every radius
     computation; Newton polishing and certification down to
     ``refine_tol`` carry the accuracy, so a coarse grid only seeds them.
-    ``alpha_inflation`` is added to every computed sector index before a
-    sec or tan factor is taken, covering the index's rounding error; the
-    inflated index is then checked to contain the numerical range and the
-    inflation doubled until it does.  ``m_fold`` is the number of inputs
-    suites generate for an m-fold identifier.
+    ``m_fold`` is the number of inputs suites generate for an m-fold
+    identifier.
     """
 
     grid: int = DEFAULT_GRID
     refine_tol: float = 1e-10
-    alpha_inflation: float = 1e-8
     m_fold: int = 3
 
 
@@ -125,6 +85,9 @@ _NORM_PAD = 1e-12
 _SVD_BACKWARD = 4.0
 _DIAG_PAD = 1e-15
 _PSD_TOL = 1e-9
+# Added to every computed sector index before a sec or tan factor is
+# taken, covering the index's rounding error (see _verified).
+_ALPHA_INFLATION = 1e-8
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -149,35 +112,35 @@ def _norm_iv(spec: NormSpec, X: np.ndarray) -> Interval:
     return Interval.point(value, abs_=pad)
 
 
-def _class_info(X: np.ndarray, ctx: CheckContext, which: str) -> SectorInfo:
+def _class_info(X: np.ndarray, which: str) -> SectorInfo:
     try:
         info = rotation_to_sector(X)
     except NotSectorialError as exc:
         raise Inapplicable(f"{which}: input is not sectorial: {exc}") from None
-    return _verified(info, X, ctx)
+    return _verified(info, X)
 
 
-def _accretive_info(X: np.ndarray, ctx: CheckContext, which: str) -> SectorInfo:
+def _accretive_info(X: np.ndarray, which: str) -> SectorInfo:
     try:
         info = sector_index(X)
     except (NotSectorialError, ValueError) as exc:
         raise Inapplicable(f"{which}: input is not accretive sectorial: {exc}") from None
-    return _verified(info, X, ctx)
+    return _verified(info, X)
 
 
-def _verified(info: SectorInfo, X: np.ndarray, ctx: CheckContext) -> SectorInfo:
+def _verified(info: SectorInfo, X: np.ndarray) -> SectorInfo:
     """``info`` with its index inflated until W(zX) provably fits the sector.
 
     For a < pi/2, W(Y) lies in the closed sector of half-width a exactly
     when Im(e^{-ia} Y) <= 0 and Im(e^{ia} Y) >= 0, that is when both
     +-cos(a) Im Y - sin(a) Re Y are negative semidefinite.  Their computed
     top eigenvalues must clear the eigensolver's backward error
-    n * eps * ||H||; the inflation starts at ``alpha_inflation`` and
+    n * eps * ||H||; the inflation starts at _ALPHA_INFLATION and
     doubles until they do.
     """
     re, im = cartesian_decompose(info.rotation_z * X)
     slack = X.shape[0] * _EPS * (frobenius(re) + frobenius(im))
-    inflation = ctx.alpha_inflation
+    inflation = _ALPHA_INFLATION
     while True:
         a = info.index_alpha + inflation
         if a >= math.pi / 2:
@@ -187,10 +150,6 @@ def _verified(info: SectorInfo, X: np.ndarray, ctx: CheckContext) -> SectorInfo:
         if top.max() <= -slack:
             return replace(info, index_alpha=a)
         inflation = max(2.0 * inflation, _EPS)
-
-
-def _is_hermitian(X: np.ndarray) -> bool:
-    return float(np.linalg.norm(X - X.conj().T)) <= 1e-12 * frobenius(X)
 
 
 def _lambda_min(X: np.ndarray) -> float:
@@ -209,7 +168,7 @@ def _require_accretive_dissipative(X: np.ndarray, which: str) -> None:
 
 
 def _require_pd(X: np.ndarray, which: str) -> None:
-    if not _is_hermitian(X):
+    if not is_hermitian(X):
         raise Inapplicable(f"{which} is not Hermitian")
     lam = _lambda_min(X)
     if lam <= 1e-12 * frobenius(X):
@@ -227,7 +186,7 @@ class Hypothesis(Enum):
     PSD_NOTE = "first input PSD; a violation is noted, not refused"
 
 
-def _check_hypothesis(kind, mats, ctx: CheckContext, arity: int) -> tuple[list[SectorInfo], str]:
+def _check_hypothesis(kind, mats, arity: int) -> tuple[list[SectorInfo], str]:
     """Sector data of each input and a note, once ``kind`` holds.
 
     Inputs are tested in order and the first violation raises
@@ -237,20 +196,20 @@ def _check_hypothesis(kind, mats, ctx: CheckContext, arity: int) -> tuple[list[S
     """
     names = [("first input", "second input")[k] if arity else f"input {k}" for k in range(len(mats))]
     if kind is Hypothesis.SECTORIAL:
-        return [_class_info(M, ctx, which) for M, which in zip(mats, names)], ""
+        return [_class_info(M, which) for M, which in zip(mats, names)], ""
     if kind is Hypothesis.ACCRETIVE:
-        return [_accretive_info(M, ctx, which) for M, which in zip(mats, names)], ""
+        return [_accretive_info(M, which) for M, which in zip(mats, names)], ""
     if kind is Hypothesis.ACCRETIVE_DISSIPATIVE:
         for M, which in zip(mats, names):
             _require_accretive_dissipative(M, which)
     elif kind is Hypothesis.PD_SECOND:
         _require_pd(mats[1], "second input")
     elif kind is Hypothesis.ONE_HERMITIAN:
-        if not any(_is_hermitian(M) for M in mats):
+        if not any(is_hermitian(M) for M in mats):
             raise Inapplicable("neither input is Hermitian")
     elif kind is Hypothesis.PSD_NOTE:
         A = mats[0]
-        if not (_is_hermitian(A) and _lambda_min(A) >= -1e-10 * max(1.0, frobenius(A))):
+        if not (is_hermitian(A) and _lambda_min(A) >= -1e-10 * max(1.0, frobenius(A))):
             return [], "hypothesis violated: first factor is not PSD, bound not guaranteed"
     return [], ""
 
@@ -418,17 +377,21 @@ class _Evaluator:
             return max(info.index_alpha for info in self.infos)
         return self.infos[of].index_alpha
 
+    def factors(self, expr: tuple):
+        """The factors of a tuple side, with each Each expanded over the inputs."""
+        for f in expr:
+            if not isinstance(f, Each):
+                yield f
+            elif isinstance(f.term, type):
+                yield from (f.term(k) for k in range(len(self.mats)))
+            else:
+                yield from (f.term for _ in self.mats)
+
     def terms(self, expr):
         """The terms of a side, in the order side() first uses them."""
         if isinstance(expr, tuple):
-            for f in expr:
-                if not isinstance(f, Each):
-                    yield from self.terms(f)
-                elif isinstance(f.term, type):
-                    for k in range(len(self.mats)):
-                        yield from self.terms(f.term(k))
-                else:
-                    yield f.term
+            for f in self.factors(expr):
+                yield from self.terms(f)
         elif isinstance(expr, Scale):
             yield from self.terms(expr.of)
         elif isinstance(expr, Min):
@@ -453,15 +416,7 @@ class _Evaluator:
 
     def side(self, expr) -> Interval:
         if isinstance(expr, tuple):
-            factors = []
-            for f in expr:
-                if not isinstance(f, Each):
-                    factors.append(self.side(f))
-                elif isinstance(f.term, type):
-                    factors.extend(self.side(f.term(k)) for k in range(len(self.mats)))
-                else:
-                    factors.extend(self.side(f.term) for _ in self.mats)
-            return reduce(operator.mul, factors)
+            return reduce(operator.mul, [self.side(f) for f in self.factors(expr)])
         if isinstance(expr, Scale):
             return self.side(expr.of).scale(expr.c)
         if isinstance(expr, Min):
@@ -476,17 +431,17 @@ class _Evaluator:
 class IdInfo:
     """One identifier as data: its inputs, its hypothesis and both sides.
 
-    ``requires`` is checked before anything else.  ``product`` combines
-    the inputs into PRODUCT (np.matmul, hadamard or None).  A row with
-    ``block`` is a positivity certificate: block(zX, a) is tested for
-    PSD in place of lhs <= rhs.
+    ``requires`` is checked before anything else, and suites draw inputs
+    that satisfy it (generate_inputs); with ``common_index`` they draw one
+    sector index for all inputs, as rows that take the MAX index state.
+    ``product`` combines the inputs into PRODUCT (np.matmul, hadamard or
+    None).  A row with ``block`` is a positivity certificate: block(zX, a)
+    is tested for PSD in place of lhs <= rhs.
     """
 
-    id: InequalityId
+    id: str
     arity: int  # 0 means m-fold (any arity >= 2; suites use CheckContext.m_fold)
-    profile: str
     classical: bool
-    comparable: bool
     statement: str
     hypotheses: str
     requires: Hypothesis | None = None
@@ -494,156 +449,159 @@ class IdInfo:
     lhs: object = None
     rhs: object = None
     block: object = None
+    common_index: bool = False
 
 
-_I = InequalityId
 _H = Hypothesis
 _DIAG_MIN = Min((DiagAbsMax(_X), Omega(_Y)), (DiagAbsMax(_Y), Omega(_X)))
-REGISTRY: dict[InequalityId, IdInfo] = {
-    info.id: info
-    for info in (
-        IdInfo(_I.A_lower, 1, "any", True, True,
-               "0.5 * ||X|| <= w(X)",
-               "any square X; operator norm",
-               lhs=Scale(0.5, Norm(_X)), rhs=Omega(_X)),
-        IdInfo(_I.A_upper, 1, "any", True, True,
-               "w(X) <= ||X||",
-               "any square X; operator norm",
-               lhs=Omega(_X), rhs=Norm(_X)),
-        IdInfo(_I.B_prod4, 2, "any2", True, True,
-               "w(X Y) <= 4 w(X) w(Y)",
-               "any square X, Y; the constant 4 is sharp",
-               product=np.matmul, lhs=Omega(PRODUCT), rhs=Scale(4.0, (Omega(_X), Omega(_Y)))),
-        IdInfo(_I.C_had2, 2, "any2", True, True,
-               "w(X o Y) <= 2 w(X) w(Y)",
-               "any square X, Y; the constant 2 is sharp",
-               product=hadamard, lhs=Omega(PRODUCT), rhs=Scale(2.0, (Omega(_X), Omega(_Y)))),
-        IdInfo(_I.I_diag_psd, 2, "pd_any", True, True,
-               "w(A o X) <= (max_j a_jj) w(X)",
-               "A positive semidefinite (enforced by suite generation; the check "
-               "still evaluates on other inputs and can certify failure)",
-               _H.PSD_NOTE, hadamard, Omega(PRODUCT), (DiagReMax(_X), Omega(_Y))),
-        IdInfo(_I.II_prod_sec, 2, "sectorial2", True, True,
-               "w(X Y) <= sec(a1) sec(a2) w(X) w(Y)",
-               "X, Y in rotated sector classes with indices a1, a2",
-               _H.SECTORIAL, np.matmul, Omega(PRODUCT), (Each(Sec), Each(Omega))),
-        IdInfo(_I.III_had_sec, 2, "sectorial2", True, True,
-               "w(X o Y) <= sec(a1) sec(a2) w(X) w(Y)",
-               "X, Y in rotated sector classes with indices a1, a2",
-               _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), Each(Omega))),
-        IdInfo(_I.VI_had_diag_min, 2, "sectorial2", True, True,
-               "w(X o Y) <= sec(a1) sec(a2) min(max_j |x_jj| w(Y), max_j |y_jj| w(X))",
-               "X, Y in rotated sector classes with indices a1, a2",
-               _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), _DIAG_MIN)),
-        IdInfo(_I.L1_norm_sec, 1, "sectorial", False, True,
-               "N(zX) <= sec(a) N(Re(zX))",
-               "z the witnessing rotation, a the class index of X",
-               _H.SECTORIAL, lhs=Norm(Rotated(_X)), rhs=(Sec(_X), Norm(Re(Rotated(_X))))),
-        IdInfo(_I.L2_block_tan, 1, "sectorial", False, False,
-               "[[tan(a) Re(zX), Im(zX)], [Im(zX), tan(a) Re(zX)]] >= 0",
-               "z the witnessing rotation, a the class index of X",
-               _H.SECTORIAL, block=tan_block),
-        IdInfo(_I.L3_block_sec, 1, "sectorial", False, False,
-               "[[sec(a) Re(zX), zX], [(zX)*, sec(a) Re(zX)]] >= 0",
-               "z the witnessing rotation, a the class index of X",
-               _H.SECTORIAL, block=sec_block),
-        IdInfo(_I.P1_re_mono, 1, "any", False, True,
-               "w_N(Re X) <= w_N(X)",
-               "any square X",
-               lhs=Omega(Re(_X)), rhs=Omega(_X)),
-        IdInfo(_I.P2_im_tan, 1, "sectorial", False, True,
-               "w_N(Im(zX)) <= tan(a) w_N(Re(zX))",
-               "z the witnessing rotation, a the class index of X",
-               _H.SECTORIAL, lhs=Omega(Im(Rotated(_X))), rhs=(Tan(_X), Omega(Re(Rotated(_X))))),
-        IdInfo(_I.P3_sec, 1, "sectorial", False, True,
-               "w_N(zX) <= sec(a) w_N(Re(zX))",
-               "z the witnessing rotation, a the class index of X",
-               _H.SECTORIAL, lhs=Omega(Rotated(_X)), rhs=(Sec(_X), Omega(Re(Rotated(_X))))),
-        IdInfo(_I.SA_omega_le_N, 1, "any", False, True,
-               "w_N(X) <= N(X)",
-               "any square X",
-               lhs=Omega(_X), rhs=Norm(_X)),
-        IdInfo(_I.T1_prod_sec_N, 2, "sectorial2", False, True,
-               "w_N(X Y) <= sec(a1) sec(a2) w_N(X) w_N(Y)",
-               "X, Y in rotated sector classes with indices a1, a2",
-               _H.SECTORIAL, np.matmul, Omega(PRODUCT), (Each(Sec), Each(Omega))),
-        IdInfo(_I.C_B2_sec2, 2, "sectorial2_same", False, True,
-               "w_N(X Y) <= sec(a)^2 w_N(X) w_N(Y)",
-               "X, Y in a common rotated sector class of index a",
-               _H.SECTORIAL, np.matmul, Omega(PRODUCT), (Each(Sec(MAX)), Each(Omega))),
-        IdInfo(_I.C_AD_prod2, 2, "accdis2", False, True,
-               "w_N(X Y) <= 2 w_N(X) w_N(Y)",
-               "X, Y accretive-dissipative",
-               _H.ACCRETIVE_DISSIPATIVE, np.matmul, Omega(PRODUCT),
-               Scale(2.0, (Omega(_X), Omega(_Y)))),
-        IdInfo(_I.C_mprod, 0, "sectorial_m", False, True,
-               "w_N(X_1 ... X_m) <= (prod_j sec(a_j)) prod_j w_N(X_j)",
-               "each X_j in a rotated sector class with index a_j",
-               _H.SECTORIAL, np.matmul, Omega(PRODUCT), (Each(Sec), Each(Omega))),
-        IdInfo(_I.C_secm, 0, "sectorial_m_same", False, True,
-               "w_N(X_1 ... X_m) <= sec(a)^m prod_j w_N(X_j)",
-               "all X_j in a common rotated sector class of index a",
-               _H.SECTORIAL, np.matmul, Omega(PRODUCT), (Each(Sec(MAX)), Each(Omega))),
-        IdInfo(_I.C_AD_m, 0, "accdis_m", False, True,
-               "w_N(X_1 ... X_m) <= 2^(m/2) prod_j w_N(X_j)",
-               "each X_j accretive-dissipative",
-               _H.ACCRETIVE_DISSIPATIVE, np.matmul, Omega(PRODUCT), (Const(2.0, 0.5), Each(Omega))),
-        IdInfo(_I.H2_hermitian_had, 2, "herm_any", False, True,
-               "w_N(X o Y) <= w_N(X) w_N(Y)",
-               "at least one of X, Y Hermitian",
-               _H.ONE_HERMITIAN, hadamard, Omega(PRODUCT), (Omega(_X), Omega(_Y))),
-        IdInfo(_I.H3_had_sec_N, 2, "sectorial2", False, True,
-               "w_N(X o Y) <= sec(a1) sec(a2) w_N(X) w_N(Y)",
-               "X, Y in rotated sector classes with indices a1, a2",
-               _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), Each(Omega))),
-        IdInfo(_I.C_C2_had, 2, "sectorial2_same", False, True,
-               "w_N(X o Y) <= sec(a)^2 w_N(X) w_N(Y)",
-               "X, Y in a common rotated sector class of index a",
-               _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec(MAX)), Each(Omega))),
-        IdInfo(_I.T_had_m, 0, "sectorial_m", False, True,
-               "w_N(X_1 o ... o X_m) <= (prod_j sec(a_j)) prod_j w_N(X_j)",
-               "each X_j in a rotated sector class with index a_j",
-               _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), Each(Omega))),
-        IdInfo(_I.C_AD_had_m, 0, "accdis_m", False, True,
-               "w_N(X_1 o ... o X_m) <= 2^(m/2) prod_j w_N(X_j)",
-               "each X_j accretive-dissipative",
-               _H.ACCRETIVE_DISSIPATIVE, hadamard, Omega(PRODUCT), (Const(2.0, 0.5), Each(Omega))),
-        IdInfo(_I.L6_had_diag_norm, 2, "any_pd", False, True,
-               "N(X o Y) <= (max_i y_ii) N(X)",
-               "Y positive definite",
-               _H.PD_SECOND, hadamard, Norm(PRODUCT), (DiagReMax(_Y), Norm(_X))),
-        IdInfo(_I.L7_had_diag_omega, 2, "any_pd", False, True,
-               "w_N(X o Y) <= (max_i y_ii) w_N(X)",
-               "Y positive definite",
-               _H.PD_SECOND, hadamard, Omega(PRODUCT), (DiagReMax(_Y), Omega(_X))),
-        IdInfo(_I.T_diag_x, 2, "sectorial2", False, True,
-               "w_N(X o Y) <= sec(a1) sec(a2) (max_j |x_jj|) w_N(Y)",
-               "X, Y in rotated sector classes with indices a1, a2",
-               _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), DiagAbsMax(_X), Omega(_Y))),
-        IdInfo(_I.T_diag_y, 2, "sectorial2", False, True,
-               "w_N(X o Y) <= sec(a1) sec(a2) (max_j |y_jj|) w_N(X)",
-               "X, Y in rotated sector classes with indices a1, a2",
-               _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), DiagAbsMax(_Y), Omega(_X))),
-        IdInfo(_I.C_diag_min, 2, "sectorial2", False, True,
-               "w_N(X o Y) <= sec(a1) sec(a2) min(max_j |x_jj| w_N(Y), max_j |y_jj| w_N(X))",
-               "X, Y in rotated sector classes with indices a1, a2",
-               _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), _DIAG_MIN)),
-        IdInfo(_I.C_AD_diag_min2, 2, "accdis2", False, True,
-               "w_N(X o Y) <= 2 min(max_j |x_jj| w_N(Y), max_j |y_jj| w_N(X))",
-               "X, Y accretive-dissipative",
-               _H.ACCRETIVE_DISSIPATIVE, hadamard, Omega(PRODUCT), Scale(2.0, _DIAG_MIN)),
-        IdInfo(_I.T_onetan_min, 2, "accretive2", False, True,
-               "w_N(X o Y) <= min((1 + tan a1) w_N(Re X) w_N(Y), (1 + tan a2) w_N(X) w_N(Re Y))",
-               "X, Y accretive with sector indices a1, a2 (ranges inside the "
-               "sectors themselves, no rotation)",
-               _H.ACCRETIVE, hadamard, Omega(PRODUCT),
-               Min((OnePlusTan(_X), Omega(Re(_X)), Omega(_Y)), (OnePlusTan(_Y), Omega(_X), Omega(Re(_Y))))),
-        IdInfo(_I.C_onetan, 2, "accretive2_same", False, True,
-               "w_N(X o Y) <= (1 + tan a) w_N(X) w_N(Y), a = max(a1, a2)",
-               "X, Y accretive with sector indices a1, a2",
-               _H.ACCRETIVE, hadamard, Omega(PRODUCT), (OnePlusTan(MAX), Omega(_X), Omega(_Y))),
-    )
-}
+_ROWS = (
+    IdInfo("A_lower", 1, True,
+           "0.5 * ||X|| <= w(X)",
+           "any square X; operator norm",
+           lhs=Scale(0.5, Norm(_X)), rhs=Omega(_X)),
+    IdInfo("A_upper", 1, True,
+           "w(X) <= ||X||",
+           "any square X; operator norm",
+           lhs=Omega(_X), rhs=Norm(_X)),
+    IdInfo("B_prod4", 2, True,
+           "w(X Y) <= 4 w(X) w(Y)",
+           "any square X, Y; the constant 4 is sharp",
+           product=np.matmul, lhs=Omega(PRODUCT), rhs=Scale(4.0, (Omega(_X), Omega(_Y)))),
+    IdInfo("C_had2", 2, True,
+           "w(X o Y) <= 2 w(X) w(Y)",
+           "any square X, Y; the constant 2 is sharp",
+           product=hadamard, lhs=Omega(PRODUCT), rhs=Scale(2.0, (Omega(_X), Omega(_Y)))),
+    IdInfo("I_diag_psd", 2, True,
+           "w(A o X) <= (max_j a_jj) w(X)",
+           "A positive semidefinite (enforced by suite generation; the check "
+           "still evaluates on other inputs and can certify failure)",
+           _H.PSD_NOTE, hadamard, Omega(PRODUCT), (DiagReMax(_X), Omega(_Y))),
+    IdInfo("II_prod_sec", 2, True,
+           "w(X Y) <= sec(a1) sec(a2) w(X) w(Y)",
+           "X, Y in rotated sector classes with indices a1, a2",
+           _H.SECTORIAL, np.matmul, Omega(PRODUCT), (Each(Sec), Each(Omega))),
+    IdInfo("III_had_sec", 2, True,
+           "w(X o Y) <= sec(a1) sec(a2) w(X) w(Y)",
+           "X, Y in rotated sector classes with indices a1, a2",
+           _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), Each(Omega))),
+    IdInfo("VI_had_diag_min", 2, True,
+           "w(X o Y) <= sec(a1) sec(a2) min(max_j |x_jj| w(Y), max_j |y_jj| w(X))",
+           "X, Y in rotated sector classes with indices a1, a2",
+           _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), _DIAG_MIN)),
+    IdInfo("L1_norm_sec", 1, False,
+           "N(zX) <= sec(a) N(Re(zX))",
+           "z the witnessing rotation, a the class index of X",
+           _H.SECTORIAL, lhs=Norm(Rotated(_X)), rhs=(Sec(_X), Norm(Re(Rotated(_X))))),
+    IdInfo("L2_block_tan", 1, False,
+           "[[tan(a) Re(zX), Im(zX)], [Im(zX), tan(a) Re(zX)]] >= 0",
+           "z the witnessing rotation, a the class index of X",
+           _H.SECTORIAL, block=tan_block),
+    IdInfo("L3_block_sec", 1, False,
+           "[[sec(a) Re(zX), zX], [(zX)*, sec(a) Re(zX)]] >= 0",
+           "z the witnessing rotation, a the class index of X",
+           _H.SECTORIAL, block=sec_block),
+    IdInfo("P1_re_mono", 1, False,
+           "w_N(Re X) <= w_N(X)",
+           "any square X",
+           lhs=Omega(Re(_X)), rhs=Omega(_X)),
+    IdInfo("P2_im_tan", 1, False,
+           "w_N(Im(zX)) <= tan(a) w_N(Re(zX))",
+           "z the witnessing rotation, a the class index of X",
+           _H.SECTORIAL, lhs=Omega(Im(Rotated(_X))), rhs=(Tan(_X), Omega(Re(Rotated(_X))))),
+    IdInfo("P3_sec", 1, False,
+           "w_N(zX) <= sec(a) w_N(Re(zX))",
+           "z the witnessing rotation, a the class index of X",
+           _H.SECTORIAL, lhs=Omega(Rotated(_X)), rhs=(Sec(_X), Omega(Re(Rotated(_X))))),
+    IdInfo("SA_omega_le_N", 1, False,
+           "w_N(X) <= N(X)",
+           "any square X",
+           lhs=Omega(_X), rhs=Norm(_X)),
+    IdInfo("T1_prod_sec_N", 2, False,
+           "w_N(X Y) <= sec(a1) sec(a2) w_N(X) w_N(Y)",
+           "X, Y in rotated sector classes with indices a1, a2",
+           _H.SECTORIAL, np.matmul, Omega(PRODUCT), (Each(Sec), Each(Omega))),
+    IdInfo("C_B2_sec2", 2, False,
+           "w_N(X Y) <= sec(a)^2 w_N(X) w_N(Y)",
+           "X, Y in a common rotated sector class of index a",
+           _H.SECTORIAL, np.matmul, Omega(PRODUCT), (Each(Sec(MAX)), Each(Omega)),
+           common_index=True),
+    IdInfo("C_AD_prod2", 2, False,
+           "w_N(X Y) <= 2 w_N(X) w_N(Y)",
+           "X, Y accretive-dissipative",
+           _H.ACCRETIVE_DISSIPATIVE, np.matmul, Omega(PRODUCT),
+           Scale(2.0, (Omega(_X), Omega(_Y)))),
+    IdInfo("C_mprod", 0, False,
+           "w_N(X_1 ... X_m) <= (prod_j sec(a_j)) prod_j w_N(X_j)",
+           "each X_j in a rotated sector class with index a_j",
+           _H.SECTORIAL, np.matmul, Omega(PRODUCT), (Each(Sec), Each(Omega))),
+    IdInfo("C_secm", 0, False,
+           "w_N(X_1 ... X_m) <= sec(a)^m prod_j w_N(X_j)",
+           "all X_j in a common rotated sector class of index a",
+           _H.SECTORIAL, np.matmul, Omega(PRODUCT), (Each(Sec(MAX)), Each(Omega)),
+           common_index=True),
+    IdInfo("C_AD_m", 0, False,
+           "w_N(X_1 ... X_m) <= 2^(m/2) prod_j w_N(X_j)",
+           "each X_j accretive-dissipative",
+           _H.ACCRETIVE_DISSIPATIVE, np.matmul, Omega(PRODUCT), (Const(2.0, 0.5), Each(Omega))),
+    IdInfo("H2_hermitian_had", 2, False,
+           "w_N(X o Y) <= w_N(X) w_N(Y)",
+           "at least one of X, Y Hermitian",
+           _H.ONE_HERMITIAN, hadamard, Omega(PRODUCT), (Omega(_X), Omega(_Y))),
+    IdInfo("H3_had_sec_N", 2, False,
+           "w_N(X o Y) <= sec(a1) sec(a2) w_N(X) w_N(Y)",
+           "X, Y in rotated sector classes with indices a1, a2",
+           _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), Each(Omega))),
+    IdInfo("C_C2_had", 2, False,
+           "w_N(X o Y) <= sec(a)^2 w_N(X) w_N(Y)",
+           "X, Y in a common rotated sector class of index a",
+           _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec(MAX)), Each(Omega)),
+           common_index=True),
+    IdInfo("T_had_m", 0, False,
+           "w_N(X_1 o ... o X_m) <= (prod_j sec(a_j)) prod_j w_N(X_j)",
+           "each X_j in a rotated sector class with index a_j",
+           _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), Each(Omega))),
+    IdInfo("C_AD_had_m", 0, False,
+           "w_N(X_1 o ... o X_m) <= 2^(m/2) prod_j w_N(X_j)",
+           "each X_j accretive-dissipative",
+           _H.ACCRETIVE_DISSIPATIVE, hadamard, Omega(PRODUCT), (Const(2.0, 0.5), Each(Omega))),
+    IdInfo("L6_had_diag_norm", 2, False,
+           "N(X o Y) <= (max_i y_ii) N(X)",
+           "Y positive definite",
+           _H.PD_SECOND, hadamard, Norm(PRODUCT), (DiagReMax(_Y), Norm(_X))),
+    IdInfo("L7_had_diag_omega", 2, False,
+           "w_N(X o Y) <= (max_i y_ii) w_N(X)",
+           "Y positive definite",
+           _H.PD_SECOND, hadamard, Omega(PRODUCT), (DiagReMax(_Y), Omega(_X))),
+    IdInfo("T_diag_x", 2, False,
+           "w_N(X o Y) <= sec(a1) sec(a2) (max_j |x_jj|) w_N(Y)",
+           "X, Y in rotated sector classes with indices a1, a2",
+           _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), DiagAbsMax(_X), Omega(_Y))),
+    IdInfo("T_diag_y", 2, False,
+           "w_N(X o Y) <= sec(a1) sec(a2) (max_j |y_jj|) w_N(X)",
+           "X, Y in rotated sector classes with indices a1, a2",
+           _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), DiagAbsMax(_Y), Omega(_X))),
+    IdInfo("C_diag_min", 2, False,
+           "w_N(X o Y) <= sec(a1) sec(a2) min(max_j |x_jj| w_N(Y), max_j |y_jj| w_N(X))",
+           "X, Y in rotated sector classes with indices a1, a2",
+           _H.SECTORIAL, hadamard, Omega(PRODUCT), (Each(Sec), _DIAG_MIN)),
+    IdInfo("C_AD_diag_min2", 2, False,
+           "w_N(X o Y) <= 2 min(max_j |x_jj| w_N(Y), max_j |y_jj| w_N(X))",
+           "X, Y accretive-dissipative",
+           _H.ACCRETIVE_DISSIPATIVE, hadamard, Omega(PRODUCT), Scale(2.0, _DIAG_MIN)),
+    IdInfo("T_onetan_min", 2, False,
+           "w_N(X o Y) <= min((1 + tan a1) w_N(Re X) w_N(Y), (1 + tan a2) w_N(X) w_N(Re Y))",
+           "X, Y accretive with sector indices a1, a2 (ranges inside the "
+           "sectors themselves, no rotation)",
+           _H.ACCRETIVE, hadamard, Omega(PRODUCT),
+           Min((OnePlusTan(_X), Omega(Re(_X)), Omega(_Y)), (OnePlusTan(_Y), Omega(_X), Omega(Re(_Y))))),
+    IdInfo("C_onetan", 2, False,
+           "w_N(X o Y) <= (1 + tan a) w_N(X) w_N(Y), a = max(a1, a2)",
+           "X, Y accretive with sector indices a1, a2",
+           _H.ACCRETIVE, hadamard, Omega(PRODUCT), (OnePlusTan(MAX), Omega(_X), Omega(_Y)),
+           common_index=True),
+)
+InequalityId = Enum("InequalityId", [(row.id, row.id) for row in _ROWS], type=str, module=__name__)
+REGISTRY: dict[InequalityId, IdInfo] = {InequalityId(row.id): row for row in _ROWS}
 
 
 def all_ids() -> list[InequalityId]:
@@ -651,7 +609,7 @@ def all_ids() -> list[InequalityId]:
 
 
 def _evaluate(info: IdInfo, mats, spec: NormSpec, ctx: CheckContext) -> tuple[Interval, Interval, str]:
-    infos, note = _check_hypothesis(info.requires, mats, ctx, info.arity)
+    infos, note = _check_hypothesis(info.requires, mats, info.arity)
     ev = _Evaluator(mats, infos, info.product, spec, ctx)
     if info.block is not None:
         return _psd_comparison(info.block(ev.matrix(Rotated(_X)), infos[_X].index_alpha))
@@ -698,6 +656,11 @@ def check_inequality(
 
 
 # --- input generation ------------------------------------------------------
+#
+# Suites draw each row's inputs from its hypothesis.  Input j comes from the
+# generator seed mix_seed(seed, j + 1); a sector draw takes its index from
+# tag 31 + j (tag 31 for every input of a common_index row) and its rotation
+# phase from tag 41 + j.
 
 _ALPHA_MAX = 1.4
 
@@ -707,69 +670,44 @@ def _uniform(seed: int, tag: int, lo: float, hi: float) -> float:
     return lo + (hi - lo) * float(rng.random())
 
 
-def _gin(n: int, seed: int, tag: int) -> np.ndarray:
-    return random_ginibre(GenConfig(n, mix_seed(seed, tag)))
+def _plain(draw):
+    """A draw that needs nothing but its generator config."""
+    return lambda cfg, seed, index_tag, phase_tag: draw(cfg)
 
 
-def _rotated_sectorial(n: int, seed: int, tag: int, alpha: float) -> np.ndarray:
-    X = random_sectorial(GenConfig(n, mix_seed(seed, tag)), alpha)
-    phi = _uniform(seed, tag + 40, 0.0, 2.0 * math.pi)
-    return np.exp(1j * phi) * X
+def _accretive(cfg: GenConfig, seed: int, index_tag: int, phase_tag: int) -> np.ndarray:
+    return random_sectorial(cfg, _uniform(seed, index_tag, 0.0, _ALPHA_MAX))
 
 
-def generate_inputs(profile: str, n: int, seed: int, m_fold: int = 3) -> list[np.ndarray]:
-    """Deterministic conforming inputs for one trial of a given profile."""
-    if profile == "any":
-        return [_gin(n, seed, 1)]
-    if profile == "any2":
-        return [_gin(n, seed, 1), _gin(n, seed, 2)]
-    if profile == "pd_any":
-        return [random_pd(GenConfig(n, mix_seed(seed, 1))), _gin(n, seed, 2)]
-    if profile == "any_pd":
-        return [_gin(n, seed, 1), random_pd(GenConfig(n, mix_seed(seed, 2)))]
-    if profile == "herm_any":
-        G = _gin(n, seed, 2)
-        return [_gin(n, seed, 1), (G + G.conj().T) / 2]
-    if profile == "sectorial":
-        return [_rotated_sectorial(n, seed, 1, _uniform(seed, 31, 0.0, _ALPHA_MAX))]
-    if profile == "sectorial2":
-        return [
-            _rotated_sectorial(n, seed, 1, _uniform(seed, 31, 0.0, _ALPHA_MAX)),
-            _rotated_sectorial(n, seed, 2, _uniform(seed, 32, 0.0, _ALPHA_MAX)),
-        ]
-    if profile == "sectorial2_same":
-        alpha = _uniform(seed, 31, 0.0, _ALPHA_MAX)
-        return [_rotated_sectorial(n, seed, 1, alpha), _rotated_sectorial(n, seed, 2, alpha)]
-    if profile == "sectorial_m":
-        return [
-            _rotated_sectorial(n, seed, 1 + j, _uniform(seed, 31 + j, 0.0, _ALPHA_MAX))
-            for j in range(m_fold)
-        ]
-    if profile == "sectorial_m_same":
-        alpha = _uniform(seed, 31, 0.0, _ALPHA_MAX)
-        return [_rotated_sectorial(n, seed, 1 + j, alpha) for j in range(m_fold)]
-    if profile == "accretive2":
-        return [
-            random_sectorial(GenConfig(n, mix_seed(seed, 1)), _uniform(seed, 31, 0.0, _ALPHA_MAX)),
-            random_sectorial(GenConfig(n, mix_seed(seed, 2)), _uniform(seed, 32, 0.0, _ALPHA_MAX)),
-        ]
-    if profile == "accretive2_same":
-        alpha = _uniform(seed, 31, 0.0, _ALPHA_MAX)
-        return [
-            random_sectorial(GenConfig(n, mix_seed(seed, 1)), alpha),
-            random_sectorial(GenConfig(n, mix_seed(seed, 2)), alpha),
-        ]
-    if profile == "accdis2":
-        return [
-            random_accretive_dissipative(GenConfig(n, mix_seed(seed, 1))),
-            random_accretive_dissipative(GenConfig(n, mix_seed(seed, 2))),
-        ]
-    if profile == "accdis_m":
-        return [
-            random_accretive_dissipative(GenConfig(n, mix_seed(seed, 1 + j)))
-            for j in range(m_fold)
-        ]
-    raise ValueError(f"unknown input profile {profile!r}")
+def _rotated(cfg: GenConfig, seed: int, index_tag: int, phase_tag: int) -> np.ndarray:
+    X = _accretive(cfg, seed, index_tag, phase_tag)
+    return np.exp(1j * _uniform(seed, phase_tag, 0.0, 2.0 * math.pi)) * X
+
+
+_GINIBRE = _plain(random_ginibre)
+_PD = _plain(random_pd)
+_HERMITIAN = _plain(lambda cfg: cartesian_decompose(random_ginibre(cfg))[0])
+# The draw of each input position, or one draw for every input.
+_DRAWS = {
+    None: _GINIBRE,
+    Hypothesis.PSD_NOTE: (_PD, _GINIBRE),
+    Hypothesis.PD_SECOND: (_GINIBRE, _PD),
+    Hypothesis.ONE_HERMITIAN: (_GINIBRE, _HERMITIAN),
+    Hypothesis.SECTORIAL: _rotated,
+    Hypothesis.ACCRETIVE: _accretive,
+    Hypothesis.ACCRETIVE_DISSIPATIVE: _plain(random_accretive_dissipative),
+}
+
+
+def generate_inputs(info: IdInfo, n: int, seed: int, m_fold: int = 3) -> list[np.ndarray]:
+    """Deterministic inputs for one trial of ``info``, drawn to satisfy its hypothesis."""
+    draws = _DRAWS[info.requires]
+    mats = []
+    for j in range(info.arity or m_fold):
+        draw = draws[j] if isinstance(draws, tuple) else draws
+        index_tag = 31 if info.common_index else 31 + j
+        mats.append(draw(GenConfig(n, mix_seed(seed, j + 1)), seed, index_tag, 41 + j))
+    return mats
 
 
 # --- suite runner -----------------------------------------------------------
@@ -778,12 +716,32 @@ def generate_inputs(profile: str, n: int, seed: int, m_fold: int = 3) -> list[np
 def _normalize_ids(ids) -> list[InequalityId]:
     if ids == "all" or ids is None:
         return all_ids()
-    wanted = [InequalityId(i) for i in ids]
+    wanted = {InequalityId(i) for i in ids}
     if not wanted:
         raise ValueError("empty id set")
-    # Preserve registry order, drop duplicates.
-    wanted_set = set(wanted)
-    return [i for i in all_ids() if i in wanted_set]
+    return [i for i in all_ids() if i in wanted]  # registry order, no duplicates
+
+
+def _run_trials(tagged, trials: int, dims, norms, seed: int, context: CheckContext):
+    """Seeded checks of each (id, seed tag) pair of ``tagged``, and a summary per id.
+
+    Trial t of an id uses dimension dims[t mod len(dims)], norm
+    norms[(t div len(dims)) mod len(norms)] and seed mix_seed(seed, tag, t),
+    so every dimension/norm combination is exercised.
+    """
+    results = []
+    for ineq, tag in tagged:
+        info = REGISTRY[ineq]
+        for t in range(trials):
+            dim = dims[t % len(dims)]
+            norm = norms[(t // len(dims)) % len(norms)]
+            tseed = mix_seed(seed, tag, t)
+            mats = generate_inputs(info, dim, tseed, context.m_fold)
+            results.append(check_inequality(ineq, mats, norm, context=context, seed=tseed))
+    per_id = {ineq.value: IdSummary() for ineq, _ in tagged}
+    for r in results:
+        per_id[r.id].add(r)
+    return results, per_id
 
 
 def run_suite(
@@ -797,11 +755,9 @@ def run_suite(
 ) -> SuiteReport:
     """Randomized certified verification over every requested identifier.
 
-    Per identifier, ``trials`` independent inputs are generated; trial t
-    uses dimension dims[t mod len(dims)] and norm norms[(t div len(dims))
-    mod len(norms)], so every dimension/norm combination is exercised.
-    The report is a deterministic function of the arguments (wall time
-    aside).
+    Per identifier, ``trials`` independent inputs are generated and
+    checked as _run_trials describes.  The report is a deterministic
+    function of the arguments (wall time aside).
     """
     id_list = _normalize_ids(ids)
     if trials < 1:
@@ -813,27 +769,10 @@ def run_suite(
     if not norm_list:
         raise ValueError("empty norm set")
 
-    tasks = []
-    for idx, ineq in enumerate(id_list):
-        profile = REGISTRY[ineq].profile
-        for t in range(trials):
-            dim = dims[t % len(dims)]
-            norm = norm_list[(t // len(dims)) % len(norm_list)]
-            tseed = mix_seed(seed, 1000 + idx, t)
-            tasks.append((ineq, profile, dim, norm, tseed))
-
-    def run_one(task):
-        ineq, profile, dim, norm, tseed = task
-        mats = generate_inputs(profile, dim, tseed, context.m_fold)
-        return check_inequality(ineq, mats, norm, context=context, seed=tseed)
-
+    tagged = [(ineq, 1000 + idx) for idx, ineq in enumerate(id_list)]
     start = time.perf_counter()
-    results = [run_one(t) for t in tasks]
+    results, per_id = _run_trials(tagged, trials, dims, norm_list, seed, context)
     wall = time.perf_counter() - start
-
-    per_id = {i.value: IdSummary() for i in id_list}
-    for r in results:
-        per_id[r.id].add(r)
     config = {
         "ids": [i.value for i in id_list],
         "trials": trials,
@@ -842,7 +781,7 @@ def run_suite(
         "seed": seed,
         "grid": context.grid,
         "refine_tol": context.refine_tol,
-        "alpha_inflation": context.alpha_inflation,
+        "alpha_inflation": _ALPHA_INFLATION,
         "m_fold": context.m_fold,
         "mode": "verify",
     }
@@ -853,11 +792,11 @@ def run_suite(
 
 _VOLTERRA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
 
-_FIXTURES: dict[InequalityId, list[tuple]] = {
-    InequalityId.A_lower: [(_VOLTERRA,)],
-    InequalityId.A_upper: [(np.diag([1.0, 1.0j]).astype(np.complex128),)],
-    InequalityId.B_prod4: [(_VOLTERRA, _VOLTERRA.T.copy())],
-    InequalityId.H2_hermitian_had: [
+_FIXTURES: dict[str, list[tuple]] = {
+    "A_lower": [(_VOLTERRA,)],
+    "A_upper": [(np.diag([1.0, 1.0j]).astype(np.complex128),)],
+    "B_prod4": [(_VOLTERRA, _VOLTERRA.T.copy())],
+    "H2_hermitian_had": [
         (np.diag([1.0, 0.0]).astype(np.complex128), np.diag([1.0, 0.0]).astype(np.complex128))
     ],
 }
@@ -873,25 +812,18 @@ def tightness_scan(
     """Maximum lhs/rhs ratio over random inputs plus extremal fixtures."""
     ineq = InequalityId(id)
     info = REGISTRY[ineq]
-    if not info.comparable:
+    if info.block is not None:
         raise ValueError(f"{ineq.value} is a positivity check, not a two-sided comparison")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     dims = (2, 3, 4)
-    results = []
-    for t in range(trials):
-        dim = dims[t % len(dims)]
-        norm = DEFAULT_NORMS[(t // len(dims)) % len(DEFAULT_NORMS)]
-        tseed = mix_seed(seed, 77, t)
-        mats = generate_inputs(info.profile, dim, tseed, context.m_fold)
-        results.append(check_inequality(ineq, mats, norm, context=context, seed=tseed))
+    results, per_id = _run_trials([(ineq, 77)], trials, dims, DEFAULT_NORMS, seed, context)
     for fixture in _FIXTURES.get(ineq, []):
         for norm in DEFAULT_NORMS:
             r = check_inequality(ineq, list(fixture), norm, context=context, seed=None)
-            results.append(replace(r, note=(r.note + "; " if r.note else "") + "fixture"))
-    per_id = {ineq.value: IdSummary()}
-    for r in results:
-        per_id[ineq.value].add(r)
+            r = replace(r, note=(r.note + "; " if r.note else "") + "fixture")
+            results.append(r)
+            per_id[ineq.value].add(r)
     config = {
         "ids": [ineq.value],
         "trials": trials,
@@ -909,10 +841,11 @@ def explain(id: InequalityId | str) -> str:
     info = REGISTRY[ineq]
     norm_mode = "classical numerical radius (operator norm)" if info.classical else "any shipped norm N"
     arity = "m >= 2 inputs" if info.arity == 0 else f"{info.arity} input(s)"
+    requires = info.requires.value if info.requires else "none"
     return (
         f"{ineq.value}\n"
         f"  statement : {info.statement}\n"
         f"  hypotheses: {info.hypotheses}\n"
         f"  norm      : {norm_mode}\n"
-        f"  inputs    : {arity} (suite profile: {info.profile})\n"
+        f"  inputs    : {arity} (hypothesis: {requires})\n"
     )

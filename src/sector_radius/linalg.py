@@ -18,6 +18,7 @@ __all__ = [
     "HermEigResult",
     "as_matrix",
     "frobenius",
+    "is_hermitian",
     "cartesian_decompose",
     "hadamard",
     "herm_eig",
@@ -58,11 +59,15 @@ def frobenius(X: np.ndarray) -> float:
     return float(np.linalg.norm(X))
 
 
+def is_hermitian(H: np.ndarray) -> bool:
+    """True iff ||H - H*||_F <= HERMITIAN_RTOL * ||H||_F."""
+    return frobenius(H - H.conj().T) <= HERMITIAN_RTOL * frobenius(H)
+
+
 def _check_hermitian(H: np.ndarray, name: str) -> np.ndarray:
-    dev = float(np.linalg.norm(H - H.conj().T))
-    if dev > HERMITIAN_RTOL * frobenius(H):
+    if not is_hermitian(H):
         raise DomainError(
-            f"{name} is not Hermitian: asymmetry {dev:.3e} exceeds "
+            f"{name} is not Hermitian: asymmetry {frobenius(H - H.conj().T):.3e} exceeds "
             f"{HERMITIAN_RTOL:g} * ||{name}||_F"
         )
     return (H + H.conj().T) / 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from collections import Counter
@@ -18,9 +19,9 @@ from sector_radius.generator import (
 from sector_radius import harness
 from sector_radius.harness import (
     REGISTRY,
-    CheckContext,
     Hypothesis,
     Inapplicable,
+    _check_hypothesis,
     _norm_iv,
     _verified,
     all_ids,
@@ -97,7 +98,7 @@ class TestCheckInequality:
     def test_psd_block_ids_certify(self):
         for ineq in ("L2_block_tan", "L3_block_sec"):
             for s in range(3):
-                mats = generate_inputs("sectorial", 3, 1000 + s)
+                mats = generate_inputs(REGISTRY[ineq], 3, 1000 + s)
                 r = check_inequality(ineq, mats, OPERATOR)
                 assert r.verdict == "certified_pass", (ineq, s, r.note)
 
@@ -129,11 +130,10 @@ class TestCheckInequality:
 
 class TestVerifiedSectorIndex:
     def test_first_try_adds_exactly_alpha_inflation(self):
-        ctx = CheckContext()
         for seed, alpha in ((1, 0.3), (2, 1.2), (3, 1.569)):
             X = random_sectorial(GenConfig(4, seed), alpha)
             info = sector_index(X)
-            assert _verified(info, X, ctx).index_alpha == info.index_alpha + ctx.alpha_inflation
+            assert _verified(info, X).index_alpha == info.index_alpha + harness._ALPHA_INFLATION
 
     def test_underestimated_index_is_inflated_until_it_holds(self):
         r = np.exp(1j * 1.0)
@@ -142,7 +142,7 @@ class TestVerifiedSectorIndex:
         X = U @ X @ U.conj().T
         exact = sector_index(X)
         low = replace(exact, index_alpha=1.0)
-        got = _verified(low, X, CheckContext())
+        got = _verified(low, X)
         assert got.index_alpha >= exact.index_alpha
         assert got.index_alpha < exact.index_alpha + 1e-4
         assert np.linalg.eigvalsh(tan_block(X, got.index_alpha)).min() >= -1e-12
@@ -151,7 +151,7 @@ class TestVerifiedSectorIndex:
         X = np.diag([1.0, np.exp(1j * (np.pi / 2 - 1e-9))])
         low = replace(sector_index(X), index_alpha=0.0)
         with pytest.raises(Inapplicable, match="reaches pi/2"):
-            _verified(low, X, CheckContext())
+            _verified(low, X)
 
 
 def near_rank_one_hermitian(n: int, seed: int) -> np.ndarray:
@@ -176,17 +176,16 @@ class TestNormIntervals:
 
 
 class TestRhsStructure:
-    def test_sec_factor_monotone_in_alpha_inflation(self):
-        mats = generate_inputs("sectorial2", 3, 99)
-        small = check_inequality("T1_prod_sec_N", mats, FROBENIUS,
-                                 context=CheckContext(alpha_inflation=1e-8))
-        big = check_inequality("T1_prod_sec_N", mats, FROBENIUS,
-                               context=CheckContext(alpha_inflation=0.1))
+    def test_sec_factor_monotone_in_alpha_inflation(self, monkeypatch):
+        mats = generate_inputs(REGISTRY["T1_prod_sec_N"], 3, 99)
+        small = check_inequality("T1_prod_sec_N", mats, FROBENIUS)
+        monkeypatch.setattr(harness, "_ALPHA_INFLATION", 0.1)
+        big = check_inequality("T1_prod_sec_N", mats, FROBENIUS)
         assert big.rhs.lo > small.rhs.lo
         assert small.lhs.lo == pytest.approx(big.lhs.lo, rel=1e-12)
 
     def test_min_form_below_consequence_form(self):
-        mats = generate_inputs("accretive2_same", 3, 123)
+        mats = generate_inputs(REGISTRY["C_onetan"], 3, 123)
         tight = check_inequality("T_onetan_min", mats, FROBENIUS)
         loose = check_inequality("C_onetan", mats, FROBENIUS)
         assert tight.verdict in ("certified_pass", "tolerance_pass")
@@ -265,11 +264,22 @@ class TestExplainAndRegistry:
             text = explain(ineq)
             assert ineq.value in text
 
-    def test_generate_inputs_profiles_match_arity(self):
+    def test_generate_inputs_match_hypothesis_and_arity(self):
         for ineq, info in REGISTRY.items():
-            mats = generate_inputs(info.profile, 2, seed=9, m_fold=3)
-            expect = 3 if info.arity == 0 else info.arity
-            assert len(mats) == expect, ineq
+            for n in range(2, 7):
+                for seed in (9, 10, 11):
+                    mats = generate_inputs(info, n, seed=seed, m_fold=4)
+                    assert len(mats) == (info.arity or 4), (ineq, n, seed)
+                    _, note = _check_hypothesis(info.requires, mats, info.arity)
+                    assert note == "", (ineq, n, seed, note)
+        # Every input bit of every row at two (n, seed) pairs: a change to
+        # any draw or seed tag changes every suite report.
+        digest = hashlib.sha256()
+        for n, seed in ((3, 5), (6, 11)):
+            for ineq in all_ids():
+                for M in generate_inputs(REGISTRY[ineq], n, seed, m_fold=3):
+                    digest.update(M.tobytes())
+        assert digest.hexdigest() == "84c18aca919fe07da57c71dca2dfc815bba33d9f78fa8078b7cbc83c72d29a63"
 
     def test_docs_table_lists_every_id_in_order(self):
         text = (Path(__file__).resolve().parent.parent / "docs" / "inequalities.md").read_text()
@@ -307,7 +317,7 @@ class TestTable:
         radii = []
         monkeypatch.setattr(harness, "omega_n", lambda *a, **k: radii.append(a))
         info = REGISTRY[ineq]
-        good = generate_inputs(info.profile, 2, seed=5, m_fold=3)
+        good = generate_inputs(info, 2, seed=5, m_fold=3)
         kind = info.requires
         if kind is Hypothesis.ONE_HERMITIAN:
             positions = [0]
@@ -364,7 +374,7 @@ class TestTable:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(harness, name, counted)
-        mats = generate_inputs(REGISTRY[ineq].profile, 3, seed=5, m_fold=3)
+        mats = generate_inputs(REGISTRY[ineq], 3, seed=5, m_fold=3)
         r = check_inequality(ineq, mats, TRACE)
         assert r.verdict == "certified_pass", r
         assert tuple(work[name] for name in names) == self.WORK[ineq.value]

@@ -130,11 +130,11 @@ class TestRotationToSector:
     def test_narrow_accretive_arc_is_found(self, k):
         # An accretive arc of width 3.6e-3 slips between the angles of any
         # rotation scan coarser than that; the checks must find it too.
-        from sector_radius.harness import DEFAULT_CONTEXT, _class_info
+        from sector_radius.harness import _class_info
 
         X = narrow_arc(k)
         assert rotation_to_sector(X).index_alpha == pytest.approx(1.569, abs=1e-9)
-        assert _class_info(X, DEFAULT_CONTEXT, "first input").index_alpha == pytest.approx(1.569, abs=1e-7)
+        assert _class_info(X, "first input").index_alpha == pytest.approx(1.569, abs=1e-7)
 
     def test_hermitian_eigensolver_budget(self, monkeypatch):
         counts = count_hermitian_eig_matrices(monkeypatch)
