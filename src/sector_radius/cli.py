@@ -14,6 +14,8 @@ import json
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .generator import (
     GenConfig,
     random_accretive_dissipative,
@@ -30,10 +32,10 @@ from .harness import (
     run_suite,
     tightness_scan,
 )
-from .linalg import read_matrix, write_matrix
+from .linalg import cartesian_decompose, read_matrix, write_matrix
 from .norms import parse_norm
 from .radius import DEFAULT_GRID, numerical_range_boundary, omega, omega_n
-from .sectorial import rotation_to_sector, sector_index
+from .sectorial import accretive_gate, rotation_to_sector, sector_index
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -107,22 +109,25 @@ def _cmd_compute(args) -> int:
         lines += [f"{p.theta!r},{p.boundary_point.real!r},{p.boundary_point.imag!r}" for p in pts]
         _emit("\n".join(lines), args.output)
     elif args.what == "sector-index":
-        info = sector_index(X)
-        _emit(_sector_json(info), args.output)
+        _emit(_sector_json(X, sector_index(X)), args.output)
     elif args.what == "sector-rotation":
-        info = rotation_to_sector(X)
-        _emit(_sector_json(info), args.output)
+        _emit(_sector_json(X, rotation_to_sector(X)), args.output)
     return 0
 
 
-def _sector_json(info) -> str:
+def _sector_json(X, info) -> str:
+    """Sector data of X, with whether X itself passes ``accretive_gate``
+    and lambda_min of Re(zX) = Re(z) Re X - Im(z) Im X at the witness z."""
+    A, B = cartesian_decompose(X)
+    z = info.rotation_z
+    passes, _ = accretive_gate(A, B)
     return json.dumps(
         {
-            "accretive": info.accretive,
+            "accretive": bool(passes),
             "alpha": info.index_alpha,
-            "z_re": info.rotation_z.real,
-            "z_im": info.rotation_z.imag,
-            "lambda_min_re": info.lambda_min_re,
+            "z_re": z.real,
+            "z_im": z.imag,
+            "lambda_min_re": float(np.linalg.eigvalsh(z.real * A - z.imag * B)[0]),
         },
         indent=2,
         sort_keys=True,

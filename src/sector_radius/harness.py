@@ -33,7 +33,16 @@ from functools import reduce
 import numpy as np
 
 from .generator import GenConfig, mix_seed, random_accretive_dissipative, random_ginibre, random_pd, random_sectorial
-from .linalg import DimensionError, as_matrix, cartesian_decompose, frobenius, hadamard, is_hermitian
+from .linalg import (
+    LAPACK_BACKWARD,
+    DimensionError,
+    as_matrix,
+    cartesian_decompose,
+    frobenius,
+    hadamard,
+    is_hermitian,
+    is_psd,
+)
 from .norms import FROBENIUS, OPERATOR, TRACE, NormSpec, evaluate_norm, schatten
 from .radius import DEFAULT_GRID, omega_n
 from .report import CheckResult, IdSummary, Interval, SuiteReport
@@ -82,7 +91,6 @@ DEFAULT_DIMS = (2, 3, 4, 5, 6)
 DEFAULT_NORMS = (OPERATOR, TRACE, FROBENIUS, schatten(3))
 
 _NORM_PAD = 1e-12
-_SVD_BACKWARD = 4.0
 _DIAG_PAD = 1e-15
 _PSD_TOL = 1e-9
 # Added to every computed sector index before a sec or tan factor is
@@ -101,14 +109,14 @@ class Inapplicable(Exception):
 def _norm_iv(spec: NormSpec, X: np.ndarray) -> Interval:
     """N(X) from one SVD, padded by the SVD's error model.
 
-    Each computed singular value is within _SVD_BACKWARD * n * eps * sigma_1
+    Each computed singular value is within LAPACK_BACKWARD * n * eps * sigma_1
     of the exact one (Golub and Van Loan, Matrix Computations, section
     8.6), so a Schatten-p norm is within n^(1/p) times that; sigma_1 is
     at most N(X).
     """
     value = evaluate_norm(spec, X)
     n = X.shape[0]
-    pad = n ** (1.0 / spec.schatten_p) * _SVD_BACKWARD * n * _EPS * value
+    pad = n ** (1.0 / spec.schatten_p) * LAPACK_BACKWARD * n * _EPS * value
     return Interval.point(value, abs_=pad)
 
 
@@ -152,10 +160,6 @@ def _verified(info: SectorInfo, X: np.ndarray) -> SectorInfo:
         inflation = max(2.0 * inflation, _EPS)
 
 
-def _lambda_min(X: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((X + X.conj().T) / 2)[0])
-
-
 def _require_accretive_dissipative(X: np.ndarray, which: str) -> None:
     # Im X is Re(-iX), so both parts go through the accretivity gate at once.
     re, im = cartesian_decompose(X)
@@ -170,7 +174,7 @@ def _require_accretive_dissipative(X: np.ndarray, which: str) -> None:
 def _require_pd(X: np.ndarray, which: str) -> None:
     if not is_hermitian(X):
         raise Inapplicable(f"{which} is not Hermitian")
-    lam = _lambda_min(X)
+    lam = float(np.linalg.eigvalsh((X + X.conj().T) / 2)[0])
     if lam <= 1e-12 * frobenius(X):
         raise Inapplicable(f"{which} is not positive definite: lambda_min = {lam:.3e}")
 
@@ -208,8 +212,7 @@ def _check_hypothesis(kind, mats, arity: int) -> tuple[list[SectorInfo], str]:
         if not any(is_hermitian(M) for M in mats):
             raise Inapplicable("neither input is Hermitian")
     elif kind is Hypothesis.PSD_NOTE:
-        A = mats[0]
-        if not (is_hermitian(A) and _lambda_min(A) >= -1e-10 * max(1.0, frobenius(A))):
+        if not (is_hermitian(mats[0]) and is_psd(mats[0], 1e-10)):
             return [], "hypothesis violated: first factor is not PSD, bound not guaranteed"
     return [], ""
 

@@ -34,6 +34,14 @@ __all__ = [
 # Relative asymmetry tolerated before an input is rejected as non-Hermitian.
 HERMITIAN_RTOL = 1e-12
 
+# Backward-error factor of the dense LAPACK solvers wrapped here (Golub and
+# Van Loan, Matrix Computations, sections 8.1 and 8.6): every computed
+# eigenvalue of an m x m Hermitian M is within LAPACK_BACKWARD * m * eps *
+# ||M||_F of an exact one (Weyl's inequality applied to the backward
+# error), and every computed singular value of an n x n X within
+# LAPACK_BACKWARD * n * eps * sigma_1.
+LAPACK_BACKWARD = 4.0
+
 
 class DimensionError(ValueError):
     """Input has the wrong shape."""
@@ -165,15 +173,20 @@ def matrix_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise ValueError("matrix object must have keys 'n' and 'entries'")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"'n' must be a positive integer, got {n!r}")
     entries = obj["entries"]
+    if not isinstance(entries, list):
+        raise ValueError(f"'entries' must be a list, got {entries!r}")
     if len(entries) != n * n:
         raise ValueError(f"'entries' must have length {n * n}, got {len(entries)}")
     flat = np.empty(n * n, dtype=np.complex128)
     for k, pair in enumerate(entries):
-        re, im = pair
-        flat[k] = complex(re, im)
+        try:
+            re, im = pair
+            flat[k] = complex(re, im)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"entry {k} must be a pair [re, im] of numbers, got {pair!r}") from None
     return as_matrix(flat.reshape(n, n))
 
 

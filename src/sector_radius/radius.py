@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, as_matrix, cartesian_decompose
+from .linalg import LAPACK_BACKWARD, DimensionError, as_matrix, cartesian_decompose
 from .norms import NormSpec, OPERATOR, schatten_value
 
 __all__ = [
@@ -86,11 +86,6 @@ _EIG_BATCH = 1024
 # critical level the iteration converges quadratically; a level within
 # g_stop of w(X) takes about 20 steps, a nilpotent X about log2(n).
 _CR_STEPS = 64
-
-# Backward-error model of the dense Hermitian eigensolver: every computed
-# eigenvalue of an m x m Hermitian M is within _EIG_BACKWARD * m * eps *
-# ||M||_F of an exact one (Weyl's inequality applied to the backward error).
-_EIG_BACKWARD = 4.0
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -360,7 +355,7 @@ def _ando_bound(X: np.ndarray, gamma: np.ndarray, tol: np.ndarray) -> np.ndarray
     over the lanes still iterating.  The bound holds for whatever
     Hermitian Z the iteration returns, so an inaccurate Y costs tightness,
     never soundness.  M is formed exactly from X and Z; the eigensolver's
-    backward error is added as _EIG_BACKWARD * 2n * eps * ||M||_F.  A
+    backward error is added as LAPACK_BACKWARD * 2n * eps * ||M||_F.  A
     divergent iteration (gamma below w(X)) or a singular solve yields a
     non-finite or loose bound.
     """
@@ -398,7 +393,7 @@ def _ando_bound(X: np.ndarray, gamma: np.ndarray, tol: np.ndarray) -> np.ndarray
             [np.concatenate([-Z, X], axis=2), np.concatenate([_adjoint(X), Z], axis=2)], axis=1
         )
         top = _lanewise(np.linalg.eigvalsh, lambda: np.full(M.shape[:2], np.nan), M)[:, -1]
-        pad = _EIG_BACKWARD * 2 * n * _EPS
+        pad = LAPACK_BACKWARD * 2 * n * _EPS
         return np.array([t + pad * float(np.linalg.norm(Mk)) for t, Mk in zip(top.tolist(), M)])
 
 
@@ -412,13 +407,13 @@ def _flag_grading(X: np.ndarray) -> np.ndarray | None:
     into E_{<k}; for a (weighted) shift it maps E_k into E_{k-1}, and then
     K = sum_k (k - (m-1)/2) P_k, with P_k the projector onto E_k, satisfies
     KX - XK = -X.  A singular value counts as zero below
-    _EIG_BACKWARD * n^2 * eps * ||X||_F (each of up to n levels adds an
+    LAPACK_BACKWARD * n^2 * eps * ||X||_F (each of up to n levels adds an
     SVD backward error of about n eps ||X||_F).  An empty level means X is
     not nilpotent, and None is returned.  Callers measure how far K is
     from a grading, so a misjudged rank costs tightness, never soundness.
     """
     n = X.shape[0]
-    tol = _EIG_BACKWARD * n * n * _EPS * float(np.linalg.norm(X))
+    tol = LAPACK_BACKWARD * n * n * _EPS * float(np.linalg.norm(X))
     Q = np.eye(n, dtype=np.complex128)
     levels = []
     while Q.shape[1]:
@@ -458,7 +453,7 @@ def _rotation_bound(
       the exact one by at most 4 n eps (2 ||K||_F + 1) ||X||_F (two
       matrix products and two sums), and the computed ||R||_F is within
       n^2 eps of relative error (recursive summation).
-    - Each sample is within n^(1/p) (_EIG_BACKWARD n + 4 + n) eps
+    - Each sample is within n^(1/p) (LAPACK_BACKWARD n + 4 + n) eps
       (||A||_F + ||B||_F) of the exact f(theta_j): the eigensolver's backward
       error, forming the Cartesian parts and H = cos A - sin B, and
       summing n moduli.
@@ -469,7 +464,7 @@ def _rotation_bound(
     fro_R = float(np.linalg.norm(R)) * (1.0 + n * n * _EPS)
     fro_R += 4.0 * n * _EPS * (2.0 * float(np.linalg.norm(K)) + 1.0) * fro_X
     drift = n ** max(0.0, 1.0 / p - 0.5) * fro_R
-    sample = n ** (1.0 / p) * ((_EIG_BACKWARD + 1.0) * n + 4.0) * _EPS
+    sample = n ** (1.0 / p) * ((LAPACK_BACKWARD + 1.0) * n + 4.0) * _EPS
     sample *= float(np.linalg.norm(A)) + float(np.linalg.norm(B))
     return value + sample + (0.5 * h + 4.0 * math.pi * _EPS) * drift
 

@@ -51,7 +51,7 @@ class NotSectorialError(DomainError):
 
 @dataclass(frozen=True)
 class SectorInfo:
-    """Sector data: accretivity, index, and the witnessing rotation.
+    """Sector data: the index and the witnessing rotation.
 
     ``rotation_z`` has unit modulus and ``index_alpha`` is the angular
     half-width of a sector containing W(rotation_z * X).  For results of
@@ -59,10 +59,8 @@ class SectorInfo:
     sectoriality index of X itself.
     """
 
-    accretive: bool
     index_alpha: float
     rotation_z: complex
-    lambda_min_re: float
 
 
 def _arg_extremes(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
@@ -125,8 +123,7 @@ def sector_index(X) -> SectorInfo:
         raise NotSectorialError(
             f"sector index {index:.12f} is within {_BOUNDARY_MARGIN:g} of pi/2"
         )
-    lam_min = float(np.linalg.eigvalsh(A)[0])
-    return SectorInfo(True, index, complex(1.0, 0.0), lam_min)
+    return SectorInfo(index, complex(1.0, 0.0))
 
 
 def _canonical_rotation(X: np.ndarray) -> float:
@@ -161,7 +158,6 @@ def rotation_to_sector(X) -> SectorInfo:
     rotation is accretive, or the minimal index is within 1e-10 of pi/2.
     """
     X = as_matrix(X)
-    A, B = cartesian_decompose(X)
     try:
         phi0 = _canonical_rotation(X)
     except np.linalg.LinAlgError:
@@ -169,11 +165,11 @@ def rotation_to_sector(X) -> SectorInfo:
             "not sectorial: X is numerically singular, so 0 lies in W(X)"
         ) from None
     A0, B0 = cartesian_decompose(np.exp(1j * phi0) * X)
-    passes, lam_scaled = accretive_gate(np.stack([A, A0]), np.stack([B, B0]))
-    if not passes[1]:
+    passes, lam_scaled = accretive_gate(A0, B0)
+    if not passes:
         raise NotSectorialError(
             "not sectorial: no rotation z with Re(zX) positive definite "
-            f"(at the canonical rotation, lambda_min(D Re(zX) D) = {lam_scaled[1]:.6e})"
+            f"(at the canonical rotation, lambda_min(D Re(zX) D) = {float(lam_scaled):.6e})"
         )
     a_min, a_max = _arg_extremes(A0, B0)
     index = max(0.0, (a_max - a_min) / 2.0)
@@ -182,10 +178,7 @@ def rotation_to_sector(X) -> SectorInfo:
             f"sector index {index:.12f} is within {_BOUNDARY_MARGIN:g} of pi/2"
         )
     phi_star = (phi0 - (a_max + a_min) / 2.0) % (2.0 * math.pi)
-    z = complex(np.exp(1j * phi_star))
-    Az = np.cos(phi_star) * A - np.sin(phi_star) * B
-    lam_min_re = float(np.linalg.eigvalsh(Az)[0])
-    return SectorInfo(bool(passes[0]), index, z, lam_min_re)
+    return SectorInfo(index, complex(np.exp(1j * phi_star)))
 
 
 def _check_alpha(alpha: float) -> float:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sector_radius.cli import main
+from sector_radius.generator import GenConfig, random_pd
 from sector_radius.linalg import read_matrix, write_matrix
 
 
@@ -49,6 +50,35 @@ class TestGenAndCompute:
         assert set(data) == {"accretive", "alpha", "z_re", "z_im", "lambda_min_re"}
         assert data["accretive"] is True
         assert math.hypot(data["z_re"], data["z_im"]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("what,seed,phase,accretive", [
+        ("sector-index", 5, 1, True),
+        ("sector-rotation", 9, 1, True),
+        ("sector-rotation", 8, 1j, False),
+    ])
+    def test_sector_diagnostics_of_pd(self, tmp_path, what, seed, phase, accretive):
+        # X = phase * P for positive definite P: the witness rotates X back
+        # to P, so lambda_min_re is lambda_min(P) whether or not X is accretive.
+        P = random_pd(GenConfig(3, seed))
+        m = tmp_path / "m.json"
+        write_matrix(m, phase * P)
+        out = tmp_path / "s.json"
+        assert run_cli("compute", what, "-i", str(m), "-o", str(out)) == 0
+        data = json.loads(out.read_text())
+        assert data["accretive"] is accretive
+        assert data["lambda_min_re"] == pytest.approx(np.linalg.eigvalsh(P)[0], rel=1e-9)
+        assert data["lambda_min_re"] > 0
+
+    @pytest.mark.parametrize("obj", [
+        {"n": 1, "entries": [1.0]},
+        {"n": 1, "entries": [["a", 0]]},
+        {"n": 2, "entries": None},
+    ])
+    def test_malformed_matrix_file(self, tmp_path, capsys, obj):
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps(obj))
+        assert run_cli("compute", "omega", "-i", str(m)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_sector_index_error_on_non_accretive(self, tmp_path, capsys):
         m = tmp_path / "m.json"
@@ -96,8 +126,10 @@ class TestVerify:
             run_cli("verify", "--ids", "bogus", "--trials", "1")
 
     def test_bad_norm_spec(self, capsys):
-        rc = run_cli("verify", "--ids", "P1_re_mono", "--trials", "1", "--norms", "sp:0.1")
-        assert rc == 2
+        for spec in ("sp:0.1", "sp:inf"):
+            rc = run_cli("verify", "--ids", "P1_re_mono", "--trials", "1", "--norms", spec)
+            assert rc == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestTightenAndExplain:
