@@ -34,7 +34,7 @@ from .harness import (
 )
 from .linalg import cartesian_decompose, read_matrix, write_matrix
 from .norms import parse_norm
-from .radius import DEFAULT_GRID, numerical_range_boundary, omega, omega_n
+from .radius import DEFAULT_GRID, DEFAULT_REFINE_TOL, numerical_range_boundary, omega, omega_n
 from .sectorial import accretive_gate, rotation_to_sector, sector_index
 
 
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("-o", "--output", default=None, help="output file (default stdout)")
     p_compute.add_argument("--norm", default="op", help="norm spec: op|tr|fro|sp:<p>")
     p_compute.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    p_compute.add_argument("--refine-tol", type=float, default=1e-10)
+    p_compute.add_argument("--refine-tol", type=float, default=DEFAULT_REFINE_TOL)
     p_compute.add_argument("--samples", type=int, default=720)
     p_compute.set_defaults(func=_cmd_compute)
 

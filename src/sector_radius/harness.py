@@ -44,7 +44,7 @@ from .linalg import (
     is_psd,
 )
 from .norms import FROBENIUS, OPERATOR, TRACE, NormSpec, evaluate_norm, schatten
-from .radius import DEFAULT_GRID, omega_n
+from .radius import DEFAULT_GRID, DEFAULT_REFINE_TOL, omega_n
 from .report import CheckResult, IdSummary, Interval, SuiteReport
 from .sectorial import (
     NotSectorialError,
@@ -75,14 +75,14 @@ class CheckContext:
     """Shared numerical settings for a batch of checks.
 
     ``grid`` is the number of uniform start cells of every radius
-    computation; Newton polishing and certification down to
-    ``refine_tol`` carry the accuracy, so a coarse grid only seeds them.
+    computation; certification down to ``refine_tol`` carries the
+    accuracy, so a coarse grid only seeds it.
     ``m_fold`` is the number of inputs suites generate for an m-fold
     identifier.
     """
 
     grid: int = DEFAULT_GRID
-    refine_tol: float = 1e-10
+    refine_tol: float = DEFAULT_REFINE_TOL
     m_fold: int = 3
 
 
@@ -172,11 +172,16 @@ def _require_accretive_dissipative(X: np.ndarray, which: str) -> None:
 
 
 def _require_pd(X: np.ndarray, which: str) -> None:
+    # A Hermitian matrix is positive definite exactly when it is accretive,
+    # and the accretivity gate does not change under diagonal congruence.
     if not is_hermitian(X):
         raise Inapplicable(f"{which} is not Hermitian")
-    lam = float(np.linalg.eigvalsh((X + X.conj().T) / 2)[0])
-    if lam <= 1e-12 * frobenius(X):
-        raise Inapplicable(f"{which} is not positive definite: lambda_min = {lam:.3e}")
+    passes, lam = accretive_gate(*cartesian_decompose(X))
+    if not passes:
+        raise Inapplicable(
+            f"{which} is not positive definite: lambda_min(D X D) = {float(lam):.3e} "
+            f"(unit-diagonal scaling D)"
+        )
 
 
 class Hypothesis(Enum):

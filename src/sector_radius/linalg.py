@@ -184,6 +184,9 @@ def matrix_from_obj(obj) -> np.ndarray:
     for k, pair in enumerate(entries):
         try:
             re, im = pair
+            # complex() takes JSON true/false as 1/0.
+            if isinstance(re, bool) or isinstance(im, bool):
+                raise TypeError
             flat[k] = complex(re, im)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"entry {k} must be a pair [re, im] of numbers, got {pair!r}") from None

@@ -11,26 +11,27 @@ sinusoid per dual-norm certificate).  omega_n returns a lower bound
 
 The Frobenius profile is a quadratic form in (cos theta, sin theta), so
 its supremum is read off a 2x2 Gram matrix with a stated rounding pad.
-Every other norm samples a uniform grid first.  A grid that comes out
-flat (spread within the target width) asks whether X is circular, that
-is unitarily similar to e^{i*phi} X for every phi: a grading K of X's
-kernel flag bounds every angle by the best sample plus (h/2) N(KX - XK + X),
-h the grid step; the norm vanishes for nilpotent shifts such as Jordan
-blocks.  Otherwise each sampled peak of the grid (a cell at least as high
-as both cyclic neighbours) is polished with a few safeguarded Newton
-steps on the analytic profile (derivatives from one batched
-eigendecomposition per step); the Newton steps only make ``value`` good
-early.  The guarantee
-then comes from one of two upper bounds.  For the operator norm, Ando's
-dilation gives it with one Hermitian eigensolve of a 2n x 2n matrix.
-Otherwise, and whenever that bound does not close, a subdivision pass
-certifies with per-cell upper caps from the sinusoid structure.
+Every other norm first samples a uniform grid anchored at theta = 0,
+where a Hermitian X peaks (a skew-Hermitian X peaks at pi/2, a sample
+of an even grid).  A grid that comes out flat (spread within the target
+width) asks whether X is circular, that is unitarily similar to
+e^{i*phi} X for every phi: a grading K of X's kernel flag bounds every
+angle by the best sample plus (h/2) N(KX - XK + X), h the grid step; the
+norm vanishes for nilpotent shifts such as Jordan blocks.  Otherwise,
+for the operator norm, each sampled peak of the grid (a cell at least
+as high as both cyclic neighbours) gets a few safeguarded Newton steps
+on the analytic profile, and Ando's dilation certifies at a level just
+above the best sample with one Hermitian eigensolve of a 2n x 2n
+matrix.  Every other norm, and any lane that bound leaves open, goes to
+a subdivision pass with per-cell upper caps from the sinusoid
+structure; it needs no polished start, since its covering bound closes
+only once its cell centres sample the supremum to within the target.
 
 omega_n takes any number of same-size matrices and runs them in
 lockstep, as lanes of one batch: the norms of the Cartesian parts, the
-start grid, each Newton step, each cyclic-reduction step of Ando's bound
-and each subdivision round is one batched eigvalsh, eigh or solve over
-the lanes still open, and a lane leaves as soon as it is certified.
+start grid, each Newton step and cyclic-reduction step of the operator
+norm, and each subdivision round is one batched eigvalsh, eigh or solve
+over the lanes still open, and a lane leaves as soon as it is certified.
 Stacked LAPACK calls and products act on each matrix alone and every
 reduction runs per lane, so each lane's estimate is bit for bit that of
 a call with its matrix alone; a single matrix is a batch of one.
@@ -48,6 +49,7 @@ from .norms import NormSpec, OPERATOR, schatten_value
 
 __all__ = [
     "DEFAULT_GRID",
+    "DEFAULT_REFINE_TOL",
     "RadiusEstimate",
     "RangePoint",
     "radius_profile",
@@ -56,17 +58,21 @@ __all__ = [
     "numerical_range_boundary",
 ]
 
-# Uniform start cells of omega_n on [0, pi).  Newton polishing and the
-# certification pass carry the accuracy; the grid only seeds them.
+# Uniform start cells of omega_n on [0, pi).  The certification pass
+# carries the accuracy; the grid only seeds it.
 DEFAULT_GRID = 32
 
+# Target width of a certified radius, relative to the profile's Lipschitz
+# constant N(Re X) + N(Im X).
+DEFAULT_REFINE_TOL = 1e-10
+
 # Newton steps taken from each sampled peak of the start grid before
-# certification, and the most peaks polished.
+# Ando's bound (operator norm), and the most peaks polished.
 _NEWTON_STEPS = 4
 _NEWTON_STARTS = 8
 
 # Eigenvalue gaps (relative to the largest |eigenvalue|) below which two
-# branches are treated as one in the second-derivative formulas.
+# branches are treated as one in the second-derivative formula.
 _GAP_FLOOR = 1e-8
 
 # Relative slack added to every certified cap, covering the backward error
@@ -190,66 +196,47 @@ class _Best:
                 self.theta[l] = float(thetas[i])
 
 
-def _profile_slopes(lam: np.ndarray, C: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """First and second theta-derivatives of the profile branch being polished.
+def _profile_slopes(lam: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and second theta-derivatives of the operator-norm profile branch.
 
     ``lam`` holds ascending eigenvalues of H(theta) and ``C`` is H'(theta)
     in the eigenbasis.  Since H'' = -H, eigenvalue perturbation theory gives
-    lam_i' = C_ii and lam_i'' = -lam_i + 2 sum_{j != i} |C_ji|^2 / (lam_i - lam_j).
-    For p = inf the branch is the eigenvalue of largest modulus; for finite p
-    it is g = sum |lam_i|^p (same maximizers as the norm), whose second
-    derivative is -sum phi'(lam_i) lam_i + sum_ij |C_ij|^2 phi'[lam_i, lam_j]
-    with phi = |.|^p and phi'[.,.] the divided difference of phi'.  Each
-    lane is scaled by its largest |lam| first, which leaves the Newton step
-    unchanged and keeps |lam|^p from overflowing.
+    lam_i' = C_ii and lam_i'' = -lam_i + 2 sum_{j != i} |C_ji|^2 / (lam_i - lam_j)
+    for the branch of largest modulus.  Each lane is scaled by its largest
+    |lam| first, which leaves the Newton step unchanged and makes the gap
+    floor relative.
     """
     scale = np.abs(lam).max(axis=-1)
     scale = np.where(scale > 0.0, scale, 1.0)
     mu = lam / scale[:, None]
     D = C / scale[:, None, None]
-    slope = D.diagonal(axis1=1, axis2=2).real
-    W = np.abs(D) ** 2
-    gap = mu[:, :, None] - mu[:, None, :]
+    rows = np.arange(len(mu))
+    k = np.abs(mu).argmax(axis=-1)
+    sign = np.sign(mu[rows, k])
+    g = mu[rows, k, None] - mu
     with np.errstate(divide="ignore", invalid="ignore"):
-        if math.isinf(p):
-            rows = np.arange(len(mu))
-            k = np.abs(mu).argmax(axis=-1)
-            sign = np.sign(mu[rows, k])
-            g = gap[rows, k, :]
-            # Exactly or nearly equal eigenvalues carry no usable coupling.
-            coupling = np.where(np.abs(g) > _GAP_FLOOR, W[rows, :, k] / g, 0.0).sum(axis=-1)
-            return sign * slope[rows, k], sign * (-mu[rows, k] + 2.0 * coupling)
-        a = np.abs(mu)
-        d_phi = p * a ** (p - 1.0) * np.sign(mu)
-        # phi'' at the midpoint stands in for the divided difference of
-        # (nearly) equal eigenvalues, including the diagonal i = j.
-        mid = 0.5 * (a[:, :, None] + a[:, None, :])
-        dd_mid = np.zeros_like(mid) if p == 1.0 else p * (p - 1.0) * mid ** (p - 2.0)
-        divided = np.where(
-            np.abs(gap) > _GAP_FLOOR, (d_phi[:, :, None] - d_phi[:, None, :]) / gap, dd_mid
-        )
-        first = (d_phi * slope).sum(axis=-1)
-        second = -(d_phi * mu).sum(axis=-1) + (W * divided).sum(axis=(-2, -1))
-    return first, second
+        # Exactly or nearly equal eigenvalues carry no usable coupling.
+        coupling = np.where(np.abs(g) > _GAP_FLOOR, np.abs(D[rows, :, k]) ** 2 / g, 0.0).sum(axis=-1)
+    return sign * D[rows, k, k].real, sign * (-mu[rows, k] + 2.0 * coupling)
 
 
 def _newton_polish(
     A: np.ndarray,
     B: np.ndarray,
-    p: float,
     lane: np.ndarray,
     theta: np.ndarray,
     h: float,
     tol: float,
     best: _Best,
 ) -> None:
-    """Safeguarded Newton ascent from each start (lane[k], theta[k]), one batched eigh per step.
+    """Safeguarded Newton ascent of the operator-norm profile, one batched eigh per step.
 
-    A start steps only where its branch is concave (f'' < 0), and every
-    step is clipped to [start - h, start + h].  A start stops once its
-    step is below ``tol``; all stop after _NEWTON_STEPS steps.  Every
-    evaluated angle feeds ``best``; the certification pass does not rely
-    on convergence here, so a stalled start only costs extra rounds there.
+    Start k is angle theta[k] of lane lane[k].  A start steps only where
+    its branch is concave (f'' < 0), and every step is clipped to
+    [start - h, start + h].  A start stops once its step is below ``tol``;
+    all stop after _NEWTON_STEPS steps.  Every evaluated angle feeds
+    ``best``; no bound relies on convergence here, so a stalled start only
+    sends its lane on to subdivision.
     """
     lo = theta - h
     hi = theta + h
@@ -258,12 +245,12 @@ def _newton_polish(
         c = np.cos(theta)
         s = np.sin(theta)
         lam, V = np.linalg.eigh(_combine(A, B, segments, c, s))
-        best.update(segments, theta, schatten_value(np.abs(lam), p))
+        best.update(segments, theta, np.abs(lam).max(axis=-1))
         if step == _NEWTON_STEPS:
             break
         dH = _combine(A, B, segments, -s, c)
         C = _adjoint(V) @ dH @ V
-        first, second = _profile_slopes(lam, C, p)
+        first, second = _profile_slopes(lam, C)
         with np.errstate(divide="ignore", invalid="ignore"):
             target = np.clip(theta - first / second, lo, hi)
         move = (second < 0.0) & (np.abs(target - theta) > tol)
@@ -574,7 +561,7 @@ def _subdivide(
 
 
 def omega_n(
-    spec: NormSpec, X, *more, grid: int = DEFAULT_GRID, refine_tol: float = 1e-10
+    spec: NormSpec, X, *more, grid: int = DEFAULT_GRID, refine_tol: float = DEFAULT_REFINE_TOL
 ) -> RadiusEstimate | tuple[RadiusEstimate, ...]:
     """Generalized numerical radius sup_theta N(Re(e^{i*theta} X)).
 
@@ -587,8 +574,9 @@ def omega_n(
     grid:
         Uniform samples of the profile on [0, pi); at least 8.
     refine_tol:
-        Step size below which Newton polishing stops, and the target
-        width of the certification pass.
+        Target width of the certificate, relative to the profile's
+        Lipschitz constant; also the step size below which the operator
+        norm's Newton polishing stops.
 
     Returns a RadiusEstimate with value the best profile sample found,
     the angle attaining it, and a certified error so that the true
@@ -600,9 +588,11 @@ def omega_n(
     that matrix alone returns.
 
     The Frobenius norm takes the closed form, which samples no grid and
-    needs no tolerance.  A flat start grid tries the rotation bound of a
-    circular X first; the operator norm tries Ando's bound before
-    subdividing.
+    needs no tolerance.  Every other norm samples a start grid anchored at
+    theta = 0; a flat grid tries the rotation bound of a circular X first.
+    The operator norm then polishes the grid's sampled peaks with Newton
+    steps and tries Ando's bound; the trace and Schatten-p norms, and an
+    operator-norm lane Ando's bound leaves open, subdivide.
     """
     mats = [as_matrix(M, f"matrix {k}" if more else "matrix") for k, M in enumerate((X, *more))]
     n = mats[0].shape[0]
@@ -648,7 +638,7 @@ def _certified_radii(
         estimates[l] = RadiusEstimate(best.value[l], theta, cert_error, spec)
 
     h = math.pi / grid
-    centers = (np.arange(grid) + 0.5) * h
+    centers = np.arange(grid) * h
     segments = [(l, k * grid, (k + 1) * grid) for k, l in enumerate(live)]
     theta = np.concatenate([centers] * len(live))
     values = _profile_values(A, B, segments, theta, p)
@@ -667,17 +657,16 @@ def _certified_radii(
     if not rows:
         return estimates
 
-    # Polish each sampled peak with Newton steps on the profile.
-    starts = _peak_starts(np.stack(list(rows.values())))
-    lane = np.repeat(list(rows), [len(s) for s in starts])
-    _newton_polish(A, B, p, lane, centers[np.concatenate(starts)], h, refine_tol, best)
-
     if math.isinf(p):
-        # Ando's level sits g_stop/2 above the best sample.  A bound that
+        # Polish each sampled peak with Newton steps on the profile, then
+        # set Ando's level g_stop/2 above the best sample.  A bound that
         # does not close (Newton found a local maximum only, or the
         # iteration broke down) falls through to subdivision; NaN
         # compares false.
         ids = list(rows)
+        starts = _peak_starts(np.stack(list(rows.values())))
+        lane = np.repeat(ids, [len(s) for s in starts])
+        _newton_polish(A, B, lane, centers[np.concatenate(starts)], h, refine_tol, best)
         gamma = [best.value[l] + 0.5 * g_stop[l] for l in ids]
         tol = [g_stop[l] / (8.0 * level) for l, level in zip(ids, gamma)]
         ando = _ando_bound(Xs[ids], np.array(gamma), np.array(tol))
@@ -705,7 +694,7 @@ def _certified_radii(
     return estimates
 
 
-def omega(X, grid: int = DEFAULT_GRID, refine_tol: float = 1e-10) -> RadiusEstimate:
+def omega(X, grid: int = DEFAULT_GRID, refine_tol: float = DEFAULT_REFINE_TOL) -> RadiusEstimate:
     """Classical numerical radius: omega_n with the operator norm."""
     return omega_n(OPERATOR, X, grid=grid, refine_tol=refine_tol)
 

@@ -73,6 +73,7 @@ class TestGenAndCompute:
         {"n": 1, "entries": [1.0]},
         {"n": 1, "entries": [["a", 0]]},
         {"n": 2, "entries": None},
+        {"n": 1, "entries": [[True, False]]},
     ])
     def test_malformed_matrix_file(self, tmp_path, capsys, obj):
         m = tmp_path / "m.json"

@@ -77,6 +77,16 @@ class TestCheckInequality:
         r = check_inequality("L7_had_diag_omega", [X, np.eye(4, dtype=complex)], FROBENIUS)
         assert r.verdict in ("certified_pass", "tolerance_pass")
 
+    @pytest.mark.parametrize("ineq", ["L6_had_diag_norm", "L7_had_diag_omega"])
+    def test_pd_second_accepts_diagonally_scaled_pd(self, ineq):
+        # D P D is positive definite for every positive diagonal D, though
+        # its lambda_min falls below 1e-12 ||D P D||_F for most draws.
+        D = np.diag([1.0, 1e-3, 1e-6])
+        for s in range(200, 210):
+            P = D @ random_pd(GenConfig(3, s)) @ D
+            r = check_inequality(ineq, [random_ginibre(GenConfig(3, s + 1)), P])
+            assert r.verdict == "certified_pass", (s, r.note)
+
     def test_i_diag_psd_counterfixture_certified_fail(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         J = np.ones((2, 2), dtype=complex)

@@ -250,6 +250,7 @@ class TestMatrixIO:
         with pytest.raises(ValueError):
             matrix_from_obj({"n": True, "entries": [[1.0, 0.0]]})
         for bad in ({"n": 1, "entries": [1.0]}, {"n": 1, "entries": [["a", 0]]},
-                    {"n": 2, "entries": None}, {"n": 1, "entries": [[10**400, 0]]}):
+                    {"n": 2, "entries": None}, {"n": 1, "entries": [[10**400, 0]]},
+                    {"n": 1, "entries": [[True, False]]}, {"n": 1, "entries": [[1.0, True]]}):
             with pytest.raises(ValueError, match="entr"):
                 matrix_from_obj(bad)
