@@ -14,11 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, herm_eig
+from .linalg import adjoint, as_matrix, cartesian_parts
 
 __all__ = [
     "GenConfig",
+    "Streams",
     "mix_seed",
+    "ginibre_stack",
+    "pd_stack",
+    "sectorial_stack",
+    "accretive_dissipative_stack",
     "random_ginibre",
     "random_pd",
     "random_sectorial",
@@ -69,73 +74,142 @@ class GenConfig:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+class Streams:
+    """Philox streams keyed by 64-bit seeds, drawn from one bit generator.
+
+    ``rng(key)`` re-keys the bit generator through its ``state`` and
+    returns a Generator whose draws are bit for bit those of a fresh
+    ``Generator(Philox(key=key))``, at about a sixth of the cost of building
+    one.  A Generator it returns is valid until the next ``rng`` call.
+    """
+
+    def __init__(self):
+        self._bits = np.random.Philox(key=0)
+        self._rng = np.random.Generator(self._bits)
+        # The state of Philox(key=k) for a 64-bit k: a zero counter, an
+        # empty buffer, and k in the low word of the key.
+        self._fresh = self._bits.state
+
+    def rng(self, key: int) -> np.random.Generator:
+        self._fresh["state"]["key"][0] = key & _MASK64
+        self._bits.state = self._fresh
+        return self._rng
 
 
-def _complex_std_normals(rng: np.random.Generator, count: int) -> np.ndarray:
-    # Polar Box-Muller: sqrt(-log u1) * exp(2*pi*i*u2) is standard complex
-    # Gaussian (E|z|^2 = 1); u1 shifted into (0, 1] so the log is finite.
-    u1 = 1.0 - rng.random(count)
-    u2 = rng.random(count)
-    return np.sqrt(-np.log(u1)) * np.exp(2j * np.pi * u2)
+def _dimension(cfgs) -> int:
+    if not cfgs:
+        raise ValueError("a stack needs at least one config")
+    n = cfgs[0].n
+    for k, cfg in enumerate(cfgs):
+        if cfg.n != n:
+            raise ValueError(f"config {k} has n = {cfg.n}, expected {n}")
+    return n
 
 
-def random_ginibre(cfg: GenConfig) -> np.ndarray:
-    """Matrix of i.i.d. standard complex Gaussian entries, times cfg.scale."""
-    rng = _rng(cfg.seed)
-    z = _complex_std_normals(rng, cfg.n * cfg.n)
-    return cfg.scale * z.reshape(cfg.n, cfg.n)
+# Every factory below draws a stack: one matrix per config, each from its
+# own Philox stream, with one batched product or eigensolve per step.  The
+# single-matrix factories are the stack of one.
 
 
-def random_pd(cfg: GenConfig) -> np.ndarray:
-    """Hermitian positive definite matrix G G* + 1e-6 * scale * I."""
-    G = random_ginibre(GenConfig(cfg.n, mix_seed(cfg.seed, _STREAM_PD), cfg.scale))
-    P = G @ G.conj().T + 1e-6 * cfg.scale * np.eye(cfg.n)
-    P = (P + P.conj().T) / 2
-    lam_min = float(np.linalg.eigvalsh(P)[0])
-    if lam_min <= 0:
-        raise RuntimeError(f"positive definite construction failed: lambda_min = {lam_min}")
+def ginibre_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
+    """Matrices of i.i.d. standard complex Gaussian entries, each times its cfg.scale.
+
+    Polar Box-Muller: sqrt(-log u1) * exp(2*pi*i*u2) is standard complex
+    Gaussian (E|z|^2 = 1), with u1 shifted into (0, 1] so the log is
+    finite; each stream gives its n^2 values of u1, then its n^2 of u2.
+    """
+    n = _dimension(cfgs)
+    streams = streams or Streams()
+    count = n * n
+    u = np.array([streams.rng(cfg.seed).random(2 * count) for cfg in cfgs])
+    z = np.sqrt(-np.log(1.0 - u[:, :count])) * np.exp(2j * np.pi * u[:, count:])
+    scale = np.array([cfg.scale for cfg in cfgs])
+    return scale[:, None, None] * z.reshape(-1, n, n)
+
+
+def pd_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
+    """Hermitian positive definite matrices G G* + 1e-6 * scale * I."""
+    n = _dimension(cfgs)
+    G = ginibre_stack([GenConfig(n, mix_seed(cfg.seed, _STREAM_PD), cfg.scale) for cfg in cfgs], streams)
+    shift = 1e-6 * np.array([cfg.scale for cfg in cfgs])
+    P = G @ adjoint(G) + shift[:, None, None] * np.eye(n)
+    P = (P + adjoint(P)) / 2
+    for lam_min in np.linalg.eigvalsh(P)[:, 0]:
+        if lam_min <= 0:
+            raise RuntimeError(f"positive definite construction failed: lambda_min = {float(lam_min)}")
     return P
 
 
 def _spectral_sqrt(P: np.ndarray) -> np.ndarray:
-    res = herm_eig(P)
-    w = np.maximum(res.eigenvalues, 0.0)
-    V = res.eigenvectors
-    return (V * np.sqrt(w)) @ V.conj().T
+    # P is exactly Hermitian (pd_stack symmetrizes it), so eigh reads it as is.
+    w, V = np.linalg.eigh(P)
+    return (V * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ adjoint(V)
+
+
+def sectorial_stack(cfgs, alphas, streams: Streams | None = None) -> np.ndarray:
+    """Accretive matrices whose numerical ranges have angular half-widths ``alphas``.
+
+    Each is built as S (I + iT) S with S the square root of a random
+    positive definite matrix and T Hermitian rescaled so max|eig(T)| =
+    tan(alpha).  Quadratic forms then satisfy <Xx,x> = ||y||^2 + i <Ty,y>
+    with y = Sx, so the extreme argument over the numerical range is
+    exactly arctan(max|eig(T)|) = alpha.  An alpha of 0 gives the
+    positive definite matrix itself.
+    """
+    n = _dimension(cfgs)
+    alphas = [float(a) for a in alphas]
+    if len(alphas) != len(cfgs):
+        raise ValueError(f"{len(cfgs)} configs need {len(cfgs)} alphas, got {len(alphas)}")
+    for alpha in alphas:
+        if not (0.0 <= alpha < math.pi / 2):
+            raise ValueError(f"alpha must lie in [0, pi/2), got {alpha}")
+    streams = streams or Streams()
+    X = pd_stack([GenConfig(n, mix_seed(cfg.seed, _STREAM_SECT_BASE), cfg.scale) for cfg in cfgs], streams)
+    tilted = [k for k, alpha in enumerate(alphas) if alpha != 0.0]
+    if not tilted:
+        return X
+    G = ginibre_stack([GenConfig(n, mix_seed(cfgs[k].seed, _STREAM_SECT_TILT), 1.0) for k in tilted], streams)
+    T = cartesian_parts(G)[0]
+    peaks = np.max(np.abs(np.linalg.eigvalsh(T)), axis=-1)
+    factors = []
+    for j, (k, peak) in enumerate(zip(tilted, peaks)):
+        peak = float(peak)
+        if peak == 0.0:
+            T[j] = np.eye(n)
+            peak = 1.0
+        factors.append(math.tan(alphas[k]) / peak)
+    T = T * np.array(factors)[:, None, None]
+    S = _spectral_sqrt(X[tilted])
+    X[tilted] = S @ (np.eye(n) + 1j * T) @ S
+    return X
+
+
+def accretive_dissipative_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
+    """Matrices A + iB with independent positive definite A and B."""
+    n = _dimension(cfgs)
+    parts = [GenConfig(n, mix_seed(cfg.seed, tag), cfg.scale) for cfg in cfgs for tag in (_STREAM_AD_RE, _STREAM_AD_IM)]
+    P = pd_stack(parts, streams)
+    return P[0::2] + 1j * P[1::2]
+
+
+def random_ginibre(cfg: GenConfig) -> np.ndarray:
+    """Matrix of i.i.d. standard complex Gaussian entries, times cfg.scale."""
+    return ginibre_stack([cfg])[0]
+
+
+def random_pd(cfg: GenConfig) -> np.ndarray:
+    """Hermitian positive definite matrix G G* + 1e-6 * scale * I."""
+    return pd_stack([cfg])[0]
 
 
 def random_sectorial(cfg: GenConfig, alpha: float) -> np.ndarray:
-    """Accretive matrix whose numerical range has angular half-width alpha.
-
-    Built as S (I + iT) S with S the square root of a random positive
-    definite matrix and T Hermitian rescaled so max|eig(T)| = tan(alpha).
-    Quadratic forms then satisfy <Xx,x> = ||y||^2 + i <Ty,y> with y = Sx,
-    so the extreme argument over the numerical range is exactly
-    arctan(max|eig(T)|) = alpha.
-    """
-    if not (0.0 <= alpha < math.pi / 2):
-        raise ValueError(f"alpha must lie in [0, pi/2), got {alpha}")
-    A = random_pd(GenConfig(cfg.n, mix_seed(cfg.seed, _STREAM_SECT_BASE), cfg.scale))
-    if alpha == 0.0:
-        return A
-    G = random_ginibre(GenConfig(cfg.n, mix_seed(cfg.seed, _STREAM_SECT_TILT), 1.0))
-    T = (G + G.conj().T) / 2
-    peak = float(np.max(np.abs(np.linalg.eigvalsh(T))))
-    if peak == 0.0:
-        T = np.eye(cfg.n)
-        peak = 1.0
-    T = T * (math.tan(alpha) / peak)
-    S = _spectral_sqrt(A)
-    return S @ (np.eye(cfg.n) + 1j * T) @ S
+    """Accretive matrix whose numerical range has angular half-width alpha (see sectorial_stack)."""
+    return sectorial_stack([cfg], [alpha])[0]
 
 
 def random_accretive_dissipative(cfg: GenConfig) -> np.ndarray:
     """Matrix A + iB with independent positive definite A and B."""
-    A = random_pd(GenConfig(cfg.n, mix_seed(cfg.seed, _STREAM_AD_RE), cfg.scale))
-    B = random_pd(GenConfig(cfg.n, mix_seed(cfg.seed, _STREAM_AD_IM), cfg.scale))
-    return A + 1j * B
+    return accretive_dissipative_stack([cfg])[0]
 
 
 def random_unitary(cfg: GenConfig) -> np.ndarray:

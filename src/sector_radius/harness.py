@@ -32,19 +32,28 @@ from functools import reduce
 
 import numpy as np
 
-from .generator import GenConfig, mix_seed, random_accretive_dissipative, random_ginibre, random_pd, random_sectorial
+from .generator import (
+    GenConfig,
+    Streams,
+    accretive_dissipative_stack,
+    ginibre_stack,
+    mix_seed,
+    pd_stack,
+    sectorial_stack,
+)
 from .linalg import (
     LAPACK_BACKWARD,
     DimensionError,
     as_matrix,
     cartesian_decompose,
+    cartesian_parts,
     frobenius,
     hadamard,
     is_hermitian,
     is_psd,
 )
 from .norms import FROBENIUS, OPERATOR, TRACE, NormSpec, evaluate_norm, schatten
-from .radius import DEFAULT_GRID, DEFAULT_REFINE_TOL, omega_n
+from .radius import DEFAULT_GRID, DEFAULT_REFINE_TOL, check_grid, omega_n
 from .report import CheckResult, IdSummary, Interval, SuiteReport
 from .sectorial import (
     NotSectorialError,
@@ -75,8 +84,9 @@ class CheckContext:
     """Shared numerical settings for a batch of checks.
 
     ``grid`` is the number of uniform start cells of every radius
-    computation; certification down to ``refine_tol`` carries the
-    accuracy, so a coarse grid only seeds it.
+    computation, an even integer >= 8 (checked here, so a suite refuses
+    a bad grid before it runs); certification down to ``refine_tol``
+    carries the accuracy, so a coarse grid only seeds it.
     ``m_fold`` is the number of inputs suites generate for an m-fold
     identifier.
     """
@@ -84,6 +94,9 @@ class CheckContext:
     grid: int = DEFAULT_GRID
     refine_tol: float = DEFAULT_REFINE_TOL
     m_fold: int = 3
+
+    def __post_init__(self):
+        check_grid(self.grid)
 
 
 DEFAULT_CONTEXT = CheckContext()
@@ -120,55 +133,80 @@ def _norm_iv(spec: NormSpec, X: np.ndarray) -> Interval:
     return Interval.point(value, abs_=pad)
 
 
-def _class_info(X: np.ndarray, which: str) -> SectorInfo:
+def _sector_data(sector, mats, names, errors, what: str) -> list[SectorInfo]:
+    """Verified sector data of every input, from one stacked ``sector`` call.
+
+    ``sector`` is rotation_to_sector or sector_index.  Inputs are refused
+    in order, as if each were gated and verified alone: when the stacked
+    call raises one of ``errors``, the inputs are redone one at a time
+    and the first that fails names the note.
+    """
     try:
-        info = rotation_to_sector(X)
-    except NotSectorialError as exc:
-        raise Inapplicable(f"{which}: input is not sectorial: {exc}") from None
-    return _verified(info, X)
+        infos = sector(*mats)
+    except errors:
+        for M, which in zip(mats, names):
+            try:
+                info = sector(M)
+            except errors as exc:
+                raise Inapplicable(f"{which}: {what}: {exc}") from None
+            _verified([info], [M])
+        raise
+    return _verified([infos] if len(mats) == 1 else list(infos), mats)
 
 
-def _accretive_info(X: np.ndarray, which: str) -> SectorInfo:
-    try:
-        info = sector_index(X)
-    except (NotSectorialError, ValueError) as exc:
-        raise Inapplicable(f"{which}: input is not accretive sectorial: {exc}") from None
-    return _verified(info, X)
-
-
-def _verified(info: SectorInfo, X: np.ndarray) -> SectorInfo:
-    """``info`` with its index inflated until W(zX) provably fits the sector.
+def _verified(infos: list[SectorInfo], mats) -> list[SectorInfo]:
+    """Each ``info`` with its index inflated until W(zX) provably fits the sector.
 
     For a < pi/2, W(Y) lies in the closed sector of half-width a exactly
     when Im(e^{-ia} Y) <= 0 and Im(e^{ia} Y) >= 0, that is when both
     +-cos(a) Im Y - sin(a) Re Y are negative semidefinite.  Their computed
     top eigenvalues must clear the eigensolver's backward error
     n * eps * ||H||; the inflation starts at _ALPHA_INFLATION and
-    doubles until they do.
+    doubles until they do.  Each round is one eigvalsh over the inputs
+    still open, and every input keeps the bits it gets alone.  An input
+    whose inflated index reaches pi/2 is inapplicable; the first such
+    input, in order, names the note.
     """
-    re, im = cartesian_decompose(info.rotation_z * X)
-    slack = X.shape[0] * _EPS * (frobenius(re) + frobenius(im))
-    inflation = _ALPHA_INFLATION
-    while True:
-        a = info.index_alpha + inflation
-        if a >= math.pi / 2:
-            raise Inapplicable(f"inflated sector index {a:.12f} reaches pi/2")
-        c, s = math.cos(a), math.sin(a)
-        top = np.linalg.eigvalsh(np.stack([c * im - s * re, -c * im - s * re]))[:, -1]
-        if top.max() <= -slack:
-            return replace(info, index_alpha=a)
-        inflation = max(2.0 * inflation, _EPS)
+    re, im = cartesian_parts(np.array([info.rotation_z * X for info, X in zip(infos, mats)]))
+    n = re.shape[-1]
+    slack = [n * _EPS * (frobenius(r) + frobenius(i)) for r, i in zip(re, im)]
+    inflation = [_ALPHA_INFLATION] * len(infos)
+    alpha = [info.index_alpha + _ALPHA_INFLATION for info in infos]
+    open_ = [k for k, a in enumerate(alpha) if a < math.pi / 2]
+    verified = set()
+    while open_:
+        c = np.array([math.cos(alpha[k]) for k in open_])[:, None, None]
+        s = np.array([math.sin(alpha[k]) for k in open_])[:, None, None]
+        re_o, im_o = re[open_], im[open_]
+        H = np.stack([c * im_o - s * re_o, -c * im_o - s * re_o], axis=1)
+        top = np.linalg.eigvalsh(H)[..., -1].max(axis=1)
+        still = []
+        for k, t in zip(open_, top):
+            if t <= -slack[k]:
+                verified.add(k)
+                continue
+            inflation[k] = max(2.0 * inflation[k], _EPS)
+            alpha[k] = infos[k].index_alpha + inflation[k]
+            if alpha[k] < math.pi / 2:
+                still.append(k)
+        open_ = still
+    for k, info in enumerate(infos):
+        if k not in verified:
+            raise Inapplicable(f"inflated sector index {alpha[k]:.12f} reaches pi/2")
+    return [replace(info, index_alpha=a) for info, a in zip(infos, alpha)]
 
 
-def _require_accretive_dissipative(X: np.ndarray, which: str) -> None:
-    # Im X is Re(-iX), so both parts go through the accretivity gate at once.
-    re, im = cartesian_decompose(X)
-    passes, lam = accretive_gate(np.stack([re, im]), np.stack([im, -re]))
-    if not passes.all():
-        raise Inapplicable(
-            f"{which} is not accretive-dissipative: lambda_min(D Re D) = {lam[0]:.3e}, "
-            f"lambda_min(D' Im D') = {lam[1]:.3e} (unit-diagonal scalings D, D')"
-        )
+def _require_accretive_dissipative(mats, names) -> None:
+    # Im X is Re(-iX), so both parts of every input go through the
+    # accretivity gate at once.
+    re, im = cartesian_parts(np.array(mats))
+    passes, lam = accretive_gate(np.stack([re, im], axis=1), np.stack([im, -re], axis=1))
+    for ok, (lam_re, lam_im), which in zip(passes, lam, names):
+        if not ok.all():
+            raise Inapplicable(
+                f"{which} is not accretive-dissipative: lambda_min(D Re D) = {lam_re:.3e}, "
+                f"lambda_min(D' Im D') = {lam_im:.3e} (unit-diagonal scalings D, D')"
+            )
 
 
 def _require_pd(X: np.ndarray, which: str) -> None:
@@ -199,18 +237,18 @@ def _check_hypothesis(kind, mats, arity: int) -> tuple[list[SectorInfo], str]:
     """Sector data of each input and a note, once ``kind`` holds.
 
     Inputs are tested in order and the first violation raises
-    Inapplicable, so its note is the one reported.  Only SECTORIAL and
-    ACCRETIVE return sector data; PSD_NOTE returns a note instead of
-    raising.
+    Inapplicable, so its note is the one reported; the sector data and
+    the accretive-dissipative gate still take one stacked pass over all
+    inputs.  Only SECTORIAL and ACCRETIVE return sector data; PSD_NOTE
+    returns a note instead of raising.
     """
     names = [("first input", "second input")[k] if arity else f"input {k}" for k in range(len(mats))]
     if kind is Hypothesis.SECTORIAL:
-        return [_class_info(M, which) for M, which in zip(mats, names)], ""
+        return _sector_data(rotation_to_sector, mats, names, NotSectorialError, "input is not sectorial"), ""
     if kind is Hypothesis.ACCRETIVE:
-        return [_accretive_info(M, which) for M, which in zip(mats, names)], ""
+        return _sector_data(sector_index, mats, names, ValueError, "input is not accretive sectorial"), ""
     if kind is Hypothesis.ACCRETIVE_DISSIPATIVE:
-        for M, which in zip(mats, names):
-            _require_accretive_dissipative(M, which)
+        _require_accretive_dissipative(mats, names)
     elif kind is Hypothesis.PD_SECOND:
         _require_pd(mats[1], "second input")
     elif kind is Hypothesis.ONE_HERMITIAN:
@@ -673,28 +711,28 @@ def check_inequality(
 _ALPHA_MAX = 1.4
 
 
-def _uniform(seed: int, tag: int, lo: float, hi: float) -> float:
-    rng = np.random.Generator(np.random.Philox(key=mix_seed(seed, tag)))
-    return lo + (hi - lo) * float(rng.random())
+def _uniforms(streams: Streams, seed: int, tags, lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * float(streams.rng(mix_seed(seed, tag)).random()) for tag in tags]
 
 
 def _plain(draw):
-    """A draw that needs nothing but its generator config."""
-    return lambda cfg, seed, index_tag, phase_tag: draw(cfg)
+    """A draw that needs nothing but its generator configs."""
+    return lambda streams, cfgs, seed, index_tags, phase_tags: draw(cfgs, streams)
 
 
-def _accretive(cfg: GenConfig, seed: int, index_tag: int, phase_tag: int) -> np.ndarray:
-    return random_sectorial(cfg, _uniform(seed, index_tag, 0.0, _ALPHA_MAX))
+def _accretive(streams: Streams, cfgs, seed: int, index_tags, phase_tags) -> np.ndarray:
+    return sectorial_stack(cfgs, _uniforms(streams, seed, index_tags, 0.0, _ALPHA_MAX), streams)
 
 
-def _rotated(cfg: GenConfig, seed: int, index_tag: int, phase_tag: int) -> np.ndarray:
-    X = _accretive(cfg, seed, index_tag, phase_tag)
-    return np.exp(1j * _uniform(seed, phase_tag, 0.0, 2.0 * math.pi)) * X
+def _rotated(streams: Streams, cfgs, seed: int, index_tags, phase_tags) -> np.ndarray:
+    X = _accretive(streams, cfgs, seed, index_tags, phase_tags)
+    phases = _uniforms(streams, seed, phase_tags, 0.0, 2.0 * math.pi)
+    return np.exp(1j * np.array(phases))[:, None, None] * X
 
 
-_GINIBRE = _plain(random_ginibre)
-_PD = _plain(random_pd)
-_HERMITIAN = _plain(lambda cfg: cartesian_decompose(random_ginibre(cfg))[0])
+_GINIBRE = _plain(ginibre_stack)
+_PD = _plain(pd_stack)
+_HERMITIAN = _plain(lambda cfgs, streams: cartesian_parts(ginibre_stack(cfgs, streams))[0])
 # The draw of each input position, or one draw for every input.
 _DRAWS = {
     None: _GINIBRE,
@@ -703,19 +741,28 @@ _DRAWS = {
     Hypothesis.ONE_HERMITIAN: (_GINIBRE, _HERMITIAN),
     Hypothesis.SECTORIAL: _rotated,
     Hypothesis.ACCRETIVE: _accretive,
-    Hypothesis.ACCRETIVE_DISSIPATIVE: _plain(random_accretive_dissipative),
+    Hypothesis.ACCRETIVE_DISSIPATIVE: _plain(accretive_dissipative_stack),
 }
 
 
 def generate_inputs(info: IdInfo, n: int, seed: int, m_fold: int = 3) -> list[np.ndarray]:
-    """Deterministic inputs for one trial of ``info``, drawn to satisfy its hypothesis."""
+    """Deterministic inputs for one trial of ``info``, drawn to satisfy its hypothesis.
+
+    A row with one draw for every input draws them all as one stack; every
+    Philox stream comes from one re-keyed bit generator.
+    """
     draws = _DRAWS[info.requires]
-    mats = []
-    for j in range(info.arity or m_fold):
-        draw = draws[j] if isinstance(draws, tuple) else draws
-        index_tag = 31 if info.common_index else 31 + j
-        mats.append(draw(GenConfig(n, mix_seed(seed, j + 1)), seed, index_tag, 41 + j))
-    return mats
+    streams = Streams()
+    count = info.arity or m_fold
+    cfgs = [GenConfig(n, mix_seed(seed, j + 1)) for j in range(count)]
+    index_tags = [31 if info.common_index else 31 + j for j in range(count)]
+    phase_tags = [41 + j for j in range(count)]
+    if isinstance(draws, tuple):
+        return [
+            draw(streams, [cfg], seed, [index_tag], [phase_tag])[0]
+            for draw, cfg, index_tag, phase_tag in zip(draws, cfgs, index_tags, phase_tags)
+        ]
+    return list(draws(streams, cfgs, seed, index_tags, phase_tags))
 
 
 # --- suite runner -----------------------------------------------------------

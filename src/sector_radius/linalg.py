@@ -17,9 +17,12 @@ __all__ = [
     "DomainError",
     "HermEigResult",
     "as_matrix",
+    "as_stack",
+    "adjoint",
     "frobenius",
     "is_hermitian",
     "cartesian_decompose",
+    "cartesian_parts",
     "hadamard",
     "herm_eig",
     "singular_values",
@@ -63,6 +66,20 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def as_stack(X, *more) -> np.ndarray:
+    """One or more matrices of one size, validated by ``as_matrix``, as a stack.
+
+    The stack has shape (1 + len(more), n, n); functions with a
+    ``(X, *more)`` form run it as lanes of one batch.
+    """
+    mats = [as_matrix(M, f"matrix {k}" if more else "matrix") for k, M in enumerate((X, *more))]
+    n = mats[0].shape[0]
+    for k, M in enumerate(mats):
+        if M.shape != mats[0].shape:
+            raise DimensionError(f"matrix {k} has dimension {M.shape[0]}, expected {n}")
+    return np.array(mats)
+
+
 def frobenius(X: np.ndarray) -> float:
     return float(np.linalg.norm(X))
 
@@ -81,11 +98,24 @@ def _check_hermitian(H: np.ndarray, name: str) -> np.ndarray:
     return (H + H.conj().T) / 2
 
 
+def adjoint(M: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return M.conj().swapaxes(-1, -2)
+
+
+def cartesian_parts(Xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian parts (re, im) with X = re + 1j*im of each matrix of a stack.
+
+    Elementwise, so each matrix gets the bits ``cartesian_decompose``
+    gives it alone.
+    """
+    Xh = adjoint(Xs)
+    return (Xs + Xh) / 2, (Xs - Xh) / 2j
+
+
 def cartesian_decompose(X) -> tuple[np.ndarray, np.ndarray]:
     """Split X into Hermitian parts (re, im) with X = re + 1j*im."""
-    X = as_matrix(X)
-    Xh = X.conj().T
-    return (X + Xh) / 2, (X - Xh) / 2j
+    return cartesian_parts(as_matrix(X))
 
 
 def hadamard(X, Y) -> np.ndarray:

@@ -12,12 +12,13 @@ sinusoid per dual-norm certificate).  omega_n returns a lower bound
 The Frobenius profile is a quadratic form in (cos theta, sin theta), so
 its supremum is read off a 2x2 Gram matrix with a stated rounding pad.
 Every other norm first samples a uniform grid anchored at theta = 0,
-where a Hermitian X peaks (a skew-Hermitian X peaks at pi/2, a sample
-of an even grid).  A grid that comes out flat (spread within the target
-width) asks whether X is circular, that is unitarily similar to
-e^{i*phi} X for every phi: a grading K of X's kernel flag bounds every
-angle by the best sample plus (h/2) N(KX - XK + X), h the grid step; the
-norm vanishes for nilpotent shifts such as Jordan blocks.  Otherwise,
+where a Hermitian X peaks (a skew-Hermitian X peaks at pi/2, also a
+sample, since the grid must be even).  A grid that comes out flat
+(spread within the target width) asks whether X is circular, that is
+unitarily similar to e^{i*phi} X for every phi: a grading K of X's
+kernel flag bounds every angle by the best sample plus
+(h/2) N(KX - XK + X), h the grid step; the norm vanishes for nilpotent
+shifts such as Jordan blocks.  Otherwise,
 for the operator norm, each sampled peak of the grid (a cell at least
 as high as both cyclic neighbours) gets a few safeguarded Newton steps
 on the analytic profile, and Ando's dilation certifies at a level just
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LAPACK_BACKWARD, DimensionError, as_matrix, cartesian_decompose
+from .linalg import LAPACK_BACKWARD, adjoint, as_matrix, as_stack, cartesian_decompose, cartesian_parts
 from .norms import NormSpec, OPERATOR, schatten_value
 
 __all__ = [
@@ -56,6 +57,7 @@ __all__ = [
     "omega_n",
     "omega",
     "numerical_range_boundary",
+    "check_grid",
 ]
 
 # Uniform start cells of omega_n on [0, pi).  The certification pass
@@ -127,10 +129,6 @@ def _segments(lane: np.ndarray) -> list[tuple[int, int, int]]:
             segments.append((l, stop, stop + count))
             stop += count
     return segments
-
-
-def _adjoint(M: np.ndarray) -> np.ndarray:
-    return M.conj().swapaxes(-1, -2)
 
 
 def _combine(A: np.ndarray, B: np.ndarray, segments, c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -249,7 +247,7 @@ def _newton_polish(
         if step == _NEWTON_STEPS:
             break
         dH = _combine(A, B, segments, -s, c)
-        C = _adjoint(V) @ dH @ V
+        C = adjoint(V) @ dH @ V
         first, second = _profile_slopes(lam, C)
         with np.errstate(divide="ignore", invalid="ignore"):
             target = np.clip(theta - first / second, lo, hi)
@@ -356,9 +354,9 @@ def _ando_bound(X: np.ndarray, gamma: np.ndarray, tol: np.ndarray) -> np.ndarray
     tol2 = (tol * tol).tolist()
     with np.errstate(all="ignore"):
         for _ in range(_CR_STEPS):
-            W = np.concatenate([A, _adjoint(A)], axis=2)
+            W = np.concatenate([A, adjoint(A)], axis=2)
             # [[A* Q^-1 A, A* Q^-1 A*], [A Q^-1 A, A Q^-1 A*]]; NaN rows for a singular Q
-            T = _adjoint(W) @ _lanewise(np.linalg.solve, lambda: np.full_like(W, np.nan), Q, W)
+            T = adjoint(W) @ _lanewise(np.linalg.solve, lambda: np.full_like(W, np.nan), Q, W)
             update = T[:, :n, :n]
             Y = Y - update
             Q = Q - update - T[:, n:, n:]
@@ -375,9 +373,9 @@ def _ando_bound(X: np.ndarray, gamma: np.ndarray, tol: np.ndarray) -> np.ndarray
             tol2 = [t for t, g in zip(tol2, go) if g]
         else:
             Y_end[live] = Y
-        Z = gamma[:, None, None] * (Y_end + _adjoint(Y_end) - eye)
+        Z = gamma[:, None, None] * (Y_end + adjoint(Y_end) - eye)
         M = np.concatenate(
-            [np.concatenate([-Z, X], axis=2), np.concatenate([_adjoint(X), Z], axis=2)], axis=1
+            [np.concatenate([-Z, X], axis=2), np.concatenate([adjoint(X), Z], axis=2)], axis=1
         )
         top = _lanewise(np.linalg.eigvalsh, lambda: np.full(M.shape[:2], np.nan), M)[:, -1]
         pad = LAPACK_BACKWARD * 2 * n * _EPS
@@ -560,6 +558,16 @@ def _subdivide(
         best.update(segments, theta, values)
 
 
+def check_grid(grid) -> None:
+    """Raise ValueError unless ``grid`` is an even integer >= 8.
+
+    An odd grid never samples theta = pi/2, where the profile of a
+    skew-Hermitian X peaks.
+    """
+    if not isinstance(grid, (int, np.integer)) or grid < 8 or grid % 2:
+        raise ValueError(f"grid must be an even integer >= 8, got {grid}")
+
+
 def omega_n(
     spec: NormSpec, X, *more, grid: int = DEFAULT_GRID, refine_tol: float = DEFAULT_REFINE_TOL
 ) -> RadiusEstimate | tuple[RadiusEstimate, ...]:
@@ -572,7 +580,8 @@ def omega_n(
     X, *more:
         One or more square matrices of the same size.
     grid:
-        Uniform samples of the profile on [0, pi); at least 8.
+        Uniform samples of the profile on [0, pi); even, so that theta =
+        pi/2 is a sample, and at least 8 (``check_grid``).
     refine_tol:
         Target width of the certificate, relative to the profile's
         Lipschitz constant; also the step size below which the operator
@@ -594,19 +603,11 @@ def omega_n(
     steps and tries Ando's bound; the trace and Schatten-p norms, and an
     operator-norm lane Ando's bound leaves open, subdivide.
     """
-    mats = [as_matrix(M, f"matrix {k}" if more else "matrix") for k, M in enumerate((X, *more))]
-    n = mats[0].shape[0]
-    for k, M in enumerate(mats):
-        if M.shape != mats[0].shape:
-            raise DimensionError(f"matrix {k} has dimension {M.shape[0]}, expected {n}")
-    if not isinstance(grid, (int, np.integer)) or grid < 8:
-        raise ValueError(f"grid must be an integer >= 8, got {grid}")
+    Xs = as_stack(X, *more)
+    check_grid(grid)
     if not (refine_tol > 0):
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
-    Xs = np.array(mats)
-    # The Cartesian parts, formed as cartesian_decompose forms them.
-    Xh = _adjoint(Xs)
-    A, B = (Xs + Xh) / 2, (Xs - Xh) / 2j
+    A, B = cartesian_parts(Xs)
     if spec.schatten_p == 2.0:
         estimates = _frobenius_radii(A, B, spec)
     else:

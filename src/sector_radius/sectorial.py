@@ -16,6 +16,11 @@ to a diagonal unitary diag(e^{i theta_k}) (C. R. Johnson and S. Furtado,
 "A generalization of Sylvester's law of inertia", Linear Algebra Appl.,
 2001), the angular span of W(X) is [min theta_k, max theta_k], and
 the e^{2i theta_k} are the eigenvalues of the cosquare X^{-*} X.
+
+``rotation_to_sector`` and ``sector_index`` take one matrix or several of
+one size, and run several as lanes of one batch: each LAPACK step is one
+stacked call, every reduction stays per matrix, and each result is bit
+for bit that of a call with its matrix alone.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DomainError, as_matrix, block2x2, cartesian_decompose
+from .linalg import DomainError, adjoint, as_matrix, as_stack, block2x2, cartesian_decompose, cartesian_parts
 
 __all__ = [
     "NotSectorialError",
@@ -63,8 +68,8 @@ class SectorInfo:
     rotation_z: complex
 
 
-def _arg_extremes(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
-    """(min, max) of arg <Yx, x> over x != 0 for accretive Y = A + iB.
+def _arg_extremes(A: np.ndarray, B: np.ndarray) -> tuple[list[float], list[float]]:
+    """(min, max) of arg <Yx, x> over x != 0 for each accretive Y = A + iB of a stack.
 
     arg <Yx, x> = arctan(<Bx, x> / <Ax, x>), and the Rayleigh quotient
     <Bx, x> / <Ax, x> ranges exactly over the eigenvalues of L^{-1} B L^{-*}
@@ -72,12 +77,12 @@ def _arg_extremes(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
     which leaves the quotient's range unchanged), so inputs that are badly
     scaled only through a diagonal congruence keep full accuracy.
     """
-    d = 1.0 / np.sqrt(A.diagonal().real)
-    L = np.linalg.cholesky(d[:, None] * A * d)
-    W = np.linalg.solve(L, d[:, None] * B * d)
-    M = np.linalg.solve(L, W.conj().T)
-    lam = np.linalg.eigvalsh((M + M.conj().T) / 2)
-    return math.atan(lam[0]), math.atan(lam[-1])
+    d = 1.0 / np.sqrt(A.diagonal(axis1=-2, axis2=-1).real)
+    L = np.linalg.cholesky(d[..., :, None] * A * d[..., None, :])
+    W = np.linalg.solve(L, d[..., :, None] * B * d[..., None, :])
+    M = np.linalg.solve(L, adjoint(W))
+    lam = np.linalg.eigvalsh((M + adjoint(M)) / 2)
+    return [math.atan(x) for x in lam[:, 0]], [math.atan(x) for x in lam[:, -1]]
 
 
 def accretive_gate(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,34 +105,67 @@ def accretive_gate(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return lam > ACCRETIVE_RTOL * scale, lam
 
 
-def sector_index(X) -> SectorInfo:
+def _lockstep(lanes, X, more):
+    """``lanes`` run on the stack of X, *more: one SectorInfo, or a tuple of them.
+
+    ``lanes`` raises when any matrix of its stack fails.  With several
+    matrices each is then redone alone, in order, so the error raised is
+    the one the first failing matrix raises alone.
+    """
+    Xs = as_stack(X, *more)
+    try:
+        infos = lanes(Xs)
+    except ValueError:
+        if more:
+            for k in range(len(Xs)):
+                lanes(Xs[k : k + 1])
+        raise
+    return infos[0] if len(infos) == 1 else tuple(infos)
+
+
+def _boundary_check(index: float) -> None:
+    if index >= math.pi / 2 - _BOUNDARY_MARGIN:
+        raise NotSectorialError(
+            f"sector index {index:.12f} is within {_BOUNDARY_MARGIN:g} of pi/2"
+        )
+
+
+def sector_index(X, *more) -> SectorInfo | tuple[SectorInfo, ...]:
     """Sectoriality index of an accretive matrix.
 
     The index is the largest |arg w| over the numerical range, computed
     exactly (up to rounding) from one Cholesky factorization and one
     Hermitian eigenproblem.  Raises DomainError when ``accretive_gate``
     rejects X.
+
+    Several matrices of one size give a tuple, one SectorInfo per
+    matrix, from one stacked gate, factorization and eigensolve; each is
+    bit for bit the result of a call with that matrix alone, and a
+    failing matrix raises as it does alone (the first one, in order).
     """
-    X = as_matrix(X)
-    A, B = cartesian_decompose(X)
+    return _lockstep(_index_lanes, X, more)
+
+
+def _index_lanes(Xs: np.ndarray) -> list[SectorInfo]:
+    A, B = cartesian_parts(Xs)
     passes, lam_scaled = accretive_gate(A, B)
-    if not passes:
-        raise DomainError(
-            f"matrix is not accretive: lambda_min(D Re X D) = {float(lam_scaled):.6e}, "
-            f"D = diag(Re X)^(-1/2), is not positive "
-            f"(threshold {ACCRETIVE_RTOL:g} * ||D X D||_F)"
-        )
-    a_min, a_max = _arg_extremes(A, B)
-    index = max(a_max, -a_min, 0.0)
-    if index >= math.pi / 2 - _BOUNDARY_MARGIN:
-        raise NotSectorialError(
-            f"sector index {index:.12f} is within {_BOUNDARY_MARGIN:g} of pi/2"
-        )
-    return SectorInfo(index, complex(1.0, 0.0))
+    for ok, lam in zip(passes, lam_scaled):
+        if not ok:
+            raise DomainError(
+                f"matrix is not accretive: lambda_min(D Re X D) = {float(lam):.6e}, "
+                f"D = diag(Re X)^(-1/2), is not positive "
+                f"(threshold {ACCRETIVE_RTOL:g} * ||D X D||_F)"
+            )
+    infos = []
+    for a_min, a_max in zip(*_arg_extremes(A, B)):
+        index = max(a_max, -a_min, 0.0)
+        _boundary_check(index)
+        infos.append(SectorInfo(index, complex(1.0, 0.0)))
+    return infos
 
 
-def _canonical_rotation(X: np.ndarray) -> float:
-    """Rotation phi0 centring the canonical angles of X on the real axis.
+def _canonical_rotations(Xs: np.ndarray) -> list[float]:
+    """Rotation phi0 centring the canonical angles of X on the real axis, per matrix.
 
     If 0 is not in W(X), X = S diag(e^{i theta_k}) S* and the eigenvectors
     of the cosquare X^{-*} X are v_k = S^{-*} e_k, so v_k* X v_k is a
@@ -135,50 +173,64 @@ def _canonical_rotation(X: np.ndarray) -> float:
     not just 2 theta_k mod 2 pi.  The canonical angles lie on an arc of
     width below pi, the complement of the largest gap between them, and
     phi0 is minus the arc's centre.  For other X the returned angle is
-    meaningless; callers gate it.  Raises LinAlgError when X is singular.
+    meaningless; callers gate it.  Raises LinAlgError when a matrix of
+    the stack is singular.
     """
-    _, V = np.linalg.eig(np.linalg.solve(X.conj().T, X))
-    theta = np.sort(np.angle(np.einsum("ik,ij,jk->k", V.conj(), X, V)))
-    gaps = np.diff(theta, append=theta[0] + 2.0 * math.pi)
-    k = int(np.argmax(gaps))
-    start = float(theta[(k + 1) % len(theta)])
-    return (-(start + (2.0 * math.pi - float(gaps[k])) / 2.0)) % (2.0 * math.pi)
+    _, Vs = np.linalg.eig(np.linalg.solve(adjoint(Xs), Xs))
+    # One einsum per matrix keeps the summation order of a single call.
+    w = [np.einsum("ik,ij,jk->k", V.conj(), X, V) for X, V in zip(Xs, Vs)]
+    theta = np.sort(np.angle(w), axis=-1)
+    gaps = np.concatenate([theta[:, 1:], theta[:, :1] + 2.0 * math.pi], axis=-1) - theta
+    lanes = np.arange(len(theta))
+    k = np.argmax(gaps, axis=-1)
+    start, widest = theta[lanes, (k + 1) % theta.shape[-1]], gaps[lanes, k]
+    return [(-(float(a) + (2.0 * math.pi - float(g)) / 2.0)) % (2.0 * math.pi) for a, g in zip(start, widest)]
 
 
-def rotation_to_sector(X) -> SectorInfo:
+def rotation_to_sector(X, *more) -> SectorInfo | tuple[SectorInfo, ...]:
     """Unit-modulus z minimizing the sectoriality index of zX.
 
     An accretive rotation e^{i*phi0} X comes from the canonical angles of
-    X (``_canonical_rotation``) and is checked with ``accretive_gate``.
+    X (``_canonical_rotations``) and is checked with ``accretive_gate``.
     The index is then exact: rotating X shifts every argument of its
     numerical range by phi, so on the accretive arc the index of
     e^{i*phi} X is the maximum of two linear functions of phi and its
     minimum is half the angular width of the range, attained at the
     bisecting rotation.  Raises NotSectorialError when X is singular, no
     rotation is accretive, or the minimal index is within 1e-10 of pi/2.
+
+    Several matrices of one size give a tuple, one SectorInfo per
+    matrix: the cosquare solve and eigensolve, the gate, the
+    factorization and the eigensolve of the index are each one stacked
+    call.  Each result is bit for bit that of a call with its matrix
+    alone, and a failing matrix raises as it does alone (the first one,
+    in order).
     """
-    X = as_matrix(X)
+    return _lockstep(_rotation_lanes, X, more)
+
+
+def _rotation_lanes(Xs: np.ndarray) -> list[SectorInfo]:
     try:
-        phi0 = _canonical_rotation(X)
+        phi0 = _canonical_rotations(Xs)
     except np.linalg.LinAlgError:
         raise NotSectorialError(
             "not sectorial: X is numerically singular, so 0 lies in W(X)"
         ) from None
-    A0, B0 = cartesian_decompose(np.exp(1j * phi0) * X)
+    A0, B0 = cartesian_parts(np.exp(1j * np.array(phi0))[:, None, None] * Xs)
     passes, lam_scaled = accretive_gate(A0, B0)
-    if not passes:
-        raise NotSectorialError(
-            "not sectorial: no rotation z with Re(zX) positive definite "
-            f"(at the canonical rotation, lambda_min(D Re(zX) D) = {float(lam_scaled):.6e})"
-        )
-    a_min, a_max = _arg_extremes(A0, B0)
-    index = max(0.0, (a_max - a_min) / 2.0)
-    if index >= math.pi / 2 - _BOUNDARY_MARGIN:
-        raise NotSectorialError(
-            f"sector index {index:.12f} is within {_BOUNDARY_MARGIN:g} of pi/2"
-        )
-    phi_star = (phi0 - (a_max + a_min) / 2.0) % (2.0 * math.pi)
-    return SectorInfo(index, complex(np.exp(1j * phi_star)))
+    for ok, lam in zip(passes, lam_scaled):
+        if not ok:
+            raise NotSectorialError(
+                "not sectorial: no rotation z with Re(zX) positive definite "
+                f"(at the canonical rotation, lambda_min(D Re(zX) D) = {float(lam):.6e})"
+            )
+    infos = []
+    for phi, a_min, a_max in zip(phi0, *_arg_extremes(A0, B0)):
+        index = max(0.0, (a_max - a_min) / 2.0)
+        _boundary_check(index)
+        phi_star = (phi - (a_max + a_min) / 2.0) % (2.0 * math.pi)
+        infos.append(SectorInfo(index, complex(np.exp(1j * phi_star))))
+    return infos
 
 
 def _check_alpha(alpha: float) -> float:

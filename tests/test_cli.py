@@ -126,6 +126,16 @@ class TestVerify:
         with pytest.raises(SystemExit):
             run_cli("verify", "--ids", "bogus", "--trials", "1")
 
+    def test_odd_grid_is_refused(self, tmp_path, capsys):
+        m = tmp_path / "m.json"
+        run_cli("gen", "ginibre", "--n", "2", "--seed", "3", "-o", str(m))
+        assert run_cli("compute", "omega-n", "--norm", "tr", "--grid", "33", "-i", str(m)) == 2
+        assert capsys.readouterr().err.startswith("error: grid must be an even integer")
+        assert run_cli("verify", "--ids", "P1_re_mono", "--trials", "1", "--grid", "33") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: grid must be an even integer")
+        assert captured.out == ""
+
     def test_bad_norm_spec(self, capsys):
         for spec in ("sp:0.1", "sp:inf"):
             rc = run_cli("verify", "--ids", "P1_re_mono", "--trials", "1", "--norms", spec)

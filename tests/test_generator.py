@@ -5,12 +5,17 @@ import pytest
 
 from sector_radius.generator import (
     GenConfig,
+    Streams,
+    accretive_dissipative_stack,
+    ginibre_stack,
     mix_seed,
+    pd_stack,
     random_accretive_dissipative,
     random_ginibre,
     random_pd,
     random_sectorial,
     random_unitary,
+    sectorial_stack,
 )
 from sector_radius.linalg import is_psd
 from sector_radius.sectorial import sec_block, sector_index, tan_block
@@ -137,3 +142,34 @@ class TestRandomUnitary:
         for s in range(10):
             U = random_unitary(GenConfig(3, 50 + s))
             assert abs(abs(np.linalg.det(U)) - 1.0) <= 1e-12
+
+
+class TestStacks:
+    def test_rekeyed_streams_match_fresh_generators(self):
+        streams = Streams()
+        for key in (0, 1, 2**63 + 5, 2**64 - 1, mix_seed(7, 3)):
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            assert np.array_equal(streams.rng(key).random(13), fresh.random(13))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_each_matrix_of_a_stack_is_its_single_draw(self, n):
+        cfgs = [GenConfig(n, 900 + k, scale) for k, scale in enumerate((1.0, 1e-8, 3.5, 1e8))]
+        alphas = [0.3, 0.0, 1.4, math.pi / 2 - 1e-6]
+        stacks = (
+            (ginibre_stack(cfgs), [random_ginibre(c) for c in cfgs]),
+            (pd_stack(cfgs), [random_pd(c) for c in cfgs]),
+            (sectorial_stack(cfgs, alphas), [random_sectorial(c, a) for c, a in zip(cfgs, alphas)]),
+            (accretive_dissipative_stack(cfgs), [random_accretive_dissipative(c) for c in cfgs]),
+        )
+        for stack, singles in stacks:
+            assert stack.shape == (len(cfgs), n, n)
+            for M, single in zip(stack, singles):
+                assert M.tobytes() == single.tobytes()
+
+    def test_stack_validation(self):
+        with pytest.raises(ValueError, match="config 1 has n = 3"):
+            ginibre_stack([GenConfig(2, 1), GenConfig(3, 1)])
+        with pytest.raises(ValueError, match="alphas"):
+            sectorial_stack([GenConfig(2, 1), GenConfig(2, 2)], [0.5])
+        with pytest.raises(ValueError, match="alpha must lie"):
+            sectorial_stack([GenConfig(2, 1), GenConfig(2, 2)], [0.5, 2.0])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sector_radius.generator import GenConfig, random_unitary
+from sector_radius.harness import CheckContext
 from sector_radius.linalg import cartesian_decompose
 from sector_radius.norms import (
     FROBENIUS,
@@ -231,6 +232,15 @@ class TestOmegaN:
             omega_n(OPERATOR, np.eye(2), grid=4)
         with pytest.raises(ValueError):
             omega_n(OPERATOR, np.eye(2), refine_tol=0.0)
+
+    @pytest.mark.parametrize("grid", [9, 33, 255])
+    def test_odd_grid_is_refused(self, grid):
+        # An odd grid never samples theta = pi/2, where the profile of a
+        # skew-Hermitian matrix peaks.
+        with pytest.raises(ValueError, match="even integer"):
+            omega_n(TRACE, 1j * np.eye(2), grid=grid)
+        with pytest.raises(ValueError, match="even integer"):
+            CheckContext(grid=grid)
 
 
 class TestEigensolverBudget:

@@ -128,11 +128,12 @@ class TestRotationToSector:
     def test_narrow_accretive_arc_is_found(self, k):
         # An accretive arc of width 3.6e-3 slips between the angles of any
         # rotation scan coarser than that; the checks must find it too.
-        from sector_radius.harness import _class_info
+        from sector_radius.harness import Hypothesis, _check_hypothesis
 
         X = narrow_arc(k)
         assert rotation_to_sector(X).index_alpha == pytest.approx(1.569, abs=1e-9)
-        assert _class_info(X, "first input").index_alpha == pytest.approx(1.569, abs=1e-7)
+        (info,), _ = _check_hypothesis(Hypothesis.SECTORIAL, [X], 1)
+        assert info.index_alpha == pytest.approx(1.569, abs=1e-7)
 
     def test_hermitian_eigensolver_budget(self, monkeypatch):
         # One matrix for the accretivity gate and one for the arg extremes;
@@ -257,3 +258,115 @@ class TestRadiusSectorProperties:
             lhs = evaluate_norm(spec, X)
             rhs = (1 / math.cos(a)) * evaluate_norm(spec, re)
             assert lhs <= rhs * (1 + 1e-9)
+
+
+def info_bits(info) -> tuple[str, str, str]:
+    return info.index_alpha.hex(), info.rotation_z.real.hex(), info.rotation_z.imag.hex()
+
+
+def accretive_family(n: int, seed: int) -> list[np.ndarray]:
+    """Accretive inputs, with the hostile families: a diagonal congruence
+    diag(1 ... 1e-6), scales 1e+-8 and an index pi/2 - 1e-6."""
+    D = np.diag(np.logspace(0.0, -6.0, n))
+    X = random_sectorial(GenConfig(n, seed), 0.9)
+    edge = random_sectorial(GenConfig(n, seed + 1), math.pi / 2 - 1e-6)
+    return [X, D @ X @ D, 1e8 * X, 1e-8 * X, edge, random_pd(GenConfig(n, seed + 2))]
+
+
+def rotated_family(n: int, seed: int) -> list[np.ndarray]:
+    return [np.exp(1j * (seed + k)) * X for k, X in enumerate(accretive_family(n, seed))]
+
+
+def raised(fn, *mats) -> tuple[type, str]:
+    with pytest.raises(ValueError) as exc:
+        fn(*mats)
+    return type(exc.value), str(exc.value)
+
+
+class TestLockstepGates:
+    @pytest.mark.parametrize(
+        "fn, family", [(rotation_to_sector, rotated_family), (sector_index, accretive_family)],
+        ids=["rotation_to_sector", "sector_index"],
+    )
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lanes_equal_single_calls_bitwise(self, fn, family, n):
+        mats = family(n, 500 + n)
+        singles = [info_bits(fn(X)) for X in mats]
+        for size in range(1, 5):
+            for start in range(len(mats) - size + 1):
+                got = fn(*mats[start : start + size])
+                lanes = (got,) if size == 1 else got
+                assert isinstance(got, tuple) == (size > 1)
+                assert [info_bits(info) for info in lanes] == singles[start : start + size], (size, start)
+
+    def test_mismatched_sizes_raise(self):
+        with pytest.raises(ValueError, match="matrix 1 has dimension 3"):
+            rotation_to_sector(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize(
+        "fn, edge_angle", [(rotation_to_sector, math.pi - 1e-11), (sector_index, math.pi / 2 - 1e-11)],
+        ids=["rotation_to_sector", "sector_index"],
+    )
+    def test_first_failing_matrix_raises_its_own_error(self, fn, edge_angle):
+        good = accretive_family(3, 40)[:3]
+        singular = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        straddling = np.exp(0.5j) * np.diag([1.0, 1j, -1.0])  # 0 lies on an edge of W
+        for bad in (singular, straddling):
+            alone = raised(fn, bad)
+            for k in range(4):
+                assert raised(fn, *good[:k], bad, *good[k:]) == alone, (k, alone)
+        # The singular matrix sinks the stacked cosquare solve, yet the
+        # earlier, nonsingular one is the first to fail.
+        assert raised(fn, straddling, singular) == raised(fn, straddling)
+        assert raised(fn, good[0], singular, straddling) == raised(fn, singular)
+        # An index within 1e-10 of pi/2 fails only after the gate that the
+        # later, straddling matrix fails.
+        edge = np.diag([1.0, 1.0, np.exp(1j * edge_angle)])
+        assert "within 1e-10 of pi/2" in raised(fn, edge)[1]
+        assert raised(fn, edge, straddling) == raised(fn, edge)
+
+
+class TestHypothesisNotes:
+    # Notes of the stacked gates, byte for byte those of the input-by-input
+    # gates they replaced.
+    VOLTERRA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    NOTES = [
+        ("II_prod_sec", {1: "V"}, "second input: input is not sectorial: not sectorial: X is numerically "
+         "singular, so 0 lies in W(X)"),
+        ("II_prod_sec", {0: "G", 1: "V"}, "first input: input is not sectorial: not sectorial: no rotation z "
+         "with Re(zX) positive definite (at the canonical rotation, lambda_min(D Re(zX) D) = -1.097627e-01)"),
+        ("C_mprod", {1: "G", 2: "V"}, "input 1: input is not sectorial: not sectorial: no rotation z with "
+         "Re(zX) positive definite (at the canonical rotation, lambda_min(D Re(zX) D) = -1.097627e-01)"),
+        ("C_mprod", {2: "V"}, "input 2: input is not sectorial: not sectorial: X is numerically singular, "
+         "so 0 lies in W(X)"),
+        ("T_onetan_min", {1: "G"}, "second input: input is not accretive sectorial: matrix is not accretive: "
+         "lambda_min(D Re X D) = -2.107680e-01, D = diag(Re X)^(-1/2), is not positive "
+         "(threshold 1e-12 * ||D X D||_F)"),
+        ("C_onetan", {0: "V", 1: "G"}, "first input: input is not accretive sectorial: matrix is not "
+         "accretive: lambda_min(D Re X D) = -5.000000e-01, D = diag(Re X)^(-1/2), is not positive "
+         "(threshold 1e-12 * ||D X D||_F)"),
+        ("C_AD_m", {1: "V", 2: "G"}, "input 1 is not accretive-dissipative: lambda_min(D Re D) = -5.000e-01, "
+         "lambda_min(D' Im D') = -5.000e-01 (unit-diagonal scalings D, D')"),
+        ("C_AD_diag_min2", {1: "G"}, "second input is not accretive-dissipative: lambda_min(D Re D) = "
+         "-2.108e-01, lambda_min(D' Im D') = -3.332e-01 (unit-diagonal scalings D, D')"),
+        # E passes rotation_to_sector, but its inflated index reaches pi/2
+        # before the later, singular input is ever gated.
+        ("II_prod_sec", {0: "E", 1: "V"}, "inflated sector index 1.570796334795 reaches pi/2"),
+        ("C_mprod", {1: "E", 2: "V"}, "inflated sector index 1.570796334795 reaches pi/2"),
+    ]
+
+    @pytest.mark.parametrize("ineq, bad, note", NOTES, ids=[i + "-" + "".join(f"{k}{v}" for k, v in b.items()) for i, b, _ in NOTES])
+    def test_note_is_unchanged(self, ineq, bad, note):
+        from sector_radius.generator import random_ginibre
+        from sector_radius.harness import REGISTRY, check_inequality, generate_inputs
+
+        fixtures = {
+            "V": self.VOLTERRA,
+            "G": random_ginibre(GenConfig(2, 0)),
+            "E": np.diag([1.0, np.exp(1j * (math.pi - 4e-9))]),
+        }
+        mats = generate_inputs(REGISTRY[ineq], 2, seed=5, m_fold=3)
+        for k, name in bad.items():
+            mats[k] = fixtures[name]
+        r = check_inequality(ineq, mats, TRACE)
+        assert (r.verdict, r.note) == ("inapplicable", note)
