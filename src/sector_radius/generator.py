@@ -9,6 +9,7 @@ tag via a splitmix64 finalizer) keep independent draws decoupled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,6 +75,27 @@ class GenConfig:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
 
+@functools.cache
+def _philox_template():
+    """An all-zero seed sequence and the Philox state it gives, built once.
+
+    Philox(key=k) builds a SeedSequence from OS entropy that the key then
+    overrides, which costs most of its construction; Philox(zero) is
+    Philox(key=0) without it.  Its state is that of Philox(key=k) for a
+    64-bit k but for the key: a zero counter, an empty buffer, and k in
+    the low word of the key.  Built on first use, so that importing the
+    package does not import numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class ZeroSeed(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+    zero = ZeroSeed()
+    return zero, np.random.Philox(zero).state
+
+
 class Streams:
     """Philox streams keyed by 64-bit seeds, drawn from one bit generator.
 
@@ -84,14 +106,16 @@ class Streams:
     """
 
     def __init__(self):
-        self._bits = np.random.Philox(key=0)
+        zero, fresh = _philox_template()
+        self._bits = np.random.Philox(zero)
         self._rng = np.random.Generator(self._bits)
-        # The state of Philox(key=k) for a 64-bit k: a zero counter, an
-        # empty buffer, and k in the low word of the key.
-        self._fresh = self._bits.state
+        # The template's arrays are only read (setting a state copies
+        # them); the key is this instance's own.
+        self._key = np.zeros(2, dtype=np.uint64)
+        self._fresh = {**fresh, "state": {**fresh["state"], "key": self._key}}
 
     def rng(self, key: int) -> np.random.Generator:
-        self._fresh["state"]["key"][0] = key & _MASK64
+        self._key[0] = key & _MASK64
         self._bits.state = self._fresh
         return self._rng
 

@@ -23,16 +23,26 @@ for the operator norm, each sampled peak of the grid (a cell at least
 as high as both cyclic neighbours) gets a few safeguarded Newton steps
 on the analytic profile, and Ando's dilation certifies at a level just
 above the best sample with one Hermitian eigensolve of a 2n x 2n
-matrix.  Every other norm, and any lane that bound leaves open, goes to
-a subdivision pass with per-cell upper caps from the sinusoid
-structure; it needs no polished start, since its covering bound closes
-only once its cell centres sample the supremum to within the target.
+matrix.
+
+Every other norm, and any lane that bound leaves open, certifies with a
+covering bound: if cells of half-widths r_i around centres c_i cover
+the period, sup f <= max_i f(c_i)/cos(r_i).  Grid cells whose term stays
+within the target pass as they are.  The open ones form blocks, one per
+sampled peak; each block's peak is located by two rounds of three-point
+parabola fits, and the block is replaced by a ladder of cells whose
+half-widths grow with the distance from the fitted peak, so that every
+term comes out within the target.  The fit affects only how many cells
+the ladder needs, never the bound.  A lane still open subdivides its
+cells, with per-cell upper caps from the sinusoid structure, until the
+bound closes or a budget runs out.
 
 omega_n takes any number of same-size matrices and runs them in
 lockstep, as lanes of one batch: the norms of the Cartesian parts, the
 start grid, each Newton step and cyclic-reduction step of the operator
-norm, and each subdivision round is one batched eigvalsh, eigh or solve
-over the lanes still open, and a lane leaves as soon as it is certified.
+norm, each fit round, the ladders and each subdivision round is one
+batched eigvalsh, eigh or solve over the lanes still open, and a lane
+leaves as soon as it is certified.
 Stacked LAPACK calls and products act on each matrix alone and every
 reduction runs per lane, so each lane's estimate is bit for bit that of
 a call with its matrix alone; a single matrix is a batch of one.
@@ -77,10 +87,6 @@ _NEWTON_STARTS = 8
 # branches are treated as one in the second-derivative formula.
 _GAP_FLOOR = 1e-8
 
-# Relative slack added to every certified cap, covering the backward error
-# of the dense Hermitian eigensolver on each profile evaluation.
-_EIG_SLACK = 1e-13
-
 # Budget of the subdivision pass; exhausting it enlarges cert_error but
 # never invalidates it.
 _MAX_CELLS = 200000
@@ -95,7 +101,23 @@ _EIG_BATCH = 1024
 # g_stop of w(X) takes about 20 steps, a nilpotent X about log2(n).
 _CR_STEPS = 64
 
+# Spacings of the two parabolic refinement rounds of a peak: a fraction of
+# the grid step, then a fixed angle at which the fitted vertex is within
+# about 1e-8 of the peak.
+_FIT_GRID_FRACTION = 1.0 / 16.0
+_FIT_SPACING = 1e-4
+
+# Most cells laid on each side of a fitted peak; a side that needs more
+# (a peak far flatter than its fit) ends in one wide cell that
+# subdivision then splits.
+_MAX_RUNGS = 64
+
 _EPS = float(np.finfo(np.float64).eps)
+
+# Added to every cell's half-width: a computed cell centre lies within
+# 4 pi eps of its exact position, so padded cells overlap across the
+# rounding seams and still cover the period.
+_PAD = 4.0 * math.pi * _EPS
 
 
 @dataclass(frozen=True)
@@ -272,33 +294,34 @@ def _peak_starts(grids: np.ndarray) -> list[np.ndarray]:
     return starts
 
 
-def _cell_caps(values: np.ndarray, r: float, M: np.ndarray) -> np.ndarray:
+def _cell_caps(values: np.ndarray, r: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Upper bound for sup f over cells [c - r, c + r] with f(c) = values.
 
     Every dual certificate contributes a sinusoid with amplitude at most
-    M >= sup f and center value at most f(c); M is given per cell.  A
-    sinusoid peaking inside the cell is bounded by min(M, f(c)/cos r); one
-    peaking outside by y cos r + sin r * sqrt(M^2 - y^2) with
+    M >= sup f and center value at most f(c); r and M are given per cell.
+    A sinusoid peaking inside the cell is bounded by min(M, f(c)/cos r);
+    one peaking outside by y cos r + sin r * sqrt(M^2 - y^2) with
     y = min(f(c), M cos r), which is where that expression is maximal.
     """
-    cr = math.cos(r)
-    sr = math.sin(r)
+    cr = np.cos(r)
     y = np.minimum(values, M * cr)
-    outside = y * cr + sr * np.sqrt(np.maximum(M * M - y * y, 0.0))
+    outside = y * cr + np.sin(r) * np.sqrt(np.maximum(M * M - y * y, 0.0))
     inside = np.minimum(M, values / cr)
     return np.maximum(outside, inside)
 
 
-def _covering_bound(tops: np.ndarray, r: float) -> np.ndarray:
-    """Global bounds max_i f(c_i) / cos(r), one per lane, for cells of half-width r.
+def _covering_bound(values: np.ndarray, r: np.ndarray, starts: np.ndarray) -> list[float]:
+    """Global bounds max_i f(c_i) / cos(r_i), one per lane, for cells covering the period.
 
-    ``tops`` holds each lane's largest cell value.  The profile is a
-    pointwise maximum of sinusoids, so the certificate attaining the
-    supremum is a sinusoid peaking exactly there, with amplitude sup f.
-    The center c of the cell containing that peak then satisfies
-    f(c) >= sup f * cos(r), which inverts to the bound.
+    Cell i has center c_i, half-width r_i and value f(c_i); the cells of
+    each lane start at the rows ``starts``.  The profile is a pointwise
+    maximum of sinusoids, so the certificate attaining the supremum is a
+    sinusoid peaking exactly there, with amplitude sup f.  The center c of
+    a cell containing that peak then satisfies f(c) >= sup f * cos(r),
+    which inverts to the bound.  Any cells whose union covers [0, pi)
+    modulo pi will do.
     """
-    return tops / math.cos(r)
+    return np.maximum.reduceat(values / np.cos(r), starts).tolist()
 
 
 def _lanewise(fn, fill, *stacks: np.ndarray) -> np.ndarray:
@@ -449,9 +472,19 @@ def _rotation_bound(
     fro_R = float(np.linalg.norm(R)) * (1.0 + n * n * _EPS)
     fro_R += 4.0 * n * _EPS * (2.0 * float(np.linalg.norm(K)) + 1.0) * fro_X
     drift = n ** max(0.0, 1.0 / p - 0.5) * fro_R
+    return value + _sample_error(A, B, p) + (0.5 * h + _PAD) * drift
+
+
+def _sample_error(A: np.ndarray, B: np.ndarray, p: float) -> float:
+    """Bound on |computed - exact| of every profile sample of X = A + iB.
+
+    n^(1/p) ((LAPACK_BACKWARD + 1) n + 4) eps (||A||_F + ||B||_F): the
+    eigensolver's backward error, forming H = cos A - sin B, and summing
+    n moduli (see _rotation_bound).
+    """
+    n = A.shape[0]
     sample = n ** (1.0 / p) * ((LAPACK_BACKWARD + 1.0) * n + 4.0) * _EPS
-    sample *= float(np.linalg.norm(A)) + float(np.linalg.norm(B))
-    return value + sample + (0.5 * h + 4.0 * math.pi * _EPS) * drift
+    return sample * (float(np.linalg.norm(A)) + float(np.linalg.norm(B)))
 
 
 def _frobenius_radii(A: np.ndarray, B: np.ndarray, spec: NormSpec) -> list[RadiusEstimate]:
@@ -493,6 +526,90 @@ def _frobenius_radii(A: np.ndarray, B: np.ndarray, spec: NormSpec) -> list[Radiu
     return estimates
 
 
+def _parabola(lo: float, mid: float, hi: float, s: float) -> tuple[float, float]:
+    """Vertex offset and curvature of the parabola through (-s, lo), (0, mid), (s, hi).
+
+    The offset is clipped to [-s, s], and the curvature kappa = -f'' is
+    0 where the three samples are not concave; there the offset steps to
+    the higher neighbour.
+    """
+    d2 = lo - 2.0 * mid + hi
+    if d2 < 0.0:
+        return min(max(0.5 * s * (lo - hi) / d2, -s), s), -d2 / (s * s)
+    return (s if hi > lo else -s if hi < lo else 0.0), 0.0
+
+
+def _open_blocks(row: np.ndarray, open_: np.ndarray) -> list[tuple[int, int, int]]:
+    """Blocks of the open cells of a start grid, one per sampled peak.
+
+    Open cells come in runs of cyclically consecutive cells, and a run is
+    cut after each sampled local minimum, so that a block rises to its
+    highest cell and falls after it.  Each block is (best, first, last):
+    its cells are first..last, its highest cell best, and
+    first <= best <= last are indices that may run past the grid's end
+    (cell k sits at angle k h for every integer k).
+    """
+    grid = len(row)
+    flags = open_.tolist()
+    values = row.tolist()
+    # One walk around the period, starting just after a closed cell (after
+    # the lowest cell if all are open), so that no run is cut at its ends.
+    start = 1 + (int(np.argmin(row)) if all(flags) else flags.index(False))
+    blocks = []
+    prev = None
+    for k in range(start, start + grid):
+        if not flags[k % grid]:
+            prev = None
+            continue
+        v = values[k % grid]
+        if prev is None or (falling and v > prev):
+            blocks.append([k, k, k])
+            falling = False
+        else:
+            blocks[-1][2] = k
+            falling = falling or v < prev
+            if v > values[blocks[-1][0] % grid]:
+                blocks[-1][0] = k
+        prev = v
+    return [tuple(block) for block in blocks]
+
+
+def _ladder(
+    peak: float, kappa: float, top: float, g: float, lo: float, hi: float
+) -> tuple[list[float], list[float]]:
+    """Centers and half-widths of cells covering [lo, hi] around a fitted peak.
+
+    Near ``peak`` the profile is modelled as top - kappa (t - peak)^2 / 2,
+    and every cell is laid so that its covering term f(c)/cos r stays
+    below top + g/2 (to leading order, 1/cos r = 1 + r^2/2) even where the
+    profile drops only half as fast as the model.  The center cell sits
+    on the peak, where f(c) <= top whatever the model, with
+    r0 = sqrt(g/top).  A cell whose near edge is at distance e from the
+    peak has its center at e + r and takes the largest r with
+    top r^2 <= g + (kappa/2) (e + r)^2, so the cells grow about
+    geometrically with e.  A side lays at most _MAX_RUNGS cells and
+    stretches its last one to reach the end.  The cells cover [lo, hi]
+    for any inputs; the model only decides how tight their terms come
+    out.  Half-widths are returned without _PAD.
+    """
+    k = 0.5 * kappa
+    r0 = math.sqrt(g / top)
+    centers, widths = [peak], [r0]
+    for sign, extent in ((1.0, hi - peak), (-1.0, peak - lo)):
+        e = r0
+        for rung in range(_MAX_RUNGS):
+            if e >= extent:
+                break
+            if rung == _MAX_RUNGS - 1:
+                r = 0.5 * (extent - e)
+            else:
+                r = (k * e + math.sqrt(k * k * e * e + (top - k) * (g + k * e * e))) / (top - k)
+            centers.append(peak + sign * (e + r))
+            widths.append(r)
+            e += 2.0 * r
+    return centers, widths
+
+
 def _subdivide(
     A: np.ndarray,
     B: np.ndarray,
@@ -500,7 +617,7 @@ def _subdivide(
     segments: list[tuple[int, int, int]],
     theta: np.ndarray,
     values: np.ndarray,
-    r: float,
+    r: np.ndarray,
     bound: list[float],
     slack: list[float],
     g_stop: list[float],
@@ -508,12 +625,14 @@ def _subdivide(
 ) -> None:
     """Certify by subdivision, lowering bound[l] of every lane in the cells.
 
-    The cells theta have half-width ``r`` and profile values ``values``;
-    the rows lo:hi of each (l, lo, hi) in ``segments`` belong to lane l.
-    A lane splits its cells until its covering bound is within g_stop[l]
-    of its best sample or its budget runs out; each round caps and
-    evaluates the cells of every open lane in one batch.  The bound stays
-    valid at every stage, so exhausting the budget only enlarges
+    Cell k has center theta[k], half-width r[k] and profile value
+    values[k]; the rows lo:hi of each (l, lo, hi) in ``segments`` belong
+    to lane l, and a lane's cells cover [0, pi) modulo pi.  A lane splits
+    its cells until its covering bound is within g_stop[l] of its best
+    sample or its budget runs out; each round caps and evaluates the
+    cells of every open lane in one batch.  A lane whose cells already
+    close leaves in the first round, before any evaluation.  The bound
+    stays valid at every stage, so exhausting the budget only enlarges
     cert_error.  ``bound``, ``slack``, ``g_stop`` and ``best`` are indexed
     by lane.
     """
@@ -521,7 +640,7 @@ def _subdivide(
     for _ in range(_MAX_ROUNDS):
         starts = np.array([lo for _, lo, _ in segments])
         cells = np.array([hi - lo for _, lo, hi in segments])
-        covers = _covering_bound(np.maximum.reduceat(values, starts), r).tolist()
+        covers = _covering_bound(values, r, starts)
         cutoffs = []
         for (l, _, _), cover in zip(segments, covers):
             high = best.value[l]
@@ -535,8 +654,7 @@ def _subdivide(
         keep = caps > np.array(cutoffs).repeat(cells)
         kept = np.add.reduceat(keep, starts).tolist()
         dropped = np.maximum.reduceat(np.where(keep, -np.inf, caps), starts).tolist()
-        r = r / 2
-        children, halves = [], []
+        children, halves, radii = [], [], []
         for (l, lo, hi), cutoff, count, cap in zip(segments, cutoffs, kept, dropped):
             if cutoff == math.inf:
                 continue
@@ -549,13 +667,106 @@ def _subdivide(
                 start = children[-1][2] if children else 0
                 children.append((l, start, start + 2 * count))
                 th = theta[lo:hi][keep[lo:hi]]
-                halves += [th - r, th + r]
+                half = 0.5 * r[lo:hi][keep[lo:hi]]
+                halves += [th - half, th + half]
+                radii += [half + _PAD] * 2
         if not children:
             break
         segments = children
         theta = np.concatenate(halves)
+        r = np.concatenate(radii)
         values = _profile_values(A, B, segments, theta, p)
         best.update(segments, theta, values)
+
+
+def _fit_peaks(
+    A: np.ndarray, B: np.ndarray, p: float, lane: list[int], theta: list[float], h: float, best: _Best
+) -> list[tuple[float, float, float]]:
+    """Refine peak estimates with two rounds of three-point parabola fits.
+
+    Peak k belongs to lane lane[k] (ascending) and starts at theta[k].
+    Each round samples theta - s, theta, theta + s for every peak in one
+    batched eigvalsh, at spacing s = h _FIT_GRID_FRACTION and then
+    _FIT_SPACING, feeds the samples to ``best`` and moves theta to the
+    fitted vertex.  Returns (vertex, curvature -f'', highest sample) per
+    peak, the curvature from the last round.  No bound relies on the fit:
+    a poor one only costs cells.
+    """
+    segments = _segments(np.repeat(lane, 3))
+    for s in (h * _FIT_GRID_FRACTION, _FIT_SPACING):
+        points = np.array([[t - s, t, t + s] for t in theta]).ravel()
+        values = _profile_values(A, B, segments, points, p)
+        best.update(segments, points, values)
+        y = values.tolist()
+        fits = [_parabola(*y[3 * k : 3 * k + 3], s) for k in range(len(theta))]
+        theta = [t + step for t, (step, _) in zip(theta, fits)]
+    return [(t, kappa, max(y[3 * k : 3 * k + 3])) for k, (t, (_, kappa)) in enumerate(zip(theta, fits))]
+
+
+def _covering_cells(
+    A: np.ndarray,
+    B: np.ndarray,
+    p: float,
+    rows: dict[int, np.ndarray],
+    h: float,
+    slack: list[float],
+    g_stop: list[float],
+    best: _Best,
+) -> tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray, np.ndarray]:
+    """Cells covering the period for each lane, as _subdivide takes them.
+
+    ``rows`` maps each lane to its start grid of step h.  A grid cell
+    whose covering term f(c)/cos(h/2) is within g_stop of the best sample
+    stays.  The others form blocks, one per sampled peak (_open_blocks).
+    Each block's peak starts at the vertex of the parabola through its
+    three grid samples, is refined by _fit_peaks, and the block is
+    replaced by a _ladder around it; the ladders of every lane are
+    evaluated in one batch.  Returns (segments, theta, values, r): the
+    rows lo:hi of each (l, lo, hi) are lane l's cells, with centers
+    theta, profile values and padded half-widths r.
+    """
+    ids = list(rows)
+    grid = len(rows[ids[0]])
+    r_grid = 0.5 * h + _PAD
+    passing = {}
+    blocks = []
+    for l, row in rows.items():
+        open_ = row / math.cos(r_grid) + slack[l] > best.value[l] + g_stop[l]
+        passing[l] = ~open_
+        blocks += [(l,) + block for block in _open_blocks(row, open_)]
+    rungs = {l: ([], []) for l in ids}
+    if blocks:
+        starts = []
+        for l, k, _, _ in blocks:
+            y = rows[l].take([k - 1, k, k + 1], mode="wrap").tolist()
+            starts.append(k * h + _parabola(*y, h)[0])
+        fits = _fit_peaks(A, B, p, [block[0] for block in blocks], starts, h, best)
+        for (l, k, first, last), (peak, kappa, top) in zip(blocks, fits):
+            top = max(top, float(rows[l][k % grid]))
+            # A lower peak needs its cells' terms below the lane's best only.
+            g = max(g_stop[l] - slack[l], 0.0) + best.value[l] - top
+            at, widths = _ladder(peak, min(kappa, top), top, g, (first - 0.5) * h, (last + 0.5) * h)
+            rungs[l][0].extend(at)
+            rungs[l][1].extend(widths)
+    counts = [len(rungs[l][0]) for l in ids]
+    rung_segments = _segments(np.repeat(ids, counts))
+    rung_theta = np.array([t for l in ids for t in rungs[l][0]])
+    rung_values = _profile_values(A, B, rung_segments, rung_theta, p)
+    best.update(rung_segments, rung_theta, rung_values)
+    # Each lane's cells: its passing grid cells, then its ladders.
+    centers = np.arange(grid) * h
+    segments, theta, values, r = [], [], [], []
+    stop = rung = 0
+    for l, count in zip(ids, counts):
+        kept = passing[l]
+        cells = int(kept.sum()) + count
+        segments.append((l, stop, stop + cells))
+        stop += cells
+        theta += [centers[kept], rung_theta[rung : rung + count]]
+        values += [rows[l][kept], rung_values[rung : rung + count]]
+        r += [np.full(cells - count, r_grid), np.array(rungs[l][1]) + _PAD]
+        rung += count
+    return segments, np.concatenate(theta), np.concatenate(values), np.concatenate(r)
 
 
 def check_grid(grid) -> None:
@@ -600,8 +811,11 @@ def omega_n(
     needs no tolerance.  Every other norm samples a start grid anchored at
     theta = 0; a flat grid tries the rotation bound of a circular X first.
     The operator norm then polishes the grid's sampled peaks with Newton
-    steps and tries Ando's bound; the trace and Schatten-p norms, and an
-    operator-norm lane Ando's bound leaves open, subdivide.
+    steps and tries Ando's bound.  The trace and Schatten-p norms, and an
+    operator-norm lane Ando's bound leaves open, fit each open peak of the
+    grid with two batched parabola rounds and evaluate one ladder of cells
+    around the fitted peaks, which for a typical matrix makes 5 eigvalsh
+    calls in all.  A lane whose ladder leaves it open subdivides.
     """
     Xs = as_stack(X, *more)
     check_grid(grid)
@@ -678,18 +892,15 @@ def _certified_radii(
         if not rows:
             return estimates
 
-    # Certification: subdivide until the covering bound is within g_stop
-    # of the best sample or the budget runs out.
+    # Certification: cells covering the period from the grid and a ladder
+    # around each open peak, subdivided only where they leave a lane open.
     slack = [0.0] * L
     bound = [0.0] * L
     for l, row in rows.items():
-        top = math.hypot(nA[l], nB[l])
-        slack[l] = _EIG_SLACK * top
-        bound[l] = min(top, float(row.max()) + lipschitz[l] * h / 2) + slack[l]
-    segments = [(l, k * grid, (k + 1) * grid) for k, l in enumerate(rows)]
-    theta = np.concatenate([centers] * len(rows))
-    values = np.concatenate(list(rows.values()))
-    _subdivide(A, B, p, segments, theta, values, h / 2, bound, slack, g_stop, best)
+        slack[l] = _sample_error(A[l], B[l], p)
+        bound[l] = min(math.hypot(nA[l], nB[l]), float(row.max()) + lipschitz[l] * h / 2) + slack[l]
+    cells = _covering_cells(A, B, p, rows, h, slack, g_stop, best)
+    _subdivide(A, B, p, *cells, bound, slack, g_stop, best)
     for l in rows:
         done(l, best.theta[l] % math.pi, max(0.0, bound[l] - best.value[l]))
     return estimates

@@ -44,6 +44,48 @@ def oracle_omega(X: np.ndarray, p: float, samples: int = 100000) -> float:
     return float(norm_of_svals(lam, p).max())
 
 
+def profile_at(X: np.ndarray, p: float, thetas: np.ndarray) -> np.ndarray:
+    """N(Re(e^{i*theta} X)) at arbitrary angles, 256 matrices per eigvalsh."""
+    X = np.asarray(X, dtype=np.complex128)
+    out = []
+    for start in range(0, len(thetas), 256):
+        ph = np.exp(1j * thetas[start : start + 256])
+        H = 0.5 * (ph[:, None, None] * X + np.conj(ph)[:, None, None] * X.conj().T)
+        out.append(norm_of_svals(np.abs(np.linalg.eigvalsh(H)), p))
+    return np.concatenate(out)
+
+
+def refined_oracle_omega(
+    X: np.ndarray, p: float, samples: int = 4096, peaks: int = 4
+) -> float:
+    """sup_theta N(Re(e^{i*theta} X)) by a dense grid plus local refinement.
+
+    The ``peaks`` highest sampled local maxima of a uniform grid on
+    [0, pi) are each refined by golden-section search over the two grid
+    steps around them.  The result is a profile sample, so a lower bound
+    on the supremum up to rounding, and on a smooth peak within rounding
+    of it.
+    """
+    step = math.pi / samples
+    thetas = step * np.arange(samples)
+    f = profile_at(X, p, thetas)
+    local = (f >= np.roll(f, 1)) & (f >= np.roll(f, -1))
+    order = [k for k in np.argsort(f)[::-1] if local[k]][:peaks]
+    best = -math.inf
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    for k in order:
+        a, b = thetas[k] - step, thetas[k] + step
+        for _ in range(60):
+            c, d = b - ratio * (b - a), a + ratio * (b - a)
+            fc, fd = profile_at(X, p, np.array([c, d]))
+            if fc >= fd:
+                b = d
+            else:
+                a = c
+        best = max(best, float(profile_at(X, p, np.array([0.5 * (a + b)]))[0]))
+    return best
+
+
 def oracle_resolution_slack(X: np.ndarray, p: float, samples: int) -> float:
     """Worst-case shortfall of the dense-grid oracle: L * (grid step) / 2."""
     X = np.asarray(X, dtype=np.complex128)

@@ -251,7 +251,7 @@ class TestReportPin:
         obj = run_suite("all", 20, range(2, 7), DEFAULT_NORMS, seed=42).report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == "4fd852b45655b8d4f1b0def048ee3bec42dd321f6da2c0084d57f08dd74eec89"
+        assert digest == "7db921690b36f68cdf99596299da0ea784b87c816c4f384bff0d416eeb3f746d"
 
 
 class TestStageBudgets:

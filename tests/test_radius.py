@@ -19,8 +19,11 @@ from sector_radius.norms import (
 from sector_radius import radius
 from sector_radius.radius import (
     _EIG_BATCH,
+    _PAD,
     _ando_bound,
     _flag_grading,
+    _ladder,
+    _open_blocks,
     _profile_values,
     _rotation_bound,
     numerical_range_boundary,
@@ -36,6 +39,7 @@ from helpers import (
     oracle_resolution_slack,
     random_complex,
     random_hermitian,
+    refined_oracle_omega,
 )
 
 ALL_NORMS = (OPERATOR, TRACE, FROBENIUS, schatten(3))
@@ -269,9 +273,9 @@ class TestEigensolverBudget:
 
     def test_omega_n_matrices_at_default_grid(self, monkeypatch):
         # The start grid, Newton polishing from the sampled peaks (operator
-        # norm only) and certification together average at most 60 Hermitian
-        # eigensolver matrices per radius.  Polishing the tr and sp:3 lanes
-        # as well needs about 61.
+        # norm only) and certification (the fit rounds and ladders of tr and
+        # sp:3) together average at most 40 Hermitian eigensolver matrices per
+        # radius.
         counts = count_hermitian_eig_matrices(monkeypatch)
         per_call = []
         rng = np.random.default_rng(17)
@@ -282,11 +286,11 @@ class TestEigensolverBudget:
                     counts.clear()
                     omega_n(spec, X)
                     per_call.append(sum(counts))
-        assert np.mean(per_call) <= 60, np.mean(per_call)
+        assert np.mean(per_call) <= 40, np.mean(per_call)
 
     def test_only_the_operator_norm_polishes(self, monkeypatch):
         # Newton polishing, the only eigh caller in omega_n, feeds Ando's bound;
-        # the trace and Schatten-p lanes certify by subdivision from the grid.
+        # the trace and Schatten-p lanes fit their peaks from eigvalsh samples.
         calls = []
         original = np.linalg.eigh
 
@@ -304,6 +308,24 @@ class TestEigensolverBudget:
         assert calls == []
         omega_n(OPERATOR, random_complex(rng, 3))
         assert calls
+
+    @pytest.mark.parametrize("spec", (TRACE, schatten(3)), ids=lambda s: s.label)
+    def test_fit_and_ladder_budget(self, spec, monkeypatch):
+        # A single tr or sp:3 radius makes 5 eigvalsh calls in the median at
+        # every n: the norms of the Cartesian parts, the start grid, two fit
+        # rounds and the ladders.
+        counts = count_hermitian_eig_matrices(monkeypatch)
+        rng = np.random.default_rng(22)
+        ceiling = {TRACE: 90, schatten(3): 100}[spec]
+        for n in (2, 3, 4, 5, 6, 16, 32):
+            calls, matrices = [], []
+            for _ in range(8):
+                counts.clear()
+                omega_n(spec, random_complex(rng, n))
+                calls.append(len(counts))
+                matrices.append(sum(counts))
+            assert np.median(calls) <= 5, (n, calls)
+            assert np.mean(matrices) <= ceiling, (n, np.mean(matrices))
 
     def test_flat_profiles_need_no_subdivision(self, monkeypatch):
         # The rotation bound (every norm) and the closed form (fro) certify
@@ -603,6 +625,182 @@ class TestCertificateOracles:
             assert abs(est.value - ref) <= 4 * n * n * EPS * ref, (name, ref, est)
             assert est.cert_error <= 0.5 * L * refine_tol, (name, est.cert_error)
             assert radius_profile(FROBENIUS, X, est.theta_star) == est.value
+
+
+def two_peaks(n: int, seed: int) -> np.ndarray:
+    """A profile with two near-equal peaks.
+
+    diag(1, 0.8i) has tr profile |cos t| + 0.8 |sin t| (and an sp:3
+    analogue), with equal peaks at atan(0.8) and pi - atan(0.8); a small
+    diagonal tail and a 1e-9 perturbation make them near-equal.
+    """
+    rng = np.random.default_rng(seed)
+    d = np.concatenate([[1.0, 0.8j], 0.05 * rng.uniform(size=n - 2)])
+    return densified(np.diag(d), seed) + 1e-9 * random_complex(rng, n)
+
+
+def covers_period(cells) -> bool:
+    """Whether intervals [c - r, c + r] cover [0, pi) modulo pi, in exact arithmetic.
+
+    Endpoints are formed from the doubles at 60 digits, with the true pi
+    as the period, so a gap at a rounding seam counts.
+    """
+    import mpmath
+
+    with mpmath.workdps(60):
+        pi = +mpmath.pi
+        pieces = []
+        for c, r in cells:
+            lo = mpmath.mpf(float(c)) - mpmath.mpf(float(r))
+            hi = mpmath.mpf(float(c)) + mpmath.mpf(float(r))
+            shift = mpmath.floor(lo / pi) * pi
+            lo, hi = lo - shift, hi - shift
+            pieces.append((lo, min(hi, pi)))
+            if hi > pi:
+                pieces.append((mpmath.mpf(0), hi - pi))
+        reach = mpmath.mpf(0)
+        for lo, hi in sorted(pieces):
+            if lo > reach:
+                return False
+            reach = max(reach, hi)
+        return reach >= pi
+
+
+class TestLadder:
+    @staticmethod
+    def record_first_cells(monkeypatch) -> list:
+        """Capture the cells each _subdivide call starts from, per lane."""
+        seen = []
+        original = radius._subdivide
+
+        def recorded(A, B, p, segments, theta, values, r, *args):
+            seen.append({l: list(zip(theta[lo:hi], r[lo:hi])) for l, lo, hi in segments})
+            return original(A, B, p, segments, theta, values, r, *args)
+
+        monkeypatch.setattr(radius, "_subdivide", recorded)
+        return seen
+
+    @pytest.mark.parametrize("grid", [8, 32, 256])
+    def test_cells_cover_the_period(self, grid, monkeypatch):
+        # The passing grid cells and the ladders cover [0, pi) modulo pi,
+        # rounding seams included, for random inputs, two near-equal peaks,
+        # several lanes at once, and a lane whose ladder leaves it open.
+        seen = self.record_first_cells(monkeypatch)
+        rng = np.random.default_rng(23)
+        batches = [[random_complex(rng, n)] for n in (2, 3, 5, 16)]
+        batches += [[two_peaks(4, 24)], [random_complex(rng, 4) for _ in range(3)]]
+        batches += [[random_complex(np.random.default_rng(268), 3)]]
+        for Xs in batches:
+            for spec in (TRACE, schatten(3)):
+                seen.clear()
+                omega_n(spec, *Xs, grid=grid)
+                assert len(seen) == 1
+                assert sorted(seen[0]) == list(range(len(Xs)))
+                for cells in seen[0].values():
+                    assert covers_period(cells)
+
+    def test_unpadded_grid_cells_leave_a_seam(self):
+        # The exact check sees rounding seams: cells of half-width h/2 around
+        # the computed grid centres leave a gap for some grids, and the pad
+        # closes it.
+        gaps = []
+        for grid in range(8, 80, 2):
+            centers = np.arange(grid) * (math.pi / grid)
+            assert covers_period([(c, 0.5 * math.pi / grid + _PAD) for c in centers])
+            gaps.append(not covers_period([(c, 0.5 * math.pi / grid) for c in centers]))
+        assert any(gaps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        peak=st.floats(-1.0, 4.0),
+        kappa=st.sampled_from([0.0, 1e-12, 0.01, 0.5, 1.0]),
+        g=st.sampled_from([0.0, 1e-14, 1e-10, 1e-6, 0.1]),
+        lo=st.floats(-0.5, 3.0),
+        width=st.floats(0.0, math.pi),
+    )
+    def test_ladder_covers_its_block(self, peak, kappa, g, lo, width):
+        # Whatever the fit (a peak outside the block, no curvature, no gap
+        # budget), the padded ladder covers [lo, hi] in exact arithmetic.
+        import mpmath
+
+        hi = lo + width
+        at, widths = _ladder(peak, kappa, 1.0, g, lo, hi)
+        assert len(at) <= 1 + 2 * radius._MAX_RUNGS
+        with mpmath.workdps(60):
+            cells = [(mpmath.mpf(c), mpmath.mpf(r + _PAD)) for c, r in zip(at, widths)]
+            pieces = sorted((c - r, c + r) for c, r in cells)
+            reach = mpmath.mpf(lo)
+            for a, b in pieces:
+                if a > reach:
+                    break
+                reach = max(reach, b)
+            assert reach >= mpmath.mpf(hi)
+
+    def test_open_blocks_split_at_sampled_minima(self):
+        # Open cells 0, 1, 3..6, 8, 9: the run 3..6 is cut after its sampled
+        # minimum at 4, and the run 8..11 wraps past the grid's end.
+        row = np.array([6.0, 5.0, 0.0, 9.0, 7.0, 8.0, 6.0, 0.0, 3.0, 4.0])
+        assert _open_blocks(row, row > 2.0) == [(3, 3, 4), (5, 5, 6), (10, 8, 11)]
+        # All open: one walk that ends at the lowest cell, 2 (as 12).
+        assert _open_blocks(row, row > -1.0) == [(3, 3, 4), (5, 5, 7), (10, 8, 12)]
+
+    def test_open_blocks_partition_the_open_cells(self):
+        rng = np.random.default_rng(25)
+        for grid in (8, 32):
+            for _ in range(200):
+                row = rng.uniform(size=grid)
+                open_ = rng.uniform(size=grid) < rng.uniform()
+                blocks = _open_blocks(row, open_)
+                cells = sorted(k % grid for _, first, last in blocks for k in range(first, last + 1))
+                assert cells == np.flatnonzero(open_).tolist()
+                for best, first, last in blocks:
+                    values = [row[k % grid] for k in range(first, last + 1)]
+                    assert first <= best <= last and row[best % grid] == max(values)
+                    # A block rises to its highest cell and falls after it.
+                    top = best - first
+                    assert all(a <= b for a, b in zip(values[:top], values[1 : top + 1]))
+                    assert all(a >= b for a, b in zip(values[top:], values[top + 1 :]))
+
+    # Random inputs up to n = 32, two near-equal peaks, and lanes that go on
+    # into _subdivide: naturally (a fit the ladder cannot close) and with
+    # ladders of at most two cells a side.  The last field names the norm
+    # whose lane must subdivide.
+    @pytest.mark.parametrize(
+        "build, rungs, subdivides",
+        [
+            pytest.param(
+                lambda n=n: random_complex(np.random.default_rng(300 + n), n), None, None, id=f"n{n}"
+            )
+            for n in (2, 3, 4, 6, 16, 32)
+        ]
+        + [
+            pytest.param(lambda: two_peaks(2, 26), None, None, id="two_peaks2"),
+            pytest.param(lambda: two_peaks(5, 26), None, None, id="two_peaks5"),
+            pytest.param(lambda: random_complex(np.random.default_rng(268), 3), None, "tr", id="open_tr3"),
+            pytest.param(lambda: random_complex(np.random.default_rng(55), 4), None, "sp:3", id="open_sp4"),
+            pytest.param(lambda: random_complex(np.random.default_rng(316), 6), 2, "both", id="rungs6"),
+            pytest.param(lambda: random_complex(np.random.default_rng(326), 16), 2, "both", id="rungs16"),
+        ],
+    )
+    @pytest.mark.parametrize("spec", (TRACE, schatten(3)), ids=lambda s: s.label)
+    def test_dense_oracle_enclosure(self, spec, build, rungs, subdivides, monkeypatch):
+        # A dense grid plus golden-section refinement of its top peaks, on
+        # another code path, lies in [value, value + cert_error].
+        X = build()
+        if rungs is not None:
+            monkeypatch.setattr(radius, "_MAX_RUNGS", rungs)
+        calls = count_hermitian_eig_matrices(monkeypatch)
+        est = omega_n(spec, X)
+        if subdivides in (spec.label, "both"):
+            assert len(calls) > 5, "the lane did not subdivide"
+        A, B = cartesian_decompose(X)
+        L = hermitian_norm(spec, A) + hermitian_norm(spec, B)
+        oracle = refined_oracle_omega(X, spec.schatten_p, samples=2048)
+        # Both are profile samples within rounding of exact ones.
+        tol = 1e-13 * L
+        assert est.value <= oracle + tol, (est.value, oracle)
+        assert oracle <= est.value + est.cert_error + tol, (oracle, est.value, est.cert_error)
+        assert est.cert_error <= 0.5 * L * 1e-10
 
 
 class TestOmega:
