@@ -18,31 +18,27 @@ sample, since the grid must be even).  A grid that comes out flat
 unitarily similar to e^{i*phi} X for every phi: a grading K of X's
 kernel flag bounds every angle by the best sample plus
 (h/2) N(KX - XK + X), h the grid step; the norm vanishes for nilpotent
-shifts such as Jordan blocks.  Otherwise,
-for the operator norm, each sampled peak of the grid (a cell at least
-as high as both cyclic neighbours) gets a few safeguarded Newton steps
-on the analytic profile, and Ando's dilation certifies at a level just
-above the best sample with one Hermitian eigensolve of a 2n x 2n
-matrix.
+shifts such as Jordan blocks.
 
-Every other norm, and any lane that bound leaves open, certifies with a
-covering bound: if cells of half-widths r_i around centres c_i cover
-the period, sup f <= max_i f(c_i)/cos(r_i).  Grid cells whose term stays
-within the target pass as they are.  The open ones form blocks, one per
-sampled peak; each block's peak is located by two rounds of three-point
-parabola fits, and the block is replaced by a ladder of cells whose
-half-widths grow with the distance from the fitted peak, so that every
-term comes out within the target.  The fit affects only how many cells
-the ladder needs, never the bound.  A lane still open subdivides its
-cells, with per-cell upper caps from the sinusoid structure, until the
-bound closes or a budget runs out.
+Every other profile certifies with a covering bound: if cells of
+half-widths r_i around centres c_i cover the period, sup f <=
+max_i f(c_i)/cos(r_i).  Grid cells whose term stays within the target
+pass as they are.  The open ones form blocks, one per sampled peak; each
+block's peak is located by two rounds of three-point parabola fits, and
+the block is replaced by a ladder of cells whose half-widths grow with
+the distance from the fitted peak, so that every term comes out within
+the target.  The fit affects only how many cells the ladder needs, never
+the bound.  It applies to the operator norm too: that profile is a
+maximum of analytic eigenvalue branches, so its strict local maxima are
+smooth peaks of every active branch, and its corners are minima.  A lane
+still open subdivides its cells, with per-cell upper caps from the
+sinusoid structure, until the bound closes or a budget runs out.
 
 omega_n takes any number of same-size matrices and runs them in
 lockstep, as lanes of one batch: the norms of the Cartesian parts, the
-start grid, each Newton step and cyclic-reduction step of the operator
-norm, each fit round, the ladders and each subdivision round is one
-batched eigvalsh, eigh or solve over the lanes still open, and a lane
-leaves as soon as it is certified.
+start grid, each fit round, the ladders and each subdivision round is
+one batched eigvalsh over the lanes still open, and a lane leaves as
+soon as it is certified.
 Stacked LAPACK calls and products act on each matrix alone and every
 reduction runs per lane, so each lane's estimate is bit for bit that of
 a call with its matrix alone; a single matrix is a batch of one.
@@ -55,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LAPACK_BACKWARD, adjoint, as_matrix, as_stack, cartesian_decompose, cartesian_parts
+from .linalg import LAPACK_BACKWARD, as_matrix, as_stack, cartesian_decompose, cartesian_parts
 from .norms import NormSpec, OPERATOR, schatten_value
 
 __all__ = [
@@ -78,15 +74,6 @@ DEFAULT_GRID = 32
 # constant N(Re X) + N(Im X).
 DEFAULT_REFINE_TOL = 1e-10
 
-# Newton steps taken from each sampled peak of the start grid before
-# Ando's bound (operator norm), and the most peaks polished.
-_NEWTON_STEPS = 4
-_NEWTON_STARTS = 8
-
-# Eigenvalue gaps (relative to the largest |eigenvalue|) below which two
-# branches are treated as one in the second-derivative formula.
-_GAP_FLOOR = 1e-8
-
 # Budget of the subdivision pass; exhausting it enlarges cert_error but
 # never invalidates it.
 _MAX_CELLS = 200000
@@ -95,11 +82,6 @@ _MAX_ROUNDS = 48
 # Largest batch of matrices handed to one eigvalsh call, which bounds the
 # memory of a subdivision round (1024 matrices of 64 x 64 take 64 MiB).
 _EIG_BATCH = 1024
-
-# Cyclic-reduction steps allowed for Ando's certificate.  Away from the
-# critical level the iteration converges quadratically; a level within
-# g_stop of w(X) takes about 20 steps, a nilpotent X about log2(n).
-_CR_STEPS = 64
 
 # Spacings of the two parabolic refinement rounds of a peak: a fraction of
 # the grid step, then a fixed angle at which the fitted vertex is within
@@ -216,84 +198,6 @@ class _Best:
                 self.theta[l] = float(thetas[i])
 
 
-def _profile_slopes(lam: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and second theta-derivatives of the operator-norm profile branch.
-
-    ``lam`` holds ascending eigenvalues of H(theta) and ``C`` is H'(theta)
-    in the eigenbasis.  Since H'' = -H, eigenvalue perturbation theory gives
-    lam_i' = C_ii and lam_i'' = -lam_i + 2 sum_{j != i} |C_ji|^2 / (lam_i - lam_j)
-    for the branch of largest modulus.  Each lane is scaled by its largest
-    |lam| first, which leaves the Newton step unchanged and makes the gap
-    floor relative.
-    """
-    scale = np.abs(lam).max(axis=-1)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    mu = lam / scale[:, None]
-    D = C / scale[:, None, None]
-    rows = np.arange(len(mu))
-    k = np.abs(mu).argmax(axis=-1)
-    sign = np.sign(mu[rows, k])
-    g = mu[rows, k, None] - mu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Exactly or nearly equal eigenvalues carry no usable coupling.
-        coupling = np.where(np.abs(g) > _GAP_FLOOR, np.abs(D[rows, :, k]) ** 2 / g, 0.0).sum(axis=-1)
-    return sign * D[rows, k, k].real, sign * (-mu[rows, k] + 2.0 * coupling)
-
-
-def _newton_polish(
-    A: np.ndarray,
-    B: np.ndarray,
-    lane: np.ndarray,
-    theta: np.ndarray,
-    h: float,
-    tol: float,
-    best: _Best,
-) -> None:
-    """Safeguarded Newton ascent of the operator-norm profile, one batched eigh per step.
-
-    Start k is angle theta[k] of lane lane[k].  A start steps only where
-    its branch is concave (f'' < 0), and every step is clipped to
-    [start - h, start + h].  A start stops once its step is below ``tol``;
-    all stop after _NEWTON_STEPS steps.  Every evaluated angle feeds
-    ``best``; no bound relies on convergence here, so a stalled start only
-    sends its lane on to subdivision.
-    """
-    lo = theta - h
-    hi = theta + h
-    for step in range(_NEWTON_STEPS + 1):
-        segments = _segments(lane)
-        c = np.cos(theta)
-        s = np.sin(theta)
-        lam, V = np.linalg.eigh(_combine(A, B, segments, c, s))
-        best.update(segments, theta, np.abs(lam).max(axis=-1))
-        if step == _NEWTON_STEPS:
-            break
-        dH = _combine(A, B, segments, -s, c)
-        C = adjoint(V) @ dH @ V
-        first, second = _profile_slopes(lam, C)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            target = np.clip(theta - first / second, lo, hi)
-        move = (second < 0.0) & (np.abs(target - theta) > tol)
-        if not move.any():
-            break
-        lane, theta, lo, hi = lane[move], target[move], lo[move], hi[move]
-
-
-def _peak_starts(grids: np.ndarray) -> list[np.ndarray]:
-    """Indices of the sampled local maxima of each start grid, best first.
-
-    ``grids`` holds one start grid per row.  A cell is a sampled peak when
-    its value is >= both cyclic neighbours (the profile has period pi).
-    At most _NEWTON_STARTS are returned per grid.
-    """
-    peaks = (grids >= np.roll(grids, 1, axis=1)) & (grids >= np.roll(grids, -1, axis=1))
-    starts = []
-    for values, peak in zip(grids, peaks):
-        order = np.argsort(values)[::-1]
-        starts.append(order[peak[order]][:_NEWTON_STARTS])
-    return starts
-
-
 def _cell_caps(values: np.ndarray, r: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Upper bound for sup f over cells [c - r, c + r] with f(c) = values.
 
@@ -322,87 +226,6 @@ def _covering_bound(values: np.ndarray, r: np.ndarray, starts: np.ndarray) -> li
     modulo pi will do.
     """
     return np.maximum.reduceat(values / np.cos(r), starts).tolist()
-
-
-def _lanewise(fn, fill, *stacks: np.ndarray) -> np.ndarray:
-    """fn(*stacks) for a stacked LAPACK call, with NaN rows where a lane fails.
-
-    A stacked call raises LinAlgError for the whole stack when one matrix
-    fails (a singular solve, a non-finite eigenproblem).  The call is then
-    redone lane by lane into ``fill()``, a NaN array of the result's
-    shape, so that only the failing lanes are lost and every other lane
-    gets the bits the stacked call gives it.
-    """
-    try:
-        return fn(*stacks)
-    except np.linalg.LinAlgError:
-        out = fill()
-        for k, operands in enumerate(zip(*stacks)):
-            try:
-                out[k] = fn(*operands)
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
-def _ando_bound(X: np.ndarray, gamma: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """Upper bounds on w(X_l) for a stack X, each from one eigensolve of a 2n x 2n dilation.
-
-    For every Hermitian Z, Re(e^{i*theta} X) is the compression V* M V of
-    M(Z) = [[-Z, X], [X*, Z]] by the isometry V = [I; e^{i*theta} I] / sqrt(2),
-    so w(X) <= lambda_max(M(Z)).  Ando's theorem (Acta Sci. Math. 34, 1973)
-    makes this tight: if w(X) <= gamma, then Z = gamma (2Y - I), with Y the
-    maximal solution of Y + A* Y^{-1} A = I and A = X / (2 gamma), leaves
-    gamma I - M(Z) positive semidefinite with a vanishing Schur complement,
-    so lambda_max(M(Z)) = gamma.  Y comes from cyclic reduction (Meini,
-    Math. Comp. 71, 2002), stopped once an update of Y, which moves
-    lambda_max by at most 2 gamma times its norm, is below ``tol``.
-
-    Lane l uses level gamma[l] and tolerance tol[l]; a lane leaves the
-    iteration as soon as it stops, and every step is one stacked solve
-    over the lanes still iterating.  The bound holds for whatever
-    Hermitian Z the iteration returns, so an inaccurate Y costs tightness,
-    never soundness.  M is formed exactly from X and Z; the eigensolver's
-    backward error is added as LAPACK_BACKWARD * 2n * eps * ||M||_F.  A
-    divergent iteration (gamma below w(X)) or a singular solve yields a
-    non-finite or loose bound.
-    """
-    n = X.shape[1]
-    eye = np.eye(n, dtype=np.complex128)
-    A = X / (2.0 * gamma)[:, None, None]
-    Q = np.broadcast_to(eye, X.shape).copy()
-    Y = Q.copy()
-    Y_end = np.empty_like(Y)
-    live = np.arange(len(X))
-    tol2 = (tol * tol).tolist()
-    with np.errstate(all="ignore"):
-        for _ in range(_CR_STEPS):
-            W = np.concatenate([A, adjoint(A)], axis=2)
-            # [[A* Q^-1 A, A* Q^-1 A*], [A Q^-1 A, A Q^-1 A*]]; NaN rows for a singular Q
-            T = adjoint(W) @ _lanewise(np.linalg.solve, lambda: np.full_like(W, np.nan), Q, W)
-            update = T[:, :n, :n]
-            Y = Y - update
-            Q = Q - update - T[:, n:, n:]
-            A = T[:, n:, :n]
-            # Stops on convergence and on a non-finite update alike.
-            go = [np.vdot(u, u).real > t for u, t in zip(update, tol2)]
-            if all(go):
-                continue
-            stop = np.logical_not(go)
-            Y_end[live[stop]] = Y[stop]
-            if not any(go):
-                break
-            live, A, Q, Y = live[~stop], A[~stop], Q[~stop], Y[~stop]
-            tol2 = [t for t, g in zip(tol2, go) if g]
-        else:
-            Y_end[live] = Y
-        Z = gamma[:, None, None] * (Y_end + adjoint(Y_end) - eye)
-        M = np.concatenate(
-            [np.concatenate([-Z, X], axis=2), np.concatenate([adjoint(X), Z], axis=2)], axis=1
-        )
-        top = _lanewise(np.linalg.eigvalsh, lambda: np.full(M.shape[:2], np.nan), M)[:, -1]
-        pad = LAPACK_BACKWARD * 2 * n * _EPS
-        return np.array([t + pad * float(np.linalg.norm(Mk)) for t, Mk in zip(top.tolist(), M)])
 
 
 def _flag_grading(X: np.ndarray) -> np.ndarray | None:
@@ -679,28 +502,51 @@ def _subdivide(
         best.update(segments, theta, values)
 
 
+def _fit_round(
+    A: np.ndarray, B: np.ndarray, p: float, lane: list[int], theta: list[float], s: float, best: _Best
+) -> list[tuple[float, float, float, bool]]:
+    """One three-point parabola fit per peak, all in one batched eigvalsh.
+
+    Peak k belongs to lane lane[k] (ascending) and is sampled at
+    theta[k] - s, theta[k], theta[k] + s; the samples feed ``best``.
+    Returns (vertex, curvature -f'', highest sample, clipped) per peak,
+    clipped when the vertex step reached the spacing s.
+    """
+    segments = _segments(np.repeat(lane, 3))
+    points = np.array([[t - s, t, t + s] for t in theta]).ravel()
+    values = _profile_values(A, B, segments, points, p)
+    best.update(segments, points, values)
+    y = values.tolist()
+    fits = []
+    for k, t in enumerate(theta):
+        step, kappa = _parabola(*y[3 * k : 3 * k + 3], s)
+        fits.append((t + step, kappa, max(y[3 * k : 3 * k + 3]), abs(step) == s))
+    return fits
+
+
 def _fit_peaks(
     A: np.ndarray, B: np.ndarray, p: float, lane: list[int], theta: list[float], h: float, best: _Best
 ) -> list[tuple[float, float, float]]:
     """Refine peak estimates with two rounds of three-point parabola fits.
 
     Peak k belongs to lane lane[k] (ascending) and starts at theta[k].
-    Each round samples theta - s, theta, theta + s for every peak in one
-    batched eigvalsh, at spacing s = h _FIT_GRID_FRACTION and then
-    _FIT_SPACING, feeds the samples to ``best`` and moves theta to the
-    fitted vertex.  Returns (vertex, curvature -f'', highest sample) per
-    peak, the curvature from the last round.  No bound relies on the fit:
-    a poor one only costs cells.
+    The first round, at spacing h _FIT_GRID_FRACTION, moves each peak to
+    its fitted vertex; a peak whose step was clipped to the spacing (the
+    start lay further away) repeats that round once from where it got to.
+    The second round, at _FIT_SPACING, gives the final vertex and its
+    curvature.  Returns (vertex, curvature -f'', highest sample of the
+    last round) per peak.  No bound relies on the fit: a poor one only
+    costs cells.
     """
-    segments = _segments(np.repeat(lane, 3))
-    for s in (h * _FIT_GRID_FRACTION, _FIT_SPACING):
-        points = np.array([[t - s, t, t + s] for t in theta]).ravel()
-        values = _profile_values(A, B, segments, points, p)
-        best.update(segments, points, values)
-        y = values.tolist()
-        fits = [_parabola(*y[3 * k : 3 * k + 3], s) for k in range(len(theta))]
-        theta = [t + step for t, (step, _) in zip(theta, fits)]
-    return [(t, kappa, max(y[3 * k : 3 * k + 3])) for k, (t, (_, kappa)) in enumerate(zip(theta, fits))]
+    s = h * _FIT_GRID_FRACTION
+    fits = _fit_round(A, B, p, lane, theta, s, best)
+    clipped = [k for k, fit in enumerate(fits) if fit[3]]
+    if clipped:
+        again = _fit_round(A, B, p, [lane[k] for k in clipped], [fits[k][0] for k in clipped], s, best)
+        for k, fit in zip(clipped, again):
+            fits[k] = fit
+    fits = _fit_round(A, B, p, lane, [fit[0] for fit in fits], _FIT_SPACING, best)
+    return [fit[:3] for fit in fits]
 
 
 def _covering_cells(
@@ -795,27 +641,24 @@ def omega_n(
         pi/2 is a sample, and at least 8 (``check_grid``).
     refine_tol:
         Target width of the certificate, relative to the profile's
-        Lipschitz constant; also the step size below which the operator
-        norm's Newton polishing stops.
+        Lipschitz constant.
 
     Returns a RadiusEstimate with value the best profile sample found,
     the angle attaining it, and a certified error so that the true
     supremum lies in [value, value + cert_error]; several matrices give a
     tuple of estimates, one per matrix.  The matrices run in lockstep as
-    lanes of one batch: every stage is one batched eigensolve (or solve)
-    over the lanes still open, and a lane leaves as soon as it is
-    certified.  Each lane's estimate is bit for bit the one a call with
-    that matrix alone returns.
+    lanes of one batch: every stage is one batched eigvalsh over the
+    lanes still open, and a lane leaves as soon as it is certified.  Each
+    lane's estimate is bit for bit the one a call with that matrix alone
+    returns.
 
     The Frobenius norm takes the closed form, which samples no grid and
     needs no tolerance.  Every other norm samples a start grid anchored at
     theta = 0; a flat grid tries the rotation bound of a circular X first.
-    The operator norm then polishes the grid's sampled peaks with Newton
-    steps and tries Ando's bound.  The trace and Schatten-p norms, and an
-    operator-norm lane Ando's bound leaves open, fit each open peak of the
-    grid with two batched parabola rounds and evaluate one ladder of cells
-    around the fitted peaks, which for a typical matrix makes 5 eigvalsh
-    calls in all.  A lane whose ladder leaves it open subdivides.
+    Otherwise each open peak of the grid is fitted with two batched
+    parabola rounds and one ladder of cells is evaluated around the
+    fitted peaks, which for a typical matrix makes 5 eigvalsh calls in
+    all.  A lane whose ladder leaves it open subdivides.
     """
     Xs = as_stack(X, *more)
     check_grid(grid)
@@ -871,26 +714,6 @@ def _certified_radii(
     rows = {l: row for l, row in rows.items() if estimates[l] is None}
     if not rows:
         return estimates
-
-    if math.isinf(p):
-        # Polish each sampled peak with Newton steps on the profile, then
-        # set Ando's level g_stop/2 above the best sample.  A bound that
-        # does not close (Newton found a local maximum only, or the
-        # iteration broke down) falls through to subdivision; NaN
-        # compares false.
-        ids = list(rows)
-        starts = _peak_starts(np.stack(list(rows.values())))
-        lane = np.repeat(ids, [len(s) for s in starts])
-        _newton_polish(A, B, lane, centers[np.concatenate(starts)], h, refine_tol, best)
-        gamma = [best.value[l] + 0.5 * g_stop[l] for l in ids]
-        tol = [g_stop[l] / (8.0 * level) for l, level in zip(ids, gamma)]
-        ando = _ando_bound(Xs[ids], np.array(gamma), np.array(tol))
-        for l, bound in zip(ids, ando.tolist()):
-            if bound - best.value[l] <= g_stop[l]:
-                done(l, best.theta[l] % math.pi, max(0.0, bound - best.value[l]))
-        rows = {l: row for l, row in rows.items() if estimates[l] is None}
-        if not rows:
-            return estimates
 
     # Certification: cells covering the period from the grid and a ladder
     # around each open peak, subdivided only where they leave a lane open.
