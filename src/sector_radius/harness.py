@@ -83,10 +83,12 @@ __all__ = [
 class CheckContext:
     """Shared numerical settings for a batch of checks.
 
-    ``grid`` is the number of uniform start cells of every radius
+    ``grid`` is the resolution of the uniform start grid of every radius
     computation, an even integer >= 8 (checked here, so a suite refuses
-    a bad grid before it runs); certification down to ``refine_tol``
-    carries the accuracy, so a coarse grid only seeds it.
+    a bad grid before it runs).  A radius evaluates its grid/2 even
+    samples first and an odd sample only beside a coarse cell that stays
+    open; certification down to ``refine_tol`` carries the accuracy, so
+    the grid only seeds it.
     ``m_fold`` is the number of inputs suites generate for an m-fold
     identifier.
     """

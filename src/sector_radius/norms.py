@@ -100,9 +100,14 @@ def schatten_value(sing, p: float):
     """p-norm of a (stack of) nonnegative singular value vector(s).
 
     Accepts shape (..., n) and reduces the last axis.  Large exponents
-    are evaluated on ratios sigma/sigma_max, which cannot overflow.
+    are evaluated on ratios sigma/sigma_max, which cannot overflow.  A
+    single vector is reduced as a stack of one, because numpy rounds the
+    final power of an array and of a scalar differently: every row of a
+    stack thus gets the bits of that row alone.
     """
     s = np.asarray(sing, dtype=np.float64)
+    if s.ndim == 1:
+        return schatten_value(s[None], p)[0]
     if math.isinf(p):
         return s.max(axis=-1)
     if p == 1.0:

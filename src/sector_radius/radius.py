@@ -11,19 +11,23 @@ sinusoid per dual-norm certificate).  omega_n returns a lower bound
 
 The Frobenius profile is a quadratic form in (cos theta, sin theta), so
 its supremum is read off a 2x2 Gram matrix with a stated rounding pad.
-Every other norm first samples a uniform grid anchored at theta = 0,
-where a Hermitian X peaks (a skew-Hermitian X peaks at pi/2, also a
-sample, since the grid must be even).  A grid that comes out flat
-(spread within the target width) asks whether X is circular, that is
-unitarily similar to e^{i*phi} X for every phi: a grading K of X's
-kernel flag bounds every angle by the best sample plus
-(h/2) N(KX - XK + X), h the grid step; the norm vanishes for nilpotent
-shifts such as Jordan blocks.
+In every other norm a Hermitian X has the profile |cos theta| N(Re X)
+and a skew-Hermitian X |sin theta| N(Im X), so their radii are one
+norm each, exact up to the sample error.  Any other X samples a uniform
+grid of step h anchored at theta = 0, coarse to fine: first its even
+samples 2kh (theta = 0 gives N(Re X)), together with Im X for N(Im X).
+A coarse grid that comes out flat (spread within the target width) asks
+whether X is circular, that is unitarily similar to e^{i*phi} X for
+every phi: a grading K of X's kernel flag bounds every angle by the best
+sample plus h N(KX - XK + X); the norm vanishes for nilpotent shifts
+such as Jordan blocks.
 
 Every other profile certifies with a covering bound: if cells of
 half-widths r_i around centres c_i cover the period, sup f <=
-max_i f(c_i)/cos(r_i).  Grid cells whose term stays within the target
-pass as they are.  The open ones form blocks, one per sampled peak; each
+max_i f(c_i)/cos(r_i).  Coarse cells (half-width h) whose term stays
+within the target pass as they are; the odd samples beside the others
+are evaluated, and the fine cells (half-width h/2) there pass on the
+same test.  The open fine cells form blocks, one per sampled peak; each
 block's peak is located by two rounds of three-point parabola fits, and
 the block is replaced by a ladder of cells whose half-widths grow with
 the distance from the fitted peak, so that every term comes out within
@@ -35,10 +39,10 @@ still open subdivides its cells, with per-cell upper caps from the
 sinusoid structure, until the bound closes or a budget runs out.
 
 omega_n takes any number of same-size matrices and runs them in
-lockstep, as lanes of one batch: the norms of the Cartesian parts, the
-start grid, each fit round, the ladders and each subdivision round is
-one batched eigvalsh over the lanes still open, and a lane leaves as
-soon as it is certified.
+lockstep, as lanes of one batch: the coarse grid with the Cartesian
+parts, the odd samples, each fit round, the ladders and each
+subdivision round is one batched eigvalsh over the lanes still open,
+and a lane leaves as soon as it is certified.
 Stacked LAPACK calls and products act on each matrix alone and every
 reduction runs per lane, so each lane's estimate is bit for bit that of
 a call with its matrix alone; a single matrix is a batch of one.
@@ -66,8 +70,9 @@ __all__ = [
     "check_grid",
 ]
 
-# Uniform start cells of omega_n on [0, pi).  The certification pass
-# carries the accuracy; the grid only seeds it.
+# Uniform start cells of omega_n on [0, pi), of which only the even half
+# is evaluated up front.  The certification pass carries the accuracy;
+# the grid only seeds it.
 DEFAULT_GRID = 32
 
 # Target width of a certified radius, relative to the profile's Lipschitz
@@ -151,25 +156,32 @@ def _combine(A: np.ndarray, B: np.ndarray, segments, c: np.ndarray, s: np.ndarra
     return H
 
 
-def _profile_values(A: np.ndarray, B: np.ndarray, segments, thetas: np.ndarray, p: float) -> np.ndarray:
-    """Batched N(cos(t_k) A_l - sin(t_k) B_l) via Hermitian eigenvalues.
+def _combined_norms(
+    A: np.ndarray, B: np.ndarray, segments, c: np.ndarray, s: np.ndarray, p: float
+) -> np.ndarray:
+    """Batched N(c_k A_l - s_k B_l) via Hermitian eigenvalues.
 
     A and B are stacks of Cartesian parts, and the rows lo:hi of each
     (l, lo, hi) in ``segments`` belong to lane l.  At most _EIG_BATCH
     matrices are formed and solved at once; eigvalsh solves each matrix of
-    a batch independently, so the values depend neither on the chunking
+    a batch independently and schatten_value reduces each row as it
+    reduces that row alone, so the values depend neither on the chunking
     nor on which other lanes share a batch.
     """
-    out = np.empty(len(thetas))
-    for start in range(0, len(thetas), _EIG_BATCH):
-        t = thetas[start : start + _EIG_BATCH]
-        stop = start + len(t)
+    out = np.empty(len(c))
+    for start in range(0, len(c), _EIG_BATCH):
+        stop = min(start + _EIG_BATCH, len(c))
         # The part of each lane's rows inside this chunk.
         chunk = [(l, max(lo, start) - start, min(hi, stop) - start) for l, lo, hi in segments]
         chunk = [(l, lo, hi) for l, lo, hi in chunk if lo < hi]
-        H = _combine(A, B, chunk, np.cos(t), np.sin(t))
+        H = _combine(A, B, chunk, c[start:stop], s[start:stop])
         out[start:stop] = schatten_value(np.abs(np.linalg.eigvalsh(H)), p)
     return out
+
+
+def _profile_values(A: np.ndarray, B: np.ndarray, segments, thetas: np.ndarray, p: float) -> np.ndarray:
+    """Batched profile samples N(cos(t_k) A_l - sin(t_k) B_l), as _combined_norms."""
+    return _combined_norms(A, B, segments, np.cos(thetas), np.sin(thetas), p)
 
 
 def radius_profile(spec: NormSpec, X, theta: float) -> float:
@@ -370,7 +382,8 @@ def _open_blocks(row: np.ndarray, open_: np.ndarray) -> list[tuple[int, int, int
     highest cell and falls after it.  Each block is (best, first, last):
     its cells are first..last, its highest cell best, and
     first <= best <= last are indices that may run past the grid's end
-    (cell k sits at angle k h for every integer k).
+    (cell k sits at angle k h for every integer k).  Only the values of
+    open cells are read, so a cell left unevaluated may hold NaN.
     """
     grid = len(row)
     flags = open_.tolist()
@@ -561,34 +574,66 @@ def _covering_cells(
 ) -> tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray, np.ndarray]:
     """Cells covering the period for each lane, as _subdivide takes them.
 
-    ``rows`` maps each lane to its start grid of step h.  A grid cell
-    whose covering term f(c)/cos(h/2) is within g_stop of the best sample
-    stays.  The others form blocks, one per sampled peak (_open_blocks).
-    Each block's peak starts at the vertex of the parabola through its
-    three grid samples, is refined by _fit_peaks, and the block is
-    replaced by a _ladder around it; the ladders of every lane are
+    ``rows`` maps each lane to the even samples 2kh of its start grid of
+    step h.  A coarse cell, of half-width h around an even sample, whose
+    covering term f(c)/cos(h) is within g_stop of the best sample stays:
+    it covers the fine cell (half-width h/2) at its centre and half of
+    each odd one beside it.  One batched eigvalsh evaluates the odd
+    samples (2k +- 1)h next to the other coarse cells.  Of the fine cells
+    that no passing coarse cell covers, one whose term f(c)/cos(h/2) is
+    within g_stop stays, and the open ones form blocks, one per sampled
+    peak (_open_blocks).  Each block's peak starts at the vertex of the
+    parabola through its three grid samples, all evaluated (an open even
+    cell has both odd neighbours), is refined by _fit_peaks, and the block
+    is replaced by a _ladder around it; the ladders of every lane are
     evaluated in one batch.  Returns (segments, theta, values, r): the
-    rows lo:hi of each (l, lo, hi) are lane l's cells, with centers
-    theta, profile values and padded half-widths r.
+    rows lo:hi of each (l, lo, hi) are lane l's cells, with centers theta,
+    profile values and padded half-widths r.
     """
     ids = list(rows)
-    grid = len(rows[ids[0]])
-    r_grid = 0.5 * h + _PAD
-    passing = {}
-    blocks = []
+    grid = 2 * len(rows[ids[0]])
+    r_coarse = h + _PAD
+    r_fine = 0.5 * h + _PAD
+    coarse, odd = {}, {}
     for l, row in rows.items():
-        open_ = row / math.cos(r_grid) + slack[l] > best.value[l] + g_stop[l]
-        passing[l] = ~open_
+        coarse[l] = row / math.cos(r_coarse) + slack[l] <= best.value[l] + g_stop[l]
+        # Odd sample 2k + 1 lies between coarse cells k and k + 1.
+        both = coarse[l] & np.concatenate((coarse[l][1:], coarse[l][:1]))
+        odd[l] = 2 * np.flatnonzero(~both) + 1
+    odd_segments = _segments(np.repeat(ids, [len(odd[l]) for l in ids]))
+    odd_theta = np.concatenate([odd[l] for l in ids]) * h
+    odd_values = _profile_values(A, B, odd_segments, odd_theta, p)
+    best.update(odd_segments, odd_theta, odd_values)
+
+    # Each lane's fine grid, NaN where a passing coarse cell left a sample
+    # out; ``cells`` holds the mask of the coarse and fine cells that stay,
+    # each cell at the index of its centre, and their half-widths.
+    fine, cells, blocks = {}, {}, []
+    stop = 0
+    for l in ids:
+        row = np.full(grid, math.nan)
+        row[0::2] = rows[l]
+        row[odd[l]] = odd_values[stop : stop + len(odd[l])]
+        stop += len(odd[l])
+        uncovered = np.zeros(grid, dtype=bool)
+        uncovered[0::2] = ~coarse[l]
+        uncovered[odd[l]] = True
+        open_ = uncovered & (row / math.cos(r_fine) + slack[l] > best.value[l] + g_stop[l])
+        kept = uncovered & ~open_
+        kept[0::2] |= coarse[l]
+        width = np.full(grid, r_fine)
+        width[0::2] = np.where(coarse[l], r_coarse, r_fine)
+        fine[l], cells[l] = row, (kept, width)
         blocks += [(l,) + block for block in _open_blocks(row, open_)]
     rungs = {l: ([], []) for l in ids}
     if blocks:
         starts = []
         for l, k, _, _ in blocks:
-            y = rows[l].take([k - 1, k, k + 1], mode="wrap").tolist()
+            y = fine[l].take([k - 1, k, k + 1], mode="wrap").tolist()
             starts.append(k * h + _parabola(*y, h)[0])
         fits = _fit_peaks(A, B, p, [block[0] for block in blocks], starts, h, best)
         for (l, k, first, last), (peak, kappa, top) in zip(blocks, fits):
-            top = max(top, float(rows[l][k % grid]))
+            top = max(top, float(fine[l][k % grid]))
             # A lower peak needs its cells' terms below the lane's best only.
             g = max(g_stop[l] - slack[l], 0.0) + best.value[l] - top
             at, widths = _ladder(peak, min(kappa, top), top, g, (first - 0.5) * h, (last + 0.5) * h)
@@ -599,18 +644,18 @@ def _covering_cells(
     rung_theta = np.array([t for l in ids for t in rungs[l][0]])
     rung_values = _profile_values(A, B, rung_segments, rung_theta, p)
     best.update(rung_segments, rung_theta, rung_values)
-    # Each lane's cells: its passing grid cells, then its ladders.
+    # Each lane's cells: its passing coarse and fine cells, then its ladders.
     centers = np.arange(grid) * h
     segments, theta, values, r = [], [], [], []
     stop = rung = 0
     for l, count in zip(ids, counts):
-        kept = passing[l]
-        cells = int(kept.sum()) + count
-        segments.append((l, stop, stop + cells))
-        stop += cells
+        kept, width = cells[l]
+        total = int(kept.sum()) + count
+        segments.append((l, stop, stop + total))
+        stop += total
         theta += [centers[kept], rung_theta[rung : rung + count]]
-        values += [rows[l][kept], rung_values[rung : rung + count]]
-        r += [np.full(cells - count, r_grid), np.array(rungs[l][1]) + _PAD]
+        values += [fine[l][kept], rung_values[rung : rung + count]]
+        r += [width[kept], np.array(rungs[l][1]) + _PAD]
         rung += count
     return segments, np.concatenate(theta), np.concatenate(values), np.concatenate(r)
 
@@ -637,11 +682,15 @@ def omega_n(
     X, *more:
         One or more square matrices of the same size.
     grid:
-        Uniform samples of the profile on [0, pi); even, so that theta =
-        pi/2 is a sample, and at least 8 (``check_grid``).
+        Resolution of the uniform start grid on [0, pi), of step
+        h = pi/grid; even and at least 8 (``check_grid``).  Its grid/2
+        even samples are evaluated first, and an odd sample only beside a
+        coarse cell (half-width h) that the covering test leaves open.
     refine_tol:
         Target width of the certificate, relative to the profile's
-        Lipschitz constant.
+        Lipschitz constant N(Re X) + N(Im X).  A Hermitian or
+        skew-Hermitian X takes the closed form, whose certificate is the
+        sample error alone, whatever the tolerance.
 
     Returns a RadiusEstimate with value the best profile sample found,
     the angle attaining it, and a certified error so that the true
@@ -653,11 +702,14 @@ def omega_n(
     returns.
 
     The Frobenius norm takes the closed form, which samples no grid and
-    needs no tolerance.  Every other norm samples a start grid anchored at
-    theta = 0; a flat grid tries the rotation bound of a circular X first.
-    Otherwise each open peak of the grid is fitted with two batched
-    parabola rounds and one ladder of cells is evaluated around the
-    fitted peaks, which for a typical matrix makes 5 eigvalsh calls in
+    needs no tolerance.  In every other norm a Hermitian or
+    skew-Hermitian X is one eigvalsh of its nonzero part.  Any other X
+    samples the even half of the start grid anchored at theta = 0, in the
+    same eigvalsh as Im X; a flat coarse grid tries the rotation bound of
+    a circular X first.  Otherwise one eigvalsh evaluates the odd samples
+    beside the open coarse cells, each open peak is fitted with two
+    batched parabola rounds and one ladder of cells is evaluated around
+    the fitted peaks, which for a typical matrix makes 5 eigvalsh calls in
     all.  A lane whose ladder leaves it open subdivides.
     """
     Xs = as_stack(X, *more)
@@ -678,50 +730,68 @@ def _certified_radii(
     """omega_n for every lane of a stack, in any norm but the Frobenius one."""
     L = len(Xs)
     p = spec.schatten_p
-    # N(Re X_l) and N(Im X_l) from one eigvalsh.  Each row is reduced on
-    # its own, as hermitian_norm reduces it: numpy rounds a power of an
-    # array and of a scalar differently.
-    moduli = np.abs(np.linalg.eigvalsh(np.concatenate([A, B])))
-    norms = [float(schatten_value(row, p)) for row in moduli]
-    nA, nB = norms[:L], norms[L:]
+    h = math.pi / grid
+    # Stage 1, one eigvalsh.  A general lane evaluates the even samples
+    # 2kh of the grid, the first (theta = 0) being Re X itself, and then
+    # Im X (c = 0, s = -1).  The profile of a Hermitian X is
+    # |cos theta| N(Re X), and that of a skew-Hermitian X is
+    # |sin theta| N(Im X), so such a lane evaluates its nonzero part
+    # alone; X = 0 evaluates nothing.
+    even = np.arange(0, grid, 2) * h
+    forms = {
+        (True, True): (np.append(np.cos(even), 0.0), np.append(np.sin(even), -1.0)),
+        (True, False): ([1.0], [0.0]),
+        (False, True): ([0.0], [-1.0]),
+    }
+    parts = [(bool(a.any()), bool(b.any())) for a, b in zip(A, B)]
+    estimates = [None if any(part) else RadiusEstimate(0.0, 0.0, 0.0, spec) for part in parts]
+    lanes = [l for l, part in enumerate(parts) if any(part)]
+    if not lanes:
+        return estimates
+    segments = _segments(np.repeat(lanes, [len(forms[parts[l]][0]) for l in lanes]))
+    c = np.concatenate([forms[parts[l]][0] for l in lanes])
+    s = np.concatenate([forms[parts[l]][1] for l in lanes])
+    values = _combined_norms(A, B, segments, c, s, p)
+    best = _Best(L)
+    rows, nA, nB = {}, [0.0] * L, [0.0] * L
+    for l, lo, hi in segments:
+        re, im = parts[l]
+        if re and im:
+            rows[l] = values[lo : hi - 1]
+            nA[l], nB[l] = float(values[lo]), float(values[hi - 1])
+            best.update([(l, 0, len(even))], even, rows[l])
+        else:
+            theta = 0.0 if re else 0.5 * math.pi
+            estimates[l] = RadiusEstimate(float(values[lo]), theta, _sample_error(A[l], B[l], p), spec)
+    if not rows:
+        return estimates
     lipschitz = [a + b for a, b in zip(nA, nB)]
     g_stop = [0.5 * lip * refine_tol for lip in lipschitz]
-    estimates = [RadiusEstimate(0.0, 0.0, 0.0, spec) if lip == 0.0 else None for lip in lipschitz]
-    live = [l for l, lip in enumerate(lipschitz) if lip != 0.0]
-    if not live:
-        return estimates
-    best = _Best(L)
 
     def done(l: int, theta: float, cert_error: float) -> None:
         estimates[l] = RadiusEstimate(best.value[l], theta, cert_error, spec)
 
-    h = math.pi / grid
-    centers = np.arange(grid) * h
-    segments = [(l, k * grid, (k + 1) * grid) for k, l in enumerate(live)]
-    theta = np.concatenate([centers] * len(live))
-    values = _profile_values(A, B, segments, theta, p)
-    best.update(segments, theta, values)
-    rows = dict(zip(live, values.reshape(len(live), grid)))
-
-    # A flat grid: try the rotation symmetry of a circular X.
+    # A flat coarse grid (step 2h): try the rotation symmetry of a
+    # circular X.
     for l, row in rows.items():
         if float(row.max() - row.min()) <= g_stop[l]:
             K = _flag_grading(Xs[l])
             if K is not None:
-                rotation = _rotation_bound(Xs[l], K, A[l], B[l], p, best.value[l], h)
+                rotation = _rotation_bound(Xs[l], K, A[l], B[l], p, best.value[l], 2.0 * h)
                 if rotation - best.value[l] <= g_stop[l]:
                     done(l, best.theta[l], float(rotation - best.value[l]))
     rows = {l: row for l, row in rows.items() if estimates[l] is None}
     if not rows:
         return estimates
 
-    # Certification: cells covering the period from the grid and a ladder
-    # around each open peak, subdivided only where they leave a lane open.
+    # Certification: cells covering the period from the two-stage grid and
+    # a ladder around each open peak, subdivided only where they leave a
+    # lane open.
     slack = [0.0] * L
     bound = [0.0] * L
     for l, row in rows.items():
         slack[l] = _sample_error(A[l], B[l], p)
-        bound[l] = min(math.hypot(nA[l], nB[l]), float(row.max()) + lipschitz[l] * h / 2) + slack[l]
+        bound[l] = min(math.hypot(nA[l], nB[l]), float(row.max()) + lipschitz[l] * h) + slack[l]
     cells = _covering_cells(A, B, p, rows, h, slack, g_stop, best)
     _subdivide(A, B, p, *cells, bound, slack, g_stop, best)
     for l in rows:

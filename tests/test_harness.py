@@ -251,7 +251,7 @@ class TestReportPin:
         obj = run_suite("all", 20, range(2, 7), DEFAULT_NORMS, seed=42).report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == "006ac1fd9a31fd609c08f768d501788e43e4849b970285abd76a0be142d1ce66"
+        assert digest == "c719fa73761ddcffe50cd05a7bd45dd58d482b356e0cf361da83de37d6d66691"
 
 
 class TestStageBudgets:

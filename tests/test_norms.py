@@ -14,6 +14,7 @@ from sector_radius.norms import (
     hermitian_norm,
     parse_norm,
     schatten,
+    schatten_value,
 )
 from helpers import norm_of_svals, random_complex, random_hermitian
 
@@ -132,6 +133,28 @@ class TestEvaluateNorm:
         H = random_hermitian(rng, 5)
         for spec in ALL_NORMS:
             assert hermitian_norm(spec, H) == pytest.approx(evaluate_norm(spec, H), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+    def test_vector_gets_the_bits_of_its_row_in_a_stack(self, p):
+        # numpy rounds the final power of a scalar and of an array
+        # differently; a vector is reduced as a stack of one, so
+        # hermitian_norm equals the row of a stacked reduction bit for bit.
+        rng = np.random.default_rng(8)
+        for n in range(2, 65):
+            stack = np.abs(rng.standard_normal((33, n))) * rng.uniform(0.1, 10.0, (33, 1))
+            stack[0] = 0.0
+            whole = schatten_value(stack, p)
+            rows = np.array([schatten_value(row, p) for row in stack])
+            assert np.array_equal(whole, rows), (n, np.flatnonzero(whole != rows))
+
+    def test_hermitian_norm_is_a_row_of_a_stacked_reduction(self):
+        rng = np.random.default_rng(9)
+        for n in (2, 5, 16):
+            H = np.stack([random_hermitian(rng, n) for _ in range(40)])
+            moduli = np.abs(np.linalg.eigvalsh(H))
+            for spec in (TRACE, schatten(1.5), schatten(3)):
+                whole = schatten_value(moduli, spec.schatten_p)
+                assert [hermitian_norm(spec, h) for h in H] == whole.tolist(), (n, spec.label)
 
 
 def axiom_draws(seed: int, trials: int = 100):

@@ -153,15 +153,33 @@ class TestOmegaN:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     @pytest.mark.parametrize("spec", ALL_NORMS, ids=lambda s: s.label)
     def test_hermitian_peaks_are_grid_samples(self, spec, n):
-        # The start grid is anchored at theta = 0, where the profile of a
-        # Hermitian A peaks; iA peaks at pi/2, sample 16 of 32.  Subdivision
-        # centres are never 0 or pi/2.
+        # The profile of a Hermitian A peaks at theta = 0 and that of iA at
+        # pi/2.  op, tr and sp:3 return those angles from their closed form
+        # (no grid is sampled), and fro reads them off its Gram matrix.
         A = random_hermitian(np.random.default_rng(300 + n), n)
         base = hermitian_norm(spec, A)
         for X, angle in ((A, 0.0), (1j * A, math.pi / 2)):
             est = omega_n(spec, X)
             assert est.theta_star == angle, est
             assert abs(est.value - base) <= 4 * n * EPS * base, est
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 32])
+    @pytest.mark.parametrize("spec", (OPERATOR, TRACE, schatten(3)), ids=lambda s: s.label)
+    def test_hermitian_lanes_take_the_closed_form(self, spec, n, monkeypatch):
+        # Im X == 0 or Re X == 0 exactly: the profile is |cos theta| N(Re X)
+        # or |sin theta| N(Im X), so one eigvalsh of the nonzero part gives
+        # the radius, with the sample error as its certificate.
+        A0 = random_hermitian(np.random.default_rng(310 + n), n)
+        calls = count_hermitian_eig_matrices(monkeypatch)
+        for X, angle in ((A0, 0.0), (1j * A0, 0.5 * math.pi)):
+            A, B = cartesian_decompose(X)
+            assert not (B if angle == 0.0 else A).any()
+            calls.clear()
+            est = omega_n(spec, X)
+            assert calls == [1]
+            part = hermitian_norm(spec, A if angle == 0.0 else B)
+            assert est.value == part and est.theta_star == angle, est
+            assert est.cert_error == radius._sample_error(A, B, spec.schatten_p), est
 
     def test_value_is_profile_sample(self):
         rng = np.random.default_rng(4)
@@ -248,9 +266,9 @@ class TestOmegaN:
 
 class TestEigensolverBudget:
     def test_omega_n_eigensolver_calls(self, monkeypatch):
-        # The start grid and certification stay within 20 batched
-        # eigensolver calls per radius, norms of the Cartesian parts
-        # included.
+        # The two grid stages (with the norms of the Cartesian parts) and
+        # certification stay within 20 batched eigensolver calls per
+        # radius.
         calls = []
         for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
             original = getattr(np.linalg, name)
@@ -271,10 +289,10 @@ class TestEigensolverBudget:
                         assert len(calls) <= 20, (n, spec.label, grid, len(calls))
 
     def test_omega_n_matrices_at_default_grid(self, monkeypatch):
-        # The norms of the Cartesian parts, the start grid and certification
-        # (the fit rounds and ladders of op, tr and sp:3; fro's one sample)
-        # together average at most 45 Hermitian eigensolver matrices per
-        # radius (43.4 measured).
+        # The two grid stages (half the grid and Im X, then the odd samples
+        # beside open coarse cells) and certification (the fit rounds and
+        # ladders of op, tr and sp:3; fro's one sample) together average at
+        # most 35 Hermitian eigensolver matrices per radius (32.6 measured).
         counts = count_hermitian_eig_matrices(monkeypatch)
         per_call = []
         rng = np.random.default_rng(17)
@@ -285,7 +303,7 @@ class TestEigensolverBudget:
                     counts.clear()
                     omega_n(spec, X)
                     per_call.append(sum(counts))
-        assert np.mean(per_call) <= 45, np.mean(per_call)
+        assert np.mean(per_call) <= 35, np.mean(per_call)
 
     def test_no_eigh_and_no_solve(self, monkeypatch):
         # Every norm certifies from eigvalsh samples alone: no eigenvectors
@@ -310,11 +328,10 @@ class TestEigensolverBudget:
     @pytest.mark.parametrize("spec", (OPERATOR, TRACE, schatten(3)), ids=lambda s: s.label)
     def test_fit_and_ladder_budget(self, spec, monkeypatch):
         # A single op, tr or sp:3 radius makes 5 eigvalsh calls in the median
-        # at every n: the norms of the Cartesian parts, the start grid, two
-        # fit rounds and the ladders.
+        # at every n: the two grid stages, two fit rounds and the ladders.
         counts = count_hermitian_eig_matrices(monkeypatch)
         rng = np.random.default_rng(22)
-        ceiling = {OPERATOR: 70, TRACE: 90, schatten(3): 100}[spec]
+        ceiling = {OPERATOR: 55, TRACE: 80, schatten(3): 88}[spec]
         for n in (2, 3, 4, 5, 6, 16, 32):
             calls, matrices = [], []
             for _ in range(8):
@@ -324,6 +341,42 @@ class TestEigensolverBudget:
                 matrices.append(sum(counts))
             assert np.median(calls) <= 5, (n, calls)
             assert np.mean(matrices) <= ceiling, (n, np.mean(matrices))
+
+    @pytest.mark.parametrize("grid", [8, 32, 256])
+    @pytest.mark.parametrize("spec", (OPERATOR, TRACE, schatten(3)), ids=lambda s: s.label)
+    def test_grid_stages_of_a_general_lane(self, spec, grid, monkeypatch):
+        # Stage 1 evaluates the grid/2 even samples and Im X; stage 2 only
+        # the odd samples (2k +- 1) h beside coarse cells that fail their
+        # test f(2kh)/cos(h + pad) + sample error <= best + g_stop.
+        calls = count_hermitian_eig_matrices(monkeypatch)
+        stage2 = []
+        original = radius._profile_values
+
+        def recorded(A, B, segments, thetas, p):
+            stage2.append(thetas)
+            return original(A, B, segments, thetas, p)
+
+        monkeypatch.setattr(radius, "_profile_values", recorded)
+        h = math.pi / grid
+        rng = np.random.default_rng(28)
+        skipped = 0
+        for n in (2, 3, 6, 16):
+            X = random_complex(rng, n)
+            A, B = cartesian_decompose(X)
+            p = spec.schatten_p
+            row = original(A[None], B[None], [(0, 0, grid // 2)], np.arange(0, grid, 2) * h, p)
+            g_stop = 0.5 * (row[0] + hermitian_norm(spec, B)) * 1e-10
+            slack = radius._sample_error(A, B, p)
+            k = np.flatnonzero(row / math.cos(h + _PAD) + slack > row.max() + g_stop)
+            expected = np.unique(np.concatenate([2 * k - 1, 2 * k + 1]) % grid) * h
+            calls.clear()
+            stage2.clear()
+            omega_n(spec, X, grid=grid)
+            assert calls[0] == grid // 2 + 1, calls
+            assert np.array_equal(stage2[0], expected), (n, stage2[0] / h, expected / h)
+            assert calls[1] == len(expected)
+            skipped += grid // 2 - len(expected)
+        assert skipped > 0
 
     def test_flat_profiles_need_no_subdivision(self, monkeypatch):
         # The rotation bound (every norm) and the closed form (fro) certify
@@ -665,16 +718,34 @@ class TestLadder:
 
     @pytest.mark.parametrize("grid", [8, 32, 256])
     def test_cells_cover_the_period(self, grid, monkeypatch):
-        # The passing grid cells and the ladders cover [0, pi) modulo pi,
-        # rounding seams included, for random inputs, two near-equal peaks,
-        # several lanes at once, and lanes whose ladders leave them open (op
-        # and tr at the last two inputs).
+        # The passing coarse cells (half-width h + pad), the passing fine
+        # cells (h/2 + pad) and the ladders cover [0, pi) modulo pi, rounding
+        # seams included, for random inputs, two near-equal peaks, several
+        # lanes at once, and lanes still open after their ladders: op and tr
+        # at the two seeded inputs for grids 8 and 32, and a lane whose
+        # ladders have one cell a side at every grid.
+        h = math.pi / grid
+        widths = set()
         seen = self.record_first_cells(monkeypatch)
+        calls = count_hermitian_eig_matrices(monkeypatch)
+        opened = []
+        recorded = radius._subdivide
+
+        def counted(*args):
+            before = len(calls)
+            recorded(*args)
+            opened.append(len(calls) > before)
+
+        monkeypatch.setattr(radius, "_subdivide", counted)
         rng = np.random.default_rng(23)
         batches = [[random_complex(rng, n)] for n in (2, 3, 5, 16)]
         batches += [[two_peaks(4, 24)], [random_complex(rng, 4) for _ in range(3)]]
         batches += [[random_complex(np.random.default_rng(seed), n)] for seed, n in ((272, 3), (2932, 3))]
+        batches += [None]
         for Xs in batches:
+            if Xs is None:
+                monkeypatch.setattr(radius, "_MAX_RUNGS", 1)
+                Xs = [random_complex(rng, 4)]
             for spec in (OPERATOR, TRACE, schatten(3)):
                 seen.clear()
                 omega_n(spec, *Xs, grid=grid)
@@ -682,6 +753,9 @@ class TestLadder:
                 assert sorted(seen[0]) == list(range(len(Xs)))
                 for cells in seen[0].values():
                     assert covers_period(cells)
+                    widths.update(r for _, r in cells)
+        assert h + _PAD in widths and 0.5 * h + _PAD in widths
+        assert opened[-1], "the lane with one-cell ladders did not stay open"
 
     def test_unpadded_grid_cells_leave_a_seam(self):
         # The exact check sees rounding seams: cells of half-width h/2 around

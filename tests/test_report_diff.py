@@ -1,0 +1,47 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from sector_radius.harness import run_suite
+from sector_radius.norms import OPERATOR, schatten
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_diff.py"
+
+
+def run_tool(tmp_path, old: dict, new: dict) -> subprocess.CompletedProcess:
+    paths = []
+    for name, obj in (("old.json", old), ("new.json", new)):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        paths.append(str(path))
+    return subprocess.run([sys.executable, str(TOOL), *paths], capture_output=True, text=True)
+
+
+def small_report() -> dict:
+    report = run_suite(["A_lower", "P1_re_mono"], 2, [2, 3], [OPERATOR, schatten(3)], seed=5)
+    return json.loads(report.to_json())
+
+
+def test_identical_reports_have_no_moves(tmp_path):
+    old = small_report()
+    new = small_report()
+    done = run_tool(tmp_path, old, new)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[0] == "no moves"
+
+
+def test_a_perturbed_field_is_named(tmp_path):
+    old = small_report()
+    new = json.loads(json.dumps(old))
+    target = new["results"][3]
+    target["rhs"][1] *= 1.0 + 1e-12
+    new["config"]["grid"] = 64
+    done = run_tool(tmp_path, old, new)
+    assert done.returncode == 1
+    lines = done.stdout.splitlines()
+    assert "config grid: 32 -> 64" in lines
+    moved = [line for line in lines if line.startswith("moved")]
+    assert len(moved) == 1, lines
+    assert moved[0].startswith(f"moved rhs.hi [{target['norm']}]: 1 values, largest 1e-12 relative")
+    assert f"{target['id']} n={target['dim']} seed={target['seed']}" in moved[0]

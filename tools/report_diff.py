@@ -1,0 +1,106 @@
+"""Compare two ``verify --out`` reports, field by field.
+
+    python3 tools/report_diff.py OLD.json NEW.json
+
+Prints the ``config`` keys whose values differ, the verdict counts of
+both reports, and for every (field, norm) pair how many values moved and
+the largest relative move |new - old| / |old|, with the result it
+belongs to.  The fields are each result's ``lhs`` and ``rhs`` bounds,
+``ratio``, ``verdict`` and ``note``, and each id's ``max_ratio`` and
+``worst_margin`` (norm ``-``).  Results are matched by position, so both
+reports must list the same (id, norm, dim, seed) in the same order.
+Wall time is ignored.  Exits 0 when nothing moved and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+from collections import Counter
+
+
+def relative_move(old, new) -> float:
+    """|new - old| / |old|; inf when old is 0 or either side is not a number."""
+    if old == new:
+        return 0.0
+    if not isinstance(old, (int, float)) or not isinstance(new, (int, float)) or old == 0:
+        return math.inf
+    return abs(new - old) / abs(old)
+
+
+def result_fields(result: dict) -> dict:
+    return {
+        "lhs.lo": result["lhs"][0],
+        "lhs.hi": result["lhs"][1],
+        "rhs.lo": result["rhs"][0],
+        "rhs.hi": result["rhs"][1],
+        "ratio": result["ratio"],
+        "verdict": result["verdict"],
+        "note": result["note"],
+    }
+
+
+def label(result: dict) -> str:
+    return f"{result['id']} n={result['dim']} seed={result['seed']}"
+
+
+def moves(old: dict, new: dict) -> dict:
+    """(field, norm) -> [count, largest relative move, label of that move]."""
+    found: dict = {}
+
+    def record(field, norm, a, b, where):
+        move = relative_move(a, b)
+        if move == 0.0:
+            return
+        entry = found.setdefault((field, norm), [0, -1.0, ""])
+        entry[0] += 1
+        if move > entry[1]:
+            entry[1], entry[2] = move, where
+
+    for a, b in zip(old["results"], new["results"]):
+        fa, fb = result_fields(a), result_fields(b)
+        for field in fa:
+            record(field, a["norm"], fa[field], fb[field], label(a))
+    ids_a, ids_b = old["summary"]["per_id"], new["summary"]["per_id"]
+    for ineq in sorted(ids_a):
+        for field in ("max_ratio", "worst_margin"):
+            record(field, "-", ids_a[ineq][field], ids_b[ineq][field], ineq)
+    return found
+
+
+def diff(old: dict, new: dict) -> list[str]:
+    """Lines of the comparison; the first starts with "no moves" when nothing moved."""
+    lines = []
+    keys = sorted(set(old["config"]) | set(new["config"]))
+    changed = [k for k in keys if old["config"].get(k) != new["config"].get(k)]
+    for key in changed:
+        lines.append(f"config {key}: {old['config'].get(key)!r} -> {new['config'].get(key)!r}")
+    for name, report in (("old", old), ("new", new)):
+        counts = Counter(r["verdict"] for r in report["results"])
+        lines.append(f"verdicts {name}: " + ", ".join(f"{v} {c}" for v, c in sorted(counts.items())))
+    key = lambda r: (r["id"], r["norm"], r["dim"], r["seed"])  # noqa: E731
+    if [key(r) for r in old["results"]] != [key(r) for r in new["results"]] or set(
+        old["summary"]["per_id"]
+    ) != set(new["summary"]["per_id"]):
+        lines.append("results differ in (id, norm, dim, seed) or ids: values not compared")
+        return lines
+    found = moves(old, new)
+    if not found and not changed:
+        return ["no moves"] + lines
+    for (field, norm), (count, largest, where) in sorted(found.items()):
+        lines.append(f"moved {field} [{norm}]: {count} values, largest {largest:.3g} relative ({where})")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    old, new = (json.loads(open(path).read()) for path in argv)
+    lines = diff(old, new)
+    print("\n".join(lines))
+    return 0 if lines[0] == "no moves" else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
