@@ -24,7 +24,8 @@ such as Jordan blocks.
 
 Every other profile certifies with a covering bound: if cells of
 half-widths r_i around centres c_i cover the period, sup f <=
-max_i f(c_i)/cos(r_i).  Coarse cells (half-width h) whose term stays
+max_i (f(c_i) + e)/cos(r_i), with e the sample error.  This term is the
+only cell test.  Coarse cells (half-width h) whose term stays
 within the target pass as they are; the odd samples beside the others
 are evaluated, and the fine cells (half-width h/2) there pass on the
 same test.  The open fine cells form blocks, one per sampled peak; each
@@ -35,8 +36,8 @@ the target.  The fit affects only how many cells the ladder needs, never
 the bound.  It applies to the operator norm too: that profile is a
 maximum of analytic eigenvalue branches, so its strict local maxima are
 smooth peaks of every active branch, and its corners are minima.  A lane
-still open subdivides its cells, with per-cell upper caps from the
-sinusoid structure, until the bound closes or a budget runs out.
+still open prunes the cells whose term is within the target and splits
+the others, until the bound closes or a budget runs out.
 
 omega_n takes any number of same-size matrices and runs them in
 lockstep, as lanes of one batch: the coarse grid with the Cartesian
@@ -210,34 +211,25 @@ class _Best:
                 self.theta[l] = float(thetas[i])
 
 
-def _cell_caps(values: np.ndarray, r: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Upper bound for sup f over cells [c - r, c + r] with f(c) = values.
+def _covering_terms(values: np.ndarray, r: np.ndarray | float, slack: float) -> np.ndarray:
+    """Covering terms (f(c) + e) / cos(r) of cells with centres c and half-widths r.
 
-    Every dual certificate contributes a sinusoid with amplitude at most
-    M >= sup f and center value at most f(c); r and M are given per cell.
-    A sinusoid peaking inside the cell is bounded by min(M, f(c)/cos r);
-    one peaking outside by y cos r + sin r * sqrt(M^2 - y^2) with
-    y = min(f(c), M cos r), which is where that expression is maximal.
+    ``values`` are the computed samples f(c) and ``slack`` is e, the
+    sample error; arrays broadcast.  If the cells cover [0, pi) modulo pi,
+    the largest term bounds sup f: the profile is a pointwise maximum of
+    sinusoids, so the certificate attaining the supremum is a sinusoid of
+    amplitude sup f peaking there, and the centre c of a cell containing
+    that peak has f(c) >= sup f * cos(r).
+
+    Error model: every computed sample is within e of the exact f(c)
+    (_sample_error), so the exact f(c) <= values + e, and e is added before
+    the division; adding it after would understate the term by
+    e (1/cos(r) - 1).  A computed centre lies within 4 pi eps of its exact
+    position, which the _PAD in every half-width covers.  The term's own
+    three roundings (sum, cosine, quotient), a few eps relative, are not
+    padded.
     """
-    cr = np.cos(r)
-    y = np.minimum(values, M * cr)
-    outside = y * cr + np.sin(r) * np.sqrt(np.maximum(M * M - y * y, 0.0))
-    inside = np.minimum(M, values / cr)
-    return np.maximum(outside, inside)
-
-
-def _covering_bound(values: np.ndarray, r: np.ndarray, starts: np.ndarray) -> list[float]:
-    """Global bounds max_i f(c_i) / cos(r_i), one per lane, for cells covering the period.
-
-    Cell i has center c_i, half-width r_i and value f(c_i); the cells of
-    each lane start at the rows ``starts``.  The profile is a pointwise
-    maximum of sinusoids, so the certificate attaining the supremum is a
-    sinusoid peaking exactly there, with amplitude sup f.  The center c of
-    a cell containing that peak then satisfies f(c) >= sup f * cos(r),
-    which inverts to the bound.  Any cells whose union covers [0, pi)
-    modulo pi will do.
-    """
-    return np.maximum.reduceat(values / np.cos(r), starts).tolist()
+    return (values + slack) / np.cos(r)
 
 
 def _flag_grading(X: np.ndarray) -> np.ndarray | None:
@@ -463,49 +455,36 @@ def _subdivide(
 
     Cell k has center theta[k], half-width r[k] and profile value
     values[k]; the rows lo:hi of each (l, lo, hi) in ``segments`` belong
-    to lane l, and a lane's cells cover [0, pi) modulo pi.  A lane splits
-    its cells until its covering bound is within g_stop[l] of its best
-    sample or its budget runs out; each round caps and evaluates the
-    cells of every open lane in one batch.  A lane whose cells already
-    close leaves in the first round, before any evaluation.  The bound
-    stays valid at every stage, so exhausting the budget only enlarges
-    cert_error.  ``bound``, ``slack``, ``g_stop`` and ``best`` are indexed
-    by lane.
+    to lane l, and a lane's cells cover [0, pi) modulo pi.  Each round
+    takes every cell's covering term (_covering_terms) and prunes the
+    cells whose term is within g_stop[l] of the lane's best sample.  The
+    pruned cells and the active ones still cover the period, so
+    bound[l] falls to the largest term of either (and no lower than the
+    best sample).  The active cells are split in halves, and the halves
+    of every open lane are evaluated in one batch.  A lane closes when
+    its bound is within g_stop[l] of its best sample, at the latest when
+    no cell stays active; a lane whose cells already close leaves in the
+    first round, before any evaluation.  The bound stays valid at every
+    stage, so exhausting the budget only enlarges cert_error.  ``bound``,
+    ``slack``, ``g_stop`` and ``best`` are indexed by lane.
     """
     pruned = [-math.inf] * len(bound)
     for _ in range(_MAX_ROUNDS):
-        starts = np.array([lo for _, lo, _ in segments])
-        cells = np.array([hi - lo for _, lo, hi in segments])
-        covers = _covering_bound(values, r, starts)
-        cutoffs = []
-        for (l, _, _), cover in zip(segments, covers):
-            high = best.value[l]
-            # The global maximum lies either in a pruned cell (bounded at
-            # prune time) or in an active one (covering bound applies).
-            bound[l] = min(bound[l], max(max(high, cover) + slack[l], pruned[l]))
-            # A closed lane keeps no cell.
-            cutoffs.append(high + g_stop[l] if bound[l] - high > g_stop[l] else math.inf)
-        caps = _cell_caps(values, r, np.array([bound[l] for l, _, _ in segments]).repeat(cells))
-        caps += np.array([slack[l] for l, _, _ in segments]).repeat(cells)
-        keep = caps > np.array(cutoffs).repeat(cells)
-        kept = np.add.reduceat(keep, starts).tolist()
-        dropped = np.maximum.reduceat(np.where(keep, -np.inf, caps), starts).tolist()
         children, halves, radii = [], [], []
-        for (l, lo, hi), cutoff, count, cap in zip(segments, cutoffs, kept, dropped):
-            if cutoff == math.inf:
+        for l, lo, hi in segments:
+            terms = _covering_terms(values[lo:hi], r[lo:hi], slack[l])
+            keep = terms - best.value[l] > g_stop[l]
+            bound[l] = min(bound[l], max(best.value[l], pruned[l], float(terms.max())))
+            pruned[l] = max(pruned[l], float(terms.max(where=~keep, initial=-math.inf)))
+            count = int(keep.sum())
+            if bound[l] - best.value[l] <= g_stop[l] or 2 * count > _MAX_CELLS:
                 continue
-            if not count:
-                # Every cap is within best + g_stop.
-                bound[l] = min(bound[l], max(pruned[l], cutoff))
-                continue
-            pruned[l] = max(pruned[l], cap)
-            if 2 * count <= _MAX_CELLS:
-                start = children[-1][2] if children else 0
-                children.append((l, start, start + 2 * count))
-                th = theta[lo:hi][keep[lo:hi]]
-                half = 0.5 * r[lo:hi][keep[lo:hi]]
-                halves += [th - half, th + half]
-                radii += [half + _PAD] * 2
+            start = children[-1][2] if children else 0
+            children.append((l, start, start + 2 * count))
+            th = theta[lo:hi][keep]
+            half = 0.5 * r[lo:hi][keep]
+            halves += [th - half, th + half]
+            radii += [half + _PAD] * 2
         if not children:
             break
         segments = children
@@ -596,7 +575,7 @@ def _covering_cells(
     r_fine = 0.5 * h + _PAD
     coarse, odd = {}, {}
     for l, row in rows.items():
-        coarse[l] = row / math.cos(r_coarse) + slack[l] <= best.value[l] + g_stop[l]
+        coarse[l] = _covering_terms(row, r_coarse, slack[l]) <= best.value[l] + g_stop[l]
         # Odd sample 2k + 1 lies between coarse cells k and k + 1.
         both = coarse[l] & np.concatenate((coarse[l][1:], coarse[l][:1]))
         odd[l] = 2 * np.flatnonzero(~both) + 1
@@ -618,7 +597,7 @@ def _covering_cells(
         uncovered = np.zeros(grid, dtype=bool)
         uncovered[0::2] = ~coarse[l]
         uncovered[odd[l]] = True
-        open_ = uncovered & (row / math.cos(r_fine) + slack[l] > best.value[l] + g_stop[l])
+        open_ = uncovered & (_covering_terms(row, r_fine, slack[l]) > best.value[l] + g_stop[l])
         kept = uncovered & ~open_
         kept[0::2] |= coarse[l]
         width = np.full(grid, r_fine)
@@ -786,12 +765,16 @@ def _certified_radii(
 
     # Certification: cells covering the period from the two-stage grid and
     # a ladder around each open peak, subdivided only where they leave a
-    # lane open.
+    # lane open.  Every lane starts from f(theta) <= |cos theta| N(Re X) +
+    # |sin theta| N(Im X) <= hypot(N(Re X), N(Im X)), which is exact for
+    # the trace norm of an accretive-dissipative X; the two computed norms
+    # are off by at most e's shares of ||Re X||_F and ||Im X||_F, so the
+    # hypot moves by at most e.
     slack = [0.0] * L
     bound = [0.0] * L
-    for l, row in rows.items():
+    for l in rows:
         slack[l] = _sample_error(A[l], B[l], p)
-        bound[l] = min(math.hypot(nA[l], nB[l]), float(row.max()) + lipschitz[l] * h) + slack[l]
+        bound[l] = math.hypot(nA[l], nB[l]) + slack[l]
     cells = _covering_cells(A, B, p, rows, h, slack, g_stop, best)
     _subdivide(A, B, p, *cells, bound, slack, g_stop, best)
     for l in rows:

@@ -45,3 +45,4 @@ def test_a_perturbed_field_is_named(tmp_path):
     assert len(moved) == 1, lines
     assert moved[0].startswith(f"moved rhs.hi [{target['norm']}]: 1 values, largest 1e-12 relative")
     assert f"{target['id']} n={target['dim']} seed={target['seed']}" in moved[0]
+    assert moved[0].endswith("; 1 widened, 0 narrowed"), moved[0]

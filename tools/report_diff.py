@@ -7,7 +7,9 @@ both reports, and for every (field, norm) pair how many values moved and
 the largest relative move |new - old| / |old|, with the result it
 belongs to.  The fields are each result's ``lhs`` and ``rhs`` bounds,
 ``ratio``, ``verdict`` and ``note``, and each id's ``max_ratio`` and
-``worst_margin`` (norm ``-``).  Results are matched by position, so both
+``worst_margin`` (norm ``-``).  For a bound field the line also counts
+the moves that widened the interval (``hi`` up or ``lo`` down) and those
+that narrowed it.  Results are matched by position, so both
 reports must list the same (id, norm, dim, seed) in the same order.
 Wall time is ignored.  Exits 0 when nothing moved and 1 otherwise.
 """
@@ -46,17 +48,25 @@ def label(result: dict) -> str:
 
 
 def moves(old: dict, new: dict) -> dict:
-    """(field, norm) -> [count, largest relative move, label of that move]."""
+    """(field, norm) -> [count, largest relative move, label of that move, widened].
+
+    ``widened`` counts the moves of a bound field that widened its
+    interval, and is None for every other field.
+    """
     found: dict = {}
 
     def record(field, norm, a, b, where):
         move = relative_move(a, b)
         if move == 0.0:
             return
-        entry = found.setdefault((field, norm), [0, -1.0, ""])
+        bound = field.endswith((".lo", ".hi"))
+        entry = found.setdefault((field, norm), [0, -1.0, "", 0 if bound else None])
         entry[0] += 1
         if move > entry[1]:
             entry[1], entry[2] = move, where
+        if bound:
+            # An interval widens when its hi moves up or its lo down.
+            entry[3] += b > a if field.endswith(".hi") else b < a
 
     for a, b in zip(old["results"], new["results"]):
         fa, fb = result_fields(a), result_fields(b)
@@ -88,8 +98,11 @@ def diff(old: dict, new: dict) -> list[str]:
     found = moves(old, new)
     if not found and not changed:
         return ["no moves"] + lines
-    for (field, norm), (count, largest, where) in sorted(found.items()):
-        lines.append(f"moved {field} [{norm}]: {count} values, largest {largest:.3g} relative ({where})")
+    for (field, norm), (count, largest, where, wider) in sorted(found.items()):
+        line = f"moved {field} [{norm}]: {count} values, largest {largest:.3g} relative ({where})"
+        if wider is not None:
+            line += f"; {wider} widened, {count - wider} narrowed"
+        lines.append(line)
     return lines
 
 
