@@ -16,6 +16,11 @@ and suites draw each row's inputs from its hypothesis.  One evaluator
 checks the hypothesis and computes every distinct term of a row once,
 all of the row's radii in one omega_n call.
 
+A suite certifies each check only as far as its verdict needs: its radii
+first to _COARSE_TOL, and again to the context's refine_tol only when
+the coarse sides do not separate (run_suite).  check_inequality and
+tightness_scan always certify to refine_tol.
+
 IDs whose statement involves the classical numerical radius always run
 with the operator norm regardless of the requested norm; the remaining
 IDs are parametric in any member of the shipped norm family.
@@ -54,7 +59,7 @@ from .linalg import (
 )
 from .norms import FROBENIUS, OPERATOR, TRACE, NormSpec, evaluate_norm, schatten
 from .radius import DEFAULT_GRID, DEFAULT_REFINE_TOL, check_grid, omega_n
-from .report import CheckResult, IdSummary, Interval, SuiteReport
+from .report import CheckResult, IdSummary, Interval, SuiteReport, classify
 from .sectorial import (
     NotSectorialError,
     SectorInfo,
@@ -89,6 +94,10 @@ class CheckContext:
     samples first and an odd sample only beside a coarse cell that stays
     open; certification down to ``refine_tol`` carries the accuracy, so
     the grid only seeds it.
+    ``refine_tol`` is the certified width of every radius, relative to
+    its profile's Lipschitz constant, for check_inequality and
+    tightness_scan; run_suite reaches it only for the checks that its
+    coarse pass leaves open.
     ``m_fold`` is the number of inputs suites generate for an m-fold
     identifier.
     """
@@ -112,6 +121,12 @@ _PSD_TOL = 1e-9
 # taken, covering the index's rounding error (see _verified).
 _ALPHA_INFLATION = 1e-8
 _EPS = float(np.finfo(np.float64).eps)
+# Radius tolerance of run_suite's first pass.  Every coarse radius is
+# still a certified enclosure, and nearly every suite check separates at
+# it; at 1e-3 a radius already needs as many samples as at 1e-10.
+_COARSE_TOL = 1e-2
+# Verdicts that a tighter radius cannot change.
+_SETTLED = ("certified_pass", "certified_fail")
 
 
 class Inapplicable(Exception):
@@ -448,17 +463,18 @@ class _Evaluator:
         else:
             yield expr
 
-    def radii(self, *sides) -> None:
-        """Compute the distinct Omega terms of ``sides`` in one omega_n call.
+    def omegas(self, *sides) -> list[Omega]:
+        """The distinct Omega terms of ``sides`` in first-use order."""
+        return list(dict.fromkeys(t for s in sides for t in self.terms(s) if isinstance(t, Omega)))
 
-        The matrices run as lanes of one batch in first-use order, and
-        each interval is memoised for side().
+    def radii(self, omegas: list[Omega], refine_tol: float) -> None:
+        """Certify ``omegas`` to ``refine_tol`` in one omega_n call.
+
+        The matrices run as lanes of one batch, and each interval is
+        memoised for side(), replacing any earlier one.
         """
-        omegas = list(dict.fromkeys(t for s in sides for t in self.terms(s) if isinstance(t, Omega)))
-        if not omegas:
-            return
         mats = [self.matrix(t.of) for t in omegas]
-        ests = omega_n(self.spec, *mats, grid=self.ctx.grid, refine_tol=self.ctx.refine_tol)
+        ests = omega_n(self.spec, *mats, grid=self.ctx.grid, refine_tol=refine_tol)
         for term, est in zip(omegas, ests if len(omegas) > 1 else (ests,)):
             self._memo[term] = Interval(est.value, est.value + est.cert_error)
 
@@ -656,13 +672,31 @@ def all_ids() -> list[InequalityId]:
     return list(REGISTRY.keys())
 
 
-def _evaluate(info: IdInfo, mats, spec: NormSpec, ctx: CheckContext) -> tuple[Interval, Interval, str]:
+def _passes(ctx: CheckContext) -> tuple[float, ...]:
+    """The radius tolerances of a suite check: coarse first, then ctx.refine_tol."""
+    return (_COARSE_TOL, ctx.refine_tol) if ctx.refine_tol < _COARSE_TOL else (ctx.refine_tol,)
+
+
+def _evaluate(info: IdInfo, mats, spec: NormSpec, ctx: CheckContext, tols) -> tuple[Interval, Interval, str]:
+    """Both sides of ``info`` with its radii certified to the first of ``tols``.
+
+    While the sides do not separate, each further tolerance recomputes
+    the radii alone: the gate's sector data and every other term are
+    kept, so the last pass gives the bits of a check run at its
+    tolerance only.
+    """
     infos, note = _check_hypothesis(info.requires, mats, info.arity)
     ev = _Evaluator(mats, infos, info.product, spec, ctx)
     if info.block is not None:
         return _psd_comparison(info.block(ev.matrix(Rotated(_X)), infos[_X].index_alpha))
-    ev.radii(info.lhs, info.rhs)
-    return ev.side(info.lhs), ev.side(info.rhs), note
+    omegas = ev.omegas(info.lhs, info.rhs)
+    for tol in tols:
+        if omegas:
+            ev.radii(omegas, tol)
+        lhs, rhs = ev.side(info.lhs), ev.side(info.rhs)
+        if not omegas or classify(lhs, rhs) in _SETTLED:
+            break
+    return lhs, rhs, note
 
 
 def check_inequality(
@@ -675,12 +709,18 @@ def check_inequality(
 ) -> CheckResult:
     """Evaluate one inequality on explicit inputs with certified intervals.
 
-    Inputs whose matrix properties violate the identifier's hypotheses
-    (except for I_diag_psd, which evaluates regardless so that necessity
-    of its hypothesis can be demonstrated) yield verdict "inapplicable".
+    Every radius is certified to ``context.refine_tol``.  Inputs whose
+    matrix properties violate the identifier's hypotheses (except for
+    I_diag_psd, which evaluates regardless so that necessity of its
+    hypothesis can be demonstrated) yield verdict "inapplicable".
     Wrong arity or mismatched dimensions raise instead: those are caller
     errors, not data properties.
     """
+    return _check(id, inputs, norm, context, seed, (context.refine_tol,))
+
+
+def _check(id, inputs, norm: NormSpec, context: CheckContext, seed, tols) -> CheckResult:
+    """check_inequality with its radius tolerances given as in _evaluate."""
     ineq = InequalityId(id)
     info = REGISTRY[ineq]
     mats = [as_matrix(m, f"input {k}") for k, m in enumerate(inputs)]
@@ -695,7 +735,7 @@ def check_inequality(
             raise DimensionError(f"input {k} has dimension {M.shape[0]}, expected {n}")
     spec_eff = OPERATOR if info.classical else norm
     try:
-        lhs, rhs, note = _evaluate(info, mats, spec_eff, context)
+        lhs, rhs, note = _evaluate(info, mats, spec_eff, context, tols)
     except Inapplicable as exc:
         return CheckResult.inapplicable(ineq.value, str(exc), seed=seed, norm=spec_eff.label, dim=n)
     return CheckResult.from_comparison(
@@ -779,12 +819,13 @@ def _normalize_ids(ids) -> list[InequalityId]:
     return [i for i in all_ids() if i in wanted]  # registry order, no duplicates
 
 
-def _run_trials(tagged, trials: int, dims, norms, seed: int, context: CheckContext):
+def _run_trials(tagged, trials: int, dims, norms, seed: int, context: CheckContext, tols):
     """Seeded checks of each (id, seed tag) pair of ``tagged``, and a summary per id.
 
     Trial t of an id uses dimension dims[t mod len(dims)], norm
     norms[(t div len(dims)) mod len(norms)] and seed mix_seed(seed, tag, t),
-    so every dimension/norm combination is exercised.
+    so every dimension/norm combination is exercised.  Radii are
+    certified to ``tols`` as in _evaluate.
     """
     results = []
     for ineq, tag in tagged:
@@ -794,7 +835,7 @@ def _run_trials(tagged, trials: int, dims, norms, seed: int, context: CheckConte
             norm = norms[(t // len(dims)) % len(norms)]
             tseed = mix_seed(seed, tag, t)
             mats = generate_inputs(info, dim, tseed, context.m_fold)
-            results.append(check_inequality(ineq, mats, norm, context=context, seed=tseed))
+            results.append(_check(ineq, mats, norm, context, tseed, tols))
     per_id = {ineq.value: IdSummary() for ineq, _ in tagged}
     for r in results:
         per_id[r.id].add(r)
@@ -813,8 +854,14 @@ def run_suite(
     """Randomized certified verification over every requested identifier.
 
     Per identifier, ``trials`` independent inputs are generated and
-    checked as _run_trials describes.  The report is a deterministic
-    function of the arguments (wall time aside).
+    checked as _run_trials describes.  Each check certifies its radii to
+    _COARSE_TOL first, which settles nearly every verdict; a check whose
+    sides then overlap is certified again to ``context.refine_tol`` and
+    reports that pass (the bits check_inequality gives).  A reported
+    interval is therefore an enclosure whose width is set by the pass
+    that settled it; check_inequality gives tight intervals for any one
+    result.  The report is a deterministic function of the arguments
+    (wall time aside).
     """
     id_list = _normalize_ids(ids)
     if trials < 1:
@@ -828,7 +875,7 @@ def run_suite(
 
     tagged = [(ineq, 1000 + idx) for idx, ineq in enumerate(id_list)]
     start = time.perf_counter()
-    results, per_id = _run_trials(tagged, trials, dims, norm_list, seed, context)
+    results, per_id = _run_trials(tagged, trials, dims, norm_list, seed, context, _passes(context))
     wall = time.perf_counter() - start
     config = {
         "ids": [i.value for i in id_list],
@@ -838,6 +885,7 @@ def run_suite(
         "seed": seed,
         "grid": context.grid,
         "refine_tol": context.refine_tol,
+        "coarse_tol": _COARSE_TOL,
         "alpha_inflation": _ALPHA_INFLATION,
         "m_fold": context.m_fold,
         "mode": "verify",
@@ -866,7 +914,11 @@ def tightness_scan(
     *,
     context: CheckContext = DEFAULT_CONTEXT,
 ) -> SuiteReport:
-    """Maximum lhs/rhs ratio over random inputs plus extremal fixtures."""
+    """Maximum lhs/rhs ratio over random inputs plus extremal fixtures.
+
+    Every radius is certified to ``context.refine_tol``, so the ratios
+    are as tight as check_inequality's.
+    """
     ineq = InequalityId(id)
     info = REGISTRY[ineq]
     if info.block is not None:
@@ -874,7 +926,7 @@ def tightness_scan(
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     dims = (2, 3, 4)
-    results, per_id = _run_trials([(ineq, 77)], trials, dims, DEFAULT_NORMS, seed, context)
+    results, per_id = _run_trials([(ineq, 77)], trials, dims, DEFAULT_NORMS, seed, context, (context.refine_tol,))
     for fixture in _FIXTURES.get(ineq, []):
         for norm in DEFAULT_NORMS:
             r = check_inequality(ineq, list(fixture), norm, context=context, seed=None)

@@ -33,9 +33,23 @@ TOLERANCE_REL = 1e-7
 TOLERANCE_ABS = 1e-9
 
 
+def _down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] enclosing one real quantity."""
+    """Closed interval [lo, hi] enclosing one real quantity.
+
+    point, +, * and scale round outward: each computed bound moves one
+    ulp away from the interval's interior.  A round-to-nearest result is
+    within half an ulp of the exact one, so the exact result of the
+    operation on the operands' bounds stays enclosed.
+    """
 
     lo: float
     hi: float
@@ -49,7 +63,7 @@ class Interval:
     @classmethod
     def point(cls, value: float, rel: float = 0.0, abs_: float = 0.0) -> "Interval":
         pad = abs(value) * rel + abs_
-        return cls(value - pad, value + pad)
+        return cls(_down(value - pad), _up(value + pad))
 
     @property
     def mid(self) -> float:
@@ -60,7 +74,7 @@ class Interval:
         return self.hi - self.lo
 
     def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
+        return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
 
     def __mul__(self, other: "Interval") -> "Interval":
         cands = (
@@ -69,12 +83,12 @@ class Interval:
             self.hi * other.lo,
             self.hi * other.hi,
         )
-        return Interval(min(cands), max(cands))
+        return Interval(_down(min(cands)), _up(max(cands)))
 
     def scale(self, c: float) -> "Interval":
         if c < 0:
             raise ValueError("scale factor must be nonnegative")
-        return Interval(self.lo * c, self.hi * c)
+        return Interval(_down(self.lo * c), _up(self.hi * c))
 
     @staticmethod
     def min_of(a: "Interval", b: "Interval") -> "Interval":

@@ -18,6 +18,7 @@ from sector_radius.generator import (
 )
 from sector_radius import harness
 from sector_radius.harness import (
+    DEFAULT_CONTEXT,
     DEFAULT_NORMS,
     REGISTRY,
     Hypothesis,
@@ -32,8 +33,9 @@ from sector_radius.harness import (
     run_suite,
     tightness_scan,
 )
-from sector_radius.linalg import DimensionError
-from sector_radius.norms import FROBENIUS, OPERATOR, TRACE, schatten
+from sector_radius.linalg import DimensionError, cartesian_decompose
+from sector_radius.norms import FROBENIUS, OPERATOR, TRACE, hermitian_norm, schatten
+from sector_radius.report import classify
 from sector_radius.sectorial import rotation_to_sector, sector_index, tan_block
 from helpers import mp_schatten_norm
 
@@ -251,7 +253,110 @@ class TestReportPin:
         obj = run_suite("all", 20, range(2, 7), DEFAULT_NORMS, seed=42).report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == "c719fa73761ddcffe50cd05a7bd45dd58d482b356e0cf361da83de37d6d66691"
+        assert digest == "2320b18287e254f79cf9997b0ba0160de8ebf9c6944a28326a3a470b85a753ab"
+
+
+def radius_terms(ineq, mats, spec, refine_tol):
+    """Every Omega term of one check certified to ``refine_tol``, and its verdict."""
+    info = REGISTRY[ineq]
+    infos, _ = _check_hypothesis(info.requires, mats, info.arity)
+    ev = harness._Evaluator(mats, infos, info.product, spec, DEFAULT_CONTEXT)
+    omegas = ev.omegas(info.lhs, info.rhs)
+    if omegas:
+        ev.radii(omegas, refine_tol)
+    return {t: ev.side(t) for t in omegas}, classify(ev.side(info.lhs), ev.side(info.rhs))
+
+
+def record_radii(monkeypatch) -> list:
+    """(spec, matrices, refine_tol, estimates) of every omega_n call the harness makes."""
+    calls = []
+    original = harness.omega_n
+
+    def recorded(spec, *mats, refine_tol, **kwargs):
+        ests = original(spec, *mats, refine_tol=refine_tol, **kwargs)
+        calls.append((spec, mats, refine_tol, ests if len(mats) > 1 else (ests,)))
+        return ests
+
+    monkeypatch.setattr(harness, "omega_n", recorded)
+    return calls
+
+
+def suite_check(ineq, mats, norm, ctx=DEFAULT_CONTEXT):
+    """One check as run_suite runs it: coarse radii first."""
+    return harness._check(ineq, mats, norm, ctx, None, harness._passes(ctx))
+
+
+class TestCoarsePass:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 16])
+    def test_coarse_radii_enclose_tight_ones(self, n):
+        # Both passes enclose the same radius and the tight pass samples at
+        # least as densely, so each coarse interval holds the tight one; a
+        # term where it does not shows that one of the two paths is unsound.
+        # A suite check then settles on the verdict a tight check gives.
+        for ineq in all_ids():
+            info = REGISTRY[ineq]
+            if info.block is not None:
+                continue
+            for k, norm in enumerate((OPERATOR,) if info.classical else ALL_NORMS):
+                mats = generate_inputs(info, n, seed=6000 + 10 * n + k)
+                coarse, _ = radius_terms(ineq, mats, norm, harness._COARSE_TOL)
+                tight, verdict = radius_terms(ineq, mats, norm, DEFAULT_CONTEXT.refine_tol)
+                for term, iv in tight.items():
+                    assert coarse[term].lo <= iv.lo and iv.hi <= coarse[term].hi, (ineq, norm.label, term)
+                assert suite_check(ineq, mats, norm).verdict == verdict, (ineq, norm.label)
+
+    def test_eigensolve_budget_per_check(self, monkeypatch):
+        # eigvalsh matrices per check over every id x n 2..6 x four norms:
+        # 40.1 at the acceptance flags, 80.7 with every radius certified to
+        # refine_tol.
+        mats = [0]
+        original = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            mats[0] += int(np.prod(np.shape(a)[:-2], dtype=np.int64))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        rep = run_suite("all", 20, range(2, 7), DEFAULT_NORMS, seed=42)
+        assert mats[0] / len(rep.results) <= 45, mats[0] / len(rep.results)
+
+    def test_open_check_takes_the_tight_pass(self, monkeypatch):
+        # The Volterra pair attains B_prod4's constant, so its coarse sides
+        # overlap; the suite recomputes the radii alone at refine_tol and
+        # reports the bits of check_inequality.
+        calls = record_radii(monkeypatch)
+        pair = [VOLTERRA, VOLTERRA.T.copy()]
+        suite = suite_check("B_prod4", pair, OPERATOR)
+        assert [tol for *_, tol, _ in calls] == [harness._COARSE_TOL, DEFAULT_CONTEXT.refine_tol]
+        tight = check_inequality("B_prod4", pair, OPERATOR)
+        assert json.dumps(suite.to_obj()) == json.dumps(tight.to_obj())
+        assert suite.ratio == pytest.approx(1.0, abs=1e-9)
+
+    def test_settled_check_takes_one_pass(self, monkeypatch):
+        calls = record_radii(monkeypatch)
+        mats = generate_inputs(REGISTRY["T1_prod_sec_N"], 4, seed=5)
+        assert suite_check("T1_prod_sec_N", mats, TRACE).verdict == "certified_pass"
+        assert [tol for *_, tol, _ in calls] == [harness._COARSE_TOL]
+
+    def test_coarse_refine_tol_runs_one_pass(self, monkeypatch):
+        calls = record_radii(monkeypatch)
+        ctx = replace(DEFAULT_CONTEXT, refine_tol=0.05)
+        suite_check("B_prod4", [VOLTERRA, VOLTERRA.T.copy()], OPERATOR, ctx)
+        assert [tol for *_, tol, _ in calls] == [0.05]
+
+    def test_tight_callers_stay_tight(self, monkeypatch):
+        calls = record_radii(monkeypatch)
+        tightness_scan("B_prod4", trials=6, seed=1)
+        for ineq in ("P1_re_mono", "C_mprod", "T_onetan_min"):
+            for norm in ALL_NORMS:
+                check_inequality(ineq, generate_inputs(REGISTRY[ineq], 4, seed=8), norm)
+        tol = DEFAULT_CONTEXT.refine_tol
+        assert calls and all(refine_tol == tol for _, _, refine_tol, _ in calls)
+        for spec, mats, _, ests in calls:
+            for X, est in zip(mats, ests):
+                A, B = cartesian_decompose(X)
+                L = hermitian_norm(spec, A) + hermitian_norm(spec, B)
+                assert est.cert_error <= 0.5 * L * tol * (1 + 1e-9), (spec.label, est)
 
 
 class TestStageBudgets:

@@ -1,8 +1,24 @@
 import json
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sector_radius.report import CheckResult, Interval, SuiteReport, IdSummary, classify
+
+# Finite floats whose sums and products stay finite, subnormals included.
+FLOATS = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+@st.composite
+def intervals(draw):
+    a, b = sorted((draw(FLOATS), draw(FLOATS)))
+    return Interval(a, b)
+
+
+def encloses(iv: Interval, exact: Fraction) -> bool:
+    return Fraction(iv.lo) <= exact <= Fraction(iv.hi)
 
 
 class TestInterval:
@@ -22,7 +38,30 @@ class TestInterval:
         a = Interval(-2.0, 3.0)
         b = Interval(-1.0, 4.0)
         prod = a * b
-        assert prod.lo == -8.0 and prod.hi == 12.0
+        assert prod.lo == math.nextafter(-8.0, -math.inf)
+        assert prod.hi == math.nextafter(12.0, math.inf)
+
+    @given(intervals(), intervals())
+    def test_sum_and_product_enclose_exact_results(self, a, b):
+        total = a + b
+        prod = a * b
+        for x in (a.lo, a.hi):
+            for y in (b.lo, b.hi):
+                assert encloses(prod, Fraction(x) * Fraction(y))
+        assert encloses(total, Fraction(a.lo) + Fraction(b.lo))
+        assert encloses(total, Fraction(a.hi) + Fraction(b.hi))
+
+    @given(intervals(), st.floats(min_value=0.0, max_value=1e150))
+    def test_scale_encloses_exact_results(self, a, c):
+        scaled = a.scale(c)
+        assert encloses(scaled, Fraction(a.lo) * Fraction(c))
+        assert encloses(scaled, Fraction(a.hi) * Fraction(c))
+
+    @given(FLOATS, st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1e100))
+    def test_point_encloses_value_minus_and_plus_pad(self, value, rel, abs_):
+        iv = Interval.point(value, rel=rel, abs_=abs_)
+        pad = Fraction(abs(value) * rel + abs_)  # the pad as point computes it
+        assert encloses(iv, Fraction(value) - pad) and encloses(iv, Fraction(value) + pad)
 
     def test_min_of(self):
         m = Interval.min_of(Interval(1.0, 5.0), Interval(2.0, 3.0))
