@@ -470,13 +470,14 @@ class _Evaluator:
     def radii(self, omegas: list[Omega], refine_tol: float) -> None:
         """Certify ``omegas`` to ``refine_tol`` in one omega_n call.
 
-        The matrices run as lanes of one batch, and each interval is
-        memoised for side(), replacing any earlier one.
+        The matrices run as lanes of one batch, and each interval
+        [value, value + cert_error], its upper end rounded up, is memoised
+        for side(), replacing any earlier one.
         """
         mats = [self.matrix(t.of) for t in omegas]
         ests = omega_n(self.spec, *mats, grid=self.ctx.grid, refine_tol=refine_tol)
         for term, est in zip(omegas, ests if len(omegas) > 1 else (ests,)):
-            self._memo[term] = Interval(est.value, est.value + est.cert_error)
+            self._memo[term] = Interval(est.value, math.nextafter(est.value + est.cert_error, math.inf))
 
     def side(self, expr) -> Interval:
         if isinstance(expr, tuple):

@@ -25,19 +25,20 @@ such as Jordan blocks.
 Every other profile certifies with a covering bound: if cells of
 half-widths r_i around centres c_i cover the period, sup f <=
 max_i (f(c_i) + e)/cos(r_i), with e the sample error.  This term is the
-only cell test.  Coarse cells (half-width h) whose term stays
-within the target pass as they are; the odd samples beside the others
-are evaluated, and the fine cells (half-width h/2) there pass on the
-same test.  The open fine cells form blocks, one per sampled peak; each
-block's peak is located by two rounds of three-point parabola fits, and
-the block is replaced by a ladder of cells whose half-widths grow with
-the distance from the fitted peak, so that every term comes out within
-the target.  The fit affects only how many cells the ladder needs, never
-the bound.  It applies to the operator norm too: that profile is a
-maximum of analytic eigenvalue branches, so its strict local maxima are
-smooth peaks of every active branch, and its corners are minima.  A lane
-still open prunes the cells whose term is within the target and splits
-the others, until the bound closes or a budget runs out.
+only cell test.  Coarse cells (half-width h) whose term stays within the
+target pass; the odd samples beside the others are evaluated, and the
+fine cells (half-width h/2) there pass on the same test.  Passing cells
+count only through a lane's largest term of theirs, its settled term.
+The open fine cells form blocks, one per sampled peak; each block's peak
+is located by two rounds of three-point parabola fits, and the block is
+replaced by a ladder of cells whose half-widths grow with the distance
+from the fitted peak, so that every term comes out within the target.
+The fit affects only how many cells the ladder needs, never the bound.
+It applies to the operator norm too: that profile is a maximum of
+analytic eigenvalue branches, so its strict local maxima are smooth
+peaks of every active branch, and its corners are minima.  A lane still
+open settles the ladder cells that pass and splits the others, until
+the bound closes or a budget runs out.
 
 omega_n takes any number of same-size matrices and runs them in
 lockstep, as lanes of one batch: the coarse grid with the Cartesian
@@ -446,36 +447,40 @@ def _subdivide(
     theta: np.ndarray,
     values: np.ndarray,
     r: np.ndarray,
+    settled: list[float],
     bound: list[float],
     slack: list[float],
     g_stop: list[float],
     best: _Best,
 ) -> None:
-    """Certify by subdivision, lowering bound[l] of every lane in the cells.
+    """Certify by subdivision, lowering bound[l] of every lane in ``segments``.
 
     Cell k has center theta[k], half-width r[k] and profile value
     values[k]; the rows lo:hi of each (l, lo, hi) in ``segments`` belong
-    to lane l, and a lane's cells cover [0, pi) modulo pi.  Each round
-    takes every cell's covering term (_covering_terms) and prunes the
-    cells whose term is within g_stop[l] of the lane's best sample.  The
-    pruned cells and the active ones still cover the period, so
-    bound[l] falls to the largest term of either (and no lower than the
-    best sample).  The active cells are split in halves, and the halves
-    of every open lane are evaluated in one batch.  A lane closes when
-    its bound is within g_stop[l] of its best sample, at the latest when
-    no cell stays active; a lane whose cells already close leaves in the
-    first round, before any evaluation.  The bound stays valid at every
-    stage, so exhausting the budget only enlarges cert_error.  ``bound``,
+    to lane l, possibly none.  settled[l] is the largest covering term of
+    lane l's cells that already passed, and those cells and the lane's
+    cells here cover [0, pi) modulo pi.  Each round takes every cell's
+    covering term (_covering_terms) and prunes the cells whose term is
+    within g_stop[l] of the lane's best sample, raising settled[l] to
+    their largest term.  The settled cells and the active ones still
+    cover the period, so bound[l] falls to the largest term of either
+    (and no lower than the best sample).  The active cells are split in
+    halves, and the halves of every open lane are evaluated in one batch.
+    A lane closes when its bound is within g_stop[l] of its best sample,
+    at the latest when no cell stays active; a lane whose cells already
+    close, such as one without cells, leaves in the first round, before
+    any evaluation.  The bound stays valid at every stage, so exhausting
+    the budget only enlarges cert_error.  ``settled``, ``bound``,
     ``slack``, ``g_stop`` and ``best`` are indexed by lane.
     """
-    pruned = [-math.inf] * len(bound)
     for _ in range(_MAX_ROUNDS):
         children, halves, radii = [], [], []
         for l, lo, hi in segments:
             terms = _covering_terms(values[lo:hi], r[lo:hi], slack[l])
             keep = terms - best.value[l] > g_stop[l]
-            bound[l] = min(bound[l], max(best.value[l], pruned[l], float(terms.max())))
-            pruned[l] = max(pruned[l], float(terms.max(where=~keep, initial=-math.inf)))
+            top = float(terms.max(initial=-math.inf))
+            bound[l] = min(bound[l], max(best.value[l], settled[l], top))
+            settled[l] = max(settled[l], float(terms.max(where=~keep, initial=-math.inf)))
             count = int(keep.sum())
             if bound[l] - best.value[l] <= g_stop[l] or 2 * count > _MAX_CELLS:
                 continue
@@ -550,67 +555,62 @@ def _covering_cells(
     slack: list[float],
     g_stop: list[float],
     best: _Best,
-) -> tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray, np.ndarray]:
-    """Cells covering the period for each lane, as _subdivide takes them.
+) -> tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray, np.ndarray, list[float]]:
+    """Settled terms and ladder cells of each lane, as _subdivide takes them.
 
     ``rows`` maps each lane to the even samples 2kh of its start grid of
-    step h.  A coarse cell, of half-width h around an even sample, whose
-    covering term f(c)/cos(h) is within g_stop of the best sample stays:
-    it covers the fine cell (half-width h/2) at its centre and half of
-    each odd one beside it.  One batched eigvalsh evaluates the odd
-    samples (2k +- 1)h next to the other coarse cells.  Of the fine cells
-    that no passing coarse cell covers, one whose term f(c)/cos(h/2) is
-    within g_stop stays, and the open ones form blocks, one per sampled
-    peak (_open_blocks).  Each block's peak starts at the vertex of the
-    parabola through its three grid samples, all evaluated (an open even
-    cell has both odd neighbours), is refined by _fit_peaks, and the block
-    is replaced by a _ladder around it; the ladders of every lane are
-    evaluated in one batch.  Returns (segments, theta, values, r): the
-    rows lo:hi of each (l, lo, hi) are lane l's cells, with centers theta,
-    profile values and padded half-widths r.
+    step h.  A cell passes on _subdivide's test, its term within g_stop of
+    the best sample.  A passing coarse cell, of half-width h around an
+    even sample, covers the fine cell (half-width h/2) at its centre and
+    half of each odd one beside it.  One batched eigvalsh evaluates the
+    odd samples (2k +- 1)h next to the open coarse cells, none for a lane
+    whose coarse cells all pass.  Fine cells pass on the same test (as
+    does each whose coarse cell passed), and the open ones form blocks,
+    one per sampled peak (_open_blocks).  Each block's peak starts at the
+    vertex of the parabola through its three grid samples, all evaluated
+    (an open even cell has both odd neighbours), is refined by
+    _fit_peaks, and the block is replaced by a _ladder around it; the
+    ladders of every lane are evaluated in one batch.  Returns (segments,
+    theta, values, r, settled): lane l's ladder cells, none without an
+    open block, are the rows lo:hi of each (l, lo, hi), with centers
+    theta, profile values and padded half-widths r; settled[l] is the
+    largest term of its passing cells, which with the ladders cover the
+    period.
     """
     ids = list(rows)
     grid = 2 * len(rows[ids[0]])
-    r_coarse = h + _PAD
-    r_fine = 0.5 * h + _PAD
-    coarse, odd = {}, {}
+    settled = [-math.inf] * len(slack)
+    odd = {}
     for l, row in rows.items():
-        coarse[l] = _covering_terms(row, r_coarse, slack[l]) <= best.value[l] + g_stop[l]
-        # Odd sample 2k + 1 lies between coarse cells k and k + 1.
-        both = coarse[l] & np.concatenate((coarse[l][1:], coarse[l][:1]))
-        odd[l] = 2 * np.flatnonzero(~both) + 1
-    odd_segments = _segments(np.repeat(ids, [len(odd[l]) for l in ids]))
-    odd_theta = np.concatenate([odd[l] for l in ids]) * h
-    odd_values = _profile_values(A, B, odd_segments, odd_theta, p)
-    best.update(odd_segments, odd_theta, odd_values)
-
-    # Each lane's fine grid, NaN where a passing coarse cell left a sample
-    # out; ``cells`` holds the mask of the coarse and fine cells that stay,
-    # each cell at the index of its centre, and their half-widths.
-    fine, cells, blocks = {}, {}, []
-    stop = 0
-    for l in ids:
-        row = np.full(grid, math.nan)
-        row[0::2] = rows[l]
-        row[odd[l]] = odd_values[stop : stop + len(odd[l])]
-        stop += len(odd[l])
-        uncovered = np.zeros(grid, dtype=bool)
-        uncovered[0::2] = ~coarse[l]
-        uncovered[odd[l]] = True
-        open_ = uncovered & (_covering_terms(row, r_fine, slack[l]) > best.value[l] + g_stop[l])
-        kept = uncovered & ~open_
-        kept[0::2] |= coarse[l]
-        width = np.full(grid, r_fine)
-        width[0::2] = np.where(coarse[l], r_coarse, r_fine)
-        fine[l], cells[l] = row, (kept, width)
-        blocks += [(l,) + block for block in _open_blocks(row, open_)]
+        terms = _covering_terms(row, h + _PAD, slack[l])
+        open_ = terms - best.value[l] > g_stop[l]
+        settled[l] = float(terms.max(where=~open_, initial=-math.inf))
+        if open_.any():
+            # Odd sample 2k + 1 lies between coarse cells k and k + 1.
+            odd[l] = 2 * np.flatnonzero(open_ | np.roll(open_, -1)) + 1
     rungs = {l: ([], []) for l in ids}
-    if blocks:
+    if odd:
+        odd_segments = _segments(np.repeat(list(odd), [len(k) for k in odd.values()]))
+        odd_theta = np.concatenate(list(odd.values())) * h
+        odd_values = _profile_values(A, B, odd_segments, odd_theta, p)
+        best.update(odd_segments, odd_theta, odd_values)
+        # Each lane's fine grid, NaN where a passing coarse cell left a
+        # sample out; a NaN cell is never open.
+        fine, blocks = {}, []
+        for l, lo, hi in odd_segments:
+            row = np.full(grid, math.nan)
+            row[0::2] = rows[l]
+            row[odd[l]] = odd_values[lo:hi]
+            terms = _covering_terms(row, 0.5 * h + _PAD, slack[l])
+            open_ = terms - best.value[l] > g_stop[l]
+            settled[l] = max(settled[l], float(np.nanmax(terms, where=~open_, initial=-math.inf)))
+            fine[l] = row
+            blocks += [(l,) + block for block in _open_blocks(row, open_)]
         starts = []
         for l, k, _, _ in blocks:
             y = fine[l].take([k - 1, k, k + 1], mode="wrap").tolist()
             starts.append(k * h + _parabola(*y, h)[0])
-        fits = _fit_peaks(A, B, p, [block[0] for block in blocks], starts, h, best)
+        fits = _fit_peaks(A, B, p, [block[0] for block in blocks], starts, h, best) if blocks else []
         for (l, k, first, last), (peak, kappa, top) in zip(blocks, fits):
             top = max(top, float(fine[l][k % grid]))
             # A lower peak needs its cells' terms below the lane's best only.
@@ -618,32 +618,23 @@ def _covering_cells(
             at, widths = _ladder(peak, min(kappa, top), top, g, (first - 0.5) * h, (last + 0.5) * h)
             rungs[l][0].extend(at)
             rungs[l][1].extend(widths)
-    counts = [len(rungs[l][0]) for l in ids]
-    rung_segments = _segments(np.repeat(ids, counts))
-    rung_theta = np.array([t for l in ids for t in rungs[l][0]])
-    rung_values = _profile_values(A, B, rung_segments, rung_theta, p)
-    best.update(rung_segments, rung_theta, rung_values)
-    # Each lane's cells: its passing coarse and fine cells, then its ladders.
-    centers = np.arange(grid) * h
-    segments, theta, values, r = [], [], [], []
-    stop = rung = 0
-    for l, count in zip(ids, counts):
-        kept, width = cells[l]
-        total = int(kept.sum()) + count
-        segments.append((l, stop, stop + total))
-        stop += total
-        theta += [centers[kept], rung_theta[rung : rung + count]]
-        values += [fine[l][kept], rung_values[rung : rung + count]]
-        r += [width[kept], np.array(rungs[l][1]) + _PAD]
-        rung += count
-    return segments, np.concatenate(theta), np.concatenate(values), np.concatenate(r)
+    stops = np.cumsum([0] + [len(rungs[l][0]) for l in ids]).tolist()
+    segments = list(zip(ids, stops[:-1], stops[1:]))
+    theta = np.array([t for l in ids for t in rungs[l][0]])
+    r = np.array([w for l in ids for w in rungs[l][1]]) + _PAD
+    values = np.empty(0)
+    if stops[-1]:
+        ladders = [segment for segment in segments if segment[1] < segment[2]]
+        values = _profile_values(A, B, ladders, theta, p)
+        best.update(ladders, theta, values)
+    return segments, theta, values, r, settled
 
 
 def check_grid(grid) -> None:
     """Raise ValueError unless ``grid`` is an even integer >= 8.
 
-    An odd grid never samples theta = pi/2, where the profile of a
-    skew-Hermitian X peaks.
+    Only an even grid puts an odd sample (2k + 1)h between every two
+    neighbouring coarse cells k and k + 1, the last at pi - h.
     """
     if not isinstance(grid, (int, np.integer)) or grid < 8 or grid % 2:
         raise ValueError(f"grid must be an even integer >= 8, got {grid}")
@@ -685,11 +676,13 @@ def omega_n(
     skew-Hermitian X is one eigvalsh of its nonzero part.  Any other X
     samples the even half of the start grid anchored at theta = 0, in the
     same eigvalsh as Im X; a flat coarse grid tries the rotation bound of
-    a circular X first.  Otherwise one eigvalsh evaluates the odd samples
-    beside the open coarse cells, each open peak is fitted with two
-    batched parabola rounds and one ladder of cells is evaluated around
-    the fitted peaks, which for a typical matrix makes 5 eigvalsh calls in
-    all.  A lane whose ladder leaves it open subdivides.
+    a circular X first.  A lane whose coarse cells all pass is done, as is
+    every lane at refine_tol 1e-2 on the default grid.  Otherwise one
+    eigvalsh evaluates the odd samples beside the open coarse cells, each
+    open peak is fitted with two batched parabola rounds and one ladder
+    of cells is evaluated around the fitted peaks, which for a typical
+    matrix makes 5 eigvalsh calls in all.  A lane whose ladder leaves it
+    open subdivides.
     """
     Xs = as_stack(X, *more)
     check_grid(grid)

@@ -69,10 +69,6 @@ class Interval:
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
 

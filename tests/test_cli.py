@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sector_radius.cli import main
-from sector_radius.generator import GenConfig, random_pd
+from sector_radius.generator import GenConfig, random_accretive_dissipative, random_pd
 from sector_radius.linalg import read_matrix, write_matrix
 
 
@@ -22,6 +22,10 @@ class TestGenAndCompute:
         data = json.loads(out.read_text())
         assert set(data) == {"value", "theta_star", "cert_error"}
         assert data["value"] > 0 and data["cert_error"] >= 0
+        # Without -o the same JSON goes to stdout.
+        capsys.readouterr()
+        assert run_cli("compute", "omega", "-i", str(m)) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_omega_n_with_norm_flag(self, tmp_path):
         m = tmp_path / "m.json"
@@ -92,6 +96,9 @@ class TestGenAndCompute:
         run_cli("gen", "unitary", "--n", "4", "--seed", "9", "-o", str(m))
         U = read_matrix(m)
         assert np.linalg.norm(U.conj().T @ U - np.eye(4)) <= 1e-12
+        ad = tmp_path / "ad.json"
+        assert run_cli("gen", "accretive-dissipative", "--n", "3", "--seed", "9", "-o", str(ad)) == 0
+        assert np.array_equal(read_matrix(ad), random_accretive_dissipative(GenConfig(3, 9)))
         write_matrix(tmp_path / "copy.json", U)
         assert np.array_equal(read_matrix(tmp_path / "copy.json"), U)
 
@@ -121,10 +128,16 @@ class TestVerify:
         )
         assert rc == 0
         assert json.loads(report.read_text())["config"]["dims"] == [2, 3, 4]
+        for dims in ("4..2", ","):
+            with pytest.raises(SystemExit):
+                run_cli("verify", "--ids", "P1_re_mono", "--trials", "1", "--dims", dims)
 
     def test_unknown_id_rejected(self, capsys):
         with pytest.raises(SystemExit):
             run_cli("verify", "--ids", "bogus", "--trials", "1")
+        with pytest.raises(SystemExit):
+            run_cli("verify", "--ids", ",", "--trials", "1")
+        assert "empty id list" in capsys.readouterr().err
 
     def test_odd_grid_is_refused(self, tmp_path, capsys):
         m = tmp_path / "m.json"
@@ -144,11 +157,14 @@ class TestVerify:
 
 
 class TestTightenAndExplain:
-    def test_tighten_b_prod4(self, capsys):
-        rc = run_cli("tighten", "--id", "B_prod4", "--trials", "3", "--seed", "4")
+    def test_tighten_b_prod4(self, tmp_path, capsys):
+        report = tmp_path / "tighten.json"
+        rc = run_cli("tighten", "--id", "B_prod4", "--trials", "3", "--seed", "4", "--out", str(report))
         assert rc == 0
         out = capsys.readouterr().out
         assert "max ratio" in out
+        data = json.loads(report.read_text())
+        assert data["summary"]["per_id"]["B_prod4"]["max_ratio"] == pytest.approx(1.0, abs=1e-9)
 
     def test_explain(self, capsys):
         rc = run_cli("explain", "--id", "T1_prod_sec_N")

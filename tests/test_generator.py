@@ -169,6 +169,8 @@ class TestStacks:
     def test_stack_validation(self):
         with pytest.raises(ValueError, match="config 1 has n = 3"):
             ginibre_stack([GenConfig(2, 1), GenConfig(3, 1)])
+        with pytest.raises(ValueError, match="at least one config"):
+            ginibre_stack([])
         with pytest.raises(ValueError, match="alphas"):
             sectorial_stack([GenConfig(2, 1), GenConfig(2, 2)], [0.5])
         with pytest.raises(ValueError, match="alpha must lie"):

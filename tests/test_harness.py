@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import replace
@@ -16,7 +17,7 @@ from sector_radius.generator import (
     random_sectorial,
     random_unitary,
 )
-from sector_radius import harness
+from sector_radius import harness, radius
 from sector_radius.harness import (
     DEFAULT_CONTEXT,
     DEFAULT_NORMS,
@@ -234,6 +235,8 @@ class TestRunSuite:
             run_suite("all", 0, [2], [OPERATOR], seed=1)
 
     def test_dims_and_norms_validation(self):
+        with pytest.raises(ValueError, match="empty id set"):
+            run_suite([], 1, [2], [OPERATOR], seed=1)
         with pytest.raises(ValueError):
             run_suite("all", 1, [], [OPERATOR], seed=1)
         with pytest.raises(ValueError):
@@ -253,7 +256,7 @@ class TestReportPin:
         obj = run_suite("all", 20, range(2, 7), DEFAULT_NORMS, seed=42).report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == "2320b18287e254f79cf9997b0ba0160de8ebf9c6944a28326a3a470b85a753ab"
+        assert digest == "2e527c00c3f0eccef5a9108f08f35fec188baca8e3a84cc7b89cdc13cd56d8ae"
 
 
 def radius_terms(ineq, mats, spec, refine_tol):
@@ -344,6 +347,34 @@ class TestCoarsePass:
         suite_check("B_prod4", [VOLTERRA, VOLTERRA.T.copy()], OPERATOR, ctx)
         assert [tol for *_, tol, _ in calls] == [0.05]
 
+    def test_coarse_pass_closes_on_coarse_cells(self, monkeypatch):
+        # A coarse cell's term f/cos(h + pad), h = pi/DEFAULT_GRID, exceeds
+        # its sample f by 0.00484 f, less than g_stop = L _COARSE_TOL/2
+        # since no sample exceeds the Lipschitz constant L.  Every coarse
+        # cell passes, so a general radius is its first eigvalsh alone,
+        # with no odd sample, fine row, fit round or ladder.
+        assert 1.0 / math.cos(math.pi / radius.DEFAULT_GRID + radius._PAD) - 1.0 < harness._COARSE_TOL / 2
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(1)
+            return original(a, *args, **kwargs)
+
+        def refuse(*args):
+            raise AssertionError("a lane went on past its coarse cells")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(radius, "_profile_values", refuse)
+        monkeypatch.setattr(radius, "_open_blocks", refuse)
+        for n in (2, 3, 4, 5, 6, 16, 32):
+            for k, spec in enumerate((OPERATOR, TRACE, schatten(3))):
+                for seed in range(4):
+                    X = random_ginibre(GenConfig(n, 7000 + 10 * n + 4 * k + seed))
+                    calls.clear()
+                    radius.omega_n(spec, X, refine_tol=harness._COARSE_TOL)
+                    assert len(calls) == 1, (n, spec.label, seed, len(calls))
+
     def test_tight_callers_stay_tight(self, monkeypatch):
         calls = record_radii(monkeypatch)
         tightness_scan("B_prod4", trials=6, seed=1)
@@ -413,6 +444,8 @@ class TestTightnessScan:
     def test_psd_ids_rejected(self):
         with pytest.raises(ValueError):
             tightness_scan("L2_block_tan", trials=1, seed=1)
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            tightness_scan("B_prod4", trials=-1, seed=1)
 
 
 class TestExplainAndRegistry:
@@ -455,6 +488,8 @@ class TestExplainAndRegistry:
 # Ginibre(2, seed 0): not sectorial, not accretive, not accretive-dissipative
 # and not Hermitian, and nonsingular, so it fails differently from VOLTERRA.
 GINIBRE = random_ginibre(GenConfig(2, 0))
+# Hermitian but indefinite: refused as a positive definite input.
+INDEFINITE = np.diag([1.0, -1.0]).astype(complex)
 REFUSING_IDS = [i for i in all_ids() if REGISTRY[i].requires not in (None, Hypothesis.PSD_NOTE)]
 
 
@@ -472,7 +507,7 @@ def violation(kind: Hypothesis, bad: np.ndarray, k: int, arity: int) -> str:
     if kind is Hypothesis.ACCRETIVE_DISSIPATIVE:
         return f"{which} is not accretive-dissipative"
     if kind is Hypothesis.PD_SECOND:
-        return f"{which} is not Hermitian"
+        return f"{which} is not " + ("positive definite" if np.array_equal(bad, bad.conj().T) else "Hermitian")
     return "neither input is Hermitian"
 
 
@@ -490,7 +525,7 @@ class TestTable:
         else:
             positions = [1] if kind is Hypothesis.PD_SECOND else range(len(good))
         for k in positions:
-            for bad in (VOLTERRA, GINIBRE):
+            for bad in (VOLTERRA, GINIBRE) + ((INDEFINITE,) if kind is Hypothesis.PD_SECOND else ()):
                 mats = list(good)
                 mats[k] = bad
                 r = check_inequality(ineq, mats, TRACE)

@@ -58,6 +58,8 @@ class TestCartesianDecompose:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             cartesian_decompose(np.zeros((2, 3)))
+        with pytest.raises(DimensionError, match="at least 1x1"):
+            cartesian_decompose(np.zeros((0, 0)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):

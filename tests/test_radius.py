@@ -256,8 +256,8 @@ class TestOmegaN:
 
     @pytest.mark.parametrize("grid", [9, 33, 255])
     def test_odd_grid_is_refused(self, grid):
-        # An odd grid never samples theta = pi/2, where the profile of a
-        # skew-Hermitian matrix peaks.
+        # Only an even grid puts an odd sample (2k + 1) h between every two
+        # neighbouring coarse cells k and k + 1, around the period.
         with pytest.raises(ValueError, match="even integer"):
             omega_n(TRACE, 1j * np.eye(2), grid=grid)
         with pytest.raises(ValueError, match="even integer"):
@@ -745,17 +745,48 @@ class TestLadder:
         monkeypatch.setattr(radius, "_subdivide", recorded)
         return seen
 
+    @staticmethod
+    def record_grid_rows(monkeypatch) -> list:
+        """Capture the (row, open_) pairs _open_blocks receives, one per lane."""
+        seen = []
+        original = radius._open_blocks
+
+        def recorded(row, open_):
+            seen.append((row.copy(), open_.copy()))
+            return original(row, open_)
+
+        monkeypatch.setattr(radius, "_open_blocks", recorded)
+        return seen
+
+    @staticmethod
+    def grid_cells(row: np.ndarray, open_: np.ndarray, h: float) -> list:
+        """Cells that a lane's fine grid row certifies without a ladder.
+
+        A skipped (NaN) odd sample stands for its two passing coarse
+        neighbours, of half-width h + pad; every other sample that is not
+        open gives a cell of h/2 + pad, never wider than its real cell.
+        """
+        grid = len(row)
+        cells = []
+        for k, (value, is_open) in enumerate(zip(row.tolist(), open_.tolist())):
+            if math.isnan(value):
+                cells += [((k - 1) * h, h + _PAD), ((k + 1) % grid * h, h + _PAD)]
+            elif not is_open:
+                cells.append((k * h, 0.5 * h + _PAD))
+        return cells
+
     @pytest.mark.parametrize("grid", [8, 32, 256])
     def test_cells_cover_the_period(self, grid, monkeypatch):
-        # The passing coarse cells (half-width h + pad), the passing fine
-        # cells (h/2 + pad) and the ladders cover [0, pi) modulo pi, rounding
-        # seams included, for random inputs, two near-equal peaks, several
-        # lanes at once, and lanes still open after their ladders: op and tr
-        # at the two seeded inputs for grids 8 and 32, and a lane whose
-        # ladders have one cell a side at every grid.
+        # The passing cells of each lane's grid row and its ladders cover
+        # [0, pi) modulo pi, rounding seams included, for random inputs, two
+        # near-equal peaks, several lanes at once, and lanes still open
+        # after their ladders: op and tr at the two seeded inputs for grids
+        # 8 and 32, and a lane whose ladders have one cell a side at every
+        # grid.
         h = math.pi / grid
-        widths = set()
+        skipped = passed = False
         seen = self.record_first_cells(monkeypatch)
+        rows = self.record_grid_rows(monkeypatch)
         calls = count_hermitian_eig_matrices(monkeypatch)
         opened = []
         recorded = radius._subdivide
@@ -777,13 +808,16 @@ class TestLadder:
                 Xs = [random_complex(rng, 4)]
             for spec in (OPERATOR, TRACE, schatten(3)):
                 seen.clear()
+                rows.clear()
                 omega_n(spec, *Xs, grid=grid)
-                assert len(seen) == 1
+                assert len(seen) == 1 and len(rows) == len(Xs)
                 assert sorted(seen[0]) == list(range(len(Xs)))
-                for cells in seen[0].values():
-                    assert covers_period(cells)
-                    widths.update(r for _, r in cells)
-        assert h + _PAD in widths and 0.5 * h + _PAD in widths
+                for l, (row, open_) in enumerate(rows):
+                    assert covers_period(self.grid_cells(row, open_, h) + seen[0][l])
+                    odd = row[1::2]
+                    skipped |= bool(np.isnan(odd).any())
+                    passed |= bool((~np.isnan(odd) & ~open_[1::2]).any())
+        assert skipped and passed
         assert opened[-1], "the lane with one-cell ladders did not stay open"
 
     def test_unpadded_grid_cells_leave_a_seam(self):
