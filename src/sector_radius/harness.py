@@ -58,7 +58,7 @@ from .linalg import (
     is_psd,
 )
 from .norms import FROBENIUS, OPERATOR, TRACE, NormSpec, evaluate_norm, schatten
-from .radius import DEFAULT_GRID, DEFAULT_REFINE_TOL, check_grid, omega_n
+from .radius import DEFAULT_GRID, DEFAULT_REFINE_TOL, check_grid, check_refine_tol, omega_n
 from .report import CheckResult, IdSummary, Interval, SuiteReport, classify
 from .sectorial import (
     NotSectorialError,
@@ -89,17 +89,17 @@ class CheckContext:
     """Shared numerical settings for a batch of checks.
 
     ``grid`` is the resolution of the uniform start grid of every radius
-    computation, an even integer >= 8 (checked here, so a suite refuses
-    a bad grid before it runs).  A radius evaluates its grid/2 even
-    samples first and an odd sample only beside a coarse cell that stays
-    open; certification down to ``refine_tol`` carries the accuracy, so
-    the grid only seeds it.
-    ``refine_tol`` is the certified width of every radius, relative to
-    its profile's Lipschitz constant, for check_inequality and
+    computation, an even integer >= 8.  A radius evaluates its grid/2
+    even samples first and an odd sample only beside a coarse cell that
+    stays open; certification down to ``refine_tol`` carries the
+    accuracy, so the grid only seeds it.
+    ``refine_tol`` (positive) is the certified width of every radius,
+    relative to its profile's Lipschitz constant, for check_inequality and
     tightness_scan; run_suite reaches it only for the checks that its
     coarse pass leaves open.
     ``m_fold`` is the number of inputs suites generate for an m-fold
-    identifier.
+    identifier, an integer >= 2.  Every field is checked here, so a suite
+    refuses a bad setting before it runs.
     """
 
     grid: int = DEFAULT_GRID
@@ -108,6 +108,9 @@ class CheckContext:
 
     def __post_init__(self):
         check_grid(self.grid)
+        check_refine_tol(self.refine_tol)
+        if not isinstance(self.m_fold, (int, np.integer)) or self.m_fold < 2:
+            raise ValueError(f"m_fold must be an integer >= 2, got {self.m_fold}")
 
 
 DEFAULT_CONTEXT = CheckContext()
@@ -177,16 +180,26 @@ def _verified(infos: list[SectorInfo], mats) -> list[SectorInfo]:
     For a < pi/2, W(Y) lies in the closed sector of half-width a exactly
     when Im(e^{-ia} Y) <= 0 and Im(e^{ia} Y) >= 0, that is when both
     +-cos(a) Im Y - sin(a) Re Y are negative semidefinite.  Their computed
-    top eigenvalues must clear the eigensolver's backward error
-    n * eps * ||H||; the inflation starts at _ALPHA_INFLATION and
-    doubles until they do.  Each round is one eigvalsh over the inputs
-    still open, and every input keeps the bits it gets alone.  An input
-    whose inflated index reaches pi/2 is inapplicable; the first such
-    input, in order, names the note.
+    top eigenvalues must clear the slack
+    (LAPACK_BACKWARD n + 6) eps (||Re Y||_F + ||Im Y||_F), as
+    radius._sample_error derives its own: each computed eigenvalue of the
+    n x n H is within LAPACK_BACKWARD n eps ||H||_F of an exact one
+    (linalg.LAPACK_BACKWARD), with ||H||_F <= ||Re Y||_F + ||Im Y||_F; the
+    computed H differs from the exact one by at most 6 eps times the same
+    sum: 2 for the products and the difference of H = c Im - s Re, 1 for
+    c and s against cos(a) and sin(a), 1 for the Cartesian parts, and 2
+    for the product Y = zX itself (a complex product is within
+    sqrt(5)/2 eps of exact, Brent, Percival and Zimmermann 2007, and
+    |cos a| + |sin a| <= sqrt(2)).  The inflation starts at
+    _ALPHA_INFLATION and doubles until the eigenvalues clear the slack.
+    Each round is one eigvalsh over the inputs still open, and every
+    input keeps the bits it gets alone.  An input whose inflated index
+    reaches pi/2 is inapplicable; the first such input, in order, names
+    the note.
     """
     re, im = cartesian_parts(np.array([info.rotation_z * X for info, X in zip(infos, mats)]))
     n = re.shape[-1]
-    slack = [n * _EPS * (frobenius(r) + frobenius(i)) for r, i in zip(re, im)]
+    slack = [(LAPACK_BACKWARD * n + 6.0) * _EPS * (frobenius(r) + frobenius(i)) for r, i in zip(re, im)]
     inflation = [_ALPHA_INFLATION] * len(infos)
     alpha = [info.index_alpha + _ALPHA_INFLATION for info in infos]
     open_ = [k for k, a in enumerate(alpha) if a < math.pi / 2]
@@ -278,10 +291,17 @@ def _check_hypothesis(kind, mats, arity: int) -> tuple[list[SectorInfo], str]:
 
 
 def _psd_comparison(block: np.ndarray) -> tuple[Interval, Interval, str]:
+    """-lambda_min(block) against the tolerance _PSD_TOL max(1, ||block||_F).
+
+    The lhs is padded by the eigensolver's error model: the computed
+    lambda_min of the m x m block is within LAPACK_BACKWARD m eps
+    ||block||_F of the exact one (linalg.LAPACK_BACKWARD).  The rounding
+    in forming the block, a few eps ||block||_F, is not padded.
+    """
     lam_min = float(np.linalg.eigvalsh(block)[0])
-    scale = max(1.0, frobenius(block))
-    lhs = Interval.point(-lam_min, abs_=1e-12 * scale)
-    rhs = Interval.point(_PSD_TOL * scale)
+    fro = frobenius(block)
+    lhs = Interval.point(-lam_min, abs_=LAPACK_BACKWARD * len(block) * _EPS * fro)
+    rhs = Interval.point(_PSD_TOL * max(1.0, fro))
     return lhs, rhs, "PSD test: lhs is -lambda_min(block), rhs the tolerance"
 
 

@@ -70,6 +70,7 @@ __all__ = [
     "omega",
     "numerical_range_boundary",
     "check_grid",
+    "check_refine_tol",
 ]
 
 # Uniform start cells of omega_n on [0, pi), of which only the even half
@@ -127,71 +128,58 @@ class RangePoint:
     boundary_point: complex
 
 
-def _segments(lane: np.ndarray) -> list[tuple[int, int, int]]:
-    """(lane, lo, hi) for each lane present in an ascending ``lane`` array.
+def _combined_norms(A: np.ndarray, B: np.ndarray, cs: dict, p: float) -> dict[int, np.ndarray]:
+    """Batched N(c_k A_l - s_k B_l) via Hermitian eigenvalues, keyed by lane.
 
-    Rows lo:hi belong to that lane.  A batch holds a handful of lanes, so
-    a plain list is cheaper to walk than arrays.
+    A and B are stacks of Cartesian parts, and cs[l] = (c, s) holds lane
+    l's coefficient arrays, possibly empty; the result maps each lane of
+    ``cs`` to its values.  The lanes' rows are solved as one batch in the
+    order of ``cs``, at most _EIG_BATCH matrices at once, and none when
+    there are no rows.  Each row broadcasts its lane's A and B, so no row
+    copies them, and every entry is rounded as c * A - s * B rounds it.
+    eigvalsh solves each matrix of a batch independently and
+    schatten_value reduces each row as it reduces that row alone, so the
+    values depend neither on the chunking nor on which other lanes share a
+    batch.
     """
-    segments = []
-    stop = 0
-    for l, count in enumerate(np.bincount(lane).tolist()):
-        if count:
-            segments.append((l, stop, stop + count))
-            stop += count
-    return segments
-
-
-def _combine(A: np.ndarray, B: np.ndarray, segments, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rows c_k A_l - s_k B_l for the rows lo:hi of each (l, lo, hi) in ``segments``.
-
-    Each lane's rows broadcast that lane's A and B, so no row copies them,
-    and every entry is rounded as c * A - s * B rounds it.
-    """
-    c = c[:, None, None]
-    s = s[:, None, None]
-    H = np.empty((len(c),) + A.shape[1:], dtype=A.dtype)
-    for l, lo, hi in segments:
-        rows = H[lo:hi]
-        np.multiply(c[lo:hi], A[l], out=rows)
-        rows -= s[lo:hi] * B[l]
-    return H
-
-
-def _combined_norms(
-    A: np.ndarray, B: np.ndarray, segments, c: np.ndarray, s: np.ndarray, p: float
-) -> np.ndarray:
-    """Batched N(c_k A_l - s_k B_l) via Hermitian eigenvalues.
-
-    A and B are stacks of Cartesian parts, and the rows lo:hi of each
-    (l, lo, hi) in ``segments`` belong to lane l.  At most _EIG_BATCH
-    matrices are formed and solved at once; eigvalsh solves each matrix of
-    a batch independently and schatten_value reduces each row as it
-    reduces that row alone, so the values depend neither on the chunking
-    nor on which other lanes share a batch.
-    """
-    out = np.empty(len(c))
-    for start in range(0, len(c), _EIG_BATCH):
-        stop = min(start + _EIG_BATCH, len(c))
-        # The part of each lane's rows inside this chunk.
-        chunk = [(l, max(lo, start) - start, min(hi, stop) - start) for l, lo, hi in segments]
-        chunk = [(l, lo, hi) for l, lo, hi in chunk if lo < hi]
-        H = _combine(A, B, chunk, c[start:stop], s[start:stop])
+    spans, total = [], 0
+    for l, (c, _) in cs.items():
+        spans.append((l, total, total + len(c)))
+        total += len(c)
+    out = np.empty(total)
+    for start in range(0, total, _EIG_BATCH):
+        stop = min(start + _EIG_BATCH, total)
+        H = np.empty((stop - start,) + A.shape[1:], dtype=A.dtype)
+        for l, lo, hi in spans:
+            # The part of lane l's rows inside this chunk.
+            a, b = max(lo, start), min(hi, stop)
+            if a < b:
+                c, s = cs[l]
+                rows = H[a - start : b - start]
+                np.multiply(c[a - lo : b - lo, None, None], A[l], out=rows)
+                rows -= s[a - lo : b - lo, None, None] * B[l]
         out[start:stop] = schatten_value(np.abs(np.linalg.eigvalsh(H)), p)
-    return out
+    return {l: out[lo:hi] for l, lo, hi in spans}
 
 
-def _profile_values(A: np.ndarray, B: np.ndarray, segments, thetas: np.ndarray, p: float) -> np.ndarray:
-    """Batched profile samples N(cos(t_k) A_l - sin(t_k) B_l), as _combined_norms."""
-    return _combined_norms(A, B, segments, np.cos(thetas), np.sin(thetas), p)
+def _profile_values(
+    A: np.ndarray, B: np.ndarray, thetas: dict, p: float, best: _Best | None = None
+) -> dict[int, np.ndarray]:
+    """Profile samples N(cos(t_k) A_l - sin(t_k) B_l) at the angles thetas[l], as _combined_norms.
+
+    With ``best`` (a _Best), the samples are folded into it.
+    """
+    values = _combined_norms(A, B, {l: (np.cos(t), np.sin(t)) for l, t in thetas.items()}, p)
+    if best is not None:
+        best.update(thetas, values)
+    return values
 
 
 def radius_profile(spec: NormSpec, X, theta: float) -> float:
     """N(Re(e^{i*theta} X)) = N(cos(theta) Re X - sin(theta) Im X)."""
     X = as_matrix(X)
     A, B = cartesian_decompose(X)
-    thetas = np.asarray([float(theta)])
-    return float(_profile_values(A[None], B[None], [(0, 0, 1)], thetas, spec.schatten_p)[0])
+    return float(_profile_values(A[None], B[None], {0: np.array([float(theta)])}, spec.schatten_p)[0][0])
 
 
 class _Best:
@@ -203,13 +191,13 @@ class _Best:
         self.value = [-math.inf] * lanes
         self.theta = [0.0] * lanes
 
-    def update(self, segments, thetas: np.ndarray, values: np.ndarray) -> None:
-        """Fold in samples (thetas, values) over the row ranges in ``segments``."""
-        for l, lo, hi in segments:
-            i = lo + int(np.argmax(values[lo:hi]))
-            if values[i] > self.value[l]:
-                self.value[l] = float(values[i])
-                self.theta[l] = float(thetas[i])
+    def update(self, thetas: dict, values: dict) -> None:
+        """Fold in each lane's samples values[l], none empty, at the angles thetas[l]."""
+        for l, row in values.items():
+            i = int(np.argmax(row))
+            if row[i] > self.value[l]:
+                self.value[l] = float(row[i])
+                self.theta[l] = float(thetas[l][i])
 
 
 def _covering_terms(values: np.ndarray, r: np.ndarray | float, slack: float) -> np.ndarray:
@@ -335,7 +323,7 @@ def _frobenius_radii(A: np.ndarray, B: np.ndarray, spec: NormSpec) -> list[Radiu
     """
     n = A.shape[1]
     estimates = [RadiusEstimate(0.0, 0.0, 0.0, spec)] * len(A)
-    lanes, thetas, uppers = [], [], []
+    thetas, uppers = {}, {}
     for l, (Al, Bl) in enumerate(zip(A, B)):
         a = float(np.vdot(Al, Al).real)
         b = float(np.vdot(Bl, Bl).real)
@@ -343,14 +331,11 @@ def _frobenius_radii(A: np.ndarray, B: np.ndarray, spec: NormSpec) -> list[Radiu
             continue
         c = float(np.vdot(Al, Bl).real)
         top = 0.5 * (a + b) + math.hypot(0.5 * (a - b), c)
-        lanes.append(l)
-        uppers.append(math.sqrt(top + (6 * n * n + 44) * _EPS * (a + b)))
-        thetas.append((0.5 * math.atan2(-2.0 * c, a - b)) % math.pi)
-    if lanes:
-        segments = [(l, k, k + 1) for k, l in enumerate(lanes)]
-        values = _profile_values(A, B, segments, np.array(thetas), 2.0).tolist()
-        for l, theta, upper, value in zip(lanes, thetas, uppers, values):
-            estimates[l] = RadiusEstimate(value, theta, max(0.0, upper - value), spec)
+        uppers[l] = math.sqrt(top + (6 * n * n + 44) * _EPS * (a + b))
+        thetas[l] = np.array([(0.5 * math.atan2(-2.0 * c, a - b)) % math.pi])
+    for l, value in _profile_values(A, B, thetas, 2.0).items():
+        value = float(value[0])
+        estimates[l] = RadiusEstimate(value, float(thetas[l][0]), max(0.0, uppers[l] - value), spec)
     return estimates
 
 
@@ -443,40 +428,37 @@ def _subdivide(
     A: np.ndarray,
     B: np.ndarray,
     p: float,
-    segments: list[tuple[int, int, int]],
-    theta: np.ndarray,
-    values: np.ndarray,
-    r: np.ndarray,
+    cells: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]],
     settled: list[float],
     bound: list[float],
     slack: list[float],
     g_stop: list[float],
     best: _Best,
 ) -> None:
-    """Certify by subdivision, lowering bound[l] of every lane in ``segments``.
+    """Certify by subdivision, lowering bound[l] of every lane in ``cells``.
 
-    Cell k has center theta[k], half-width r[k] and profile value
-    values[k]; the rows lo:hi of each (l, lo, hi) in ``segments`` belong
-    to lane l, possibly none.  settled[l] is the largest covering term of
-    lane l's cells that already passed, and those cells and the lane's
-    cells here cover [0, pi) modulo pi.  Each round takes every cell's
-    covering term (_covering_terms) and prunes the cells whose term is
-    within g_stop[l] of the lane's best sample, raising settled[l] to
-    their largest term.  The settled cells and the active ones still
-    cover the period, so bound[l] falls to the largest term of either
-    (and no lower than the best sample).  The active cells are split in
-    halves, and the halves of every open lane are evaluated in one batch.
-    A lane closes when its bound is within g_stop[l] of its best sample,
-    at the latest when no cell stays active; a lane whose cells already
-    close, such as one without cells, leaves in the first round, before
-    any evaluation.  The bound stays valid at every stage, so exhausting
-    the budget only enlarges cert_error.  ``settled``, ``bound``,
-    ``slack``, ``g_stop`` and ``best`` are indexed by lane.
+    cells[l] = (theta, r, values) holds lane l's cells, possibly none:
+    centres theta, half-widths r and profile values.  settled[l] is the
+    largest covering term of lane l's cells that already passed, and
+    those cells and cells[l] cover [0, pi) modulo pi.  Each round takes
+    every cell's covering term (_covering_terms) and prunes the cells
+    whose term is within g_stop[l] of the lane's best sample, raising
+    settled[l] to their largest term.  The settled cells and the active
+    ones still cover the period, so bound[l] falls to the largest term of
+    either (and no lower than the best sample).  The active cells are
+    split in halves, and the halves of every open lane are evaluated in
+    one batch and carried to the next round as its cells.  A lane closes
+    when its bound is within g_stop[l] of its best sample, at the latest
+    when no cell stays active; a lane whose cells already close, such as
+    one without cells, leaves in the first round, before any evaluation.
+    The bound stays valid at every stage, so exhausting the budget only
+    enlarges cert_error.  ``settled``, ``bound``, ``slack``, ``g_stop``
+    and ``best`` are indexed by lane.
     """
     for _ in range(_MAX_ROUNDS):
-        children, halves, radii = [], [], []
-        for l, lo, hi in segments:
-            terms = _covering_terms(values[lo:hi], r[lo:hi], slack[l])
+        children = {}
+        for l, (theta, r, values) in cells.items():
+            terms = _covering_terms(values, r, slack[l])
             keep = terms - best.value[l] > g_stop[l]
             top = float(terms.max(initial=-math.inf))
             bound[l] = min(bound[l], max(best.value[l], settled[l], top))
@@ -484,66 +466,59 @@ def _subdivide(
             count = int(keep.sum())
             if bound[l] - best.value[l] <= g_stop[l] or 2 * count > _MAX_CELLS:
                 continue
-            start = children[-1][2] if children else 0
-            children.append((l, start, start + 2 * count))
-            th = theta[lo:hi][keep]
-            half = 0.5 * r[lo:hi][keep]
-            halves += [th - half, th + half]
-            radii += [half + _PAD] * 2
+            th = theta[keep]
+            half = 0.5 * r[keep]
+            children[l] = (np.concatenate([th - half, th + half]), np.concatenate([half + _PAD] * 2))
         if not children:
             break
-        segments = children
-        theta = np.concatenate(halves)
-        r = np.concatenate(radii)
-        values = _profile_values(A, B, segments, theta, p)
-        best.update(segments, theta, values)
+        values = _profile_values(A, B, {l: theta for l, (theta, _) in children.items()}, p, best)
+        cells = {l: (theta, r, values[l]) for l, (theta, r) in children.items()}
 
 
 def _fit_round(
-    A: np.ndarray, B: np.ndarray, p: float, lane: list[int], theta: list[float], s: float, best: _Best
-) -> list[tuple[float, float, float, bool]]:
+    A: np.ndarray, B: np.ndarray, p: float, peaks: dict[int, list[float]], s: float, best: _Best
+) -> dict[int, list[tuple[float, float, float, bool]]]:
     """One three-point parabola fit per peak, all in one batched eigvalsh.
 
-    Peak k belongs to lane lane[k] (ascending) and is sampled at
-    theta[k] - s, theta[k], theta[k] + s; the samples feed ``best``.
-    Returns (vertex, curvature -f'', highest sample, clipped) per peak,
-    clipped when the vertex step reached the spacing s.
+    peaks[l] lists lane l's peaks, each sampled at t - s, t, t + s; the
+    samples feed ``best``.  Returns, per lane and in the same order,
+    (vertex, curvature -f'', highest sample, clipped) per peak, clipped
+    when the vertex step reached the spacing s.
     """
-    segments = _segments(np.repeat(lane, 3))
-    points = np.array([[t - s, t, t + s] for t in theta]).ravel()
-    values = _profile_values(A, B, segments, points, p)
-    best.update(segments, points, values)
-    y = values.tolist()
-    fits = []
-    for k, t in enumerate(theta):
-        step, kappa = _parabola(*y[3 * k : 3 * k + 3], s)
-        fits.append((t + step, kappa, max(y[3 * k : 3 * k + 3]), abs(step) == s))
+    points = {l: np.array([[t - s, t, t + s] for t in theta]).ravel() for l, theta in peaks.items()}
+    fits = {}
+    for l, values in _profile_values(A, B, points, p, best).items():
+        y = values.tolist()
+        fits[l] = []
+        for k, t in enumerate(peaks[l]):
+            step, kappa = _parabola(*y[3 * k : 3 * k + 3], s)
+            fits[l].append((t + step, kappa, max(y[3 * k : 3 * k + 3]), abs(step) == s))
     return fits
 
 
 def _fit_peaks(
-    A: np.ndarray, B: np.ndarray, p: float, lane: list[int], theta: list[float], h: float, best: _Best
-) -> list[tuple[float, float, float]]:
+    A: np.ndarray, B: np.ndarray, p: float, peaks: dict[int, list[float]], h: float, best: _Best
+) -> dict[int, list[tuple[float, float, float]]]:
     """Refine peak estimates with two rounds of three-point parabola fits.
 
-    Peak k belongs to lane lane[k] (ascending) and starts at theta[k].
-    The first round, at spacing h _FIT_GRID_FRACTION, moves each peak to
-    its fitted vertex; a peak whose step was clipped to the spacing (the
-    start lay further away) repeats that round once from where it got to.
-    The second round, at _FIT_SPACING, gives the final vertex and its
-    curvature.  Returns (vertex, curvature -f'', highest sample of the
-    last round) per peak.  No bound relies on the fit: a poor one only
-    costs cells.
+    peaks[l] lists the start angles of lane l's peaks.  The first round,
+    at spacing h _FIT_GRID_FRACTION, moves each peak to its fitted vertex;
+    a peak whose step was clipped to the spacing (the start lay further
+    away) repeats that round once from where it got to.  The second
+    round, at _FIT_SPACING, gives the final vertex and its curvature.
+    Returns, per lane and in the same order, (vertex, curvature -f'',
+    highest sample of the last round) per peak.  No bound relies on the
+    fit: a poor one only costs cells.
     """
     s = h * _FIT_GRID_FRACTION
-    fits = _fit_round(A, B, p, lane, theta, s, best)
-    clipped = [k for k, fit in enumerate(fits) if fit[3]]
+    fits = _fit_round(A, B, p, peaks, s, best)
+    clipped = {l: [fit[0] for fit in lane if fit[3]] for l, lane in fits.items()}
+    clipped = {l: theta for l, theta in clipped.items() if theta}
     if clipped:
-        again = _fit_round(A, B, p, [lane[k] for k in clipped], [fits[k][0] for k in clipped], s, best)
-        for k, fit in zip(clipped, again):
-            fits[k] = fit
-    fits = _fit_round(A, B, p, lane, [fit[0] for fit in fits], _FIT_SPACING, best)
-    return [fit[:3] for fit in fits]
+        again = {l: iter(lane) for l, lane in _fit_round(A, B, p, clipped, s, best).items()}
+        fits = {l: [next(again[l]) if fit[3] else fit for fit in lane] for l, lane in fits.items()}
+    fits = _fit_round(A, B, p, {l: [fit[0] for fit in lane] for l, lane in fits.items()}, _FIT_SPACING, best)
+    return {l: [fit[:3] for fit in lane] for l, lane in fits.items()}
 
 
 def _covering_cells(
@@ -555,8 +530,8 @@ def _covering_cells(
     slack: list[float],
     g_stop: list[float],
     best: _Best,
-) -> tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray, np.ndarray, list[float]]:
-    """Settled terms and ladder cells of each lane, as _subdivide takes them.
+) -> tuple[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]], list[float]]:
+    """Ladder cells and settled terms of each lane, as _subdivide takes them.
 
     ``rows`` maps each lane to the even samples 2kh of its start grid of
     step h.  A cell passes on _subdivide's test, its term within g_stop of
@@ -570,15 +545,14 @@ def _covering_cells(
     vertex of the parabola through its three grid samples, all evaluated
     (an open even cell has both odd neighbours), is refined by
     _fit_peaks, and the block is replaced by a _ladder around it; the
-    ladders of every lane are evaluated in one batch.  Returns (segments,
-    theta, values, r, settled): lane l's ladder cells, none without an
-    open block, are the rows lo:hi of each (l, lo, hi), with centers
-    theta, profile values and padded half-widths r; settled[l] is the
-    largest term of its passing cells, which with the ladders cover the
-    period.
+    ladders of every lane are evaluated in one batch, and none is when no
+    lane has an open block.  Returns (cells, settled): cells[l] = (theta,
+    r, values) holds lane l's ladder cells for every lane of ``rows``
+    (empty arrays without an open block), with centres theta, padded
+    half-widths r and profile values; settled[l] is the largest term of
+    its passing cells, which with the ladders cover the period.
     """
-    ids = list(rows)
-    grid = 2 * len(rows[ids[0]])
+    grid = 2 * len(next(iter(rows.values())))
     settled = [-math.inf] * len(slack)
     odd = {}
     for l, row in rows.items():
@@ -588,46 +562,38 @@ def _covering_cells(
         if open_.any():
             # Odd sample 2k + 1 lies between coarse cells k and k + 1.
             odd[l] = 2 * np.flatnonzero(open_ | np.roll(open_, -1)) + 1
-    rungs = {l: ([], []) for l in ids}
+    centres, radii = {}, {}
     if odd:
-        odd_segments = _segments(np.repeat(list(odd), [len(k) for k in odd.values()]))
-        odd_theta = np.concatenate(list(odd.values())) * h
-        odd_values = _profile_values(A, B, odd_segments, odd_theta, p)
-        best.update(odd_segments, odd_theta, odd_values)
         # Each lane's fine grid, NaN where a passing coarse cell left a
         # sample out; a NaN cell is never open.
-        fine, blocks = {}, []
-        for l, lo, hi in odd_segments:
+        fine, blocks, peaks = {}, {}, {}
+        for l, values in _profile_values(A, B, {l: k * h for l, k in odd.items()}, p, best).items():
             row = np.full(grid, math.nan)
             row[0::2] = rows[l]
-            row[odd[l]] = odd_values[lo:hi]
+            row[odd[l]] = values
             terms = _covering_terms(row, 0.5 * h + _PAD, slack[l])
             open_ = terms - best.value[l] > g_stop[l]
             settled[l] = max(settled[l], float(np.nanmax(terms, where=~open_, initial=-math.inf)))
             fine[l] = row
-            blocks += [(l,) + block for block in _open_blocks(row, open_)]
-        starts = []
-        for l, k, _, _ in blocks:
-            y = fine[l].take([k - 1, k, k + 1], mode="wrap").tolist()
-            starts.append(k * h + _parabola(*y, h)[0])
-        fits = _fit_peaks(A, B, p, [block[0] for block in blocks], starts, h, best) if blocks else []
-        for (l, k, first, last), (peak, kappa, top) in zip(blocks, fits):
-            top = max(top, float(fine[l][k % grid]))
-            # A lower peak needs its cells' terms below the lane's best only.
-            g = max(g_stop[l] - slack[l], 0.0) + best.value[l] - top
-            at, widths = _ladder(peak, min(kappa, top), top, g, (first - 0.5) * h, (last + 0.5) * h)
-            rungs[l][0].extend(at)
-            rungs[l][1].extend(widths)
-    stops = np.cumsum([0] + [len(rungs[l][0]) for l in ids]).tolist()
-    segments = list(zip(ids, stops[:-1], stops[1:]))
-    theta = np.array([t for l in ids for t in rungs[l][0]])
-    r = np.array([w for l in ids for w in rungs[l][1]]) + _PAD
-    values = np.empty(0)
-    if stops[-1]:
-        ladders = [segment for segment in segments if segment[1] < segment[2]]
-        values = _profile_values(A, B, ladders, theta, p)
-        best.update(ladders, theta, values)
-    return segments, theta, values, r, settled
+            blocks[l] = _open_blocks(row, open_)
+            for k, _, _ in blocks[l]:
+                y = row.take([k - 1, k, k + 1], mode="wrap").tolist()
+                peaks.setdefault(l, []).append(k * h + _parabola(*y, h)[0])
+        for l, fits in (_fit_peaks(A, B, p, peaks, h, best) if peaks else {}).items():
+            rungs = ([], [])
+            for (k, first, last), (peak, kappa, top) in zip(blocks[l], fits):
+                top = max(top, float(fine[l][k % grid]))
+                # A lower peak needs its cells' terms below the lane's best only.
+                g = max(g_stop[l] - slack[l], 0.0) + best.value[l] - top
+                at, widths = _ladder(peak, min(kappa, top), top, g, (first - 0.5) * h, (last + 0.5) * h)
+                rungs[0].extend(at)
+                rungs[1].extend(widths)
+            centres[l] = np.array(rungs[0])
+            radii[l] = np.array(rungs[1]) + _PAD
+    values = _profile_values(A, B, centres, p, best) if centres else {}
+    empty = np.empty(0)
+    cells = {l: (centres[l], radii[l], values[l]) if l in centres else (empty, empty, empty) for l in rows}
+    return cells, settled
 
 
 def check_grid(grid) -> None:
@@ -638,6 +604,12 @@ def check_grid(grid) -> None:
     """
     if not isinstance(grid, (int, np.integer)) or grid < 8 or grid % 2:
         raise ValueError(f"grid must be an even integer >= 8, got {grid}")
+
+
+def check_refine_tol(refine_tol) -> None:
+    """Raise ValueError unless ``refine_tol`` is positive (NaN is not)."""
+    if not (refine_tol > 0):
+        raise ValueError(f"refine_tol must be positive, got {refine_tol}")
 
 
 def omega_n(
@@ -686,8 +658,7 @@ def omega_n(
     """
     Xs = as_stack(X, *more)
     check_grid(grid)
-    if not (refine_tol > 0):
-        raise ValueError(f"refine_tol must be positive, got {refine_tol}")
+    check_refine_tol(refine_tol)
     A, B = cartesian_parts(Xs)
     if spec.schatten_p == 2.0:
         estimates = _frobenius_radii(A, B, spec)
@@ -712,31 +683,25 @@ def _certified_radii(
     even = np.arange(0, grid, 2) * h
     forms = {
         (True, True): (np.append(np.cos(even), 0.0), np.append(np.sin(even), -1.0)),
-        (True, False): ([1.0], [0.0]),
-        (False, True): ([0.0], [-1.0]),
+        (True, False): (np.ones(1), np.zeros(1)),
+        (False, True): (np.zeros(1), -np.ones(1)),
     }
     parts = [(bool(a.any()), bool(b.any())) for a, b in zip(A, B)]
     estimates = [None if any(part) else RadiusEstimate(0.0, 0.0, 0.0, spec) for part in parts]
-    lanes = [l for l, part in enumerate(parts) if any(part)]
-    if not lanes:
-        return estimates
-    segments = _segments(np.repeat(lanes, [len(forms[parts[l]][0]) for l in lanes]))
-    c = np.concatenate([forms[parts[l]][0] for l in lanes])
-    s = np.concatenate([forms[parts[l]][1] for l in lanes])
-    values = _combined_norms(A, B, segments, c, s, p)
     best = _Best(L)
     rows, nA, nB = {}, [0.0] * L, [0.0] * L
-    for l, lo, hi in segments:
+    cs = {l: forms[part] for l, part in enumerate(parts) if any(part)}
+    for l, values in _combined_norms(A, B, cs, p).items():
         re, im = parts[l]
         if re and im:
-            rows[l] = values[lo : hi - 1]
-            nA[l], nB[l] = float(values[lo]), float(values[hi - 1])
-            best.update([(l, 0, len(even))], even, rows[l])
+            rows[l] = values[:-1]
+            nA[l], nB[l] = float(values[0]), float(values[-1])
         else:
             theta = 0.0 if re else 0.5 * math.pi
-            estimates[l] = RadiusEstimate(float(values[lo]), theta, _sample_error(A[l], B[l], p), spec)
+            estimates[l] = RadiusEstimate(float(values[0]), theta, _sample_error(A[l], B[l], p), spec)
     if not rows:
         return estimates
+    best.update(dict.fromkeys(rows, even), rows)
     lipschitz = [a + b for a, b in zip(nA, nB)]
     g_stop = [0.5 * lip * refine_tol for lip in lipschitz]
 
@@ -768,8 +733,7 @@ def _certified_radii(
     for l in rows:
         slack[l] = _sample_error(A[l], B[l], p)
         bound[l] = math.hypot(nA[l], nB[l]) + slack[l]
-    cells = _covering_cells(A, B, p, rows, h, slack, g_stop, best)
-    _subdivide(A, B, p, *cells, bound, slack, g_stop, best)
+    _subdivide(A, B, p, *_covering_cells(A, B, p, rows, h, slack, g_stop, best), bound, slack, g_stop, best)
     for l in rows:
         done(l, best.theta[l] % math.pi, max(0.0, bound[l] - best.value[l]))
     return estimates

@@ -148,6 +148,14 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: grid must be an even integer")
         assert captured.out == ""
+        # A bad m_fold is refused before the first id runs, not at the
+        # first m-fold id; a bad tolerance before the first radius.
+        assert run_cli("verify", "--ids", "all", "--trials", "1", "--m", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: m_fold must be an integer >= 2")
+        assert captured.out == ""
+        assert run_cli("compute", "omega-n", "--norm", "tr", "--refine-tol", "-1", "-i", str(m)) == 2
+        assert capsys.readouterr().err.startswith("error: refine_tol must be positive")
 
     def test_bad_norm_spec(self, capsys):
         for spec in ("sp:0.1", "sp:inf"):

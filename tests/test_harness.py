@@ -161,6 +161,20 @@ class TestVerifiedSectorIndex:
         assert got.index_alpha < exact.index_alpha + 1e-4
         assert np.linalg.eigvalsh(tan_block(X, got.index_alpha)).min() >= -1e-12
 
+    def test_inflation_clears_the_eigensolver_model(self):
+        # W(X) is the segment from e^{0.5i} to 1e7, so the index is 0.5 and
+        # the edge eigenvalue clears the sector by sin(inflation).  The
+        # eigensolver alone may be off by LAPACK_BACKWARD n eps (||Re X||_F
+        # + ||Im X||_F), about 1.8e-8 here: the first inflation, 1e-8, must
+        # not be accepted.
+        X = np.diag([np.exp(0.5j), 1e7])
+        info = sector_index(X)
+        (got,) = _verified([info], [X])
+        re, im = cartesian_decompose(X)
+        model = harness.LAPACK_BACKWARD * 2 * harness._EPS * (np.linalg.norm(re) + np.linalg.norm(im))
+        assert model > math.sin(harness._ALPHA_INFLATION)
+        assert math.sin(got.index_alpha - 0.5) >= model
+
     def test_inflation_reaching_half_pi_is_inapplicable(self):
         X = np.diag([1.0, np.exp(1j * (np.pi / 2 - 1e-9))])
         low = replace(sector_index(X), index_alpha=0.0)
@@ -187,6 +201,21 @@ class TestNormIntervals:
             if t % 4 == 0:
                 iv = _norm_iv(TRACE, X)
                 assert iv.lo <= mp_schatten_norm(X, 1.0) <= iv.hi, (t, iv)
+
+    def test_psd_lhs_is_padded_by_the_eigensolver_model(self):
+        # The lhs of a PSD row encloses -lambda_min of the block as given,
+        # with the pad LAPACK_BACKWARD m eps ||block||_F of an m x m block.
+        import mpmath
+
+        for t, m in enumerate((4, 8, 12)):
+            block = 1e4 * near_rank_one_hermitian(m, 700 + t)
+            lhs, _, _ = harness._psd_comparison(block)
+            pad = harness.LAPACK_BACKWARD * m * harness._EPS * np.linalg.norm(block)
+            assert lhs.hi - lhs.lo <= 2.0 * pad + 4.0 * math.ulp(lhs.hi), (m, lhs)
+            with mpmath.workdps(40):
+                exact = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in block])
+                lam = min(mpmath.re(v) for v in mpmath.eighe(exact, eigvals_only=True))
+            assert lhs.lo <= -lam <= lhs.hi, (m, lhs, lam)
 
 
 class TestRhsStructure:
@@ -256,7 +285,7 @@ class TestReportPin:
         obj = run_suite("all", 20, range(2, 7), DEFAULT_NORMS, seed=42).report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == "2e527c00c3f0eccef5a9108f08f35fec188baca8e3a84cc7b89cdc13cd56d8ae"
+        assert digest == "810728b69c8b0495ae727b03a6b763e24e1d84349919f36a29e8dc691e63a99c"
 
 
 def radius_terms(ineq, mats, spec, refine_tol):

@@ -69,7 +69,7 @@ def flat_fixtures():
 
 def one_lane(A: np.ndarray, B: np.ndarray, thetas: np.ndarray, p: float) -> np.ndarray:
     """Profile samples of one matrix with Cartesian parts A, B."""
-    return _profile_values(A[None], B[None], [(0, 0, len(thetas))], thetas, p)
+    return _profile_values(A[None], B[None], {0: thetas}, p)[0]
 
 
 def forbid_subdivision(monkeypatch, limit: int = 256) -> None:
@@ -254,14 +254,28 @@ class TestOmegaN:
         with pytest.raises(ValueError):
             omega_n(OPERATOR, np.eye(2), refine_tol=0.0)
 
-    @pytest.mark.parametrize("grid", [9, 33, 255])
-    def test_odd_grid_is_refused(self, grid):
+    @pytest.mark.parametrize(
+        "setting, match",
+        [pytest.param({"grid": grid}, "even integer", id=str(grid)) for grid in (9, 33, 255)]
+        + [
+            pytest.param({"refine_tol": tol}, "refine_tol must be positive", id=f"refine_tol={tol}")
+            for tol in (-1.0, 0.0, math.nan)
+        ]
+        + [
+            pytest.param({"m_fold": m}, "m_fold must be an integer >= 2", id=f"m_fold={m}")
+            for m in (1, 0, 2.0, 2.5)
+        ],
+    )
+    def test_odd_grid_is_refused(self, setting, match):
         # Only an even grid puts an odd sample (2k + 1) h between every two
-        # neighbouring coarse cells k and k + 1, around the period.
-        with pytest.raises(ValueError, match="even integer"):
-            omega_n(TRACE, 1j * np.eye(2), grid=grid)
-        with pytest.raises(ValueError, match="even integer"):
-            CheckContext(grid=grid)
+        # neighbouring coarse cells k and k + 1, around the period.  A
+        # context refuses a bad grid, tolerance or m_fold when it is built,
+        # before any check runs, and omega_n the settings it takes.
+        if "m_fold" not in setting:
+            with pytest.raises(ValueError, match=match):
+                omega_n(TRACE, 1j * np.eye(2), **setting)
+        with pytest.raises(ValueError, match=match):
+            CheckContext(**setting)
 
 
 class TestEigensolverBudget:
@@ -352,9 +366,9 @@ class TestEigensolverBudget:
         stage2 = []
         original = radius._profile_values
 
-        def recorded(A, B, segments, thetas, p):
-            stage2.append(thetas)
-            return original(A, B, segments, thetas, p)
+        def recorded(A, B, thetas, p, best=None):
+            stage2.append(thetas[0])
+            return original(A, B, thetas, p, best)
 
         monkeypatch.setattr(radius, "_profile_values", recorded)
         h = math.pi / grid
@@ -364,7 +378,7 @@ class TestEigensolverBudget:
             X = random_complex(rng, n)
             A, B = cartesian_decompose(X)
             p = spec.schatten_p
-            row = original(A[None], B[None], [(0, 0, grid // 2)], np.arange(0, grid, 2) * h, p)
+            row = original(A[None], B[None], {0: np.arange(0, grid, 2) * h}, p)[0]
             g_stop = 0.5 * (row[0] + hermitian_norm(spec, B)) * 1e-10
             slack = radius._sample_error(A, B, p)
             k = np.flatnonzero((row + slack) / math.cos(h + _PAD) > row.max() + g_stop)
@@ -414,22 +428,29 @@ class TestEigensolverBudget:
     def test_profile_values_are_chunked(self, monkeypatch):
         # Batches stay within _EIG_BATCH matrices, and chunking leaves
         # every value bit-for-bit as one unchunked eigvalsh call gives it,
-        # also where a chunk spans two lanes.
+        # also where a chunk spans two lanes.  A lane with no angles gets
+        # an empty array, and a call with no angles solves nothing.
         rng = np.random.default_rng(18)
-        parts = [cartesian_decompose(random_complex(rng, 5)) for _ in range(2)]
+        parts = [cartesian_decompose(random_complex(rng, 5)) for _ in range(3)]
         A = np.stack([a for a, _ in parts])
         B = np.stack([b for _, b in parts])
-        lane = np.repeat([0, 1], [6000, 4000])
+        lane = np.repeat([0, 2], [6000, 4000])
         thetas = rng.uniform(0.0, math.pi, 10000)
+        batch = {0: thetas[:6000], 1: np.empty(0), 2: thetas[6000:]}
         for spec in ALL_NORMS:
             p = spec.schatten_p
             H = np.cos(thetas)[:, None, None] * A[lane] - np.sin(thetas)[:, None, None] * B[lane]
             whole = schatten_value(np.abs(np.linalg.eigvalsh(H)), p)
             with monkeypatch.context() as m:
                 counts = count_hermitian_eig_matrices(m)
-                chunked = _profile_values(A, B, [(0, 0, 6000), (1, 6000, 10000)], thetas, p)
-            assert max(counts) <= _EIG_BATCH and sum(counts) == len(thetas)
-            assert np.array_equal(chunked, whole), spec.label
+                chunked = _profile_values(A, B, batch, p)
+                assert max(counts) <= _EIG_BATCH and sum(counts) == len(thetas)
+                assert list(chunked) == [0, 1, 2] and chunked[1].shape == (0,)
+                assert np.array_equal(np.concatenate([chunked[0], chunked[2]]), whole), spec.label
+                counts.clear()
+                assert _profile_values(A, B, {}, p) == {}
+                [(l, empty)] = _profile_values(A, B, {1: np.empty(0)}, p).items()
+                assert l == 1 and empty.shape == (0,) and counts == []
 
 
 def lockstep_batch(n: int) -> list[np.ndarray]:
@@ -451,9 +472,9 @@ class TestLockstep:
         lanes = []
         original = radius._subdivide
 
-        def recorded(A, B, p, segments, *args):
-            lanes.extend(l for l, _, _ in segments)
-            return original(A, B, p, segments, *args)
+        def recorded(A, B, p, cells, *args):
+            lanes.extend(cells)
+            return original(A, B, p, cells, *args)
 
         monkeypatch.setattr(radius, "_subdivide", recorded)
         return lanes
@@ -738,9 +759,9 @@ class TestLadder:
         seen = []
         original = radius._subdivide
 
-        def recorded(A, B, p, segments, theta, values, r, *args):
-            seen.append({l: list(zip(theta[lo:hi], r[lo:hi])) for l, lo, hi in segments})
-            return original(A, B, p, segments, theta, values, r, *args)
+        def recorded(A, B, p, cells, *args):
+            seen.append({l: list(zip(theta, r)) for l, (theta, r, _) in cells.items()})
+            return original(A, B, p, cells, *args)
 
         monkeypatch.setattr(radius, "_subdivide", recorded)
         return seen
@@ -871,7 +892,7 @@ class TestLadder:
         for spec in (OPERATOR, TRACE):
             calls.clear()
             best = radius._Best(1)
-            [(peak, kappa, top)] = radius._fit_peaks(A[None], B[None], spec.schatten_p, [0], [start], h, best)
+            [(peak, kappa, top)] = radius._fit_peaks(A[None], B[None], spec.schatten_p, {0: [start]}, h, best)[0]
             assert len(calls) == rounds, calls
             assert peak == pytest.approx(0.7, abs=1e-8)
             assert kappa == pytest.approx(hermitian_norm(spec, A0), rel=1e-4)
