@@ -1,4 +1,6 @@
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -540,6 +542,61 @@ class TestLockstep:
         A, B = cartesian_decompose(X)
         L = hermitian_norm(OPERATOR, A) + hermitian_norm(OPERATOR, B)
         assert est.cert_error <= 0.5 * L * 1e-10
+
+
+def tight_pin_cases():
+    """(spec, matrices, refine_tol) of every omega_n call that TestTightPin hashes.
+
+    Random lanes one at a time at n = 2, 3, 5 and 16, tight and coarse; a
+    4-lane random batch; lockstep_batch(4) and (16); and the flat fixtures.
+    """
+    for n in (2, 3, 5, 16):
+        rng = np.random.default_rng(400 + n)
+        Xs = [random_complex(rng, n) for _ in range(6)]
+        for spec in ALL_NORMS:
+            for refine_tol in (1e-10, 1e-2):
+                for X in Xs:
+                    yield spec, [X], refine_tol
+    rng = np.random.default_rng(420)
+    batch = [random_complex(rng, 4) for _ in range(4)]
+    for spec in ALL_NORMS:
+        yield spec, batch, 1e-10
+        yield spec, lockstep_batch(4), 1e-10
+        yield spec, lockstep_batch(16), 1e-10
+        for _, X in flat_fixtures():
+            yield spec, [X], 1e-10
+
+
+class TestTightPin:
+    def test_tight_radii_bits_are_pinned(self, monkeypatch):
+        # The suite's report pin sees almost only coarse radii.  This pins
+        # every bit of (value, theta_star, cert_error) on the tight path
+        # (odd samples, fits, ladders, subdivision, rotation bound) and the
+        # eigvalsh calls and matrices it takes.  The cases include a first
+        # fit round that clips, lanes that subdivide and lanes that close by
+        # rotation.
+        counts = count_hermitian_eig_matrices(monkeypatch)
+        reached = Counter()
+        for name in ("_fit_round", "_rotation_bound", "_subdivide"):
+            original = getattr(radius, name)
+
+            def recorded(*args, _name=name, _original=original):
+                before = len(counts)
+                out = _original(*args)
+                if _name == "_fit_round" and args[4] != radius._FIT_SPACING:
+                    reached["clipped"] += any(fit[3] for lane in out.values() for fit in lane)
+                reached[_name] += len(counts) > before if _name == "_subdivide" else 1
+                return out
+
+            monkeypatch.setattr(radius, name, recorded)
+        digest = hashlib.sha256()
+        for spec, Xs, refine_tol in tight_pin_cases():
+            ests = omega_n(spec, *Xs, refine_tol=refine_tol)
+            for est in ests if isinstance(ests, tuple) else (ests,):
+                digest.update(repr((est.value, est.theta_star, est.cert_error)).encode())
+        assert reached["clipped"] and reached["_rotation_bound"] and reached["_subdivide"], reached
+        assert (len(counts), sum(counts)) == (584, 8784)
+        assert digest.hexdigest() == "8414e4ed31fe21b9fb7564043ba635a7e2d59c8204a2dd9512def8bf8cf778bb"
 
 
 def rotation_inputs(seed: int):
