@@ -163,15 +163,21 @@ def _combined_norms(A: np.ndarray, B: np.ndarray, cs: dict, p: float) -> dict[in
 
 
 def _profile_values(
-    A: np.ndarray, B: np.ndarray, thetas: dict, p: float, best: _Best | None = None
+    A: np.ndarray, B: np.ndarray, thetas: dict, p: float, lanes: dict[int, _Lane] | None = None
 ) -> dict[int, np.ndarray]:
     """Profile samples N(cos(t_k) A_l - sin(t_k) B_l) at the angles thetas[l], as _combined_norms.
 
-    With ``best`` (a _Best), the samples are folded into it.
+    With ``lanes``, each lane l of ``thetas`` has its samples, none
+    empty, folded into lanes[l]: its best sample and that sample's angle
+    move to the largest of them when it is higher.
     """
     values = _combined_norms(A, B, {l: (np.cos(t), np.sin(t)) for l, t in thetas.items()}, p)
-    if best is not None:
-        best.update(thetas, values)
+    if lanes is not None:
+        for l, row in values.items():
+            lane = lanes[l]
+            i = int(np.argmax(row))
+            if row[i] > lane.value:
+                lane.value, lane.theta = float(row[i]), float(thetas[l][i])
     return values
 
 
@@ -182,22 +188,23 @@ def radius_profile(spec: NormSpec, X, theta: float) -> float:
     return float(_profile_values(A[None], B[None], {0: np.array([float(theta)])}, spec.schatten_p)[0][0])
 
 
-class _Best:
-    """Running argmax of each lane over batched profile evaluations."""
+@dataclass(slots=True)
+class _Lane:
+    """Certification state of one general lane (neither Hermitian nor skew-Hermitian) of _certified_radii.
 
-    __slots__ = ("value", "theta")
+    ``value`` is the lane's best profile sample and ``theta`` its angle;
+    ``slack`` is the sample error e of every sample (_sample_error);
+    ``g_stop`` is the target width, ``bound`` the certified upper bound
+    on sup f so far, and ``settled`` the largest covering term of the
+    lane's cells that passed (-inf while none has).
+    """
 
-    def __init__(self, lanes: int):
-        self.value = [-math.inf] * lanes
-        self.theta = [0.0] * lanes
-
-    def update(self, thetas: dict, values: dict) -> None:
-        """Fold in each lane's samples values[l], none empty, at the angles thetas[l]."""
-        for l, row in values.items():
-            i = int(np.argmax(row))
-            if row[i] > self.value[l]:
-                self.value[l] = float(row[i])
-                self.theta[l] = float(thetas[l][i])
+    value: float
+    theta: float
+    slack: float
+    g_stop: float
+    bound: float
+    settled: float = -math.inf
 
 
 def _covering_terms(values: np.ndarray, r: np.ndarray | float, slack: float) -> np.ndarray:
@@ -255,9 +262,7 @@ def _flag_grading(X: np.ndarray) -> np.ndarray | None:
     return 0.5 * (K + K.conj().T)
 
 
-def _rotation_bound(
-    X: np.ndarray, K: np.ndarray, A: np.ndarray, B: np.ndarray, p: float, value: float, h: float
-) -> float:
+def _rotation_bound(X: np.ndarray, K: np.ndarray, p: float, value: float, slack: float, h: float) -> float:
     """Upper bound on sup f from ``value``, the largest sample of a start grid.
 
     The grid is uniform with step ``h`` over the period pi (a single sample
@@ -277,10 +282,8 @@ def _rotation_bound(
       the exact one by at most 4 n eps (2 ||K||_F + 1) ||X||_F (two
       matrix products and two sums), and the computed ||R||_F is within
       n^2 eps of relative error (recursive summation).
-    - Each sample is within n^(1/p) (LAPACK_BACKWARD n + 4 + n) eps
-      (||A||_F + ||B||_F) of the exact f(theta_j): the eigensolver's backward
-      error, forming the Cartesian parts and H = cos A - sin B, and
-      summing n moduli.
+    - Each sample is within ``slack`` of the exact f(theta_j): the sample
+      error e of _sample_error, which the caller computes once per lane.
     """
     n = X.shape[0]
     R = K @ X - X @ K + X
@@ -288,15 +291,15 @@ def _rotation_bound(
     fro_R = float(np.linalg.norm(R)) * (1.0 + n * n * _EPS)
     fro_R += 4.0 * n * _EPS * (2.0 * float(np.linalg.norm(K)) + 1.0) * fro_X
     drift = n ** max(0.0, 1.0 / p - 0.5) * fro_R
-    return value + _sample_error(A, B, p) + (0.5 * h + _PAD) * drift
+    return value + slack + (0.5 * h + _PAD) * drift
 
 
 def _sample_error(A: np.ndarray, B: np.ndarray, p: float) -> float:
     """Bound on |computed - exact| of every profile sample of X = A + iB.
 
     n^(1/p) ((LAPACK_BACKWARD + 1) n + 4) eps (||A||_F + ||B||_F): the
-    eigensolver's backward error, forming H = cos A - sin B, and summing
-    n moduli (see _rotation_bound).
+    eigensolver's backward error, forming the Cartesian parts and
+    H = cos A - sin B, and summing n moduli.
     """
     n = A.shape[0]
     sample = n ** (1.0 / p) * ((LAPACK_BACKWARD + 1.0) * n + 4.0) * _EPS
@@ -429,65 +432,61 @@ def _subdivide(
     B: np.ndarray,
     p: float,
     cells: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]],
-    settled: list[float],
-    bound: list[float],
-    slack: list[float],
-    g_stop: list[float],
-    best: _Best,
+    lanes: dict[int, _Lane],
 ) -> None:
-    """Certify by subdivision, lowering bound[l] of every lane in ``cells``.
+    """Certify by subdivision, lowering the bound of every lane in ``cells``.
 
     cells[l] = (theta, r, values) holds lane l's cells, possibly none:
-    centres theta, half-widths r and profile values.  settled[l] is the
-    largest covering term of lane l's cells that already passed, and
-    those cells and cells[l] cover [0, pi) modulo pi.  Each round takes
-    every cell's covering term (_covering_terms) and prunes the cells
-    whose term is within g_stop[l] of the lane's best sample, raising
-    settled[l] to their largest term.  The settled cells and the active
-    ones still cover the period, so bound[l] falls to the largest term of
+    centres theta, half-widths r and profile values.  Those cells and the
+    cells of lanes[l] that already passed, whose largest covering term is
+    its ``settled``, cover [0, pi) modulo pi.  Each round takes every
+    cell's covering term (_covering_terms) and prunes the cells whose term
+    is within the lane's g_stop of its best sample, raising ``settled`` to
+    their largest term.  The settled cells and the active ones still cover
+    the period, so the lane's ``bound`` falls to the largest term of
     either (and no lower than the best sample).  The active cells are
     split in halves, and the halves of every open lane are evaluated in
-    one batch and carried to the next round as its cells.  A lane closes
-    when its bound is within g_stop[l] of its best sample, at the latest
-    when no cell stays active; a lane whose cells already close, such as
-    one without cells, leaves in the first round, before any evaluation.
-    The bound stays valid at every stage, so exhausting the budget only
-    enlarges cert_error.  ``settled``, ``bound``, ``slack``, ``g_stop``
-    and ``best`` are indexed by lane.
+    one batch, which feeds each lane's best sample, and carried to the
+    next round as its cells.  A lane closes when its bound is within
+    g_stop of its best sample, at the latest when no cell stays active; a
+    lane whose cells already close, such as one without cells, leaves in
+    the first round, before any evaluation.  The bound stays valid at
+    every stage, so exhausting the budget only enlarges cert_error.
     """
     for _ in range(_MAX_ROUNDS):
         children = {}
         for l, (theta, r, values) in cells.items():
-            terms = _covering_terms(values, r, slack[l])
-            keep = terms - best.value[l] > g_stop[l]
+            lane = lanes[l]
+            terms = _covering_terms(values, r, lane.slack)
+            keep = terms - lane.value > lane.g_stop
             top = float(terms.max(initial=-math.inf))
-            bound[l] = min(bound[l], max(best.value[l], settled[l], top))
-            settled[l] = max(settled[l], float(terms.max(where=~keep, initial=-math.inf)))
+            lane.bound = min(lane.bound, max(lane.value, lane.settled, top))
+            lane.settled = max(lane.settled, float(terms.max(where=~keep, initial=-math.inf)))
             count = int(keep.sum())
-            if bound[l] - best.value[l] <= g_stop[l] or 2 * count > _MAX_CELLS:
+            if lane.bound - lane.value <= lane.g_stop or 2 * count > _MAX_CELLS:
                 continue
             th = theta[keep]
             half = 0.5 * r[keep]
             children[l] = (np.concatenate([th - half, th + half]), np.concatenate([half + _PAD] * 2))
         if not children:
             break
-        values = _profile_values(A, B, {l: theta for l, (theta, _) in children.items()}, p, best)
+        values = _profile_values(A, B, {l: theta for l, (theta, _) in children.items()}, p, lanes)
         cells = {l: (theta, r, values[l]) for l, (theta, r) in children.items()}
 
 
 def _fit_round(
-    A: np.ndarray, B: np.ndarray, p: float, peaks: dict[int, list[float]], s: float, best: _Best
+    A: np.ndarray, B: np.ndarray, p: float, peaks: dict[int, list[float]], s: float, lanes: dict[int, _Lane]
 ) -> dict[int, list[tuple[float, float, float, bool]]]:
     """One three-point parabola fit per peak, all in one batched eigvalsh.
 
     peaks[l] lists lane l's peaks, each sampled at t - s, t, t + s; the
-    samples feed ``best``.  Returns, per lane and in the same order,
-    (vertex, curvature -f'', highest sample, clipped) per peak, clipped
-    when the vertex step reached the spacing s.
+    samples feed the best sample of lanes[l].  Returns, per lane and in
+    the same order, (vertex, curvature -f'', highest sample, clipped) per
+    peak, clipped when the vertex step reached the spacing s.
     """
     points = {l: np.array([[t - s, t, t + s] for t in theta]).ravel() for l, theta in peaks.items()}
     fits = {}
-    for l, values in _profile_values(A, B, points, p, best).items():
+    for l, values in _profile_values(A, B, points, p, lanes).items():
         y = values.tolist()
         fits[l] = []
         for k, t in enumerate(peaks[l]):
@@ -497,7 +496,7 @@ def _fit_round(
 
 
 def _fit_peaks(
-    A: np.ndarray, B: np.ndarray, p: float, peaks: dict[int, list[float]], h: float, best: _Best
+    A: np.ndarray, B: np.ndarray, p: float, peaks: dict[int, list[float]], h: float, lanes: dict[int, _Lane]
 ) -> dict[int, list[tuple[float, float, float]]]:
     """Refine peak estimates with two rounds of three-point parabola fits.
 
@@ -508,57 +507,52 @@ def _fit_peaks(
     round, at _FIT_SPACING, gives the final vertex and its curvature.
     Returns, per lane and in the same order, (vertex, curvature -f'',
     highest sample of the last round) per peak.  No bound relies on the
-    fit: a poor one only costs cells.
+    fit: a poor one only costs cells.  Every sample feeds the best sample
+    of its lane in ``lanes``.
     """
     s = h * _FIT_GRID_FRACTION
-    fits = _fit_round(A, B, p, peaks, s, best)
+    fits = _fit_round(A, B, p, peaks, s, lanes)
     clipped = {l: [fit[0] for fit in lane if fit[3]] for l, lane in fits.items()}
     clipped = {l: theta for l, theta in clipped.items() if theta}
     if clipped:
-        again = {l: iter(lane) for l, lane in _fit_round(A, B, p, clipped, s, best).items()}
+        again = {l: iter(lane) for l, lane in _fit_round(A, B, p, clipped, s, lanes).items()}
         fits = {l: [next(again[l]) if fit[3] else fit for fit in lane] for l, lane in fits.items()}
-    fits = _fit_round(A, B, p, {l: [fit[0] for fit in lane] for l, lane in fits.items()}, _FIT_SPACING, best)
+    fits = _fit_round(A, B, p, {l: [fit[0] for fit in lane] for l, lane in fits.items()}, _FIT_SPACING, lanes)
     return {l: [fit[:3] for fit in lane] for l, lane in fits.items()}
 
 
 def _covering_cells(
-    A: np.ndarray,
-    B: np.ndarray,
-    p: float,
-    rows: dict[int, np.ndarray],
-    h: float,
-    slack: list[float],
-    g_stop: list[float],
-    best: _Best,
-) -> tuple[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]], list[float]]:
-    """Ladder cells and settled terms of each lane, as _subdivide takes them.
+    A: np.ndarray, B: np.ndarray, p: float, rows: dict[int, np.ndarray], h: float, lanes: dict[int, _Lane]
+) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Ladder cells of each lane, as _subdivide takes them.
 
     ``rows`` maps each lane to the even samples 2kh of its start grid of
-    step h.  A cell passes on _subdivide's test, its term within g_stop of
-    the best sample.  A passing coarse cell, of half-width h around an
-    even sample, covers the fine cell (half-width h/2) at its centre and
-    half of each odd one beside it.  One batched eigvalsh evaluates the
-    odd samples (2k +- 1)h next to the open coarse cells, none for a lane
-    whose coarse cells all pass.  Fine cells pass on the same test (as
-    does each whose coarse cell passed), and the open ones form blocks,
-    one per sampled peak (_open_blocks).  Each block's peak starts at the
-    vertex of the parabola through its three grid samples, all evaluated
-    (an open even cell has both odd neighbours), is refined by
-    _fit_peaks, and the block is replaced by a _ladder around it; the
-    ladders of every lane are evaluated in one batch, and none is when no
-    lane has an open block.  Returns (cells, settled): cells[l] = (theta,
-    r, values) holds lane l's ladder cells for every lane of ``rows``
-    (empty arrays without an open block), with centres theta, padded
-    half-widths r and profile values; settled[l] is the largest term of
-    its passing cells, which with the ladders cover the period.
+    step h.  A cell passes on _subdivide's test, its term within the
+    lane's g_stop of its best sample, and the largest term of the lane's
+    passing cells becomes its ``settled``.  A passing coarse cell, of
+    half-width h around an even sample, covers the fine cell (half-width
+    h/2) at its centre and half of each odd one beside it.  One batched
+    eigvalsh evaluates the odd samples (2k +- 1)h next to the open coarse
+    cells, none for a lane whose coarse cells all pass.  Fine cells pass
+    on the same test (as does each whose coarse cell passed), and the open
+    ones form blocks, one per sampled peak (_open_blocks).  Each block's
+    peak starts at the vertex of the parabola through its three grid
+    samples, all evaluated (an open even cell has both odd neighbours), is
+    refined by _fit_peaks, and the block is replaced by a _ladder around
+    it; the ladders of every lane are evaluated in one batch, and none is
+    when no lane has an open block.  Every sample feeds its lane's best
+    sample.  Returns cells[l] = (theta, r, values), lane l's ladder cells
+    for every lane of ``rows`` (empty arrays without an open block), with
+    centres theta, padded half-widths r and profile values; they and the
+    passing cells cover the period.
     """
     grid = 2 * len(next(iter(rows.values())))
-    settled = [-math.inf] * len(slack)
     odd = {}
     for l, row in rows.items():
-        terms = _covering_terms(row, h + _PAD, slack[l])
-        open_ = terms - best.value[l] > g_stop[l]
-        settled[l] = float(terms.max(where=~open_, initial=-math.inf))
+        lane = lanes[l]
+        terms = _covering_terms(row, h + _PAD, lane.slack)
+        open_ = terms - lane.value > lane.g_stop
+        lane.settled = float(terms.max(where=~open_, initial=-math.inf))
         if open_.any():
             # Odd sample 2k + 1 lies between coarse cells k and k + 1.
             odd[l] = 2 * np.flatnonzero(open_ | np.roll(open_, -1)) + 1
@@ -567,33 +561,34 @@ def _covering_cells(
         # Each lane's fine grid, NaN where a passing coarse cell left a
         # sample out; a NaN cell is never open.
         fine, blocks, peaks = {}, {}, {}
-        for l, values in _profile_values(A, B, {l: k * h for l, k in odd.items()}, p, best).items():
+        for l, values in _profile_values(A, B, {l: k * h for l, k in odd.items()}, p, lanes).items():
+            lane = lanes[l]
             row = np.full(grid, math.nan)
             row[0::2] = rows[l]
             row[odd[l]] = values
-            terms = _covering_terms(row, 0.5 * h + _PAD, slack[l])
-            open_ = terms - best.value[l] > g_stop[l]
-            settled[l] = max(settled[l], float(np.nanmax(terms, where=~open_, initial=-math.inf)))
+            terms = _covering_terms(row, 0.5 * h + _PAD, lane.slack)
+            open_ = terms - lane.value > lane.g_stop
+            lane.settled = max(lane.settled, float(np.nanmax(terms, where=~open_, initial=-math.inf)))
             fine[l] = row
             blocks[l] = _open_blocks(row, open_)
             for k, _, _ in blocks[l]:
                 y = row.take([k - 1, k, k + 1], mode="wrap").tolist()
                 peaks.setdefault(l, []).append(k * h + _parabola(*y, h)[0])
-        for l, fits in (_fit_peaks(A, B, p, peaks, h, best) if peaks else {}).items():
+        for l, fits in (_fit_peaks(A, B, p, peaks, h, lanes) if peaks else {}).items():
+            lane = lanes[l]
             rungs = ([], [])
             for (k, first, last), (peak, kappa, top) in zip(blocks[l], fits):
                 top = max(top, float(fine[l][k % grid]))
                 # A lower peak needs its cells' terms below the lane's best only.
-                g = max(g_stop[l] - slack[l], 0.0) + best.value[l] - top
+                g = max(lane.g_stop - lane.slack, 0.0) + lane.value - top
                 at, widths = _ladder(peak, min(kappa, top), top, g, (first - 0.5) * h, (last + 0.5) * h)
                 rungs[0].extend(at)
                 rungs[1].extend(widths)
             centres[l] = np.array(rungs[0])
             radii[l] = np.array(rungs[1]) + _PAD
-    values = _profile_values(A, B, centres, p, best) if centres else {}
+    values = _profile_values(A, B, centres, p, lanes) if centres else {}
     empty = np.empty(0)
-    cells = {l: (centres[l], radii[l], values[l]) if l in centres else (empty, empty, empty) for l in rows}
-    return cells, settled
+    return {l: (centres[l], radii[l], values[l]) if l in centres else (empty, empty, empty) for l in rows}
 
 
 def check_grid(grid) -> None:
@@ -671,7 +666,6 @@ def _certified_radii(
     spec: NormSpec, Xs: np.ndarray, A: np.ndarray, B: np.ndarray, grid: int, refine_tol: float
 ) -> list[RadiusEstimate]:
     """omega_n for every lane of a stack, in any norm but the Frobenius one."""
-    L = len(Xs)
     p = spec.schatten_p
     h = math.pi / grid
     # Stage 1, one eigvalsh.  A general lane evaluates the even samples
@@ -679,7 +673,12 @@ def _certified_radii(
     # Im X (c = 0, s = -1).  The profile of a Hermitian X is
     # |cos theta| N(Re X), and that of a skew-Hermitian X is
     # |sin theta| N(Im X), so such a lane evaluates its nonzero part
-    # alone; X = 0 evaluates nothing.
+    # alone; X = 0 evaluates nothing.  A general lane starts from
+    # f(theta) <= |cos theta| N(Re X) + |sin theta| N(Im X) <=
+    # hypot(N(Re X), N(Im X)), which is exact for the trace norm of an
+    # accretive-dissipative X; the two computed norms are off by at most
+    # e's shares of ||Re X||_F and ||Im X||_F, so the hypot moves by at
+    # most e.
     even = np.arange(0, grid, 2) * h
     forms = {
         (True, True): (np.append(np.cos(even), 0.0), np.append(np.sin(even), -1.0)),
@@ -688,54 +687,42 @@ def _certified_radii(
     }
     parts = [(bool(a.any()), bool(b.any())) for a, b in zip(A, B)]
     estimates = [None if any(part) else RadiusEstimate(0.0, 0.0, 0.0, spec) for part in parts]
-    best = _Best(L)
-    rows, nA, nB = {}, [0.0] * L, [0.0] * L
+    rows, lanes = {}, {}
     cs = {l: forms[part] for l, part in enumerate(parts) if any(part)}
     for l, values in _combined_norms(A, B, cs, p).items():
         re, im = parts[l]
+        slack = _sample_error(A[l], B[l], p)
         if re and im:
-            rows[l] = values[:-1]
-            nA[l], nB[l] = float(values[0]), float(values[-1])
+            rows[l] = row = values[:-1]
+            nA, nB = float(values[0]), float(values[-1])
+            i = int(np.argmax(row))
+            g_stop = 0.5 * (nA + nB) * refine_tol
+            lanes[l] = _Lane(float(row[i]), float(even[i]), slack, g_stop, math.hypot(nA, nB) + slack)
         else:
             theta = 0.0 if re else 0.5 * math.pi
-            estimates[l] = RadiusEstimate(float(values[0]), theta, _sample_error(A[l], B[l], p), spec)
-    if not rows:
-        return estimates
-    best.update(dict.fromkeys(rows, even), rows)
-    lipschitz = [a + b for a, b in zip(nA, nB)]
-    g_stop = [0.5 * lip * refine_tol for lip in lipschitz]
-
-    def done(l: int, theta: float, cert_error: float) -> None:
-        estimates[l] = RadiusEstimate(best.value[l], theta, cert_error, spec)
+            estimates[l] = RadiusEstimate(float(values[0]), theta, slack, spec)
 
     # A flat coarse grid (step 2h): try the rotation symmetry of a
     # circular X.
-    for l, row in rows.items():
-        if float(row.max() - row.min()) <= g_stop[l]:
+    for l, row in list(rows.items()):
+        lane = lanes[l]
+        if float(row.max() - row.min()) <= lane.g_stop:
             K = _flag_grading(Xs[l])
             if K is not None:
-                rotation = _rotation_bound(Xs[l], K, A[l], B[l], p, best.value[l], 2.0 * h)
-                if rotation - best.value[l] <= g_stop[l]:
-                    done(l, best.theta[l], float(rotation - best.value[l]))
-    rows = {l: row for l, row in rows.items() if estimates[l] is None}
+                gap = _rotation_bound(Xs[l], K, p, lane.value, lane.slack, 2.0 * h) - lane.value
+                if gap <= lane.g_stop:
+                    estimates[l] = RadiusEstimate(lane.value, lane.theta, gap, spec)
+                    del rows[l]
     if not rows:
         return estimates
 
     # Certification: cells covering the period from the two-stage grid and
     # a ladder around each open peak, subdivided only where they leave a
-    # lane open.  Every lane starts from f(theta) <= |cos theta| N(Re X) +
-    # |sin theta| N(Im X) <= hypot(N(Re X), N(Im X)), which is exact for
-    # the trace norm of an accretive-dissipative X; the two computed norms
-    # are off by at most e's shares of ||Re X||_F and ||Im X||_F, so the
-    # hypot moves by at most e.
-    slack = [0.0] * L
-    bound = [0.0] * L
+    # lane open.
+    _subdivide(A, B, p, _covering_cells(A, B, p, rows, h, lanes), lanes)
     for l in rows:
-        slack[l] = _sample_error(A[l], B[l], p)
-        bound[l] = math.hypot(nA[l], nB[l]) + slack[l]
-    _subdivide(A, B, p, *_covering_cells(A, B, p, rows, h, slack, g_stop, best), bound, slack, g_stop, best)
-    for l in rows:
-        done(l, best.theta[l] % math.pi, max(0.0, bound[l] - best.value[l]))
+        lane = lanes[l]
+        estimates[l] = RadiusEstimate(lane.value, lane.theta % math.pi, max(0.0, lane.bound - lane.value), spec)
     return estimates
 
 

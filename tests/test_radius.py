@@ -628,7 +628,7 @@ class TestRotationCertificate:
         for spec in (TRACE, schatten(3), OPERATOR):
             p = spec.schatten_p
             value = float(one_lane(A, B, thetas, p).max())
-            bound = _rotation_bound(X, K, A, B, p, value, h)
+            bound = _rotation_bound(X, K, p, value, radius._sample_error(A, B, p), h)
             pad = 16 * n ** (1.0 / p) * n * EPS * float(np.linalg.norm(X))
             assert bound >= oracle_omega(X, p, 2000) - pad, spec.label
 
@@ -644,7 +644,8 @@ class TestRotationCertificate:
             p = spec.schatten_p
             value = radius_profile(spec, X, 0.5 * math.pi)
             assert value <= 1e-15
-            assert _rotation_bound(X, K, A, B, p, value, math.pi) >= 1.0, spec.label
+            slack = radius._sample_error(A, B, p)
+            assert _rotation_bound(X, K, p, value, slack, math.pi) >= 1.0, spec.label
 
     def test_shift_grading_is_exact(self):
         # K X - X K = -X on Jordan blocks and weighted shifts.
@@ -667,7 +668,7 @@ class TestRotationCertificate:
                 if K is not None:
                     h = math.pi / radius.DEFAULT_GRID
                     f0 = float(one_lane(A, B, np.arange(radius.DEFAULT_GRID) * h, p).max())
-                    assert _rotation_bound(X, K, A, B, p, f0, h) - f0 > g_stop, (name, spec.label)
+                    assert _rotation_bound(X, K, p, f0, radius._sample_error(A, B, p), h) - f0 > g_stop, (name, spec.label)
                 est = omega_n(spec, X, refine_tol=refine_tol)
                 assert oracle_omega(X, p, 20000) <= est.value + est.cert_error + 1e-12, (name, spec.label)
 
@@ -948,12 +949,12 @@ class TestLadder:
         calls = count_hermitian_eig_matrices(monkeypatch)
         for spec in (OPERATOR, TRACE):
             calls.clear()
-            best = radius._Best(1)
-            [(peak, kappa, top)] = radius._fit_peaks(A[None], B[None], spec.schatten_p, {0: [start]}, h, best)[0]
+            lane = radius._Lane(-math.inf, 0.0, 0.0, 0.0, math.inf)
+            [(peak, kappa, top)] = radius._fit_peaks(A[None], B[None], spec.schatten_p, {0: [start]}, h, {0: lane})[0]
             assert len(calls) == rounds, calls
             assert peak == pytest.approx(0.7, abs=1e-8)
             assert kappa == pytest.approx(hermitian_norm(spec, A0), rel=1e-4)
-            assert top == best.value[0] == pytest.approx(hermitian_norm(spec, A0), rel=1e-12)
+            assert top == lane.value == pytest.approx(hermitian_norm(spec, A0), rel=1e-12)
 
     def test_open_blocks_split_at_sampled_minima(self):
         # Open cells 0, 1, 3..6, 8, 9: the run 3..6 is cut after its sampled
