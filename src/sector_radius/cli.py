@@ -26,6 +26,8 @@ from .generator import (
 )
 from .harness import (
     DEFAULT_CONTEXT,
+    DEFAULT_DIMS,
+    DEFAULT_NORMS,
     InequalityId,
     all_ids,
     explain,
@@ -228,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the randomized certified suite")
     p_verify.add_argument("--ids", type=_parse_ids, default="all")
     p_verify.add_argument("--trials", type=int, default=200)
-    p_verify.add_argument("--dims", type=_parse_dims, default=[2, 3, 4, 5, 6])
-    p_verify.add_argument("--norms", default="op,tr,fro,sp:3")
+    p_verify.add_argument("--dims", type=_parse_dims, default=list(DEFAULT_DIMS))
+    p_verify.add_argument("--norms", default=",".join(n.label for n in DEFAULT_NORMS))
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--grid", type=int, default=DEFAULT_CONTEXT.grid)
     p_verify.add_argument("--m", type=int, default=DEFAULT_CONTEXT.m_fold, help="inputs per m-fold id")

@@ -840,6 +840,13 @@ def _normalize_ids(ids) -> list[InequalityId]:
     return [i for i in all_ids() if i in wanted]  # registry order, no duplicates
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; ValueError unless it is a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _run_trials(tagged, trials: int, dims, norms, seed: int, context: CheckContext, tols):
     """Seeded checks of each (id, seed tag) pair of ``tagged``, and a summary per id.
 
@@ -882,17 +889,21 @@ def run_suite(
     interval is therefore an enclosure whose width is set by the pass
     that settled it; check_inequality gives tight intervals for any one
     result.  The report is a deterministic function of the arguments
-    (wall time aside).
+    (wall time aside).  ``trials``, each of ``dims`` and ``seed`` are
+    Python or numpy integers, not bools, and are recorded as Python ints;
+    anything else raises ValueError before any check runs.
     """
     id_list = _normalize_ids(ids)
+    trials = _integer("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    dims = [int(d) for d in dims]
+    dims = [_integer("dims", d) for d in dims]
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"dims must be positive integers, got {dims}")
     norm_list = list(norms)
     if not norm_list:
         raise ValueError("empty norm set")
+    seed = _integer("seed", seed)
 
     tagged = [(ineq, 1000 + idx) for idx, ineq in enumerate(id_list)]
     start = time.perf_counter()
@@ -938,14 +949,17 @@ def tightness_scan(
     """Maximum lhs/rhs ratio over random inputs plus extremal fixtures.
 
     Every radius is certified to ``context.refine_tol``, so the ratios
-    are as tight as check_inequality's.
+    are as tight as check_inequality's.  ``trials`` and ``seed`` are
+    integers as run_suite takes them.
     """
     ineq = InequalityId(id)
     info = REGISTRY[ineq]
     if info.block is not None:
         raise ValueError(f"{ineq.value} is a positivity check, not a two-sided comparison")
+    trials = _integer("trials", trials)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    seed = _integer("seed", seed)
     dims = (2, 3, 4)
     results, per_id = _run_trials([(ineq, 77)], trials, dims, DEFAULT_NORMS, seed, context, (context.refine_tol,))
     for fixture in _FIXTURES.get(ineq, []):

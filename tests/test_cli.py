@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from sector_radius.cli import main
+from sector_radius.cli import build_parser, main
 from sector_radius.generator import GenConfig, random_accretive_dissipative, random_pd
+from sector_radius.harness import DEFAULT_CONTEXT, DEFAULT_DIMS, DEFAULT_NORMS
 from sector_radius.linalg import read_matrix, write_matrix
+from sector_radius.norms import parse_norm
 
 
 def run_cli(*args):
@@ -119,6 +121,12 @@ class TestVerify:
         assert data["summary"]["ok"] is True
         assert len(data["results"]) == 6
         assert data["config"]["dims"] == [2, 3]
+
+    def test_defaults_come_from_the_harness(self):
+        args = build_parser().parse_args(["verify"])
+        assert args.dims == list(DEFAULT_DIMS)
+        assert [parse_norm(t) for t in args.norms.split(",")] == list(DEFAULT_NORMS)
+        assert (args.grid, args.m) == (DEFAULT_CONTEXT.grid, DEFAULT_CONTEXT.m_fold)
 
     def test_dims_range_syntax(self, tmp_path):
         report = tmp_path / "r.json"

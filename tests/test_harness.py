@@ -262,6 +262,14 @@ class TestRunSuite:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             run_suite("all", 0, [2], [OPERATOR], seed=1)
+        for trials in (2.5, True, "1", None):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                run_suite(["A_lower"], trials, [2], [OPERATOR], seed=1)
+        # numpy integers run and are recorded as Python ints.
+        rep = run_suite(["A_lower"], np.int64(1), [np.int32(2)], [OPERATOR], seed=np.int64(5))
+        config = json.loads(rep.to_json())["config"]
+        assert (config["trials"], config["dims"], config["seed"]) == (1, [2], 5)
+        assert type(rep.config["trials"]) is int and type(rep.config["seed"]) is int
 
     def test_dims_and_norms_validation(self):
         with pytest.raises(ValueError, match="empty id set"):
@@ -270,6 +278,12 @@ class TestRunSuite:
             run_suite("all", 1, [], [OPERATOR], seed=1)
         with pytest.raises(ValueError):
             run_suite("all", 1, [2], [], seed=1)
+        for dims in ([2.5], [True], [2, "3"]):
+            with pytest.raises(ValueError, match="dims must be an integer"):
+                run_suite("all", 1, dims, [OPERATOR], seed=1)
+        for seed in (1.0, False, "1"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                run_suite("all", 1, [2], [OPERATOR], seed=seed)
 
     def test_norm_cycling_covers_requested_norms(self):
         rep = run_suite(["SA_omega_le_N"], 8, [2, 3], [OPERATOR, FROBENIUS], seed=11)
@@ -475,6 +489,11 @@ class TestTightnessScan:
             tightness_scan("L2_block_tan", trials=1, seed=1)
         with pytest.raises(ValueError, match="trials must be >= 0"):
             tightness_scan("B_prod4", trials=-1, seed=1)
+        for trials in (2.5, True):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                tightness_scan("B_prod4", trials=trials, seed=1)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            tightness_scan("B_prod4", trials=1, seed=1.5)
 
 
 class TestExplainAndRegistry:

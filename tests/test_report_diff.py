@@ -46,3 +46,16 @@ def test_a_perturbed_field_is_named(tmp_path):
     assert moved[0].startswith(f"moved rhs.hi [{target['norm']}]: 1 values, largest 1e-12 relative")
     assert f"{target['id']} n={target['dim']} seed={target['seed']}" in moved[0]
     assert moved[0].endswith("; 1 widened, 0 narrowed"), moved[0]
+
+
+def test_usage_and_read_errors_exit_2(tmp_path):
+    # Exit 1 means "values moved", so a bad call must not end with it.
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(small_report()))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    for args in ([str(old)], [str(old), str(tmp_path / "missing.json")], [str(old), str(bad)]):
+        done = subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True)
+        assert done.returncode == 2, (args, done.stdout, done.stderr)
+        assert done.stdout == "" and len(done.stderr.splitlines()) == 1, done.stderr
+        assert done.stderr.startswith("error: ")

@@ -11,7 +11,9 @@ belongs to.  The fields are each result's ``lhs`` and ``rhs`` bounds,
 the moves that widened the interval (``hi`` up or ``lo`` down) and those
 that narrowed it.  Results are matched by position, so both
 reports must list the same (id, norm, dim, seed) in the same order.
-Wall time is ignored.  Exits 0 when nothing moved and 1 otherwise.
+Wall time is ignored.  Exits 0 when nothing moved, 1 when something
+did, and 2, with a one-line ``error:`` on stderr, on a wrong argument
+count or a report that cannot be read.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import math
 import sys
 from collections import Counter
+from pathlib import Path
 
 
 def relative_move(old, new) -> float:
@@ -108,8 +111,13 @@ def diff(old: dict, new: dict) -> list[str]:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
-        sys.exit(__doc__)
-    old, new = (json.loads(open(path).read()) for path in argv)
+        print("error: usage: report_diff.py OLD.json NEW.json", file=sys.stderr)
+        return 2
+    try:
+        old, new = (json.loads(Path(path).read_text()) for path in argv)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     lines = diff(old, new)
     print("\n".join(lines))
     return 0 if lines[0] == "no moves" else 1
