@@ -3,7 +3,9 @@
 Every inequality the library verifies has a stable identifier.  A check
 evaluates both sides as enclosing intervals: radius estimates contribute
 [value, value + cert_error], norms enter as points padded by the SVD's
-error model, diagonal maxima with a small relative pad, and sec/tan
+error model, and diagonal maxima, constants and sec/tan factors as
+points padded by the error of their own library call and roundings
+(2 eps relative, none for a diagonal real part, which is exact).  Sec/tan
 factors are evaluated at the computed sector index inflated by a small
 margin, and the inflated index is verified to bound the numerical range
 before it is used.  The verdict is certified only when
@@ -117,8 +119,6 @@ DEFAULT_CONTEXT = CheckContext()
 DEFAULT_DIMS = (2, 3, 4, 5, 6)
 DEFAULT_NORMS = (OPERATOR, TRACE, FROBENIUS, schatten(3))
 
-_NORM_PAD = 1e-12
-_DIAG_PAD = 1e-15
 _PSD_TOL = 1e-9
 # Added to every computed sector index before a sec or tan factor is
 # taken, covering the index's rounding error (see _verified).
@@ -364,55 +364,89 @@ class Norm:
         return _norm_iv(ev.spec, ev.matrix(self.of))
 
 
+# Error model of the scalar terms below.  Each is one library call and at
+# most two roundings of exact operands: the sector index is the float
+# whose sector was verified, and a diagonal entry is an input entry.
+# libm's cos, tan, pow and hypot are taken to be within 1 ulp and each
+# further rounding within half an ulp, so a relative pad of 2 eps covers
+# every term; Interval.point rounds one more ulp outward.
+
+
 @dataclass(frozen=True)
 class Sec:
+    """sec of the verified index of input ``of`` (or of MAX).
+
+    One cos (1 ulp) and one division (half an ulp): within 1.5 eps
+    relative, padded by 2 eps.
+    """
+
     of: object  # input index or MAX
 
     def interval(self, ev):
-        return Interval.point(1.0 / math.cos(ev.alpha(self.of)), rel=_NORM_PAD)
+        return Interval.point(1.0 / math.cos(ev.alpha(self.of)), rel=2.0 * _EPS)
 
 
 @dataclass(frozen=True)
 class Tan:
+    """tan of the verified index: one tan (1 ulp), padded by 2 eps relative."""
+
     of: object
 
     def interval(self, ev):
-        return Interval.point(math.tan(ev.alpha(self.of)), rel=_NORM_PAD)
+        return Interval.point(math.tan(ev.alpha(self.of)), rel=2.0 * _EPS)
 
 
 @dataclass(frozen=True)
 class OnePlusTan:
+    """1 + tan of the verified index.
+
+    One tan (1 ulp of tan >= 0) and one sum (half an ulp): within 1.5 eps
+    of 1 + tan, padded by 2 eps relative.
+    """
+
     of: object
 
     def interval(self, ev):
-        return Interval.point(1.0 + math.tan(ev.alpha(self.of)), rel=_NORM_PAD)
+        return Interval.point(1.0 + math.tan(ev.alpha(self.of)), rel=2.0 * _EPS)
 
 
 @dataclass(frozen=True)
 class DiagAbsMax:
+    """Largest modulus of a diagonal entry of input ``of``.
+
+    Each modulus is one complex abs, that is a hypot (1 ulp), and the
+    maximum is exact: padded by 2 eps relative.
+    """
+
     of: int
 
     def interval(self, ev):
-        return Interval.point(float(np.max(np.abs(np.diag(ev.matrix(self.of))))), rel=_DIAG_PAD)
+        return Interval.point(float(np.max(np.abs(np.diag(ev.matrix(self.of))))), rel=2.0 * _EPS)
 
 
 @dataclass(frozen=True)
 class DiagReMax:
+    """Largest real part of a diagonal entry of input ``of``: an input entry, exact, so unpadded."""
+
     of: int
 
     def interval(self, ev):
-        return Interval.point(float(np.max(np.diag(ev.matrix(self.of)).real)), rel=_DIAG_PAD)
+        return Interval.point(float(np.max(np.diag(ev.matrix(self.of)).real)))
 
 
 @dataclass(frozen=True)
 class Const:
-    """base^(per_input * m) for m inputs, a point padded by _NORM_PAD."""
+    """base^(per_input * m) for m inputs.
+
+    per_input * m is exact for the dyadic per_input of the registry, so
+    the term is one pow (1 ulp), padded by 2 eps relative.
+    """
 
     base: float
     per_input: float
 
     def interval(self, ev):
-        return Interval.point(self.base ** (self.per_input * len(ev.mats)), rel=_NORM_PAD)
+        return Interval.point(self.base ** (self.per_input * len(ev.mats)), rel=2.0 * _EPS)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -217,6 +218,37 @@ class TestNormIntervals:
                 lam = min(mpmath.re(v) for v in mpmath.eighe(exact, eigvals_only=True))
             assert lhs.lo <= -lam <= lhs.hi, (m, lhs, lam)
 
+    def test_scalar_terms_enclose_mpmath(self):
+        # Each sec/tan/const/diagonal term encloses the exact value at its
+        # float operands (mpmath at 50 digits) with a pad of its own stated
+        # rounding budget, and stays within a few eps of it.
+        import mpmath
+
+        rng = np.random.default_rng(61)
+        alphas = np.append(rng.uniform(0.0, 0.5 * math.pi - 1e-6, 198), [0.0, 0.5 * math.pi - 1e-6])
+        cases = []
+        with mpmath.workdps(50):
+            for a in alphas.tolist():
+                ev = SimpleNamespace(alpha=lambda of, a=a: a)
+                x = mpmath.mpf(a)
+                cases += [(harness.Sec(0), ev, mpmath.sec(x)), (harness.Tan(0), ev, mpmath.tan(x))]
+                cases.append((harness.OnePlusTan(0), ev, 1 + mpmath.tan(x)))
+            for k in range(200):
+                base, per_input, m = float(rng.uniform(1.0, 4.0)), (0.25, 0.5, 1.0, 2.0)[k % 4], 2 + k % 7
+                exact = mpmath.mpf(base) ** (mpmath.mpf(per_input) * m)
+                cases.append((harness.Const(base, per_input), SimpleNamespace(mats=[None] * m), exact))
+            # 50 matrices with 4 diagonal entries each, at scales 1e-8 to 1e8.
+            for _ in range(50):
+                d = (rng.normal(size=4) + 1j * rng.normal(size=4)) * 10.0 ** rng.uniform(-8.0, 8.0, 4)
+                ev = SimpleNamespace(matrix=lambda of, M=np.diag(d): M)
+                moduli = [mpmath.sqrt(mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2) for z in d.tolist()]
+                cases.append((harness.DiagAbsMax(0), ev, max(moduli)))
+                cases.append((harness.DiagReMax(0), ev, max(mpmath.mpf(z.real) for z in d.tolist())))
+            for term, ev, exact in cases:
+                iv = term.interval(ev)
+                assert iv.lo <= exact <= iv.hi, (term, iv, exact)
+                assert iv.hi - iv.lo <= 8.0 * harness._EPS * abs(iv.hi) + 2.0 * math.ulp(iv.hi), (term, iv)
+
 
 class TestRhsStructure:
     def test_sec_factor_monotone_in_alpha_inflation(self, monkeypatch):
@@ -299,7 +331,7 @@ class TestReportPin:
         obj = run_suite("all", 20, range(2, 7), DEFAULT_NORMS, seed=42).report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == "810728b69c8b0495ae727b03a6b763e24e1d84349919f36a29e8dc691e63a99c"
+        assert digest == "aee7686bdafab0525681247dd2ebc75225c9f937e50fee231a146ea6af0209d0"
 
 
 def radius_terms(ineq, mats, spec, refine_tol):
