@@ -6,10 +6,10 @@ evaluates both sides as enclosing intervals: radius estimates contribute
 error model, and diagonal maxima, constants and sec/tan factors as
 points padded by the error of their own library call and roundings
 (2 eps relative, none for a diagonal real part, which is exact).  Sec/tan
-factors are evaluated at the computed sector index inflated by a small
-margin, and the inflated index is verified to bound the numerical range
-before it is used.  The verdict is certified only when
-the intervals separate.
+factors are evaluated at the computed sector index inflated until it
+provably bounds the numerical range, and a block row is certified
+against 0 at the index a' that its note states, inflated the same way.
+The verdict is certified only when the intervals separate.
 
 Each identifier is one row of REGISTRY and is stated nowhere else: its
 inputs, its hypothesis, and both sides written in a small vocabulary of
@@ -119,9 +119,8 @@ DEFAULT_CONTEXT = CheckContext()
 DEFAULT_DIMS = (2, 3, 4, 5, 6)
 DEFAULT_NORMS = (OPERATOR, TRACE, FROBENIUS, schatten(3))
 
-_PSD_TOL = 1e-9
-# Added to every computed sector index before a sec or tan factor is
-# taken, covering the index's rounding error (see _verified).
+# The first inflation of every computed sector index before a sec or tan
+# factor or a block is taken, covering the index's rounding (_inflated).
 _ALPHA_INFLATION = 1e-8
 _EPS = float(np.finfo(np.float64).eps)
 # Radius tolerance of run_suite's first pass.  Every coarse radius is
@@ -174,56 +173,58 @@ def _sector_data(sector, mats, names, errors, what: str) -> list[SectorInfo]:
     return _verified([infos] if len(mats) == 1 else list(infos), mats)
 
 
+def _inflated(infos: list[SectorInfo], clears) -> list[tuple[float, object]]:
+    """(index, certificate) of each input, its index inflated until ``clears`` certifies it.
+
+    The inflation starts at _ALPHA_INFLATION and doubles.  ``clears(ks,
+    alphas)`` tries inputs ks at indices alphas in one batched solve and
+    returns a certificate, or None, for each.  An input whose index reaches
+    pi/2 is inapplicable; the first such input, in order, names the note.
+    """
+    inflation = [_ALPHA_INFLATION] * len(infos)
+    alpha = [info.index_alpha + _ALPHA_INFLATION for info in infos]
+    found, open_ = {}, range(len(infos))
+    while open_ := [k for k in open_ if k not in found and alpha[k] < math.pi / 2]:
+        for k, got in zip(open_, clears(open_, [alpha[k] for k in open_])):
+            if got is None:
+                inflation[k] = max(2.0 * inflation[k], _EPS)
+                alpha[k] = infos[k].index_alpha + inflation[k]
+            else:
+                found[k] = got
+    for k in range(len(infos)):
+        if k not in found:
+            raise Inapplicable(f"inflated sector index {alpha[k]:.12f} reaches pi/2")
+    return [(alpha[k], found[k]) for k in range(len(infos))]
+
+
 def _verified(infos: list[SectorInfo], mats) -> list[SectorInfo]:
-    """Each ``info`` with its index inflated until W(zX) provably fits the sector.
+    """Each ``info`` with its index inflated (_inflated) until W(zX) provably fits the sector.
 
     For a < pi/2, W(Y) lies in the closed sector of half-width a exactly
     when Im(e^{-ia} Y) <= 0 and Im(e^{ia} Y) >= 0, that is when both
     +-cos(a) Im Y - sin(a) Re Y are negative semidefinite.  Their computed
-    top eigenvalues must clear the slack
-    (LAPACK_BACKWARD n + 6) eps (||Re Y||_F + ||Im Y||_F), as
-    radius._sample_error derives its own: each computed eigenvalue of the
-    n x n H is within LAPACK_BACKWARD n eps ||H||_F of an exact one
-    (linalg.LAPACK_BACKWARD), with ||H||_F <= ||Re Y||_F + ||Im Y||_F; the
-    computed H differs from the exact one by at most 6 eps times the same
-    sum: 2 for the products and the difference of H = c Im - s Re, 1 for
-    c and s against cos(a) and sin(a), 1 for the Cartesian parts, and 2
-    for the product Y = zX itself (a complex product is within
-    sqrt(5)/2 eps of exact, Brent, Percival and Zimmermann 2007, and
-    |cos a| + |sin a| <= sqrt(2)).  The inflation starts at
-    _ALPHA_INFLATION and doubles until the eigenvalues clear the slack.
-    Each round is one eigvalsh over the inputs still open, and every
-    input keeps the bits it gets alone.  An input whose inflated index
-    reaches pi/2 is inapplicable; the first such input, in order, names
-    the note.
+    top eigenvalues must clear the slack (LAPACK_BACKWARD n + 6) eps
+    (||Re Y||_F + ||Im Y||_F), as radius._sample_error derives its own:
+    each computed eigenvalue of the n x n H is within LAPACK_BACKWARD n eps
+    ||H||_F of an exact one (linalg.LAPACK_BACKWARD), with ||H||_F <=
+    ||Re Y||_F + ||Im Y||_F; the computed H differs from the exact one by
+    at most 6 eps times the same sum: 2 for the products and the
+    difference of H = c Im - s Re, 1 for c and s against cos(a) and
+    sin(a), 1 for the Cartesian parts, and 2 for the product Y = zX itself
+    (a complex product is within sqrt(5)/2 eps of exact, Brent, Percival
+    and Zimmermann 2007, and |cos a| + |sin a| <= sqrt(2)).  Each try is
+    one eigvalsh over the open inputs, each with the bits it gets alone.
     """
     re, im = cartesian_parts(np.array([info.rotation_z * X for info, X in zip(infos, mats)]))
-    n = re.shape[-1]
-    slack = [(LAPACK_BACKWARD * n + 6.0) * _EPS * (frobenius(r) + frobenius(i)) for r, i in zip(re, im)]
-    inflation = [_ALPHA_INFLATION] * len(infos)
-    alpha = [info.index_alpha + _ALPHA_INFLATION for info in infos]
-    open_ = [k for k, a in enumerate(alpha) if a < math.pi / 2]
-    verified = set()
-    while open_:
-        c = np.array([math.cos(alpha[k]) for k in open_])[:, None, None]
-        s = np.array([math.sin(alpha[k]) for k in open_])[:, None, None]
-        re_o, im_o = re[open_], im[open_]
-        H = np.stack([c * im_o - s * re_o, -c * im_o - s * re_o], axis=1)
+    slack = [(LAPACK_BACKWARD * len(r) + 6.0) * _EPS * (frobenius(r) + frobenius(i)) for r, i in zip(re, im)]
+
+    def sector_pair(ks, alphas):
+        c, s = (np.array([f(a) for a in alphas])[:, None, None] for f in (math.cos, math.sin))
+        H = np.stack([c * im[ks] - s * re[ks], -c * im[ks] - s * re[ks]], axis=1)
         top = np.linalg.eigvalsh(H)[..., -1].max(axis=1)
-        still = []
-        for k, t in zip(open_, top):
-            if t <= -slack[k]:
-                verified.add(k)
-                continue
-            inflation[k] = max(2.0 * inflation[k], _EPS)
-            alpha[k] = infos[k].index_alpha + inflation[k]
-            if alpha[k] < math.pi / 2:
-                still.append(k)
-        open_ = still
-    for k, info in enumerate(infos):
-        if k not in verified:
-            raise Inapplicable(f"inflated sector index {alpha[k]:.12f} reaches pi/2")
-    return [replace(info, index_alpha=a) for info, a in zip(infos, alpha)]
+        return [True if t <= -slack[k] else None for k, t in zip(ks, top)]
+
+    return [replace(info, index_alpha=a) for info, (a, _) in zip(infos, _inflated(infos, sector_pair))]
 
 
 def _require_accretive_dissipative(mats, names) -> None:
@@ -290,19 +291,27 @@ def _check_hypothesis(kind, mats, arity: int) -> tuple[list[SectorInfo], str]:
     return [], ""
 
 
-def _psd_comparison(block: np.ndarray) -> tuple[Interval, Interval, str]:
-    """-lambda_min(block) against the tolerance _PSD_TOL max(1, ||block||_F).
+def _block_certificate(block, Y: np.ndarray, info: SectorInfo) -> tuple[Interval, Interval, str]:
+    """-lambda_min(block(Y, a')) against the point 0, a' inflated from info's index until it is below 0.
 
-    The lhs is padded by the eigensolver's error model: the computed
-    lambda_min of the m x m block is within LAPACK_BACKWARD m eps
-    ||block||_F of the exact one (linalg.LAPACK_BACKWARD).  The rounding
-    in forming the block, a few eps ||block||_F, is not padded.
+    block(Y, a') >= 0 exactly when W(Y) lies in the sector of half-width
+    a'; the accepting try's lhs is reported, a' in the note.  The computed
+    lambda_min of the m x m block B is within LAPACK_BACKWARD m eps ||B||_F
+    of an exact one, and within ||B - B_0||_F more of that of the block B_0
+    of the exact Y at the float a' (Weyl).  Entrywise the computed Y = zX
+    is within sqrt(5)/2 eps of exact, a Cartesian part adds half an ulp,
+    the factor (tan 1 ulp, sec 1.5) and its product 1.5 more, so
+    ||B - B_0||_F <= sqrt(2) (3.7 sec a' + 1.7) eps ||Y||_F < 6 (1 + sec a') eps ||Y||_F.
     """
-    lam_min = float(np.linalg.eigvalsh(block)[0])
-    fro = frobenius(block)
-    lhs = Interval.point(-lam_min, abs_=LAPACK_BACKWARD * len(block) * _EPS * fro)
-    rhs = Interval.point(_PSD_TOL * max(1.0, fro))
-    return lhs, rhs, "PSD test: lhs is -lambda_min(block), rhs the tolerance"
+
+    def psd(ks, alphas):
+        B = block(Y, alphas[0])
+        pad = (LAPACK_BACKWARD * len(B) * frobenius(B) + 6.0 * (1.0 + 1.0 / math.cos(alphas[0])) * frobenius(Y)) * _EPS
+        lhs = Interval.point(-float(np.linalg.eigvalsh(B)[0]), abs_=pad)
+        return [lhs if lhs.hi < 0.0 else None]
+
+    ((a, lhs),) = _inflated([info], psd)
+    return lhs, Interval(0.0, 0.0), f"block PSD at index {a!r}: lhs is -lambda_min(block(zX, a)), rhs 0"
 
 
 # --- statement vocabulary ---------------------------------------------------
@@ -554,8 +563,8 @@ class IdInfo:
     that satisfy it (generate_inputs); with ``common_index`` they draw one
     sector index for all inputs, as rows that take the MAX index state.
     ``product`` combines the inputs into PRODUCT (np.matmul, hadamard or
-    None).  A row with ``block`` is a positivity certificate: block(zX, a)
-    is tested for PSD in place of lhs <= rhs.
+    None).  A row with ``block`` certifies block(zX, a') against 0 in place
+    of lhs <= rhs, at the index a' that its note states.
     """
 
     id: str
@@ -743,7 +752,7 @@ def _evaluate(info: IdInfo, mats, spec: NormSpec, ctx: CheckContext, tols) -> tu
     infos, note = _check_hypothesis(info.requires, mats, info.arity)
     ev = _Evaluator(mats, infos, info.product, spec, ctx)
     if info.block is not None:
-        return _psd_comparison(info.block(ev.matrix(Rotated(_X)), infos[_X].index_alpha))
+        return _block_certificate(info.block, ev.matrix(Rotated(_X)), infos[_X])
     omegas = ev.omegas(info.lhs, info.rhs)
     for tol in tols:
         if omegas:

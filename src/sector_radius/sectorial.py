@@ -243,8 +243,8 @@ def tan_block(X, alpha: float) -> np.ndarray:
     """Block [[tan(a) Re X, Im X], [Im X, tan(a) Re X]].
 
     Positive semidefinite exactly when the numerical range of X lies in
-    the sector of half-width a; the harness tests that with the smallest
-    eigenvalue from ``eigvalsh``.
+    the sector of half-width a; the harness certifies that with the
+    smallest eigenvalue from ``eigvalsh``.
     """
     alpha = _check_alpha(alpha)
     X = as_matrix(X)

@@ -190,6 +190,11 @@ def near_rank_one_hermitian(n: int, seed: int) -> np.ndarray:
     return U @ np.diag(np.concatenate([[1.0], signs * 1e-8])) @ U.conj().T
 
 
+def block_index(result) -> float:
+    """The index a' at which a block row's note says its block was certified."""
+    return float(re.search(r"at index (\S+):", result.note).group(1))
+
+
 class TestNormIntervals:
     def test_trace_norm_of_near_rank_one_hermitian(self):
         # w_N(X) = N(X) for Hermitian X, so the two sides of SA_omega_le_N
@@ -204,19 +209,47 @@ class TestNormIntervals:
                 assert iv.lo <= mp_schatten_norm(X, 1.0) <= iv.hi, (t, iv)
 
     def test_psd_lhs_is_padded_by_the_eigensolver_model(self):
-        # The lhs of a PSD row encloses -lambda_min of the block as given,
-        # with the pad LAPACK_BACKWARD m eps ||block||_F of an m x m block.
+        # The lhs of a block row encloses -lambda_min of the exact block of
+        # the exact zX (the float z times the input) at the float index its
+        # note states, computed by mpmath at 30 digits.
         import mpmath
 
-        for t, m in enumerate((4, 8, 12)):
-            block = 1e4 * near_rank_one_hermitian(m, 700 + t)
-            lhs, _, _ = harness._psd_comparison(block)
-            pad = harness.LAPACK_BACKWARD * m * harness._EPS * np.linalg.norm(block)
-            assert lhs.hi - lhs.lo <= 2.0 * pad + 4.0 * math.ulp(lhs.hi), (m, lhs)
-            with mpmath.workdps(40):
-                exact = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in block])
-                lam = min(mpmath.re(v) for v in mpmath.eighe(exact, eigvals_only=True))
-            assert lhs.lo <= -lam <= lhs.hi, (m, lhs, lam)
+        cases = [(n, 2 * n + s) for n in (2, 3, 4, 5, 6) for s in range(2)] + [(16, 0)]
+        for ineq, kind in (("L2_block_tan", "tan"), ("L3_block_sec", "sec")):
+            for n, s in cases:
+                mats = generate_inputs(REGISTRY[ineq], n, 700 + s)
+                r = check_inequality(ineq, mats, OPERATOR)
+                a = block_index(r)
+                (info,), _ = _check_hypothesis(Hypothesis.SECTORIAL, mats, 1)
+                with mpmath.workdps(30):
+                    z = mpmath.mpc(info.rotation_z)
+                    Y = mpmath.matrix([[z * mpmath.mpc(complex(v)) for v in row] for row in mats[0]])
+                    re_y, im_y = (Y + Y.H) / 2, (Y - Y.H) / (2j)
+                    if kind == "tan":
+                        top, off = mpmath.tan(mpmath.mpf(a)) * re_y, im_y
+                    else:
+                        top, off = mpmath.sec(mpmath.mpf(a)) * re_y, Y
+                    block = mpmath.zeros(2 * n)
+                    for i in range(n):
+                        for j in range(n):
+                            block[i, j] = block[n + i, n + j] = top[i, j]
+                            block[i, n + j] = off[i, j]
+                            block[n + i, j] = mpmath.conj(off[j, i])
+                    lam = min(mpmath.re(v) for v in mpmath.eighe(block, eigvals_only=True))
+                assert r.verdict == "certified_pass", (ineq, n, s, r)
+                assert r.lhs.lo <= -lam <= r.lhs.hi < 0.0, (ineq, n, s, r.lhs, lam)
+
+    def test_tight_blocks_are_certified_above_the_verified_index(self):
+        # At the index the sector pair verifies, lambda_min of these blocks
+        # is within the eigensolver model of 0 (at a fixed 1e-9 tolerance
+        # they passed with lhs.hi > 0); the block loop inflates further.
+        for n, s in ((5, 53), (32, 109)):
+            mats = generate_inputs(REGISTRY["L3_block_sec"], n, seed=90000 + s)
+            r = check_inequality("L3_block_sec", mats, OPERATOR)
+            (info,), _ = _check_hypothesis(Hypothesis.SECTORIAL, mats, 1)
+            assert r.verdict == "certified_pass" and r.lhs.hi < 0.0, (n, r)
+            assert (r.rhs.lo, r.rhs.hi) == (0.0, 0.0)
+            assert block_index(r) > info.index_alpha + 1e-7, (n, r.note, info)
 
     def test_scalar_terms_enclose_mpmath(self):
         # Each sec/tan/const/diagonal term encloses the exact value at its
@@ -331,7 +364,7 @@ class TestReportPin:
         obj = run_suite("all", 20, range(2, 7), DEFAULT_NORMS, seed=42).report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == "aee7686bdafab0525681247dd2ebc75225c9f937e50fee231a146ea6af0209d0"
+        assert digest == "78bb11ecc56819b8f9579e257f73ce1526feaf6e75feb11b9b6d90c38ed64c12"
 
 
 def radius_terms(ineq, mats, spec, refine_tol):
