@@ -8,6 +8,7 @@ routes its inputs through it.  All functions are pure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ __all__ = [
     "as_stack",
     "adjoint",
     "frobenius",
+    "far_exponents",
+    "times_power_of_two",
     "is_hermitian",
     "cartesian_decompose",
     "cartesian_parts",
@@ -44,6 +47,13 @@ HERMITIAN_RTOL = 1e-12
 # error), and every computed singular value of an n x n X within
 # LAPACK_BACKWARD * n * eps * sigma_1.
 LAPACK_BACKWARD = 4.0
+
+
+# A matrix whose largest real or imaginary part lies outside
+# [1/_SAFE_HI, _SAFE_HI] is scaled before its norms and radii are taken
+# (far_exponents).  Inside, the squares of its entries and their sums
+# stay finite, and the square of its largest part stays normal.
+_SAFE_HI = 2.0**256
 
 
 class DimensionError(ValueError):
@@ -82,6 +92,22 @@ def as_stack(X, *more) -> np.ndarray:
 
 def frobenius(X: np.ndarray) -> float:
     return float(np.linalg.norm(X))
+
+
+def far_exponents(Xs: np.ndarray) -> dict[int, int]:
+    """{k: e} for each nonzero matrix k of a stack whose largest part lies outside [2^-256, 2^256].
+
+    2^-e X_k has its largest real or imaginary part in [1/2, 1).  The
+    test is one reduction over the stack, and matrices in range are left
+    out.
+    """
+    top = np.abs(np.ascontiguousarray(Xs).view(np.float64)).max(axis=(-2, -1)).tolist()
+    return {k: math.frexp(t)[1] for k, t in enumerate(top) if t > _SAFE_HI or 0.0 < t < 1.0 / _SAFE_HI}
+
+
+def times_power_of_two(X: np.ndarray, e: int) -> np.ndarray:
+    """2^e X, exact in every entry whose parts stay normal."""
+    return np.ldexp(np.ascontiguousarray(X).view(np.float64), e).view(np.complex128)
 
 
 def is_hermitian(H: np.ndarray) -> bool:

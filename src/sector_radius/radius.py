@@ -57,7 +57,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LAPACK_BACKWARD, as_matrix, as_stack, cartesian_decompose, cartesian_parts
+from .linalg import (
+    LAPACK_BACKWARD,
+    as_matrix,
+    as_stack,
+    cartesian_decompose,
+    cartesian_parts,
+    far_exponents,
+    times_power_of_two,
+)
 from .norms import NormSpec, OPERATOR, schatten_value
 
 __all__ = [
@@ -103,6 +111,7 @@ _FIT_SPACING = 1e-4
 _MAX_RUNGS = 64
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 # Added to every cell's half-width: a computed cell centre lies within
 # 4 pi eps of its exact position, so padded cells overlap across the
@@ -636,7 +645,11 @@ def omega_n(
     lanes of one batch: every stage is one batched eigvalsh over the
     lanes still open, and a lane leaves as soon as it is certified.  Each
     lane's estimate is bit for bit the one a call with that matrix alone
-    returns.
+    returns.  A lane outside the safe range of linalg.far_exponents runs
+    scaled by the power of two that brings its largest part to [1/2, 1),
+    and its value and cert_error are scaled back exactly (cert_error
+    rounded up where either comes out subnormal); lanes in range keep
+    their bits.
 
     The Frobenius norm takes the closed form, which samples no grid and
     needs no tolerance.  In every other norm a Hermitian or
@@ -654,11 +667,21 @@ def omega_n(
     Xs = as_stack(X, *more)
     check_grid(grid)
     check_refine_tol(refine_tol)
+    far = far_exponents(Xs)
+    for l, e in far.items():
+        Xs[l] = times_power_of_two(Xs[l], -e)
     A, B = cartesian_parts(Xs)
     if spec.schatten_p == 2.0:
         estimates = _frobenius_radii(A, B, spec)
     else:
         estimates = _certified_radii(spec, Xs, A, B, grid, refine_tol)
+    for l, e in far.items():
+        est = estimates[l]
+        value, cert_error = math.ldexp(est.value, e), math.ldexp(est.cert_error, e)
+        if min(value, cert_error) < _TINY:
+            # A subnormal result may have rounded down.
+            cert_error = math.nextafter(cert_error, math.inf)
+        estimates[l] = RadiusEstimate(value, est.theta_star, cert_error, spec)
     return estimates[0] if len(estimates) == 1 else tuple(estimates)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sector_radius.generator import GenConfig, random_accretive_dissipative, random_unitary
+from sector_radius.generator import GenConfig, random_accretive_dissipative, random_ginibre, random_unitary
 from sector_radius.harness import CheckContext
 from sector_radius.linalg import cartesian_decompose
 from sector_radius.norms import (
@@ -597,6 +597,36 @@ class TestTightPin:
         assert reached["clipped"] and reached["_rotation_bound"] and reached["_subdivide"], reached
         assert (len(counts), sum(counts)) == (584, 8784)
         assert digest.hexdigest() == "8414e4ed31fe21b9fb7564043ba635a7e2d59c8204a2dd9512def8bf8cf778bb"
+
+
+class TestFarScale:
+    @pytest.mark.parametrize("k", [-700, -560, 520, 600])
+    def test_radius_and_norm_survive_a_power_of_two(self, k):
+        # At these scales the Frobenius Gram entries and the norms' squares
+        # underflow or overflow unless the matrix is scaled first.  The
+        # interval of 2^k X, divided by 2^k, overlaps that of X; a lane in
+        # range keeps its bits beside a scaled one; the norm scales exactly.
+        for s in range(5):
+            X = random_ginibre(GenConfig(3, 500 + s))
+            Y = math.ldexp(1.0, k) * X
+            for spec in ALL_NORMS:
+                alone = omega_n(spec, X)
+                near, far = omega_n(spec, X, Y)
+                assert near == alone
+                lo, hi = math.ldexp(far.value, -k), math.ldexp(far.value + far.cert_error, -k)
+                assert lo <= alone.value + alone.cert_error and alone.value <= hi, (spec.label, s, far)
+                assert evaluate_norm(spec, Y) == pytest.approx(math.ldexp(evaluate_norm(spec, X), k), rel=1e-14)
+
+    def test_subnormal_radius_rounds_its_certificate_up(self):
+        # Half-integer entries times 2^-1060 are exact subnormals, and so is
+        # each radius scaled back: its upper end must still reach the
+        # radius of the unscaled matrix.
+        rng = np.random.default_rng(3)
+        for t in range(20):
+            X = (rng.integers(-8, 9, (3, 3)) + 1j * rng.integers(-8, 9, (3, 3))) / 2
+            for spec in ALL_NORMS:
+                tiny = omega_n(spec, math.ldexp(1.0, -1060) * X)
+                assert math.ldexp(tiny.value + tiny.cert_error, 1060) >= omega_n(spec, X).value, (t, spec.label)
 
 
 def rotation_inputs(seed: int):
