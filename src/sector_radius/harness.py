@@ -86,6 +86,14 @@ __all__ = [
 ]
 
 
+def _integer(name: str, value, least: float = -math.inf) -> int:
+    """``value`` as a Python int; ValueError unless it is a Python or numpy integer >= ``least``, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        at_least = f" >= {least}" if least > -math.inf else ""
+        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CheckContext:
     """Shared numerical settings for a batch of checks.
@@ -101,7 +109,8 @@ class CheckContext:
     coarse pass leaves open.
     ``m_fold`` is the number of inputs suites generate for an m-fold
     identifier, an integer >= 2.  Every field is checked here, so a suite
-    refuses a bad setting before it runs.
+    refuses a bad setting before it runs, and stored as a Python int or
+    float (numpy scalars are converted, bools refused).
     """
 
     grid: int = DEFAULT_GRID
@@ -109,10 +118,9 @@ class CheckContext:
     m_fold: int = 3
 
     def __post_init__(self):
-        check_grid(self.grid)
-        check_refine_tol(self.refine_tol)
-        if not isinstance(self.m_fold, (int, np.integer)) or self.m_fold < 2:
-            raise ValueError(f"m_fold must be an integer >= 2, got {self.m_fold}")
+        object.__setattr__(self, "grid", check_grid(self.grid))
+        object.__setattr__(self, "refine_tol", check_refine_tol(self.refine_tol))
+        object.__setattr__(self, "m_fold", _integer("m_fold", self.m_fold, 2))
 
 
 DEFAULT_CONTEXT = CheckContext()
@@ -877,17 +885,10 @@ def generate_inputs(info: IdInfo, n: int, seed: int, m_fold: int = 3) -> list[np
 def _normalize_ids(ids) -> list[InequalityId]:
     if ids == "all" or ids is None:
         return all_ids()
-    wanted = {InequalityId(i) for i in ids}
+    wanted = {InequalityId(i) for i in ([ids] if isinstance(ids, str) else ids)}
     if not wanted:
         raise ValueError("empty id set")
     return [i for i in all_ids() if i in wanted]  # registry order, no duplicates
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int; ValueError unless it is a Python or numpy integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _run_trials(tagged, trials: int, dims, norms, seed: int, context: CheckContext, tols):
@@ -924,22 +925,20 @@ def run_suite(
 ) -> SuiteReport:
     """Randomized certified verification over every requested identifier.
 
-    Per identifier, ``trials`` independent inputs are generated and
-    checked as _run_trials describes.  Each check certifies its radii to
-    _COARSE_TOL first, which settles nearly every verdict; a check whose
-    sides then overlap is certified again to ``context.refine_tol`` and
-    reports that pass (the bits check_inequality gives).  A reported
-    interval is therefore an enclosure whose width is set by the pass
-    that settled it; check_inequality gives tight intervals for any one
-    result.  The report is a deterministic function of the arguments
-    (wall time aside).  ``trials``, each of ``dims`` and ``seed`` are
+    ``ids`` is "all", one id, or an iterable of ids.  Per identifier,
+    ``trials`` independent inputs are generated and checked as _run_trials
+    describes.  Each check certifies its radii to _COARSE_TOL first, which
+    settles nearly every verdict; a check whose sides then overlap is
+    certified again to ``context.refine_tol`` and reports that pass (the
+    bits check_inequality gives).  A reported interval is therefore an
+    enclosure whose width is set by the pass that settled it;
+    check_inequality gives tight intervals for any one result.  The report
+    is a deterministic function of the arguments (wall time aside).  ``trials``, each of ``dims`` and ``seed`` are
     Python or numpy integers, not bools, and are recorded as Python ints;
     anything else raises ValueError before any check runs.
     """
     id_list = _normalize_ids(ids)
-    trials = _integer("trials", trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _integer("trials", trials, 1)
     dims = [_integer("dims", d) for d in dims]
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"dims must be positive integers, got {dims}")

@@ -53,6 +53,7 @@ a call with its matrix alone; a single matrix is a batch of one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -600,20 +601,22 @@ def _covering_cells(
     return {l: (centres[l], radii[l], values[l]) if l in centres else (empty, empty, empty) for l in rows}
 
 
-def check_grid(grid) -> None:
-    """Raise ValueError unless ``grid`` is an even integer >= 8.
+def check_grid(grid) -> int:
+    """``grid`` as a Python int; ValueError unless it is an even integer >= 8, not a bool.
 
     Only an even grid puts an odd sample (2k + 1)h between every two
     neighbouring coarse cells k and k + 1, the last at pi - h.
     """
-    if not isinstance(grid, (int, np.integer)) or grid < 8 or grid % 2:
+    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 8 or grid % 2:
         raise ValueError(f"grid must be an even integer >= 8, got {grid}")
+    return int(grid)
 
 
-def check_refine_tol(refine_tol) -> None:
-    """Raise ValueError unless ``refine_tol`` is positive (NaN is not)."""
-    if not (refine_tol > 0):
+def check_refine_tol(refine_tol) -> float:
+    """``refine_tol`` as a Python float; ValueError unless it is a positive number (NaN is not), not a bool."""
+    if isinstance(refine_tol, bool) or not isinstance(refine_tol, numbers.Real) or not refine_tol > 0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
+    return float(refine_tol)
 
 
 def omega_n(

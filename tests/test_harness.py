@@ -21,6 +21,8 @@ from sector_radius.generator import (
 from sector_radius import harness, radius
 from sector_radius.harness import (
     DEFAULT_CONTEXT,
+    CheckContext,
+    InequalityId,
     DEFAULT_NORMS,
     REGISTRY,
     Hypothesis,
@@ -349,6 +351,22 @@ class TestRunSuite:
         for seed in (1.0, False, "1"):
             with pytest.raises(ValueError, match="seed must be an integer"):
                 run_suite("all", 1, [2], [OPERATOR], seed=seed)
+
+    def test_numpy_context_records_python_numbers(self):
+        # A context built from numpy scalars stores Python numbers, so the
+        # report's config serialises; the default flags keep their report.
+        ctx = CheckContext(grid=np.int64(32), refine_tol=np.float32(1e-3), m_fold=np.int64(3))
+        assert (type(ctx.grid), type(ctx.refine_tol), type(ctx.m_fold)) == (int, float, int)
+        rep = run_suite(["A_lower"], 1, [2], [OPERATOR], seed=1, context=ctx)
+        config = json.loads(rep.to_json())["config"]
+        assert (config["grid"], config["refine_tol"], config["m_fold"]) == (32, float(np.float32(1e-3)), 3)
+        assert CheckContext(np.int64(32), np.float64(1e-10), np.int32(3)) == DEFAULT_CONTEXT
+
+    def test_a_single_id_is_one_id(self):
+        # A string is one id, not an iterable of characters.
+        want = run_suite(["A_lower"], 2, [2], [OPERATOR], seed=3).report_obj()["results"]
+        for ids in ("A_lower", InequalityId.A_lower):
+            assert run_suite(ids, 2, [2], [OPERATOR], seed=3).report_obj()["results"] == want
 
     def test_norm_cycling_covers_requested_norms(self):
         rep = run_suite(["SA_omega_le_N"], 8, [2, 3], [OPERATOR, FROBENIUS], seed=11)

@@ -258,21 +258,22 @@ class TestOmegaN:
 
     @pytest.mark.parametrize(
         "setting, match",
-        [pytest.param({"grid": grid}, "even integer", id=str(grid)) for grid in (9, 33, 255)]
+        [pytest.param({"grid": grid}, "even integer", id=str(grid)) for grid in (9, 33, 255, True)]
         + [
             pytest.param({"refine_tol": tol}, "refine_tol must be positive", id=f"refine_tol={tol}")
-            for tol in (-1.0, 0.0, math.nan)
+            for tol in (-1.0, 0.0, math.nan, True)
         ]
         + [
             pytest.param({"m_fold": m}, "m_fold must be an integer >= 2", id=f"m_fold={m}")
-            for m in (1, 0, 2.0, 2.5)
+            for m in (1, 0, 2.0, 2.5, True)
         ],
     )
     def test_odd_grid_is_refused(self, setting, match):
         # Only an even grid puts an odd sample (2k + 1) h between every two
         # neighbouring coarse cells k and k + 1, around the period.  A
         # context refuses a bad grid, tolerance or m_fold when it is built,
-        # before any check runs, and omega_n the settings it takes.
+        # before any check runs, and omega_n the settings it takes.  A bool
+        # is not a number here, though Python counts it as one.
         if "m_fold" not in setting:
             with pytest.raises(ValueError, match=match):
                 omega_n(TRACE, 1j * np.eye(2), **setting)

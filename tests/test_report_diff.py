@@ -59,3 +59,22 @@ def test_usage_and_read_errors_exit_2(tmp_path):
         assert done.returncode == 2, (args, done.stdout, done.stderr)
         assert done.stdout == "" and len(done.stderr.splitlines()) == 1, done.stderr
         assert done.stderr.startswith("error: ")
+
+
+def test_text_and_none_moves_are_counted_not_sized(tmp_path):
+    # A note or a ratio that becomes None has no relative size: the line
+    # says how many moved and what happened to them.
+    old = small_report()
+    new = json.loads(json.dumps(old))
+    first, second = new["results"][0], new["results"][1]
+    first["note"] = "a new note"
+    second["ratio"] = None
+    done = run_tool(tmp_path, old, new)
+    assert done.returncode == 1
+    moved = [line for line in done.stdout.splitlines() if line.startswith("moved")]
+    assert f"moved note [{first['norm']}]: 1 values, 1 changed" in moved, moved
+    assert f"moved ratio [{second['norm']}]: 1 values, 1 became None" in moved, moved
+    assert not any("inf" in line for line in moved), moved
+    # The reverse move, from None, is named as such.
+    done = run_tool(tmp_path, new, old)
+    assert f"moved ratio [{second['norm']}]: 1 values, 1 was None" in done.stdout.splitlines()

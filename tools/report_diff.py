@@ -7,9 +7,12 @@ both reports, and for every (field, norm) pair how many values moved and
 the largest relative move |new - old| / |old|, with the result it
 belongs to.  The fields are each result's ``lhs`` and ``rhs`` bounds,
 ``ratio``, ``verdict`` and ``note``, and each id's ``max_ratio`` and
-``worst_margin`` (norm ``-``).  For a bound field the line also counts
-the moves that widened the interval (``hi`` up or ``lo`` down) and those
-that narrowed it.  Results are matched by position, so both
+``worst_margin`` (norm ``-``).  A move whose old or new value is not a
+number (a changed note or verdict, a ratio that became or was None) has
+no relative size: the line counts those moves by what happened
+(``changed``, ``became None``, ``was None``) instead.  For a bound field
+the line also counts the moves that widened the interval (``hi`` up or
+``lo`` down) and those that narrowed it.  Results are matched by position, so both
 reports must list the same (id, norm, dim, seed) in the same order.
 Wall time is ignored.  Exits 0 when nothing moved, 1 when something
 did, and 2, with a one-line ``error:`` on stderr, on a wrong argument
@@ -25,13 +28,20 @@ from collections import Counter
 from pathlib import Path
 
 
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def relative_move(old, new) -> float:
-    """|new - old| / |old|; inf when old is 0 or either side is not a number."""
+    """|new - old| / |old| of two numbers; inf when old is 0."""
     if old == new:
         return 0.0
-    if not isinstance(old, (int, float)) or not isinstance(new, (int, float)) or old == 0:
-        return math.inf
-    return abs(new - old) / abs(old)
+    return math.inf if old == 0 else abs(new - old) / abs(old)
+
+
+def what_happened(old, new) -> str:
+    """How a value that is not a number on one side moved."""
+    return "became None" if new is None else "was None" if old is None else "changed"
 
 
 def result_fields(result: dict) -> dict:
@@ -51,20 +61,25 @@ def label(result: dict) -> str:
 
 
 def moves(old: dict, new: dict) -> dict:
-    """(field, norm) -> [count, largest relative move, label of that move, widened].
+    """(field, norm) -> [count, largest relative move, label of that move, widened, kinds].
 
+    The largest move is -1.0 while no move was between numbers.
     ``widened`` counts the moves of a bound field that widened its
-    interval, and is None for every other field.
+    interval, and is None for every other field.  ``kinds`` counts the
+    other moves by what_happened.
     """
     found: dict = {}
 
     def record(field, norm, a, b, where):
-        move = relative_move(a, b)
-        if move == 0.0:
+        if a == b:
             return
         bound = field.endswith((".lo", ".hi"))
-        entry = found.setdefault((field, norm), [0, -1.0, "", 0 if bound else None])
+        entry = found.setdefault((field, norm), [0, -1.0, "", 0 if bound else None, Counter()])
         entry[0] += 1
+        if not (is_number(a) and is_number(b)):
+            entry[4][what_happened(a, b)] += 1
+            return
+        move = relative_move(a, b)
         if move > entry[1]:
             entry[1], entry[2] = move, where
         if bound:
@@ -101,8 +116,12 @@ def diff(old: dict, new: dict) -> list[str]:
     found = moves(old, new)
     if not found and not changed:
         return ["no moves"] + lines
-    for (field, norm), (count, largest, where, wider) in sorted(found.items()):
-        line = f"moved {field} [{norm}]: {count} values, largest {largest:.3g} relative ({where})"
+    for (field, norm), (count, largest, where, wider, kinds) in sorted(found.items()):
+        line = f"moved {field} [{norm}]: {count} values"
+        if largest >= 0.0:
+            line += f", largest {largest:.3g} relative ({where})"
+        if kinds:
+            line += ", " + ", ".join(f"{c} {kind}" for kind, c in sorted(kinds.items()))
         if wider is not None:
             line += f"; {wider} widened, {count - wider} narrowed"
         lines.append(line)
