@@ -101,7 +101,7 @@ def far_exponents(Xs: np.ndarray) -> dict[int, int]:
     test is one reduction over the stack, and matrices in range are left
     out.
     """
-    top = np.abs(np.ascontiguousarray(Xs).view(np.float64)).max(axis=(-2, -1)).tolist()
+    top = np.maximum.reduce(np.abs(np.ascontiguousarray(Xs).view(np.float64)), axis=(-2, -1)).tolist()
     return {k: math.frexp(t)[1] for k, t in enumerate(top) if t > _SAFE_HI or 0.0 < t < 1.0 / _SAFE_HI}
 
 

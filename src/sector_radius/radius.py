@@ -53,7 +53,6 @@ a call with its matrix alone; a single matrix is a batch of one.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -613,8 +612,8 @@ def check_grid(grid) -> int:
 
 
 def check_refine_tol(refine_tol) -> float:
-    """``refine_tol`` as a Python float; ValueError unless it is a positive number (NaN is not), not a bool."""
-    if isinstance(refine_tol, bool) or not isinstance(refine_tol, numbers.Real) or not refine_tol > 0:
+    """``refine_tol`` as a Python float; ValueError unless it is positive (NaN is not) and not a bool."""
+    if isinstance(refine_tol, bool) or not refine_tol > 0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     return float(refine_tol)
 

@@ -28,10 +28,6 @@ from collections import Counter
 from pathlib import Path
 
 
-def is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def relative_move(old, new) -> float:
     """|new - old| / |old| of two numbers; inf when old is 0."""
     if old == new:
@@ -76,7 +72,7 @@ def moves(old: dict, new: dict) -> dict:
         bound = field.endswith((".lo", ".hi"))
         entry = found.setdefault((field, norm), [0, -1.0, "", 0 if bound else None, Counter()])
         entry[0] += 1
-        if not (is_number(a) and is_number(b)):
+        if not (isinstance(a, (int, float)) and isinstance(b, (int, float))):
             entry[4][what_happened(a, b)] += 1
             return
         move = relative_move(a, b)
