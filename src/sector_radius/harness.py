@@ -300,26 +300,28 @@ def _check_hypothesis(kind, mats, arity: int) -> tuple[list[SectorInfo], str]:
 
 
 def _block_certificate(block, Y: np.ndarray, info: SectorInfo) -> tuple[Interval, Interval, str]:
-    """-lambda_min(block(Y, a')) against the point 0, a' inflated from info's index until it is below 0.
+    """-lambda_min(block(Y, a')) against the point 0, a' inflated from info's index until it clears 0.
 
-    block(Y, a') >= 0 exactly when W(Y) lies in the sector of half-width
-    a'; the accepting try's lhs is reported, a' in the note.  The computed
-    lambda_min of the m x m block B is within LAPACK_BACKWARD m eps ||B||_F
-    of an exact one, and within ||B - B_0||_F more of that of the block B_0
-    of the exact Y at the float a' (Weyl).  Entrywise the computed Y = zX
-    is within sqrt(5)/2 eps of exact, a Cartesian part adds half an ulp,
+    block(Y, a') >= 0 exactly when W(Y) lies in the sector of half-width a'.
+    Each a' tried is above info's verified index, so an lhs wholly above 0 is
+    a counterexample.  The accepting try's lhs is reported, a' in the note.
+    The computed lambda_min of the m x m block B is within LAPACK_BACKWARD m
+    eps ||B||_F of an exact one, and within ||B - B_0||_F more of that of the
+    block B_0 of the exact Y at the float a' (Weyl).  Entrywise the computed
+    Y = zX is within sqrt(5)/2 eps of exact, a Cartesian part adds half an ulp,
     the factor (tan 1 ulp, sec 1.5) and its product 1.5 more, so
     ||B - B_0||_F <= sqrt(2) (3.7 sec a' + 1.7) eps ||Y||_F < 6 (1 + sec a') eps ||Y||_F.
     """
 
-    def psd(ks, alphas):
+    def clears_zero(ks, alphas):
         B = block(Y, alphas[0])
         pad = (LAPACK_BACKWARD * len(B) * frobenius(B) + 6.0 * (1.0 + 1.0 / math.cos(alphas[0])) * frobenius(Y)) * _EPS
         lhs = Interval.point(-float(np.linalg.eigvalsh(B)[0]), abs_=pad)
-        return [lhs if lhs.hi < 0.0 else None]
+        return [None if lhs.lo <= 0.0 <= lhs.hi else lhs]
 
-    ((a, lhs),) = _inflated([info], psd)
-    return lhs, Interval(0.0, 0.0), f"block PSD at index {a!r}: lhs is -lambda_min(block(zX, a)), rhs 0"
+    ((a, lhs),) = _inflated([info], clears_zero)
+    held = "PSD" if lhs.hi < 0.0 else "not PSD"
+    return lhs, Interval(0.0, 0.0), f"block {held} at index {a!r}: lhs is -lambda_min(block(zX, a)), rhs 0"
 
 
 # --- statement vocabulary ---------------------------------------------------

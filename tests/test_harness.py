@@ -37,10 +37,10 @@ from sector_radius.harness import (
     run_suite,
     tightness_scan,
 )
-from sector_radius.linalg import DimensionError, cartesian_decompose
+from sector_radius.linalg import LAPACK_BACKWARD, DimensionError, block2x2, cartesian_decompose
 from sector_radius.norms import FROBENIUS, OPERATOR, TRACE, hermitian_norm, schatten
 from sector_radius.report import classify
-from sector_radius.sectorial import rotation_to_sector, sector_index, tan_block
+from sector_radius.sectorial import rotation_to_sector, sec_block, sector_index, tan_block
 from helpers import mp_schatten_norm
 
 VOLTERRA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -192,6 +192,13 @@ def near_rank_one_hermitian(n: int, seed: int) -> np.ndarray:
     return U @ np.diag(np.concatenate([[1.0], signs * 1e-8])) @ U.conj().T
 
 
+def near_rank_one_accretive(n: int, seed: int) -> np.ndarray:
+    """1e4 (U diag(1, 1e-8, ...) U* + 1e-9 i (G + G^T)) for a seeded unitary U and real G."""
+    U = random_unitary(GenConfig(n, seed))
+    G = np.random.default_rng(seed).normal(size=(n, n))
+    return 1e4 * (U @ np.diag(np.concatenate([[1.0], np.full(n - 1, 1e-8)])) @ U.conj().T + 1e-9j * (G + G.T))
+
+
 def block_index(result) -> float:
     """The index a' at which a block row's note says its block was certified."""
     return float(re.search(r"at index (\S+):", result.note).group(1))
@@ -213,33 +220,62 @@ class TestNormIntervals:
     def test_psd_lhs_is_padded_by_the_eigensolver_model(self):
         # The lhs of a block row encloses -lambda_min of the exact block of
         # the exact zX (the float z times the input) at the float index its
-        # note states, computed by mpmath at 30 digits.
+        # note states, computed by mpmath at 30 digits, and is no wider
+        # than the pad that _block_certificate states.  Besides generated
+        # inputs, 1e4 times near-rank-one accretive ones, whose blocks are
+        # nearly singular.
         import mpmath
 
         cases = [(n, 2 * n + s) for n in (2, 3, 4, 5, 6) for s in range(2)] + [(16, 0)]
-        for ineq, kind in (("L2_block_tan", "tan"), ("L3_block_sec", "sec")):
-            for n, s in cases:
-                mats = generate_inputs(REGISTRY[ineq], n, 700 + s)
+        for ineq, block in (("L2_block_tan", tan_block), ("L3_block_sec", sec_block)):
+            inputs = [generate_inputs(REGISTRY[ineq], n, 700 + s) for n, s in cases]
+            inputs += [[near_rank_one_accretive(n, 700 + n)] for n in (2, 3, 4)]
+            for mats in inputs:
+                n = len(mats[0])
                 r = check_inequality(ineq, mats, OPERATOR)
                 a = block_index(r)
                 (info,), _ = _check_hypothesis(Hypothesis.SECTORIAL, mats, 1)
+                Y = info.rotation_z * mats[0]
+                B = block(Y, a)
+                pad = (LAPACK_BACKWARD * 2 * n * np.linalg.norm(B) + 6.0 * (1.0 + 1.0 / math.cos(a)) * np.linalg.norm(Y))
+                pad *= harness._EPS
                 with mpmath.workdps(30):
                     z = mpmath.mpc(info.rotation_z)
                     Y = mpmath.matrix([[z * mpmath.mpc(complex(v)) for v in row] for row in mats[0]])
                     re_y, im_y = (Y + Y.H) / 2, (Y - Y.H) / (2j)
-                    if kind == "tan":
+                    if block is tan_block:
                         top, off = mpmath.tan(mpmath.mpf(a)) * re_y, im_y
                     else:
                         top, off = mpmath.sec(mpmath.mpf(a)) * re_y, Y
-                    block = mpmath.zeros(2 * n)
+                    exact = mpmath.zeros(2 * n)
                     for i in range(n):
                         for j in range(n):
-                            block[i, j] = block[n + i, n + j] = top[i, j]
-                            block[i, n + j] = off[i, j]
-                            block[n + i, j] = mpmath.conj(off[j, i])
-                    lam = min(mpmath.re(v) for v in mpmath.eighe(block, eigvals_only=True))
-                assert r.verdict == "certified_pass", (ineq, n, s, r)
-                assert r.lhs.lo <= -lam <= r.lhs.hi < 0.0, (ineq, n, s, r.lhs, lam)
+                            exact[i, j] = exact[n + i, n + j] = top[i, j]
+                            exact[i, n + j] = off[i, j]
+                            exact[n + i, j] = mpmath.conj(off[j, i])
+                    lam = min(mpmath.re(v) for v in mpmath.eighe(exact, eigvals_only=True))
+                assert r.verdict == "certified_pass", (ineq, n, r)
+                assert r.lhs.lo <= -lam <= r.lhs.hi < 0.0, (ineq, n, r.lhs, lam)
+                assert r.lhs.hi - r.lhs.lo <= 2.0 * pad + 4.0 * math.ulp(r.lhs.lo), (ineq, n, r.lhs, pad)
+
+    def test_a_wrong_block_is_a_certified_fail(self, monkeypatch):
+        # Every index a block row tries is above the verified one, so a
+        # block that stays far from PSD there (off-diagonal scaled by 10)
+        # is a counterexample, not a cue to inflate toward pi/2.
+        def tan_times_10(X, a):
+            re_x, im_x = cartesian_decompose(X)
+            return block2x2(math.tan(a) * re_x, 10.0 * im_x, 10.0 * im_x, math.tan(a) * re_x)
+
+        def sec_times_10(X, a):
+            re_x, _ = cartesian_decompose(X)
+            return block2x2(re_x / math.cos(a), 10.0 * X, 10.0 * X.conj().T, re_x / math.cos(a))
+
+        for ineq, block in (("L2_block_tan", tan_times_10), ("L3_block_sec", sec_times_10)):
+            key = InequalityId(ineq)
+            monkeypatch.setitem(REGISTRY, key, replace(REGISTRY[key], block=block))
+            for n in (2, 5):
+                r = check_inequality(ineq, generate_inputs(REGISTRY[key], n, 3), OPERATOR)
+                assert r.verdict == "certified_fail" and r.lhs.lo > 0.0, (ineq, n, r)
 
     def test_tight_blocks_are_certified_above_the_verified_index(self):
         # At the index the sector pair verifies, lambda_min of these blocks
