@@ -19,10 +19,9 @@ __all__ = [
     "HermEigResult",
     "as_matrix",
     "as_stack",
+    "as_scaled_stack",
     "adjoint",
     "frobenius",
-    "far_exponents",
-    "times_power_of_two",
     "is_hermitian",
     "cartesian_decompose",
     "cartesian_parts",
@@ -51,7 +50,7 @@ LAPACK_BACKWARD = 4.0
 
 # A matrix whose largest real or imaginary part lies outside
 # [1/_SAFE_HI, _SAFE_HI] is scaled before its norms and radii are taken
-# (far_exponents).  Inside, the squares of its entries and their sums
+# (as_scaled_stack).  Inside, the squares of its entries and their sums
 # stay finite, and the square of its largest part stays normal.
 _SAFE_HI = 2.0**256
 
@@ -66,13 +65,18 @@ class DomainError(ValueError):
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex128 array with finite entries."""
+    A = _square(x, name)
+    if not np.isfinite(A).all():
+        raise DomainError(f"{name} contains non-finite entries")
+    return A
+
+
+def _square(x, name: str) -> np.ndarray:
     A = np.asarray(x, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {A.shape}")
     if A.shape[0] == 0:
         raise DimensionError(f"{name} must be at least 1x1")
-    if not np.isfinite(A).all():
-        raise DomainError(f"{name} contains non-finite entries")
     return A
 
 
@@ -82,7 +86,11 @@ def as_stack(X, *more) -> np.ndarray:
     The stack has shape (1 + len(more), n, n); functions with a
     ``(X, *more)`` form run it as lanes of one batch.
     """
-    mats = [as_matrix(M, f"matrix {k}" if more else "matrix") for k, M in enumerate((X, *more))]
+    return _stack(as_matrix, (X, *more))
+
+
+def _stack(coerce, mats) -> np.ndarray:
+    mats = [coerce(M, f"matrix {k}" if len(mats) > 1 else "matrix") for k, M in enumerate(mats)]
     n = mats[0].shape[0]
     for k, M in enumerate(mats):
         if M.shape != mats[0].shape:
@@ -90,24 +98,30 @@ def as_stack(X, *more) -> np.ndarray:
     return np.array(mats)
 
 
+def as_scaled_stack(X, *more) -> tuple[np.ndarray, dict[int, int]]:
+    """``as_stack(X, *more)`` with each matrix far from unit size scaled, and {k: e} of those.
+
+    A nonzero matrix k whose largest real or imaginary part t lies
+    outside [2^-256, 2^256] is replaced by 2^-e X_k, e the exponent of t,
+    so its largest part lies in [1/2, 1); the scaling is exact in every
+    entry whose parts stay normal.  One reduction per matrix gives this
+    test and the finiteness test of ``as_matrix``: t is finite exactly
+    when every entry is.
+    """
+    Xs = _stack(_square, (X, *more))
+    top = np.maximum.reduce(np.abs(Xs.view(np.float64)), axis=(-2, -1)).tolist()
+    far = {}
+    for k, t in enumerate(top):
+        if not math.isfinite(t):
+            raise DomainError(f"{f'matrix {k}' if more else 'matrix'} contains non-finite entries")
+        if t > _SAFE_HI or 0.0 < t < 1.0 / _SAFE_HI:
+            far[k] = math.frexp(t)[1]
+            Xs[k] = np.ldexp(Xs[k].view(np.float64), -far[k]).view(np.complex128)
+    return Xs, far
+
+
 def frobenius(X: np.ndarray) -> float:
     return float(np.linalg.norm(X))
-
-
-def far_exponents(Xs: np.ndarray) -> dict[int, int]:
-    """{k: e} for each nonzero matrix k of a stack whose largest part lies outside [2^-256, 2^256].
-
-    2^-e X_k has its largest real or imaginary part in [1/2, 1).  The
-    test is one reduction over the stack, and matrices in range are left
-    out.
-    """
-    top = np.maximum.reduce(np.abs(np.ascontiguousarray(Xs).view(np.float64)), axis=(-2, -1)).tolist()
-    return {k: math.frexp(t)[1] for k, t in enumerate(top) if t > _SAFE_HI or 0.0 < t < 1.0 / _SAFE_HI}
-
-
-def times_power_of_two(X: np.ndarray, e: int) -> np.ndarray:
-    """2^e X, exact in every entry whose parts stay normal."""
-    return np.ldexp(np.ascontiguousarray(X).view(np.float64), e).view(np.complex128)
 
 
 def is_hermitian(H: np.ndarray) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, far_exponents, singular_values, times_power_of_two
+from .linalg import as_matrix, as_scaled_stack
 
 __all__ = [
     "NormSpec",
@@ -124,14 +124,12 @@ def schatten_value(sing, p: float):
 def evaluate_norm(spec: NormSpec, X) -> float:
     """Value of the norm described by spec at X.
 
-    X outside the safe range of linalg.far_exponents is scaled by a power
-    of two first, and the value scaled back exactly.
+    X outside the safe range of linalg.as_scaled_stack is scaled by a
+    power of two first, and the value scaled back exactly.
     """
-    X = as_matrix(X)
-    e = far_exponents(X[None]).get(0, 0)
-    if e:
-        X = times_power_of_two(X, -e)
-    return math.ldexp(float(schatten_value(singular_values(X), spec.schatten_p)), e)
+    Xs, far = as_scaled_stack(X)
+    s = np.linalg.svd(Xs[0], compute_uv=False)
+    return math.ldexp(float(schatten_value(s, spec.schatten_p)), far.get(0, 0))
 
 
 def hermitian_norm(spec: NormSpec, H) -> float:

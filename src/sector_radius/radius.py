@@ -60,11 +60,9 @@ import numpy as np
 from .linalg import (
     LAPACK_BACKWARD,
     as_matrix,
-    as_stack,
+    as_scaled_stack,
     cartesian_decompose,
     cartesian_parts,
-    far_exponents,
-    times_power_of_two,
 )
 from .norms import NormSpec, OPERATOR, schatten_value
 
@@ -647,7 +645,7 @@ def omega_n(
     lanes of one batch: every stage is one batched eigvalsh over the
     lanes still open, and a lane leaves as soon as it is certified.  Each
     lane's estimate is bit for bit the one a call with that matrix alone
-    returns.  A lane outside the safe range of linalg.far_exponents runs
+    returns.  A lane outside the safe range of linalg.as_scaled_stack runs
     scaled by the power of two that brings its largest part to [1/2, 1),
     and its value and cert_error are scaled back exactly (cert_error
     rounded up where either comes out subnormal); lanes in range keep
@@ -666,12 +664,9 @@ def omega_n(
     matrix makes 5 eigvalsh calls in all.  A lane whose ladder leaves it
     open subdivides.
     """
-    Xs = as_stack(X, *more)
+    Xs, far = as_scaled_stack(X, *more)
     check_grid(grid)
     check_refine_tol(refine_tol)
-    far = far_exponents(Xs)
-    for l, e in far.items():
-        Xs[l] = times_power_of_two(Xs[l], -e)
     A, B = cartesian_parts(Xs)
     if spec.schatten_p == 2.0:
         estimates = _frobenius_radii(A, B, spec)

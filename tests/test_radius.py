@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sector_radius.generator import GenConfig, random_accretive_dissipative, random_ginibre, random_unitary
 from sector_radius.harness import CheckContext
-from sector_radius.linalg import cartesian_decompose
+from sector_radius.linalg import DomainError, cartesian_decompose
 from sector_radius.norms import (
     FROBENIUS,
     OPERATOR,
@@ -601,6 +601,21 @@ class TestTightPin:
 
 
 class TestFarScale:
+    def test_non_finite_entries_are_refused(self):
+        # The range test's reduction is also the finiteness test: NaN and
+        # infinite parts are refused by name, in any lane.
+        X = random_ginibre(GenConfig(3, 500))
+        for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(1.0, -math.inf)):
+            Y = X.copy()
+            Y[1, 2] = bad
+            with pytest.raises(DomainError, match="^matrix contains non-finite entries"):
+                evaluate_norm(OPERATOR, Y)
+            for spec in ALL_NORMS:
+                with pytest.raises(DomainError, match="^matrix contains non-finite entries"):
+                    omega_n(spec, Y)
+                with pytest.raises(DomainError, match="^matrix 1 contains non-finite entries"):
+                    omega_n(spec, X, Y)
+
     @pytest.mark.parametrize("k", [-700, -560, 520, 600])
     def test_radius_and_norm_survive_a_power_of_two(self, k):
         # At these scales the Frobenius Gram entries and the norms' squares
