@@ -228,8 +228,8 @@ def _verified(infos: list[SectorInfo], mats) -> list[SectorInfo]:
 
     def sector_pair(ks, alphas):
         c, s = (np.array([f(a) for a in alphas])[:, None, None] for f in (math.cos, math.sin))
-        H = np.stack([c * im[ks] - s * re[ks], -c * im[ks] - s * re[ks]], axis=1)
-        top = np.linalg.eigvalsh(H)[..., -1].max(axis=1)
+        ci, sr = c * im[ks], s * re[ks]
+        top = np.linalg.eigvalsh(np.stack([ci - sr, -ci - sr], axis=1))[..., -1].max(axis=1)
         return [True if t <= -slack[k] else None for k, t in zip(ks, top)]
 
     return [replace(info, index_alpha=a) for info, (a, _) in zip(infos, _inflated(infos, sector_pair))]
