@@ -1,8 +1,10 @@
 """Dense complex matrix kernels shared by every other module.
 
-Matrices are plain numpy complex128 arrays.  ``as_matrix`` is the single
+Matrices are plain numpy complex128 arrays.  ``as_matrix`` is the
 validation gate (square shape, finite entries); every public operation
-routes its inputs through it.  All functions are pure.
+routes its inputs through it, or through ``as_scaled_stack``, which makes
+the same checks and scales matrices far from unit size.  All functions
+are pure.
 """
 
 from __future__ import annotations
