@@ -19,9 +19,10 @@ checks the hypothesis and computes every distinct term of a row once,
 all of the row's radii in one omega_n call.
 
 A suite certifies each check only as far as its verdict needs: its radii
-first to _COARSE_TOL, and again to the context's refine_tol only when
-the coarse sides do not separate (run_suite).  check_inequality and
-tightness_scan always certify to refine_tol.
+first on _COARSE_GRID cells to _COARSE_TOL, and again on the context's
+grid to its refine_tol only when the coarse sides do not separate
+(run_suite).  check_inequality and tightness_scan always certify on the
+context's grid to its refine_tol.
 
 IDs whose statement involves the classical numerical radius always run
 with the operator norm regardless of the requested norm; the remaining
@@ -131,10 +132,14 @@ DEFAULT_NORMS = (OPERATOR, TRACE, FROBENIUS, schatten(3))
 # factor or a block is taken, covering the index's rounding (_inflated).
 _ALPHA_INFLATION = 1e-8
 _EPS = float(np.finfo(np.float64).eps)
-# Radius tolerance of run_suite's first pass.  Every coarse radius is
-# still a certified enclosure, and nearly every suite check separates at
-# it; at 1e-3 a radius already needs as many samples as at 1e-10.
-_COARSE_TOL = 1e-2
+# Start grid and radius tolerance of run_suite's first pass.  A coarse
+# cell's covering term exceeds its sample by at most 1/cos(pi/8 + pad) - 1
+# = 8.24 %, less than the half tolerance 0.1, so every coarse cell passes
+# and a general radius is one eigvalsh of 4 samples and Im X.  Every coarse
+# radius is still a certified enclosure, and nearly every suite check
+# separates at it.
+_COARSE_GRID = 8
+_COARSE_TOL = 0.2
 # Verdicts that a tighter radius cannot change.
 _SETTLED = ("certified_pass", "certified_fail")
 
@@ -540,15 +545,15 @@ class _Evaluator:
         """The distinct Omega terms of ``sides`` in first-use order."""
         return list(dict.fromkeys(t for s in sides for t in self.terms(s) if isinstance(t, Omega)))
 
-    def radii(self, omegas: list[Omega], refine_tol: float) -> None:
-        """Certify ``omegas`` to ``refine_tol`` in one omega_n call.
+    def radii(self, omegas: list[Omega], grid: int, refine_tol: float) -> None:
+        """Certify ``omegas`` to ``refine_tol`` from a start ``grid`` in one omega_n call.
 
         The matrices run as lanes of one batch, and each interval
         [value, value + cert_error], its upper end rounded up, is memoised
         for side(), replacing any earlier one.
         """
         mats = [self.matrix(t.of) for t in omegas]
-        ests = omega_n(self.spec, *mats, grid=self.ctx.grid, refine_tol=refine_tol)
+        ests = omega_n(self.spec, *mats, grid=grid, refine_tol=refine_tol)
         for term, est in zip(omegas, ests if len(omegas) > 1 else (ests,)):
             self._memo[term] = Interval(est.value, math.nextafter(est.value + est.cert_error, math.inf))
 
@@ -746,27 +751,33 @@ def all_ids() -> list[InequalityId]:
     return list(REGISTRY.keys())
 
 
-def _passes(ctx: CheckContext) -> tuple[float, ...]:
-    """The radius tolerances of a suite check: coarse first, then ctx.refine_tol."""
-    return (_COARSE_TOL, ctx.refine_tol) if ctx.refine_tol < _COARSE_TOL else (ctx.refine_tol,)
+def _tight(ctx: CheckContext) -> tuple[tuple[int, float], ...]:
+    """The one radius pass of a tight check: ctx.grid at ctx.refine_tol."""
+    return ((ctx.grid, ctx.refine_tol),)
 
 
-def _evaluate(info: IdInfo, mats, spec: NormSpec, ctx: CheckContext, tols) -> tuple[Interval, Interval, str]:
-    """Both sides of ``info`` with its radii certified to the first of ``tols``.
+def _passes(ctx: CheckContext) -> tuple[tuple[int, float], ...]:
+    """The (grid, radius tolerance) passes of a suite check: coarse first, then _tight(ctx)."""
+    coarse = ((_COARSE_GRID, _COARSE_TOL),) if ctx.refine_tol < _COARSE_TOL else ()
+    return coarse + _tight(ctx)
 
-    While the sides do not separate, each further tolerance recomputes
-    the radii alone: the gate's sector data and every other term are
-    kept, so the last pass gives the bits of a check run at its
-    tolerance only.
+
+def _evaluate(info: IdInfo, mats, spec: NormSpec, ctx: CheckContext, passes) -> tuple[Interval, Interval, str]:
+    """Both sides of ``info`` with its radii certified by the first of ``passes``.
+
+    Each pass is a (grid, refine_tol) pair of omega_n.  While the sides do
+    not separate, each further pass recomputes the radii alone: the gate's
+    sector data and every other term are kept, so the last pass gives the
+    bits of a check run at its grid and tolerance only.
     """
     infos, note = _check_hypothesis(info.requires, mats, info.arity)
     ev = _Evaluator(mats, infos, info.product, spec, ctx)
     if info.block is not None:
         return _block_certificate(info.block, ev.matrix(Rotated(_X)), infos[_X])
     omegas = ev.omegas(info.lhs, info.rhs)
-    for tol in tols:
+    for grid, tol in passes:
         if omegas:
-            ev.radii(omegas, tol)
+            ev.radii(omegas, grid, tol)
         lhs, rhs = ev.side(info.lhs), ev.side(info.rhs)
         if not omegas or classify(lhs, rhs) in _SETTLED:
             break
@@ -790,11 +801,11 @@ def check_inequality(
     Wrong arity or mismatched dimensions raise instead: those are caller
     errors, not data properties.
     """
-    return _check(id, inputs, norm, context, seed, (context.refine_tol,))
+    return _check(id, inputs, norm, context, seed, _tight(context))
 
 
-def _check(id, inputs, norm: NormSpec, context: CheckContext, seed, tols) -> CheckResult:
-    """check_inequality with its radius tolerances given as in _evaluate."""
+def _check(id, inputs, norm: NormSpec, context: CheckContext, seed, passes) -> CheckResult:
+    """check_inequality with its radius passes given as in _evaluate."""
     ineq = InequalityId(id)
     info = REGISTRY[ineq]
     mats = [as_matrix(m, f"input {k}") for k, m in enumerate(inputs)]
@@ -809,7 +820,7 @@ def _check(id, inputs, norm: NormSpec, context: CheckContext, seed, tols) -> Che
             raise DimensionError(f"input {k} has dimension {M.shape[0]}, expected {n}")
     spec_eff = OPERATOR if info.classical else norm
     try:
-        lhs, rhs, note = _evaluate(info, mats, spec_eff, context, tols)
+        lhs, rhs, note = _evaluate(info, mats, spec_eff, context, passes)
     except Inapplicable as exc:
         return CheckResult.inapplicable(ineq.value, str(exc), seed=seed, norm=spec_eff.label, dim=n)
     return CheckResult.from_comparison(
@@ -893,13 +904,13 @@ def _normalize_ids(ids) -> list[InequalityId]:
     return [i for i in all_ids() if i in wanted]  # registry order, no duplicates
 
 
-def _run_trials(tagged, trials: int, dims, norms, seed: int, context: CheckContext, tols):
+def _run_trials(tagged, trials: int, dims, norms, seed: int, context: CheckContext, passes):
     """Seeded checks of each (id, seed tag) pair of ``tagged``, and a summary per id.
 
     Trial t of an id uses dimension dims[t mod len(dims)], norm
     norms[(t div len(dims)) mod len(norms)] and seed mix_seed(seed, tag, t),
     so every dimension/norm combination is exercised.  Radii are
-    certified to ``tols`` as in _evaluate.
+    certified by ``passes`` as in _evaluate.
     """
     results = []
     for ineq, tag in tagged:
@@ -909,7 +920,7 @@ def _run_trials(tagged, trials: int, dims, norms, seed: int, context: CheckConte
             norm = norms[(t // len(dims)) % len(norms)]
             tseed = mix_seed(seed, tag, t)
             mats = generate_inputs(info, dim, tseed, context.m_fold)
-            results.append(_check(ineq, mats, norm, context, tseed, tols))
+            results.append(_check(ineq, mats, norm, context, tseed, passes))
     per_id = {ineq.value: IdSummary() for ineq, _ in tagged}
     for r in results:
         per_id[r.id].add(r)
@@ -929,13 +940,16 @@ def run_suite(
 
     ``ids`` is "all", one id, or an iterable of ids.  Per identifier,
     ``trials`` independent inputs are generated and checked as _run_trials
-    describes.  Each check certifies its radii to _COARSE_TOL first, which
-    settles nearly every verdict; a check whose sides then overlap is
-    certified again to ``context.refine_tol`` and reports that pass (the
-    bits check_inequality gives).  A reported interval is therefore an
-    enclosure whose width is set by the pass that settled it;
-    check_inequality gives tight intervals for any one result.  The report
-    is a deterministic function of the arguments (wall time aside).  ``trials``, each of ``dims`` and ``seed`` are
+    describes.  Each check first certifies its radii on a start grid of
+    _COARSE_GRID cells to _COARSE_TOL, one eigvalsh per general radius,
+    which settles nearly every verdict; a check whose sides then overlap
+    is certified again on ``context.grid`` to ``context.refine_tol`` and
+    reports that pass (the bits check_inequality gives).  A context whose
+    refine_tol is at least _COARSE_TOL runs that pass alone.  A reported
+    interval is therefore an enclosure whose width is set by the pass
+    that settled it; check_inequality gives tight intervals for any one
+    result.  The report is a deterministic function of the arguments
+    (wall time aside).  ``trials``, each of ``dims`` and ``seed`` are
     Python or numpy integers, not bools, and are recorded as Python ints;
     anything else raises ValueError before any check runs.
     """
@@ -961,6 +975,7 @@ def run_suite(
         "seed": seed,
         "grid": context.grid,
         "refine_tol": context.refine_tol,
+        "coarse_grid": _COARSE_GRID,
         "coarse_tol": _COARSE_TOL,
         "alpha_inflation": _ALPHA_INFLATION,
         "m_fold": context.m_fold,
@@ -1005,7 +1020,7 @@ def tightness_scan(
         raise ValueError(f"trials must be >= 0, got {trials}")
     seed = _integer("seed", seed)
     dims = (2, 3, 4)
-    results, per_id = _run_trials([(ineq, 77)], trials, dims, DEFAULT_NORMS, seed, context, (context.refine_tol,))
+    results, per_id = _run_trials([(ineq, 77)], trials, dims, DEFAULT_NORMS, seed, context, _tight(context))
     for fixture in _FIXTURES.get(ineq, []):
         for norm in DEFAULT_NORMS:
             r = check_inequality(ineq, list(fixture), norm, context=context, seed=None)

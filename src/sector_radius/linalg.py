@@ -127,7 +127,13 @@ def frobenius(X: np.ndarray) -> float:
 
 
 def is_hermitian(H: np.ndarray) -> bool:
-    """True iff ||H - H*||_F <= HERMITIAN_RTOL * ||H||_F."""
+    """True iff ||H - H*||_F <= HERMITIAN_RTOL * ||H||_F.
+
+    Both norms are taken on H scaled as ``as_scaled_stack`` scales it, by
+    a power of two that the test does not change, so that neither
+    underflows to 0 nor overflows to inf.
+    """
+    H = as_scaled_stack(H)[0][0]
     return frobenius(H - H.conj().T) <= HERMITIAN_RTOL * frobenius(H)
 
 

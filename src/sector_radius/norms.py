@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_scaled_stack
+from .linalg import as_scaled_stack
 
 __all__ = [
     "NormSpec",
@@ -133,7 +133,11 @@ def evaluate_norm(spec: NormSpec, X) -> float:
 
 
 def hermitian_norm(spec: NormSpec, H) -> float:
-    """Same value as evaluate_norm for Hermitian H, via eigenvalues."""
-    H = as_matrix(H, "H")
+    """Same value as evaluate_norm for Hermitian H, via eigenvalues.
+
+    H is scaled as evaluate_norm scales it, and the value scaled back.
+    """
+    Hs, far = as_scaled_stack(H)
+    H = Hs[0]
     lam = np.linalg.eigvalsh((H + H.conj().T) / 2)
-    return float(schatten_value(np.abs(lam), spec.schatten_p))
+    return math.ldexp(float(schatten_value(np.abs(lam), spec.schatten_p)), far.get(0, 0))

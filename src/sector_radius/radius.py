@@ -16,20 +16,21 @@ and a skew-Hermitian X |sin theta| N(Im X), so their radii are one
 norm each, exact up to the sample error.  Any other X samples a uniform
 grid of step h anchored at theta = 0, coarse to fine: first its even
 samples 2kh (theta = 0 gives N(Re X)), together with Im X for N(Im X).
-A coarse grid that comes out flat (spread within the target width) asks
-whether X is circular, that is unitarily similar to e^{i*phi} X for
-every phi: a grading K of X's kernel flag bounds every angle by the best
-sample plus h N(KX - XK + X); the norm vanishes for nilpotent shifts
-such as Jordan blocks.
 
-Every other profile certifies with a covering bound: if cells of
-half-widths r_i around centres c_i cover the period, sup f <=
+Every profile certifies with a covering bound: if cells of half-widths
+r_i around centres c_i cover the period, sup f <=
 max_i (f(c_i) + e)/cos(r_i), with e the sample error.  This term is the
 only cell test.  Coarse cells (half-width h) whose term stays within the
-target pass; the odd samples beside the others are evaluated, and the
-fine cells (half-width h/2) there pass on the same test.  Passing cells
-count only through a lane's largest term of theirs, its settled term.
-The open fine cells form blocks, one per sampled peak; each block's peak
+target pass, and a lane whose coarse cells all pass is done.  A lane
+with an open coarse cell whose coarse grid comes out flat (spread within
+the target width) asks whether X is circular, that is unitarily similar
+to e^{i*phi} X for every phi: a grading K of X's kernel flag bounds every
+angle by the best sample plus h N(KX - XK + X); the norm vanishes for
+nilpotent shifts such as Jordan blocks.  Otherwise the odd samples
+beside the open coarse cells are evaluated, and the fine cells
+(half-width h/2) there pass on the same test.  Passing cells count only
+through a lane's largest term of theirs, its settled term.  The open
+fine cells form blocks, one per sampled peak; each block's peak
 is located by two rounds of three-point parabola fits, and the block is
 replaced by a ladder of cells whose half-widths grow with the distance
 from the fitted peak, so that every term comes out within the target.
@@ -189,10 +190,14 @@ def _profile_values(
 
 
 def radius_profile(spec: NormSpec, X, theta: float) -> float:
-    """N(Re(e^{i*theta} X)) = N(cos(theta) Re X - sin(theta) Im X)."""
-    X = as_matrix(X)
-    A, B = cartesian_decompose(X)
-    return float(_profile_values(A[None], B[None], {0: np.array([float(theta)])}, spec.schatten_p)[0][0])
+    """N(Re(e^{i*theta} X)) = N(cos(theta) Re X - sin(theta) Im X).
+
+    X is scaled as omega_n scales it, and the value scaled back.
+    """
+    Xs, far = as_scaled_stack(X)
+    A, B = cartesian_parts(Xs)
+    value = _profile_values(A, B, {0: np.array([float(theta)])}, spec.schatten_p)[0][0]
+    return math.ldexp(float(value), far.get(0, 0))
 
 
 @dataclass(slots=True)
@@ -655,9 +660,10 @@ def omega_n(
     needs no tolerance.  In every other norm a Hermitian or
     skew-Hermitian X is one eigvalsh of its nonzero part.  Any other X
     samples the even half of the start grid anchored at theta = 0, in the
-    same eigvalsh as Im X; a flat coarse grid tries the rotation bound of
-    a circular X first.  A lane whose coarse cells all pass is done, as is
-    every lane at refine_tol 1e-2 on the default grid.  Otherwise one
+    same eigvalsh as Im X.  A lane whose coarse cells all pass is done, as
+    is every lane at refine_tol 0.2 on a grid of 8 or at 1e-2 on the
+    default grid; a lane with an open coarse cell and a flat coarse grid
+    tries the rotation bound of a circular X next.  Otherwise one
     eigvalsh evaluates the odd samples beside the open coarse cells, each
     open peak is fitted with two batched parabola rounds and one ladder
     of cells is evaluated around the fitted peaks, which for a typical
@@ -723,10 +729,13 @@ def _certified_radii(
             estimates[l] = RadiusEstimate(float(values[0]), theta, slack, spec)
 
     # A flat coarse grid (step 2h): try the rotation symmetry of a
-    # circular X.
+    # circular X, unless every coarse cell passes (_covering_cells then
+    # closes the lane).  A covering term grows with its sample, so some
+    # coarse cell is open exactly when the best sample's is.
     for l, row in list(rows.items()):
         lane = lanes[l]
-        if float(row.max() - row.min()) <= lane.g_stop:
+        flat = float(row.max() - row.min()) <= lane.g_stop
+        if flat and _covering_terms(lane.value, h + _PAD, lane.slack) - lane.value > lane.g_stop:
             K = _flag_grading(Xs[l])
             if K is not None:
                 gap = _rotation_bound(Xs[l], K, p, lane.value, lane.slack, 2.0 * h) - lane.value

@@ -418,28 +418,28 @@ class TestReportPin:
         obj = run_suite("all", 20, range(2, 7), DEFAULT_NORMS, seed=42).report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == "78bb11ecc56819b8f9579e257f73ce1526feaf6e75feb11b9b6d90c38ed64c12"
+        assert digest == "005fd432c0235b07ce56c3b652f23c29cbae0ec586081c2597f7329fd540d900"
 
 
-def radius_terms(ineq, mats, spec, refine_tol):
-    """Every Omega term of one check certified to ``refine_tol``, and its verdict."""
+def radius_terms(ineq, mats, spec, grid, refine_tol):
+    """Every Omega term of one check certified to ``refine_tol`` from ``grid``, and its verdict."""
     info = REGISTRY[ineq]
     infos, _ = _check_hypothesis(info.requires, mats, info.arity)
     ev = harness._Evaluator(mats, infos, info.product, spec, DEFAULT_CONTEXT)
     omegas = ev.omegas(info.lhs, info.rhs)
     if omegas:
-        ev.radii(omegas, refine_tol)
+        ev.radii(omegas, grid, refine_tol)
     return {t: ev.side(t) for t in omegas}, classify(ev.side(info.lhs), ev.side(info.rhs))
 
 
 def record_radii(monkeypatch) -> list:
-    """(spec, matrices, refine_tol, estimates) of every omega_n call the harness makes."""
+    """(spec, matrices, grid, refine_tol, estimates) of every omega_n call the harness makes."""
     calls = []
     original = harness.omega_n
 
-    def recorded(spec, *mats, refine_tol, **kwargs):
-        ests = original(spec, *mats, refine_tol=refine_tol, **kwargs)
-        calls.append((spec, mats, refine_tol, ests if len(mats) > 1 else (ests,)))
+    def recorded(spec, *mats, grid, refine_tol):
+        ests = original(spec, *mats, grid=grid, refine_tol=refine_tol)
+        calls.append((spec, mats, grid, refine_tol, ests if len(mats) > 1 else (ests,)))
         return ests
 
     monkeypatch.setattr(harness, "omega_n", recorded)
@@ -454,26 +454,30 @@ def suite_check(ineq, mats, norm, ctx=DEFAULT_CONTEXT):
 class TestCoarsePass:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 16])
     def test_coarse_radii_enclose_tight_ones(self, n):
-        # Both passes enclose the same radius and the tight pass samples at
-        # least as densely, so each coarse interval holds the tight one; a
-        # term where it does not shows that one of the two paths is unsound.
-        # A suite check then settles on the verdict a tight check gives.
+        # Both passes enclose the same radius and the tight grid holds every
+        # coarse sample (the angles of grid 8 are those of grid 32, bit for
+        # bit), so each coarse interval holds the tight one; a term where it
+        # does not shows that one of the two paths is unsound.  A suite
+        # check then settles on the verdict a tight check gives.
         for ineq in all_ids():
             info = REGISTRY[ineq]
             if info.block is not None:
                 continue
             for k, norm in enumerate((OPERATOR,) if info.classical else ALL_NORMS):
                 mats = generate_inputs(info, n, seed=6000 + 10 * n + k)
-                coarse, _ = radius_terms(ineq, mats, norm, harness._COARSE_TOL)
-                tight, verdict = radius_terms(ineq, mats, norm, DEFAULT_CONTEXT.refine_tol)
+                coarse, _ = radius_terms(ineq, mats, norm, harness._COARSE_GRID, harness._COARSE_TOL)
+                tight, verdict = radius_terms(ineq, mats, norm, *harness._tight(DEFAULT_CONTEXT)[0])
                 for term, iv in tight.items():
                     assert coarse[term].lo <= iv.lo and iv.hi <= coarse[term].hi, (ineq, norm.label, term)
                 assert suite_check(ineq, mats, norm).verdict == verdict, (ineq, norm.label)
 
-    def test_eigensolve_budget_per_check(self, monkeypatch):
-        # eigvalsh matrices per check over every id x n 2..6 x four norms:
-        # 40.1 at the acceptance flags, 80.7 with every radius certified to
-        # refine_tol.
+    @staticmethod
+    def matrices_per_check(monkeypatch, dims) -> float:
+        """eigvalsh matrices per check of the suite over every id x four norms at ``dims``.
+
+        The suite must not ask for the kernel flag: every coarse cell of a
+        random lane passes, so no lane tries the rotation bound.
+        """
         mats = [0]
         original = np.linalg.eigvalsh
 
@@ -481,9 +485,26 @@ class TestCoarsePass:
             mats[0] += int(np.prod(np.shape(a)[:-2], dtype=np.int64))
             return original(a, *args, **kwargs)
 
+        def refuse(X):
+            raise AssertionError("a suite radius asked for the kernel flag")
+
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        rep = run_suite("all", 20, range(2, 7), DEFAULT_NORMS, seed=42)
-        assert mats[0] / len(rep.results) <= 45, mats[0] / len(rep.results)
+        monkeypatch.setattr(radius, "_flag_grading", refuse)
+        rep = run_suite("all", 20, dims, DEFAULT_NORMS, seed=42)
+        return mats[0] / len(rep.results)
+
+    def test_eigensolve_budget_per_check(self, monkeypatch):
+        # 18.4 at the acceptance flags with the coarse pass on 8 cells at
+        # 0.2, 40.1 with it on 32 cells at 1e-2, and 80.7 with every radius
+        # certified to refine_tol.
+        per_check = self.matrices_per_check(monkeypatch, range(2, 7))
+        assert per_check <= 20, per_check
+
+    def test_eigensolve_budget_per_check_at_large_n(self, monkeypatch):
+        # 18.6 at n = 16, 24, 32, against 40.1 with the coarse pass on 32
+        # cells at 1e-2.
+        per_check = self.matrices_per_check(monkeypatch, (16, 24, 32))
+        assert per_check <= 20, per_check
 
     def test_open_check_takes_the_tight_pass(self, monkeypatch):
         # The Volterra pair attains B_prod4's constant, so its coarse sides
@@ -492,7 +513,7 @@ class TestCoarsePass:
         calls = record_radii(monkeypatch)
         pair = [VOLTERRA, VOLTERRA.T.copy()]
         suite = suite_check("B_prod4", pair, OPERATOR)
-        assert [tol for *_, tol, _ in calls] == [harness._COARSE_TOL, DEFAULT_CONTEXT.refine_tol]
+        assert [(grid, tol) for _, _, grid, tol, _ in calls] == [(8, 0.2), (DEFAULT_CONTEXT.grid, DEFAULT_CONTEXT.refine_tol)]
         tight = check_inequality("B_prod4", pair, OPERATOR)
         assert json.dumps(suite.to_obj()) == json.dumps(tight.to_obj())
         assert suite.ratio == pytest.approx(1.0, abs=1e-9)
@@ -501,26 +522,31 @@ class TestCoarsePass:
         calls = record_radii(monkeypatch)
         mats = generate_inputs(REGISTRY["T1_prod_sec_N"], 4, seed=5)
         assert suite_check("T1_prod_sec_N", mats, TRACE).verdict == "certified_pass"
-        assert [tol for *_, tol, _ in calls] == [harness._COARSE_TOL]
+        assert [(grid, tol) for _, _, grid, tol, _ in calls] == [(8, 0.2)]
 
     def test_coarse_refine_tol_runs_one_pass(self, monkeypatch):
+        # A context at or above the coarse tolerance runs its own pass alone.
         calls = record_radii(monkeypatch)
-        ctx = replace(DEFAULT_CONTEXT, refine_tol=0.05)
-        suite_check("B_prod4", [VOLTERRA, VOLTERRA.T.copy()], OPERATOR, ctx)
-        assert [tol for *_, tol, _ in calls] == [0.05]
+        for tol in (0.2, 0.25):
+            calls.clear()
+            ctx = replace(DEFAULT_CONTEXT, grid=16, refine_tol=tol)
+            suite_check("B_prod4", [VOLTERRA, VOLTERRA.T.copy()], OPERATOR, ctx)
+            assert [(g, t) for _, _, g, t, _ in calls] == [(16, tol)]
 
     def test_coarse_pass_closes_on_coarse_cells(self, monkeypatch):
-        # A coarse cell's term f/cos(h + pad), h = pi/DEFAULT_GRID, exceeds
-        # its sample f by 0.00484 f, less than g_stop = L _COARSE_TOL/2
+        # A coarse cell's term f/cos(h + pad), h = pi/_COARSE_GRID, exceeds
+        # its sample f by 0.0824 f, less than g_stop = L _COARSE_TOL/2 = 0.1 L
         # since no sample exceeds the Lipschitz constant L.  Every coarse
-        # cell passes, so a general radius is its first eigvalsh alone,
-        # with no odd sample, fine row, fit round or ladder.
-        assert 1.0 / math.cos(math.pi / radius.DEFAULT_GRID + radius._PAD) - 1.0 < harness._COARSE_TOL / 2
+        # cell passes, so a general radius is its first eigvalsh alone, of
+        # 4 samples and Im X, with no rotation bound, odd sample, fine row,
+        # fit round or ladder.
+        premise = 1.0 / math.cos(math.pi / harness._COARSE_GRID + radius._PAD) - 1.0
+        assert premise == pytest.approx(0.0824, abs=1e-4) and premise < harness._COARSE_TOL / 2
         calls = []
         original = np.linalg.eigvalsh
 
         def counted(a, *args, **kwargs):
-            calls.append(1)
+            calls.append(int(np.prod(np.shape(a)[:-2], dtype=np.int64)))
             return original(a, *args, **kwargs)
 
         def refuse(*args):
@@ -529,13 +555,14 @@ class TestCoarsePass:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         monkeypatch.setattr(radius, "_profile_values", refuse)
         monkeypatch.setattr(radius, "_open_blocks", refuse)
+        monkeypatch.setattr(radius, "_flag_grading", refuse)
         for n in (2, 3, 4, 5, 6, 16, 32):
             for k, spec in enumerate((OPERATOR, TRACE, schatten(3))):
                 for seed in range(4):
                     X = random_ginibre(GenConfig(n, 7000 + 10 * n + 4 * k + seed))
                     calls.clear()
-                    radius.omega_n(spec, X, refine_tol=harness._COARSE_TOL)
-                    assert len(calls) == 1, (n, spec.label, seed, len(calls))
+                    radius.omega_n(spec, X, grid=harness._COARSE_GRID, refine_tol=harness._COARSE_TOL)
+                    assert calls == [harness._COARSE_GRID // 2 + 1], (n, spec.label, seed, calls)
 
     def test_tight_callers_stay_tight(self, monkeypatch):
         calls = record_radii(monkeypatch)
@@ -543,9 +570,10 @@ class TestCoarsePass:
         for ineq in ("P1_re_mono", "C_mprod", "T_onetan_min"):
             for norm in ALL_NORMS:
                 check_inequality(ineq, generate_inputs(REGISTRY[ineq], 4, seed=8), norm)
+        tight = harness._tight(DEFAULT_CONTEXT)
+        assert calls and all(((grid, tol),) == tight for _, _, grid, tol, _ in calls)
         tol = DEFAULT_CONTEXT.refine_tol
-        assert calls and all(refine_tol == tol for _, _, refine_tol, _ in calls)
-        for spec, mats, _, ests in calls:
+        for spec, mats, _, _, ests in calls:
             for X, est in zip(mats, ests):
                 A, B = cartesian_decompose(X)
                 L = hermitian_norm(spec, A) + hermitian_norm(spec, B)

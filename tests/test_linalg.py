@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sector_radius.linalg import (
     cartesian_decompose,
     hadamard,
     herm_eig,
+    is_hermitian,
     is_psd,
     matrix_from_obj,
     matrix_to_obj,
@@ -207,6 +209,26 @@ class TestBlock2x2:
     def test_mismatched_blocks(self):
         with pytest.raises(DimensionError):
             block2x2(np.eye(2), np.eye(2), np.eye(2), np.eye(3))
+
+
+class TestIsHermitian:
+    @pytest.mark.parametrize("k", [600, -600, -1060])
+    def test_far_scales_keep_the_verdict(self, k):
+        # Both Frobenius norms of 2^k H underflow to 0 or overflow to inf
+        # unless H is scaled first; unscaled, 0 <= 0 and inf <= inf would
+        # call every matrix Hermitian.  Scaling a Hermitian H by 2^k rounds
+        # h_ij and conj(h_ji) alike, so it stays exactly Hermitian.
+        rng = np.random.default_rng(12)
+        for n in (1, 3, 5):
+            for _ in range(5):
+                G = random_complex(rng, n)
+                H = random_hermitian(rng, n)
+                assert is_hermitian(math.ldexp(1.0, k) * H), (n, k)
+                if n > 1:
+                    assert not is_hermitian(math.ldexp(1.0, k) * G), (n, k)
+
+    def test_zero_matrix_is_hermitian(self):
+        assert is_hermitian(np.zeros((3, 3), dtype=complex))
 
 
 class TestIsPsd:

@@ -631,7 +631,25 @@ class TestFarScale:
                 assert near == alone
                 lo, hi = math.ldexp(far.value, -k), math.ldexp(far.value + far.cert_error, -k)
                 assert lo <= alone.value + alone.cert_error and alone.value <= hi, (spec.label, s, far)
-                assert evaluate_norm(spec, Y) == pytest.approx(math.ldexp(evaluate_norm(spec, X), k), rel=1e-14)
+                assert evaluate_norm(spec, Y) == pytest.approx(math.ldexp(evaluate_norm(spec, X), k), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("k", [-560, 520])
+    def test_hermitian_norm_and_profile_survive_a_power_of_two(self, k):
+        # Unscaled, the sums of squares of a Frobenius value underflow to 0
+        # at 2^-560 and overflow to inf at 2^520.  Both functions scale as
+        # omega_n and evaluate_norm do, so 2^k times a value is the value
+        # at 2^k times the matrix.
+        for s in range(5):
+            H = cartesian_decompose(random_ginibre(GenConfig(3, 510 + s)))[0]
+            X = random_ginibre(GenConfig(3, 520 + s))
+            Hk, Xk = math.ldexp(1.0, k) * H, math.ldexp(1.0, k) * X
+            for spec in ALL_NORMS:
+                value = hermitian_norm(spec, Hk)
+                assert value == pytest.approx(evaluate_norm(spec, Hk), rel=1e-12, abs=0.0), (spec.label, s)
+                assert value == pytest.approx(math.ldexp(hermitian_norm(spec, H), k), rel=1e-14, abs=0.0), (spec.label, s)
+                for theta in (0.0, 0.3, 2.0):
+                    want = math.ldexp(radius_profile(spec, X, theta), k)
+                    assert radius_profile(spec, Xk, theta) == pytest.approx(want, rel=1e-14, abs=0.0), (spec.label, s)
 
     def test_subnormal_radius_rounds_its_certificate_up(self):
         # Half-integer entries times 2^-1060 are exact subnormals, and so is
