@@ -139,9 +139,11 @@ def is_hermitian(H: np.ndarray) -> bool:
 
 def _check_hermitian(H: np.ndarray, name: str) -> np.ndarray:
     if not is_hermitian(H):
+        # Nonzero, since H is not Hermitian; scaled as is_hermitian scales it.
+        Hs = as_scaled_stack(H)[0][0]
         raise DomainError(
-            f"{name} is not Hermitian: asymmetry {frobenius(H - H.conj().T):.3e} exceeds "
-            f"{HERMITIAN_RTOL:g} * ||{name}||_F"
+            f"{name} is not Hermitian: relative asymmetry ||{name} - {name}*||_F / ||{name}||_F = "
+            f"{frobenius(Hs - Hs.conj().T) / frobenius(Hs):.3e} exceeds {HERMITIAN_RTOL:g}"
         )
     return (H + H.conj().T) / 2
 
@@ -225,13 +227,17 @@ def block2x2(A, B, C, D) -> np.ndarray:
 
 
 def is_psd(H, tol: float = 0.0) -> bool:
-    """True iff lambda_min(H) >= -tol * max(1, ||H||_F) for Hermitian H."""
+    """True iff lambda_min(H) >= -tol * ||H||_F for Hermitian H.
+
+    The test is taken on H scaled as ``as_scaled_stack`` scales it, by a
+    power of two that does not change it, so it is relative at every scale.
+    """
     if tol < 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    H = as_matrix(H, "H")
+    H = as_scaled_stack(as_matrix(H, "H"))[0][0]
     Hs = _check_hermitian(H, "H")
     lam_min = float(np.linalg.eigvalsh(Hs)[0])
-    return lam_min >= -tol * max(1.0, frobenius(Hs))
+    return lam_min >= -tol * frobenius(Hs)
 
 
 # --- matrix file format -------------------------------------------------

@@ -10,12 +10,16 @@ Everything here is exact up to rounding; nothing is sampled.  For
 accretive Y = A + iB, arg <Yx, x> is arctan(<Bx, x> / <Ax, x>), so the
 extreme arguments over the numerical range are arctan of the extreme
 eigenvalues of L^{-1} B L^{-*} with L = chol(A): the representation
-Y = S(I + iT)S* read backwards.  The accretive rotation comes from the
-congruence canonical form: a matrix X with 0 outside W(X) is *congruent
-to a diagonal unitary diag(e^{i theta_k}) (C. R. Johnson and S. Furtado,
-"A generalization of Sylvester's law of inertia", Linear Algebra Appl.,
-2001), the angular span of W(X) is [min theta_k, max theta_k], and
-the e^{2i theta_k} are the eigenvalues of the cosquare X^{-*} X.
+Y = S(I + iT)S* read backwards.  The accretive rotation comes from
+Hermitian eigensolves too: 0 is outside W(X) exactly when the pair
+(Re X, Im X) is definite, and the search of ``_accretive_rotations``
+rotates by minus the centre of the arc of arguments that the known
+points of W(X) span, starting from the diagonal entries; each rejected
+try adds the point of its lambda_min eigenvector, at least pi/2 from that
+centre, so a class index alpha takes at most
+ceil(log2(pi / (pi - 2 alpha))) + 1 tries (after the arc algorithm for
+definite pairs of Guo, Higham and Tisseur, SIAM J. Matrix Anal. Appl.
+31(3), 2009).  Points spanning pi or more put 0 in W(X).
 
 ``rotation_to_sector`` and ``sector_index`` take one matrix or several of
 one size, and run several as lanes of one batch: each LAPACK step is one
@@ -85,6 +89,14 @@ def _arg_extremes(A: np.ndarray, B: np.ndarray) -> tuple[list[float], list[float
     return [math.atan(x) for x in lam[:, 0]], [math.atan(x) for x in lam[:, -1]]
 
 
+def _unit_diagonal(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D A D and D B D with D = diag(A)^{-1/2}; a lane entry with A_kk <= 0 keeps D_kk = 1."""
+    a = A.diagonal(axis1=-2, axis2=-1).real
+    d = 1.0 / np.sqrt(np.where(a > 0.0, a, 1.0))
+    S = d[..., :, None] * d[..., None, :]
+    return S * A, S * B
+
+
 def accretive_gate(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Strict accretivity test of X = A + iB, batched over leading axes.
 
@@ -95,11 +107,7 @@ def accretive_gate(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
     D'.  A nonpositive diagonal entry already rules accretivity out; its
     lane is left unscaled, and its lambda_min is then nonpositive.
     """
-    a = A.diagonal(axis1=-2, axis2=-1).real
-    d = 1.0 / np.sqrt(np.where(a > 0.0, a, 1.0))
-    S = d[..., :, None] * d[..., None, :]
-    As = S * A
-    Bs = S * B
+    As, Bs = _unit_diagonal(A, B)
     lam = np.linalg.eigvalsh(As)[..., 0]
     scale = np.hypot(np.linalg.norm(As, axis=(-2, -1)), np.linalg.norm(Bs, axis=(-2, -1)))
     return lam > ACCRETIVE_RTOL * scale, lam
@@ -164,66 +172,130 @@ def _index_lanes(Xs: np.ndarray) -> list[SectorInfo]:
     return infos
 
 
-def _canonical_rotations(Xs: np.ndarray) -> list[float]:
-    """Rotation phi0 centring the canonical angles of X on the real axis, per matrix.
+def _known_arc(Xs: np.ndarray) -> list[list[float]]:
+    """[lo, hi], the shortest arc of arguments holding every diagonal entry, per matrix.
 
-    If 0 is not in W(X), X = S diag(e^{i theta_k}) S* and the eigenvectors
-    of the cosquare X^{-*} X are v_k = S^{-*} e_k, so v_k* X v_k is a
-    positive multiple of e^{i theta_k}: its argument gives theta_k itself,
-    not just 2 theta_k mod 2 pi.  The canonical angles lie on an arc of
-    width below pi, the complement of the largest gap between them, and
-    phi0 is minus the arc's centre.  For other X the returned angle is
-    meaningless; callers gate it.  Raises LinAlgError when a matrix of
-    the stack is singular.
+    Each diagonal entry e_k* X e_k is a point of W(X).  The arc is the
+    complement of the widest gap between the sorted arguments; it is
+    only checked by ``_check_arc``.  Raises NotSectorialError when a
+    diagonal entry is 0, which then lies in W(X).
     """
-    _, Vs = np.linalg.eig(np.linalg.solve(adjoint(Xs), Xs))
-    # One einsum per matrix keeps the summation order of a single call.
-    w = [np.einsum("ik,ij,jk->k", V.conj(), X, V) for X, V in zip(Xs, Vs)]
-    theta = np.sort(np.angle(w), axis=-1)
+    d = Xs.diagonal(axis1=-2, axis2=-1)
+    for row in d:
+        if not row.all():
+            raise NotSectorialError("not sectorial: X has a zero diagonal entry, so 0 lies in W(X)")
+    theta = np.sort(np.angle(d), axis=-1)
     gaps = np.concatenate([theta[:, 1:], theta[:, :1] + 2.0 * math.pi], axis=-1) - theta
     lanes = np.arange(len(theta))
     k = np.argmax(gaps, axis=-1)
     start, widest = theta[lanes, (k + 1) % theta.shape[-1]], gaps[lanes, k]
-    return [(-(float(a) + (2.0 * math.pi - float(g)) / 2.0)) % (2.0 * math.pi) for a, g in zip(start, widest)]
+    return [[float(a), float(a) + 2.0 * math.pi - float(g)] for a, g in zip(start, widest)]
+
+
+def _check_arc(arc: list[float]) -> None:
+    """Refuse an arc of arguments of points of W(X) that no proper sector holds.
+
+    Points whose arguments span pi or more have 0 in their convex hull,
+    so in W(X).  The sector index of X is at least half the span, so a
+    span within 2 _BOUNDARY_MARGIN of pi is refused as ``_boundary_check``
+    refuses the index.
+    """
+    width = arc[1] - arc[0]
+    if width >= math.pi:
+        raise NotSectorialError(
+            f"not sectorial: points of W(X) span an arc of arguments {width:.12f} >= pi, so 0 lies in W(X)"
+        )
+    _boundary_check(width / 2.0)
+
+
+def _accretive_rotations(Xs: np.ndarray) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Rotation phi with e^{i phi} X accretive, and the Cartesian parts of e^{i phi} X, per matrix.
+
+    Hermitian eigensolves only.  Known points of W(X) span an arc K of
+    arguments, first the diagonal entries (``_known_arc``).  Each try
+    rotates by minus the centre of K and runs ``accretive_gate``.  When
+    the gate fails, the lambda_min eigenvector x of its D Re(e^{i phi} X) D
+    gives the point (Dx)* X (Dx) of W(X); its rotated real part is
+    lambda_min |x|^2 <= 0 up to the gate's threshold, so it lies at least
+    pi/2 from the centre of K, and K grows to at least |K|/2 + pi/2.
+    After j failed tries pi - |K| <= pi / 2^j, while |K| is at most twice
+    the class index alpha, so an X with alpha < pi/2 takes at most
+    ceil(log2(pi / (pi - 2 alpha))) + 1 tries (the arc algorithm for
+    definite pairs of Guo, Higham and Tisseur, SIAM J. Matrix Anal. Appl.
+    31(3), 2009).  ``_check_arc`` refuses each K; a point that does not
+    widen K (the gate failed only at its threshold), or a search past the
+    tries of an index pi/2 - _BOUNDARY_MARGIN, raises NotSectorialError.
+    Each try is one stacked gate over the open matrices, and each failed
+    try one stacked eigh.
+    """
+    arcs = _known_arc(Xs)
+    phi, A0, B0 = [0.0] * len(Xs), np.empty_like(Xs), np.empty_like(Xs)
+    tries = math.ceil(math.log2(math.pi / (2.0 * _BOUNDARY_MARGIN))) + 1
+    open_ = list(range(len(Xs)))
+    for _ in range(tries):
+        for k in open_:
+            _check_arc(arcs[k])
+            phi[k] = -(arcs[k][0] + arcs[k][1]) / 2.0
+        A, B = cartesian_parts(np.exp(1j * np.array([phi[k] for k in open_]))[:, None, None] * Xs[open_])
+        passes, lam = accretive_gate(A, B)
+        for j, k in enumerate(open_):
+            A0[k], B0[k] = A[j], B[j]
+        failed = [j for j, ok in enumerate(passes) if not ok]
+        if not failed:
+            return phi, A0, B0
+        As, Bs = _unit_diagonal(A[failed], B[failed])
+        x = np.linalg.eigh(As)[1][..., 0]
+        for j, Asj, Bsj, xj in zip(failed, As, Bs, x):
+            k, arc = open_[j], arcs[open_[j]]
+            w = complex(np.vdot(xj, Asj @ xj).real, np.vdot(xj, Bsj @ xj).real)
+            if w == 0:
+                raise NotSectorialError("not sectorial: a point of W(X) is 0")
+            r, h = math.atan2(w.imag, w.real), (arc[1] - arc[0]) / 2.0
+            if abs(r) <= h:
+                raise NotSectorialError(
+                    "not sectorial: no rotation z with Re(zX) positive definite found (at the centre "
+                    f"of the known arc, lambda_min(D Re(zX) D) = {float(lam[j]):.6e}, and its eigenvector "
+                    "gives no point of W(X) outside that arc)"
+                )
+            arc[r > 0] = -phi[k] + r
+        open_ = [open_[j] for j in failed]
+    for k in open_:
+        _check_arc(arcs[k])
+    raise NotSectorialError(
+        f"not sectorial: no accretive rotation in {tries} tries, as many as an index within "
+        f"{_BOUNDARY_MARGIN:g} of pi/2 takes"
+    )
 
 
 def rotation_to_sector(X, *more) -> SectorInfo | tuple[SectorInfo, ...]:
     """Unit-modulus z minimizing the sectoriality index of zX.
 
-    An accretive rotation e^{i*phi0} X comes from the canonical angles of
-    X (``_canonical_rotations``) and is checked with ``accretive_gate``.
+    An accretive rotation e^{i*phi0} X is found by Hermitian eigensolves
+    alone (``_accretive_rotations``): each try rotates by minus the centre
+    of the arc spanned by the known points of W(X), starting from the
+    diagonal, and a try that ``accretive_gate`` rejects adds the point of
+    its lambda_min eigenvector, at least pi/2 from that centre.  A class
+    index alpha takes at most ceil(log2(pi / (pi - 2 alpha))) + 1 tries.
     The index is then exact: rotating X shifts every argument of its
     numerical range by phi, so on the accretive arc the index of
     e^{i*phi} X is the maximum of two linear functions of phi and its
     minimum is half the angular width of the range, attained at the
-    bisecting rotation.  Raises NotSectorialError when X is singular, no
-    rotation is accretive, or the minimal index is within 1e-10 of pi/2.
+    bisecting rotation.  Raises NotSectorialError when points of W(X)
+    span pi or more (0 lies in W(X)), when no accretive rotation is found,
+    or when the minimal index is within 1e-10 of pi/2.
 
     Several matrices of one size give a tuple, one SectorInfo per
-    matrix: the cosquare solve and eigensolve, the gate, the
-    factorization and the eigensolve of the index are each one stacked
-    call.  Each result is bit for bit that of a call with its matrix
-    alone, and a failing matrix raises as it does alone (the first one,
-    in order).
+    matrix: each try's gate and eigenvector solve, the factorization and
+    the eigensolve of the index are each one stacked call over the
+    matrices still open.  Each result is bit for bit that of a call with
+    its matrix alone, and a failing matrix raises as it does alone (the
+    first one, in order).
     """
     return _lockstep(_rotation_lanes, X, more)
 
 
 def _rotation_lanes(Xs: np.ndarray) -> list[SectorInfo]:
-    try:
-        phi0 = _canonical_rotations(Xs)
-    except np.linalg.LinAlgError:
-        raise NotSectorialError(
-            "not sectorial: X is numerically singular, so 0 lies in W(X)"
-        ) from None
-    A0, B0 = cartesian_parts(np.exp(1j * np.array(phi0))[:, None, None] * Xs)
-    passes, lam_scaled = accretive_gate(A0, B0)
-    for ok, lam in zip(passes, lam_scaled):
-        if not ok:
-            raise NotSectorialError(
-                "not sectorial: no rotation z with Re(zX) positive definite "
-                f"(at the canonical rotation, lambda_min(D Re(zX) D) = {float(lam):.6e})"
-            )
+    phi0, A0, B0 = _accretive_rotations(Xs)
     infos = []
     for phi, a_min, a_max in zip(phi0, *_arg_extremes(A0, B0)):
         index = max(0.0, (a_max - a_min) / 2.0)

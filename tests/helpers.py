@@ -155,14 +155,14 @@ def mp_schatten_norm(X: np.ndarray, p: float, dps: int = 50) -> float:
         return float(mpmath.fsum(v**p for v in sigma) ** (mpmath.mpf(1) / p))
 
 
-def count_hermitian_eig_matrices(monkeypatch) -> list[int]:
-    """Patch numpy's Hermitian eigensolvers to record matrices per call.
+def count_linalg_matrices(monkeypatch, names) -> list[int]:
+    """Patch the ``numpy.linalg`` functions ``names`` to record matrices per call.
 
-    Returns the list that each ``eigvalsh``/``eigh`` call appends its
-    batch size to (1 for a single matrix).
+    Returns the list that each call of any of them appends its batch
+    size to (1 for a single matrix).
     """
     counts: list[int] = []
-    for name in ("eigvalsh", "eigh"):
+    for name in names:
         original = getattr(np.linalg, name)
 
         def counted(a, *args, _original=original, **kwargs):
@@ -171,3 +171,8 @@ def count_hermitian_eig_matrices(monkeypatch) -> list[int]:
 
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
+
+
+def count_hermitian_eig_matrices(monkeypatch) -> list[int]:
+    """Matrices per call of numpy's Hermitian eigensolvers ``eigvalsh`` and ``eigh``."""
+    return count_linalg_matrices(monkeypatch, ("eigvalsh", "eigh"))

@@ -418,7 +418,7 @@ class TestReportPin:
         obj = run_suite("all", 20, range(2, 7), DEFAULT_NORMS, seed=42).report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == "005fd432c0235b07ce56c3b652f23c29cbae0ec586081c2597f7329fd540d900"
+        assert digest == "028cbf651385d65205ee640df068c8dc1a4a130493a5854ae24c39c416e5b2dc"
 
 
 def radius_terms(ineq, mats, spec, grid, refine_tol):

@@ -230,6 +230,14 @@ class TestIsHermitian:
     def test_zero_matrix_is_hermitian(self):
         assert is_hermitian(np.zeros((3, 3), dtype=complex))
 
+    @pytest.mark.parametrize("k", [600, 0, -600])
+    def test_error_states_the_relative_asymmetry_at_any_scale(self, k):
+        # ||H - H*||_F / ||H||_F = 2 sqrt(2) / sqrt(6); unscaled, the
+        # asymmetry itself underflows to 0 at 2^-600.
+        H = math.ldexp(1.0, k) * np.array([[1.0, 2j], [0.0, 1.0]])
+        with pytest.raises(DomainError, match=r"relative asymmetry .* = 1\.155e\+00 exceeds 1e-12"):
+            herm_eig(H)
+
 
 class TestIsPsd:
     def test_identity(self):
@@ -247,6 +255,18 @@ class TestIsPsd:
     def test_non_hermitian_rejected(self):
         with pytest.raises(DomainError):
             is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("k", [600, 0, -600])
+    def test_tolerance_is_relative_at_any_scale(self, k):
+        scale = math.ldexp(1.0, k)
+        assert is_psd(scale * np.diag([1.0, -1e-11]), tol=1e-10)
+        assert not is_psd(scale * np.diag([1.0, -1e-9]), tol=1e-10)
+        assert not is_psd(scale * -np.eye(3), tol=1e-10)
+
+    def test_small_negative_definite_rejected(self):
+        # A tolerance of tol * max(1, ||H||_F) accepted this.
+        assert not is_psd(-1e-20 * np.eye(3), tol=1e-10)
+        assert is_psd(np.zeros((3, 3)), tol=0.0)
 
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):

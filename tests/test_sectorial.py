@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sector_radius.generator import GenConfig, random_pd, random_sectorial, random_unitary
+from sector_radius import sectorial
+from sector_radius.generator import GenConfig, random_pd, random_sectorial, random_unitary, sectorial_stack
 from sector_radius.linalg import DomainError, is_psd
 from sector_radius.norms import FROBENIUS, OPERATOR, TRACE, evaluate_norm, schatten
 from sector_radius.radius import omega_n
@@ -15,7 +16,7 @@ from sector_radius.sectorial import (
     tan_block,
 )
 
-from helpers import count_hermitian_eig_matrices, mp_sector_index
+from helpers import count_linalg_matrices, mp_sector_index
 
 ALL_NORMS = (OPERATOR, TRACE, FROBENIUS, schatten(3))
 
@@ -113,6 +114,15 @@ class TestExactIndex:
         assert rotation_to_sector(X).index_alpha == pytest.approx(exact / 2, abs=1e-13)
 
 
+def tries_bound(alpha: float) -> int:
+    """Most gate tries of the rotation search for class index alpha < pi/2.
+
+    A rejected try widens the known arc K of arguments to at least
+    |K|/2 + pi/2, and |K| <= 2 alpha.
+    """
+    return math.ceil(math.log2(math.pi / (math.pi - 2.0 * alpha))) + 1
+
+
 def narrow_arc(k: int) -> np.ndarray:
     """Rotated *congruence of a diagonal unitary with angles +-1.569 and a
     spread in between: its accretive rotations form an arc of width 3.6e-3."""
@@ -136,16 +146,28 @@ class TestRotationToSector:
         assert info.index_alpha == pytest.approx(1.569, abs=1e-7)
 
     def test_hermitian_eigensolver_budget(self, monkeypatch):
-        # One matrix for the accretivity gate and one for the arg extremes;
-        # sector_index gets the unrotated, accretive input.
-        counts = count_hermitian_eig_matrices(monkeypatch)
+        # rotation_to_sector: one gate matrix per try, at most tries(alpha),
+        # one eigenvector matrix per rejected try, and one matrix for the
+        # arg extremes.  sector_index gets the unrotated, accretive input:
+        # one gate matrix and one for the arg extremes.  Neither makes a
+        # non-Hermitian eigensolve, and the only solves are the two
+        # triangular ones of the arg extremes.
+        gate = count_linalg_matrices(monkeypatch, ("eigvalsh",))
+        vectors = count_linalg_matrices(monkeypatch, ("eigh",))
+        general = count_linalg_matrices(monkeypatch, ("eig", "eigvals"))
+        solves = count_linalg_matrices(monkeypatch, ("solve",))
+        calls = [(rotation_to_sector, narrow_arc(k)) for k in range(3)]
         for n in range(2, 7):
             for seed in range(3):
                 X = random_sectorial(GenConfig(n, 300 + seed), 0.4 * (seed + 1))
-                for fn, Y in ((rotation_to_sector, np.exp(2.0j * seed) * X), (sector_index, X)):
-                    counts.clear()
-                    fn(Y)
-                    assert len(counts) <= 2 and sum(counts) <= 2, (fn.__name__, n, seed, counts)
+                calls += [(rotation_to_sector, np.exp(2.0j * seed) * X), (sector_index, X)]
+        for k, (fn, X) in enumerate(calls):
+            for counts in (gate, vectors, general, solves):
+                counts.clear()
+            info = fn(X)
+            tries = tries_bound(info.index_alpha) if fn is rotation_to_sector else 1
+            assert sum(gate) <= tries + 1 and sum(vectors) <= tries - 1, (fn.__name__, k, gate, vectors)
+            assert (general, solves) == ([], [1, 1]), (fn.__name__, k, general, solves)
 
     def test_rotated_positive_definite(self):
         P = random_pd(GenConfig(3, 8))
@@ -193,6 +215,61 @@ class TestRotationToSector:
             rotation_to_sector(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         with pytest.raises(NotSectorialError):
             rotation_to_sector(np.diag([1.0, -1.0]).astype(complex))
+
+
+def gate_tries(monkeypatch) -> list[int]:
+    """Record the matrices of every accretive_gate call that the rotation search makes."""
+    tries: list[int] = []
+    original = sectorial.accretive_gate
+
+    def counted(A, B):
+        tries.append(len(A))
+        return original(A, B)
+
+    monkeypatch.setattr(sectorial, "accretive_gate", counted)
+    return tries
+
+
+class TestRotationSearch:
+    @staticmethod
+    def near_half_pi(gap: float, n: int, seed: int) -> np.ndarray:
+        X = sectorial_stack([GenConfig(n, 1000 + seed)], [math.pi / 2 - gap])[0]
+        return np.exp(1j * (0.3 + seed)) * X
+
+    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("gap", [1e-3, 1e-5, 1e-7])
+    def test_tries_within_bound_near_half_pi(self, monkeypatch, gap, n):
+        tries = gate_tries(monkeypatch)
+        for seed in range(3):
+            X = self.near_half_pi(gap, n, seed)
+            tries.clear()
+            info = rotation_to_sector(X)
+            assert len(tries) <= tries_bound(info.index_alpha), (seed, tries)
+            assert info.index_alpha == pytest.approx(mp_sector_index(info.rotation_z * X), abs=1e-12)
+
+    def test_tries_within_bound_on_narrow_arcs(self, monkeypatch):
+        # Index 1.569: a bound of 11 tries; the search takes 3 or 4.
+        tries = gate_tries(monkeypatch)
+        for k in range(6):
+            X = narrow_arc(k)
+            tries.clear()
+            info = rotation_to_sector(X)
+            assert 1 < len(tries) <= tries_bound(info.index_alpha), (k, tries)
+            assert info.index_alpha == pytest.approx(mp_sector_index(info.rotation_z * X), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "X",
+        [
+            np.diag([1.0, -1.0]),
+            np.array([[0.0, 1.0], [0.0, 0.0]]),
+            np.exp(0.5j) * np.diag([1.0, 1j, -1.0]),
+            np.diag([1.0, 1.0, 0.0]),
+        ],
+        ids=["diag(1,-1)", "volterra", "straddling", "diag(1,1,0)"],
+    )
+    def test_zero_in_numerical_range_raises(self, X):
+        with pytest.raises(NotSectorialError, match="0 lies in W"):
+            rotation_to_sector(X)
 
 
 class TestSectorBlocks:
@@ -315,12 +392,14 @@ class TestLockstepGates:
             alone = raised(fn, bad)
             for k in range(4):
                 assert raised(fn, *good[:k], bad, *good[k:]) == alone, (k, alone)
-        # The singular matrix sinks the stacked cosquare solve, yet the
-        # earlier, nonsingular one is the first to fail.
+        # The singular matrix fails the stacked call's first check (its zero
+        # diagonal entry), yet the earlier, straddling one is the first to
+        # fail.
         assert raised(fn, straddling, singular) == raised(fn, straddling)
         assert raised(fn, good[0], singular, straddling) == raised(fn, singular)
-        # An index within 1e-10 of pi/2 fails only after the gate that the
-        # later, straddling matrix fails.
+        # An index within 1e-10 of pi/2 fails a check that the later,
+        # straddling matrix reaches no earlier: the gate for sector_index,
+        # and for rotation_to_sector the check of the diagonal's arc.
         edge = np.diag([1.0, 1.0, np.exp(1j * edge_angle)])
         assert "within 1e-10 of pi/2" in raised(fn, edge)[1]
         assert raised(fn, edge, straddling) == raised(fn, edge)
@@ -328,16 +407,18 @@ class TestLockstepGates:
 
 class TestHypothesisNotes:
     # Notes of the stacked gates, byte for byte those of the input-by-input
-    # gates they replaced.
+    # gates; each names the first failing input.
     VOLTERRA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     NOTES = [
-        ("II_prod_sec", {1: "V"}, "second input: input is not sectorial: not sectorial: X is numerically "
-         "singular, so 0 lies in W(X)"),
-        ("II_prod_sec", {0: "G", 1: "V"}, "first input: input is not sectorial: not sectorial: no rotation z "
-         "with Re(zX) positive definite (at the canonical rotation, lambda_min(D Re(zX) D) = -1.097627e-01)"),
-        ("C_mprod", {1: "G", 2: "V"}, "input 1: input is not sectorial: not sectorial: no rotation z with "
-         "Re(zX) positive definite (at the canonical rotation, lambda_min(D Re(zX) D) = -1.097627e-01)"),
-        ("C_mprod", {2: "V"}, "input 2: input is not sectorial: not sectorial: X is numerically singular, "
+        # V has zero diagonal entries; the diagonal entries of G alone span
+        # more than pi.
+        ("II_prod_sec", {1: "V"}, "second input: input is not sectorial: not sectorial: X has a zero "
+         "diagonal entry, so 0 lies in W(X)"),
+        ("II_prod_sec", {0: "G", 1: "V"}, "first input: input is not sectorial: not sectorial: points of W(X) "
+         "span an arc of arguments 3.851370177708 >= pi, so 0 lies in W(X)"),
+        ("C_mprod", {1: "G", 2: "V"}, "input 1: input is not sectorial: not sectorial: points of W(X) span an "
+         "arc of arguments 3.851370177708 >= pi, so 0 lies in W(X)"),
+        ("C_mprod", {2: "V"}, "input 2: input is not sectorial: not sectorial: X has a zero diagonal entry, "
          "so 0 lies in W(X)"),
         ("T_onetan_min", {1: "G"}, "second input: input is not accretive sectorial: matrix is not accretive: "
          "lambda_min(D Re X D) = -2.107680e-01, D = diag(Re X)^(-1/2), is not positive "
