@@ -181,9 +181,8 @@ def _known_arc(Xs: np.ndarray) -> list[list[float]]:
     diagonal entry is 0, which then lies in W(X).
     """
     d = Xs.diagonal(axis1=-2, axis2=-1)
-    for row in d:
-        if not row.all():
-            raise NotSectorialError("not sectorial: X has a zero diagonal entry, so 0 lies in W(X)")
+    if not d.all():
+        raise NotSectorialError("not sectorial: X has a zero diagonal entry, so 0 lies in W(X)")
     theta = np.sort(np.angle(d), axis=-1)
     gaps = np.concatenate([theta[:, 1:], theta[:, :1] + 2.0 * math.pi], axis=-1) - theta
     lanes = np.arange(len(theta))
@@ -249,7 +248,9 @@ def _accretive_rotations(Xs: np.ndarray) -> tuple[list[float], np.ndarray, np.nd
             k, arc = open_[j], arcs[open_[j]]
             w = complex(np.vdot(xj, Asj @ xj).real, np.vdot(xj, Bsj @ xj).real)
             if w == 0:
-                raise NotSectorialError("not sectorial: a point of W(X) is 0")
+                raise NotSectorialError(
+                    "not sectorial: the gate's lambda_min eigenvector gives the point 0, so 0 lies in W(X)"
+                )
             r, h = math.atan2(w.imag, w.real), (arc[1] - arc[0]) / 2.0
             if abs(r) <= h:
                 raise NotSectorialError(

@@ -264,8 +264,9 @@ class TestRotationSearch:
             np.array([[0.0, 1.0], [0.0, 0.0]]),
             np.exp(0.5j) * np.diag([1.0, 1j, -1.0]),
             np.diag([1.0, 1.0, 0.0]),
+            np.array([[1.0, 2.0], [0.0, 1.0]]),  # 0 on the boundary of W, hit by the first eigenvector
         ],
-        ids=["diag(1,-1)", "volterra", "straddling", "diag(1,1,0)"],
+        ids=["diag(1,-1)", "volterra", "straddling", "diag(1,1,0)", "boundary-disk"],
     )
     def test_zero_in_numerical_range_raises(self, X):
         with pytest.raises(NotSectorialError, match="0 lies in W"):
