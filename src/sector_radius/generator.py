@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,17 +63,28 @@ def mix_seed(seed: int, *tags: int) -> int:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Factory configuration: dimension, 64-bit seed, overall scale."""
+    """Factory configuration: dimension, 64-bit seed, overall scale.
+
+    n and seed are integers other than bools (a numpy integer is stored as
+    an int), and scale is finite and positive.
+    """
 
     n: int
     seed: int
     scale: float = 1.0
 
     def __post_init__(self):
+        for name in ("n", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+                # A numpy integer would make mix_seed's arithmetic wrap or overflow.
+                object.__setattr__(self, name, int(value))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not (self.scale > 0):
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not (0 < self.scale < math.inf):
+            raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
 
 
 @functools.cache
@@ -164,21 +176,21 @@ def pd_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
     return P
 
 
-def _spectral_sqrt(P: np.ndarray) -> np.ndarray:
-    # P is exactly Hermitian (pd_stack symmetrizes it), so eigh reads it as is.
-    w, V = np.linalg.eigh(P)
-    return (V * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ adjoint(V)
-
-
 def sectorial_stack(cfgs, alphas, streams: Streams | None = None) -> np.ndarray:
     """Accretive matrices whose numerical ranges have angular half-widths ``alphas``.
 
-    Each is built as S (I + iT) S with S the square root of a random
-    positive definite matrix and T Hermitian rescaled so max|eig(T)| =
-    tan(alpha).  Quadratic forms then satisfy <Xx,x> = ||y||^2 + i <Ty,y>
-    with y = Sx, so the extreme argument over the numerical range is
-    exactly arctan(max|eig(T)|) = alpha.  An alpha of 0 gives the
-    positive definite matrix itself.
+    Each is the congruence G (I + iT) G* of a Ginibre matrix G and a
+    Hermitian T rescaled so max|eig(T)| = tan(alpha), formed as
+    G G* + i G T G* with both parts made exactly Hermitian.  Quadratic
+    forms satisfy <Xx,x> = ||y||^2 + i <Ty,y> with y = G*x, and G* is
+    invertible, so the extreme argument over the numerical range is
+    exactly arctan(max|eig(T)|) = alpha.  G has the polar form S U with
+    S = (G G*)^(1/2) and U Haar-distributed and independent of S, and
+    U T U* has the law of T (the Hermitian part of a Ginibre matrix is
+    unitarily invariant), so X = S (I + i U T U*) S has the law of
+    S (I + iT) S for the square root S of a random positive definite
+    matrix.  An alpha of 0 makes T = 0 and gives the positive definite
+    G G* itself.
     """
     n = _dimension(cfgs)
     alphas = [float(a) for a in alphas]
@@ -188,24 +200,16 @@ def sectorial_stack(cfgs, alphas, streams: Streams | None = None) -> np.ndarray:
         if not (0.0 <= alpha < math.pi / 2):
             raise ValueError(f"alpha must lie in [0, pi/2), got {alpha}")
     streams = streams or Streams()
-    X = pd_stack([GenConfig(n, mix_seed(cfg.seed, _STREAM_SECT_BASE), cfg.scale) for cfg in cfgs], streams)
-    tilted = [k for k, alpha in enumerate(alphas) if alpha != 0.0]
-    if not tilted:
-        return X
-    G = ginibre_stack([GenConfig(n, mix_seed(cfgs[k].seed, _STREAM_SECT_TILT), 1.0) for k in tilted], streams)
-    T = cartesian_parts(G)[0]
+    G = ginibre_stack([GenConfig(n, mix_seed(cfg.seed, _STREAM_SECT_BASE), cfg.scale) for cfg in cfgs], streams)
+    tilt = ginibre_stack([GenConfig(n, mix_seed(cfg.seed, _STREAM_SECT_TILT), 1.0) for cfg in cfgs], streams)
+    T = cartesian_parts(tilt)[0]
     peaks = np.max(np.abs(np.linalg.eigvalsh(T)), axis=-1)
-    factors = []
-    for j, (k, peak) in enumerate(zip(tilted, peaks)):
-        peak = float(peak)
-        if peak == 0.0:
-            T[j] = np.eye(n)
-            peak = 1.0
-        factors.append(math.tan(alphas[k]) / peak)
-    T = T * np.array(factors)[:, None, None]
-    S = _spectral_sqrt(X[tilted])
-    X[tilted] = S @ (np.eye(n) + 1j * T) @ S
-    return X
+    T[peaks == 0.0] = np.eye(n)
+    peaks[peaks == 0.0] = 1.0
+    T *= (np.array([math.tan(alpha) for alpha in alphas]) / peaks)[:, None, None]
+    Gh = adjoint(G)
+    re, im = (cartesian_parts(M)[0] for M in (G @ Gh, G @ T @ Gh))
+    return re + 1j * im
 
 
 def accretive_dissipative_stack(cfgs, streams: Streams | None = None) -> np.ndarray:

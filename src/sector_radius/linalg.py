@@ -283,6 +283,8 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_matrix(path, X) -> None:
+    # Serialised before the file is opened, so a matrix that fails
+    # validation leaves an existing file as it was.
+    text = json.dumps(matrix_to_obj(X)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_obj(X), fh)
-        fh.write("\n")
+        fh.write(text)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import count_linalg_matrices
 from sector_radius.generator import (
     GenConfig,
     Streams,
@@ -27,6 +28,30 @@ class TestGenConfig:
             GenConfig(0, 1)
         with pytest.raises(ValueError):
             GenConfig(2, 1, scale=0.0)
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_scale_must_be_finite(self, scale):
+        # Such a scale would give non-finite Ginibre entries.
+        with pytest.raises(ValueError, match="scale must be finite and positive"):
+            GenConfig(3, 1, scale=scale)
+
+    @pytest.mark.parametrize("n", [3.0, True, np.bool_(True)])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            GenConfig(n, 1)
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            GenConfig(3, seed)
+
+    def test_python_and_numpy_integers_pass(self):
+        import random
+
+        GenConfig(3, random.Random(0).getrandbits(63))
+        cfg = GenConfig(np.int32(3), np.uint64(2**64 - 1), scale=np.float32(2.0))
+        assert (type(cfg.n), type(cfg.seed)) == (int, int)
+        assert np.array_equal(random_ginibre(cfg), random_ginibre(GenConfig(3, 2**64 - 1, scale=2.0)))
 
 
 class TestMixSeed:
@@ -104,6 +129,20 @@ class TestRandomSectorial:
             X = random_sectorial(GenConfig(3, s, scale=1.0), alpha)
             assert is_psd(tan_block(X, alpha + 1e-8), tol=1e-9)
             assert is_psd(sec_block(X, alpha + 1e-8), tol=1e-9)
+
+    def test_one_eigvalsh_per_stack(self, monkeypatch):
+        # The draw is the congruence G (I + iT) G*: the peaks of T take one
+        # eigvalsh for the whole stack, and nothing takes a square root,
+        # factors or solves.  Its alpha = 0 lane is G G*, exactly Hermitian
+        # and positive definite.
+        eigvalsh = count_linalg_matrices(monkeypatch, ("eigvalsh",))
+        others = count_linalg_matrices(monkeypatch, ("eigh", "cholesky", "solve", "svd", "eig", "eigvals"))
+        cfgs = [GenConfig(5, 40 + k) for k in range(3)]
+        X = sectorial_stack(cfgs, [0.7, 0.0, 1.3])
+        assert eigvalsh == [3] and others == []
+        P = X[1]
+        assert np.array_equal(P, P.conj().T)
+        assert np.linalg.eigvalsh(P).min() > 0
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):

@@ -279,9 +279,11 @@ class TestNormIntervals:
 
     def test_tight_blocks_are_certified_above_the_verified_index(self):
         # At the index the sector pair verifies, lambda_min of these blocks
-        # is within the eigensolver model of 0 (at a fixed 1e-9 tolerance
-        # they passed with lhs.hi > 0); the block loop inflates further.
-        for n, s in ((5, 53), (32, 109)):
+        # is within the eigensolver model of 0; the block loop inflates
+        # further.  The inputs come from a scan of seeds 90000 + s for a
+        # block index more than 1e-7 above the verified one: at n = 5 only
+        # s = 2653 of s < 5000 has it, at n = 32 only s = 256 of s < 600.
+        for n, s in ((5, 2653), (32, 256)):
             mats = generate_inputs(REGISTRY["L3_block_sec"], n, seed=90000 + s)
             r = check_inequality("L3_block_sec", mats, OPERATOR)
             (info,), _ = _check_hypothesis(Hypothesis.SECTORIAL, mats, 1)
@@ -418,7 +420,7 @@ class TestReportPin:
         obj = run_suite("all", 20, range(2, 7), DEFAULT_NORMS, seed=42).report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == "028cbf651385d65205ee640df068c8dc1a4a130493a5854ae24c39c416e5b2dc"
+        assert digest == "2245583552ca0aca7cb609ccb71ab963fb86d3f324fe16ce84e04d4cd2d539b0"
 
 
 def radius_terms(ineq, mats, spec, grid, refine_tol):
@@ -672,7 +674,7 @@ class TestExplainAndRegistry:
             for ineq in all_ids():
                 for M in generate_inputs(REGISTRY[ineq], n, seed, m_fold=3):
                     digest.update(M.tobytes())
-        assert digest.hexdigest() == "84c18aca919fe07da57c71dca2dfc815bba33d9f78fa8078b7cbc83c72d29a63"
+        assert digest.hexdigest() == "1aaf5b4cf238ce24b2b347d7f9c0c55f6a719ced71904e8ee305b7e6a107bc2f"
 
     def test_docs_table_lists_every_id_in_order(self):
         text = (Path(__file__).resolve().parent.parent / "docs" / "inequalities.md").read_text()

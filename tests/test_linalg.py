@@ -284,6 +284,14 @@ class TestMatrixIO:
         write_matrix(path, X)
         assert np.array_equal(read_matrix(path), X)
 
+    def test_a_failing_write_leaves_the_file_as_it_was(self, tmp_path):
+        path = tmp_path / "m.json"
+        write_matrix(path, np.eye(2))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="non-finite"):
+            write_matrix(path, [[np.inf]])
+        assert path.read_bytes() == before
+
     def test_schema_errors(self):
         with pytest.raises(ValueError):
             matrix_from_obj({"n": 2, "entries": [[0.0, 0.0]]})

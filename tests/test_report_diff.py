@@ -78,3 +78,19 @@ def test_text_and_none_moves_are_counted_not_sized(tmp_path):
     # The reverse move, from None, is named as such.
     done = run_tool(tmp_path, new, old)
     assert f"moved ratio [{second['norm']}]: 1 values, 1 was None" in done.stdout.splitlines()
+
+
+def test_each_moved_id_is_listed_with_old_and_new_values(tmp_path):
+    old = small_report()
+    new = json.loads(json.dumps(old))
+    _, second = sorted(new["summary"]["per_id"])
+    new["summary"]["per_id"][second]["worst_margin"] = 0.25
+    done = run_tool(tmp_path, old, new)
+    assert done.returncode == 1
+    listed = [line for line in done.stdout.splitlines() if line.startswith("id ")]
+    was = old["summary"]["per_id"][second]
+    assert listed == [f"id {second}: max_ratio {was['max_ratio']!r} -> {was['max_ratio']!r}, "
+                      f"worst_margin {was['worst_margin']!r} -> 0.25"], listed
+    # Identical reports list no id.
+    done = run_tool(tmp_path, old, old)
+    assert not any(line.startswith("id ") for line in done.stdout.splitlines())

@@ -12,8 +12,10 @@ number (a changed note or verdict, a ratio that became or was None) has
 no relative size: the line counts those moves by what happened
 (``changed``, ``became None``, ``was None``) instead.  For a bound field
 the line also counts the moves that widened the interval (``hi`` up or
-``lo`` down) and those that narrowed it.  Results are matched by position, so both
-reports must list the same (id, norm, dim, seed) in the same order.
+``lo`` down) and those that narrowed it.  Then one line per id whose
+``max_ratio`` or ``worst_margin`` moved gives both fields' old and new
+values.  Results are matched by position, so both reports must list
+the same (id, norm, dim, seed) in the same order.
 Wall time is ignored.  Exits 0 when nothing moved, 1 when something
 did, and 2, with a one-line ``error:`` on stderr, on a wrong argument
 count or a report that cannot be read.
@@ -93,6 +95,20 @@ def moves(old: dict, new: dict) -> dict:
     return found
 
 
+def per_id_moves(old: dict, new: dict) -> list[str]:
+    """One line per id whose max_ratio or worst_margin moved, with the old and new value of each."""
+    lines = []
+    ids_a, ids_b = old["summary"]["per_id"], new["summary"]["per_id"]
+    for ineq in sorted(ids_a):
+        a, b = ids_a[ineq], ids_b[ineq]
+        if (a["max_ratio"], a["worst_margin"]) != (b["max_ratio"], b["worst_margin"]):
+            lines.append(
+                f"id {ineq}: max_ratio {a['max_ratio']!r} -> {b['max_ratio']!r}, "
+                f"worst_margin {a['worst_margin']!r} -> {b['worst_margin']!r}"
+            )
+    return lines
+
+
 def diff(old: dict, new: dict) -> list[str]:
     """Lines of the comparison; the first starts with "no moves" when nothing moved."""
     lines = []
@@ -121,7 +137,7 @@ def diff(old: dict, new: dict) -> list[str]:
         if wider is not None:
             line += f"; {wider} widened, {count - wider} narrowed"
         lines.append(line)
-    return lines
+    return lines + per_id_moves(old, new)
 
 
 def main(argv: list[str]) -> int:
