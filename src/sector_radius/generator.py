@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import adjoint, as_matrix, cartesian_parts
+from .linalg import _SAFE_HI, adjoint, as_matrix, cartesian_parts
 
 __all__ = [
     "GenConfig",
@@ -66,7 +66,9 @@ class GenConfig:
     """Factory configuration: dimension, 64-bit seed, overall scale.
 
     n and seed are integers other than bools (a numpy integer is stored as
-    an int), and scale is finite and positive.
+    an int), and scale lies in [2^-256, 2^256], linalg's safe range: there
+    a draw's products G G* neither overflow nor leave the normal range.
+    scale is stored as a Python float.
     """
 
     n: int
@@ -85,6 +87,11 @@ class GenConfig:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not (0 < self.scale < math.inf):
             raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
+        # A numpy float32 would take the range test and the draws' products
+        # in its own precision.
+        object.__setattr__(self, "scale", float(self.scale))
+        if not (1.0 / _SAFE_HI <= self.scale <= _SAFE_HI):
+            raise ValueError(f"scale must lie in [2^-256, 2^256], got {self.scale!r}")
 
 
 @functools.cache
@@ -164,10 +171,14 @@ def ginibre_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
 
 
 def pd_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
-    """Hermitian positive definite matrices G G* + 1e-6 * scale * I."""
+    """Hermitian positive definite matrices G G* + 1e-6 * scale^2 * I.
+
+    G is a Ginibre draw times scale, so G G* and its shift both scale as
+    scale^2, and a power-of-two scale multiplies the scale-1 draw exactly.
+    """
     n = _dimension(cfgs)
     G = ginibre_stack([GenConfig(n, mix_seed(cfg.seed, _STREAM_PD), cfg.scale) for cfg in cfgs], streams)
-    shift = 1e-6 * np.array([cfg.scale for cfg in cfgs])
+    shift = 1e-6 * np.array([cfg.scale**2 for cfg in cfgs])
     P = G @ adjoint(G) + shift[:, None, None] * np.eye(n)
     P = (P + adjoint(P)) / 2
     for lam_min in np.linalg.eigvalsh(P)[:, 0]:
@@ -226,7 +237,7 @@ def random_ginibre(cfg: GenConfig) -> np.ndarray:
 
 
 def random_pd(cfg: GenConfig) -> np.ndarray:
-    """Hermitian positive definite matrix G G* + 1e-6 * scale * I."""
+    """Hermitian positive definite matrix G G* + 1e-6 * scale^2 * I (see pd_stack)."""
     return pd_stack([cfg])[0]
 
 

@@ -4,13 +4,15 @@ The central object is the angle profile f(theta) = N(Re(e^{i*theta} X)),
 whose supremum over theta defines the generalized numerical radius.  The
 profile has period pi, is Lipschitz with constant L = N(Re X) + N(Im X),
 and is a pointwise maximum of sinusoids of amplitude at most sup f (one
-sinusoid per dual-norm certificate).  omega_n returns a lower bound
-``value`` (a profile sample) together with a guaranteed gap
-``cert_error`` so that the true supremum lies in
-[value, value + cert_error].
+sinusoid per dual-norm certificate).  omega_n returns ``value`` (a
+profile sample, or for the Frobenius norm the closed form's centre)
+together with a guaranteed gap ``cert_error`` so that the true supremum
+lies in [value, value + cert_error].
 
 The Frobenius profile is a quadratic form in (cos theta, sin theta), so
-its supremum is read off a 2x2 Gram matrix with a stated rounding pad.
+its supremum is the square root of the top eigenvalue of a 2x2 Gram
+matrix, read off in closed form with a stated rounding pad and no
+eigensolve.
 In every other norm a Hermitian X has the profile |cos theta| N(Re X)
 and a skew-Hermitian X |sin theta| N(Im X), so their radii are one
 norm each, exact up to the sample error.  Any other X samples a uniform
@@ -289,7 +291,7 @@ def _rotation_bound(X: np.ndarray, K: np.ndarray, p: float, value: float, slack:
     4 pi eps N(R).  The bound is tight when K grades X (KX - XK = -X), as
     _flag_grading's K does for a shift.
 
-    Error model, as in _frobenius_radius:
+    Error model, as in _frobenius_radii:
     - N(R) <= n^max(0, 1/p - 1/2) ||R||_F.  The computed R differs from
       the exact one by at most 4 n eps (2 ||K||_F + 1) ||X||_F (two
       matrix products and two sums), and the computed ||R||_F is within
@@ -319,14 +321,15 @@ def _sample_error(A: np.ndarray, B: np.ndarray, p: float) -> float:
 
 
 def _frobenius_radii(A: np.ndarray, B: np.ndarray, spec: NormSpec) -> list[RadiusEstimate]:
-    """Closed-form Frobenius radius of each X_l = A_l + i B_l.
+    """Closed-form Frobenius radius of each X_l = A_l + i B_l, with no eigensolve.
 
     With a = ||A||_F^2, b = ||B||_F^2 and c = <A, B> = Re tr(AB),
     f(theta)^2 = a cos^2 - 2 c sin cos + b sin^2 is the quadratic form of
     G = [[a, -c], [-c, b]] at (cos theta, sin theta), so sup f^2 =
     lambda_max(G) = (a + b)/2 + hypot((a - b)/2, c), attained at the angle
-    of the top eigenvector, 2 theta* = atan2(-2c, a - b).  ``value`` is the
-    profile evaluated at theta*, for every lane in one eigvalsh.
+    of the top eigenvector, 2 theta* = atan2(-2c, a - b).  ``value`` is
+    the computed sqrt(lambda_max(G)), the centre of the closed form, and
+    ``cert_error`` lifts it to the padded upper end.
 
     Rounding pad: each of a, b, c sums n^2 products of entries of the
     computed Cartesian parts, which are within eps of exact entrywise, so
@@ -337,20 +340,19 @@ def _frobenius_radii(A: np.ndarray, B: np.ndarray, spec: NormSpec) -> list[Radiu
     (6 n^2 + 44) eps (a + b), added under the square root.
     """
     n = A.shape[1]
-    estimates = [RadiusEstimate(0.0, 0.0, 0.0, spec)] * len(A)
-    thetas, uppers = {}, {}
-    for l, (Al, Bl) in enumerate(zip(A, B)):
+    estimates = []
+    for Al, Bl in zip(A, B):
         a = float(np.vdot(Al, Al).real)
         b = float(np.vdot(Bl, Bl).real)
         if a + b == 0.0:
+            estimates.append(RadiusEstimate(0.0, 0.0, 0.0, spec))
             continue
         c = float(np.vdot(Al, Bl).real)
         top = 0.5 * (a + b) + math.hypot(0.5 * (a - b), c)
-        uppers[l] = math.sqrt(top + (6 * n * n + 44) * _EPS * (a + b))
-        thetas[l] = np.array([(0.5 * math.atan2(-2.0 * c, a - b)) % math.pi])
-    for l, value in _profile_values(A, B, thetas, 2.0).items():
-        value = float(value[0])
-        estimates[l] = RadiusEstimate(value, float(thetas[l][0]), max(0.0, uppers[l] - value), spec)
+        value = math.sqrt(top)
+        upper = math.sqrt(top + (6 * n * n + 44) * _EPS * (a + b))
+        theta = (0.5 * math.atan2(-2.0 * c, a - b)) % math.pi
+        estimates.append(RadiusEstimate(value, theta, upper - value, spec))
     return estimates
 
 
@@ -643,9 +645,10 @@ def omega_n(
         skew-Hermitian X takes the closed form, whose certificate is the
         sample error alone, whatever the tolerance.
 
-    Returns a RadiusEstimate with value the best profile sample found,
-    the angle attaining it, and a certified error so that the true
-    supremum lies in [value, value + cert_error]; several matrices give a
+    Returns a RadiusEstimate with value the best profile sample found
+    (for the Frobenius norm, the closed form's centre), the angle
+    attaining it, and a certified error so that the true supremum lies
+    in [value, value + cert_error]; several matrices give a
     tuple of estimates, one per matrix.  The matrices run in lockstep as
     lanes of one batch: every stage is one batched eigvalsh over the
     lanes still open, and a lane leaves as soon as it is certified.  Each
@@ -656,7 +659,8 @@ def omega_n(
     rounded up where either comes out subnormal); lanes in range keep
     their bits.
 
-    The Frobenius norm takes the closed form, which samples no grid and
+    The Frobenius norm takes the closed form sqrt(lambda_max) of a 2x2
+    Gram matrix, which samples no grid, makes no numpy.linalg call and
     needs no tolerance.  In every other norm a Hermitian or
     skew-Hermitian X is one eigvalsh of its nonzero part.  Any other X
     samples the even half of the start grid anchored at theta = 0, in the

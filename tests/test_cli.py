@@ -105,14 +105,13 @@ class TestGenAndCompute:
         assert np.array_equal(read_matrix(tmp_path / "copy.json"), U)
 
     def test_overflowing_gen_keeps_the_output_file(self, tmp_path, capsys):
-        # A Ginibre draw at scale 1.7e308 overflows; the error must not
+        # A scale of 1.7e308 is refused before any draw; the error must not
         # truncate a file that already holds a matrix.
         m = tmp_path / "m.json"
         assert run_cli("gen", "ginibre", "--n", "3", "--seed", "2", "-o", str(m)) == 0
         before = m.read_bytes()
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert run_cli("gen", "ginibre", "--n", "3", "--seed", "2", "--scale", "1.7e308", "-o", str(m)) == 2
-        assert "non-finite" in capsys.readouterr().err
+        assert run_cli("gen", "ginibre", "--n", "3", "--seed", "2", "--scale", "1.7e308", "-o", str(m)) == 2
+        assert "scale must lie in [2^-256, 2^256]" in capsys.readouterr().err
         assert m.read_bytes() == before
 
 

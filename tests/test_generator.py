@@ -35,6 +35,17 @@ class TestGenConfig:
         with pytest.raises(ValueError, match="scale must be finite and positive"):
             GenConfig(3, 1, scale=scale)
 
+    @pytest.mark.parametrize("scale", [2.0**-256, 2.0**256])
+    def test_scale_range_ends_pass(self, scale):
+        GenConfig(3, 1, scale=scale)
+
+    @pytest.mark.parametrize("scale", [math.nextafter(2.0**-256, 0.0), 1e-170, math.nextafter(2.0**256, math.inf), 1e160])
+    def test_scale_outside_the_safe_range_is_refused(self, scale):
+        # At 1e160 a positive definite draw's G G* overflows, and at 1e-170
+        # a sectorial draw underflows to the zero matrix.
+        with pytest.raises(ValueError, match=r"scale must lie in \[2\^-256, 2\^256\]"):
+            GenConfig(3, 1, scale=scale)
+
     @pytest.mark.parametrize("n", [3.0, True, np.bool_(True)])
     def test_n_must_be_an_integer(self, n):
         with pytest.raises(ValueError, match="n must be an integer"):
@@ -50,7 +61,7 @@ class TestGenConfig:
 
         GenConfig(3, random.Random(0).getrandbits(63))
         cfg = GenConfig(np.int32(3), np.uint64(2**64 - 1), scale=np.float32(2.0))
-        assert (type(cfg.n), type(cfg.seed)) == (int, int)
+        assert (type(cfg.n), type(cfg.seed), type(cfg.scale)) == (int, int, float)
         assert np.array_equal(random_ginibre(cfg), random_ginibre(GenConfig(3, 2**64 - 1, scale=2.0)))
 
 
@@ -204,6 +215,22 @@ class TestStacks:
             assert stack.shape == (len(cfgs), n, n)
             for M, single in zip(stack, singles):
                 assert M.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("k", [-200, -40, 40, 200])
+    def test_a_power_of_two_scale_scales_the_draw_exactly(self, k):
+        # Ginibre entries scale with the scale, every other draw with its
+        # square (G G*, G T G* and the positive definite shift alike).
+        c = math.ldexp(1.0, k)
+        draws = (
+            (random_ginibre, c),
+            (random_pd, c * c),
+            (lambda cfg: random_sectorial(cfg, 0.7), c * c),
+            (random_accretive_dissipative, c * c),
+        )
+        for draw, factor in draws:
+            for seed in (3, 41):
+                unit = draw(GenConfig(4, seed))
+                assert (draw(GenConfig(4, seed, c)) == factor * unit).all(), (draw, k, seed)
 
     def test_stack_validation(self):
         with pytest.raises(ValueError, match="config 1 has n = 3"):

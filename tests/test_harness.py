@@ -420,7 +420,7 @@ class TestReportPin:
         obj = run_suite("all", 20, range(2, 7), DEFAULT_NORMS, seed=42).report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == "2245583552ca0aca7cb609ccb71ab963fb86d3f324fe16ce84e04d4cd2d539b0"
+        assert digest == "027fda2de63cc54c66020d8da1a341b1c3640170379556c2fd4423cd1e8d7810"
 
 
 def radius_terms(ineq, mats, spec, grid, refine_tol):
