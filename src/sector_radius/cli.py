@@ -34,10 +34,10 @@ from .harness import (
     run_suite,
     tightness_scan,
 )
-from .linalg import cartesian_decompose, read_matrix, write_matrix
+from .linalg import cartesian_decompose, pd_certificate, read_matrix, write_matrix
 from .norms import parse_norm
 from .radius import DEFAULT_GRID, DEFAULT_REFINE_TOL, numerical_range_boundary, omega, omega_n
-from .sectorial import accretive_gate, rotation_to_sector, sector_index
+from .sectorial import rotation_to_sector, sector_index
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -118,14 +118,14 @@ def _cmd_compute(args) -> int:
 
 
 def _sector_json(X, info) -> str:
-    """Sector data of X, with whether X itself passes ``accretive_gate``
-    and lambda_min of Re(zX) = Re(z) Re X - Im(z) Im X at the witness z."""
+    """Sector data of X, with whether ``pd_certificate`` certifies X itself
+    accretive and lambda_min of Re(zX) = Re(z) Re X - Im(z) Im X at the
+    witness z."""
     A, B = cartesian_decompose(X)
     z = info.rotation_z
-    passes, _ = accretive_gate(A, B)
     return json.dumps(
         {
-            "accretive": bool(passes),
+            "accretive": bool(pd_certificate(A)[0]),
             "alpha": info.index_alpha,
             "z_re": z.real,
             "z_im": z.imag,

@@ -53,12 +53,13 @@ from .linalg import (
     LAPACK_BACKWARD,
     DimensionError,
     as_matrix,
+    as_scaled_stack,
     cartesian_decompose,
     cartesian_parts,
     frobenius,
     hadamard,
     is_hermitian,
-    is_psd,
+    pd_certificate,
 )
 from .norms import FROBENIUS, OPERATOR, TRACE, NormSpec, evaluate_norm, schatten
 from .radius import DEFAULT_GRID, DEFAULT_REFINE_TOL, check_grid, check_refine_tol, omega_n
@@ -66,7 +67,6 @@ from .report import CheckResult, IdSummary, Interval, SuiteReport, classify
 from .sectorial import (
     NotSectorialError,
     SectorInfo,
-    accretive_gate,
     rotation_to_sector,
     sec_block,
     sector_index,
@@ -214,39 +214,46 @@ def _verified(infos: list[SectorInfo], mats) -> list[SectorInfo]:
     """Each ``info`` with its index inflated (_inflated) until W(zX) provably fits the sector.
 
     For a < pi/2, W(Y) lies in the closed sector of half-width a exactly
-    when Im(e^{-ia} Y) <= 0 and Im(e^{ia} Y) >= 0, that is when both
-    +-cos(a) Im Y - sin(a) Re Y are negative semidefinite.  Their computed
-    top eigenvalues must clear the slack (LAPACK_BACKWARD n + 6) eps
-    (||Re Y||_F + ||Im Y||_F), as radius._sample_error derives its own:
-    each computed eigenvalue of the n x n H is within LAPACK_BACKWARD n eps
-    ||H||_F of an exact one (linalg.LAPACK_BACKWARD), with ||H||_F <=
-    ||Re Y||_F + ||Im Y||_F; the computed H differs from the exact one by
-    at most 6 eps times the same sum: 2 for the products and the
-    difference of H = c Im - s Re, 1 for c and s against cos(a) and
-    sin(a), 1 for the Cartesian parts, and 2 for the product Y = zX itself
-    (a complex product is within sqrt(5)/2 eps of exact, Brent, Percival
-    and Zimmermann 2007, and |cos a| + |sin a| <= sqrt(2)).  Each try is
-    one eigvalsh over the open inputs, each with the bits it gets alone.
+    when Im(e^{-ia} Y) <= 0 and Im(e^{ia} Y) >= 0, that is when both H+-
+    = sin(a) Re Y -+ cos(a) Im Y are positive semidefinite.  Each try is
+    one ``pd_certificate`` of the pair over the open inputs, each with
+    the bits it gets alone, with the forming budget of H+- as its extra
+    shift.  The computed H differs from the exact one entrywise by at
+    most 6 eps (|Re Y| + |Im Y|): 2 for the products and the difference of
+    s Re - c Im, 1 for s and c against sin(a) and cos(a), 1 for the
+    Cartesian parts, and 2 for the product Y = zX itself (a complex
+    product is within sqrt(5)/2 eps of exact, Brent, Percival and
+    Zimmermann 2007, and |cos a| + |sin a| <= sqrt(2)).  When both H+- pass,
+    Re Y and tan(a) Re Y -+ Im Y are positive definite, so |Re Y_ij| and
+    |Im Y_ij| / tan(a) are at most sqrt(Re Y_ii Re Y_jj); with D the
+    certificate's scaling of H, the budget's spectral norm on D H D is
+    then at most 6 eps (1 + tan a) sum_i Re Y_ii / H_ii, the trace of D
+    Re Y D.  That takes no norm of an unscaled matrix, and the budget's
+    first-order count (5.6 eps) leaves room for its own rounding and the
+    certificate's (1 - gamma_4).
     """
     re, im = cartesian_parts(np.array([info.rotation_z * X for info, X in zip(infos, mats)]))
-    slack = [(LAPACK_BACKWARD * len(r) + 6.0) * _EPS * (frobenius(r) + frobenius(i)) for r, i in zip(re, im)]
+    r = re.diagonal(axis1=-2, axis2=-1).real
 
     def sector_pair(ks, alphas):
         c, s = (np.array([f(a) for a in alphas])[:, None, None] for f in (math.cos, math.sin))
         ci, sr = c * im[ks], s * re[ks]
-        top = np.linalg.eigvalsh(np.stack([ci - sr, -ci - sr], axis=1))[..., -1].max(axis=1)
-        return [True if t <= -slack[k] else None for k, t in zip(ks, top)]
+        H = np.stack([sr - ci, sr + ci], axis=1)
+        h = H.diagonal(axis1=-2, axis2=-1).real
+        budget = 6.0 * _EPS * (1.0 + np.tan(alphas))[:, None] * (r[ks][:, None] / np.where(h > 0.0, h, np.inf)).sum(-1)
+        return [True if ok else None for ok in pd_certificate(H, budget)[0].all(axis=1)]
 
     return [replace(info, index_alpha=a) for info, (a, _) in zip(infos, _inflated(infos, sector_pair))]
 
 
 def _require_accretive_dissipative(mats, names) -> None:
     # Im X is Re(-iX), so both parts of every input go through the
-    # accretivity gate at once.
-    re, im = cartesian_parts(np.array(mats))
-    passes, lam = accretive_gate(np.stack([re, im], axis=1), np.stack([im, -re], axis=1))
-    for ok, (lam_re, lam_im), which in zip(passes, lam, names):
+    # positive-definiteness certificate at once.
+    H = np.stack(cartesian_parts(np.array(mats)), axis=1)
+    passes, S, _ = pd_certificate(H)
+    for ok, Hk, Sk, which in zip(passes, H, S, names):
         if not ok.all():
+            lam_re, lam_im = np.linalg.eigvalsh(Sk * Hk)[:, 0]
             raise Inapplicable(
                 f"{which} is not accretive-dissipative: lambda_min(D Re D) = {lam_re:.3e}, "
                 f"lambda_min(D' Im D') = {lam_im:.3e} (unit-diagonal scalings D, D')"
@@ -254,16 +261,13 @@ def _require_accretive_dissipative(mats, names) -> None:
 
 
 def _require_pd(X: np.ndarray, which: str) -> None:
-    # A Hermitian matrix is positive definite exactly when it is accretive,
-    # and the accretivity gate does not change under diagonal congruence.
     if not is_hermitian(X):
         raise Inapplicable(f"{which} is not Hermitian")
-    passes, lam = accretive_gate(*cartesian_decompose(X))
+    A = cartesian_decompose(X)[0]
+    passes, S, _ = pd_certificate(A)
     if not passes:
-        raise Inapplicable(
-            f"{which} is not positive definite: lambda_min(D X D) = {float(lam):.3e} "
-            f"(unit-diagonal scaling D)"
-        )
+        lam = np.linalg.eigvalsh(S * A)[0]
+        raise Inapplicable(f"{which} is not positive definite: lambda_min(D X D) = {lam:.3e} (unit-diagonal scaling D)")
 
 
 class Hypothesis(Enum):
@@ -299,7 +303,7 @@ def _check_hypothesis(kind, mats, arity: int) -> tuple[list[SectorInfo], str]:
         if not any(is_hermitian(M) for M in mats):
             raise Inapplicable("neither input is Hermitian")
     elif kind is Hypothesis.PSD_NOTE:
-        if not (is_hermitian(mats[0]) and is_psd(mats[0], 1e-10)):
+        if not (is_hermitian(mats[0]) and pd_certificate(cartesian_decompose(mats[0])[0])[0]):
             return [], "hypothesis violated: first factor is not PSD, bound not guaranteed"
     return [], ""
 
@@ -316,7 +320,12 @@ def _block_certificate(block, Y: np.ndarray, info: SectorInfo) -> tuple[Interval
     Y = zX is within sqrt(5)/2 eps of exact, a Cartesian part adds half an ulp,
     the factor (tan 1 ulp, sec 1.5) and its product 1.5 more, so
     ||B - B_0||_F <= sqrt(2) (3.7 sec a' + 1.7) eps ||Y||_F < 6 (1 + sec a') eps ||Y||_F.
+    A Y far from unit size is first scaled by the power of two 2^-e that
+    linalg.as_scaled_stack picks, so that neither norm overflows; block
+    and pad scale with Y, and the accepted lhs is scaled back by 2^e with
+    Interval.scale, which rounds each end outward.
     """
+    (Y,), far = as_scaled_stack(Y)
 
     def clears_zero(ks, alphas):
         B = block(Y, alphas[0])
@@ -325,6 +334,8 @@ def _block_certificate(block, Y: np.ndarray, info: SectorInfo) -> tuple[Interval
         return [None if lhs.lo <= 0.0 <= lhs.hi else lhs]
 
     ((a, lhs),) = _inflated([info], clears_zero)
+    if far:
+        lhs = lhs.scale(math.ldexp(1.0, far[0]))
     held = "PSD" if lhs.hi < 0.0 else "not PSD"
     return lhs, Interval(0.0, 0.0), f"block {held} at index {a!r}: lhs is -lambda_min(block(zX, a)), rhs 0"
 

@@ -6,25 +6,31 @@ More generally a matrix belongs to the rotated sector class when some
 unit-modulus z makes zX accretive; the minimal achievable index and the
 witnessing rotation are what ``rotation_to_sector`` computes.
 
-Everything here is exact up to rounding; nothing is sampled.  For
-accretive Y = A + iB, arg <Yx, x> is arctan(<Bx, x> / <Ax, x>), so the
-extreme arguments over the numerical range are arctan of the extreme
-eigenvalues of L^{-1} B L^{-*} with L = chol(A): the representation
-Y = S(I + iT)S* read backwards.  The accretive rotation comes from
-Hermitian eigensolves too: 0 is outside W(X) exactly when the pair
-(Re X, Im X) is definite, and the search of ``_accretive_rotations``
-rotates by minus the centre of the arc of arguments that the known
-points of W(X) span, starting from the diagonal entries; each rejected
-try adds the point of its lambda_min eigenvector, at least pi/2 from that
-centre, so a class index alpha takes at most
-ceil(log2(pi / (pi - 2 alpha))) + 1 tries (after the arc algorithm for
-definite pairs of Guo, Higham and Tisseur, SIAM J. Matrix Anal. Appl.
-31(3), 2009).  Points spanning pi or more put 0 in W(X).
+Everything here is exact up to rounding; nothing is sampled.  One test
+decides accretivity: ``linalg.pd_certificate`` of Re(zX), a Cholesky
+factorization of the unit-diagonal scaled D Re(zX) D less a shift
+derived from n and the unit roundoff, which proves positive
+definiteness without any LAPACK constant.  Its factor L also gives the
+index.  For accretive Y = A + iB, arg <Yx, x> is arctan(<Bx, x> / <Ax,
+x>), so the extreme arguments over the numerical range are arctan of the
+extreme eigenvalues of L^{-1} D B D L^{-*}: the representation
+Y = S(I + iT)S* read backwards, from one inverse and one eigensolve.
 
-``rotation_to_sector`` and ``sector_index`` take one matrix or several of
-one size, and run several as lanes of one batch: each LAPACK step is one
-stacked call, every reduction stays per matrix, and each result is bit
-for bit that of a call with its matrix alone.
+``sector_index`` runs that gate once, on X itself.  ``rotation_to_sector``
+first searches for an accretive rotation: 0 is outside W(X) exactly when
+the pair (Re X, Im X) is definite, and ``_accretive_rotations`` rotates
+by minus the centre of the arc of arguments that the known points of
+W(X) span, starting from the diagonal entries; each try the gate does
+not certify adds the point of the lambda_min eigenvector of its scaled
+matrix, at least pi/2 from that centre, so a class index alpha takes at
+most ceil(log2(pi / (pi - 2 alpha))) + 1 tries (after the arc algorithm
+for definite pairs of Guo, Higham and Tisseur, SIAM J. Matrix Anal.
+Appl. 31(3), 2009).  Points spanning pi or more put 0 in W(X).
+
+Both take one matrix or several of one size, and run several as lanes
+of one batch in one lanes function: each LAPACK step is one stacked call,
+every reduction stays per matrix, and each result is bit for bit that of
+a call with its matrix alone.
 """
 
 from __future__ import annotations
@@ -34,21 +40,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DomainError, adjoint, as_matrix, as_stack, block2x2, cartesian_decompose, cartesian_parts
+from .linalg import (
+    DomainError,
+    adjoint,
+    as_matrix,
+    as_stack,
+    block2x2,
+    cartesian_decompose,
+    cartesian_parts,
+    pd_certificate,
+)
 
 __all__ = [
     "NotSectorialError",
     "SectorInfo",
-    "accretive_gate",
     "sector_index",
     "rotation_to_sector",
     "tan_block",
     "sec_block",
 ]
-
-# Strict accretivity margin on lambda_min of the unit-diagonal scaled
-# Re X, relative to the Frobenius norm of the equally scaled X.
-ACCRETIVE_RTOL = 1e-12
 
 # Indices this close to pi/2 are rejected: sec/tan factors blow up.
 _BOUNDARY_MARGIN = 1e-10
@@ -72,61 +82,37 @@ class SectorInfo:
     rotation_z: complex
 
 
-def _arg_extremes(A: np.ndarray, B: np.ndarray) -> tuple[list[float], list[float]]:
+def _arg_extremes(Bs: np.ndarray, L: np.ndarray) -> tuple[list[float], list[float]]:
     """(min, max) of arg <Yx, x> over x != 0 for each accretive Y = A + iB of a stack.
 
-    arg <Yx, x> = arctan(<Bx, x> / <Ax, x>), and the Rayleigh quotient
-    <Bx, x> / <Ax, x> ranges exactly over the eigenvalues of L^{-1} B L^{-*}
-    with L = chol(A).  A is first scaled to unit diagonal (a congruence,
-    which leaves the quotient's range unchanged), so inputs that are badly
-    scaled only through a diagonal congruence keep full accuracy.
+    Bs = D B D and L L* = D A D - c I are the gate's scaling and factor
+    (``pd_certificate`` of A).  arg <Yx, x> = arctan(<Bx, x> / <Ax, x>),
+    a ratio that a congruence leaves unchanged, and the Rayleigh quotient
+    <Bs x, x> / <L L* x, x> ranges exactly over the eigenvalues of
+    L^{-1} Bs L^{-*}: one inverse and one eigensolve.  The shift makes
+    L L* smaller than D A D, so the computed extremes can only widen;
+    harness._verified certifies the index either way.
     """
-    d = 1.0 / np.sqrt(A.diagonal(axis1=-2, axis2=-1).real)
-    L = np.linalg.cholesky(d[..., :, None] * A * d[..., None, :])
-    W = np.linalg.solve(L, d[..., :, None] * B * d[..., None, :])
-    M = np.linalg.solve(L, adjoint(W))
+    Li = np.linalg.inv(L)
+    M = Li @ Bs @ adjoint(Li)
     lam = np.linalg.eigvalsh((M + adjoint(M)) / 2)
     return [math.atan(x) for x in lam[:, 0]], [math.atan(x) for x in lam[:, -1]]
 
 
-def _unit_diagonal(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D A D and D B D with D = diag(A)^{-1/2}; a lane entry with A_kk <= 0 keeps D_kk = 1."""
-    a = A.diagonal(axis1=-2, axis2=-1).real
-    d = 1.0 / np.sqrt(np.where(a > 0.0, a, 1.0))
-    S = d[..., :, None] * d[..., None, :]
-    return S * A, S * B
+def _lockstep(rotate: bool, X, more):
+    """``_sector_lanes`` on the stack of X, *more: one SectorInfo, or a tuple of them.
 
-
-def accretive_gate(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Strict accretivity test of X = A + iB, batched over leading axes.
-
-    Returns (passes, lambda_min(D A D)) with D = diag(A)^{-1/2}: the test
-    is lambda_min(D A D) > ACCRETIVE_RTOL * ||D X D||_F.  Scaling to unit
-    diagonal (as ``_arg_extremes`` does) is a congruence, so the verdict
-    does not change under X -> c D' X D' for c > 0 and positive diagonal
-    D'.  A nonpositive diagonal entry already rules accretivity out; its
-    lane is left unscaled, and its lambda_min is then nonpositive.
-    """
-    As, Bs = _unit_diagonal(A, B)
-    lam = np.linalg.eigvalsh(As)[..., 0]
-    scale = np.hypot(np.linalg.norm(As, axis=(-2, -1)), np.linalg.norm(Bs, axis=(-2, -1)))
-    return lam > ACCRETIVE_RTOL * scale, lam
-
-
-def _lockstep(lanes, X, more):
-    """``lanes`` run on the stack of X, *more: one SectorInfo, or a tuple of them.
-
-    ``lanes`` raises when any matrix of its stack fails.  With several
-    matrices each is then redone alone, in order, so the error raised is
-    the one the first failing matrix raises alone.
+    ``_sector_lanes`` raises when any matrix of its stack fails.  With
+    several matrices each is then redone alone, in order, so the error
+    raised is the one the first failing matrix raises alone.
     """
     Xs = as_stack(X, *more)
     try:
-        infos = lanes(Xs)
+        infos = _sector_lanes(Xs, rotate)
     except ValueError:
         if more:
             for k in range(len(Xs)):
-                lanes(Xs[k : k + 1])
+                _sector_lanes(Xs[k : k + 1], rotate)
         raise
     return infos[0] if len(infos) == 1 else tuple(infos)
 
@@ -142,33 +128,42 @@ def sector_index(X, *more) -> SectorInfo | tuple[SectorInfo, ...]:
     """Sectoriality index of an accretive matrix.
 
     The index is the largest |arg w| over the numerical range, computed
-    exactly (up to rounding) from one Cholesky factorization and one
-    Hermitian eigenproblem.  Raises DomainError when ``accretive_gate``
-    rejects X.
+    exactly (up to rounding) from the gate's Cholesky factor, one inverse
+    and one Hermitian eigenproblem.  Raises DomainError when the gate,
+    ``pd_certificate`` of Re X, does not certify X accretive.
 
     Several matrices of one size give a tuple, one SectorInfo per
-    matrix, from one stacked gate, factorization and eigensolve; each is
-    bit for bit the result of a call with that matrix alone, and a
-    failing matrix raises as it does alone (the first one, in order).
+    matrix, from one stacked gate, inverse and eigensolve; each is bit
+    for bit the result of a call with that matrix alone, and a failing
+    matrix raises as it does alone (the first one, in order).
     """
-    return _lockstep(_index_lanes, X, more)
+    return _lockstep(False, X, more)
 
 
-def _index_lanes(Xs: np.ndarray) -> list[SectorInfo]:
-    A, B = cartesian_parts(Xs)
-    passes, lam_scaled = accretive_gate(A, B)
-    for ok, lam in zip(passes, lam_scaled):
-        if not ok:
+def _sector_lanes(Xs: np.ndarray, rotate: bool) -> list[SectorInfo]:
+    """SectorInfo of each matrix: ``rotation_to_sector``'s when ``rotate``, else ``sector_index``'s."""
+    if rotate:
+        phi, Bs, L = _accretive_rotations(Xs)
+    else:
+        phi = [0.0] * len(Xs)
+        A, B = cartesian_parts(Xs)
+        passes, S, L = pd_certificate(A)
+        if not passes.all():
+            k = int(np.argmin(passes))
             raise DomainError(
-                f"matrix is not accretive: lambda_min(D Re X D) = {float(lam):.6e}, "
-                f"D = diag(Re X)^(-1/2), is not positive "
-                f"(threshold {ACCRETIVE_RTOL:g} * ||D X D||_F)"
+                f"matrix is not accretive: lambda_min(D Re X D) = {np.linalg.eigvalsh(S[k] * A[k])[0]:.6e}, "
+                f"D = diag(Re X)^(-1/2), is not positive (shifted Cholesky test)"
             )
+        Bs = S * B
     infos = []
-    for a_min, a_max in zip(*_arg_extremes(A, B)):
-        index = max(a_max, -a_min, 0.0)
+    for p, a_min, a_max in zip(phi, *_arg_extremes(Bs, L)):
+        if rotate:
+            index = max(0.0, (a_max - a_min) / 2.0)
+            z = complex(np.exp(1j * ((p - (a_max + a_min) / 2.0) % (2.0 * math.pi))))
+        else:
+            index, z = max(a_max, -a_min, 0.0), complex(1.0, 0.0)
         _boundary_check(index)
-        infos.append(SectorInfo(index, complex(1.0, 0.0)))
+        infos.append(SectorInfo(index, z))
     return infos
 
 
@@ -208,27 +203,27 @@ def _check_arc(arc: list[float]) -> None:
 
 
 def _accretive_rotations(Xs: np.ndarray) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """Rotation phi with e^{i phi} X accretive, and the Cartesian parts of e^{i phi} X, per matrix.
+    """Rotation phi with e^{i phi} X accretive, D Im(e^{i phi} X) D and the gate's factor L, per matrix.
 
-    Hermitian eigensolves only.  Known points of W(X) span an arc K of
-    arguments, first the diagonal entries (``_known_arc``).  Each try
-    rotates by minus the centre of K and runs ``accretive_gate``.  When
-    the gate fails, the lambda_min eigenvector x of its D Re(e^{i phi} X) D
-    gives the point (Dx)* X (Dx) of W(X); its rotated real part is
-    lambda_min |x|^2 <= 0 up to the gate's threshold, so it lies at least
-    pi/2 from the centre of K, and K grows to at least |K|/2 + pi/2.
-    After j failed tries pi - |K| <= pi / 2^j, while |K| is at most twice
-    the class index alpha, so an X with alpha < pi/2 takes at most
+    Known points of W(X) span an arc K of arguments, first the diagonal
+    entries (``_known_arc``).  Each try rotates by minus the centre of K
+    and runs the gate, ``pd_certificate`` of Re(e^{i phi} X).  When the
+    gate fails, the lambda_min eigenvector x of D Re(e^{i phi} X) D gives
+    the point (Dx)* X (Dx) of W(X); its rotated real part is lambda_min
+    |x|^2 <= 0 up to the gate's shift, so it lies at least pi/2 from the
+    centre of K, and K grows to at least |K|/2 + pi/2.  After j failed
+    tries pi - |K| <= pi / 2^j, while |K| is at most twice the class index
+    alpha, so an X with alpha < pi/2 takes at most
     ceil(log2(pi / (pi - 2 alpha))) + 1 tries (the arc algorithm for
     definite pairs of Guo, Higham and Tisseur, SIAM J. Matrix Anal. Appl.
     31(3), 2009).  ``_check_arc`` refuses each K; a point that does not
-    widen K (the gate failed only at its threshold), or a search past the
+    widen K (the gate failed only within its shift), or a search past the
     tries of an index pi/2 - _BOUNDARY_MARGIN, raises NotSectorialError.
     Each try is one stacked gate over the open matrices, and each failed
-    try one stacked eigh.
+    try one stacked eigh of the failing ones.
     """
     arcs = _known_arc(Xs)
-    phi, A0, B0 = [0.0] * len(Xs), np.empty_like(Xs), np.empty_like(Xs)
+    phi, Bs0, L0 = [0.0] * len(Xs), np.empty_like(Xs), np.empty_like(Xs)
     tries = math.ceil(math.log2(math.pi / (2.0 * _BOUNDARY_MARGIN))) + 1
     open_ = list(range(len(Xs)))
     for _ in range(tries):
@@ -236,15 +231,15 @@ def _accretive_rotations(Xs: np.ndarray) -> tuple[list[float], np.ndarray, np.nd
             _check_arc(arcs[k])
             phi[k] = -(arcs[k][0] + arcs[k][1]) / 2.0
         A, B = cartesian_parts(np.exp(1j * np.array([phi[k] for k in open_]))[:, None, None] * Xs[open_])
-        passes, lam = accretive_gate(A, B)
-        for j, k in enumerate(open_):
-            A0[k], B0[k] = A[j], B[j]
+        passes, S, L = pd_certificate(A)
+        Bs = S * B
+        Bs0[open_], L0[open_] = Bs, L
         failed = [j for j, ok in enumerate(passes) if not ok]
         if not failed:
-            return phi, A0, B0
-        As, Bs = _unit_diagonal(A[failed], B[failed])
-        x = np.linalg.eigh(As)[1][..., 0]
-        for j, Asj, Bsj, xj in zip(failed, As, Bs, x):
+            return phi, Bs0, L0
+        As = S[failed] * A[failed]
+        lam, x = np.linalg.eigh(As)
+        for j, Asj, Bsj, lamj, xj in zip(failed, As, Bs[failed], lam[:, 0], x[..., 0]):
             k, arc = open_[j], arcs[open_[j]]
             w = complex(np.vdot(xj, Asj @ xj).real, np.vdot(xj, Bsj @ xj).real)
             if w == 0:
@@ -255,7 +250,7 @@ def _accretive_rotations(Xs: np.ndarray) -> tuple[list[float], np.ndarray, np.nd
             if abs(r) <= h:
                 raise NotSectorialError(
                     "not sectorial: no rotation z with Re(zX) positive definite found (at the centre "
-                    f"of the known arc, lambda_min(D Re(zX) D) = {float(lam[j]):.6e}, and its eigenvector "
+                    f"of the known arc, lambda_min(D Re(zX) D) = {float(lamj):.6e}, and its eigenvector "
                     "gives no point of W(X) outside that arc)"
                 )
             arc[r > 0] = -phi[k] + r
@@ -271,12 +266,13 @@ def _accretive_rotations(Xs: np.ndarray) -> tuple[list[float], np.ndarray, np.nd
 def rotation_to_sector(X, *more) -> SectorInfo | tuple[SectorInfo, ...]:
     """Unit-modulus z minimizing the sectoriality index of zX.
 
-    An accretive rotation e^{i*phi0} X is found by Hermitian eigensolves
-    alone (``_accretive_rotations``): each try rotates by minus the centre
-    of the arc spanned by the known points of W(X), starting from the
-    diagonal, and a try that ``accretive_gate`` rejects adds the point of
-    its lambda_min eigenvector, at least pi/2 from that centre.  A class
-    index alpha takes at most ceil(log2(pi / (pi - 2 alpha))) + 1 tries.
+    An accretive rotation e^{i*phi0} X is found by Cholesky tests and
+    Hermitian eigensolves (``_accretive_rotations``): each try rotates by
+    minus the centre of the arc spanned by the known points of W(X),
+    starting from the diagonal, and a try that the gate does not certify
+    adds the point of its lambda_min eigenvector, at least pi/2 from that
+    centre.  A class index alpha takes at most
+    ceil(log2(pi / (pi - 2 alpha))) + 1 tries.
     The index is then exact: rotating X shifts every argument of its
     numerical range by phi, so on the accretive arc the index of
     e^{i*phi} X is the maximum of two linear functions of phi and its
@@ -286,24 +282,13 @@ def rotation_to_sector(X, *more) -> SectorInfo | tuple[SectorInfo, ...]:
     or when the minimal index is within 1e-10 of pi/2.
 
     Several matrices of one size give a tuple, one SectorInfo per
-    matrix: each try's gate and eigenvector solve, the factorization and
-    the eigensolve of the index are each one stacked call over the
-    matrices still open.  Each result is bit for bit that of a call with
+    matrix: each try's gate and eigenvector solve, and the inverse and
+    eigensolve of the index, are each one stacked call over the matrices
+    still open.  Each result is bit for bit that of a call with
     its matrix alone, and a failing matrix raises as it does alone (the
     first one, in order).
     """
-    return _lockstep(_rotation_lanes, X, more)
-
-
-def _rotation_lanes(Xs: np.ndarray) -> list[SectorInfo]:
-    phi0, A0, B0 = _accretive_rotations(Xs)
-    infos = []
-    for phi, a_min, a_max in zip(phi0, *_arg_extremes(A0, B0)):
-        index = max(0.0, (a_max - a_min) / 2.0)
-        _boundary_check(index)
-        phi_star = (phi - (a_max + a_min) / 2.0) % (2.0 * math.pi)
-        infos.append(SectorInfo(index, complex(np.exp(1j * phi_star))))
-    return infos
+    return _lockstep(True, X, more)
 
 
 def _check_alpha(alpha: float) -> float:

@@ -176,3 +176,39 @@ def count_linalg_matrices(monkeypatch, names) -> list[int]:
 def count_hermitian_eig_matrices(monkeypatch) -> list[int]:
     """Matrices per call of numpy's Hermitian eigensolvers ``eigvalsh`` and ``eigh``."""
     return count_linalg_matrices(monkeypatch, ("eigvalsh", "eigh"))
+
+
+def exact_positive_definite(H: np.ndarray, shift: float = 0.0, d: np.ndarray | None = None) -> bool:
+    """Whether D H D - shift I is positive definite, decided exactly; D = diag(d), or I.
+
+    H is complex Hermitian with double entries and is read from its lower
+    triangle.  Every double is a dyadic rational, so an LDL* factorization
+    in ``fractions.Fraction`` arithmetic on the real and imaginary parts
+    is exact, and the matrix is positive definite exactly when every
+    pivot of D is positive.
+    """
+    from fractions import Fraction
+
+    n = len(H)
+    scale = [Fraction(1) if d is None else Fraction(float(v)) for v in (np.ones(n) if d is None else d)]
+    a = [
+        [(scale[i] * scale[j] * Fraction(float(H[i, j].real)), scale[i] * scale[j] * Fraction(float(H[i, j].imag))) for j in range(i + 1)]
+        for i in range(n)
+    ]
+    shift = Fraction(shift)
+    L: list[list[tuple]] = [[] for _ in range(n)]
+    pivots: list = []
+    for j in range(n):
+        # w_k = conj(L_jk) p_k, so that (L D L*)_ij = sum_k L_ik w_k.
+        w = [(lr * p, -li * p) for (lr, li), p in zip(L[j], pivots)]
+        pivot = a[j][j][0] - shift - sum(lr * wr - li * wi for (lr, li), (wr, wi) in zip(L[j], w))
+        if pivot <= 0:
+            return False
+        pivots.append(pivot)
+        for i in range(j + 1, n):
+            sr, si = a[i][j]
+            for (pr, pi), (wr, wi) in zip(L[i], w):
+                sr -= pr * wr - pi * wi
+                si -= pr * wi + pi * wr
+            L[i].append((sr / pivot, si / pivot))
+    return True

@@ -164,19 +164,55 @@ class TestVerifiedSectorIndex:
         assert got.index_alpha < exact.index_alpha + 1e-4
         assert np.linalg.eigvalsh(tan_block(X, got.index_alpha)).min() >= -1e-12
 
-    def test_inflation_clears_the_eigensolver_model(self):
-        # W(X) is the segment from e^{0.5i} to 1e7, so the index is 0.5 and
-        # the edge eigenvalue clears the sector by sin(inflation).  The
-        # eigensolver alone may be off by LAPACK_BACKWARD n eps (||Re X||_F
-        # + ||Im X||_F), about 1.8e-8 here: the first inflation, 1e-8, must
-        # not be accepted.
-        X = np.diag([np.exp(0.5j), 1e7])
-        info = sector_index(X)
-        (got,) = _verified([info], [X])
-        re, im = cartesian_decompose(X)
-        model = harness.LAPACK_BACKWARD * 2 * harness._EPS * (np.linalg.norm(re) + np.linalg.norm(im))
-        assert model > math.sin(harness._ALPHA_INFLATION)
-        assert math.sin(got.index_alpha - 0.5) >= model
+    @pytest.mark.parametrize("scale", [1.0, 2.0**600, 2.0**-600], ids=["1", "2^600", "2^-600"])
+    def test_sector_pair_is_scale_free_and_encloses_mpmath(self, scale):
+        # W(D) for D = diag(e^{0.5i}, 1e7) is a segment of index 0.5: at a =
+        # 0.5 + 1e-8 the pair sin(a) Re D -+ cos(a) Im D has the eigenvalue
+        # sin(1e-8) against 1e7 sin(a).  A slack of 8 eps ||Re D||_F (1.8e-8
+        # here) rejected that first inflation; the certificate scales
+        # the pair to unit diagonal, so it accepts it at any scale.  Rotated
+        # inputs take zX's forming budget; every accepted pair of the exact
+        # z X is positive semidefinite at the float index (mpmath, 30 digits).
+        import mpmath
+
+        D = scale * np.diag([np.exp(0.5j), 1e7])
+        (got,) = _verified([sector_index(D)], [D])
+        assert got.index_alpha == sector_index(D).index_alpha + harness._ALPHA_INFLATION
+        cases = [(got, D)]
+        for n, seed in ((2, 1), (4, 2), (6, 3)):
+            X = scale * np.exp(1.3j * seed) * random_sectorial(GenConfig(n, seed), 0.4 * seed)
+            cases.append((_verified([rotation_to_sector(X)], [X])[0], X))
+        for info, X in cases:
+            with mpmath.workdps(30):
+                z, a = mpmath.mpc(info.rotation_z), mpmath.mpf(info.index_alpha)
+                Y = mpmath.matrix([[z * mpmath.mpc(complex(v)) for v in row] for row in X])
+                re_y, im_y = (Y + Y.H) / 2, (Y - Y.H) / (2j)
+                for sign in (1, -1):
+                    H = mpmath.sin(a) * re_y - sign * mpmath.cos(a) * im_y
+                    assert min(mpmath.re(v) for v in mpmath.eighe(H, eigvals_only=True)) >= 0, (X, info)
+
+    def test_lanes_equal_single_calls_when_one_needs_more_inflation(self):
+        # One underestimated index fails the first try, so the stacked
+        # certificate raises and is redone lane by lane: every lane keeps
+        # the bits of its own call.  An index that reaches pi/2 raises its
+        # own note wherever it stands.
+        r = np.exp(1j * 1.0)
+        U = random_unitary(GenConfig(4, 5))
+        V = U @ np.diag([1.0, r, (2.0 + 1e-4j) * r, 3.0 * r]) @ U.conj().T
+        low = replace(sector_index(V), index_alpha=1.0)
+        mats = [random_sectorial(GenConfig(4, 30 + k), 0.3 * (k + 1)) for k in range(3)]
+        infos = [sector_index(X) for X in mats]
+        for pos in range(4):
+            stack_infos, stack = infos[:pos] + [low] + infos[pos:], mats[:pos] + [V] + mats[pos:]
+            got = _verified(stack_infos, stack)
+            assert got == [_verified([info], [X])[0] for info, X in zip(stack_infos, stack)], pos
+        E = np.diag([1.0, 2.0, 3.0, np.exp(1j * (np.pi / 2 - 1e-9))])
+        edge = replace(sector_index(E), index_alpha=0.0)
+        with pytest.raises(Inapplicable) as alone:
+            _verified([edge], [E])
+        with pytest.raises(Inapplicable) as stacked:
+            _verified([infos[0], edge, low], [mats[0], E, V])
+        assert str(stacked.value) == str(alone.value)
 
     def test_inflation_reaching_half_pi_is_inapplicable(self):
         X = np.diag([1.0, np.exp(1j * (np.pi / 2 - 1e-9))])
@@ -323,6 +359,23 @@ class TestNormIntervals:
                 assert iv.hi - iv.lo <= 8.0 * harness._EPS * abs(iv.hi) + 2.0 * math.ulp(iv.hi), (term, iv)
 
 
+class TestFarScaleHypotheses:
+    # Sector data and block certificates are scale-free: inputs scaled by
+    # 2^+-600 (entries near 4e180 or 2e-181, all finite) are certified as
+    # the unscaled ones are.  Two-input rows scale their inputs apart.
+    UNARY = ("P3_sec", "P2_im_tan", "L1_norm_sec", "L2_block_tan", "L3_block_sec")
+    BINARY = ("II_prod_sec", "T1_prod_sec_N", "H3_had_sec_N", "T_onetan_min", "C_onetan")
+
+    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_scaled_inputs_are_certified(self, n, k):
+        for ineq in self.UNARY + self.BINARY:
+            mats = generate_inputs(REGISTRY[ineq], n, seed=77)
+            scaled = [math.ldexp(1.0, k if j == 0 else -k) * M for j, M in enumerate(mats)]
+            r = check_inequality(ineq, scaled, TRACE)
+            assert r.verdict == "certified_pass", (ineq, r.note)
+
+
 class TestRhsStructure:
     def test_sec_factor_monotone_in_alpha_inflation(self, monkeypatch):
         mats = generate_inputs(REGISTRY["T1_prod_sec_N"], 3, 99)
@@ -420,7 +473,7 @@ class TestReportPin:
         obj = run_suite("all", 20, range(2, 7), DEFAULT_NORMS, seed=42).report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == "027fda2de63cc54c66020d8da1a341b1c3640170379556c2fd4423cd1e8d7810"
+        assert digest == "13c163d31f1d91c97b70ca93b3cb6e0fef1f3d53f0a816a85e45c5344e5d60dc"
 
 
 def radius_terms(ineq, mats, spec, grid, refine_tol):
@@ -583,7 +636,7 @@ class TestCoarsePass:
 
 
 class TestStageBudgets:
-    LAPACK = ("eigvalsh", "eigh", "eig", "solve", "cholesky")
+    LAPACK = ("eigvalsh", "eigh", "eig", "solve", "cholesky", "inv")
 
     def test_generation_and_gate_calls_per_check(self, monkeypatch):
         # numpy.linalg calls (and matrices) per check in generate_inputs and

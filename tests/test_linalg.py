@@ -16,11 +16,12 @@ from sector_radius.linalg import (
     is_psd,
     matrix_from_obj,
     matrix_to_obj,
+    pd_certificate,
     read_matrix,
     singular_values,
     write_matrix,
 )
-from helpers import random_complex, random_hermitian
+from helpers import exact_positive_definite, random_complex, random_hermitian
 
 
 @st.composite
@@ -271,6 +272,85 @@ class TestIsPsd:
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             is_psd(np.eye(2), tol=-1e-3)
+
+
+def certificate_shift(n: int) -> float:
+    """The shift of pd_certificate on its unit-diagonal matrix: 2 sqrt(2) gamma_{2n+1} n."""
+    k, u = 2 * n + 1, 2.0**-53
+    return 2.0 * math.sqrt(2.0) * k * u / (1.0 - k * u) * n
+
+
+def near_singular_hermitian(rng: np.random.Generator, n: int, c: float) -> np.ndarray:
+    """A Hermitian matrix whose unit-diagonal scaling has lambda_min within a few shifts c of 0.
+
+    A unit-diagonal Gram matrix of full or deficient rank is shifted so that
+    its lambda_min lands near t c, t uniform in [-4, 16], or left singular;
+    some are then scaled by a diagonal congruence, by powers of two up to
+    2^+-500 (exact) or over six decades (rounded).
+    """
+    rank = n if rng.random() < 0.7 else int(rng.integers(1, n))
+    G = random_complex(rng, n)[:, :rank]
+    M = G @ G.conj().T
+    d = 1.0 / np.sqrt(M.diagonal().real)
+    M = d[:, None] * M * d[None, :]
+    M = (M + M.conj().T) / 2
+    if rank == n or rng.random() < 0.5:
+        M -= (np.linalg.eigvalsh(M)[0] - rng.uniform(-4.0, 16.0) * c) * np.eye(n)
+    kind = rng.integers(3)
+    if kind == 1:
+        e = np.ldexp(1.0, rng.integers(-500, 501, n))
+        M = e[:, None] * M * e[None, :]
+    elif kind == 2:
+        e = np.logspace(0.0, -6.0, n)
+        M = e[:, None] * M * e[None, :]
+        M = (M + M.conj().T) / 2
+    return M
+
+
+class TestPdCertificate:
+    def test_no_false_certificate_against_exact_ldl(self):
+        # Decided exactly in rational arithmetic: every certified matrix is
+        # positive definite, and every matrix whose unit-diagonal scaling
+        # (by the certificate's own d) has lambda_min above 10 shifts is
+        # certified.  Near 0 either answer is allowed.
+        rng = np.random.default_rng(20061)
+        counts = {"passed": 0, "failed": 0}
+        for n, trials in ((2, 700), (3, 700), (4, 500), (6, 350), (8, 200), (16, 40)):
+            c = certificate_shift(n)
+            Hs = np.array([near_singular_hermitian(rng, n, c) for _ in range(trials)])
+            for H, ok in zip(Hs, pd_certificate(Hs)[0]):
+                counts["passed" if ok else "failed"] += 1
+                if ok:
+                    assert exact_positive_definite(H), (n, H)
+                else:
+                    d = 1.0 / np.sqrt(np.where(H.diagonal().real > 0.0, H.diagonal().real, 1.0))
+                    assert not exact_positive_definite(H, 10.0 * c, d), (n, H)
+        assert min(counts.values()) > 400, counts
+
+    @pytest.mark.parametrize("bad", [2, 4], ids=["middle", "last"])
+    def test_stacked_lanes_equal_single_calls(self, bad):
+        # A failing lane makes numpy's stacked cholesky raise; the stack is
+        # then redone lane by lane (a failing last lane is not redone), and
+        # every lane keeps its own bits.
+        rng = np.random.default_rng(7)
+        Hs = np.array([random_hermitian(rng, 4) + 4.0 * np.eye(4) for _ in range(5)])
+        Hs[bad] -= 8.0 * np.eye(4)
+        passes, S, L = pd_certificate(Hs)
+        assert passes.tolist() == [k != bad for k in range(5)]
+        for H, ok, Sk, Lk in zip(Hs, passes, S, L):
+            one = pd_certificate(H)
+            assert one[0] == ok and np.array_equal(one[1], Sk) and np.array_equal(one[2], Lk, equal_nan=True)
+        assert np.isnan(L[bad]).all()
+
+    def test_extra_shift_per_lane(self):
+        # Unit diagonal and lambda_min 0.5: certified below that extra, not above.
+        H = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
+        passes = pd_certificate(np.array([H, H, H]), np.array([0.0, 0.49, 0.51]))[0]
+        assert passes.tolist() == [True, True, False]
+
+    @pytest.mark.parametrize("H", [np.diag([1.0, 0.0]), np.diag([1.0, -1e-300]), np.zeros((3, 3))])
+    def test_nonpositive_diagonal_fails(self, H):
+        assert not pd_certificate(H.astype(complex))[0]
 
 
 class TestMatrixIO:

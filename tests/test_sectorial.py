@@ -146,28 +146,28 @@ class TestRotationToSector:
         assert info.index_alpha == pytest.approx(1.569, abs=1e-7)
 
     def test_hermitian_eigensolver_budget(self, monkeypatch):
-        # rotation_to_sector: one gate matrix per try, at most tries(alpha),
-        # one eigenvector matrix per rejected try, and one matrix for the
-        # arg extremes.  sector_index gets the unrotated, accretive input:
-        # one gate matrix and one for the arg extremes.  Neither makes a
-        # non-Hermitian eigensolve, and the only solves are the two
-        # triangular ones of the arg extremes.
-        gate = count_linalg_matrices(monkeypatch, ("eigvalsh",))
+        # rotation_to_sector: one Cholesky gate matrix per try, at most
+        # tries(alpha), one eigenvector matrix per rejected try, and one
+        # inverse and one eigenvalue matrix for the arg extremes.
+        # sector_index gets the unrotated, accretive input: one gate matrix,
+        # one inverse and one eigenvalue matrix.  Neither makes a
+        # non-Hermitian eigensolve or a solve.
+        gate = count_linalg_matrices(monkeypatch, ("cholesky",))
         vectors = count_linalg_matrices(monkeypatch, ("eigh",))
-        general = count_linalg_matrices(monkeypatch, ("eig", "eigvals"))
-        solves = count_linalg_matrices(monkeypatch, ("solve",))
+        index = count_linalg_matrices(monkeypatch, ("inv", "eigvalsh"))
+        others = count_linalg_matrices(monkeypatch, ("eig", "eigvals", "solve"))
         calls = [(rotation_to_sector, narrow_arc(k)) for k in range(3)]
         for n in range(2, 7):
             for seed in range(3):
                 X = random_sectorial(GenConfig(n, 300 + seed), 0.4 * (seed + 1))
                 calls += [(rotation_to_sector, np.exp(2.0j * seed) * X), (sector_index, X)]
         for k, (fn, X) in enumerate(calls):
-            for counts in (gate, vectors, general, solves):
+            for counts in (gate, vectors, index, others):
                 counts.clear()
             info = fn(X)
             tries = tries_bound(info.index_alpha) if fn is rotation_to_sector else 1
-            assert sum(gate) <= tries + 1 and sum(vectors) <= tries - 1, (fn.__name__, k, gate, vectors)
-            assert (general, solves) == ([], [1, 1]), (fn.__name__, k, general, solves)
+            assert sum(gate) <= tries and sum(vectors) <= tries - 1, (fn.__name__, k, gate, vectors)
+            assert (index, others) == ([1, 1], []), (fn.__name__, k, index, others)
 
     def test_rotated_positive_definite(self):
         P = random_pd(GenConfig(3, 8))
@@ -218,15 +218,15 @@ class TestRotationToSector:
 
 
 def gate_tries(monkeypatch) -> list[int]:
-    """Record the matrices of every accretive_gate call that the rotation search makes."""
+    """Record the matrices of every pd_certificate gate call that the rotation search makes."""
     tries: list[int] = []
-    original = sectorial.accretive_gate
+    original = sectorial.pd_certificate
 
-    def counted(A, B):
+    def counted(A):
         tries.append(len(A))
-        return original(A, B)
+        return original(A)
 
-    monkeypatch.setattr(sectorial, "accretive_gate", counted)
+    monkeypatch.setattr(sectorial, "pd_certificate", counted)
     return tries
 
 
@@ -405,6 +405,34 @@ class TestLockstepGates:
         assert "within 1e-10 of pi/2" in raised(fn, edge)[1]
         assert raised(fn, edge, straddling) == raised(fn, edge)
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_a_lane_failing_the_first_gate_try_keeps_its_bits(self, monkeypatch, k):
+        # narrow_arc(k) fails the first gate try and the other lanes pass
+        # it, so the stacked Cholesky raises and is redone lane by lane.
+        bad = narrow_arc(k)
+        mats = rotated_family(len(bad), 600 + k)[:3]
+        calls = count_linalg_matrices(monkeypatch, ("cholesky",))
+        singles = [info_bits(rotation_to_sector(X)) for X in [bad, *mats]]
+        for pos in range(4):
+            calls.clear()
+            got = rotation_to_sector(*mats[:pos], bad, *mats[pos:])
+            assert [info_bits(info) for info in got] == singles[1 : pos + 1] + singles[:1] + singles[pos + 1 :]
+            assert calls[0] == 4 and len(calls) >= 4, (pos, calls)
+
+    @pytest.mark.parametrize("fn", [rotation_to_sector, sector_index], ids=["rotation_to_sector", "sector_index"])
+    def test_a_lane_failing_the_gate_raises_its_own_error(self, fn):
+        # A Hermitian lane with a positive diagonal and lambda_min(D X D) =
+        # -1e-3 fails the gate in a stack whose other lanes pass it.  The
+        # error is that of the lane alone, wherever it stands: sector_index
+        # names its own lambda_min, and rotation_to_sector finds 0 in W(X).
+        good = accretive_family(4, 41)[:3]
+        bad = np.diag([1.0, 1.0, 2.0, 3.0]).astype(complex)
+        bad[0, 1] = bad[1, 0] = 1.001
+        alone = raised(fn, bad)
+        for pos in range(4):
+            assert raised(fn, *good[:pos], bad, *good[pos:]) == alone, pos
+        assert ("lambda_min(D Re X D) = -1.000000e-03" if fn is sector_index else "0 lies in W") in alone[1]
+
 
 class TestHypothesisNotes:
     # Notes of the stacked gates, byte for byte those of the input-by-input
@@ -423,10 +451,10 @@ class TestHypothesisNotes:
          "so 0 lies in W(X)"),
         ("T_onetan_min", {1: "G"}, "second input: input is not accretive sectorial: matrix is not accretive: "
          "lambda_min(D Re X D) = -2.107680e-01, D = diag(Re X)^(-1/2), is not positive "
-         "(threshold 1e-12 * ||D X D||_F)"),
+         "(shifted Cholesky test)"),
         ("C_onetan", {0: "V", 1: "G"}, "first input: input is not accretive sectorial: matrix is not "
          "accretive: lambda_min(D Re X D) = -5.000000e-01, D = diag(Re X)^(-1/2), is not positive "
-         "(threshold 1e-12 * ||D X D||_F)"),
+         "(shifted Cholesky test)"),
         ("C_AD_m", {1: "V", 2: "G"}, "input 1 is not accretive-dissipative: lambda_min(D Re D) = -5.000e-01, "
          "lambda_min(D' Im D') = -5.000e-01 (unit-diagonal scalings D, D')"),
         ("C_AD_diag_min2", {1: "G"}, "second input is not accretive-dissipative: lambda_min(D Re D) = "

@@ -4,7 +4,7 @@
 
 Runs ``sector-radius verify`` in-process with exactly the given flags
 (the tool adds none of its own) while wrapping numpy.linalg's
-eigvalsh, eigh, eig, eigvals, svd, cholesky, solve and qr.  After
+eigvalsh, eigh, eig, eigvals, svd, cholesky, solve, inv and qr.  After
 verify's own output it prints one line per routine and a total line:
 calls and matrices in all, then per check, where a call on a stack of
 matrices counts each matrix of the stack, and the check count is that
@@ -23,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sector_radius import cli  # noqa: E402
 
-ROUTINES = ("eigvalsh", "eigh", "eig", "eigvals", "svd", "cholesky", "solve", "qr")
+ROUTINES = ("eigvalsh", "eigh", "eig", "eigvals", "svd", "cholesky", "solve", "inv", "qr")
 
 
 def count_verify(args: list[str]) -> tuple[int, int, dict[str, list[int]]]:
