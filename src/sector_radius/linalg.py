@@ -273,7 +273,11 @@ def pd_certificate(H: np.ndarray, extra=0.0) -> tuple[np.ndarray, np.ndarray, np
     d = 1.0 / np.sqrt(np.where(a > 0.0, a, 1.0))
     S = d[..., :, None] * d[..., None, :]
     gamma = (2 * n + 1) * 2.0**-53 / (1.0 - (2 * n + 1) * 2.0**-53)
-    flat = (S * H - np.multiply.outer(2.0 * math.sqrt(2.0) * gamma * n + extra, np.eye(n))).reshape(-1, n, n)
+    # The shift is subtracted on the diagonal alone, in place: off it,
+    # x - 0 would be x.
+    shifted = (S * H).reshape(-1, n * n)
+    shifted[:, :: n + 1] -= np.asarray(2.0 * math.sqrt(2.0) * gamma * n + extra).reshape(-1, 1)
+    flat = shifted.reshape(-1, n, n)
     try:
         L = np.linalg.cholesky(flat)
     except np.linalg.LinAlgError:

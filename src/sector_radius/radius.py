@@ -26,9 +26,10 @@ only cell test.  Coarse cells (half-width h) whose term stays within the
 target pass, and a lane whose coarse cells all pass is done.  A lane
 with an open coarse cell whose coarse grid comes out flat (spread within
 the target width) asks whether X is circular, that is unitarily similar
-to e^{i*phi} X for every phi: a grading K of X's kernel flag bounds every
-angle by the best sample plus h N(KX - XK + X); the norm vanishes for
-nilpotent shifts such as Jordan blocks.  Otherwise the odd samples
+to e^{i*phi} X for every phi: a Hermitian K read off the polar part of
+one SVD of X bounds every angle by the best sample plus h N(KX - XK + X);
+the norm vanishes for sums of weighted shifts such as Jordan blocks.
+Otherwise the odd samples
 beside the open coarse cells are evaluated, and the fine cells
 (half-width h/2) there pass on the same test.  Passing cells count only
 through a lane's largest term of theirs, its settled term.  The open
@@ -243,36 +244,37 @@ def _covering_terms(values: np.ndarray, r: np.ndarray | float, slack: float) -> 
 
 
 def _flag_grading(X: np.ndarray) -> np.ndarray | None:
-    """Hermitian K with KX - XK = -X when X is a nilpotent shift, else None.
+    """Hermitian K with KX - XK = -X when X is a sum of shifts, else None.
 
-    The orthogonal kernel flag of X has E_0 = ker X, and E_k is the
-    kernel of X modulo E_{<k}, taken on the orthogonal complement of
-    E_{<k}: with Q an orthonormal basis of that complement, it is the
-    null space of Q* X Q, read off one SVD per level.  X maps each E_k
-    into E_{<k}; for a (weighted) shift it maps E_k into E_{k-1}, and then
-    K = sum_k (k - (m-1)/2) P_k, with P_k the projector onto E_k, satisfies
-    KX - XK = -X.  A singular value counts as zero below
-    LAPACK_BACKWARD * n^2 * eps * ||X||_F (each of up to n levels adds an
-    SVD backward error of about n eps ||X||_F).  An empty level means X is
-    not nilpotent, and None is returned.  Callers measure how far K is
-    from a grading, so a misjudged rank costs tightness, never soundness.
+    One SVD X = U S V* gives the polar part W = U_r V_r*, a partial
+    isometry over the r singular values above LAPACK_BACKWARD * n^2 * eps
+    * ||X||_F; r = n means X is nonsingular, and None is returned.  Let X
+    be unitarily similar to an orthogonal sum of weighted shifts (any
+    weights and phases, any chain lengths, zero blocks included).  Then W
+    is the same sum of unit shifts, and W^j W^j* is the projector onto the
+    range of X^j, so M = sum_{j >= 1} W^j W^j* is diag(m - 1 - i) on a
+    chain e_0 <- e_1 <- ... <- e_{m-1} of length m.  X maps e_{i+1} to a
+    multiple of e_i, one level of M up, so MX - XM = X, and K = (tr M / n)
+    I - M grades X; the trace shift only centres K.  M is summed by
+    doubling: from M = W W* and P = W, each step M <- M + P M P*, P <- P^2
+    doubles the number of terms, and ceil(log2(n - 1)) steps reach the
+    power n - 1, beyond which a nilpotent W vanishes.  For any other
+    singular X, K is some Hermitian matrix; callers measure how far it is
+    from a grading, so a misjudged rank or a non-shift X costs tightness,
+    never soundness.
     """
     n = X.shape[0]
     tol = LAPACK_BACKWARD * n * n * _EPS * float(np.linalg.norm(X))
-    Q = np.eye(n, dtype=np.complex128)
-    levels = []
-    while Q.shape[1]:
-        _, s, Vh = np.linalg.svd(Q.conj().T @ X @ Q)
-        rank = int((s > tol).sum())
-        if rank == Q.shape[1]:
-            return None
-        V = Q @ Vh.conj().T
-        levels.append(V[:, rank:])
-        Q = V[:, :rank]
-    m = len(levels)
-    weights = np.concatenate([np.full(E.shape[1], k - 0.5 * (m - 1)) for k, E in enumerate(levels)])
-    basis = np.concatenate(levels, axis=1)
-    K = (basis * weights) @ basis.conj().T
+    U, s, Vh = np.linalg.svd(X)
+    r = int((s > tol).sum())
+    if r == n:
+        return None
+    P = U[:, :r] @ Vh[:r]
+    M = P @ P.conj().T
+    for _ in range(max(0, n - 2).bit_length()):
+        M += P @ M @ P.conj().T
+        P = P @ P
+    K = (np.trace(M).real / n) * np.eye(n) - M
     return 0.5 * (K + K.conj().T)
 
 

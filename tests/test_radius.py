@@ -615,7 +615,7 @@ class TestTightPin:
                 digest.update(repr((est.value, est.theta_star, est.cert_error)).encode())
         assert reached["clipped"] and reached["_rotation_bound"] and reached["_subdivide"], reached
         assert (len(counts), sum(counts)) == (522, 8713)
-        assert digest.hexdigest() == "ecbe3293dca71c53c9aad8e7a68c9e65658a236014d65b6d2bb811e21fc3653b"
+        assert digest.hexdigest() == "41c88f8bf14809e87a61b20c8c4f4aaf990f908d3dfefa038935dd398962bd09"
 
 
 class TestFarScale:
@@ -681,6 +681,26 @@ class TestFarScale:
                 assert math.ldexp(tiny.value + tiny.cert_error, 1060) >= omega_n(spec, X).value, (t, spec.label)
 
 
+def grading_inputs():
+    """Orthogonal sums of weighted shifts, densified, at n = 2..6, 16, 32 and 64.
+
+    The flat fixtures, J_2 + J_3, a shift with complex weights, J_3 + 0,
+    and Jordan blocks and weighted shifts of the larger sizes.
+    """
+    yield from flat_fixtures()
+    blocks = np.zeros((5, 5), dtype=complex)
+    blocks[0, 1] = blocks[2, 3] = blocks[3, 4] = 1.0
+    yield "jordan2+jordan3", densified(blocks, 60)
+    rng = np.random.default_rng(61)
+    weights = rng.uniform(0.5, 2.0, 5) * np.exp(2j * math.pi * rng.random(5))
+    yield "complex_shift6", densified(np.diag(weights, 1), 62)
+    yield "jordan3+0", densified(np.pad(np.diag(np.ones(2), 1), ((0, 1), (0, 1))), 63)
+    for n in (16, 32, 64):
+        yield f"jordan{n}", jordan(n)
+        weights = np.random.default_rng(40 + n).uniform(0.5, 2.0, n - 1)
+        yield f"shift{n}", densified(np.diag(weights, 1), 50 + n)
+
+
 def rotation_inputs(seed: int):
     """A random matrix and the non-circular nilpotent J_3 + 0.1 e_1 e_3^T."""
     yield "random", random_complex(np.random.default_rng(seed), 4)
@@ -730,12 +750,23 @@ class TestRotationCertificate:
             assert _rotation_bound(X, K, p, value, slack, math.pi) >= 1.0, spec.label
 
     def test_shift_grading_is_exact(self):
-        # K X - X K = -X on Jordan blocks and weighted shifts.
-        for name, X in flat_fixtures():
+        # K X - X K = -X on every orthogonal sum of weighted shifts, up to
+        # the rounding of one SVD and the doubling's matrix products.
+        for name, X in grading_inputs():
+            n = X.shape[0]
             K = _flag_grading(X)
             assert K is not None, name
             assert np.array_equal(K, K.conj().T)
-            assert np.linalg.norm(K @ X - X @ K + X) <= 1e-12 * np.linalg.norm(X), name
+            residual = np.linalg.norm(K @ X - X @ K + X)
+            assert residual <= 4 * n * n * EPS * np.linalg.norm(X), (name, residual)
+        assert _flag_grading(np.eye(3) + jordan(3)) is None
+
+    def test_grading_takes_one_svd(self, monkeypatch):
+        counts = count_linalg_matrices(monkeypatch, ("svd",))
+        for name, X in flat_fixtures():
+            before = len(counts)
+            assert _flag_grading(X) is not None, name
+            assert counts[before:] == [1], name
 
     def test_no_certificate_without_rotation_symmetry(self):
         refine_tol = 1e-10
@@ -755,7 +786,7 @@ class TestRotationCertificate:
                 assert oracle_omega(X, p, 20000) <= est.value + est.cert_error + 1e-12, (name, spec.label)
 
     def test_random_inputs_never_reach_the_rotation_path(self, monkeypatch):
-        # Only a flat start grid asks for the kernel flag.
+        # Only a flat start grid asks for the grading.
         def refuse(X):
             raise AssertionError("rotation path reached")
 
@@ -799,18 +830,23 @@ class TestCertificateOracles:
             assert est.cert_error <= 0.5 * L * refine_tol, (spec.label, est.cert_error)
 
     def test_wide_weighted_shift_certifies_by_rotation(self, monkeypatch):
-        # A 64 x 64 weighted shift: a bound using the whole period, pi/2
-        # instead of h/2, misses g_stop here and the operator norm falls
-        # through to subdivision.
+        # A 64 x 64 weighted shift and the Jordan block J_64 close on the
+        # rotation bound in every norm: no cell is built.  A bound using
+        # the whole period, pi/2 instead of h/2, misses g_stop on the shift
+        # and the operator norm falls through to subdivision.
+        def refuse(*args):
+            raise AssertionError("covering cells built")
+
         forbid_subdivision(monkeypatch)
+        monkeypatch.setattr(radius, "_covering_cells", refuse)
         weights = np.random.default_rng(64).uniform(0.5, 2.0, 63)
-        X = densified(np.diag(weights, 1), 71)
-        A, B = cartesian_decompose(X)
         refine_tol = 1e-10
-        for spec in (OPERATOR, TRACE, schatten(3)):
-            est = omega_n(spec, X, refine_tol=refine_tol)
-            L = hermitian_norm(spec, A) + hermitian_norm(spec, B)
-            assert est.cert_error <= 0.5 * L * refine_tol, (spec.label, est.cert_error)
+        for name, X in (("shift64", densified(np.diag(weights, 1), 71)), ("jordan64", jordan(64))):
+            A, B = cartesian_decompose(X)
+            for spec in ALL_NORMS:
+                est = omega_n(spec, X, refine_tol=refine_tol)
+                L = hermitian_norm(spec, A) + hermitian_norm(spec, B)
+                assert est.cert_error <= 0.5 * L * refine_tol, (name, spec.label, est.cert_error)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_trace_radius_of_accretive_dissipative_is_the_start_bound(self, n):
