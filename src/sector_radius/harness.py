@@ -238,12 +238,14 @@ def _verified(infos: list[SectorInfo], mats) -> list[SectorInfo]:
     def sector_pair(ks, alphas):
         c, s = (np.array([f(a) for a in alphas])[:, None, None] for f in (math.cos, math.sin))
         ci, sr = c * im[ks], s * re[ks]
-        H = np.stack([sr - ci, sr + ci], axis=1)
+        H = np.empty((len(ks), 2) + sr.shape[1:], dtype=sr.dtype)
+        np.subtract(sr, ci, out=H[:, 0])
+        np.add(sr, ci, out=H[:, 1])
         h = H.diagonal(axis1=-2, axis2=-1).real
         budget = 6.0 * _EPS * (1.0 + np.tan(alphas))[:, None] * (r[ks][:, None] / np.where(h > 0.0, h, np.inf)).sum(-1)
         return [True if ok else None for ok in pd_certificate(H, budget)[0].all(axis=1)]
 
-    return [replace(info, index_alpha=a) for info, (a, _) in zip(infos, _inflated(infos, sector_pair))]
+    return [SectorInfo(a, info.rotation_z) for info, (a, _) in zip(infos, _inflated(infos, sector_pair))]
 
 
 def _require_accretive_dissipative(mats, names) -> None:

@@ -19,17 +19,28 @@ norm each, exact up to the sample error.  Any other X samples a uniform
 grid of step h anchored at theta = 0, coarse to fine: first its even
 samples 2kh (theta = 0 gives N(Re X)), together with Im X for N(Im X).
 
-Every profile certifies with a covering bound: if cells of half-widths
-r_i around centres c_i cover the period, sup f <=
+A circular X, one unitarily similar to e^{i*phi} X for every phi, has a
+spectrum invariant under rotation, so it is nilpotent and tr X = 0.  Its
+profile is flat, and the rotation bound certifies it: for every Hermitian
+K, every angle is within phi of a sample of a uniform grid of step 2 phi,
+and moves the profile by at most phi N(R), R = KX - XK + X.  A K read off
+the polar part of one SVD of X makes R vanish for sums of weighted shifts
+such as Jordan blocks.  Since tr(KX - XK) = 0, tr R = tr X, so
+|tr X| <= sqrt(n) ||R||_F and a lane with a sizeable trace never closes
+this way.  A lane whose trace is within rounding of 0 is therefore graded
+before the grid and, when its one-sample bound can reach the target,
+evaluates theta = 0 and Im X alone: the bound with the single sample
+(step pi) closes a circular X there.  A graded lane left open evaluates
+the rest of its even samples, tries the bound again on them (step 2h),
+and otherwise goes on as any lane.  Soundness never rests on which lanes
+are graded, since the bound holds for every Hermitian K.
+
+Every other profile certifies with a covering bound: if cells of
+half-widths r_i around centres c_i cover the period, sup f <=
 max_i (f(c_i) + e)/cos(r_i), with e the sample error.  This term is the
 only cell test.  Coarse cells (half-width h) whose term stays within the
-target pass, and a lane whose coarse cells all pass is done.  A lane
-with an open coarse cell whose coarse grid comes out flat (spread within
-the target width) asks whether X is circular, that is unitarily similar
-to e^{i*phi} X for every phi: a Hermitian K read off the polar part of
-one SVD of X bounds every angle by the best sample plus h N(KX - XK + X);
-the norm vanishes for sums of weighted shifts such as Jordan blocks.
-Otherwise the odd samples
+target pass, and a lane whose coarse cells all pass is done after the
+first eigvalsh.  Otherwise the odd samples
 beside the open coarse cells are evaluated, and the fine cells
 (half-width h/2) there pass on the same test.  Passing cells count only
 through a lane's largest term of theirs, its settled term.  The open
@@ -46,8 +57,9 @@ the bound closes or a budget runs out.
 
 omega_n takes any number of same-size matrices and runs them in
 lockstep, as lanes of one batch: the coarse grid with the Cartesian
-parts, the odd samples, each fit round, the ladders and each
-subdivision round is one batched eigvalsh over the lanes still open,
+parts, the rest of the graded lanes' even samples, the odd samples, each
+fit round, the ladders and each subdivision round is one batched
+eigvalsh over the lanes still open,
 and a lane leaves as soon as it is certified.
 Stacked LAPACK calls and products act on each matrix alone and every
 reduction runs per lane, so each lane's estimate is bit for bit that of
@@ -58,6 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -192,6 +205,30 @@ def _profile_values(
     return values
 
 
+@lru_cache(maxsize=8)
+def _stage_forms(grid: int) -> tuple[np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """The even angles 2kh of a grid of step h = pi/grid, and the (c, s) rows of each lane kind.
+
+    "general" holds the even samples and then Im X (c = 0, s = -1),
+    "graded" theta = 0 and Im X, "rest" the even samples after theta = 0,
+    and "re" and "im" the one part of a Hermitian and a skew-Hermitian
+    lane.  The arrays are shared between calls, so they are read-only.
+    """
+    h = math.pi / grid
+    even = np.arange(0, grid, 2) * h
+    c, s = np.append(np.cos(even), 0.0), np.append(np.sin(even), -1.0)
+    forms = {
+        "general": (c, s),
+        "graded": (c[[0, -1]], s[[0, -1]]),
+        "rest": (c[1:-1], s[1:-1]),
+        "re": (np.ones(1), np.zeros(1)),
+        "im": (np.zeros(1), -np.ones(1)),
+    }
+    for a in (even, *(a for pair in forms.values() for a in pair)):
+        a.setflags(write=False)
+    return even, forms
+
+
 def radius_profile(spec: NormSpec, X, theta: float) -> float:
     """N(Re(e^{i*theta} X)) = N(cos(theta) Re X - sin(theta) Im X).
 
@@ -259,12 +296,13 @@ def _flag_grading(X: np.ndarray) -> np.ndarray | None:
     doubling: from M = W W* and P = W, each step M <- M + P M P*, P <- P^2
     doubles the number of terms, and ceil(log2(n - 1)) steps reach the
     power n - 1, beyond which a nilpotent W vanishes.  For any other
-    singular X, K is some Hermitian matrix; callers measure how far it is
-    from a grading, so a misjudged rank or a non-shift X costs tightness,
-    never soundness.
+    singular X, K is some Hermitian matrix; the rotation bound holds for
+    every K, so a misjudged rank or a non-shift X costs tightness, never
+    soundness.  Only _certified_radii calls this, for a general lane whose
+    trace is within this same tolerance of 0 (a grading needs tr X = 0).
     """
     n = X.shape[0]
-    tol = LAPACK_BACKWARD * n * n * _EPS * float(np.linalg.norm(X))
+    tol = LAPACK_BACKWARD * n * n * _EPS * _fro(X)
     U, s, Vh = np.linalg.svd(X)
     r = int((s > tol).sum())
     if r == n:
@@ -278,7 +316,23 @@ def _flag_grading(X: np.ndarray) -> np.ndarray | None:
     return 0.5 * (K + K.conj().T)
 
 
-def _rotation_bound(X: np.ndarray, K: np.ndarray, p: float, value: float, slack: float, h: float) -> float:
+def _rotation_drift(X: np.ndarray, K: np.ndarray, p: float) -> float:
+    """Upper bound on N(R), R = KX - XK + X, for the rotation bound (_rotation_bound).
+
+    Error model, as in _frobenius_radii:
+    - N(R) <= n^max(0, 1/p - 1/2) ||R||_F.  The computed R differs from
+      the exact one by at most 4 n eps (2 ||K||_F + 1) ||X||_F (two
+      matrix products and two sums), and the computed ||R||_F is within
+      n^2 eps of relative error (recursive summation).
+    """
+    n = X.shape[0]
+    R = K @ X - X @ K + X
+    fro_R = _fro(R) * (1.0 + n * n * _EPS)
+    fro_R += 4.0 * n * _EPS * (2.0 * _fro(K) + 1.0) * _fro(X)
+    return n ** max(0.0, 1.0 / p - 0.5) * fro_R
+
+
+def _rotation_bound(value: float, slack: float, h: float, drift: float) -> float:
     """Upper bound on sup f from ``value``, the largest sample of a start grid.
 
     The grid is uniform with step ``h`` over the period pi (a single sample
@@ -290,23 +344,11 @@ def _rotation_bound(X: np.ndarray, K: np.ndarray, p: float, value: float, slack:
     sample theta_j.  The profile has period pi, so every angle is within
     h/2 of a sample, and sup f <= max_j f(theta_j) + (h/2) N(R).  The
     computed angles lie within 4 pi eps of the exact grid, which adds
-    4 pi eps N(R).  The bound is tight when K grades X (KX - XK = -X), as
-    _flag_grading's K does for a shift.
-
-    Error model, as in _frobenius_radii:
-    - N(R) <= n^max(0, 1/p - 1/2) ||R||_F.  The computed R differs from
-      the exact one by at most 4 n eps (2 ||K||_F + 1) ||X||_F (two
-      matrix products and two sums), and the computed ||R||_F is within
-      n^2 eps of relative error (recursive summation).
-    - Each sample is within ``slack`` of the exact f(theta_j): the sample
-      error e of _sample_error, which the caller computes once per lane.
+    4 pi eps N(R).  ``drift`` bounds N(R) (_rotation_drift), and each
+    sample is within ``slack`` of the exact f(theta_j): the sample error e
+    of _sample_error.  The bound is tight when K grades X (KX - XK = -X),
+    as _flag_grading's K does for a shift.
     """
-    n = X.shape[0]
-    R = K @ X - X @ K + X
-    fro_X = float(np.linalg.norm(X))
-    fro_R = float(np.linalg.norm(R)) * (1.0 + n * n * _EPS)
-    fro_R += 4.0 * n * _EPS * (2.0 * float(np.linalg.norm(K)) + 1.0) * fro_X
-    drift = n ** max(0.0, 1.0 / p - 0.5) * fro_R
     return value + slack + (0.5 * h + _PAD) * drift
 
 
@@ -319,7 +361,14 @@ def _sample_error(A: np.ndarray, B: np.ndarray, p: float) -> float:
     """
     n = A.shape[0]
     sample = n ** (1.0 / p) * ((LAPACK_BACKWARD + 1.0) * n + 4.0) * _EPS
-    return sample * (float(np.linalg.norm(A)) + float(np.linalg.norm(B)))
+    return sample * (_fro(A) + _fro(B))
+
+
+def _fro(M: np.ndarray) -> float:
+    """||M||_F with the bits of np.linalg.norm(M), from the same two dot products without its dispatch."""
+    x = M.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _frobenius_radii(A: np.ndarray, B: np.ndarray, spec: NormSpec) -> list[RadiusEstimate]:
@@ -543,13 +592,14 @@ def _covering_cells(
     """Ladder cells of each lane, as _subdivide takes them.
 
     ``rows`` maps each lane to the even samples 2kh of its start grid of
-    step h.  A cell passes on _subdivide's test, its term within the
-    lane's g_stop of its best sample, and the largest term of the lane's
-    passing cells becomes its ``settled``.  A passing coarse cell, of
+    step h; every lane has an open coarse cell.  A cell passes on
+    _subdivide's test, its term within the lane's g_stop of its best
+    sample, and the largest term of the lane's passing cells becomes its
+    ``settled``.  A passing coarse cell, of
     half-width h around an even sample, covers the fine cell (half-width
     h/2) at its centre and half of each odd one beside it.  One batched
     eigvalsh evaluates the odd samples (2k +- 1)h next to the open coarse
-    cells, none for a lane whose coarse cells all pass.  Fine cells pass
+    cells.  Fine cells pass
     on the same test (as does each whose coarse cell passed), and the open
     ones form blocks, one per sampled peak (_open_blocks).  Each block's
     peak starts at the vertex of the parabola through its three grid
@@ -569,39 +619,37 @@ def _covering_cells(
         terms = _covering_terms(row, h + _PAD, lane.slack)
         open_ = terms - lane.value > lane.g_stop
         lane.settled = float(terms.max(where=~open_, initial=-math.inf))
-        if open_.any():
-            # Odd sample 2k + 1 lies between coarse cells k and k + 1.
-            odd[l] = 2 * np.flatnonzero(open_ | np.roll(open_, -1)) + 1
+        # Odd sample 2k + 1 lies between coarse cells k and k + 1.
+        odd[l] = 2 * np.flatnonzero(open_ | np.roll(open_, -1)) + 1
+    # Each lane's fine grid, NaN where a passing coarse cell left a sample
+    # out; a NaN cell is never open.
+    fine, blocks, peaks = {}, {}, {}
+    for l, values in _profile_values(A, B, {l: k * h for l, k in odd.items()}, p, lanes).items():
+        lane = lanes[l]
+        row = np.full(grid, math.nan)
+        row[0::2] = rows[l]
+        row[odd[l]] = values
+        terms = _covering_terms(row, 0.5 * h + _PAD, lane.slack)
+        open_ = terms - lane.value > lane.g_stop
+        lane.settled = max(lane.settled, float(np.nanmax(terms, where=~open_, initial=-math.inf)))
+        fine[l] = row
+        blocks[l] = _open_blocks(row, open_)
+        for k, _, _ in blocks[l]:
+            y = row.take([k - 1, k, k + 1], mode="wrap").tolist()
+            peaks.setdefault(l, []).append(k * h + _parabola(*y, h)[0])
     centres, radii = {}, {}
-    if odd:
-        # Each lane's fine grid, NaN where a passing coarse cell left a
-        # sample out; a NaN cell is never open.
-        fine, blocks, peaks = {}, {}, {}
-        for l, values in _profile_values(A, B, {l: k * h for l, k in odd.items()}, p, lanes).items():
-            lane = lanes[l]
-            row = np.full(grid, math.nan)
-            row[0::2] = rows[l]
-            row[odd[l]] = values
-            terms = _covering_terms(row, 0.5 * h + _PAD, lane.slack)
-            open_ = terms - lane.value > lane.g_stop
-            lane.settled = max(lane.settled, float(np.nanmax(terms, where=~open_, initial=-math.inf)))
-            fine[l] = row
-            blocks[l] = _open_blocks(row, open_)
-            for k, _, _ in blocks[l]:
-                y = row.take([k - 1, k, k + 1], mode="wrap").tolist()
-                peaks.setdefault(l, []).append(k * h + _parabola(*y, h)[0])
-        for l, fits in (_fit_peaks(A, B, p, peaks, h, lanes) if peaks else {}).items():
-            lane = lanes[l]
-            rungs = ([], [])
-            for (k, first, last), (peak, kappa, top) in zip(blocks[l], fits):
-                top = max(top, float(fine[l][k % grid]))
-                # A lower peak needs its cells' terms below the lane's best only.
-                g = max(lane.g_stop - lane.slack, 0.0) + lane.value - top
-                at, widths = _ladder(peak, min(kappa, top), top, g, (first - 0.5) * h, (last + 0.5) * h)
-                rungs[0].extend(at)
-                rungs[1].extend(widths)
-            centres[l] = np.array(rungs[0])
-            radii[l] = np.array(rungs[1]) + _PAD
+    for l, fits in (_fit_peaks(A, B, p, peaks, h, lanes) if peaks else {}).items():
+        lane = lanes[l]
+        rungs = ([], [])
+        for (k, first, last), (peak, kappa, top) in zip(blocks[l], fits):
+            top = max(top, float(fine[l][k % grid]))
+            # A lower peak needs its cells' terms below the lane's best only.
+            g = max(lane.g_stop - lane.slack, 0.0) + lane.value - top
+            at, widths = _ladder(peak, min(kappa, top), top, g, (first - 0.5) * h, (last + 0.5) * h)
+            rungs[0].extend(at)
+            rungs[1].extend(widths)
+        centres[l] = np.array(rungs[0])
+        radii[l] = np.array(rungs[1]) + _PAD
     values = _profile_values(A, B, centres, p, lanes) if centres else {}
     empty = np.empty(0)
     return {l: (centres[l], radii[l], values[l]) if l in centres else (empty, empty, empty) for l in rows}
@@ -666,15 +714,20 @@ def omega_n(
     needs no tolerance.  In every other norm a Hermitian or
     skew-Hermitian X is one eigvalsh of its nonzero part.  Any other X
     samples the even half of the start grid anchored at theta = 0, in the
-    same eigvalsh as Im X.  A lane whose coarse cells all pass is done, as
+    same eigvalsh as Im X.  A lane whose trace is within rounding of 0 is
+    graded first by one SVD, and samples theta = 0 alone in that eigvalsh
+    when its one-sample rotation bound can reach the target: a circular X
+    (a Jordan block, a weighted shift) closes there, on one eigvalsh of 2
+    matrices, and a graded lane left open takes the rest of its even
+    samples in one more eigvalsh and tries the bound again on them.  A
+    lane whose coarse cells all pass is done after the first eigvalsh, as
     is every lane at refine_tol 0.2 on a grid of 8 or at 1e-2 on the
-    default grid; a lane with an open coarse cell and a flat coarse grid
-    tries the rotation bound of a circular X next.  Otherwise one
-    eigvalsh evaluates the odd samples beside the open coarse cells, each
-    open peak is fitted with two batched parabola rounds and one ladder
-    of cells is evaluated around the fitted peaks, which for a typical
-    matrix makes 5 eigvalsh calls in all.  A lane whose ladder leaves it
-    open subdivides.
+    default grid.  Otherwise one eigvalsh evaluates the odd samples beside
+    the open coarse cells, each open peak is fitted with two batched
+    parabola rounds and one ladder of cells is evaluated around the fitted
+    peaks, which makes 5 eigvalsh calls in all for most random matrices
+    (one more when a first fit round clips).  A lane whose ladder leaves
+    it open subdivides.
     """
     Xs, far = as_scaled_stack(X, *more)
     check_grid(grid)
@@ -699,7 +752,9 @@ def _certified_radii(
 ) -> list[RadiusEstimate]:
     """omega_n for every lane of a stack, in any norm but the Frobenius one."""
     p = spec.schatten_p
+    n = Xs.shape[1]
     h = math.pi / grid
+    even, forms = _stage_forms(grid)
     # Stage 1, one eigvalsh.  A general lane evaluates the even samples
     # 2kh of the grid, the first (theta = 0) being Re X itself, and then
     # Im X (c = 0, s = -1).  The profile of a Hermitian X is
@@ -711,49 +766,81 @@ def _certified_radii(
     # accretive-dissipative X; the two computed norms are off by at most
     # e's shares of ||Re X||_F and ||Im X||_F, so the hypot moves by at
     # most e.
-    even = np.arange(0, grid, 2) * h
-    forms = {
-        (True, True): (np.append(np.cos(even), 0.0), np.append(np.sin(even), -1.0)),
-        (True, False): (np.ones(1), np.zeros(1)),
-        (False, True): (np.zeros(1), -np.ones(1)),
-    }
-    parts = [(bool(a.any()), bool(b.any())) for a, b in zip(A, B)]
-    estimates = [None if any(part) else RadiusEstimate(0.0, 0.0, 0.0, spec) for part in parts]
-    rows, lanes = {}, {}
-    cs = {l: forms[part] for l, part in enumerate(parts) if any(part)}
-    for l, values in _combined_norms(A, B, cs, p).items():
-        re, im = parts[l]
-        slack = _sample_error(A[l], B[l], p)
-        if re and im:
-            rows[l] = row = values[:-1]
-            nA, nB = float(values[0]), float(values[-1])
-            i = int(np.argmax(row))
-            g_stop = 0.5 * (nA + nB) * refine_tol
-            lanes[l] = _Lane(float(row[i]), float(even[i]), slack, g_stop, math.hypot(nA, nB) + slack)
-        else:
-            theta = 0.0 if re else 0.5 * math.pi
-            estimates[l] = RadiusEstimate(float(values[0]), theta, slack, spec)
-
-    # A flat coarse grid (step 2h): try the rotation symmetry of a
-    # circular X, unless every coarse cell passes (_covering_cells then
-    # closes the lane).  A covering term grows with its sample, so some
-    # coarse cell is open exactly when the best sample's is.
-    for l, row in list(rows.items()):
-        lane = lanes[l]
-        flat = float(row.max() - row.min()) <= lane.g_stop
-        if flat and _covering_terms(lane.value, h + _PAD, lane.slack) - lane.value > lane.g_stop:
+    # A circular X is nilpotent, so a general lane whose trace is within
+    # the grading's own tolerance of 0 is graded first, and one that gets
+    # a K evaluates theta = 0 and Im X alone: the rotation bound on the
+    # one-sample grid (step pi) may close it there.
+    re = A.any(axis=(1, 2)).tolist()
+    im = B.any(axis=(1, 2)).tolist()
+    trace = np.abs(Xs.trace(axis1=1, axis2=2)).tolist()
+    estimates = [None if re[l] or im[l] else RadiusEstimate(0.0, 0.0, 0.0, spec) for l in range(len(Xs))]
+    cs, slacks, drifts, graded = {}, {}, {}, set()
+    for l, kind in enumerate(zip(re, im)):
+        if not any(kind):
+            continue
+        slacks[l] = slack = _sample_error(A[l], B[l], p)
+        if not all(kind):
+            cs[l] = forms["re" if kind[0] else "im"]
+            continue
+        cs[l] = forms["general"]
+        fro = _fro(Xs[l])
+        if trace[l] <= LAPACK_BACKWARD * n * n * _EPS * fro:
             K = _flag_grading(Xs[l])
             if K is not None:
-                gap = _rotation_bound(Xs[l], K, p, lane.value, lane.slack, 2.0 * h) - lane.value
-                if gap <= lane.g_stop:
-                    estimates[l] = RadiusEstimate(lane.value, lane.theta, gap, spec)
-                    del rows[l]
+                drifts[l] = drift = _rotation_drift(Xs[l], K, p)
+                # g_stop is at most half n^max(0, 1/p - 1/2) (||Re X||_F +
+                # ||Im X||_F) refine_tol, and ||Re X||_F + ||Im X||_F <=
+                # sqrt(2) ||X||_F; a lane whose one-sample gap exceeds that
+                # takes its even grid at once.
+                reach = 0.5 * n ** max(0.0, 1.0 / p - 0.5) * math.sqrt(2.0) * fro * refine_tol
+                if _rotation_bound(0.0, slack, math.pi, drift) <= reach:
+                    cs[l] = forms["graded"]
+                    graded.add(l)
+    rows, starts = {}, {}
+    for l, values in _combined_norms(A, B, cs, p).items():
+        slack = slacks[l]
+        if not (re[l] and im[l]):
+            estimates[l] = RadiusEstimate(float(values[0]), 0.0 if re[l] else 0.5 * math.pi, slack, spec)
+            continue
+        nA, nB = float(values[0]), float(values[-1])
+        g_stop = 0.5 * (nA + nB) * refine_tol
+        if l in graded:
+            gap = _rotation_bound(nA, slack, math.pi, drifts[l]) - nA
+            if gap <= g_stop:
+                estimates[l] = RadiusEstimate(nA, 0.0, gap, spec)
+                continue
+        rows[l] = values[:-1]
+        starts[l] = (slack, g_stop, math.hypot(nA, nB) + slack)
+
+    # A graded lane left open evaluates the rest of its even grid, all in
+    # one eigvalsh, and tries the rotation bound again on that grid (step
+    # 2h).  A covering term grows with its sample, so some coarse cell of
+    # a lane is open exactly when its best sample's is; a lane whose
+    # coarse cells all pass closes on them, as _covering_cells and
+    # _subdivide would close it.
+    rest = {l: forms["rest"] for l in graded if l in rows}
+    for l, values in (_combined_norms(A, B, rest, p) if rest else {}).items():
+        rows[l] = np.concatenate((rows[l], values))
+    lanes = {}
+    for l, row in list(rows.items()):
+        i = int(np.argmax(row))
+        lane = lanes[l] = _Lane(float(row[i]), float(even[i]), *starts[l])
+        if l in drifts:
+            gap = _rotation_bound(lane.value, lane.slack, 2.0 * h, drifts[l]) - lane.value
+            if gap <= lane.g_stop:
+                estimates[l] = RadiusEstimate(lane.value, lane.theta, gap, spec)
+                del rows[l]
+                continue
+        term = float(_covering_terms(lane.value, h + _PAD, lane.slack))
+        if term - lane.value <= lane.g_stop:
+            estimates[l] = RadiusEstimate(lane.value, lane.theta, max(0.0, min(lane.bound, term) - lane.value), spec)
+            del rows[l]
     if not rows:
         return estimates
 
-    # Certification: cells covering the period from the two-stage grid and
-    # a ladder around each open peak, subdivided only where they leave a
-    # lane open.
+    # Certification of the lanes with an open coarse cell: cells covering
+    # the period from the two-stage grid and a ladder around each open
+    # peak, subdivided only where they leave a lane open.
     _subdivide(A, B, p, _covering_cells(A, B, p, rows, h, lanes), lanes)
     for l in rows:
         lane = lanes[l]

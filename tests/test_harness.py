@@ -530,8 +530,8 @@ class TestCoarsePass:
     def matrices_per_check(monkeypatch, dims) -> float:
         """eigvalsh matrices per check of the suite over every id x four norms at ``dims``.
 
-        The suite must not ask for the kernel flag: every coarse cell of a
-        random lane passes, so no lane tries the rotation bound.
+        The suite must not ask for the kernel flag: no suite lane is
+        trace-free, so none is graded for the rotation bound.
         """
         mats = [0]
         original = np.linalg.eigvalsh
@@ -560,6 +560,20 @@ class TestCoarsePass:
         # cells at 1e-2.
         per_check = self.matrices_per_check(monkeypatch, (16, 24, 32))
         assert per_check <= 20, per_check
+
+    def test_suite_passes_without_the_rotation_path(self, monkeypatch):
+        # Only a trace-free lane is graded for the rotation bound, and no
+        # suite lane is trace-free: every id certifies in every norm at
+        # n = 2..6 and 16 with the grading refused.  Trial t takes dims[t
+        # mod 6] and norms[t div 6 mod 4], so 24 trials meet each pair.
+        def refuse(X):
+            raise AssertionError("a suite radius asked for the kernel flag")
+
+        monkeypatch.setattr(radius, "_flag_grading", refuse)
+        dims = (2, 3, 4, 5, 6, 16)
+        rep = run_suite("all", 24, dims, ALL_NORMS, seed=43)
+        assert {r.verdict for r in rep.results} == {"certified_pass"}
+        assert {(r.dim, r.norm) for r in rep.results} == {(n, norm.label) for n in dims for norm in ALL_NORMS}
 
     def test_open_check_takes_the_tight_pass(self, monkeypatch):
         # The Volterra pair attains B_prod4's constant, so its coarse sides
@@ -593,8 +607,8 @@ class TestCoarsePass:
         # its sample f by 0.0824 f, less than g_stop = L _COARSE_TOL/2 = 0.1 L
         # since no sample exceeds the Lipschitz constant L.  Every coarse
         # cell passes, so a general radius is its first eigvalsh alone, of
-        # 4 samples and Im X, with no rotation bound, odd sample, fine row,
-        # fit round or ladder.
+        # 4 samples and Im X, and closes right there: no rotation bound, odd
+        # sample, fine row, fit round, ladder, covering cell or subdivision.
         premise = 1.0 / math.cos(math.pi / harness._COARSE_GRID + radius._PAD) - 1.0
         assert premise == pytest.approx(0.0824, abs=1e-4) and premise < harness._COARSE_TOL / 2
         calls = []
@@ -611,6 +625,8 @@ class TestCoarsePass:
         monkeypatch.setattr(radius, "_profile_values", refuse)
         monkeypatch.setattr(radius, "_open_blocks", refuse)
         monkeypatch.setattr(radius, "_flag_grading", refuse)
+        monkeypatch.setattr(radius, "_covering_cells", refuse)
+        monkeypatch.setattr(radius, "_subdivide", refuse)
         for n in (2, 3, 4, 5, 6, 16, 32):
             for k, spec in enumerate((OPERATOR, TRACE, schatten(3))):
                 for seed in range(4):

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from sector_radius.generator import GenConfig, random_accretive_dissipative, random_ginibre, random_unitary
 from sector_radius.harness import CheckContext
-from sector_radius.linalg import DomainError, cartesian_decompose
+from sector_radius.linalg import LAPACK_BACKWARD, DomainError, cartesian_decompose
 from sector_radius.norms import (
     FROBENIUS,
     OPERATOR,
@@ -27,6 +29,7 @@ from sector_radius.radius import (
     _open_blocks,
     _profile_values,
     _rotation_bound,
+    _rotation_drift,
     numerical_range_boundary,
     omega,
     omega_n,
@@ -614,8 +617,8 @@ class TestTightPin:
             for est in ests if isinstance(ests, tuple) else (ests,):
                 digest.update(repr((est.value, est.theta_star, est.cert_error)).encode())
         assert reached["clipped"] and reached["_rotation_bound"] and reached["_subdivide"], reached
-        assert (len(counts), sum(counts)) == (522, 8713)
-        assert digest.hexdigest() == "41c88f8bf14809e87a61b20c8c4f4aaf990f908d3dfefa038935dd398962bd09"
+        assert (len(counts), sum(counts)) == (522, 8128)
+        assert digest.hexdigest() == "ce94098329ef9a97b8a437ea8cc261a2d9c18717b3f56c4f0c345ed31a0c5820"
 
 
 class TestFarScale:
@@ -701,6 +704,26 @@ def grading_inputs():
         yield f"shift{n}", densified(np.diag(weights, 1), 50 + n)
 
 
+def radius_flat_inputs(seeds=range(1, 4), rounds=range(1)):
+    """The densified Jordan blocks and weighted shifts of the radius_flat benchmark workload."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+
+    flat = workloads.WORKLOADS["radius_flat"]
+    for seed in seeds:
+        for r in rounds:
+            for op in flat.build_round(seed, r):
+                yield f"{op.label}/seed{seed}/round{r}", op.X
+
+
+def circular_inputs():
+    """grading_inputs() and round 0 of radius_flat at seeds 1-3."""
+    yield from grading_inputs()
+    yield from radius_flat_inputs()
+
+
 def rotation_inputs(seed: int):
     """A random matrix and the non-circular nilpotent J_3 + 0.1 e_1 e_3^T."""
     yield "random", random_complex(np.random.default_rng(seed), 4)
@@ -730,7 +753,7 @@ class TestRotationCertificate:
         for spec in (TRACE, schatten(3), OPERATOR):
             p = spec.schatten_p
             value = float(one_lane(A, B, thetas, p).max())
-            bound = _rotation_bound(X, K, p, value, radius._sample_error(A, B, p), h)
+            bound = _rotation_bound(value, radius._sample_error(A, B, p), h, _rotation_drift(X, K, p))
             pad = 16 * n ** (1.0 / p) * n * EPS * float(np.linalg.norm(X))
             assert bound >= oracle_omega(X, p, 2000) - pad, spec.label
 
@@ -747,7 +770,7 @@ class TestRotationCertificate:
             value = radius_profile(spec, X, 0.5 * math.pi)
             assert value <= 1e-15
             slack = radius._sample_error(A, B, p)
-            assert _rotation_bound(X, K, p, value, slack, math.pi) >= 1.0, spec.label
+            assert _rotation_bound(value, slack, math.pi, _rotation_drift(X, K, p)) >= 1.0, spec.label
 
     def test_shift_grading_is_exact(self):
         # K X - X K = -X on every orthogonal sum of weighted shifts, up to
@@ -781,12 +804,58 @@ class TestRotationCertificate:
                 if K is not None:
                     h = math.pi / radius.DEFAULT_GRID
                     f0 = float(one_lane(A, B, np.arange(radius.DEFAULT_GRID) * h, p).max())
-                    assert _rotation_bound(X, K, p, f0, radius._sample_error(A, B, p), h) - f0 > g_stop, (name, spec.label)
+                    bound = _rotation_bound(f0, radius._sample_error(A, B, p), h, _rotation_drift(X, K, p))
+                    assert bound - f0 > g_stop, (name, spec.label)
                 est = omega_n(spec, X, refine_tol=refine_tol)
                 assert oracle_omega(X, p, 20000) <= est.value + est.cert_error + 1e-12, (name, spec.label)
 
+    def test_trace_free_screen_admits_every_circular_fixture(self):
+        # A circular X is nilpotent, so tr X = 0, and a lane is graded when
+        # |tr X| <= LAPACK_BACKWARD n^2 eps ||X||_F.  Densified, the worst
+        # fixture here reads 0.45 n^2 eps ||X||_F (a 2 x 2 Jordan block of
+        # radius_flat), nine times inside the screen.
+        worst = 0.0
+        inputs = list(grading_inputs()) + list(radius_flat_inputs(range(1, 11), range(3)))
+        for name, X in inputs:
+            n = X.shape[0]
+            ratio = abs(np.trace(X)) / (n * n * EPS * np.linalg.norm(X))
+            assert ratio <= LAPACK_BACKWARD, (name, ratio)
+            worst = max(worst, ratio)
+        assert worst <= 0.5, worst
+
+    def test_circular_lanes_close_on_one_sample(self, monkeypatch):
+        # A circular lane takes one SVD and one eigvalsh of theta = 0 and
+        # Im X, and the rotation bound on that single sample (step pi)
+        # closes it, with no covering cell.  At n = 64 the operator norm's
+        # one-sample bound misses g_stop by about 2x, so those lanes take
+        # the rest of their even samples in one more eigvalsh and close on
+        # step 2h.
+        def refuse(*args):
+            raise AssertionError("covering cells built")
+
+        monkeypatch.setattr(radius, "_covering_cells", refuse)
+        eig = count_hermitian_eig_matrices(monkeypatch)
+        svd = count_linalg_matrices(monkeypatch, ("svd",))
+        for name, X in circular_inputs():
+            n = X.shape[0]
+            A, B = cartesian_decompose(X)
+            for spec in (OPERATOR, TRACE, schatten(3)):
+                L = hermitian_norm(spec, A) + hermitian_norm(spec, B)
+                at_zero = radius_profile(spec, X, 0.0)
+                eig.clear()
+                svd.clear()
+                est = omega_n(spec, X)
+                assert est.cert_error <= 0.5 * L * radius.DEFAULT_REFINE_TOL, (name, spec.label, est)
+                assert svd == [1], (name, spec.label, svd)
+                if n == 64 and spec is OPERATOR:
+                    assert eig == [2, radius.DEFAULT_GRID // 2 - 1], (name, spec.label, eig)
+                else:
+                    assert eig == [2], (name, spec.label, eig)
+                    assert (est.value, est.theta_star) == (at_zero, 0.0), (name, spec.label)
+
     def test_random_inputs_never_reach_the_rotation_path(self, monkeypatch):
-        # Only a flat start grid asks for the grading.
+        # Only a lane whose trace is within rounding of 0 asks for the
+        # grading.
         def refuse(X):
             raise AssertionError("rotation path reached")
 
