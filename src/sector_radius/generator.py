@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _SAFE_HI, adjoint, as_matrix, cartesian_parts
+from .linalg import _SAFE_HI, adjoint, as_matrix, pd_certificate
 
 __all__ = [
     "GenConfig",
@@ -149,9 +149,14 @@ def _dimension(cfgs) -> int:
     return n
 
 
+def _hermitian_part(M: np.ndarray) -> np.ndarray:
+    """(M + M*)/2 of each matrix of a stack: linalg.cartesian_parts' real part, bit for bit, without its skew part."""
+    return (M + adjoint(M)) / 2
+
+
 # Every factory below draws a stack: one matrix per config, each from its
-# own Philox stream, with one batched product or eigensolve per step.  The
-# single-matrix factories are the stack of one.
+# own Philox stream, with one batched product, eigensolve or factorization
+# per step.  The single-matrix factories are the stack of one.
 
 
 def ginibre_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
@@ -175,15 +180,17 @@ def pd_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
 
     G is a Ginibre draw times scale, so G G* and its shift both scale as
     scale^2, and a power-of-two scale multiplies the scale-1 draw exactly.
+    Each draw is proved positive definite by linalg.pd_certificate, one
+    stacked Cholesky; lambda_min is computed only for a failure's message.
     """
     n = _dimension(cfgs)
     G = ginibre_stack([GenConfig(n, mix_seed(cfg.seed, _STREAM_PD), cfg.scale) for cfg in cfgs], streams)
     shift = 1e-6 * np.array([cfg.scale**2 for cfg in cfgs])
-    P = G @ adjoint(G) + shift[:, None, None] * np.eye(n)
-    P = (P + adjoint(P)) / 2
-    for lam_min in np.linalg.eigvalsh(P)[:, 0]:
-        if lam_min <= 0:
-            raise RuntimeError(f"positive definite construction failed: lambda_min = {float(lam_min)}")
+    P = _hermitian_part(G @ adjoint(G) + shift[:, None, None] * np.eye(n))
+    for ok, Pk in zip(pd_certificate(P)[0], P):
+        if not ok:
+            lam_min = float(np.linalg.eigvalsh(Pk)[0])
+            raise RuntimeError(f"positive definite construction failed: lambda_min = {lam_min}")
     return P
 
 
@@ -213,14 +220,13 @@ def sectorial_stack(cfgs, alphas, streams: Streams | None = None) -> np.ndarray:
     streams = streams or Streams()
     G = ginibre_stack([GenConfig(n, mix_seed(cfg.seed, _STREAM_SECT_BASE), cfg.scale) for cfg in cfgs], streams)
     tilt = ginibre_stack([GenConfig(n, mix_seed(cfg.seed, _STREAM_SECT_TILT), 1.0) for cfg in cfgs], streams)
-    T = cartesian_parts(tilt)[0]
+    T = _hermitian_part(tilt)
     peaks = np.max(np.abs(np.linalg.eigvalsh(T)), axis=-1)
     T[peaks == 0.0] = np.eye(n)
     peaks[peaks == 0.0] = 1.0
     T *= (np.array([math.tan(alpha) for alpha in alphas]) / peaks)[:, None, None]
     Gh = adjoint(G)
-    re, im = (cartesian_parts(M)[0] for M in (G @ Gh, G @ T @ Gh))
-    return re + 1j * im
+    return _hermitian_part(G @ Gh) + 1j * _hermitian_part(G @ T @ Gh)
 
 
 def accretive_dissipative_stack(cfgs, streams: Streams | None = None) -> np.ndarray:

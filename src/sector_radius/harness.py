@@ -18,11 +18,13 @@ and suites draw each row's inputs from its hypothesis.  One evaluator
 checks the hypothesis and computes every distinct term of a row once,
 all of the row's radii in one omega_n call.
 
-A suite certifies each check only as far as its verdict needs: its radii
-first on _COARSE_GRID cells to _COARSE_TOL, and again on the context's
-grid to its refine_tol only when the coarse sides do not separate
-(run_suite).  check_inequality and tightness_scan always certify on the
-context's grid to its refine_tol.
+A suite certifies each check only as far as its verdict needs, on the
+ladder of radius passes _COARSE_PASSES and then the context's grid at its
+refine_tol, each pass only while the sides of the one before overlap
+(run_suite).  The first rung puts every radius in its Cartesian bracket
+[max(N(Re X), N(Im X)), hypot(N(Re X), N(Im X))] from two samples.
+check_inequality and tightness_scan always certify on the context's grid
+to its refine_tol.
 
 IDs whose statement involves the classical numerical radius always run
 with the operator norm regardless of the requested norm; the remaining
@@ -100,14 +102,14 @@ class CheckContext:
     """Shared numerical settings for a batch of checks.
 
     ``grid`` is the resolution of the uniform start grid of every radius
-    computation, an even integer >= 8.  A radius evaluates its grid/2
-    even samples first and an odd sample only beside a coarse cell that
-    stays open; certification down to ``refine_tol`` carries the
+    computation, a multiple of 4 and at least 4.  A radius evaluates its
+    grid/2 even samples first and an odd sample only beside a coarse cell
+    that stays open; certification down to ``refine_tol`` carries the
     accuracy, so the grid only seeds it.
     ``refine_tol`` (positive) is the certified width of every radius,
     relative to its profile's Lipschitz constant, for check_inequality and
     tightness_scan; run_suite reaches it only for the checks that its
-    coarse pass leaves open.
+    coarse passes leave open.
     ``m_fold`` is the number of inputs suites generate for an m-fold
     identifier, an integer >= 2.  Every field is checked here, so a suite
     refuses a bad setting before it runs, and stored as a Python int or
@@ -132,14 +134,17 @@ DEFAULT_NORMS = (OPERATOR, TRACE, FROBENIUS, schatten(3))
 # factor or a block is taken, covering the index's rounding (_inflated).
 _ALPHA_INFLATION = 1e-8
 _EPS = float(np.finfo(np.float64).eps)
-# Start grid and radius tolerance of run_suite's first pass.  A coarse
-# cell's covering term exceeds its sample by at most 1/cos(pi/8 + pad) - 1
-# = 8.24 %, less than the half tolerance 0.1, so every coarse cell passes
-# and a general radius is one eigvalsh of 4 samples and Im X.  Every coarse
-# radius is still a certified enclosure, and nearly every suite check
-# separates at it.
-_COARSE_GRID = 8
-_COARSE_TOL = 0.2
+# The (start grid, radius tolerance) rungs of run_suite before its tight
+# pass.  A coarse cell's covering term exceeds its sample f by
+# (1/cos(h + pad) - 1) f, no sample exceeds the Lipschitz constant
+# L = N(Re X) + N(Im X), and a cell passes within L tol/2 of the best
+# sample; 1/cos(h + pad) - 1 is 0.414 < 1.0/2 on 4 cells (h = pi/4) and
+# 0.0824 < 0.2/2 on 8.  So every coarse cell passes, and a general radius
+# is one eigvalsh of its even samples: theta = 0 and pi/2 on the first
+# rung, whose interval is then the Cartesian bracket, and 4 samples on the
+# second.  Every coarse radius is a certified enclosure, and nearly every
+# suite check separates on the bracket.
+_COARSE_PASSES = ((4, 1.0), (8, 0.2))
 # Verdicts that a tighter radius cannot change.
 _SETTLED = ("certified_pass", "certified_fail")
 
@@ -770,9 +775,13 @@ def _tight(ctx: CheckContext) -> tuple[tuple[int, float], ...]:
 
 
 def _passes(ctx: CheckContext) -> tuple[tuple[int, float], ...]:
-    """The (grid, radius tolerance) passes of a suite check: coarse first, then _tight(ctx)."""
-    coarse = ((_COARSE_GRID, _COARSE_TOL),) if ctx.refine_tol < _COARSE_TOL else ()
-    return coarse + _tight(ctx)
+    """The (grid, radius tolerance) passes of a suite check: the coarse rungs, then _tight(ctx).
+
+    (4, 1.0) gives each radius its Cartesian bracket and (8, 0.2) its
+    grid-8 interval; a rung whose tolerance is not above ctx.refine_tol
+    is left out, since it would certify no looser than the tight pass.
+    """
+    return tuple(rung for rung in _COARSE_PASSES if rung[1] > ctx.refine_tol) + _tight(ctx)
 
 
 def _evaluate(info: IdInfo, mats, spec: NormSpec, ctx: CheckContext, passes) -> tuple[Interval, Interval, str]:
@@ -953,18 +962,20 @@ def run_suite(
 
     ``ids`` is "all", one id, or an iterable of ids.  Per identifier,
     ``trials`` independent inputs are generated and checked as _run_trials
-    describes.  Each check first certifies its radii on a start grid of
-    _COARSE_GRID cells to _COARSE_TOL, one eigvalsh per general radius,
-    which settles nearly every verdict; a check whose sides then overlap
-    is certified again on ``context.grid`` to ``context.refine_tol`` and
-    reports that pass (the bits check_inequality gives).  A context whose
-    refine_tol is at least _COARSE_TOL runs that pass alone.  A reported
-    interval is therefore an enclosure whose width is set by the pass
-    that settled it; check_inequality gives tight intervals for any one
-    result.  The report is a deterministic function of the arguments
-    (wall time aside).  ``trials``, each of ``dims`` and ``seed`` are
-    Python or numpy integers, not bools, and are recorded as Python ints;
-    anything else raises ValueError before any check runs.
+    describes.  Each check certifies its radii pass by pass (_passes):
+    first each radius's Cartesian bracket, [max(N(Re X), N(Im X)),
+    hypot(N(Re X), N(Im X))] from one eigvalsh of 2 samples per general
+    radius, which settles nearly every verdict; while its sides overlap,
+    then on a start grid of 8 cells to 0.2, and last on ``context.grid``
+    to ``context.refine_tol``, which reports the bits check_inequality
+    gives.  A rung whose tolerance is not above ``context.refine_tol`` is
+    skipped.  A reported interval is therefore an enclosure whose width is
+    set by the pass that settled it; check_inequality gives tight
+    intervals for any one result.  The report is a deterministic
+    function of the arguments (wall time aside).  ``trials``, each of
+    ``dims`` and ``seed`` are Python or numpy integers, not bools, and are
+    recorded as Python ints; anything else raises ValueError before any
+    check runs.
     """
     id_list = _normalize_ids(ids)
     trials = _integer("trials", trials, 1)
@@ -988,8 +999,7 @@ def run_suite(
         "seed": seed,
         "grid": context.grid,
         "refine_tol": context.refine_tol,
-        "coarse_grid": _COARSE_GRID,
-        "coarse_tol": _COARSE_TOL,
+        "coarse_passes": _COARSE_PASSES,
         "alpha_inflation": _ALPHA_INFLATION,
         "m_fold": context.m_fold,
         "mode": "verify",

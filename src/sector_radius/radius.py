@@ -17,7 +17,15 @@ In every other norm a Hermitian X has the profile |cos theta| N(Re X)
 and a skew-Hermitian X |sin theta| N(Im X), so their radii are one
 norm each, exact up to the sample error.  Any other X samples a uniform
 grid of step h anchored at theta = 0, coarse to fine: first its even
-samples 2kh (theta = 0 gives N(Re X)), together with Im X for N(Im X).
+samples 2kh.  theta = 0 gives N(Re X), and the sample at pi/2 is formed
+as Im X itself and gives N(Im X), so the grid is a multiple of 4.  The
+two give the Cartesian bracket max(N(Re X), N(Im X)) <= sup f <=
+hypot(N(Re X), N(Im X)) (Abu-Omar and Kittaneh, LAA 569, 2019): its
+lower end is the best of the two samples and its upper end the start
+bound of every lane.  On a grid of 4 these are the only even samples,
+and a covering cell there (half-width pi/4) exceeds its sample by
+1/cos(pi/4) - 1 = 0.414 of it, so at refine_tol 1.0 every lane closes
+on the bracket.
 
 A circular X, one unitarily similar to e^{i*phi} X for every phi, has a
 spectrum invariant under rotation, so it is nilpotent and tr X = 0.  Its
@@ -29,10 +37,10 @@ such as Jordan blocks.  Since tr(KX - XK) = 0, tr R = tr X, so
 |tr X| <= sqrt(n) ||R||_F and a lane with a sizeable trace never closes
 this way.  A lane whose trace is within rounding of 0 is therefore graded
 before the grid and, when its one-sample bound can reach the target,
-evaluates theta = 0 and Im X alone: the bound with the single sample
-(step pi) closes a circular X there.  A graded lane left open evaluates
-the rest of its even samples, tries the bound again on them (step 2h),
-and otherwise goes on as any lane.  Soundness never rests on which lanes
+evaluates theta = 0 and pi/2 alone: the bound with the single sample
+theta = 0 (step pi) closes a circular X there.  A graded lane left open
+evaluates the rest of its even samples, tries the bound again on them
+(step 2h), and otherwise goes on as any lane.  Soundness never rests on which lanes
 are graded, since the bound holds for every Hermitian K.
 
 Every other profile certifies with a covering bound: if cells of
@@ -56,11 +64,10 @@ open settles the ladder cells that pass and splits the others, until
 the bound closes or a budget runs out.
 
 omega_n takes any number of same-size matrices and runs them in
-lockstep, as lanes of one batch: the coarse grid with the Cartesian
-parts, the rest of the graded lanes' even samples, the odd samples, each
-fit round, the ladders and each subdivision round is one batched
-eigvalsh over the lanes still open,
-and a lane leaves as soon as it is certified.
+lockstep, as lanes of one batch: the coarse grid, the rest of the graded
+lanes' even samples, the odd samples, each fit round, the ladders and
+each subdivision round is one batched eigvalsh over the lanes still
+open, and a lane leaves as soon as it is certified.
 Stacked LAPACK calls and products act on each matrix alone and every
 reduction runs per lane, so each lane's estimate is bit for bit that of
 a call with its matrix alone; a single matrix is a batch of one.
@@ -206,27 +213,33 @@ def _profile_values(
 
 
 @lru_cache(maxsize=8)
-def _stage_forms(grid: int) -> tuple[np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """The even angles 2kh of a grid of step h = pi/grid, and the (c, s) rows of each lane kind.
+def _stage_forms(grid: int) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """The even angles 2kh of a grid of step h = pi/grid, their order by stage, and the (c, s) rows of each lane kind.
 
-    "general" holds the even samples and then Im X (c = 0, s = -1),
-    "graded" theta = 0 and Im X, "rest" the even samples after theta = 0,
-    and "re" and "im" the one part of a Hermitian and a skew-Hermitian
-    lane.  The arrays are shared between calls, so they are read-only.
+    "general" holds the even samples.  The one at pi/2 (k = grid/4, as
+    the grid is a multiple of 4) takes (c, s) = (0, -1) exactly, the row
+    Im X, so it is N(Im X) bit for bit: the start bound reads it there.
+    "graded" holds theta = 0 and pi/2, "rest" the other even samples, and
+    the order lists the even samples' indices as "graded" and then
+    "rest" evaluate them.  "re" and "im" are the one part of a Hermitian
+    and a skew-Hermitian lane.  The arrays are shared between calls, so
+    they are read-only.
     """
     h = math.pi / grid
     even = np.arange(0, grid, 2) * h
-    c, s = np.append(np.cos(even), 0.0), np.append(np.sin(even), -1.0)
+    c, s = np.cos(even), np.sin(even)
+    c[grid // 4], s[grid // 4] = 0.0, -1.0
+    order = np.array([0, grid // 4] + [k for k in range(1, grid // 2) if k != grid // 4])
     forms = {
         "general": (c, s),
-        "graded": (c[[0, -1]], s[[0, -1]]),
-        "rest": (c[1:-1], s[1:-1]),
+        "graded": (c[order[:2]], s[order[:2]]),
+        "rest": (c[order[2:]], s[order[2:]]),
         "re": (np.ones(1), np.zeros(1)),
         "im": (np.zeros(1), -np.ones(1)),
     }
-    for a in (even, *(a for pair in forms.values() for a in pair)):
+    for a in (even, order, *(a for pair in forms.values() for a in pair)):
         a.setflags(write=False)
-    return even, forms
+    return even, order, forms
 
 
 def radius_profile(spec: NormSpec, X, theta: float) -> float:
@@ -280,8 +293,8 @@ def _covering_terms(values: np.ndarray, r: np.ndarray | float, slack: float) -> 
     return (values + slack) / np.cos(r)
 
 
-def _flag_grading(X: np.ndarray) -> np.ndarray | None:
-    """Hermitian K with KX - XK = -X when X is a sum of shifts, else None.
+def _flag_grading(X: np.ndarray, fro: float) -> np.ndarray | None:
+    """Hermitian K with KX - XK = -X when X is a sum of shifts, else None; ``fro`` is ||X||_F.
 
     One SVD X = U S V* gives the polar part W = U_r V_r*, a partial
     isometry over the r singular values above LAPACK_BACKWARD * n^2 * eps
@@ -302,7 +315,7 @@ def _flag_grading(X: np.ndarray) -> np.ndarray | None:
     trace is within this same tolerance of 0 (a grading needs tr X = 0).
     """
     n = X.shape[0]
-    tol = LAPACK_BACKWARD * n * n * _EPS * _fro(X)
+    tol = LAPACK_BACKWARD * n * n * _EPS * fro
     U, s, Vh = np.linalg.svd(X)
     r = int((s > tol).sum())
     if r == n:
@@ -316,8 +329,8 @@ def _flag_grading(X: np.ndarray) -> np.ndarray | None:
     return 0.5 * (K + K.conj().T)
 
 
-def _rotation_drift(X: np.ndarray, K: np.ndarray, p: float) -> float:
-    """Upper bound on N(R), R = KX - XK + X, for the rotation bound (_rotation_bound).
+def _rotation_drift(X: np.ndarray, K: np.ndarray, p: float, fro: float) -> float:
+    """Upper bound on N(R), R = KX - XK + X, for the rotation bound (_rotation_bound); ``fro`` is ||X||_F.
 
     Error model, as in _frobenius_radii:
     - N(R) <= n^max(0, 1/p - 1/2) ||R||_F.  The computed R differs from
@@ -328,7 +341,7 @@ def _rotation_drift(X: np.ndarray, K: np.ndarray, p: float) -> float:
     n = X.shape[0]
     R = K @ X - X @ K + X
     fro_R = _fro(R) * (1.0 + n * n * _EPS)
-    fro_R += 4.0 * n * _EPS * (2.0 * _fro(K) + 1.0) * _fro(X)
+    fro_R += 4.0 * n * _EPS * (2.0 * _fro(K) + 1.0) * fro
     return n ** max(0.0, 1.0 / p - 0.5) * fro_R
 
 
@@ -656,13 +669,16 @@ def _covering_cells(
 
 
 def check_grid(grid) -> int:
-    """``grid`` as a Python int; ValueError unless it is an even integer >= 8, not a bool.
+    """``grid`` as a Python int; ValueError unless it is a multiple of 4 and at least 4, not a bool.
 
     Only an even grid puts an odd sample (2k + 1)h between every two
-    neighbouring coarse cells k and k + 1, the last at pi - h.
+    neighbouring coarse cells k and k + 1, the last at pi - h, and only a
+    multiple of 4 puts an even sample at pi/2, the row Im X that gives
+    N(Im X) (_stage_forms).  A grid of 4 evaluates theta = 0 and pi/2
+    first: the Cartesian bracket.
     """
-    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 8 or grid % 2:
-        raise ValueError(f"grid must be an even integer >= 8, got {grid}")
+    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 4 or grid % 4:
+        raise ValueError(f"grid must be a multiple of 4 and at least 4, got {grid}")
     return int(grid)
 
 
@@ -686,9 +702,10 @@ def omega_n(
         One or more square matrices of the same size.
     grid:
         Resolution of the uniform start grid on [0, pi), of step
-        h = pi/grid; even and at least 8 (``check_grid``).  Its grid/2
-        even samples are evaluated first, and an odd sample only beside a
-        coarse cell (half-width h) that the covering test leaves open.
+        h = pi/grid; a multiple of 4 and at least 4 (``check_grid``).
+        Its grid/2 even samples are evaluated first, among them theta = 0
+        (Re X) and pi/2 (Im X), and an odd sample only beside a coarse
+        cell (half-width h) that the covering test leaves open.
     refine_tol:
         Target width of the certificate, relative to the profile's
         Lipschitz constant N(Re X) + N(Im X).  A Hermitian or
@@ -713,21 +730,24 @@ def omega_n(
     Gram matrix, which samples no grid, makes no numpy.linalg call and
     needs no tolerance.  In every other norm a Hermitian or
     skew-Hermitian X is one eigvalsh of its nonzero part.  Any other X
-    samples the even half of the start grid anchored at theta = 0, in the
-    same eigvalsh as Im X.  A lane whose trace is within rounding of 0 is
-    graded first by one SVD, and samples theta = 0 alone in that eigvalsh
-    when its one-sample rotation bound can reach the target: a circular X
-    (a Jordan block, a weighted shift) closes there, on one eigvalsh of 2
-    matrices, and a graded lane left open takes the rest of its even
-    samples in one more eigvalsh and tries the bound again on them.  A
-    lane whose coarse cells all pass is done after the first eigvalsh, as
-    is every lane at refine_tol 0.2 on a grid of 8 or at 1e-2 on the
-    default grid.  Otherwise one eigvalsh evaluates the odd samples beside
-    the open coarse cells, each open peak is fitted with two batched
-    parabola rounds and one ladder of cells is evaluated around the fitted
-    peaks, which makes 5 eigvalsh calls in all for most random matrices
-    (one more when a first fit round clips).  A lane whose ladder leaves
-    it open subdivides.
+    samples the even half of the start grid anchored at theta = 0 in one
+    eigvalsh; its samples at 0 and pi/2 are N(Re X) and N(Im X), and
+    every estimate lies within the start bound hypot(N(Re X), N(Im X))
+    plus the sample error.  A lane whose trace is within rounding of 0 is
+    graded first by one SVD, and samples theta = 0 and pi/2 alone in that
+    eigvalsh when its one-sample rotation bound can reach the target: a
+    circular X (a Jordan block, a weighted shift) closes there, on one
+    eigvalsh of 2 matrices, and a graded lane left open takes the rest of
+    its even samples in one more eigvalsh and tries the bound again on
+    them.  A lane whose coarse cells all pass is done after the first
+    eigvalsh, as is every lane at refine_tol 1.0 on a grid of 4 (the
+    Cartesian bracket, 2 matrices), at 0.2 on a grid of 8 or at 1e-2 on
+    the default grid.  Otherwise one eigvalsh evaluates the odd samples
+    beside the open coarse cells, each open peak is fitted with two
+    batched parabola rounds and one ladder of cells is evaluated around
+    the fitted peaks, which makes 5 eigvalsh calls in all for most random
+    matrices (one more when a first fit round clips).  A lane whose
+    ladder leaves it open subdivides.
     """
     Xs, far = as_scaled_stack(X, *more)
     check_grid(grid)
@@ -754,10 +774,10 @@ def _certified_radii(
     p = spec.schatten_p
     n = Xs.shape[1]
     h = math.pi / grid
-    even, forms = _stage_forms(grid)
+    even, order, forms = _stage_forms(grid)
     # Stage 1, one eigvalsh.  A general lane evaluates the even samples
-    # 2kh of the grid, the first (theta = 0) being Re X itself, and then
-    # Im X (c = 0, s = -1).  The profile of a Hermitian X is
+    # 2kh of the grid, the first (theta = 0) being Re X itself and the one
+    # at pi/2 Im X (c = 0, s = -1).  The profile of a Hermitian X is
     # |cos theta| N(Re X), and that of a skew-Hermitian X is
     # |sin theta| N(Im X), so such a lane evaluates its nonzero part
     # alone; X = 0 evaluates nothing.  A general lane starts from
@@ -768,8 +788,9 @@ def _certified_radii(
     # most e.
     # A circular X is nilpotent, so a general lane whose trace is within
     # the grading's own tolerance of 0 is graded first, and one that gets
-    # a K evaluates theta = 0 and Im X alone: the rotation bound on the
-    # one-sample grid (step pi) may close it there.
+    # a K evaluates theta = 0 and pi/2 alone: the rotation bound on the
+    # one-sample grid (step pi) may close it there.  ||X||_F is taken once
+    # for the screen, the grading's tolerance and the rotation pads.
     re = A.any(axis=(1, 2)).tolist()
     im = B.any(axis=(1, 2)).tolist()
     trace = np.abs(Xs.trace(axis1=1, axis2=2)).tolist()
@@ -785,9 +806,9 @@ def _certified_radii(
         cs[l] = forms["general"]
         fro = _fro(Xs[l])
         if trace[l] <= LAPACK_BACKWARD * n * n * _EPS * fro:
-            K = _flag_grading(Xs[l])
+            K = _flag_grading(Xs[l], fro)
             if K is not None:
-                drifts[l] = drift = _rotation_drift(Xs[l], K, p)
+                drifts[l] = drift = _rotation_drift(Xs[l], K, p, fro)
                 # g_stop is at most half n^max(0, 1/p - 1/2) (||Re X||_F +
                 # ||Im X||_F) refine_tol, and ||Re X||_F + ||Im X||_F <=
                 # sqrt(2) ||X||_F; a lane whose one-sample gap exceeds that
@@ -802,25 +823,28 @@ def _certified_radii(
         if not (re[l] and im[l]):
             estimates[l] = RadiusEstimate(float(values[0]), 0.0 if re[l] else 0.5 * math.pi, slack, spec)
             continue
-        nA, nB = float(values[0]), float(values[-1])
+        nA, nB = float(values[0]), float(values[1 if l in graded else grid // 4])
         g_stop = 0.5 * (nA + nB) * refine_tol
         if l in graded:
             gap = _rotation_bound(nA, slack, math.pi, drifts[l]) - nA
             if gap <= g_stop:
                 estimates[l] = RadiusEstimate(nA, 0.0, gap, spec)
                 continue
-        rows[l] = values[:-1]
+        rows[l] = values
         starts[l] = (slack, g_stop, math.hypot(nA, nB) + slack)
 
     # A graded lane left open evaluates the rest of its even grid, all in
-    # one eigvalsh, and tries the rotation bound again on that grid (step
-    # 2h).  A covering term grows with its sample, so some coarse cell of
-    # a lane is open exactly when its best sample's is; a lane whose
-    # coarse cells all pass closes on them, as _covering_cells and
-    # _subdivide would close it.
+    # one eigvalsh (none on a grid of 4, which has no other even sample),
+    # puts its samples back in grid order and tries the rotation bound
+    # again on that grid (step 2h).  A covering term grows with its
+    # sample, so some coarse cell of a lane is open exactly when its best
+    # sample's is; a lane whose coarse cells all pass closes on them, as
+    # _covering_cells and _subdivide would close it.
     rest = {l: forms["rest"] for l in graded if l in rows}
     for l, values in (_combined_norms(A, B, rest, p) if rest else {}).items():
-        rows[l] = np.concatenate((rows[l], values))
+        row = np.empty(len(even))
+        row[order] = np.concatenate((rows[l], values))
+        rows[l] = row
     lanes = {}
     for l, row in list(rows.items()):
         i = int(np.argmax(row))

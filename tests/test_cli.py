@@ -160,11 +160,14 @@ class TestVerify:
     def test_odd_grid_is_refused(self, tmp_path, capsys):
         m = tmp_path / "m.json"
         run_cli("gen", "ginibre", "--n", "2", "--seed", "3", "-o", str(m))
-        assert run_cli("compute", "omega-n", "--norm", "tr", "--grid", "33", "-i", str(m)) == 2
-        assert capsys.readouterr().err.startswith("error: grid must be an even integer")
+        for grid in ("33", "6"):
+            assert run_cli("compute", "omega-n", "--norm", "tr", "--grid", grid, "-i", str(m)) == 2
+            assert capsys.readouterr().err.startswith("error: grid must be a multiple of 4")
+        assert run_cli("compute", "omega-n", "--norm", "tr", "--grid", "4", "-i", str(m)) == 0
+        capsys.readouterr()
         assert run_cli("verify", "--ids", "P1_re_mono", "--trials", "1", "--grid", "33") == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: grid must be an even integer")
+        assert captured.err.startswith("error: grid must be a multiple of 4")
         assert captured.out == ""
         # A bad m_fold is refused before the first id runs, not at the
         # first m-fold id; a bad tolerance before the first radius.

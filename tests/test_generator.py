@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import count_linalg_matrices
+from sector_radius import generator
 from sector_radius.generator import (
     GenConfig,
     Streams,
@@ -110,6 +111,26 @@ class TestRandomPd:
 
     def test_deterministic(self):
         assert np.array_equal(random_pd(GenConfig(4, 5)), random_pd(GenConfig(4, 5)))
+
+    def test_one_cholesky_certifies_a_stack(self, monkeypatch):
+        # linalg.pd_certificate proves every draw positive definite in one
+        # stacked cholesky; no eigensolve runs unless a draw fails.
+        eigvalsh = count_linalg_matrices(monkeypatch, ("eigvalsh", "eigh"))
+        cholesky = count_linalg_matrices(monkeypatch, ("cholesky",))
+        P = pd_stack([GenConfig(6, 60 + k) for k in range(4)])
+        assert cholesky == [4] and eigvalsh == []
+        assert all(np.linalg.eigvalsh(Pk)[0] > 0 for Pk in P)
+
+    def test_a_failed_certificate_names_lambda_min(self, monkeypatch):
+        # The message computes lambda_min of the first draw that fails.
+        def fails_second(H, extra=0.0):
+            return np.array([True, False]), None, None
+
+        monkeypatch.setattr(generator, "pd_certificate", fails_second)
+        cfgs = [GenConfig(3, 70), GenConfig(3, 71)]
+        lam = np.linalg.eigvalsh(random_pd(cfgs[1]))[0]
+        with pytest.raises(RuntimeError, match=f"lambda_min = {float(lam)}"):
+            pd_stack(cfgs)
 
 
 class TestRandomSectorial:

@@ -473,7 +473,20 @@ class TestReportPin:
         obj = run_suite("all", 20, range(2, 7), DEFAULT_NORMS, seed=42).report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == "13c163d31f1d91c97b70ca93b3cb6e0fef1f3d53f0a816a85e45c5344e5d60dc"
+        assert digest == "cda6e2b1d38908fde6640314b995371308490a65d5fa0c4992b598f7971bb736"
+
+
+class TestInputPin:
+    def test_input_bits_are_pinned(self):
+        # The draws of every id at n = 2..6 and 16, apart from the radii
+        # that the report pin also covers.
+        digest = hashlib.sha256()
+        for info in REGISTRY.values():
+            for n in (2, 3, 4, 5, 6, 16):
+                for seed in range(4):
+                    for M in generate_inputs(info, n, seed=5000 + 10 * n + seed):
+                        digest.update(M.tobytes())
+        assert digest.hexdigest() == "fd4e4e42678153254ba3fbf802ead732adac040c0da9cc3a1d0c9cc046e4d9cc"
 
 
 def radius_terms(ineq, mats, spec, grid, refine_tol):
@@ -509,22 +522,40 @@ def suite_check(ineq, mats, norm, ctx=DEFAULT_CONTEXT):
 class TestCoarsePass:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 16])
     def test_coarse_radii_enclose_tight_ones(self, n):
-        # Both passes enclose the same radius and the tight grid holds every
-        # coarse sample (the angles of grid 8 are those of grid 32, bit for
-        # bit), so each coarse interval holds the tight one; a term where it
-        # does not shows that one of the two paths is unsound.  A suite
-        # check then settles on the verdict a tight check gives.
+        # Each rung and the tight pass enclose the same radius, and the tight
+        # grid holds every coarse sample (the angles of grids 4 and 8 are
+        # those of grid 32, bit for bit), so each coarse interval, the
+        # Cartesian bracket of grid 4 and the grid-8 interval alike, holds
+        # the tight one; a term where it does not shows that one of the two
+        # paths is unsound.  A suite check then settles on the verdict a
+        # tight check gives.
         for ineq in all_ids():
             info = REGISTRY[ineq]
             if info.block is not None:
                 continue
             for k, norm in enumerate((OPERATOR,) if info.classical else ALL_NORMS):
                 mats = generate_inputs(info, n, seed=6000 + 10 * n + k)
-                coarse, _ = radius_terms(ineq, mats, norm, harness._COARSE_GRID, harness._COARSE_TOL)
                 tight, verdict = radius_terms(ineq, mats, norm, *harness._tight(DEFAULT_CONTEXT)[0])
-                for term, iv in tight.items():
-                    assert coarse[term].lo <= iv.lo and iv.hi <= coarse[term].hi, (ineq, norm.label, term)
+                for rung in harness._COARSE_PASSES:
+                    coarse, _ = radius_terms(ineq, mats, norm, *rung)
+                    for term, iv in tight.items():
+                        assert coarse[term].lo <= iv.lo and iv.hi <= coarse[term].hi, (ineq, norm.label, rung, term)
                 assert suite_check(ineq, mats, norm).verdict == verdict, (ineq, norm.label)
+
+    def test_first_rung_is_the_cartesian_bracket(self):
+        # On 4 cells at tolerance 1.0 a general radius is
+        # [max(N(Re X), N(Im X)), hypot(N(Re X), N(Im X)) + e], e the sample
+        # error, with N(Re X) and N(Im X) the bits of their own norms.
+        grid, tol = harness._COARSE_PASSES[0]
+        for n in (2, 3, 6, 16):
+            for k, spec in enumerate((OPERATOR, TRACE, schatten(3))):
+                X = random_ginibre(GenConfig(n, 7100 + 10 * n + k))
+                A, B = cartesian_decompose(X)
+                nA, nB = hermitian_norm(spec, A), hermitian_norm(spec, B)
+                est = radius.omega_n(spec, X, grid=grid, refine_tol=tol)
+                assert est.value == max(nA, nB), (n, spec.label, est)
+                upper = math.hypot(nA, nB) + radius._sample_error(A, B, spec.schatten_p)
+                assert est.value + est.cert_error == upper, (n, spec.label, est)
 
     @staticmethod
     def matrices_per_check(monkeypatch, dims) -> float:
@@ -540,7 +571,7 @@ class TestCoarsePass:
             mats[0] += int(np.prod(np.shape(a)[:-2], dtype=np.int64))
             return original(a, *args, **kwargs)
 
-        def refuse(X):
+        def refuse(*args):
             raise AssertionError("a suite radius asked for the kernel flag")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
@@ -549,24 +580,23 @@ class TestCoarsePass:
         return mats[0] / len(rep.results)
 
     def test_eigensolve_budget_per_check(self, monkeypatch):
-        # 18.4 at the acceptance flags with the coarse pass on 8 cells at
-        # 0.2, 40.1 with it on 32 cells at 1e-2, and 80.7 with every radius
-        # certified to refine_tol.
+        # 6.67 with the Cartesian bracket first, against 12.6 with the first
+        # pass on 8 cells at 0.2 (generation and gates included).
         per_check = self.matrices_per_check(monkeypatch, range(2, 7))
-        assert per_check <= 20, per_check
+        assert per_check <= 7.5, per_check
 
     def test_eigensolve_budget_per_check_at_large_n(self, monkeypatch):
-        # 18.6 at n = 16, 24, 32, against 40.1 with the coarse pass on 32
-        # cells at 1e-2.
+        # 6.91 at n = 16, 24, 32 with the Cartesian bracket first, against
+        # 12.9 with the first pass on 8 cells at 0.2.
         per_check = self.matrices_per_check(monkeypatch, (16, 24, 32))
-        assert per_check <= 20, per_check
+        assert per_check <= 7.5, per_check
 
     def test_suite_passes_without_the_rotation_path(self, monkeypatch):
         # Only a trace-free lane is graded for the rotation bound, and no
         # suite lane is trace-free: every id certifies in every norm at
         # n = 2..6 and 16 with the grading refused.  Trial t takes dims[t
         # mod 6] and norms[t div 6 mod 4], so 24 trials meet each pair.
-        def refuse(X):
+        def refuse(*args):
             raise AssertionError("a suite radius asked for the kernel flag")
 
         monkeypatch.setattr(radius, "_flag_grading", refuse)
@@ -576,13 +606,15 @@ class TestCoarsePass:
         assert {(r.dim, r.norm) for r in rep.results} == {(n, norm.label) for n in dims for norm in ALL_NORMS}
 
     def test_open_check_takes_the_tight_pass(self, monkeypatch):
-        # The Volterra pair attains B_prod4's constant, so its coarse sides
-        # overlap; the suite recomputes the radii alone at refine_tol and
-        # reports the bits of check_inequality.
+        # The Volterra pair attains B_prod4's constant, so its sides overlap
+        # on both coarse rungs; the suite recomputes the radii alone on each
+        # rung and last at refine_tol, and reports the bits of
+        # check_inequality.
         calls = record_radii(monkeypatch)
         pair = [VOLTERRA, VOLTERRA.T.copy()]
         suite = suite_check("B_prod4", pair, OPERATOR)
-        assert [(grid, tol) for _, _, grid, tol, _ in calls] == [(8, 0.2), (DEFAULT_CONTEXT.grid, DEFAULT_CONTEXT.refine_tol)]
+        tight = (DEFAULT_CONTEXT.grid, DEFAULT_CONTEXT.refine_tol)
+        assert [(grid, tol) for _, _, grid, tol, _ in calls] == [(4, 1.0), (8, 0.2), tight]
         tight = check_inequality("B_prod4", pair, OPERATOR)
         assert json.dumps(suite.to_obj()) == json.dumps(tight.to_obj())
         assert suite.ratio == pytest.approx(1.0, abs=1e-9)
@@ -591,26 +623,43 @@ class TestCoarsePass:
         calls = record_radii(monkeypatch)
         mats = generate_inputs(REGISTRY["T1_prod_sec_N"], 4, seed=5)
         assert suite_check("T1_prod_sec_N", mats, TRACE).verdict == "certified_pass"
-        assert [(grid, tol) for _, _, grid, tol, _ in calls] == [(8, 0.2)]
+        assert [(grid, tol) for _, _, grid, tol, _ in calls] == [(4, 1.0)]
+
+    def test_second_rung_settles_what_the_bracket_leaves_open(self, monkeypatch):
+        # Some suite checks overlap on the Cartesian bracket and separate on
+        # 8 cells at 0.2, with no tight pass.
+        calls = record_radii(monkeypatch)
+        for seed in range(40):
+            mats = generate_inputs(REGISTRY["SA_omega_le_N"], 3, seed=seed)
+            calls.clear()
+            if suite_check("SA_omega_le_N", mats, OPERATOR).verdict == "certified_pass" and len(calls) == 2:
+                break
+        assert [(grid, tol) for _, _, grid, tol, _ in calls] == [(4, 1.0), (8, 0.2)]
 
     def test_coarse_refine_tol_runs_one_pass(self, monkeypatch):
-        # A context at or above the coarse tolerance runs its own pass alone.
+        # A rung runs only when its tolerance is above the context's: a
+        # context at or above 1.0 runs its own pass alone, one at 0.2 or
+        # 0.25 the bracket first.
         calls = record_radii(monkeypatch)
-        for tol in (0.2, 0.25):
+        for tol, rungs in ((0.2, [(4, 1.0)]), (0.25, [(4, 1.0)]), (1.0, []), (1.5, [])):
             calls.clear()
             ctx = replace(DEFAULT_CONTEXT, grid=16, refine_tol=tol)
             suite_check("B_prod4", [VOLTERRA, VOLTERRA.T.copy()], OPERATOR, ctx)
-            assert [(g, t) for _, _, g, t, _ in calls] == [(16, tol)]
+            assert [(g, t) for _, _, g, t, _ in calls] == rungs + [(16, tol)]
 
     def test_coarse_pass_closes_on_coarse_cells(self, monkeypatch):
-        # A coarse cell's term f/cos(h + pad), h = pi/_COARSE_GRID, exceeds
-        # its sample f by 0.0824 f, less than g_stop = L _COARSE_TOL/2 = 0.1 L
-        # since no sample exceeds the Lipschitz constant L.  Every coarse
-        # cell passes, so a general radius is its first eigvalsh alone, of
-        # 4 samples and Im X, and closes right there: no rotation bound, odd
-        # sample, fine row, fit round, ladder, covering cell or subdivision.
-        premise = 1.0 / math.cos(math.pi / harness._COARSE_GRID + radius._PAD) - 1.0
-        assert premise == pytest.approx(0.0824, abs=1e-4) and premise < harness._COARSE_TOL / 2
+        # A coarse cell's term f/cos(h + pad), h = pi/grid, exceeds its
+        # sample f by 0.414 f on 4 cells and 0.0824 f on 8, less than
+        # g_stop = L tol/2 (0.5 L and 0.1 L) since no sample exceeds the
+        # Lipschitz constant L.  Every coarse cell passes, so a general
+        # radius is its first eigvalsh alone, of its grid/2 even samples
+        # (theta = 0 and pi/2, Re X and Im X, on 4 cells), and closes right
+        # there: no rotation bound, odd sample, fine row, fit round, ladder,
+        # covering cell or subdivision.
+        assert harness._COARSE_PASSES == ((4, 1.0), (8, 0.2))
+        for (grid, tol), excess in zip(harness._COARSE_PASSES, (0.4142, 0.0824)):
+            premise = 1.0 / math.cos(math.pi / grid + radius._PAD) - 1.0
+            assert premise == pytest.approx(excess, abs=1e-4) and premise < tol / 2
         calls = []
         original = np.linalg.eigvalsh
 
@@ -631,9 +680,10 @@ class TestCoarsePass:
             for k, spec in enumerate((OPERATOR, TRACE, schatten(3))):
                 for seed in range(4):
                     X = random_ginibre(GenConfig(n, 7000 + 10 * n + 4 * k + seed))
-                    calls.clear()
-                    radius.omega_n(spec, X, grid=harness._COARSE_GRID, refine_tol=harness._COARSE_TOL)
-                    assert calls == [harness._COARSE_GRID // 2 + 1], (n, spec.label, seed, calls)
+                    for grid, tol in harness._COARSE_PASSES:
+                        calls.clear()
+                        radius.omega_n(spec, X, grid=grid, refine_tol=tol)
+                        assert calls == [grid // 2], (n, spec.label, seed, grid, calls)
 
     def test_tight_callers_stay_tight(self, monkeypatch):
         calls = record_radii(monkeypatch)

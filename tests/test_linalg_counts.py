@@ -1,13 +1,16 @@
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from helpers import count_linalg_matrices
+from sector_radius import harness
 from sector_radius.cli import main
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "linalg_counts.py"
 ROUTINES = ("eigvalsh", "eigh", "eig", "eigvals", "svd", "cholesky", "solve", "inv", "qr")
 ARGS = ("--ids", "P3_sec", "--trials", "2", "--dims", "3", "--norms", "op")
+MIXED = ("--ids", "B_prod4,L2_block_tan,SA_omega_le_N", "--trials", "6", "--dims", "2,3", "--norms", "op,tr")
 
 
 def test_totals_match_a_count_of_the_same_verify_run(monkeypatch, capsys):
@@ -28,3 +31,34 @@ def test_totals_match_a_count_of_the_same_verify_run(monkeypatch, capsys):
     # The index of each sectorial input takes one inverse of the gate's factor.
     inv = next(line.split() for line in lines if line.startswith("inv "))
     assert inverses and (int(inv[1]), int(inv[2])) == (len(inverses), sum(inverses))
+
+
+def test_radius_pass_lines_count_each_check_once(monkeypatch, capsys):
+    # One line per sequence of (grid, refine_tol) radius passes, keyed on
+    # the omega_n calls of each check: the counts add up to the checks and
+    # match a record of the same run's calls.
+    done = subprocess.run([sys.executable, str(TOOL), *MIXED], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("radius passes"))
+    stop = next(k for k, line in enumerate(lines) if line.startswith("routine"))
+    got = {line.rsplit(maxsplit=1)[0]: int(line.split()[-1]) for line in lines[start + 1 : stop]}
+
+    sequences = []
+    check, omega_n = harness._check, harness.omega_n
+
+    def checked(*args, **kwargs):
+        sequences.append([])
+        return check(*args, **kwargs)
+
+    def radius(spec, *mats, grid, refine_tol):
+        sequences[-1].append(f"({grid},{refine_tol!r})")
+        return omega_n(spec, *mats, grid=grid, refine_tol=refine_tol)
+
+    monkeypatch.setattr(harness, "_check", checked)
+    monkeypatch.setattr(harness, "omega_n", radius)
+    assert main(["verify", *MIXED]) == 0
+    capsys.readouterr()
+    want = Counter("->".join(seq) or "none" for seq in sequences)
+    assert got == dict(want) and sum(got.values()) == 18
+    assert got["none"] == 6 and got["(4,1.0)"] > 0

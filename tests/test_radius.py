@@ -42,6 +42,7 @@ from helpers import (
     norm_of_svals,
     oracle_omega,
     oracle_resolution_slack,
+    profile_at,
     random_complex,
     random_hermitian,
     refined_oracle_omega,
@@ -255,14 +256,28 @@ class TestOmegaN:
         assert est.value == pytest.approx(abs(z), abs=1e-12)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            omega_n(OPERATOR, np.eye(2), grid=4)
+        # The grid is a multiple of 4 and at least 4: the even sample
+        # grid/4 is then pi/2, the row Im X, and every odd sample lies
+        # between two coarse cells.
+        X = random_complex(np.random.default_rng(12), 3)
+        for grid in (4, 8, 12, 32, np.int64(20)):
+            assert radius.check_grid(grid) == grid and type(radius.check_grid(grid)) is int
+            even, order, forms = radius._stage_forms(int(grid))
+            c, s = forms["general"]
+            assert (c[grid // 4], s[grid // 4]) == (0.0, -1.0) and even[grid // 4] == pytest.approx(0.5 * math.pi)
+            assert sorted(order) == list(range(grid // 2)) and list(order[:2]) == [0, grid // 4]
+            omega_n(OPERATOR, X, grid=grid)
+        for grid in (0, 2, 6, 10, 30, -4, 4.0, True):
+            with pytest.raises(ValueError, match="multiple of 4"):
+                omega_n(OPERATOR, X, grid=grid)
+            with pytest.raises(ValueError, match="multiple of 4"):
+                CheckContext(grid=grid)
         with pytest.raises(ValueError):
             omega_n(OPERATOR, np.eye(2), refine_tol=0.0)
 
     @pytest.mark.parametrize(
         "setting, match",
-        [pytest.param({"grid": grid}, "even integer", id=str(grid)) for grid in (9, 33, 255, True)]
+        [pytest.param({"grid": grid}, "multiple of 4", id=str(grid)) for grid in (9, 33, 255, True)]
         + [
             pytest.param({"refine_tol": tol}, "refine_tol must be positive", id=f"refine_tol={tol}")
             for tol in (-1.0, 0.0, math.nan, True)
@@ -380,12 +395,13 @@ class TestEigensolverBudget:
             assert np.median(calls) <= 5, (n, calls)
             assert np.mean(matrices) <= ceiling, (n, np.mean(matrices))
 
-    @pytest.mark.parametrize("grid", [8, 32, 256])
+    @pytest.mark.parametrize("grid", [4, 8, 32, 256])
     @pytest.mark.parametrize("spec", (OPERATOR, TRACE, schatten(3)), ids=lambda s: s.label)
     def test_grid_stages_of_a_general_lane(self, spec, grid, monkeypatch):
-        # Stage 1 evaluates the grid/2 even samples and Im X; stage 2 only
-        # the odd samples (2k +- 1) h beside coarse cells that fail their
-        # test (f(2kh) + sample error)/cos(h + pad) <= best + g_stop.
+        # Stage 1 evaluates the grid/2 even samples, the one at pi/2 being
+        # Im X; stage 2 only the odd samples (2k +- 1) h beside coarse cells
+        # that fail their test (f(2kh) + sample error)/cos(h + pad) <=
+        # best + g_stop.
         calls = count_hermitian_eig_matrices(monkeypatch)
         stage2 = []
         original = radius._profile_values
@@ -403,18 +419,20 @@ class TestEigensolverBudget:
             A, B = cartesian_decompose(X)
             p = spec.schatten_p
             row = original(A[None], B[None], {0: np.arange(0, grid, 2) * h}, p)[0]
-            g_stop = 0.5 * (row[0] + hermitian_norm(spec, B)) * 1e-10
+            row[grid // 4] = hermitian_norm(spec, B)
+            g_stop = 0.5 * (row[0] + row[grid // 4]) * 1e-10
             slack = radius._sample_error(A, B, p)
             k = np.flatnonzero((row + slack) / math.cos(h + _PAD) > row.max() + g_stop)
             expected = np.unique(np.concatenate([2 * k - 1, 2 * k + 1]) % grid) * h
             calls.clear()
             stage2.clear()
             omega_n(spec, X, grid=grid)
-            assert calls[0] == grid // 2 + 1, calls
+            assert calls[0] == grid // 2, calls
             assert np.array_equal(stage2[0], expected), (n, stage2[0] / h, expected / h)
             assert calls[1] == len(expected)
             skipped += grid // 2 - len(expected)
-        assert skipped > 0
+        # On 4 cells both odd samples border every coarse cell.
+        assert skipped > 0 or grid == 4
 
     def test_flat_profiles_need_no_subdivision(self, monkeypatch):
         # The rotation bound (every norm) and the closed form (fro) certify
@@ -617,8 +635,8 @@ class TestTightPin:
             for est in ests if isinstance(ests, tuple) else (ests,):
                 digest.update(repr((est.value, est.theta_star, est.cert_error)).encode())
         assert reached["clipped"] and reached["_rotation_bound"] and reached["_subdivide"], reached
-        assert (len(counts), sum(counts)) == (522, 8128)
-        assert digest.hexdigest() == "ce94098329ef9a97b8a437ea8cc261a2d9c18717b3f56c4f0c345ed31a0c5820"
+        assert (len(counts), sum(counts)) == (522, 7960)
+        assert digest.hexdigest() == "59787e2c02018911702857a4ad5050d86a96f97664526f4bfca401677cba7acb"
 
 
 class TestFarScale:
@@ -753,7 +771,7 @@ class TestRotationCertificate:
         for spec in (TRACE, schatten(3), OPERATOR):
             p = spec.schatten_p
             value = float(one_lane(A, B, thetas, p).max())
-            bound = _rotation_bound(value, radius._sample_error(A, B, p), h, _rotation_drift(X, K, p))
+            bound = _rotation_bound(value, radius._sample_error(A, B, p), h, _rotation_drift(X, K, p, radius._fro(X)))
             pad = 16 * n ** (1.0 / p) * n * EPS * float(np.linalg.norm(X))
             assert bound >= oracle_omega(X, p, 2000) - pad, spec.label
 
@@ -770,32 +788,33 @@ class TestRotationCertificate:
             value = radius_profile(spec, X, 0.5 * math.pi)
             assert value <= 1e-15
             slack = radius._sample_error(A, B, p)
-            assert _rotation_bound(value, slack, math.pi, _rotation_drift(X, K, p)) >= 1.0, spec.label
+            assert _rotation_bound(value, slack, math.pi, _rotation_drift(X, K, p, radius._fro(X))) >= 1.0, spec.label
 
     def test_shift_grading_is_exact(self):
         # K X - X K = -X on every orthogonal sum of weighted shifts, up to
         # the rounding of one SVD and the doubling's matrix products.
         for name, X in grading_inputs():
             n = X.shape[0]
-            K = _flag_grading(X)
+            K = _flag_grading(X, radius._fro(X))
             assert K is not None, name
             assert np.array_equal(K, K.conj().T)
             residual = np.linalg.norm(K @ X - X @ K + X)
             assert residual <= 4 * n * n * EPS * np.linalg.norm(X), (name, residual)
-        assert _flag_grading(np.eye(3) + jordan(3)) is None
+        Y = np.eye(3) + jordan(3)
+        assert _flag_grading(Y, radius._fro(Y)) is None
 
     def test_grading_takes_one_svd(self, monkeypatch):
         counts = count_linalg_matrices(monkeypatch, ("svd",))
         for name, X in flat_fixtures():
             before = len(counts)
-            assert _flag_grading(X) is not None, name
+            assert _flag_grading(X, radius._fro(X)) is not None, name
             assert counts[before:] == [1], name
 
     def test_no_certificate_without_rotation_symmetry(self):
         refine_tol = 1e-10
         for name, X in rotation_inputs(19):
             A, B = cartesian_decompose(X)
-            K = _flag_grading(X)
+            K = _flag_grading(X, radius._fro(X))
             if name == "random":
                 assert K is None
             for spec in (TRACE, schatten(3), OPERATOR):
@@ -804,7 +823,8 @@ class TestRotationCertificate:
                 if K is not None:
                     h = math.pi / radius.DEFAULT_GRID
                     f0 = float(one_lane(A, B, np.arange(radius.DEFAULT_GRID) * h, p).max())
-                    bound = _rotation_bound(f0, radius._sample_error(A, B, p), h, _rotation_drift(X, K, p))
+                    drift = _rotation_drift(X, K, p, radius._fro(X))
+                    bound = _rotation_bound(f0, radius._sample_error(A, B, p), h, drift)
                     assert bound - f0 > g_stop, (name, spec.label)
                 est = omega_n(spec, X, refine_tol=refine_tol)
                 assert oracle_omega(X, p, 20000) <= est.value + est.cert_error + 1e-12, (name, spec.label)
@@ -825,11 +845,11 @@ class TestRotationCertificate:
 
     def test_circular_lanes_close_on_one_sample(self, monkeypatch):
         # A circular lane takes one SVD and one eigvalsh of theta = 0 and
-        # Im X, and the rotation bound on that single sample (step pi)
-        # closes it, with no covering cell.  At n = 64 the operator norm's
-        # one-sample bound misses g_stop by about 2x, so those lanes take
-        # the rest of their even samples in one more eigvalsh and close on
-        # step 2h.
+        # pi/2 (Im X), and the rotation bound on the single sample theta = 0
+        # (step pi) closes it, with no covering cell.  At n = 64 the
+        # operator norm's one-sample bound misses g_stop by about 2x, so
+        # those lanes take the other grid/2 - 2 even samples in one more
+        # eigvalsh and close on step 2h.
         def refuse(*args):
             raise AssertionError("covering cells built")
 
@@ -848,15 +868,44 @@ class TestRotationCertificate:
                 assert est.cert_error <= 0.5 * L * radius.DEFAULT_REFINE_TOL, (name, spec.label, est)
                 assert svd == [1], (name, spec.label, svd)
                 if n == 64 and spec is OPERATOR:
-                    assert eig == [2, radius.DEFAULT_GRID // 2 - 1], (name, spec.label, eig)
+                    assert eig == [2, radius.DEFAULT_GRID // 2 - 2], (name, spec.label, eig)
                 else:
                     assert eig == [2], (name, spec.label, eig)
                     assert (est.value, est.theta_star) == (at_zero, 0.0), (name, spec.label)
 
+    @pytest.mark.parametrize("grid", [4, 8, 32])
+    def test_graded_lane_left_open_keeps_grid_order(self, grid, monkeypatch):
+        # A graded lane evaluates theta = 0 and pi/2 first and its other
+        # even samples after; left open by the rotation bound, it must reach
+        # the covering cells with its samples in grid order, bit for bit as
+        # a lane that was never graded.  The inputs are singular and
+        # trace-free, so they are graded; the bound is made to admit them
+        # and then never close.
+        def admit_only(value, slack, h, drift):
+            return slack if value == 0.0 else math.inf
+
+        rng = np.random.default_rng(60)
+        for n in (3, 5):
+            X = random_complex(rng, n)
+            X[:, -1] = 0.0
+            X[0, 0] = -X.diagonal()[1:].sum()
+            for spec in (OPERATOR, TRACE, schatten(3)):
+                with monkeypatch.context() as m:
+                    m.setattr(radius, "_flag_grading", lambda X, fro: None)
+                    plain = omega_n(spec, X, grid=grid)
+                with monkeypatch.context() as m:
+                    graded = []
+                    flag = radius._flag_grading
+                    m.setattr(radius, "_flag_grading", lambda X, fro: graded.append(n) or flag(X, fro))
+                    m.setattr(radius, "_rotation_bound", admit_only)
+                    est = omega_n(spec, X, grid=grid)
+                assert graded == [n], (n, spec.label)
+                assert est == plain, (n, spec.label, grid)
+
     def test_random_inputs_never_reach_the_rotation_path(self, monkeypatch):
         # Only a lane whose trace is within rounding of 0 asks for the
         # grading.
-        def refuse(X):
+        def refuse(*args):
             raise AssertionError("rotation path reached")
 
         monkeypatch.setattr(radius, "_flag_grading", refuse)
@@ -929,6 +978,50 @@ class TestCertificateOracles:
             est = omega_n(TRACE, X)
             start = math.hypot(hermitian_norm(TRACE, A), hermitian_norm(TRACE, B))
             assert est.value + est.cert_error == start + radius._sample_error(A, B, 1.0), (n, seed, est)
+
+    @staticmethod
+    def mp_profile(X: np.ndarray, p: float, theta: float, dps: int = 30) -> float:
+        """N(Re(e^{i theta} X)) in mpmath at ``dps`` digits, from the doubles X and theta exactly."""
+        import mpmath
+
+        with mpmath.workdps(dps):
+            n = X.shape[0]
+            z = mpmath.expjpi(mpmath.mpf(theta) / mpmath.pi)
+            Y = z * mpmath.matrix([[mpmath.mpc(complex(X[i, j])) for j in range(n)] for i in range(n)])
+            H = (Y + Y.transpose_conj()) / 2
+            lam = [abs(v) for v in mpmath.eighe(H, eigvals_only=True)]
+            if math.isinf(p):
+                return float(max(lam))
+            return float(mpmath.fsum(v**p for v in lam) ** (mpmath.mpf(1) / p))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 16])
+    def test_grid_of_four_encloses_the_oracles(self, n):
+        # A start grid of 4 evaluates theta = 0 and pi/2 alone, so at
+        # refine_tol 1e-10 the odd samples, fits and ladders find every
+        # peak from those two.  The interval holds the mpmath profile at
+        # the dense-grid maximiser (golden-section refined), and the value
+        # is the mpmath profile at theta_star within the sample error.
+        rng = np.random.default_rng(900 + n)
+        for _ in range(2):
+            X = random_complex(rng, n)
+            A, B = cartesian_decompose(X)
+            for spec in (OPERATOR, TRACE, schatten(3)):
+                p = spec.schatten_p
+                est = omega_n(spec, X, grid=4, refine_tol=1e-10)
+                L = hermitian_norm(spec, A) + hermitian_norm(spec, B)
+                assert est.cert_error <= 0.5 * L * 1e-10, (n, spec.label, est)
+                step = math.pi / 4096
+                thetas = step * np.arange(4096)
+                a = thetas[int(np.argmax(profile_at(X, p, thetas)))] - step
+                b = a + 2 * step
+                for _ in range(60):
+                    c, d = b - 0.618 * (b - a), a + 0.618 * (b - a)
+                    fc, fd = profile_at(X, p, np.array([c, d]))
+                    a, b = (a, d) if fc >= fd else (c, b)
+                peak = self.mp_profile(X, p, 0.5 * (a + b))
+                assert peak <= est.value + est.cert_error, (n, spec.label, peak, est)
+                slack = radius._sample_error(A, B, p)
+                assert abs(self.mp_profile(X, p, est.theta_star) - est.value) <= slack, (n, spec.label, est)
 
     @staticmethod
     def frobenius_inputs():
