@@ -226,4 +226,169 @@ class SuiteReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.report_obj(), indent=2, sort_keys=True, allow_nan=False)
+        """The report as JSON text, exactly ``json.dumps(self.report_obj(),
+        indent=2, sort_keys=True, allow_nan=False)``.
+
+        That layout is the report contract, and TestReportPin pins its
+        bytes: keys sorted, two spaces of indent per level, ``": "`` after
+        keys, ``[]`` and ``{}`` for empty containers, ASCII-only strings
+        and no trailing newline.  Floats are written by ``float.__repr__``.
+        A NaN or an infinity raises ValueError and a value json cannot
+        encode raises TypeError, as in the reference.  json's indenting
+        encoder is pure Python; this writer renders each result and each id
+        summary from one format string and writes ``config`` once for both
+        of its places.
+        """
+        config = _encode(self.config, 1)
+        per_id = [_id_summary(k, self.per_id[k]) for k in sorted(self.per_id)]
+        return _REPORT % (
+            config,
+            _block("[", [_result(r) for r in self.results], "]", 1),
+            _encode(self.certified_fail_total, 2),
+            config.replace("\n", "\n  "),
+            _encode(self.ok, 2),
+            _block("{", per_id, "}", 2),
+            _encode(self.wall_time_s, 2),
+        )
+
+
+# --- report writer -------------------------------------------------------------
+#
+# Every string json.encoder.encode_basestring_ascii returns escapes its
+# newlines, so a "\n" in encoded text is always a line break: re-indenting
+# a block is one str.replace.
+
+_INDENT = "  "
+_escape = json.encoder.encode_basestring_ascii
+_isfinite = math.isfinite
+
+
+def _float(o: float) -> str:
+    if _isfinite(o):
+        return float.__repr__(o)
+    raise ValueError("Out of range float values are not JSON compliant: " + repr(o))
+
+
+# Scalar writers by exact type; subclasses take _encode's isinstance path.
+_SCALARS = {
+    str: _escape,
+    float: _float,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda o: "null",
+}
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: str, float, bool, None and int only."""
+    if isinstance(k, str):
+        return _escape(k)
+    if isinstance(k, float):
+        return _escape(_float(k))
+    if k is True or k is False or k is None:
+        return _escape(_SCALARS[type(k)](k))
+    if isinstance(k, int):
+        return _escape(int.__repr__(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _block(opening: str, items: list, closing: str, level: int) -> str:
+    """A container whose encoded ``items`` go one level below ``level``."""
+    if not items:
+        return opening + closing
+    inner = "\n" + _INDENT * (level + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + _INDENT * level + closing
+
+
+def _encode(o, level: int) -> str:
+    """``o`` as json writes a value on a line at indent ``level``."""
+    scalar = _SCALARS.get(type(o))
+    if scalar is not None:
+        return scalar(o)
+    if isinstance(o, str):
+        return _escape(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    get = _SCALARS.get
+    if isinstance(o, dict):
+        items = [
+            (_escape(k) if type(k) is str else _key(k))
+            + ": "
+            + (f(v) if (f := get(type(v))) else _encode(v, level + 1))
+            for k, v in sorted(o.items())
+        ]
+        return _block("{", items, "}", level)
+    if isinstance(o, (list, tuple)):
+        items = [f(v) if (f := get(type(v))) else _encode(v, level + 1) for v in o]
+        return _block("[", items, "]", level)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+_REPORT = """{
+  "config": %s,
+  "results": %s,
+  "summary": {
+    "certified_fail_total": %s,
+    "config": %s,
+    "ok": %s,
+    "per_id": %s,
+    "wall_time_s": %s
+  }
+}"""
+
+# CheckResult.to_obj's keys in sorted order; the lines after the first are
+# at the indent an item of "results" has.
+_RESULT = """{
+      "dim": %s,
+      "id": %s,
+      "lhs": [
+        %s,
+        %s
+      ],
+      "norm": %s,
+      "note": %s,
+      "ratio": %s,
+      "rhs": [
+        %s,
+        %s
+      ],
+      "seed": %s,
+      "verdict": %s
+    }"""
+
+# IdSummary.to_obj's keys in sorted order; the lines after the first are at
+# the indent an entry of "per_id" has.
+_ID_SUMMARY = """%s: {
+        "max_ratio": %s,
+        "trials": %s,
+        "verdicts": %s,
+        "worst_margin": %s
+      }"""
+
+
+def _result(r: CheckResult) -> str:
+    return _RESULT % (
+        _encode(r.dim, 3),
+        _encode(r.id, 3),
+        _encode(r.lhs.lo, 4),
+        _encode(r.lhs.hi, 4),
+        _encode(r.norm, 3),
+        _encode(r.note, 3),
+        _encode(r.ratio, 3),
+        _encode(r.rhs.lo, 4),
+        _encode(r.rhs.hi, 4),
+        _encode(r.seed, 3),
+        _encode(r.verdict, 3),
+    )
+
+
+def _id_summary(key, s: IdSummary) -> str:
+    return _ID_SUMMARY % (
+        _key(key),
+        _encode(s.max_ratio, 4),
+        _encode(s.trials, 4),
+        _encode(dict(s.verdicts), 4),
+        _encode(s.worst_margin, 4),
+    )

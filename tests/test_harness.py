@@ -470,10 +470,15 @@ class TestReportPin:
         # 20 trials meet every dimension x norm pair of every id.  Any bit
         # that moves anywhere in generation, gating, radii or the report
         # changes this digest.
-        obj = run_suite("all", 20, range(2, 7), DEFAULT_NORMS, seed=42).report_obj()
+        report = run_suite("all", 20, range(2, 7), DEFAULT_NORMS, seed=42)
+        obj = report.report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
         assert digest == "cda6e2b1d38908fde6640314b995371308490a65d5fa0c4992b598f7971bb736"
+        # The text `verify --out` writes, layout included.
+        report.wall_time_s = 0.0
+        layout = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert layout == "a81ec782a9dec3965c0765187aa79e7beaa98f4191005bdb7c4c689dd4063446"
 
 
 class TestInputPin:

@@ -1,11 +1,14 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from sector_radius.report import CheckResult, Interval, SuiteReport, IdSummary, classify
+from sector_radius.harness import DEFAULT_NORMS, run_suite, tightness_scan
+from sector_radius.report import VERDICTS, CheckResult, Interval, SuiteReport, IdSummary, classify
 
 # Finite floats whose sums and products stay finite, subnormals included.
 FLOATS = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
@@ -111,3 +114,165 @@ class TestCheckResultAndSummary:
         obj = json.loads(rep.to_json())
         assert set(obj) == {"config", "results", "summary"}
         assert obj["summary"]["ok"] is True
+
+
+# --- the report writer ---------------------------------------------------------
+
+
+def reference(report: SuiteReport) -> str:
+    """The text SuiteReport.to_json must equal."""
+    return json.dumps(report.report_obj(), indent=2, sort_keys=True, allow_nan=False)
+
+
+# Finite floats of every magnitude, with the edge cases drawn often.
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308, 1.0])
+REPORT_FLOATS = EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+# Text with the characters json must escape, and some it must not.
+ESCAPED = ['"', "\\", "\n", "\x00", "\t", "\x7f", "é", "中", "\U0001f600"]
+TEXT = st.text(st.sampled_from(ESCAPED + ["a", " ", "/"])) | st.text()
+OPTIONAL_INTS = st.none() | st.integers(min_value=-(2**70), max_value=2**70)
+PLAIN = st.recursive(
+    st.none() | st.booleans() | OPTIONAL_INTS | REPORT_FLOATS | TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=3)
+    | st.dictionaries(st.integers(), inner, max_size=2)
+    | st.dictionaries(REPORT_FLOATS, inner, max_size=2),
+    max_leaves=10,
+)
+
+
+@st.composite
+def report_intervals(draw):
+    a, b = sorted((draw(REPORT_FLOATS), draw(REPORT_FLOATS)))
+    return Interval(a, b)
+
+
+@st.composite
+def check_results(draw):
+    return CheckResult(
+        id=draw(TEXT),
+        lhs=draw(report_intervals()),
+        rhs=draw(report_intervals()),
+        verdict=draw(st.sampled_from(VERDICTS)),
+        ratio=draw(st.none() | REPORT_FLOATS),
+        seed=draw(OPTIONAL_INTS),
+        norm=draw(TEXT),
+        dim=draw(OPTIONAL_INTS),
+        note=draw(TEXT),
+    )
+
+
+@st.composite
+def id_summaries(draw):
+    return IdSummary(
+        trials=draw(st.integers(min_value=0, max_value=10**6)),
+        verdicts={v: draw(st.integers(min_value=0, max_value=10**6)) for v in VERDICTS},
+        max_ratio=draw(st.none() | REPORT_FLOATS),
+        worst_margin=draw(st.none() | REPORT_FLOATS),
+    )
+
+
+VERIFY_CONFIG = run_suite(["A_lower"], 1, [2], DEFAULT_NORMS, seed=1).config
+TIGHTNESS_CONFIG = tightness_scan("B_prod4", 0, 0).config
+
+
+@st.composite
+def reports(draw):
+    config = draw(st.sampled_from([VERIFY_CONFIG, TIGHTNESS_CONFIG, {}]) | st.dictionaries(TEXT, PLAIN, max_size=4))
+    return SuiteReport(
+        config=config,
+        per_id=draw(st.dictionaries(TEXT, id_summaries(), max_size=3)),
+        wall_time_s=draw(REPORT_FLOATS),
+        results=draw(st.lists(check_results(), max_size=3)),
+    )
+
+
+def poison(report: SuiteReport, where: str, bad: float) -> SuiteReport:
+    """``report`` with ``bad`` in the float field ``where``; results and per_id must not be empty."""
+    if where == "wall_time_s":
+        return replace(report, wall_time_s=bad)
+    if where == "config":
+        return replace(report, config={**report.config, "refine_tol": bad})
+    if where in ("max_ratio", "worst_margin"):
+        key = next(iter(report.per_id))
+        summary = IdSummary(**{**vars(report.per_id[key]), where: bad})
+        return replace(report, per_id={**report.per_id, key: summary})
+    first = report.results[0]
+    if where == "ratio":
+        first = replace(first, ratio=bad)
+    else:
+        # Interval refuses a NaN bound, so set it past the constructor.
+        side, end = where.split(".")
+        iv = replace(getattr(first, side))
+        object.__setattr__(iv, end, bad)
+        first = replace(first, **{side: iv})
+    return replace(report, results=[first, *report.results[1:]])
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(reports())
+    def test_to_json_is_the_indented_json_dumps(self, report):
+        assert report.to_json() == reference(report)
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            run_suite("all", 2, [2, 3], DEFAULT_NORMS, seed=1),
+            tightness_scan("B_prod4", 3, 5),
+            SuiteReport(config={}, per_id={}, wall_time_s=0.0, results=[]),
+        ],
+        ids=["suite", "tightness", "empty"],
+    )
+    def test_suite_reports_are_the_indented_json_dumps(self, report):
+        assert report.to_json() == reference(report)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        reports().filter(lambda r: r.results and r.per_id),
+        st.sampled_from(["lhs.lo", "lhs.hi", "rhs.lo", "rhs.hi", "ratio", "max_ratio", "worst_margin", "wall_time_s", "config"]),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_nan_and_infinity_are_refused_on_both_sides(self, report, where, bad):
+        bad_report = poison(report, where, bad)
+        with pytest.raises(ValueError, match="Out of range float"):
+            reference(bad_report)
+        with pytest.raises(ValueError, match="Out of range float"):
+            bad_report.to_json()
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"seed": np.int64(1)}, {"dims": {2, 3}}, {"grid": b"32"}, {("a",): 1}, {"a": 1, 2: 3}, {"x": [Fraction(1, 3)]}],
+    )
+    def test_values_json_cannot_encode_are_refused_on_both_sides(self, config):
+        report = SuiteReport(config=config, per_id={}, wall_time_s=0.0, results=[])
+        with pytest.raises(TypeError):
+            reference(report)
+        with pytest.raises(TypeError):
+            report.to_json()
+
+    def test_subclasses_of_plain_types_are_written_as_json_writes_them(self):
+        # numpy's float64 is a float subclass; json writes subclasses as their
+        # base type does, whatever their own str and repr say.
+        class Count(int):
+            def __str__(self):
+                return "three"
+
+            __repr__ = __str__
+
+        class Text(str):
+            def __str__(self):
+                return "text"
+
+            __repr__ = __str__
+
+        config = {
+            "tol": np.float64(0.1),
+            "n": Count(3),
+            Text("k"): Text("v"),
+            "by": {Count(4): [Count(5)]},
+            "ok": True,
+        }
+        report = SuiteReport(config=config, per_id={}, wall_time_s=np.float64(1.5), results=[])
+        assert report.to_json() == reference(report)

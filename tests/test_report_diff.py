@@ -94,3 +94,28 @@ def test_each_moved_id_is_listed_with_old_and_new_values(tmp_path):
     # Identical reports list no id.
     done = run_tool(tmp_path, old, old)
     assert not any(line.startswith("id ") for line in done.stdout.splitlines())
+
+
+def test_the_last_line_compares_the_bytes(tmp_path):
+    # Two runs of one suite differ only in their wall time line.
+    texts = [run_suite(["A_lower", "P1_re_mono"], 2, [2, 3], [OPERATOR], seed=5).to_json() for _ in range(2)]
+    assert texts[0] != texts[1]
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, text in zip(paths, texts):
+        path.write_text(text + "\n")
+    done = subprocess.run([sys.executable, str(TOOL), *map(str, paths)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == 'bytes: identical apart from the "wall_time_s" line'
+    # A moved value is named by the first line it is on.
+    obj = json.loads(texts[0])
+    obj["results"][1]["note"] = "moved"
+    paths[1].write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    number = [i for i, line in enumerate(texts[0].splitlines(), 1) if '"note"' in line][1]
+    done = subprocess.run([sys.executable, str(TOOL), *map(str, paths)], capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stdout.splitlines()[-1] == f"bytes: first difference at line {number}: '\"note\": \"\",' -> '\"note\": \"moved\",'"
+    # A file that ends early differs at the line after its last.
+    paths[1].write_text(texts[0])
+    done = subprocess.run([sys.executable, str(TOOL), *map(str, paths)], capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[-1] == f"bytes: first difference at line {len(texts[0].splitlines()) + 1}: one file ends before it"

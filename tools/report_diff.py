@@ -16,9 +16,11 @@ the line also counts the moves that widened the interval (``hi`` up or
 ``max_ratio`` or ``worst_margin`` moved gives both fields' old and new
 values.  Results are matched by position, so both reports must list
 the same (id, norm, dim, seed) in the same order.
-Wall time is ignored.  Exits 0 when nothing moved, 1 when something
-did, and 2, with a one-line ``error:`` on stderr, on a wrong argument
-count or a report that cannot be read.
+Wall time is ignored.  The last line compares the files' bytes: it says
+that they are byte-identical apart from the ``"wall_time_s"`` line, or
+gives the first line that differs.  Exits 0 when nothing moved, 1 when
+something did, and 2, with a one-line ``error:`` on stderr, on a wrong
+argument count or a report that cannot be read.
 """
 
 from __future__ import annotations
@@ -140,17 +142,33 @@ def diff(old: dict, new: dict) -> list[str]:
     return lines + per_id_moves(old, new)
 
 
+WALL_TIME_LINE = b'    "wall_time_s": '
+
+
+def first_byte_difference(old: bytes, new: bytes) -> str:
+    """Whether two report files differ only in their wall time line, or where they first differ."""
+    lines_a, lines_b = old.split(b"\n"), new.split(b"\n")
+    for number, (a, b) in enumerate(zip(lines_a, lines_b), 1):
+        if a != b and not (a.startswith(WALL_TIME_LINE) and b.startswith(WALL_TIME_LINE)):
+            shown = (line.decode(errors="replace").strip() for line in (a, b))
+            return "bytes: first difference at line {}: {!r} -> {!r}".format(number, *shown)
+    if len(lines_a) != len(lines_b):
+        return f"bytes: first difference at line {min(len(lines_a), len(lines_b)) + 1}: one file ends before it"
+    return 'bytes: identical apart from the "wall_time_s" line'
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("error: usage: report_diff.py OLD.json NEW.json", file=sys.stderr)
         return 2
     try:
-        old, new = (json.loads(Path(path).read_text()) for path in argv)
+        raw = [Path(path).read_bytes() for path in argv]
+        old, new = (json.loads(text) for text in raw)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     lines = diff(old, new)
-    print("\n".join(lines))
+    print("\n".join(lines + [first_byte_difference(*raw)]))
     return 0 if lines[0] == "no moves" else 1
 
 
