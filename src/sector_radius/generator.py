@@ -210,6 +210,17 @@ def sectorial_stack(cfgs, alphas, streams: Streams | None = None) -> np.ndarray:
     matrix.  An alpha of 0 makes T = 0 and gives the positive definite
     G G* itself.
     """
+    return _sectorial_draw(cfgs, alphas, streams)[0]
+
+
+def _sectorial_draw(cfgs, alphas, streams: Streams | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sectorial_stack's matrices, and the smallest and largest eigenvalue of each scaled T.
+
+    The arguments of W(X) span exactly [arctan lo, arctan hi] for the
+    exact draw, so the extremes are its sector witness: they are those of
+    eigvalsh(T), which the scaling needs anyway, times the scale, within
+    rounding of the eigenvalues of the scaled T.
+    """
     n = _dimension(cfgs)
     alphas = [float(a) for a in alphas]
     if len(alphas) != len(cfgs):
@@ -221,12 +232,16 @@ def sectorial_stack(cfgs, alphas, streams: Streams | None = None) -> np.ndarray:
     G = ginibre_stack([GenConfig(n, mix_seed(cfg.seed, _STREAM_SECT_BASE), cfg.scale) for cfg in cfgs], streams)
     tilt = ginibre_stack([GenConfig(n, mix_seed(cfg.seed, _STREAM_SECT_TILT), 1.0) for cfg in cfgs], streams)
     T = _hermitian_part(tilt)
-    peaks = np.max(np.abs(np.linalg.eigvalsh(T)), axis=-1)
+    lam = np.linalg.eigvalsh(T)
+    peaks = np.max(np.abs(lam), axis=-1)
     T[peaks == 0.0] = np.eye(n)
+    lam[peaks == 0.0] = 1.0
     peaks[peaks == 0.0] = 1.0
-    T *= (np.array([math.tan(alpha) for alpha in alphas]) / peaks)[:, None, None]
+    scale = np.array([math.tan(alpha) for alpha in alphas]) / peaks
+    T *= scale[:, None, None]
     Gh = adjoint(G)
-    return _hermitian_part(G @ Gh) + 1j * _hermitian_part(G @ T @ Gh)
+    X = _hermitian_part(G @ Gh) + 1j * _hermitian_part(G @ T @ Gh)
+    return X, lam[:, 0] * scale, lam[:, -1] * scale
 
 
 def accretive_dissipative_stack(cfgs, streams: Streams | None = None) -> np.ndarray:

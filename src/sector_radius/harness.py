@@ -26,6 +26,16 @@ refine_tol, each pass only while the sides of the one before overlap
 check_inequality and tightness_scan always certify on the context's grid
 to its refine_tol.
 
+The sector data of explicit inputs come from a search
+(sectorial.rotation_to_sector or sector_index) and are then verified.
+A suite's sectorial draw already knows its witness, the index and
+rotation of the exact draw, and claims it (generate_inputs); the suite
+gate of a row of several inputs verifies that claim and skips the search
+(_takes_claims).  The verifier is the same for both and trusts neither, so
+a wrong claim costs inflation tries or an inapplicable verdict, never a
+false certificate (the certifying-algorithm split of McConnell, Mehlhorn,
+Naher and Schweitzer, Computer Science Review 5(2), 2011).
+
 IDs whose statement involves the classical numerical radius always run
 with the operator norm regardless of the requested norm; the remaining
 IDs are parametric in any member of the shipped norm family.
@@ -33,6 +43,7 @@ IDs are parametric in any member of the shipped norm family.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import time
@@ -45,11 +56,11 @@ import numpy as np
 from .generator import (
     GenConfig,
     Streams,
+    _sectorial_draw,
     accretive_dissipative_stack,
     ginibre_stack,
     mix_seed,
     pd_stack,
-    sectorial_stack,
 )
 from .linalg import (
     LAPACK_BACKWARD,
@@ -288,7 +299,7 @@ class Hypothesis(Enum):
     PSD_NOTE = "first input PSD; a violation is noted, not refused"
 
 
-def _check_hypothesis(kind, mats, arity: int) -> tuple[list[SectorInfo], str]:
+def _check_hypothesis(kind, mats, arity: int, claims=None) -> tuple[list[SectorInfo], str]:
     """Sector data of each input and a note, once ``kind`` holds.
 
     Inputs are tested in order and the first violation raises
@@ -296,8 +307,16 @@ def _check_hypothesis(kind, mats, arity: int) -> tuple[list[SectorInfo], str]:
     the accretive-dissipative gate still take one stacked pass over all
     inputs.  Only SECTORIAL and ACCRETIVE return sector data; PSD_NOTE
     returns a note instead of raising.
+
+    ``claims``, a SectorInfo per input, is a candidate for that sector
+    data: a SECTORIAL or ACCRETIVE gate then skips the search and only
+    verifies the claims (_verified), so the data it returns are certified
+    whatever produced them; a wrong claim is inflated until it holds, or
+    is inapplicable.
     """
     names = [("first input", "second input")[k] if arity else f"input {k}" for k in range(len(mats))]
+    if claims is not None and kind in (Hypothesis.SECTORIAL, Hypothesis.ACCRETIVE):
+        return _verified(list(claims), mats), ""
     if kind is Hypothesis.SECTORIAL:
         return _sector_data(rotation_to_sector, mats, names, NotSectorialError, "input is not sectorial"), ""
     if kind is Hypothesis.ACCRETIVE:
@@ -784,15 +803,16 @@ def _passes(ctx: CheckContext) -> tuple[tuple[int, float], ...]:
     return tuple(rung for rung in _COARSE_PASSES if rung[1] > ctx.refine_tol) + _tight(ctx)
 
 
-def _evaluate(info: IdInfo, mats, spec: NormSpec, ctx: CheckContext, passes) -> tuple[Interval, Interval, str]:
+def _evaluate(info: IdInfo, mats, spec: NormSpec, ctx: CheckContext, passes, claims=None) -> tuple[Interval, Interval, str]:
     """Both sides of ``info`` with its radii certified by the first of ``passes``.
 
     Each pass is a (grid, refine_tol) pair of omega_n.  While the sides do
     not separate, each further pass recomputes the radii alone: the gate's
     sector data and every other term are kept, so the last pass gives the
-    bits of a check run at its grid and tolerance only.
+    bits of a check run at its grid and tolerance only.  ``claims`` go to
+    the gate (_check_hypothesis).
     """
-    infos, note = _check_hypothesis(info.requires, mats, info.arity)
+    infos, note = _check_hypothesis(info.requires, mats, info.arity, claims)
     ev = _Evaluator(mats, infos, info.product, spec, ctx)
     if info.block is not None:
         return _block_certificate(info.block, ev.matrix(Rotated(_X)), infos[_X])
@@ -826,8 +846,8 @@ def check_inequality(
     return _check(id, inputs, norm, context, seed, _tight(context))
 
 
-def _check(id, inputs, norm: NormSpec, context: CheckContext, seed, passes) -> CheckResult:
-    """check_inequality with its radius passes given as in _evaluate."""
+def _check(id, inputs, norm: NormSpec, context: CheckContext, seed, passes, claims=None) -> CheckResult:
+    """check_inequality with its radius passes and sector claims given as in _evaluate."""
     ineq = InequalityId(id)
     info = REGISTRY[ineq]
     mats = [as_matrix(m, f"input {k}") for k, m in enumerate(inputs)]
@@ -842,7 +862,7 @@ def _check(id, inputs, norm: NormSpec, context: CheckContext, seed, passes) -> C
             raise DimensionError(f"input {k} has dimension {M.shape[0]}, expected {n}")
     spec_eff = OPERATOR if info.classical else norm
     try:
-        lhs, rhs, note = _evaluate(info, mats, spec_eff, context, passes)
+        lhs, rhs, note = _evaluate(info, mats, spec_eff, context, passes, claims)
     except Inapplicable as exc:
         return CheckResult.inapplicable(ineq.value, str(exc), seed=seed, norm=spec_eff.label, dim=n)
     return CheckResult.from_comparison(
@@ -865,18 +885,33 @@ def _uniforms(streams: Streams, seed: int, tags, lo: float, hi: float) -> list[f
 
 
 def _plain(draw):
-    """A draw that needs nothing but its generator configs."""
-    return lambda streams, cfgs, seed, index_tags, phase_tags: draw(cfgs, streams)
+    """A draw that needs nothing but its generator configs, and has no sector claims."""
+    return lambda streams, cfgs, seed, index_tags, phase_tags: (draw(cfgs, streams), None)
 
 
-def _accretive(streams: Streams, cfgs, seed: int, index_tags, phase_tags) -> np.ndarray:
-    return sectorial_stack(cfgs, _uniforms(streams, seed, index_tags, 0.0, _ALPHA_MAX), streams)
+def _sector_draw(streams: Streams, cfgs, seed: int, index_tags):
+    """Accretive draws at uniform indices, and arctan of the extreme eigenvalues of each scaled T."""
+    X, lo, hi = _sectorial_draw(cfgs, _uniforms(streams, seed, index_tags, 0.0, _ALPHA_MAX), streams)
+    return X, [math.atan(v) for v in lo.tolist()], [math.atan(v) for v in hi.tolist()]
 
 
-def _rotated(streams: Streams, cfgs, seed: int, index_tags, phase_tags) -> np.ndarray:
-    X = _accretive(streams, cfgs, seed, index_tags, phase_tags)
+def _accretive(streams: Streams, cfgs, seed: int, index_tags, phase_tags):
+    """Accretive inputs, each claimed at index max(arctan hi, -arctan lo), its alpha, with z = 1."""
+    X, lo, hi = _sector_draw(streams, cfgs, seed, index_tags)
+    return X, [SectorInfo(max(h, -l), complex(1.0, 0.0)) for l, h in zip(lo, hi)]
+
+
+def _rotated(streams: Streams, cfgs, seed: int, index_tags, phase_tags):
+    """Accretive inputs turned by e^{i phi}, each claimed at the bisector of its arc.
+
+    W(e^{i phi} X) spans the arguments phi + [arctan lo, arctan hi], so
+    z = e^{-i (phi + c)}, c the arc's centre, turns it onto the positive
+    axis with half-width (arctan hi - arctan lo)/2, the minimal index.
+    """
+    X, lo, hi = _sector_draw(streams, cfgs, seed, index_tags)
     phases = _uniforms(streams, seed, phase_tags, 0.0, 2.0 * math.pi)
-    return np.exp(1j * np.array(phases))[:, None, None] * X
+    claims = [SectorInfo((h - l) / 2.0, cmath.exp(-1j * (p + (h + l) / 2.0))) for p, l, h in zip(phases, lo, hi)]
+    return np.exp(1j * np.array(phases))[:, None, None] * X, claims
 
 
 _GINIBRE = _plain(ginibre_stack)
@@ -894,8 +929,21 @@ _DRAWS = {
 }
 
 
-def generate_inputs(info: IdInfo, n: int, seed: int, m_fold: int = 3) -> list[np.ndarray]:
-    """Deterministic inputs for one trial of ``info``, drawn to satisfy its hypothesis.
+class _Inputs(list):
+    """The inputs of one trial, with ``claims``: the draw's SectorInfo of each, or None.
+
+    Only SECTORIAL and ACCRETIVE draws know a witness: the exact index
+    and rotation of the exact draw, claims that _verified certifies.  The
+    claims ride on generate_inputs' list, so that suites draw through
+    generate_inputs as every other caller does (and as the benchmark's
+    tracer sees the generator layer).
+    """
+
+    claims: list[SectorInfo] | None
+
+
+def _draw(info: IdInfo, n: int, seed: int, m_fold: int = 3) -> tuple[list[np.ndarray], list[SectorInfo] | None]:
+    """The inputs of one trial of ``info`` and their sector claims (generate_inputs).
 
     A row with one draw for every input draws them all as one stack; every
     Philox stream comes from one re-keyed bit generator.
@@ -907,11 +955,27 @@ def generate_inputs(info: IdInfo, n: int, seed: int, m_fold: int = 3) -> list[np
     index_tags = [31 if info.common_index else 31 + j for j in range(count)]
     phase_tags = [41 + j for j in range(count)]
     if isinstance(draws, tuple):
-        return [
-            draw(streams, [cfg], seed, [index_tag], [phase_tag])[0]
+        mats = [
+            draw(streams, [cfg], seed, [index_tag], [phase_tag])[0][0]
             for draw, cfg, index_tag, phase_tag in zip(draws, cfgs, index_tags, phase_tags)
         ]
-    return list(draws(streams, cfgs, seed, index_tags, phase_tags))
+        return mats, None
+    X, claims = draws(streams, cfgs, seed, index_tags, phase_tags)
+    return list(X), claims
+
+
+def generate_inputs(info: IdInfo, n: int, seed: int, m_fold: int = 3) -> list[np.ndarray]:
+    """Deterministic inputs for one trial of ``info``, drawn to satisfy its hypothesis.
+
+    The list's ``claims`` holds each SECTORIAL or ACCRETIVE input's sector
+    witness as the draw knows it, index and rotation, and is None for
+    other rows; the matrices carry no trace of it.  run_suite verifies
+    the claims in place of searching for them (_takes_claims).
+    """
+    mats, claims = _draw(info, n, seed, m_fold)
+    inputs = _Inputs(mats)
+    inputs.claims = claims
+    return inputs
 
 
 # --- suite runner -----------------------------------------------------------
@@ -926,13 +990,28 @@ def _normalize_ids(ids) -> list[InequalityId]:
     return [i for i in all_ids() if i in wanted]  # registry order, no duplicates
 
 
+def _takes_claims(info: IdInfo) -> bool:
+    """Whether suite checks of ``info`` verify the draw's sector claims in place of searching for them.
+
+    So do the SECTORIAL and ACCRETIVE rows of more than one input:
+    _verified certifies a claim as it certifies a search's result, so only
+    the index and rotation it starts from differ, and there only the index
+    enters a term (sec, tan, 1 + tan).  A one-input row, L1-L3, P2 or P3,
+    checks a matrix of the rotated zX itself, so it keeps the search and
+    the bits check_inequality gives; that also keeps rotation_to_sector
+    running end to end on suite draws.
+    """
+    return info.requires in (Hypothesis.SECTORIAL, Hypothesis.ACCRETIVE) and info.arity != 1
+
+
 def _run_trials(tagged, trials: int, dims, norms, seed: int, context: CheckContext, passes):
     """Seeded checks of each (id, seed tag) pair of ``tagged``, and a summary per id.
 
     Trial t of an id uses dimension dims[t mod len(dims)], norm
     norms[(t div len(dims)) mod len(norms)] and seed mix_seed(seed, tag, t),
     so every dimension/norm combination is exercised.  Radii are
-    certified by ``passes`` as in _evaluate.
+    certified by ``passes`` as in _evaluate, and the gate of a row that
+    _takes_claims verifies the draw's claims (generate_inputs).
     """
     results = []
     for ineq, tag in tagged:
@@ -942,7 +1021,8 @@ def _run_trials(tagged, trials: int, dims, norms, seed: int, context: CheckConte
             norm = norms[(t // len(dims)) % len(norms)]
             tseed = mix_seed(seed, tag, t)
             mats = generate_inputs(info, dim, tseed, context.m_fold)
-            results.append(_check(ineq, mats, norm, context, tseed, passes))
+            claims = mats.claims if _takes_claims(info) else None
+            results.append(_check(ineq, mats, norm, context, tseed, passes, claims))
     per_id = {ineq.value: IdSummary() for ineq, _ in tagged}
     for r in results:
         per_id[r.id].add(r)
@@ -968,11 +1048,17 @@ def run_suite(
     radius, which settles nearly every verdict; while its sides overlap,
     then on a start grid of 8 cells to 0.2, and last on ``context.grid``
     to ``context.refine_tol``, which reports the bits check_inequality
-    gives.  A rung whose tolerance is not above ``context.refine_tol`` is
-    skipped.  A reported interval is therefore an enclosure whose width is
-    set by the pass that settled it; check_inequality gives tight
-    intervals for any one result.  The report is a deterministic
-    function of the arguments (wall time aside).  ``trials``, each of
+    gives from the same sector data.  A suite sectorial check of several
+    inputs verifies the draw's claimed sector data instead of searching
+    for them (_takes_claims), so its sec and tan factors can differ from
+    check_inequality's in the last bits: its index is the draw's exact
+    one within rounding, where the search's comes out slightly wide, and
+    both are certified by the same verifier.  A rung whose tolerance is
+    not above ``context.refine_tol`` is skipped.  A reported interval is
+    therefore an enclosure whose width is set by the pass that settled
+    it; check_inequality gives tight intervals for any one result.  The
+    report is a deterministic function of the arguments (wall time
+    aside).  ``trials``, each of
     ``dims`` and ``seed`` are Python or numpy integers, not bools, and are
     recorded as Python ints; anything else raises ValueError before any
     check runs.

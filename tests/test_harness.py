@@ -474,11 +474,11 @@ class TestReportPin:
         obj = report.report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == "cda6e2b1d38908fde6640314b995371308490a65d5fa0c4992b598f7971bb736"
+        assert digest == "097a593d14ce02a302f29f8b0441f0af81e5aef16a08f894feebafd11e24c95b"
         # The text `verify --out` writes, layout included.
         report.wall_time_s = 0.0
         layout = hashlib.sha256(report.to_json().encode()).hexdigest()
-        assert layout == "a81ec782a9dec3965c0765187aa79e7beaa98f4191005bdb7c4c689dd4063446"
+        assert layout == "b70d54bb3fa1e116a9bf7f83ffdac0226a784b72afc22f14973377c75f253846"
 
 
 class TestInputPin:
@@ -519,9 +519,9 @@ def record_radii(monkeypatch) -> list:
     return calls
 
 
-def suite_check(ineq, mats, norm, ctx=DEFAULT_CONTEXT):
-    """One check as run_suite runs it: coarse radii first."""
-    return harness._check(ineq, mats, norm, ctx, None, harness._passes(ctx))
+def suite_check(ineq, mats, norm, ctx=DEFAULT_CONTEXT, claims=None):
+    """One check as run_suite runs it: coarse radii first, the gate verifying ``claims`` when given."""
+    return harness._check(ineq, mats, norm, ctx, None, harness._passes(ctx), claims)
 
 
 class TestCoarsePass:
@@ -742,6 +742,112 @@ class TestStageBudgets:
         # Stacking must not add matrices: one per draw step and gate test.
         assert mats["generate"] / checks <= 137 / 34, mats
         assert mats["gate"] / checks <= 10.5, mats
+
+    def test_claimed_gate_is_one_cholesky_per_try(self, monkeypatch):
+        # A suite check of a SECTORIAL or ACCRETIVE row of several inputs
+        # verifies the draw's claims: each inflation try is one stacked
+        # Cholesky of the sector pair, with no search (eigh), no whitening
+        # (inv, eigvalsh) and no other LAPACK call, and every claim at
+        # n = 2..6 certifies on its first try.
+        calls, tries = Counter(), [0]
+        for name in self.LAPACK:
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        certificate = harness.pd_certificate
+
+        def tried(*args, **kwargs):
+            tries[0] += 1
+            return certificate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "pd_certificate", tried)
+        checks = 0
+        for info in claimed_rows():
+            for n in range(2, 7):
+                for seed in range(3):
+                    inputs = generate_inputs(info, n, seed=1000 + 10 * n + seed)
+                    calls.clear()
+                    tries[0] = 0
+                    _check_hypothesis(info.requires, inputs, info.arity, inputs.claims)
+                    assert dict(calls) == {"cholesky": tries[0]}, (info.id, n, seed, calls)
+                    assert tries[0] == 1, (info.id, n, seed)
+                    checks += 1
+        assert checks == 15 * 5 * 3
+
+
+def claimed_rows() -> list:
+    """The rows whose suite checks verify the draw's sector claims: the 15 SECTORIAL or ACCRETIVE rows of several inputs."""
+    rows = [info for info in REGISTRY.values() if harness._takes_claims(info)]
+    assert len(rows) == 15 and all(info.arity != 1 for info in rows)
+    return rows
+
+
+def searched(info, inputs) -> tuple:
+    """The sector data of each input as the search gives it: rotation_to_sector, or sector_index for ACCRETIVE."""
+    search = sector_index if info.requires is Hypothesis.ACCRETIVE else rotation_to_sector
+    got = search(*inputs)
+    return got if isinstance(got, tuple) else (got,)
+
+
+class TestSectorClaims:
+    # A claim is the exact index and rotation of the exact draw, and the
+    # search's result is an index of the rounded matrix that can only come
+    # out wide (the gate's shift).  Both agree within BOUND, measured at
+    # 2.6e-13 at n <= 6 and 2.2e-9 at n = 32; it stays below
+    # _ALPHA_INFLATION, so the verified claim is never below the search's
+    # index by more than the inflation covers.
+    BOUND = 5e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 16, 32])
+    def test_claims_agree_with_the_search(self, n):
+        # Every SECTORIAL and ACCRETIVE row, one-input rows included: the
+        # search must find the draw's index and, where the index is not
+        # within BOUND of 0, its rotation; a search that found too large an
+        # index would weaken every sectorial check without failing any.
+        # check_inequality, which searches, gives the suite's verdict.
+        assert self.BOUND < harness._ALPHA_INFLATION
+        rows = [info for info in REGISTRY.values() if info.requires in (Hypothesis.SECTORIAL, Hypothesis.ACCRETIVE)]
+        assert len(rows) == 20
+        for k, info in enumerate(rows):
+            for seed in range(3):
+                inputs = generate_inputs(info, n, seed=8000 + 10 * n + seed)
+                assert len(inputs.claims) == len(inputs)
+                for got, claim in zip(searched(info, inputs), inputs.claims):
+                    assert abs(got.index_alpha - claim.index_alpha) <= self.BOUND, (info.id, seed, got, claim)
+                    if claim.index_alpha > self.BOUND:
+                        assert abs(got.rotation_z - claim.rotation_z) <= self.BOUND, (info.id, seed, got, claim)
+                norm = ALL_NORMS[(k + seed) % 4]
+                suite = suite_check(info.id, inputs, norm, claims=inputs.claims)
+                assert suite.verdict == check_inequality(info.id, inputs, norm).verdict, (info.id, seed)
+
+    @pytest.mark.parametrize("n", [3, 5, 16])
+    def test_wrong_claims_are_certified_or_inapplicable(self, n):
+        # The gate trusts no claim: an index of 0, the true index less
+        # 1e-3, or the true rotation turned by delta = +-0.05 each come out
+        # certified at no less than the searched minimal index plus the
+        # turn of z off the searched bisector (rotating off the bisector
+        # widens the sector by exactly that), less rounding, or refused.
+        for info in claimed_rows():
+            inputs = generate_inputs(info, n, seed=9100 + n)
+            tight = rotation_to_sector(*inputs)
+            for wrong in (
+                [replace(c, index_alpha=0.0) for c in inputs.claims],
+                [replace(c, index_alpha=max(c.index_alpha - 1e-3, 0.0)) for c in inputs.claims],
+                [replace(c, rotation_z=c.rotation_z * np.exp(0.05j)) for c in inputs.claims],
+                [replace(c, rotation_z=c.rotation_z * np.exp(-0.05j)) for c in inputs.claims],
+            ):
+                try:
+                    infos, _ = _check_hypothesis(info.requires, inputs, info.arity, wrong)
+                except Inapplicable:
+                    continue
+                for got, claim, best in zip(infos, wrong, tight):
+                    assert got.rotation_z == claim.rotation_z
+                    turn = abs(np.angle(claim.rotation_z * np.conj(best.rotation_z)))
+                    assert got.index_alpha >= best.index_alpha + turn - self.BOUND, (info.id, claim, got, best)
 
 
 class TestTightnessScan:

@@ -62,3 +62,40 @@ def test_radius_pass_lines_count_each_check_once(monkeypatch, capsys):
     want = Counter("->".join(seq) or "none" for seq in sequences)
     assert got == dict(want) and sum(got.values()) == 18
     assert got["none"] == 6 and got["(4,1.0)"] > 0
+
+
+def test_stage_lines_split_the_calls_by_draw_and_gate(monkeypatch, capsys):
+    # draw, gate and rest partition the routine calls, so they add up to the
+    # total line; the draw and gate lines match a count taken inside
+    # harness._draw and harness._check_hypothesis on the same run.
+    args = ("--ids", "T1_prod_sec_N,T_onetan_min,P3_sec", "--trials", "4", "--dims", "3,5", "--norms", "op,tr")
+    done = subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("stage"))
+    got = {row[0]: (int(row[1]), int(row[2])) for row in (line.split() for line in lines[start + 1 : start + 4])}
+    assert list(got) == ["draw", "gate", "rest"]
+    total = lines[-1].split()
+    assert tuple(map(sum, zip(*got.values()))) == (int(total[1]), int(total[2]))
+
+    counts = count_linalg_matrices(monkeypatch, ROUTINES)
+    stages = {"draw": [], "gate": []}
+
+    def staged(name, original):
+        def run(*rest, **kwargs):
+            before = len(counts)
+            try:
+                return original(*rest, **kwargs)
+            finally:
+                stages[name].extend(counts[before:])
+
+        return run
+
+    monkeypatch.setattr(harness, "_draw", staged("draw", harness._draw))
+    monkeypatch.setattr(harness, "_check_hypothesis", staged("gate", harness._check_hypothesis))
+    assert main(["verify", *args]) == 0
+    capsys.readouterr()
+    for name, sizes in stages.items():
+        assert got[name] == (len(sizes), sum(sizes)), name
+    per_check = [float(x) for x in lines[start + 2].split()[3:]]
+    assert per_check == [round(len(stages["gate"]) / 12, 3), round(sum(stages["gate"]) / 12, 3)]

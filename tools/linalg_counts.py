@@ -5,15 +5,20 @@
 Runs ``sector-radius verify`` in-process with exactly the given flags
 (the tool adds none of its own) while wrapping numpy.linalg's
 eigvalsh, eigh, eig, eigvals, svd, cholesky, solve, inv and qr, and the
-harness's ``omega_n``.  After verify's own output it prints the check
-count, then how many checks ended after each sequence of radius passes,
+harness's ``omega_n``, ``_draw`` and ``_check_hypothesis``.  After
+verify's own output it prints the check count; numpy.linalg calls and
+matrices by stage, ``draw`` (inside ``_draw``: the inputs and their
+sector claims), ``gate`` (inside ``_check_hypothesis``: the hypothesis
+and the sector data) and ``rest`` (everything else: radii, norms,
+blocks); how many checks ended after each sequence of radius passes,
 such as ``(4,1.0)`` or ``(4,1.0)->(8,0.2)->(32,1e-10)`` (one
 ``(grid,refine_tol)`` per ``omega_n`` call of the check, ``none`` for a
-check that computes no radius), then one line per routine and a total
-line: calls and matrices in all, then per check, where a call on a stack
-of matrices counts each matrix of the stack, and the check count is that
-of the report ``run_suite`` returns.  The package is imported from the
-``src/`` beside this directory.  Exits with verify's exit code.
+check that computes no radius); and last one line per routine and a
+total line.  Stage and routine lines give calls and matrices in all,
+then per check, where a call on a stack of matrices counts each matrix
+of the stack and the check count is that of the report ``run_suite``
+returns.  The package is imported from the ``src/`` beside this
+directory.  Exits with verify's exit code.
 """
 
 from __future__ import annotations
@@ -29,27 +34,43 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from sector_radius import cli, harness  # noqa: E402
 
 ROUTINES = ("eigvalsh", "eigh", "eig", "eigvals", "svd", "cholesky", "solve", "inv", "qr")
+STAGES = ("draw", "gate", "rest")
 
 
-def count_verify(args: list[str]) -> tuple[int, int, dict[str, list[int]], Counter]:
-    """verify's exit code, its check count, the matrices of each call by routine, and checks per pass sequence.
+def count_verify(args: list[str]) -> tuple[int, int, dict[str, list[int]], Counter, dict[str, list[int]]]:
+    """verify's exit code and check count, the matrices of each call by routine, checks per pass sequence, and matrices by stage.
 
     A sequence is the tuple of (grid, refine_tol) of the check's omega_n
     calls in order.  The check count is 0 when verify stops before its
     suite runs.
     """
     counts: dict[str, list[int]] = {name: [] for name in ROUTINES}
+    by_stage: dict[str, list[int]] = {name: [] for name in STAGES}
+    stage = ["rest"]
     reports = []
     sequences: list[list[tuple[int, float]]] = []
     run_suite, check, omega_n = cli.run_suite, harness._check, harness.omega_n
+    draw, gate = harness._draw, harness._check_hypothesis
     originals = {name: getattr(np.linalg, name) for name in ROUTINES}
 
     def counter(name, original):
         def counted(a, *rest, **kwargs):
-            counts[name].append(int(np.prod(np.shape(a)[:-2], dtype=np.int64)))
+            matrices = int(np.prod(np.shape(a)[:-2], dtype=np.int64))
+            counts[name].append(matrices)
+            by_stage[stage[0]].append(matrices)
             return original(a, *rest, **kwargs)
 
         return counted
+
+    def staged(name, original):
+        def run(*rest, **kwargs):
+            stage[0] = name
+            try:
+                return original(*rest, **kwargs)
+            finally:
+                stage[0] = "rest"
+
+        return run
 
     def recorded(*rest, **kwargs):
         reports.append(run_suite(*rest, **kwargs))
@@ -67,12 +88,15 @@ def count_verify(args: list[str]) -> tuple[int, int, dict[str, list[int]], Count
         for name, original in originals.items():
             setattr(np.linalg, name, counter(name, original))
         cli.run_suite, harness._check, harness.omega_n = recorded, checked, radius
+        harness._draw, harness._check_hypothesis = staged("draw", draw), staged("gate", gate)
         code = cli.main(["verify", *args])
     finally:
         for name, original in originals.items():
             setattr(np.linalg, name, original)
         cli.run_suite, harness._check, harness.omega_n = run_suite, check, omega_n
-    return code, sum(len(report.results) for report in reports), counts, Counter(map(tuple, sequences))
+        harness._draw, harness._check_hypothesis = draw, gate
+    checks = sum(len(report.results) for report in reports)
+    return code, checks, counts, Counter(map(tuple, sequences)), by_stage
 
 
 def pass_lines(passes: Counter) -> list[str]:
@@ -84,21 +108,30 @@ def pass_lines(passes: Counter) -> list[str]:
     return lines
 
 
-def table(checks: int, counts: dict[str, list[int]], passes: Counter) -> list[str]:
-    """The check count, the radius-pass lines, the routine lines and the total line (per check where there are checks)."""
-    rows = [(name, len(sizes), sum(sizes)) for name, sizes in counts.items()]
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+def rows_of(label: str, counts: dict[str, list[int]], checks: int) -> list[str]:
+    """A header under ``label`` and one line per key of ``counts``: calls and matrices in all and per check."""
     per = max(checks, 1)
-    header = f"{'routine':<9} {'calls':>9} {'matrices':>10} {'calls/check':>12} {'matrices/check':>15}"
-    lines = [f"checks: {checks}", *pass_lines(passes), header]
-    for name, calls, matrices in rows:
+    lines = [f"{label:<9} {'calls':>9} {'matrices':>10} {'calls/check':>12} {'matrices/check':>15}"]
+    for name, sizes in counts.items():
+        calls, matrices = len(sizes), sum(sizes)
         lines.append(f"{name:<9} {calls:>9} {matrices:>10} {calls / per:>12.3f} {matrices / per:>15.3f}")
     return lines
 
 
+def table(checks: int, counts: dict[str, list[int]], passes: Counter, by_stage: dict[str, list[int]]) -> list[str]:
+    """The check count, the stage lines, the radius-pass lines, the routine lines and their total line."""
+    total = {"total": [m for sizes in counts.values() for m in sizes]}
+    return [
+        f"checks: {checks}",
+        *rows_of("stage", by_stage, checks),
+        *pass_lines(passes),
+        *rows_of("routine", {**counts, **total}, checks),
+    ]
+
+
 def main(argv: list[str]) -> int:
-    code, checks, counts, passes = count_verify(argv)
-    print("\n".join(table(checks, counts, passes)))
+    code, checks, counts, passes, by_stage = count_verify(argv)
+    print("\n".join(table(checks, counts, passes, by_stage)))
     return code
 
 
