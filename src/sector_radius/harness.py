@@ -14,9 +14,9 @@ The verdict is certified only when the intervals separate.
 Each identifier is one row of REGISTRY and is stated nowhere else: its
 inputs, its hypothesis, and both sides written in a small vocabulary of
 terms (see docs/inequalities.md).  InequalityId is built from the rows,
-and suites draw each row's inputs from its hypothesis.  One evaluator
-checks the hypothesis and computes every distinct term of a row once,
-all of the row's radii in one omega_n call.
+and suites draw each row's inputs from its hypothesis.  A check gates
+the hypothesis and evaluates the row's plan, its sides written out once
+per input count (_plan): each term once, its radii in one omega_n call.
 
 A suite certifies each check only as far as its verdict needs, on the
 ladder of radius passes _COARSE_PASSES and then the context's grid at its
@@ -158,6 +158,8 @@ _EPS = float(np.finfo(np.float64).eps)
 _COARSE_PASSES = ((4, 1.0), (8, 0.2))
 # Verdicts that a tighter radius cannot change.
 _SETTLED = ("certified_pass", "certified_fail")
+# Each row's plan for each input count (_plan), keyed on (id, m).
+_PLANS: dict[tuple[str, int], tuple] = {}
 
 
 class Inapplicable(Exception):
@@ -410,8 +412,8 @@ class Rotated:
 class Omega:
     """w_N as [value, value + cert_error] from omega_n.
 
-    The evaluator computes every Omega term of a row in one omega_n call
-    (_Evaluator.radii) before either side is evaluated.
+    A check computes every Omega term of its plan in one omega_n call per
+    pass (_evaluate) before either side is evaluated.
     """
 
     of: object
@@ -526,82 +528,55 @@ class Min:
 class Each:
     term: object
 
+    def written(self, m: int) -> list:
+        return [self.term(k) if isinstance(self.term, type) else self.term for k in range(m)]
+
 
 class _Evaluator:
-    """The terms of one check, each computed at most once."""
+    """The inputs, sector data, product and norm of one check, and its derived matrices, each formed once."""
 
-    def __init__(self, mats, infos, product, spec: NormSpec, ctx: CheckContext):
+    def __init__(self, mats, infos, product, spec: NormSpec):
         self.mats = mats
         self.infos = infos
         self.product = product
         self.spec = spec
-        self.ctx = ctx
-        self._memo = {}
-
-    def _once(self, key, compute):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+        self._matrices = {}
 
     def matrix(self, of) -> np.ndarray:
         if isinstance(of, int):
             return self.mats[of]
-        if of == PRODUCT:
-            return self._once(of, lambda: reduce(self.product, self.mats))
-        return self._once(of, lambda: of.matrix(self))
+        if of not in self._matrices:
+            self._matrices[of] = reduce(self.product, self.mats) if of == PRODUCT else of.matrix(self)
+        return self._matrices[of]
 
     def alpha(self, of) -> float:
         if of == MAX:
             return max(info.index_alpha for info in self.infos)
         return self.infos[of].index_alpha
 
-    def factors(self, expr: tuple):
-        """The factors of a tuple side, with each Each expanded over the inputs."""
-        for f in expr:
-            if not isinstance(f, Each):
-                yield f
-            elif isinstance(f.term, type):
-                yield from (f.term(k) for k in range(len(self.mats)))
-            else:
-                yield from (f.term for _ in self.mats)
 
-    def terms(self, expr):
-        """The terms of a side, in the order side() first uses them."""
-        if isinstance(expr, tuple):
-            for f in self.factors(expr):
-                yield from self.terms(f)
-        elif isinstance(expr, Scale):
-            yield from self.terms(expr.of)
-        elif isinstance(expr, Min):
-            yield from self.terms(expr.a)
-            yield from self.terms(expr.b)
-        else:
-            yield expr
+def _expand(expr, m: int, terms: dict):
+    """``expr`` with every Each written out for m inputs; its terms join ``terms`` in the order _side first uses them."""
+    if isinstance(expr, tuple):
+        factors = [g for f in expr for g in (f.written(m) if isinstance(f, Each) else (f,))]
+        return tuple(_expand(f, m, terms) for f in factors)
+    if isinstance(expr, Scale):
+        return Scale(expr.c, _expand(expr.of, m, terms))
+    if isinstance(expr, Min):
+        return Min(_expand(expr.a, m, terms), _expand(expr.b, m, terms))
+    terms[expr] = None
+    return expr
 
-    def omegas(self, *sides) -> list[Omega]:
-        """The distinct Omega terms of ``sides`` in first-use order."""
-        return list(dict.fromkeys(t for s in sides for t in self.terms(s) if isinstance(t, Omega)))
 
-    def radii(self, omegas: list[Omega], grid: int, refine_tol: float) -> None:
-        """Certify ``omegas`` to ``refine_tol`` from a start ``grid`` in one omega_n call.
-
-        The matrices run as lanes of one batch, and each interval
-        [value, value + cert_error], its upper end rounded up, is memoised
-        for side(), replacing any earlier one.
-        """
-        mats = [self.matrix(t.of) for t in omegas]
-        ests = omega_n(self.spec, *mats, grid=grid, refine_tol=refine_tol)
-        for term, est in zip(omegas, ests if len(omegas) > 1 else (ests,)):
-            self._memo[term] = Interval(est.value, math.nextafter(est.value + est.cert_error, math.inf))
-
-    def side(self, expr) -> Interval:
-        if isinstance(expr, tuple):
-            return reduce(operator.mul, [self.side(f) for f in self.factors(expr)])
-        if isinstance(expr, Scale):
-            return self.side(expr.of).scale(expr.c)
-        if isinstance(expr, Min):
-            return Interval.min_of(self.side(expr.a), self.side(expr.b))
-        return self._once(expr, lambda: expr.interval(self))
+def _side(expr, values: dict) -> Interval:
+    """A written-out side from the interval of each of its terms; a tuple multiplies strictly left to right."""
+    if isinstance(expr, tuple):
+        return reduce(operator.mul, [_side(f, values) for f in expr])
+    if isinstance(expr, Scale):
+        return _side(expr.of, values).scale(expr.c)
+    if isinstance(expr, Min):
+        return Interval.min_of(_side(expr.a, values), _side(expr.b, values))
+    return values[expr]
 
 
 # --- registry -------------------------------------------------------------
@@ -803,27 +778,47 @@ def _passes(ctx: CheckContext) -> tuple[tuple[int, float], ...]:
     return tuple(rung for rung in _COARSE_PASSES if rung[1] > ctx.refine_tol) + _tight(ctx)
 
 
-def _evaluate(info: IdInfo, mats, spec: NormSpec, ctx: CheckContext, passes, claims=None) -> tuple[Interval, Interval, str]:
+def _plan(info: IdInfo, m: int) -> tuple:
+    """(lhs, rhs, omegas, others) of ``info`` for m inputs, written out once per (id, m).
+
+    The sides have every Each written out; omegas and others are their
+    distinct Omega terms and other terms, each in first-use order.
+    """
+    key = (info.id, m)
+    if key not in _PLANS:
+        terms = {}
+        lhs, rhs = _expand(info.lhs, m, terms), _expand(info.rhs, m, terms)
+        omegas = tuple(t for t in terms if isinstance(t, Omega))
+        _PLANS[key] = (lhs, rhs, omegas, tuple(t for t in terms if not isinstance(t, Omega)))
+    return _PLANS[key]
+
+
+def _evaluate(info: IdInfo, mats, spec: NormSpec, passes, claims=None) -> tuple[Interval, Interval, str]:
     """Both sides of ``info`` with its radii certified by the first of ``passes``.
 
-    Each pass is a (grid, refine_tol) pair of omega_n.  While the sides do
-    not separate, each further pass recomputes the radii alone: the gate's
-    sector data and every other term are kept, so the last pass gives the
-    bits of a check run at its grid and tolerance only.  ``claims`` go to
-    the gate (_check_hypothesis).
+    After the gate (_check_hypothesis, given ``claims``) a block row
+    returns its certificate; any other computes its plan's terms (_plan)
+    but the radii once, then per (grid, refine_tol) pass all radii in one
+    omega_n call and both sides.  While the sides do not separate, each
+    further pass recomputes the radii alone, so the last pass gives the
+    bits of a check run at its grid and tolerance only.
     """
     infos, note = _check_hypothesis(info.requires, mats, info.arity, claims)
-    ev = _Evaluator(mats, infos, info.product, spec, ctx)
     if info.block is not None:
-        return _block_certificate(info.block, ev.matrix(Rotated(_X)), infos[_X])
-    omegas = ev.omegas(info.lhs, info.rhs)
+        return _block_certificate(info.block, infos[_X].rotation_z * mats[_X], infos[_X])
+    ev = _Evaluator(mats, infos, info.product, spec)
+    lhs, rhs, omegas, others = _plan(info, len(mats))
+    values = {term: term.interval(ev) for term in others}
+    radii = [ev.matrix(term.of) for term in omegas]
     for grid, tol in passes:
         if omegas:
-            ev.radii(omegas, grid, tol)
-        lhs, rhs = ev.side(info.lhs), ev.side(info.rhs)
-        if not omegas or classify(lhs, rhs) in _SETTLED:
+            ests = omega_n(spec, *radii, grid=grid, refine_tol=tol)
+            for term, est in zip(omegas, ests if len(radii) > 1 else (ests,)):
+                values[term] = Interval(est.value, math.nextafter(est.value + est.cert_error, math.inf))
+        sides = _side(lhs, values), _side(rhs, values)
+        if not omegas or classify(*sides) in _SETTLED:
             break
-    return lhs, rhs, note
+    return (*sides, note)
 
 
 def check_inequality(
@@ -841,12 +836,14 @@ def check_inequality(
     I_diag_psd, which evaluates regardless so that necessity of its
     hypothesis can be demonstrated) yield verdict "inapplicable".
     Wrong arity or mismatched dimensions raise instead: those are caller
-    errors, not data properties.
+    errors, not data properties, as is a ``norm`` that is not a NormSpec.
     """
-    return _check(id, inputs, norm, context, seed, _tight(context))
+    if not isinstance(norm, NormSpec):
+        raise ValueError(f"norm must be a NormSpec, got {norm!r}")
+    return _check(id, inputs, norm, seed, _tight(context))
 
 
-def _check(id, inputs, norm: NormSpec, context: CheckContext, seed, passes, claims=None) -> CheckResult:
+def _check(id, inputs, norm: NormSpec, seed, passes, claims=None) -> CheckResult:
     """check_inequality with its radius passes and sector claims given as in _evaluate."""
     ineq = InequalityId(id)
     info = REGISTRY[ineq]
@@ -862,7 +859,7 @@ def _check(id, inputs, norm: NormSpec, context: CheckContext, seed, passes, clai
             raise DimensionError(f"input {k} has dimension {M.shape[0]}, expected {n}")
     spec_eff = OPERATOR if info.classical else norm
     try:
-        lhs, rhs, note = _evaluate(info, mats, spec_eff, context, passes, claims)
+        lhs, rhs, note = _evaluate(info, mats, spec_eff, passes, claims)
     except Inapplicable as exc:
         return CheckResult.inapplicable(ineq.value, str(exc), seed=seed, norm=spec_eff.label, dim=n)
     return CheckResult.from_comparison(
@@ -1022,7 +1019,7 @@ def _run_trials(tagged, trials: int, dims, norms, seed: int, context: CheckConte
             tseed = mix_seed(seed, tag, t)
             mats = generate_inputs(info, dim, tseed, context.m_fold)
             claims = mats.claims if _takes_claims(info) else None
-            results.append(_check(ineq, mats, norm, context, tseed, passes, claims))
+            results.append(_check(ineq, mats, norm, tseed, passes, claims))
     per_id = {ineq.value: IdSummary() for ineq, _ in tagged}
     for r in results:
         per_id[r.id].add(r)
@@ -1060,8 +1057,8 @@ def run_suite(
     report is a deterministic function of the arguments (wall time
     aside).  ``trials``, each of
     ``dims`` and ``seed`` are Python or numpy integers, not bools, and are
-    recorded as Python ints; anything else raises ValueError before any
-    check runs.
+    recorded as Python ints, and ``norms`` holds NormSpec values; anything
+    else raises ValueError before any check runs.
     """
     id_list = _normalize_ids(ids)
     trials = _integer("trials", trials, 1)
@@ -1069,8 +1066,8 @@ def run_suite(
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"dims must be positive integers, got {dims}")
     norm_list = list(norms)
-    if not norm_list:
-        raise ValueError("empty norm set")
+    if not norm_list or not all(isinstance(n, NormSpec) for n in norm_list):
+        raise ValueError(f"norms must be a nonempty list of NormSpec values, got {norms!r}")
     seed = _integer("seed", seed)
 
     tagged = [(ineq, 1000 + idx) for idx, ineq in enumerate(id_list)]

@@ -39,7 +39,7 @@ from sector_radius.harness import (
 )
 from sector_radius.linalg import LAPACK_BACKWARD, DimensionError, block2x2, cartesian_decompose
 from sector_radius.norms import FROBENIUS, OPERATOR, TRACE, hermitian_norm, schatten
-from sector_radius.report import classify
+from sector_radius.report import Interval, classify
 from sector_radius.sectorial import rotation_to_sector, sec_block, sector_index, tan_block
 from helpers import mp_schatten_norm
 
@@ -465,6 +465,46 @@ class TestRunSuite:
         assert norms_seen == {"op", "fro"}
 
 
+class TestPlan:
+    def test_each_row_is_written_out_once_per_input_count(self):
+        for info in REGISTRY.values():
+            if info.block is not None:
+                continue
+            for m in (info.arity,) if info.arity else (2, 3, 5):
+                plan = harness._plan(info, m)
+                assert harness._plan(info, m) is plan, (info.id, m)
+                lhs, rhs, omegas, others = plan
+                assert "Each(" not in repr((lhs, rhs)), (info.id, m)
+                assert len(set(omegas)) == len(omegas) and len(set(others)) == len(others), (info.id, m)
+                assert all(isinstance(t, harness.Omega) for t in omegas)
+                assert not any(isinstance(t, harness.Omega) for t in others)
+
+    def test_m_fold_plans_follow_the_input_count(self):
+        mprod, secm = REGISTRY["C_mprod"], REGISTRY["C_secm"]
+        _, rhs, omegas, others = harness._plan(mprod, 5)
+        assert list(omegas) == [harness.Omega(harness.PRODUCT)] + [harness.Omega(k) for k in range(5)]
+        assert list(others) == [harness.Sec(k) for k in range(5)]
+        assert len(rhs) == 10 and harness._plan(mprod, 2) is not harness._plan(mprod, 5)
+        assert list(harness._plan(secm, 3)[3]) == [harness.Sec(harness.MAX)]
+
+
+class TestNormSpecRefusal:
+    def test_a_norm_that_is_not_a_norm_spec_is_refused_before_any_check(self, monkeypatch):
+        # Classical rows replace the norm with op and others would fail only
+        # after their gate, so the type is checked up front.
+        checks = []
+        monkeypatch.setattr(harness, "_check", lambda *a, **k: checks.append(a))
+        X = random_sectorial(GenConfig(3, 9), 0.5)
+        for ineq in ("A_upper", "SA_omega_le_N", "P3_sec"):
+            for norm in ("op", None):
+                with pytest.raises(ValueError, match="norm must be a NormSpec"):
+                    check_inequality(ineq, [X], norm)
+        for norms in ("op", ["tr"], [OPERATOR, "fro"]):
+            with pytest.raises(ValueError, match="norms must be a nonempty list of NormSpec values"):
+                run_suite("all", 1, [2], norms, seed=1)
+        assert checks == []
+
+
 class TestReportPin:
     def test_report_bits_are_pinned(self):
         # 20 trials meet every dimension x norm pair of every id.  Any bit
@@ -497,12 +537,13 @@ class TestInputPin:
 def radius_terms(ineq, mats, spec, grid, refine_tol):
     """Every Omega term of one check certified to ``refine_tol`` from ``grid``, and its verdict."""
     info = REGISTRY[ineq]
-    infos, _ = _check_hypothesis(info.requires, mats, info.arity)
-    ev = harness._Evaluator(mats, infos, info.product, spec, DEFAULT_CONTEXT)
-    omegas = ev.omegas(info.lhs, info.rhs)
-    if omegas:
-        ev.radii(omegas, grid, refine_tol)
-    return {t: ev.side(t) for t in omegas}, classify(ev.side(info.lhs), ev.side(info.rhs))
+    omegas = harness._plan(info, len(mats))[2]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_radii(mp)
+        lhs, rhs, _ = harness._evaluate(info, mats, spec, ((grid, refine_tol),))
+    ests = calls[0][4] if calls else ()
+    terms = {t: Interval(e.value, math.nextafter(e.value + e.cert_error, math.inf)) for t, e in zip(omegas, ests)}
+    return terms, classify(lhs, rhs)
 
 
 def record_radii(monkeypatch) -> list:
@@ -521,7 +562,7 @@ def record_radii(monkeypatch) -> list:
 
 def suite_check(ineq, mats, norm, ctx=DEFAULT_CONTEXT, claims=None):
     """One check as run_suite runs it: coarse radii first, the gate verifying ``claims`` when given."""
-    return harness._check(ineq, mats, norm, ctx, None, harness._passes(ctx), claims)
+    return harness._check(ineq, mats, norm, None, harness._passes(ctx), claims)
 
 
 class TestCoarsePass:
@@ -1003,8 +1044,17 @@ class TestTable:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(harness, name, counted)
-        mats = generate_inputs(REGISTRY[ineq], 3, seed=5, m_fold=3)
-        r = check_inequality(ineq, mats, TRACE)
-        assert r.verdict == "certified_pass", r
-        assert tuple(work[name] for name in names) == self.WORK[ineq.value]
-        assert all(calls[name] <= 1 for name in names), calls
+        # An m-fold row also runs at m = 2 and 5, with a radius of the
+        # product and one radius and sector per input: a plan cached on the
+        # row alone, not on (row, m), would compute the terms of another m.
+        info = REGISTRY[ineq]
+        for m in (3, 2, 5) if info.arity == 0 else (3,):
+            calls.clear()
+            work.clear()
+            mats = generate_inputs(info, 3, seed=5, m_fold=m)
+            r = check_inequality(ineq, mats, TRACE)
+            assert r.verdict == "certified_pass", (m, r)
+            sectors = self.WORK[ineq.value][1]
+            want = self.WORK[ineq.value] if m == 3 else (m + 1, m if sectors else 0, 0)
+            assert tuple(work[name] for name in names) == want, m
+            assert all(calls[name] <= 1 for name in names), calls

@@ -1,0 +1,67 @@
+"""Count the Python calls per check of a ``verify`` run, by source file of the package.
+
+    python3 tools/call_counts.py --ids all --trials 40 --dims 2..6 --norms op,tr,fro,sp:3 --seed 42
+
+Runs ``sector-radius verify`` in-process under cProfile with exactly the
+given flags (the tool adds none of its own).  After verify's own output
+it prints the check count, one line per source file of the
+``sector_radius`` package with the calls of the functions defined there
+(recursive calls included), in all and per check, an ``other`` line for
+every other function profiled (numpy, the standard library, builtins),
+and a total line over all of them.  The check count is that of the
+reports ``run_suite`` returns.  The package is imported from the
+``src/`` beside this directory.  Exits with verify's exit code.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import pstats
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from sector_radius import cli  # noqa: E402
+
+PACKAGE = Path(cli.__file__).resolve().parent
+
+
+def count_verify(args: list[str]) -> tuple[int, int, dict[str, int]]:
+    """verify's exit code, its check count, and the calls made to each package file's functions."""
+    reports = []
+    run_suite = cli.run_suite
+
+    def recorded(*rest, **kwargs):
+        reports.append(run_suite(*rest, **kwargs))
+        return reports[-1]
+
+    profile = cProfile.Profile()
+    cli.run_suite = recorded
+    try:
+        code = profile.runcall(cli.main, ["verify", *args])
+    finally:
+        cli.run_suite = run_suite
+    calls = {path.name: 0 for path in sorted(PACKAGE.glob("*.py"))} | {"other": 0}
+    for (filename, _, _), (_, total, _, _, _) in pstats.Stats(profile).stats.items():
+        path = Path(filename).resolve()
+        calls[path.name if path.parent == PACKAGE else "other"] += total
+    return code, sum(len(report.results) for report in reports), calls
+
+
+def table(checks: int, calls: dict[str, int]) -> list[str]:
+    """The check count, one line per file and the total line: calls in all and per check."""
+    per = max(checks, 1)
+    rows = [*calls.items(), ("total", sum(calls.values()))]
+    lines = [f"checks: {checks}", f"{'file':<14} {'calls':>10} {'calls/check':>12}"]
+    return lines + [f"{name:<14} {count:>10} {count / per:>12.1f}" for name, count in rows]
+
+
+def main(argv: list[str]) -> int:
+    code, checks, calls = count_verify(argv)
+    print("\n".join(table(checks, calls)))
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
