@@ -188,19 +188,17 @@ def _sector_data(sector, mats, names, errors, what: str) -> list[SectorInfo]:
 
     ``sector`` is rotation_to_sector or sector_index.  Inputs are refused
     in order, as if each were gated and verified alone: when the stacked
-    call raises one of ``errors``, the inputs are redone one at a time
-    and the first that fails names the note.
+    call raises one of ``errors``, the inputs before the first that fails
+    alone (``failed_at``) are verified from their data (``before``), so an
+    index of theirs that reaches pi/2 names the note, and otherwise the
+    failing input does.
     """
     try:
         infos = sector(*mats)
-    except errors:
-        for M, which in zip(mats, names):
-            try:
-                info = sector(M)
-            except errors as exc:
-                raise Inapplicable(f"{which}: {what}: {exc}") from None
-            _verified([info], [M])
-        raise
+    except errors as exc:
+        if exc.failed_at:
+            _verified(list(exc.before), mats[: exc.failed_at])
+        raise Inapplicable(f"{names[exc.failed_at]}: {what}: {exc}") from None
     return _verified([infos] if len(mats) == 1 else list(infos), mats)
 
 
@@ -311,13 +309,13 @@ def _check_hypothesis(kind, mats, arity: int, claims=None) -> tuple[list[SectorI
     returns a note instead of raising.
 
     ``claims``, a SectorInfo per input, is a candidate for that sector
-    data: a SECTORIAL or ACCRETIVE gate then skips the search and only
-    verifies the claims (_verified), so the data it returns are certified
-    whatever produced them; a wrong claim is inflated until it holds, or
-    is inapplicable.
+    data, given only for the rows _takes_claims names: the gate then
+    skips the search and only verifies the claims (_verified), so the
+    data it returns are certified whatever produced them; a wrong claim
+    is inflated until it holds, or is inapplicable.
     """
     names = [("first input", "second input")[k] if arity else f"input {k}" for k in range(len(mats))]
-    if claims is not None and kind in (Hypothesis.SECTORIAL, Hypothesis.ACCRETIVE):
+    if claims is not None:
         return _verified(list(claims), mats), ""
     if kind is Hypothesis.SECTORIAL:
         return _sector_data(rotation_to_sector, mats, names, NotSectorialError, "input is not sectorial"), ""

@@ -232,23 +232,25 @@ class SuiteReport:
         That layout is the report contract, and TestReportPin pins its
         bytes: keys sorted, two spaces of indent per level, ``": "`` after
         keys, ``[]`` and ``{}`` for empty containers, ASCII-only strings
-        and no trailing newline.  Floats are written by ``float.__repr__``.
-        A NaN or an infinity raises ValueError and a value json cannot
-        encode raises TypeError, as in the reference.  json's indenting
-        encoder is pure Python; this writer renders each result and each id
-        summary from one format string and writes ``config`` once for both
-        of its places.
+        and no trailing newline.  Each result and each id summary is
+        written from one format string, its fields by type as json writes
+        them (floats by ``float.__repr__``), since json's indenting encoder
+        is pure Python; ``config`` is written by the reference ``json.dumps``
+        call itself, once for both of its places.  ``per_id`` keys are id
+        strings: any other key raises TypeError.  A NaN or an infinity
+        raises ValueError and a value json cannot encode raises TypeError,
+        as in the reference.
         """
-        config = _encode(self.config, 1)
+        config = _json(self.config, 1)
         per_id = [_id_summary(k, self.per_id[k]) for k in sorted(self.per_id)]
         return _REPORT % (
             config,
             _block("[", [_result(r) for r in self.results], "]", 1),
-            _encode(self.certified_fail_total, 2),
+            _scalar(self.certified_fail_total),
             config.replace("\n", "\n  "),
-            _encode(self.ok, 2),
+            _scalar(self.ok),
             _block("{", per_id, "}", 2),
-            _encode(self.wall_time_s, 2),
+            _scalar(self.wall_time_s),
         )
 
 
@@ -260,16 +262,15 @@ class SuiteReport:
 
 _INDENT = "  "
 _escape = json.encoder.encode_basestring_ascii
-_isfinite = math.isfinite
 
 
 def _float(o: float) -> str:
-    if _isfinite(o):
+    if math.isfinite(o):
         return float.__repr__(o)
     raise ValueError("Out of range float values are not JSON compliant: " + repr(o))
 
 
-# Scalar writers by exact type; subclasses take _encode's isinstance path.
+# Scalar writers by exact type; subclasses take _scalar's isinstance path.
 _SCALARS = {
     str: _escape,
     float: _float,
@@ -277,19 +278,6 @@ _SCALARS = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda o: "null",
 }
-
-
-def _key(k) -> str:
-    """A dict key as json writes it: str, float, bool, None and int only."""
-    if isinstance(k, str):
-        return _escape(k)
-    if isinstance(k, float):
-        return _escape(_float(k))
-    if k is True or k is False or k is None:
-        return _escape(_SCALARS[type(k)](k))
-    if isinstance(k, int):
-        return _escape(int.__repr__(k))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 def _block(opening: str, items: list, closing: str, level: int) -> str:
@@ -300,30 +288,25 @@ def _block(opening: str, items: list, closing: str, level: int) -> str:
     return opening + inner + ("," + inner).join(items) + "\n" + _INDENT * level + closing
 
 
-def _encode(o, level: int) -> str:
-    """``o`` as json writes a value on a line at indent ``level``."""
+def _scalar(o) -> str:
+    """``o``, a str, int, float, bool or None, as json writes it."""
     scalar = _SCALARS.get(type(o))
     if scalar is not None:
         return scalar(o)
-    if isinstance(o, str):
-        return _escape(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float(o)
-    get = _SCALARS.get
-    if isinstance(o, dict):
-        items = [
-            (_escape(k) if type(k) is str else _key(k))
-            + ": "
-            + (f(v) if (f := get(type(v))) else _encode(v, level + 1))
-            for k, v in sorted(o.items())
-        ]
-        return _block("{", items, "}", level)
-    if isinstance(o, (list, tuple)):
-        items = [f(v) if (f := get(type(v))) else _encode(v, level + 1) for v in o]
-        return _block("[", items, "]", level)
+    for base in (str, int, float):
+        if isinstance(o, base):
+            return _SCALARS[base](o)
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+# json.dumps(o, indent=2, sort_keys=True, allow_nan=False) is this encoder's
+# encode(o); one instance saves building it for every report.
+_REFERENCE = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+
+
+def _json(o, level: int) -> str:
+    """``o`` as the reference writes a value on a line at indent ``level``."""
+    return _REFERENCE.encode(o).replace("\n", "\n" + _INDENT * level)
 
 
 _REPORT = """{
@@ -369,26 +352,16 @@ _ID_SUMMARY = """%s: {
 
 
 def _result(r: CheckResult) -> str:
-    return _RESULT % (
-        _encode(r.dim, 3),
-        _encode(r.id, 3),
-        _encode(r.lhs.lo, 4),
-        _encode(r.lhs.hi, 4),
-        _encode(r.norm, 3),
-        _encode(r.note, 3),
-        _encode(r.ratio, 3),
-        _encode(r.rhs.lo, 4),
-        _encode(r.rhs.hi, 4),
-        _encode(r.seed, 3),
-        _encode(r.verdict, 3),
-    )
+    fields = (r.dim, r.id, r.lhs.lo, r.lhs.hi, r.norm, r.note, r.ratio, r.rhs.lo, r.rhs.hi, r.seed, r.verdict)
+    return _RESULT % tuple([_SCALARS.get(type(v), _scalar)(v) for v in fields])
 
 
-def _id_summary(key, s: IdSummary) -> str:
+def _id_summary(key: str, s: IdSummary) -> str:
+    verdicts = [_escape(v) + ": " + _SCALARS.get(type(c), _scalar)(c) for v, c in sorted(s.verdicts.items())]
     return _ID_SUMMARY % (
-        _key(key),
-        _encode(s.max_ratio, 4),
-        _encode(s.trials, 4),
-        _encode(dict(s.verdicts), 4),
-        _encode(s.worst_margin, 4),
+        _escape(key),
+        _scalar(s.max_ratio),
+        _scalar(s.trials),
+        _block("{", verdicts, "}", 4),
+        _scalar(s.worst_margin),
     )

@@ -104,16 +104,24 @@ def _lockstep(rotate: bool, X, more):
 
     ``_sector_lanes`` raises when any matrix of its stack fails.  With
     several matrices each is then redone alone, in order, so the error
-    raised is the one the first failing matrix raises alone.
+    raised is the one the first failing matrix raises alone.  The error
+    carries ``failed_at``, that matrix's position, and ``before``, the
+    SectorInfo of each matrix before it, each computed alone.
     """
     Xs = as_stack(X, *more)
     try:
         infos = _sector_lanes(Xs, rotate)
-    except ValueError:
+    except ValueError as exc:
+        error, before = exc, []
         if more:
             for k in range(len(Xs)):
-                _sector_lanes(Xs[k : k + 1], rotate)
-        raise
+                try:
+                    before.append(_sector_lanes(Xs[k : k + 1], rotate)[0])
+                except ValueError as alone:
+                    error = alone
+                    break
+        error.failed_at, error.before = len(before), tuple(before)
+        raise error
     return infos[0] if len(infos) == 1 else tuple(infos)
 
 
@@ -135,7 +143,9 @@ def sector_index(X, *more) -> SectorInfo | tuple[SectorInfo, ...]:
     Several matrices of one size give a tuple, one SectorInfo per
     matrix, from one stacked gate, inverse and eigensolve; each is bit
     for bit the result of a call with that matrix alone, and a failing
-    matrix raises as it does alone (the first one, in order).
+    matrix raises as it does alone (the first one, in order).  The error
+    raised carries ``failed_at``, the position of that matrix, and
+    ``before``, the SectorInfo of each matrix before it.
     """
     return _lockstep(False, X, more)
 
@@ -286,7 +296,9 @@ def rotation_to_sector(X, *more) -> SectorInfo | tuple[SectorInfo, ...]:
     eigensolve of the index, are each one stacked call over the matrices
     still open.  Each result is bit for bit that of a call with
     its matrix alone, and a failing matrix raises as it does alone (the
-    first one, in order).
+    first one, in order).  The error raised carries ``failed_at``, the
+    position of that matrix, and ``before``, the SectorInfo of each
+    matrix before it.
     """
     return _lockstep(True, X, more)
 

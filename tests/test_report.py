@@ -276,3 +276,10 @@ class TestReportWriter:
         }
         report = SuiteReport(config=config, per_id={}, wall_time_s=np.float64(1.5), results=[])
         assert report.to_json() == reference(report)
+
+    def test_per_id_keys_other_than_str_are_refused(self):
+        # per_id maps id strings to summaries; json would write an int key
+        # as a string, and the writer refuses it instead.
+        report = SuiteReport(config={}, per_id={1: IdSummary()}, wall_time_s=0.0, results=[])
+        with pytest.raises(TypeError):
+            report.to_json()

@@ -480,3 +480,28 @@ class TestHypothesisNotes:
             mats[k] = fixtures[name]
         r = check_inequality(ineq, mats, TRACE)
         assert (r.verdict, r.note) == ("inapplicable", note)
+
+    def test_failing_input_is_redone_once(self, monkeypatch):
+        # The stack fails on the nilpotent second input; the sector search
+        # redoes each input alone up to it and hands the gate what the
+        # earlier inputs gave, so nothing is redone a second time.
+        from sector_radius.harness import check_inequality
+
+        sizes, lanes = [], sectorial._sector_lanes
+
+        def counted(Xs, rotate):
+            sizes.append(len(Xs))
+            return lanes(Xs, rotate)
+
+        monkeypatch.setattr(sectorial, "_sector_lanes", counted)
+        r = check_inequality("T1_prod_sec_N", [random_sectorial(GenConfig(3, 1), 0.5), np.diag([1.0, 1.0], 1)])
+        assert r.verdict == "inapplicable" and r.note.startswith("second input: input is not sectorial")
+        assert sizes == [2, 1, 1]
+
+    @pytest.mark.parametrize("search", [rotation_to_sector, sector_index])
+    def test_error_names_the_failing_matrix_and_the_data_before_it(self, search):
+        good = [random_sectorial(GenConfig(3, seed), 0.5) for seed in (1, 2)]
+        with pytest.raises(DomainError) as info:
+            search(*good, np.diag([1.0, 1.0], 1), good[0])
+        assert info.value.failed_at == 2
+        assert info.value.before == search(*good)

@@ -1,9 +1,11 @@
 """Count the Python calls per check of a ``verify`` run, by source file of the package.
 
-    python3 tools/call_counts.py --ids all --trials 40 --dims 2..6 --norms op,tr,fro,sp:3 --seed 42
+    python3 tools/call_counts.py --ids all --trials 40 --dims 2..6 --norms op,tr,fro,sp:3 --seed 42 --out PATH
 
 Runs ``sector-radius verify`` in-process under cProfile with exactly the
-given flags (the tool adds none of its own).  After verify's own output
+given flags (the tool adds none of its own).  Give ``--out PATH`` to
+count the report writer too: without it verify writes no report, and
+``SuiteReport.to_json`` is never called.  After verify's own output
 it prints the check count, one line per source file of the
 ``sector_radius`` package with the calls of the functions defined there
 (recursive calls included), in all and per check, an ``other`` line for
