@@ -156,7 +156,18 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
 
 # Every factory below draws a stack: one matrix per config, each from its
 # own Philox stream, with one batched product, eigensolve or factorization
-# per step.  The single-matrix factories are the stack of one.
+# per step.  The single-matrix factories are the stack of one.  A public
+# factory validates its configs (GenConfig) and hands integer seeds and
+# float scales to the private draw of the same name, which every stream of
+# a draw goes through in one Box-Muller transform.
+
+
+def _ginibre(streams: Streams, n: int, seeds, scales) -> np.ndarray:
+    """ginibre_stack of the configs (n, seed, scale), one per seed and scale."""
+    count = n * n
+    u = np.array([streams.rng(seed).random(2 * count) for seed in seeds])
+    z = np.sqrt(-np.log(1.0 - u[:, :count])) * np.exp(2j * np.pi * u[:, count:])
+    return np.array(scales)[:, None, None] * z.reshape(-1, n, n)
 
 
 def ginibre_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
@@ -167,12 +178,7 @@ def ginibre_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
     finite; each stream gives its n^2 values of u1, then its n^2 of u2.
     """
     n = _dimension(cfgs)
-    streams = streams or Streams()
-    count = n * n
-    u = np.array([streams.rng(cfg.seed).random(2 * count) for cfg in cfgs])
-    z = np.sqrt(-np.log(1.0 - u[:, :count])) * np.exp(2j * np.pi * u[:, count:])
-    scale = np.array([cfg.scale for cfg in cfgs])
-    return scale[:, None, None] * z.reshape(-1, n, n)
+    return _ginibre(streams or Streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
 
 
 def pd_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
@@ -184,8 +190,13 @@ def pd_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
     stacked Cholesky; lambda_min is computed only for a failure's message.
     """
     n = _dimension(cfgs)
-    G = ginibre_stack([GenConfig(n, mix_seed(cfg.seed, _STREAM_PD), cfg.scale) for cfg in cfgs], streams)
-    shift = 1e-6 * np.array([cfg.scale**2 for cfg in cfgs])
+    return _pd(streams or Streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
+
+
+def _pd(streams: Streams, n: int, seeds, scales) -> np.ndarray:
+    """pd_stack of the configs (n, seed, scale), one per seed and scale."""
+    G = _ginibre(streams, n, [mix_seed(seed, _STREAM_PD) for seed in seeds], scales)
+    shift = 1e-6 * np.array([scale**2 for scale in scales])
     P = _hermitian_part(G @ adjoint(G) + shift[:, None, None] * np.eye(n))
     for ok, Pk in zip(pd_certificate(P)[0], P):
         if not ok:
@@ -210,17 +221,6 @@ def sectorial_stack(cfgs, alphas, streams: Streams | None = None) -> np.ndarray:
     matrix.  An alpha of 0 makes T = 0 and gives the positive definite
     G G* itself.
     """
-    return _sectorial_draw(cfgs, alphas, streams)[0]
-
-
-def _sectorial_draw(cfgs, alphas, streams: Streams | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sectorial_stack's matrices, and the smallest and largest eigenvalue of each scaled T.
-
-    The arguments of W(X) span exactly [arctan lo, arctan hi] for the
-    exact draw, so the extremes are its sector witness: they are those of
-    eigvalsh(T), which the scaling needs anyway, times the scale, within
-    rounding of the eigenvalues of the scaled T.
-    """
     n = _dimension(cfgs)
     alphas = [float(a) for a in alphas]
     if len(alphas) != len(cfgs):
@@ -228,15 +228,34 @@ def _sectorial_draw(cfgs, alphas, streams: Streams | None = None) -> tuple[np.nd
     for alpha in alphas:
         if not (0.0 <= alpha < math.pi / 2):
             raise ValueError(f"alpha must lie in [0, pi/2), got {alpha}")
-    streams = streams or Streams()
-    G = ginibre_stack([GenConfig(n, mix_seed(cfg.seed, _STREAM_SECT_BASE), cfg.scale) for cfg in cfgs], streams)
-    tilt = ginibre_stack([GenConfig(n, mix_seed(cfg.seed, _STREAM_SECT_TILT), 1.0) for cfg in cfgs], streams)
-    T = _hermitian_part(tilt)
+    seeds, scales = [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs]
+    return _sectorial_draw(streams or Streams(), n, seeds, scales, alphas)[0]
+
+
+def _sectorial_draw(streams: Streams, n: int, seeds, scales, alphas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sectorial_stack's matrices, and the smallest and largest eigenvalue of each scaled T.
+
+    The configs are (n, seed, scale), one per seed and scale, and each
+    alpha is a float in [0, pi/2).  G's streams and T's are drawn
+    together, in one Box-Muller transform, with the bits of two
+    ginibre_stack calls.  The arguments of W(X) span exactly
+    [arctan lo, arctan hi] for the exact draw, so the extremes are its
+    sector witness: they are those of eigvalsh(T), which the scaling
+    needs anyway, times the scale, within rounding of the eigenvalues of
+    the scaled T.
+    """
+    k = len(seeds)
+    keys = [mix_seed(seed, tag) for tag in (_STREAM_SECT_BASE, _STREAM_SECT_TILT) for seed in seeds]
+    Z = _ginibre(streams, n, keys, [*scales, *[1.0] * k])
+    G, T = Z[:k], _hermitian_part(Z[k:])
     lam = np.linalg.eigvalsh(T)
     peaks = np.max(np.abs(lam), axis=-1)
-    T[peaks == 0.0] = np.eye(n)
-    lam[peaks == 0.0] = 1.0
-    peaks[peaks == 0.0] = 1.0
+    if not peaks.all():
+        # T = 0 has no direction to scale: the identity takes its place.
+        zero = peaks == 0.0
+        T[zero] = np.eye(n)
+        lam[zero] = 1.0
+        peaks[zero] = 1.0
     scale = np.array([math.tan(alpha) for alpha in alphas]) / peaks
     T *= scale[:, None, None]
     Gh = adjoint(G)
@@ -247,8 +266,13 @@ def _sectorial_draw(cfgs, alphas, streams: Streams | None = None) -> tuple[np.nd
 def accretive_dissipative_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
     """Matrices A + iB with independent positive definite A and B."""
     n = _dimension(cfgs)
-    parts = [GenConfig(n, mix_seed(cfg.seed, tag), cfg.scale) for cfg in cfgs for tag in (_STREAM_AD_RE, _STREAM_AD_IM)]
-    P = pd_stack(parts, streams)
+    return _accretive_dissipative(streams or Streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
+
+
+def _accretive_dissipative(streams: Streams, n: int, seeds, scales) -> np.ndarray:
+    """accretive_dissipative_stack of the configs (n, seed, scale), one per seed and scale."""
+    tags = (_STREAM_AD_RE, _STREAM_AD_IM)
+    P = _pd(streams, n, [mix_seed(seed, tag) for seed in seeds for tag in tags], [s for s in scales for _ in tags])
     return P[0::2] + 1j * P[1::2]
 
 
@@ -274,7 +298,7 @@ def random_accretive_dissipative(cfg: GenConfig) -> np.ndarray:
 
 def random_unitary(cfg: GenConfig) -> np.ndarray:
     """Haar-like unitary from QR of a Ginibre draw with phase-fixed R."""
-    G = random_ginibre(GenConfig(cfg.n, mix_seed(cfg.seed, _STREAM_UNITARY), 1.0))
+    G = _ginibre(Streams(), cfg.n, [mix_seed(cfg.seed, _STREAM_UNITARY)], [1.0])[0]
     Q, R = np.linalg.qr(G)
     d = np.diag(R)
     phases = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)

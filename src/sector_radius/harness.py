@@ -56,11 +56,11 @@ import numpy as np
 from .generator import (
     GenConfig,
     Streams,
+    _accretive_dissipative,
+    _ginibre,
+    _pd,
     _sectorial_draw,
-    accretive_dissipative_stack,
-    ginibre_stack,
     mix_seed,
-    pd_stack,
 )
 from .linalg import (
     LAPACK_BACKWARD,
@@ -183,7 +183,12 @@ def _norm_iv(spec: NormSpec, X: np.ndarray) -> Interval:
     return Interval.point(value, abs_=pad)
 
 
-def _sector_data(sector, mats, names, errors, what: str) -> list[SectorInfo]:
+def _input_name(k: int, arity: int) -> str:
+    """How a note names input k of a row of ``arity`` inputs (0 for an m-fold row)."""
+    return ("first input", "second input")[k] if arity else f"input {k}"
+
+
+def _sector_data(sector, mats, arity: int, errors, what: str) -> list[SectorInfo]:
     """Verified sector data of every input, from one stacked ``sector`` call.
 
     ``sector`` is rotation_to_sector or sector_index.  Inputs are refused
@@ -198,7 +203,7 @@ def _sector_data(sector, mats, names, errors, what: str) -> list[SectorInfo]:
     except errors as exc:
         if exc.failed_at:
             _verified(list(exc.before), mats[: exc.failed_at])
-        raise Inapplicable(f"{names[exc.failed_at]}: {what}: {exc}") from None
+        raise Inapplicable(f"{_input_name(exc.failed_at, arity)}: {what}: {exc}") from None
     return _verified([infos] if len(mats) == 1 else list(infos), mats)
 
 
@@ -246,34 +251,39 @@ def _verified(infos: list[SectorInfo], mats) -> list[SectorInfo]:
     then at most 6 eps (1 + tan a) sum_i Re Y_ii / H_ii, the trace of D
     Re Y D.  That takes no norm of an unscaled matrix, and the budget's
     first-order count (5.6 eps) leaves room for its own rounding and the
-    certificate's (1 - gamma_4).
+    certificate's (1 - gamma_4).  The first try takes every input, so it
+    reads the Cartesian parts and their diagonals as they are; a later
+    try takes the open inputs' rows.
     """
     re, im = cartesian_parts(np.array([info.rotation_z * X for info, X in zip(infos, mats)]))
     r = re.diagonal(axis1=-2, axis2=-1).real
 
     def sector_pair(ks, alphas):
         c, s = (np.array([f(a) for a in alphas])[:, None, None] for f in (math.cos, math.sin))
-        ci, sr = c * im[ks], s * re[ks]
+        if len(ks) == len(re):
+            ci, sr, rk = c * im, s * re, r
+        else:
+            ci, sr, rk = c * im[ks], s * re[ks], r[ks]
         H = np.empty((len(ks), 2) + sr.shape[1:], dtype=sr.dtype)
         np.subtract(sr, ci, out=H[:, 0])
         np.add(sr, ci, out=H[:, 1])
         h = H.diagonal(axis1=-2, axis2=-1).real
-        budget = 6.0 * _EPS * (1.0 + np.tan(alphas))[:, None] * (r[ks][:, None] / np.where(h > 0.0, h, np.inf)).sum(-1)
-        return [True if ok else None for ok in pd_certificate(H, budget)[0].all(axis=1)]
+        budget = 6.0 * _EPS * (1.0 + np.tan(alphas))[:, None] * np.add.reduce(rk[:, None] / np.where(h > 0.0, h, np.inf), -1)
+        return [True if ok else None for ok in np.logical_and.reduce(pd_certificate(H, budget)[0], 1)]
 
     return [SectorInfo(a, info.rotation_z) for info, (a, _) in zip(infos, _inflated(infos, sector_pair))]
 
 
-def _require_accretive_dissipative(mats, names) -> None:
+def _require_accretive_dissipative(mats, arity: int) -> None:
     # Im X is Re(-iX), so both parts of every input go through the
     # positive-definiteness certificate at once.
     H = np.stack(cartesian_parts(np.array(mats)), axis=1)
     passes, S, _ = pd_certificate(H)
-    for ok, Hk, Sk, which in zip(passes, H, S, names):
+    for k, (ok, Hk, Sk) in enumerate(zip(passes, H, S)):
         if not ok.all():
             lam_re, lam_im = np.linalg.eigvalsh(Sk * Hk)[:, 0]
             raise Inapplicable(
-                f"{which} is not accretive-dissipative: lambda_min(D Re D) = {lam_re:.3e}, "
+                f"{_input_name(k, arity)} is not accretive-dissipative: lambda_min(D Re D) = {lam_re:.3e}, "
                 f"lambda_min(D' Im D') = {lam_im:.3e} (unit-diagonal scalings D, D')"
             )
 
@@ -314,15 +324,14 @@ def _check_hypothesis(kind, mats, arity: int, claims=None) -> tuple[list[SectorI
     data it returns are certified whatever produced them; a wrong claim
     is inflated until it holds, or is inapplicable.
     """
-    names = [("first input", "second input")[k] if arity else f"input {k}" for k in range(len(mats))]
     if claims is not None:
         return _verified(list(claims), mats), ""
     if kind is Hypothesis.SECTORIAL:
-        return _sector_data(rotation_to_sector, mats, names, NotSectorialError, "input is not sectorial"), ""
+        return _sector_data(rotation_to_sector, mats, arity, NotSectorialError, "input is not sectorial"), ""
     if kind is Hypothesis.ACCRETIVE:
-        return _sector_data(sector_index, mats, names, ValueError, "input is not accretive sectorial"), ""
+        return _sector_data(sector_index, mats, arity, ValueError, "input is not accretive sectorial"), ""
     if kind is Hypothesis.ACCRETIVE_DISSIPATIVE:
-        _require_accretive_dissipative(mats, names)
+        _require_accretive_dissipative(mats, arity)
     elif kind is Hypothesis.PD_SECOND:
         _require_pd(mats[1], "second input")
     elif kind is Hypothesis.ONE_HERMITIAN:
@@ -880,38 +889,39 @@ def _uniforms(streams: Streams, seed: int, tags, lo: float, hi: float) -> list[f
 
 
 def _plain(draw):
-    """A draw that needs nothing but its generator configs, and has no sector claims."""
-    return lambda streams, cfgs, seed, index_tags, phase_tags: (draw(cfgs, streams), None)
+    """A draw that needs nothing but its generator seeds, and has no sector claims."""
+    return lambda streams, n, seeds, seed, index_tags, phase_tags: (draw(streams, n, seeds, [1.0] * len(seeds)), None)
 
 
-def _sector_draw(streams: Streams, cfgs, seed: int, index_tags):
+def _sector_draw(streams: Streams, n: int, seeds, seed: int, index_tags):
     """Accretive draws at uniform indices, and arctan of the extreme eigenvalues of each scaled T."""
-    X, lo, hi = _sectorial_draw(cfgs, _uniforms(streams, seed, index_tags, 0.0, _ALPHA_MAX), streams)
+    alphas = _uniforms(streams, seed, index_tags, 0.0, _ALPHA_MAX)
+    X, lo, hi = _sectorial_draw(streams, n, seeds, [1.0] * len(seeds), alphas)
     return X, [math.atan(v) for v in lo.tolist()], [math.atan(v) for v in hi.tolist()]
 
 
-def _accretive(streams: Streams, cfgs, seed: int, index_tags, phase_tags):
+def _accretive(streams: Streams, n: int, seeds, seed: int, index_tags, phase_tags):
     """Accretive inputs, each claimed at index max(arctan hi, -arctan lo), its alpha, with z = 1."""
-    X, lo, hi = _sector_draw(streams, cfgs, seed, index_tags)
+    X, lo, hi = _sector_draw(streams, n, seeds, seed, index_tags)
     return X, [SectorInfo(max(h, -l), complex(1.0, 0.0)) for l, h in zip(lo, hi)]
 
 
-def _rotated(streams: Streams, cfgs, seed: int, index_tags, phase_tags):
+def _rotated(streams: Streams, n: int, seeds, seed: int, index_tags, phase_tags):
     """Accretive inputs turned by e^{i phi}, each claimed at the bisector of its arc.
 
     W(e^{i phi} X) spans the arguments phi + [arctan lo, arctan hi], so
     z = e^{-i (phi + c)}, c the arc's centre, turns it onto the positive
     axis with half-width (arctan hi - arctan lo)/2, the minimal index.
     """
-    X, lo, hi = _sector_draw(streams, cfgs, seed, index_tags)
+    X, lo, hi = _sector_draw(streams, n, seeds, seed, index_tags)
     phases = _uniforms(streams, seed, phase_tags, 0.0, 2.0 * math.pi)
     claims = [SectorInfo((h - l) / 2.0, cmath.exp(-1j * (p + (h + l) / 2.0))) for p, l, h in zip(phases, lo, hi)]
     return np.exp(1j * np.array(phases))[:, None, None] * X, claims
 
 
-_GINIBRE = _plain(ginibre_stack)
-_PD = _plain(pd_stack)
-_HERMITIAN = _plain(lambda cfgs, streams: cartesian_parts(ginibre_stack(cfgs, streams))[0])
+_GINIBRE = _plain(_ginibre)
+_PD = _plain(_pd)
+_HERMITIAN = _plain(lambda *args: cartesian_parts(_ginibre(*args))[0])
 # The draw of each input position, or one draw for every input.
 _DRAWS = {
     None: _GINIBRE,
@@ -920,7 +930,7 @@ _DRAWS = {
     Hypothesis.ONE_HERMITIAN: (_GINIBRE, _HERMITIAN),
     Hypothesis.SECTORIAL: _rotated,
     Hypothesis.ACCRETIVE: _accretive,
-    Hypothesis.ACCRETIVE_DISSIPATIVE: _plain(accretive_dissipative_stack),
+    Hypothesis.ACCRETIVE_DISSIPATIVE: _plain(_accretive_dissipative),
 }
 
 
@@ -940,22 +950,26 @@ class _Inputs(list):
 def _draw(info: IdInfo, n: int, seed: int, m_fold: int = 3) -> tuple[list[np.ndarray], list[SectorInfo] | None]:
     """The inputs of one trial of ``info`` and their sector claims (generate_inputs).
 
-    A row with one draw for every input draws them all as one stack; every
-    Philox stream comes from one re-keyed bit generator.
+    n and seed are validated once, as GenConfig validates them, and the
+    draws take the inputs' integer seeds.  A row with one draw for every
+    input draws them all as one stack; every Philox stream comes from one
+    re-keyed bit generator.
     """
+    cfg = GenConfig(n, seed)
+    n, seed = cfg.n, cfg.seed
     draws = _DRAWS[info.requires]
     streams = Streams()
     count = info.arity or m_fold
-    cfgs = [GenConfig(n, mix_seed(seed, j + 1)) for j in range(count)]
+    seeds = [mix_seed(seed, j + 1) for j in range(count)]
     index_tags = [31 if info.common_index else 31 + j for j in range(count)]
     phase_tags = [41 + j for j in range(count)]
     if isinstance(draws, tuple):
         mats = [
-            draw(streams, [cfg], seed, [index_tag], [phase_tag])[0][0]
-            for draw, cfg, index_tag, phase_tag in zip(draws, cfgs, index_tags, phase_tags)
+            draw(streams, n, [input_seed], seed, [index_tag], [phase_tag])[0][0]
+            for draw, input_seed, index_tag, phase_tag in zip(draws, seeds, index_tags, phase_tags)
         ]
         return mats, None
-    X, claims = draws(streams, cfgs, seed, index_tags, phase_tags)
+    X, claims = draws(streams, n, seeds, seed, index_tags, phase_tags)
     return list(X), claims
 
 

@@ -9,7 +9,6 @@ are pure.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -231,8 +230,9 @@ def block2x2(A, B, C, D) -> np.ndarray:
 def pd_certificate(H: np.ndarray, extra=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certify each Hermitian matrix of a stack positive definite: (passes, S, L).
 
-    S holds d_i d_j with d = diag(H)^{-1/2} (d_i = 1 where H_ii <= 0),
-    and L is the Cholesky factor of fl(S H) - c I, c = 2 g n + extra
+    S holds d_i d_j with d = diag(H)^{-1/2} (d_i = 1 where H_ii <= 0, and
+    inf where d_i d_j overflows: see below), and L is the Cholesky factor
+    of fl(S H) - c I, c = 2 g n + extra
     (``extra`` per lane, or one for all), with u = 2^-53, gamma_k = k u /
     (1 - k u) and g = sqrt(2) gamma_{2n+1}.  A lane passes when that
     factorization runs to completion with a finite factor; then
@@ -263,32 +263,82 @@ def pd_certificate(H: np.ndarray, extra=0.0) -> tuple[np.ndarray, np.ndarray, np
     part) for n well below 10^6.  A nonpositive diagonal entry of H
     fails: its pivot is at most H_ii - c <= 0.
 
+    A lane with a subnormal diagonal entry has some d_i d_j past the
+    largest double, so its S holds inf there; that lane is scaled as
+    (d_i H_ij) d_j instead, which is finite when H is positive definite
+    (|H_ij| <= sqrt(H_ii H_jj)) and has as many roundings as fl(S H), so
+    the proof holds for it too.  Every other lane is fl(S H).
+
     numpy's stacked cholesky raises for the whole stack when one lane
-    fails; that stack is then redone lane by lane, so every lane keeps
-    the bits of a call with its matrix alone.  The last lane is not
-    redone when every other one passes: it is the one that failed.
+    fails; that stack is then redone by halves (_cholesky_halves), so
+    every lane keeps the bits of a call with its matrix alone.
     """
     n = H.shape[-1]
     a = H.diagonal(axis1=-2, axis2=-1).real
     d = 1.0 / np.sqrt(np.where(a > 0.0, a, 1.0))
-    S = d[..., :, None] * d[..., None, :]
     gamma = (2 * n + 1) * 2.0**-53 / (1.0 - (2 * n + 1) * 2.0**-53)
+    if np.maximum.reduce(d, axis=None, initial=0.0) < _D_OVERFLOW:
+        S = d[..., :, None] * d[..., None, :]
+        shifted = (S * H).reshape(-1, n * n)
+    else:
+        S, shifted = _subnormal_scaled(H, d)
     # The shift is subtracted on the diagonal alone, in place: off it,
     # x - 0 would be x.
-    shifted = (S * H).reshape(-1, n * n)
     shifted[:, :: n + 1] -= np.asarray(2.0 * math.sqrt(2.0) * gamma * n + extra).reshape(-1, 1)
     flat = shifted.reshape(-1, n, n)
     try:
         L = np.linalg.cholesky(flat)
     except np.linalg.LinAlgError:
         L = np.full_like(flat, np.nan)
-        for k in range(len(flat)):
-            if k == len(flat) - 1 and np.isfinite(L[:k]).all():
-                break  # every other lane passed, so this one failed the stack
-            with contextlib.suppress(np.linalg.LinAlgError):
-                L[k] = np.linalg.cholesky(flat[k])
-    passes = np.isfinite(L.view(np.float64)).all(axis=(-2, -1))
+        _cholesky_halves(flat, L, 0, len(flat))
+    passes = np.logical_and.reduce(np.isfinite(L.view(np.float64)), (-2, -1))
     return passes.reshape(H.shape[:-2]), S, L.reshape(H.shape)
+
+
+# d_i d_j stays finite while every d_i is below 2^512, and only a diagonal
+# entry below 2^-1024, a subnormal, puts its d_i there.
+_D_OVERFLOW = 2.0**512
+
+
+def _subnormal_scaled(H: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pd_certificate's S, inf where d_i d_j overflows, and its D H D as rows of n^2 entries.
+
+    A lane whose S is finite is fl(S H), as in pd_certificate; a lane
+    with an overflowing product is (d_i H_ij) d_j.  Neither overflow
+    warns: the inf in S is expected, and a product past the largest
+    double in D H D (with the NaN a complex product makes of it) makes
+    the lane's Cholesky fail.
+    """
+    n = H.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = d[..., :, None] * d[..., None, :]
+        near = np.isfinite(S).all(axis=(-2, -1)).reshape(-1)
+        flat, Sf, df = H.reshape(-1, n, n), S.reshape(-1, n, n), d.reshape(-1, n)
+        shifted = np.empty_like(flat)
+        shifted[near] = Sf[near] * flat[near]
+        shifted[~near] = (df[~near, :, None] * flat[~near]) * df[~near, None, :]
+    return S, shifted.reshape(-1, n * n)
+
+
+def _cholesky_halves(flat: np.ndarray, L: np.ndarray, lo: int, hi: int) -> None:
+    """Cholesky factors, into L, of the lanes lo:hi of a stack whose factorization raised.
+
+    Each half is factored as one stack, and a half that raises is split
+    again, down to single lanes; a lane that fails alone stays NaN in L.
+    When the first half passes, the second holds the failure, so a second
+    half of one lane is not redone.  One failing lane in a stack of 2^k
+    costs 2k more calls, each lane with the bits of a call of its own.
+    """
+    if hi - lo < 2:
+        return
+    mid = (lo + hi) // 2
+    for start, stop in ((lo, mid), (mid, hi)):
+        if start == mid and stop - start == 1 and np.isfinite(L[lo:mid]).all():
+            break
+        try:
+            L[start:stop] = np.linalg.cholesky(flat[start:stop])
+        except np.linalg.LinAlgError:
+            _cholesky_halves(flat, L, start, stop)
 
 
 def is_psd(H, tol: float = 0.0) -> bool:

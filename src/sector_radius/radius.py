@@ -242,6 +242,12 @@ def _stage_forms(grid: int) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.
     return even, order, forms
 
 
+@lru_cache(maxsize=8)
+def _coarse_cos(grid: int) -> float:
+    """cos(h + _PAD) for a grid of step h = pi/grid, by numpy: the divisor of a coarse cell's covering term."""
+    return float(np.cos(math.pi / grid + _PAD))
+
+
 def radius_profile(spec: NormSpec, X, theta: float) -> float:
     """N(Re(e^{i*theta} X)) = N(cos(theta) Re X - sin(theta) Im X).
 
@@ -845,20 +851,28 @@ def _certified_radii(
         row = np.empty(len(even))
         row[order] = np.concatenate((rows[l], values))
         rows[l] = row
+    # The best sample, its angle and its covering term are Python floats,
+    # with the bits of _covering_terms (the cosine is numpy's); only a lane
+    # left open takes a _Lane.
+    cos_h = _coarse_cos(grid)
     lanes = {}
     for l, row in list(rows.items()):
-        i = int(np.argmax(row))
-        lane = lanes[l] = _Lane(float(row[i]), float(even[i]), *starts[l])
+        samples = row.tolist()
+        value = max(samples)
+        theta = float(even[samples.index(value)])
+        slack, g_stop, bound = starts[l]
         if l in drifts:
-            gap = _rotation_bound(lane.value, lane.slack, 2.0 * h, drifts[l]) - lane.value
-            if gap <= lane.g_stop:
-                estimates[l] = RadiusEstimate(lane.value, lane.theta, gap, spec)
+            gap = _rotation_bound(value, slack, 2.0 * h, drifts[l]) - value
+            if gap <= g_stop:
+                estimates[l] = RadiusEstimate(value, theta, gap, spec)
                 del rows[l]
                 continue
-        term = float(_covering_terms(lane.value, h + _PAD, lane.slack))
-        if term - lane.value <= lane.g_stop:
-            estimates[l] = RadiusEstimate(lane.value, lane.theta, max(0.0, min(lane.bound, term) - lane.value), spec)
+        term = (value + slack) / cos_h
+        if term - value <= g_stop:
+            estimates[l] = RadiusEstimate(value, theta, max(0.0, min(bound, term) - value), spec)
             del rows[l]
+        else:
+            lanes[l] = _Lane(value, theta, slack, g_stop, bound)
     if not rows:
         return estimates
 

@@ -235,20 +235,23 @@ class SuiteReport:
         and no trailing newline.  Each result and each id summary is
         written from one format string, its fields by type as json writes
         them (floats by ``float.__repr__``), since json's indenting encoder
-        is pure Python; ``config`` is written by the reference ``json.dumps``
-        call itself, once for both of its places.  ``per_id`` keys are id
+        is pure Python.  ``config`` is written once for both of its places:
+        from one format string when it has run_suite's keys (_config), and
+        otherwise, or when a value is not one that string writes, by the
+        reference ``json.dumps`` call itself.  ``per_id`` keys are id
         strings: any other key raises TypeError.  A NaN or an infinity
         raises ValueError and a value json cannot encode raises TypeError,
         as in the reference.
         """
-        config = _json(self.config, 1)
+        config = _config(self.config)
         per_id = [_id_summary(k, self.per_id[k]) for k in sorted(self.per_id)]
+        fails = self.certified_fail_total
         return _REPORT % (
             config,
             _block("[", [_result(r) for r in self.results], "]", 1),
-            _scalar(self.certified_fail_total),
+            _scalar(fails),
             config.replace("\n", "\n  "),
-            _scalar(self.ok),
+            _scalar(fails == 0),
             _block("{", per_id, "}", 2),
             _scalar(self.wall_time_s),
         )
@@ -309,6 +312,41 @@ def _json(o, level: int) -> str:
     return _REFERENCE.encode(o).replace("\n", "\n" + _INDENT * level)
 
 
+def _array(o, level: int = 2) -> str:
+    """A list or tuple of scalars as json writes it at indent ``level``; TypeError for any other value."""
+    if not isinstance(o, (list, tuple)):
+        raise TypeError(f"not a list of scalars: {o!r}")
+    return _block("[", [_SCALARS.get(type(x), _scalar)(x) for x in o], "]", level)
+
+
+def _arrays(o) -> str:
+    """A list or tuple of _array values, as the value of a key of _CONFIG."""
+    if not isinstance(o, (list, tuple)):
+        raise TypeError(f"not a list of lists: {o!r}")
+    return _block("[", [_array(x, 3) for x in o], "]", 2)
+
+
+def _config(config) -> str:
+    """``config`` as _json(config, 1) writes it.
+
+    A dict with run_suite's keys is written from _CONFIG in sorted key
+    order, each value by the scalar writer of its exact type or else by
+    the writer of its key.  A writer raises TypeError for a value of
+    another type, and the reference then writes the config, so any value
+    json takes is written as json writes it, and any other raises json's
+    error.  A NaN or an infinity raises ValueError here as json would at
+    the same value, since every value before it in key order was one the
+    template writes.
+    """
+    if isinstance(config, dict) and config.keys() == _CONFIG_KEYS:
+        fields = [(config[key], write) for key, write in _CONFIG_FIELDS]
+        try:
+            return _CONFIG % tuple([_SCALARS.get(type(v), write)(v) for v, write in fields])
+        except TypeError:
+            pass
+    return _json(config, 1)
+
+
 _REPORT = """{
   "config": %s,
   "results": %s,
@@ -320,6 +358,36 @@ _REPORT = """{
     "wall_time_s": %s
   }
 }"""
+
+# run_suite's config keys in sorted order, each with its writer; the lines
+# after the first are at the indent of the report's "config".
+_CONFIG = """{
+    "alpha_inflation": %s,
+    "coarse_passes": %s,
+    "dims": %s,
+    "grid": %s,
+    "ids": %s,
+    "m_fold": %s,
+    "mode": %s,
+    "norms": %s,
+    "refine_tol": %s,
+    "seed": %s,
+    "trials": %s
+  }"""
+_CONFIG_FIELDS = (
+    ("alpha_inflation", _scalar),
+    ("coarse_passes", _arrays),
+    ("dims", _array),
+    ("grid", _scalar),
+    ("ids", _array),
+    ("m_fold", _scalar),
+    ("mode", _scalar),
+    ("norms", _array),
+    ("refine_tol", _scalar),
+    ("seed", _scalar),
+    ("trials", _scalar),
+)
+_CONFIG_KEYS = frozenset(key for key, _ in _CONFIG_FIELDS)
 
 # CheckResult.to_obj's keys in sorted order; the lines after the first are
 # at the indent an item of "results" has.

@@ -37,3 +37,19 @@ def test_harness_calls_per_check_stay_capped(counted):
     # count; walking the row's expressions on every check made 82.1 here.
     _, rows, _ = counted
     assert rows["harness.py"][1] <= 55
+
+
+def test_one_check_ops_stay_capped():
+    # Each (id, dim, norm) runs as one benchmark suite op: run_suite of one
+    # check, then to_json.  931.4 calls per op while the generator drew each
+    # stream set in its own transform, the claim gate copied its inputs, the
+    # coarse close ran numpy scalars and json's encoder wrote the config;
+    # 687.6 measured without.
+    args = ("--one-check", "--ids", "all", "--dims", "2..6", "--norms", "op,tr,fro,sp:3", "--seed", "42")
+    done = subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "ops: 680" and lines[1].split() == ["file", "calls", "calls/op"]
+    rows = {row[0]: (int(row[1]), float(row[2])) for row in (line.split() for line in lines[2:])}
+    assert sum(calls for name, (calls, _) in rows.items() if name != "total") == rows["total"][0]
+    assert rows["total"][1] <= 700

@@ -12,11 +12,15 @@ import pytest
 
 from sector_radius.generator import (
     GenConfig,
+    accretive_dissipative_stack,
+    ginibre_stack,
+    pd_stack,
     random_accretive_dissipative,
     random_ginibre,
     random_pd,
     random_sectorial,
     random_unitary,
+    sectorial_stack,
 )
 from sector_radius import harness, radius
 from sector_radius.harness import (
@@ -946,6 +950,23 @@ class TestExplainAndRegistry:
                 for M in generate_inputs(REGISTRY[ineq], n, seed, m_fold=3):
                     digest.update(M.tobytes())
         assert digest.hexdigest() == "1aaf5b4cf238ce24b2b347d7f9c0c55f6a719ced71904e8ee305b7e6a107bc2f"
+        # Wider: every draw's claims (index and rotation) as well, n = 16,
+        # and the stacked public factories at scales 2^-8 and 2^8 with a
+        # seed above 2^63.
+        digest = hashlib.sha256()
+        for n, seed in ((3, 5), (6, 11), (16, 7)):
+            for ineq in all_ids():
+                inputs = generate_inputs(REGISTRY[ineq], n, seed, m_fold=3)
+                for M in inputs:
+                    digest.update(M.tobytes())
+                for claim in inputs.claims or ():
+                    digest.update(np.array([claim.index_alpha, claim.rotation_z.real, claim.rotation_z.imag]).tobytes())
+        for scale in (2.0**-8, 2.0**8):
+            cfgs = [GenConfig(4, seed, scale) for seed in (1, 2, 2**63 + 5)]
+            stacks = (ginibre_stack(cfgs), pd_stack(cfgs), sectorial_stack(cfgs, [0.0, 0.7, 1.4]), accretive_dissipative_stack(cfgs))
+            for M in (*stacks, *(random_unitary(cfg) for cfg in cfgs)):
+                digest.update(M.tobytes())
+        assert digest.hexdigest() == "47c8a04151d52c23246dc15d3704e92938e9707d2f28fd6d2d3a0d4edea82f41"
 
     def test_docs_table_lists_every_id_in_order(self):
         text = (Path(__file__).resolve().parent.parent / "docs" / "inequalities.md").read_text()

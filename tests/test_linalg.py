@@ -21,7 +21,8 @@ from sector_radius.linalg import (
     singular_values,
     write_matrix,
 )
-from helpers import exact_positive_definite, random_complex, random_hermitian
+from helpers import count_linalg_matrices, exact_positive_definite, random_complex, random_hermitian
+from sector_radius.harness import check_inequality
 
 
 @st.composite
@@ -330,8 +331,7 @@ class TestPdCertificate:
     @pytest.mark.parametrize("bad", [2, 4], ids=["middle", "last"])
     def test_stacked_lanes_equal_single_calls(self, bad):
         # A failing lane makes numpy's stacked cholesky raise; the stack is
-        # then redone lane by lane (a failing last lane is not redone), and
-        # every lane keeps its own bits.
+        # then redone by halves, and every lane keeps its own bits.
         rng = np.random.default_rng(7)
         Hs = np.array([random_hermitian(rng, 4) + 4.0 * np.eye(4) for _ in range(5)])
         Hs[bad] -= 8.0 * np.eye(4)
@@ -341,6 +341,55 @@ class TestPdCertificate:
             one = pd_certificate(H)
             assert one[0] == ok and np.array_equal(one[1], Sk) and np.array_equal(one[2], Lk, equal_nan=True)
         assert np.isnan(L[bad]).all()
+
+    @pytest.mark.parametrize("bad", [0, 37, 63])
+    def test_a_failing_lane_costs_two_calls_per_halving(self, bad, monkeypatch):
+        # 64 lanes, one indefinite: the whole stack, then two halves per
+        # level down to the failing lane, 1 + 2 log2(64) = 13 calls at most.
+        rng = np.random.default_rng(64)
+        Hs = np.array([random_hermitian(rng, 3) + 3.0 * np.eye(3) for _ in range(64)])
+        Hs[bad] -= 6.0 * np.eye(3)
+        singles = [pd_certificate(H) for H in Hs]
+        calls = count_linalg_matrices(monkeypatch, ("cholesky",))
+        passes, _, L = pd_certificate(Hs)
+        assert len(calls) <= 13 and calls[0] == 64
+        assert passes.tolist() == [k != bad for k in range(64)]
+        for ok, Lk, one in zip(passes, L, singles):
+            assert one[0] == ok and np.array_equal(one[2], Lk, equal_nan=True)
+        assert np.isnan(L[bad]).all()
+
+    def test_subnormal_diagonal_is_scaled_without_overflow(self):
+        # d_i d_j overflows for a subnormal H_ii; such a lane is scaled as
+        # (d_i H_ij) d_j, certifies a positive definite matrix and raises no
+        # overflow warning (an error under the test settings), while a lane
+        # beside it keeps the bits of a call of its own.
+        H = np.diag([1e-310, 1.0]).astype(complex)
+        passes, S, L = pd_certificate(H)
+        assert passes and np.isinf(S[0, 0]) and np.isfinite(L).all()
+        assert not pd_certificate(np.array([[1e-310, 1e-100], [1e-100, 1.0]], dtype=complex))[0]
+        assert not pd_certificate(np.array([[1e-310, 1e200], [1e200, 1.0]], dtype=complex))[0]
+        rng = np.random.default_rng(310)
+        normal = random_hermitian(rng, 2) + 3.0 * np.eye(2)
+        passes, S, L = pd_certificate(np.array([normal, H]))
+        one = pd_certificate(normal)
+        assert passes.tolist() == [True, True]
+        assert np.array_equal(S[0], one[1]) and np.array_equal(L[0], one[2])
+        # Sound: a lane the subnormal scaling certifies is positive definite.
+        e = np.ones(4)
+        e[0] = 2.0**-520
+        certified = 0
+        for _ in range(200):
+            M = near_singular_hermitian(rng, 4, certificate_shift(4))
+            Hs = (e[:, None] * M) * e[None, :]
+            Hs = (Hs + Hs.conj().T) / 2
+            if pd_certificate(Hs)[0]:
+                certified += 1
+                assert exact_positive_definite(Hs), Hs
+        assert certified > 50
+
+    def test_subnormal_diagonal_input_is_positive_definite_to_a_check(self):
+        r = check_inequality("L6_had_diag_norm", [np.eye(2), np.diag([1e-310, 1.0])])
+        assert r.verdict != "inapplicable", r.note
 
     def test_extra_shift_per_lane(self):
         # Unit diagonal and lambda_min 0.5: certified below that extra, not above.

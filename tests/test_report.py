@@ -175,6 +175,9 @@ def id_summaries(draw):
 
 VERIFY_CONFIG = run_suite(["A_lower"], 1, [2], DEFAULT_NORMS, seed=1).config
 TIGHTNESS_CONFIG = tightness_scan("B_prod4", 0, 0).config
+# run_suite's keys, each with run_suite's value or any other value json
+# writes: the writer's config template takes the one, the reference the other.
+SUITE_KEYED_CONFIGS = st.fixed_dictionaries({key: st.just(value) | PLAIN for key, value in VERIFY_CONFIG.items()})
 
 
 @st.composite
@@ -186,6 +189,13 @@ def reports(draw):
         wall_time_s=draw(REPORT_FLOATS),
         results=draw(st.lists(check_results(), max_size=3)),
     )
+
+
+def last_scalar_set(value, bad):
+    """A run_suite config ``value`` with its last scalar replaced by ``bad``."""
+    if isinstance(value, (list, tuple)):
+        return [*value[:-1], last_scalar_set(value[-1], bad)]
+    return bad
 
 
 def poison(report: SuiteReport, where: str, bad: float) -> SuiteReport:
@@ -215,6 +225,20 @@ class TestReportWriter:
     @given(reports())
     def test_to_json_is_the_indented_json_dumps(self, report):
         assert report.to_json() == reference(report)
+
+    @settings(max_examples=300, deadline=None)
+    @given(SUITE_KEYED_CONFIGS, st.sampled_from(list(VERIFY_CONFIG)), st.sampled_from([None, math.nan, math.inf]))
+    def test_configs_with_the_suite_keys_are_the_indented_json_dumps(self, config, key, bad):
+        if bad is not None:
+            config = {**config, key: last_scalar_set(VERIFY_CONFIG[key], bad)}
+        report = SuiteReport(config=config, per_id={}, wall_time_s=0.0, results=[])
+        try:
+            expected = reference(report)
+        except ValueError:
+            with pytest.raises(ValueError, match="Out of range float"):
+                report.to_json()
+        else:
+            assert report.to_json() == expected
 
     @pytest.mark.parametrize(
         "report",
