@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +140,23 @@ class Streams:
         return self._rng
 
 
+_LOCAL = threading.local()
+
+
+def _local_streams() -> Streams:
+    """This thread's Streams, built on its first draw.
+
+    ``rng(key)`` sets the whole Philox state, so what a Streams drew
+    before never shows in a draw; one per thread keeps two threads from
+    re-keying one bit generator under each other.
+    """
+    try:
+        return _LOCAL.streams
+    except AttributeError:
+        _LOCAL.streams = Streams()
+        return _LOCAL.streams
+
+
 def _dimension(cfgs) -> int:
     if not cfgs:
         raise ValueError("a stack needs at least one config")
@@ -178,7 +196,7 @@ def ginibre_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
     finite; each stream gives its n^2 values of u1, then its n^2 of u2.
     """
     n = _dimension(cfgs)
-    return _ginibre(streams or Streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
+    return _ginibre(streams or _local_streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
 
 
 def pd_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
@@ -190,7 +208,7 @@ def pd_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
     stacked Cholesky; lambda_min is computed only for a failure's message.
     """
     n = _dimension(cfgs)
-    return _pd(streams or Streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
+    return _pd(streams or _local_streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
 
 
 def _pd(streams: Streams, n: int, seeds, scales) -> np.ndarray:
@@ -229,7 +247,7 @@ def sectorial_stack(cfgs, alphas, streams: Streams | None = None) -> np.ndarray:
         if not (0.0 <= alpha < math.pi / 2):
             raise ValueError(f"alpha must lie in [0, pi/2), got {alpha}")
     seeds, scales = [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs]
-    return _sectorial_draw(streams or Streams(), n, seeds, scales, alphas)[0]
+    return _sectorial_draw(streams or _local_streams(), n, seeds, scales, alphas)[0]
 
 
 def _sectorial_draw(streams: Streams, n: int, seeds, scales, alphas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -266,7 +284,7 @@ def _sectorial_draw(streams: Streams, n: int, seeds, scales, alphas) -> tuple[np
 def accretive_dissipative_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
     """Matrices A + iB with independent positive definite A and B."""
     n = _dimension(cfgs)
-    return _accretive_dissipative(streams or Streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
+    return _accretive_dissipative(streams or _local_streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
 
 
 def _accretive_dissipative(streams: Streams, n: int, seeds, scales) -> np.ndarray:
@@ -298,7 +316,7 @@ def random_accretive_dissipative(cfg: GenConfig) -> np.ndarray:
 
 def random_unitary(cfg: GenConfig) -> np.ndarray:
     """Haar-like unitary from QR of a Ginibre draw with phase-fixed R."""
-    G = _ginibre(Streams(), cfg.n, [mix_seed(cfg.seed, _STREAM_UNITARY)], [1.0])[0]
+    G = _ginibre(_local_streams(), cfg.n, [mix_seed(cfg.seed, _STREAM_UNITARY)], [1.0])[0]
     Q, R = np.linalg.qr(G)
     d = np.diag(R)
     phases = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)

@@ -58,6 +58,7 @@ from .generator import (
     Streams,
     _accretive_dissipative,
     _ginibre,
+    _local_streams,
     _pd,
     _sectorial_draw,
     mix_seed,
@@ -952,13 +953,13 @@ def _draw(info: IdInfo, n: int, seed: int, m_fold: int = 3) -> tuple[list[np.nda
 
     n and seed are validated once, as GenConfig validates them, and the
     draws take the inputs' integer seeds.  A row with one draw for every
-    input draws them all as one stack; every Philox stream comes from one
-    re-keyed bit generator.
+    input draws them all as one stack; every Philox stream comes from the
+    thread's one re-keyed bit generator.
     """
     cfg = GenConfig(n, seed)
     n, seed = cfg.n, cfg.seed
     draws = _DRAWS[info.requires]
-    streams = Streams()
+    streams = _local_streams()
     count = info.arity or m_fold
     seeds = [mix_seed(seed, j + 1) for j in range(count)]
     index_tags = [31 if info.common_index else 31 + j for j in range(count)]

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -221,6 +223,44 @@ class TestStacks:
         for key in (0, 1, 2**63 + 5, 2**64 - 1, mix_seed(7, 3)):
             fresh = np.random.Generator(np.random.Philox(key=key))
             assert np.array_equal(streams.rng(key).random(13), fresh.random(13))
+
+    def test_draws_interleaved_across_threads_equal_single_thread_draws(self):
+        # Each thread re-keys its own Streams, and a re-key sets the whole
+        # Philox state, so draws racing in two threads keep the bits of
+        # the same draws made one after another in one thread.
+        from sector_radius.harness import REGISTRY, generate_inputs
+
+        ids = ("T1_prod_sec_N", "C_AD_prod2", "B_prod4", "P3_sec")
+
+        def draws(offset):
+            out = []
+            for k in range(40):
+                cfg = GenConfig(3 + k % 3, offset + k)
+                out.append(random_sectorial(cfg, 0.9).tobytes())
+                out.append(random_unitary(cfg).tobytes())
+                out.append(pd_stack([cfg, GenConfig(cfg.n, offset - k)]).tobytes())
+                out.extend(M.tobytes() for M in generate_inputs(REGISTRY[ids[k % 4]], cfg.n, offset + k))
+            return out
+
+        want = {offset: draws(offset) for offset in (1000, 2000)}
+        got, barrier = {}, threading.Barrier(2, timeout=60)
+
+        def run(offset):
+            barrier.wait()
+            got[offset] = draws(offset)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(offset,)) for offset in want]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_each_matrix_of_a_stack_is_its_single_draw(self, n):
