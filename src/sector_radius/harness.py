@@ -74,6 +74,7 @@ from .linalg import (
     hadamard,
     is_hermitian,
     pd_certificate,
+    unit_scaled,
 )
 from .norms import FROBENIUS, OPERATOR, TRACE, NormSpec, evaluate_norm, schatten
 from .radius import DEFAULT_GRID, DEFAULT_REFINE_TOL, check_grid, check_refine_tol, omega_n
@@ -282,7 +283,7 @@ def _require_accretive_dissipative(mats, arity: int) -> None:
     passes, S, _ = pd_certificate(H)
     for k, (ok, Hk, Sk) in enumerate(zip(passes, H, S)):
         if not ok.all():
-            lam_re, lam_im = np.linalg.eigvalsh(Sk * Hk)[:, 0]
+            lam_re, lam_im = np.linalg.eigvalsh(unit_scaled(Sk, Hk, Hk))[:, 0]
             raise Inapplicable(
                 f"{_input_name(k, arity)} is not accretive-dissipative: lambda_min(D Re D) = {lam_re:.3e}, "
                 f"lambda_min(D' Im D') = {lam_im:.3e} (unit-diagonal scalings D, D')"
@@ -295,7 +296,7 @@ def _require_pd(X: np.ndarray, which: str) -> None:
     A = cartesian_decompose(X)[0]
     passes, S, _ = pd_certificate(A)
     if not passes:
-        lam = np.linalg.eigvalsh(S * A)[0]
+        lam = np.linalg.eigvalsh(unit_scaled(S, A, A))[0]
         raise Inapplicable(f"{which} is not positive definite: lambda_min(D X D) = {lam:.3e} (unit-diagonal scaling D)")
 
 

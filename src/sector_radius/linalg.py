@@ -33,6 +33,7 @@ __all__ = [
     "block2x2",
     "is_psd",
     "pd_certificate",
+    "unit_scaled",
     "matrix_to_obj",
     "matrix_from_obj",
     "read_matrix",
@@ -274,8 +275,7 @@ def pd_certificate(H: np.ndarray, extra=0.0) -> tuple[np.ndarray, np.ndarray, np
     every lane keeps the bits of a call with its matrix alone.
     """
     n = H.shape[-1]
-    a = H.diagonal(axis1=-2, axis2=-1).real
-    d = 1.0 / np.sqrt(np.where(a > 0.0, a, 1.0))
+    d = _scaling(H)
     gamma = (2 * n + 1) * 2.0**-53 / (1.0 - (2 * n + 1) * 2.0**-53)
     if np.maximum.reduce(d, axis=None, initial=0.0) < _D_OVERFLOW:
         S = d[..., :, None] * d[..., None, :]
@@ -298,6 +298,25 @@ def pd_certificate(H: np.ndarray, extra=0.0) -> tuple[np.ndarray, np.ndarray, np
 # d_i d_j stays finite while every d_i is below 2^512, and only a diagonal
 # entry below 2^-1024, a subnormal, puts its d_i there.
 _D_OVERFLOW = 2.0**512
+
+
+def _scaling(H: np.ndarray) -> np.ndarray:
+    """pd_certificate's d = diag(H)^{-1/2} of each lane, 1 where H_ii <= 0."""
+    a = H.diagonal(axis1=-2, axis2=-1).real
+    return 1.0 / np.sqrt(np.where(a > 0.0, a, 1.0))
+
+
+def unit_scaled(S: np.ndarray, H: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """D M D for each lane, D the scaling ``pd_certificate(H)`` returned as S.
+
+    That is fl(S M) while S is finite.  A lane whose S holds inf, where H
+    has a subnormal diagonal entry, is (d_i M_ij) d_j, as pd_certificate
+    scales H itself, so a matrix beside H (its Cartesian partner, or H
+    for a message) is scaled without forming d_i d_j.
+    """
+    if np.maximum.reduce(S, axis=None, initial=0.0) < math.inf:
+        return S * M
+    return _subnormal_scaled(M, _scaling(H))[1].reshape(M.shape)
 
 
 def _subnormal_scaled(H: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -419,6 +419,26 @@ class TestLockstepGates:
             assert [info_bits(info) for info in got] == singles[1 : pos + 1] + singles[:1] + singles[pos + 1 :]
             assert calls[0] == 4 and len(calls) >= 4, (pos, calls)
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_diagonal_is_scaled_without_overflow(self):
+        # The gate's S = d_i d_j is inf on a lane with a subnormal diagonal
+        # entry; the search scales Im X there as (d_i B_ij) d_j, so the
+        # index is exact, nothing warns, and the other lanes keep the bits
+        # of S * B.
+        from sector_radius.harness import check_inequality
+
+        X = np.diag([1e-310, 1.0]) + 1j * np.diag([1e-311, 0.5])
+        assert abs(sector_index(X).index_alpha - math.atan(0.5)) <= 1e-12
+        info = rotation_to_sector(X)
+        assert abs(info.index_alpha - (math.atan(0.5) - math.atan(0.1)) / 2.0) <= 1e-12
+        assert math.isfinite(info.rotation_z.real) and math.isfinite(info.rotation_z.imag)
+        assert abs(abs(info.rotation_z) - 1.0) <= 1e-15
+        assert check_inequality("L1_norm_sec", [X]).verdict != "inapplicable"
+        for fn, family in ((sector_index, accretive_family), (rotation_to_sector, rotated_family)):
+            for Y in family(2, 47):
+                assert info_bits(fn(Y, X)[0]) == info_bits(fn(Y))
+                assert info_bits(fn(X, Y)[1]) == info_bits(fn(Y))
+
     @pytest.mark.parametrize("fn", [rotation_to_sector, sector_index], ids=["rotation_to_sector", "sector_index"])
     def test_a_lane_failing_the_gate_raises_its_own_error(self, fn):
         # A Hermitian lane with a positive diagonal and lambda_min(D X D) =
