@@ -173,11 +173,11 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
 
 
 # Every factory below draws a stack: one matrix per config, each from its
-# own Philox stream, with one batched product, eigensolve or factorization
-# per step.  The single-matrix factories are the stack of one.  A public
-# factory validates its configs (GenConfig) and hands integer seeds and
-# float scales to the private draw of the same name, which every stream of
-# a draw goes through in one Box-Muller transform.
+# own Philox stream, with one batched product or factorization per step.
+# The single-matrix factories are the stack of one.  A public factory
+# validates its configs (GenConfig) and hands integer seeds and float
+# scales to the private draw of the same name, which turns every Gaussian
+# stream of a draw into Gaussians in one Box-Muller transform.
 
 
 def _ginibre(streams: Streams, n: int, seeds, scales) -> np.ndarray:
@@ -226,18 +226,21 @@ def _pd(streams: Streams, n: int, seeds, scales) -> np.ndarray:
 def sectorial_stack(cfgs, alphas, streams: Streams | None = None) -> np.ndarray:
     """Accretive matrices whose numerical ranges have angular half-widths ``alphas``.
 
-    Each is the congruence G (I + iT) G* of a Ginibre matrix G and a
-    Hermitian T rescaled so max|eig(T)| = tan(alpha), formed as
-    G G* + i G T G* with both parts made exactly Hermitian.  Quadratic
-    forms satisfy <Xx,x> = ||y||^2 + i <Ty,y> with y = G*x, and G* is
-    invertible, so the extreme argument over the numerical range is
-    exactly arctan(max|eig(T)|) = alpha.  G has the polar form S U with
-    S = (G G*)^(1/2) and U Haar-distributed and independent of S, and
-    U T U* has the law of T (the Hermitian part of a Ginibre matrix is
-    unitarily invariant), so X = S (I + i U T U*) S has the law of
-    S (I + iT) S for the square root S of a random positive definite
-    matrix.  An alpha of 0 makes T = 0 and gives the positive definite
-    G G* itself.
+    Each is the congruence G (I + i diag(t)) G* of a Ginibre matrix G and
+    a real tilt vector t of n i.i.d. uniforms on [-1, 1), rescaled so
+    that max|t_j| = tan(alpha), formed as G G* + i G diag(t) G* with both
+    parts made exactly Hermitian.  Quadratic forms satisfy <Xx,x> =
+    ||y||^2 + i sum_j t_j |y_j|^2 with y = G*x, and G* is invertible, so
+    the arguments over the numerical range span exactly [arctan min t,
+    arctan max t], and the extreme one is arctan(max|t_j|) = alpha.
+    Every sectorial matrix is such a congruence T diag(e^{i theta_j}) T*
+    with |theta_j| <= alpha (Zhang, "A matrix decomposition and its
+    applications", Linear Multilinear Algebra 63, 2015).  A Hermitian
+    tilt would need no more: G (I + i U diag(t) U*) G* = GU (I + i
+    diag(t)) (GU)* for unitary U, and GU is again Ginibre, as G's law is
+    unitarily invariant, so only the tilt's spectrum matters to the law,
+    and it is drawn directly.  An alpha of 0 makes t = 0 and gives the
+    positive definite G G* itself.
     """
     n = _dimension(cfgs)
     alphas = [float(a) for a in alphas]
@@ -251,34 +254,28 @@ def sectorial_stack(cfgs, alphas, streams: Streams | None = None) -> np.ndarray:
 
 
 def _sectorial_draw(streams: Streams, n: int, seeds, scales, alphas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sectorial_stack's matrices, and the smallest and largest eigenvalue of each scaled T.
+    """sectorial_stack's matrices, and the smallest and largest entry of each scaled tilt t.
 
     The configs are (n, seed, scale), one per seed and scale, and each
-    alpha is a float in [0, pi/2).  G's streams and T's are drawn
-    together, in one Box-Muller transform, with the bits of two
-    ginibre_stack calls.  The arguments of W(X) span exactly
-    [arctan lo, arctan hi] for the exact draw, so the extremes are its
-    sector witness: they are those of eigvalsh(T), which the scaling
-    needs anyway, times the scale, within rounding of the eigenvalues of
-    the scaled T.
+    alpha is a float in [0, pi/2).  G comes from the seed's base stream,
+    with the bits of ginibre_stack, and t from its tilt stream, n
+    uniforms u mapped to 2u - 1 (a t of zeros becomes ones, which has a
+    direction to scale).  X is one broadcast product of the stack
+    (G, G diag(t)) against G* and one Hermitian part; no numpy.linalg
+    routine runs.  The arguments of W(X) span exactly [arctan min t,
+    arctan max t] for the exact product of the float G and t, so the
+    extremes are the draw's sector witness as they stand.
     """
-    k = len(seeds)
-    keys = [mix_seed(seed, tag) for tag in (_STREAM_SECT_BASE, _STREAM_SECT_TILT) for seed in seeds]
-    Z = _ginibre(streams, n, keys, [*scales, *[1.0] * k])
-    G, T = Z[:k], _hermitian_part(Z[k:])
-    lam = np.linalg.eigvalsh(T)
-    peaks = np.max(np.abs(lam), axis=-1)
+    G = _ginibre(streams, n, [mix_seed(seed, _STREAM_SECT_BASE) for seed in seeds], scales)
+    t = 2.0 * np.array([streams.rng(mix_seed(seed, _STREAM_SECT_TILT)).random(n) for seed in seeds]) - 1.0
+    peaks = np.max(np.abs(t), axis=-1)
     if not peaks.all():
-        # T = 0 has no direction to scale: the identity takes its place.
         zero = peaks == 0.0
-        T[zero] = np.eye(n)
-        lam[zero] = 1.0
+        t[zero] = 1.0
         peaks[zero] = 1.0
-    scale = np.array([math.tan(alpha) for alpha in alphas]) / peaks
-    T *= scale[:, None, None]
-    Gh = adjoint(G)
-    X = _hermitian_part(G @ Gh) + 1j * _hermitian_part(G @ T @ Gh)
-    return X, lam[:, 0] * scale, lam[:, -1] * scale
+    t *= (np.array([math.tan(alpha) for alpha in alphas]) / peaks)[:, None]
+    H = _hermitian_part(np.stack((G, G * t[:, None, :])) @ adjoint(G))
+    return H[0] + 1j * H[1], t.min(axis=-1), t.max(axis=-1)
 
 
 def accretive_dissipative_stack(cfgs, streams: Streams | None = None) -> np.ndarray:

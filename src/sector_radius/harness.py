@@ -896,7 +896,7 @@ def _plain(draw):
 
 
 def _sector_draw(streams: Streams, n: int, seeds, seed: int, index_tags):
-    """Accretive draws at uniform indices, and arctan of the extreme eigenvalues of each scaled T."""
+    """Accretive draws at uniform indices, and arctan of the smallest and largest tilt of each."""
     alphas = _uniforms(streams, seed, index_tags, 0.0, _ALPHA_MAX)
     X, lo, hi = _sectorial_draw(streams, n, seeds, [1.0] * len(seeds), alphas)
     return X, [math.atan(v) for v in lo.tolist()], [math.atan(v) for v in hi.tolist()]

@@ -106,16 +106,30 @@ def mp_sector_index(X: np.ndarray, dps: int = 50) -> float:
     import mpmath
 
     with mpmath.workdps(dps):
-        n = X.shape[0]
-        Xm = mpmath.matrix([[mpmath.mpc(complex(X[i, j])) for j in range(n)] for i in range(n)])
-        A = (Xm + Xm.H) / 2
-        B = (Xm - Xm.H) / mpmath.mpc(0, 2)
-        w, Q = mpmath.eighe(A)
-        inv_sqrt = mpmath.diag([1 / mpmath.sqrt(mpmath.re(e)) for e in w])
-        R = Q * inv_sqrt * Q.H
-        lam = mpmath.eighe(R * B * R, eigvals_only=True)
-        lam = [mpmath.re(v) for v in lam]
-        return float(max(mpmath.atan(max(lam)), -mpmath.atan(min(lam)), 0))
+        Xm = mp_matrix(X)
+        lo, hi = mp_pencil_extremes((Xm + Xm.H) / 2, (Xm - Xm.H) / mpmath.mpc(0, 2))
+        return float(max(mpmath.atan(hi), -mpmath.atan(lo), 0))
+
+
+def mp_matrix(X: np.ndarray):
+    """The mpmath matrix of X's doubles, exactly."""
+    import mpmath
+
+    return mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in X])
+
+
+def mp_pencil_extremes(A, B):
+    """Smallest and largest eigenvalue of the Hermitian pencil (B, A), A positive definite, in mpmath.
+
+    They are those of A^{-1/2} B A^{-1/2}, whose inverse square root comes
+    from an eigendecomposition of A, at the working precision.
+    """
+    import mpmath
+
+    w, Q = mpmath.eighe(A)
+    R = Q * mpmath.diag([1 / mpmath.sqrt(mpmath.re(e)) for e in w]) * Q.H
+    lam = [mpmath.re(v) for v in mpmath.eighe(R * B * R, eigvals_only=True)]
+    return min(lam), max(lam)
 
 
 def mp_frobenius_radius(X: np.ndarray, dps: int = 50) -> float:

@@ -518,11 +518,11 @@ class TestReportPin:
         obj = report.report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == "097a593d14ce02a302f29f8b0441f0af81e5aef16a08f894feebafd11e24c95b"
+        assert digest == "008f53842502b6b2e4a97db15b9bf57829361cad7cb99f65f3917e07bcb66b64"
         # The text `verify --out` writes, layout included.
         report.wall_time_s = 0.0
         layout = hashlib.sha256(report.to_json().encode()).hexdigest()
-        assert layout == "b70d54bb3fa1e116a9bf7f83ffdac0226a784b72afc22f14973377c75f253846"
+        assert layout == "201e21569704695e4cf51cb0c40eefd2a8c050d64ffa7658d6ffa5a96eab9ea7"
 
 
 class TestInputPin:
@@ -535,7 +535,7 @@ class TestInputPin:
                 for seed in range(4):
                     for M in generate_inputs(info, n, seed=5000 + 10 * n + seed):
                         digest.update(M.tobytes())
-        assert digest.hexdigest() == "fd4e4e42678153254ba3fbf802ead732adac040c0da9cc3a1d0c9cc046e4d9cc"
+        assert digest.hexdigest() == "789d37af06e5b2a6300ef99aab55bbd6a28719e6593dfe713bbe425eefb6a94b"
 
 
 def radius_terms(ineq, mats, spec, grid, refine_tol):
@@ -949,7 +949,7 @@ class TestExplainAndRegistry:
             for ineq in all_ids():
                 for M in generate_inputs(REGISTRY[ineq], n, seed, m_fold=3):
                     digest.update(M.tobytes())
-        assert digest.hexdigest() == "1aaf5b4cf238ce24b2b347d7f9c0c55f6a719ced71904e8ee305b7e6a107bc2f"
+        assert digest.hexdigest() == "a54fc27cf5470eebe93e6201147bb4a49fdee4d281c34182a0a4e3bac1b2ad95"
         # Wider: every draw's claims (index and rotation) as well, n = 16,
         # and the stacked public factories at scales 2^-8 and 2^8 with a
         # seed above 2^63.
@@ -966,7 +966,7 @@ class TestExplainAndRegistry:
             stacks = (ginibre_stack(cfgs), pd_stack(cfgs), sectorial_stack(cfgs, [0.0, 0.7, 1.4]), accretive_dissipative_stack(cfgs))
             for M in (*stacks, *(random_unitary(cfg) for cfg in cfgs)):
                 digest.update(M.tobytes())
-        assert digest.hexdigest() == "47c8a04151d52c23246dc15d3704e92938e9707d2f28fd6d2d3a0d4edea82f41"
+        assert digest.hexdigest() == "06be1790b4a5f6448c5a0fed1d6d0a17e34f773969b39d03e4d7d7bd91718d65"
 
     def test_docs_table_lists_every_id_in_order(self):
         text = (Path(__file__).resolve().parent.parent / "docs" / "inequalities.md").read_text()

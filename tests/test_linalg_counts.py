@@ -99,3 +99,41 @@ def test_stage_lines_split_the_calls_by_draw_and_gate(monkeypatch, capsys):
         assert got[name] == (len(sizes), sum(sizes)), name
     per_check = [float(x) for x in lines[start + 2].split()[3:]]
     assert per_check == [round(len(stages["gate"]) / 12, 3), round(sum(stages["gate"]) / 12, 3)]
+
+
+def blocks(lines: list[str]) -> dict[str, dict[str, tuple[int, int]]]:
+    """The stage, stage/routine and routine blocks of the tool's output: name -> (calls, matrices)."""
+    out, current = {}, None
+    for line in lines:
+        head = line.split(maxsplit=1)[0]
+        if head in ("stage", "stage/routine", "routine"):
+            current = out.setdefault(head, {})
+        elif head in ("checks:", "radius"):
+            current = None
+        elif current is not None:
+            current[head] = (int(line.split()[1]), int(line.split()[2]))
+    return out
+
+
+def summed(rows) -> tuple[int, int]:
+    return tuple(map(sum, zip(*rows))) if rows else (0, 0)
+
+
+def test_stage_routine_lines_split_the_stage_and_routine_lines():
+    # One line per (stage, routine) pair with a call: for each stage they
+    # add up to its stage line, and for each routine to its routine line.
+    # The sectorial rows' draw makes no numpy.linalg call; the
+    # accretive-dissipative draw certifies its parts with cholesky.
+    args = ("--ids", "T1_prod_sec_N,P3_sec,C_AD_prod2,B_prod4", "--trials", "3", "--dims", "3,16", "--norms", "op")
+    done = subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    got = blocks(lines[next(k for k, line in enumerate(lines) if line.startswith("checks:")) :])
+    pairs, stages, routines = got["stage/routine"], got["stage"], got["routine"]
+    assert pairs and all(calls > 0 for calls, _ in pairs.values())
+    for stage, want in stages.items():
+        assert summed([v for key, v in pairs.items() if key.split("/")[0] == stage]) == want, stage
+    for routine, want in routines.items():
+        mine = [v for key, v in pairs.items() if routine in ("total", key.split("/")[1])]
+        assert summed(mine) == want, routine
+    assert [key for key in pairs if key.startswith("draw/")] == ["draw/cholesky"]

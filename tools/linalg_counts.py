@@ -10,15 +10,17 @@ verify's own output it prints the check count; numpy.linalg calls and
 matrices by stage, ``draw`` (inside ``_draw``: the inputs and their
 sector claims), ``gate`` (inside ``_check_hypothesis``: the hypothesis
 and the sector data) and ``rest`` (everything else: radii, norms,
-blocks); how many checks ended after each sequence of radius passes,
-such as ``(4,1.0)`` or ``(4,1.0)->(8,0.2)->(32,1e-10)`` (one
-``(grid,refine_tol)`` per ``omega_n`` call of the check, ``none`` for a
-check that computes no radius); and last one line per routine and a
-total line.  Stage and routine lines give calls and matrices in all,
-then per check, where a call on a stack of matrices counts each matrix
-of the stack and the check count is that of the report ``run_suite``
-returns.  The package is imported from the ``src/`` beside this
-directory.  Exits with verify's exit code.
+blocks); one line per (stage, routine) pair that made a call, such as
+``gate/cholesky``, which split each stage line; how many checks ended
+after each sequence of radius passes, such as ``(4,1.0)`` or
+``(4,1.0)->(8,0.2)->(32,1e-10)`` (one ``(grid,refine_tol)`` per
+``omega_n`` call of the check, ``none`` for a check that computes no
+radius); and last one line per routine and a total line.  Stage, pair
+and routine lines give calls and matrices in all, then per check, where
+a call on a stack of matrices counts each matrix of the stack and the
+check count is that of the report ``run_suite`` returns.  The package
+is imported from the ``src/`` beside this directory.  Exits with
+verify's exit code.
 """
 
 from __future__ import annotations
@@ -37,15 +39,14 @@ ROUTINES = ("eigvalsh", "eigh", "eig", "eigvals", "svd", "cholesky", "solve", "i
 STAGES = ("draw", "gate", "rest")
 
 
-def count_verify(args: list[str]) -> tuple[int, int, dict[str, list[int]], Counter, dict[str, list[int]]]:
-    """verify's exit code and check count, the matrices of each call by routine, checks per pass sequence, and matrices by stage.
+def count_verify(args: list[str]) -> tuple[int, int, dict[tuple[str, str], list[int]], Counter]:
+    """verify's exit code and check count, the matrices of each call by (stage, routine), and checks per pass sequence.
 
     A sequence is the tuple of (grid, refine_tol) of the check's omega_n
     calls in order.  The check count is 0 when verify stops before its
     suite runs.
     """
-    counts: dict[str, list[int]] = {name: [] for name in ROUTINES}
-    by_stage: dict[str, list[int]] = {name: [] for name in STAGES}
+    calls: dict[tuple[str, str], list[int]] = {(st, name): [] for st in STAGES for name in ROUTINES}
     stage = ["rest"]
     reports = []
     sequences: list[list[tuple[int, float]]] = []
@@ -55,9 +56,7 @@ def count_verify(args: list[str]) -> tuple[int, int, dict[str, list[int]], Count
 
     def counter(name, original):
         def counted(a, *rest, **kwargs):
-            matrices = int(np.prod(np.shape(a)[:-2], dtype=np.int64))
-            counts[name].append(matrices)
-            by_stage[stage[0]].append(matrices)
+            calls[stage[0], name].append(int(np.prod(np.shape(a)[:-2], dtype=np.int64)))
             return original(a, *rest, **kwargs)
 
         return counted
@@ -96,7 +95,7 @@ def count_verify(args: list[str]) -> tuple[int, int, dict[str, list[int]], Count
         cli.run_suite, harness._check, harness.omega_n = run_suite, check, omega_n
         harness._draw, harness._check_hypothesis = draw, gate
     checks = sum(len(report.results) for report in reports)
-    return code, checks, counts, Counter(map(tuple, sequences)), by_stage
+    return code, checks, calls, Counter(map(tuple, sequences))
 
 
 def pass_lines(passes: Counter) -> list[str]:
@@ -111,27 +110,31 @@ def pass_lines(passes: Counter) -> list[str]:
 def rows_of(label: str, counts: dict[str, list[int]], checks: int) -> list[str]:
     """A header under ``label`` and one line per key of ``counts``: calls and matrices in all and per check."""
     per = max(checks, 1)
-    lines = [f"{label:<9} {'calls':>9} {'matrices':>10} {'calls/check':>12} {'matrices/check':>15}"]
+    lines = [f"{label:<14} {'calls':>9} {'matrices':>10} {'calls/check':>12} {'matrices/check':>15}"]
     for name, sizes in counts.items():
         calls, matrices = len(sizes), sum(sizes)
-        lines.append(f"{name:<9} {calls:>9} {matrices:>10} {calls / per:>12.3f} {matrices / per:>15.3f}")
+        lines.append(f"{name:<14} {calls:>9} {matrices:>10} {calls / per:>12.3f} {matrices / per:>15.3f}")
     return lines
 
 
-def table(checks: int, counts: dict[str, list[int]], passes: Counter, by_stage: dict[str, list[int]]) -> list[str]:
-    """The check count, the stage lines, the radius-pass lines, the routine lines and their total line."""
-    total = {"total": [m for sizes in counts.values() for m in sizes]}
+def table(checks: int, calls: dict[tuple[str, str], list[int]], passes: Counter) -> list[str]:
+    """The check count, the stage lines, the (stage, routine) lines, the radius-pass lines, the routine lines and their total line."""
+    by_stage = {st: [m for name in ROUTINES for m in calls[st, name]] for st in STAGES}
+    pairs = {f"{st}/{name}": calls[st, name] for st in STAGES for name in ROUTINES if calls[st, name]}
+    by_routine = {name: [m for st in STAGES for m in calls[st, name]] for name in ROUTINES}
+    total = {"total": [m for sizes in by_routine.values() for m in sizes]}
     return [
         f"checks: {checks}",
         *rows_of("stage", by_stage, checks),
+        *rows_of("stage/routine", pairs, checks),
         *pass_lines(passes),
-        *rows_of("routine", {**counts, **total}, checks),
+        *rows_of("routine", {**by_routine, **total}, checks),
     ]
 
 
 def main(argv: list[str]) -> int:
-    code, checks, counts, passes, by_stage = count_verify(argv)
-    print("\n".join(table(checks, counts, passes, by_stage)))
+    code, checks, calls, passes = count_verify(argv)
+    print("\n".join(table(checks, calls, passes)))
     return code
 
 
