@@ -188,7 +188,7 @@ def _ginibre(streams: Streams, n: int, seeds, scales) -> np.ndarray:
     return np.array(scales)[:, None, None] * z.reshape(-1, n, n)
 
 
-def ginibre_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
+def ginibre_stack(cfgs) -> np.ndarray:
     """Matrices of i.i.d. standard complex Gaussian entries, each times its cfg.scale.
 
     Polar Box-Muller: sqrt(-log u1) * exp(2*pi*i*u2) is standard complex
@@ -196,10 +196,10 @@ def ginibre_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
     finite; each stream gives its n^2 values of u1, then its n^2 of u2.
     """
     n = _dimension(cfgs)
-    return _ginibre(streams or _local_streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
+    return _ginibre(_local_streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
 
 
-def pd_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
+def pd_stack(cfgs) -> np.ndarray:
     """Hermitian positive definite matrices G G* + 1e-6 * scale^2 * I.
 
     G is a Ginibre draw times scale, so G G* and its shift both scale as
@@ -208,7 +208,7 @@ def pd_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
     stacked Cholesky; lambda_min is computed only for a failure's message.
     """
     n = _dimension(cfgs)
-    return _pd(streams or _local_streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
+    return _pd(_local_streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
 
 
 def _pd(streams: Streams, n: int, seeds, scales) -> np.ndarray:
@@ -223,7 +223,7 @@ def _pd(streams: Streams, n: int, seeds, scales) -> np.ndarray:
     return P
 
 
-def sectorial_stack(cfgs, alphas, streams: Streams | None = None) -> np.ndarray:
+def sectorial_stack(cfgs, alphas) -> np.ndarray:
     """Accretive matrices whose numerical ranges have angular half-widths ``alphas``.
 
     Each is the congruence G (I + i diag(t)) G* of a Ginibre matrix G and
@@ -250,7 +250,7 @@ def sectorial_stack(cfgs, alphas, streams: Streams | None = None) -> np.ndarray:
         if not (0.0 <= alpha < math.pi / 2):
             raise ValueError(f"alpha must lie in [0, pi/2), got {alpha}")
     seeds, scales = [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs]
-    return _sectorial_draw(streams or _local_streams(), n, seeds, scales, alphas)[0]
+    return _sectorial_draw(_local_streams(), n, seeds, scales, alphas)[0]
 
 
 def _sectorial_draw(streams: Streams, n: int, seeds, scales, alphas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -278,10 +278,10 @@ def _sectorial_draw(streams: Streams, n: int, seeds, scales, alphas) -> tuple[np
     return H[0] + 1j * H[1], t.min(axis=-1), t.max(axis=-1)
 
 
-def accretive_dissipative_stack(cfgs, streams: Streams | None = None) -> np.ndarray:
+def accretive_dissipative_stack(cfgs) -> np.ndarray:
     """Matrices A + iB with independent positive definite A and B."""
     n = _dimension(cfgs)
-    return _accretive_dissipative(streams or _local_streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
+    return _accretive_dissipative(_local_streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
 
 
 def _accretive_dissipative(streams: Streams, n: int, seeds, scales) -> np.ndarray:

@@ -280,10 +280,10 @@ def _require_accretive_dissipative(mats, arity: int) -> None:
     # Im X is Re(-iX), so both parts of every input go through the
     # positive-definiteness certificate at once.
     H = np.stack(cartesian_parts(np.array(mats)), axis=1)
-    passes, S, _ = pd_certificate(H)
-    for k, (ok, Hk, Sk) in enumerate(zip(passes, H, S)):
+    passes, d, _ = pd_certificate(H)
+    for k, (ok, Hk, dk) in enumerate(zip(passes, H, d)):
         if not ok.all():
-            lam_re, lam_im = np.linalg.eigvalsh(unit_scaled(Sk, Hk, Hk))[:, 0]
+            lam_re, lam_im = np.linalg.eigvalsh(unit_scaled(dk, Hk))[:, 0]
             raise Inapplicable(
                 f"{_input_name(k, arity)} is not accretive-dissipative: lambda_min(D Re D) = {lam_re:.3e}, "
                 f"lambda_min(D' Im D') = {lam_im:.3e} (unit-diagonal scalings D, D')"
@@ -294,9 +294,9 @@ def _require_pd(X: np.ndarray, which: str) -> None:
     if not is_hermitian(X):
         raise Inapplicable(f"{which} is not Hermitian")
     A = cartesian_decompose(X)[0]
-    passes, S, _ = pd_certificate(A)
+    passes, d, _ = pd_certificate(A)
     if not passes:
-        lam = np.linalg.eigvalsh(unit_scaled(S, A, A))[0]
+        lam = np.linalg.eigvalsh(unit_scaled(d, A))[0]
         raise Inapplicable(f"{which} is not positive definite: lambda_min(D X D) = {lam:.3e} (unit-diagonal scaling D)")
 
 
@@ -1084,7 +1084,10 @@ def run_suite(
         raise ValueError(f"norms must be a nonempty list of NormSpec values, got {norms!r}")
     seed = _integer("seed", seed)
 
-    tagged = [(ineq, 1000 + idx) for idx, ineq in enumerate(id_list)]
+    # An id's tag is its registry position, so its trials draw the same
+    # inputs whichever other ids run beside it.
+    order = all_ids()
+    tagged = [(ineq, 1000 + order.index(ineq)) for ineq in id_list]
     start = time.perf_counter()
     results, per_id = _run_trials(tagged, trials, dims, norm_list, seed, context, _passes(context))
     wall = time.perf_counter() - start

@@ -124,8 +124,11 @@ def as_scaled_stack(X, *more) -> tuple[np.ndarray, dict[int, int]]:
     return Xs, far
 
 
-def frobenius(X: np.ndarray) -> float:
-    return float(np.linalg.norm(X))
+def frobenius(M: np.ndarray) -> float:
+    """||M||_F with the bits of np.linalg.norm(M), from the same two dot products without its dispatch."""
+    x = M.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def is_hermitian(H: np.ndarray) -> bool:
@@ -229,23 +232,23 @@ def block2x2(A, B, C, D) -> np.ndarray:
 
 
 def pd_certificate(H: np.ndarray, extra=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Certify each Hermitian matrix of a stack positive definite: (passes, S, L).
+    """Certify each Hermitian matrix of a stack positive definite: (passes, d, L).
 
-    S holds d_i d_j with d = diag(H)^{-1/2} (d_i = 1 where H_ii <= 0, and
-    inf where d_i d_j overflows: see below), and L is the Cholesky factor
-    of fl(S H) - c I, c = 2 g n + extra
-    (``extra`` per lane, or one for all), with u = 2^-53, gamma_k = k u /
-    (1 - k u) and g = sqrt(2) gamma_{2n+1}.  A lane passes when that
-    factorization runs to completion with a finite factor; then
-    lambda_min(D H D) > (1 - gamma_4) extra >= 0 for D = diag(d) as
-    computed, so H is positive definite.  L is not finite where a lane fails.
+    d = diag(H)^{-1/2} per lane (d_i = 1 where H_ii <= 0), and L is the
+    Cholesky factor of fl(D H D) - c I, D = diag(d), formed as
+    ``unit_scaled`` forms it, c = 2 g n + extra (``extra`` per lane, or
+    one for all), with u = 2^-53, gamma_k = k u / (1 - k u) and g =
+    sqrt(2) gamma_{2n+1}.  A lane passes when that factorization runs to
+    completion with a finite factor; then lambda_min(D H D) > (1 -
+    gamma_4) extra >= 0 for D as computed, so H is positive definite.  L
+    is not finite where a lane fails.
 
     The proof holds for a complex Hermitian H in IEEE double arithmetic,
     whatever order of real operations the factorization takes (blocked or
     recursive LAPACK, reciprocal scaling, fused multiply-adds); it follows
     Demmel (LAPACK Working Note 14, 1989) and Rump ("Verification of
     positive definiteness", BIT 46, 2006), who state it for real matrices.
-    Let A = fl(S H), A~ = fl(A - c I) and T = tr(L L*).
+    Let A = fl(D H D), A~ = fl(A - c I) and T = tr(L L*).
     - Each real part of an entry of L L* - A~ is a sum of at most 2n - 1
       products and the entry, scaled by a rounded reciprocal: 2n + 1
       roundings, so it is within gamma_{2n+1} of the sum of its terms'
@@ -264,24 +267,15 @@ def pd_certificate(H: np.ndarray, extra=0.0) -> tuple[np.ndarray, np.ndarray, np
     part) for n well below 10^6.  A nonpositive diagonal entry of H
     fails: its pivot is at most H_ii - c <= 0.
 
-    A lane with a subnormal diagonal entry has some d_i d_j past the
-    largest double, so its S holds inf there; that lane is scaled as
-    (d_i H_ij) d_j instead, which is finite when H is positive definite
-    (|H_ij| <= sqrt(H_ii H_jj)) and has as many roundings as fl(S H), so
-    the proof holds for it too.  Every other lane is fl(S H).
-
     numpy's stacked cholesky raises for the whole stack when one lane
     fails; that stack is then redone by halves (_cholesky_halves), so
     every lane keeps the bits of a call with its matrix alone.
     """
     n = H.shape[-1]
-    d = _scaling(H)
+    a = H.diagonal(axis1=-2, axis2=-1).real
+    d = 1.0 / np.sqrt(np.where(a > 0.0, a, 1.0))
     gamma = (2 * n + 1) * 2.0**-53 / (1.0 - (2 * n + 1) * 2.0**-53)
-    if np.maximum.reduce(d, axis=None, initial=0.0) < _D_OVERFLOW:
-        S = d[..., :, None] * d[..., None, :]
-        shifted = (S * H).reshape(-1, n * n)
-    else:
-        S, shifted = _subnormal_scaled(H, d)
+    shifted = unit_scaled(d, H).reshape(-1, n * n)
     # The shift is subtracted on the diagonal alone, in place: off it,
     # x - 0 would be x.
     shifted[:, :: n + 1] -= np.asarray(2.0 * math.sqrt(2.0) * gamma * n + extra).reshape(-1, 1)
@@ -292,51 +286,19 @@ def pd_certificate(H: np.ndarray, extra=0.0) -> tuple[np.ndarray, np.ndarray, np
         L = np.full_like(flat, np.nan)
         _cholesky_halves(flat, L, 0, len(flat))
     passes = np.logical_and.reduce(np.isfinite(L.view(np.float64)), (-2, -1))
-    return passes.reshape(H.shape[:-2]), S, L.reshape(H.shape)
+    return passes.reshape(H.shape[:-2]), d, L.reshape(H.shape)
 
 
-# d_i d_j stays finite while every d_i is below 2^512, and only a diagonal
-# entry below 2^-1024, a subnormal, puts its d_i there.
-_D_OVERFLOW = 2.0**512
+def unit_scaled(d: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """D M D for each lane, D = diag(d) with d the scaling ``pd_certificate`` returned.
 
-
-def _scaling(H: np.ndarray) -> np.ndarray:
-    """pd_certificate's d = diag(H)^{-1/2} of each lane, 1 where H_ii <= 0."""
-    a = H.diagonal(axis1=-2, axis2=-1).real
-    return 1.0 / np.sqrt(np.where(a > 0.0, a, 1.0))
-
-
-def unit_scaled(S: np.ndarray, H: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """D M D for each lane, D the scaling ``pd_certificate(H)`` returned as S.
-
-    That is fl(S M) while S is finite.  A lane whose S holds inf, where H
-    has a subnormal diagonal entry, is (d_i M_ij) d_j, as pd_certificate
-    scales H itself, so a matrix beside H (its Cartesian partner, or H
-    for a message) is scaled without forming d_i d_j.
+    Each entry is fl(fl(d_i M_ij) d_j), so it stays finite wherever D M D
+    does, even where d_i d_j would overflow (a subnormal diagonal entry).
+    Neither overflow nor the NaN a complex product makes of it warns:
+    pd_certificate fails a lane whose D H D is past the largest double.
     """
-    if np.maximum.reduce(S, axis=None, initial=0.0) < math.inf:
-        return S * M
-    return _subnormal_scaled(M, _scaling(H))[1].reshape(M.shape)
-
-
-def _subnormal_scaled(H: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """pd_certificate's S, inf where d_i d_j overflows, and its D H D as rows of n^2 entries.
-
-    A lane whose S is finite is fl(S H), as in pd_certificate; a lane
-    with an overflowing product is (d_i H_ij) d_j.  Neither overflow
-    warns: the inf in S is expected, and a product past the largest
-    double in D H D (with the NaN a complex product makes of it) makes
-    the lane's Cholesky fail.
-    """
-    n = H.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        S = d[..., :, None] * d[..., None, :]
-        near = np.isfinite(S).all(axis=(-2, -1)).reshape(-1)
-        flat, Sf, df = H.reshape(-1, n, n), S.reshape(-1, n, n), d.reshape(-1, n)
-        shifted = np.empty_like(flat)
-        shifted[near] = Sf[near] * flat[near]
-        shifted[~near] = (df[~near, :, None] * flat[~near]) * df[~near, None, :]
-    return S, shifted.reshape(-1, n * n)
+        return (d[..., :, None] * M) * d[..., None, :]
 
 
 def _cholesky_halves(flat: np.ndarray, L: np.ndarray, lo: int, hi: int) -> None:

@@ -87,6 +87,7 @@ from .linalg import (
     as_scaled_stack,
     cartesian_decompose,
     cartesian_parts,
+    frobenius,
 )
 from .norms import NormSpec, OPERATOR, schatten_value
 
@@ -346,8 +347,8 @@ def _rotation_drift(X: np.ndarray, K: np.ndarray, p: float, fro: float) -> float
     """
     n = X.shape[0]
     R = K @ X - X @ K + X
-    fro_R = _fro(R) * (1.0 + n * n * _EPS)
-    fro_R += 4.0 * n * _EPS * (2.0 * _fro(K) + 1.0) * fro
+    fro_R = frobenius(R) * (1.0 + n * n * _EPS)
+    fro_R += 4.0 * n * _EPS * (2.0 * frobenius(K) + 1.0) * fro
     return n ** max(0.0, 1.0 / p - 0.5) * fro_R
 
 
@@ -380,14 +381,7 @@ def _sample_error(A: np.ndarray, B: np.ndarray, p: float) -> float:
     """
     n = A.shape[0]
     sample = n ** (1.0 / p) * ((LAPACK_BACKWARD + 1.0) * n + 4.0) * _EPS
-    return sample * (_fro(A) + _fro(B))
-
-
-def _fro(M: np.ndarray) -> float:
-    """||M||_F with the bits of np.linalg.norm(M), from the same two dot products without its dispatch."""
-    x = M.ravel(order="K")
-    re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    return sample * (frobenius(A) + frobenius(B))
 
 
 def _frobenius_radii(A: np.ndarray, B: np.ndarray, spec: NormSpec) -> list[RadiusEstimate]:
@@ -810,7 +804,7 @@ def _certified_radii(
             cs[l] = forms["re" if kind[0] else "im"]
             continue
         cs[l] = forms["general"]
-        fro = _fro(Xs[l])
+        fro = frobenius(Xs[l])
         if trace[l] <= LAPACK_BACKWARD * n * n * _EPS * fro:
             K = _flag_grading(Xs[l], fro)
             if K is not None:

@@ -158,14 +158,14 @@ def _sector_lanes(Xs: np.ndarray, rotate: bool) -> list[SectorInfo]:
     else:
         phi = [0.0] * len(Xs)
         A, B = cartesian_parts(Xs)
-        passes, S, L = pd_certificate(A)
+        passes, d, L = pd_certificate(A)
         if not passes.all():
             k = int(np.argmin(passes))
             raise DomainError(
-                f"matrix is not accretive: lambda_min(D Re X D) = {np.linalg.eigvalsh(unit_scaled(S[k], A[k], A[k]))[0]:.6e}, "
+                f"matrix is not accretive: lambda_min(D Re X D) = {np.linalg.eigvalsh(unit_scaled(d[k], A[k]))[0]:.6e}, "
                 f"D = diag(Re X)^(-1/2), is not positive (shifted Cholesky test)"
             )
-        Bs = unit_scaled(S, A, B)
+        Bs = unit_scaled(d, B)
     infos = []
     for p, a_min, a_max in zip(phi, *_arg_extremes(Bs, L)):
         if rotate:
@@ -242,13 +242,13 @@ def _accretive_rotations(Xs: np.ndarray) -> tuple[list[float], np.ndarray, np.nd
             _check_arc(arcs[k])
             phi[k] = -(arcs[k][0] + arcs[k][1]) / 2.0
         A, B = cartesian_parts(np.exp(1j * np.array([phi[k] for k in open_]))[:, None, None] * Xs[open_])
-        passes, S, L = pd_certificate(A)
-        Bs = unit_scaled(S, A, B)
+        passes, d, L = pd_certificate(A)
+        Bs = unit_scaled(d, B)
         Bs0[open_], L0[open_] = Bs, L
         failed = [j for j, ok in enumerate(passes) if not ok]
         if not failed:
             return phi, Bs0, L0
-        As = unit_scaled(S[failed], A[failed], A[failed])
+        As = unit_scaled(d[failed], A[failed])
         lam, x = np.linalg.eigh(As)
         for j, Asj, Bsj, lamj, xj in zip(failed, As, Bs[failed], lam[:, 0], x[..., 0]):
             k, arc = open_[j], arcs[open_[j]]

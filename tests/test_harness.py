@@ -380,6 +380,48 @@ class TestFarScaleHypotheses:
             assert r.verdict == "certified_pass", (ineq, r.note)
 
 
+class TestEqualityFixtures:
+    # Inputs on which both sides are equal in exact arithmetic, so a sound
+    # check can only report tolerance_pass: a certified verdict would prove
+    # one of its enclosures wrong.  The first input is scaled; Hermitian,
+    # diagonal and positive definite inputs stay so under scaling.
+    SCALES = (1.0, 1e8, 1e-8, 2.0**600, 2.0**-600)
+    ROWS = (
+        ("SA_omega_le_N", "hermitian", ALL_NORMS),
+        ("P1_re_mono", "hermitian", ALL_NORMS),
+        ("A_upper", "diagonal", (OPERATOR,)),
+        ("L6_had_diag_norm", "diagonal, I", ALL_NORMS),
+        ("L7_had_diag_omega", "diagonal, I", ALL_NORMS),
+        ("L1_norm_sec", "pd", ALL_NORMS),
+        ("P3_sec", "pd", ALL_NORMS),
+        ("II_prod_sec", "I, I", (OPERATOR,)),
+        ("T1_prod_sec_N", "pd, I", (OPERATOR,)),
+    )
+
+    @staticmethod
+    def inputs(kind: str, n: int, seed: int) -> list[np.ndarray]:
+        G = random_ginibre(GenConfig(n, seed))
+        first = {
+            "hermitian": (G + G.conj().T) / 2,
+            "diagonal": np.diag(G.diagonal()),
+            # Eigenvalues in [1, 5] for a Ginibre G of this size: well
+            # conditioned, so the gate certifies its index 0 at first try.
+            "pd": (G @ G.conj().T) / n + np.eye(n),
+            "I": np.eye(n, dtype=complex),
+        }[kind.split(", ")[0]]
+        return [first] + [np.eye(n, dtype=complex)] * kind.count(", ")
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 16])
+    def test_equal_sides_are_never_certified(self, n):
+        for ineq, kind, norms in self.ROWS:
+            mats = self.inputs(kind, n, seed=2300 + n)
+            for scale in self.SCALES:
+                scaled = [scale * mats[0]] + mats[1:]
+                for norm in norms:
+                    r = check_inequality(ineq, scaled, norm)
+                    assert r.verdict == "tolerance_pass", (ineq, n, scale, norm.label, r.verdict, r.note)
+
+
 class TestRhsStructure:
     def test_sec_factor_monotone_in_alpha_inflation(self, monkeypatch):
         mats = generate_inputs(REGISTRY["T1_prod_sec_N"], 3, 99)
@@ -420,6 +462,17 @@ class TestRunSuite:
         oa, ob = a.report_obj(), b.report_obj()
         oa["summary"]["wall_time_s"] = ob["summary"]["wall_time_s"] = 0.0
         assert json.dumps(oa, sort_keys=True) == json.dumps(ob, sort_keys=True)
+
+    def test_an_id_alone_reproduces_its_results_from_all(self):
+        # Trial seeds follow an id's registry position, not its position in
+        # the request, so an id run alone or beside others draws the same inputs.
+        norms = [OPERATOR, FROBENIUS]
+        every = run_suite("all", 2, [2, 3], norms, seed=11).results
+        for ineq in ("P3_sec", "C_onetan"):
+            alone = run_suite(ineq, 2, [2, 3], norms, seed=11).results
+            assert alone == [r for r in every if r.id == ineq], ineq
+        pair = run_suite(["A_upper", "P3_sec"], 2, [2, 3], norms, seed=11).results
+        assert pair == [r for r in every if r.id in ("A_upper", "P3_sec")]
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
@@ -518,11 +571,11 @@ class TestReportPin:
         obj = report.report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == "008f53842502b6b2e4a97db15b9bf57829361cad7cb99f65f3917e07bcb66b64"
+        assert digest == "cdd9ca1d9eff6e532ea6ce18f2287d452702958711a51af22df66506cc817075"
         # The text `verify --out` writes, layout included.
         report.wall_time_s = 0.0
         layout = hashlib.sha256(report.to_json().encode()).hexdigest()
-        assert layout == "201e21569704695e4cf51cb0c40eefd2a8c050d64ffa7658d6ffa5a96eab9ea7"
+        assert layout == "24aebe7cac879bb64d7aa2d575e9bb9b242b6792ea4d17c09c2745342226b8f5"
 
 
 class TestInputPin:

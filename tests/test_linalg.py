@@ -10,6 +10,7 @@ from sector_radius.linalg import (
     DomainError,
     block2x2,
     cartesian_decompose,
+    frobenius,
     hadamard,
     herm_eig,
     is_hermitian,
@@ -213,6 +214,16 @@ class TestBlock2x2:
             block2x2(np.eye(2), np.eye(2), np.eye(2), np.eye(3))
 
 
+class TestFrobenius:
+    def test_bits_of_numpy_norm(self):
+        # Real, complex, transposed (non-contiguous) and stacked inputs.
+        rng = np.random.default_rng(1626)
+        for n in (1, 2, 5, 16):
+            Z = random_complex(rng, n, scale=10.0 ** rng.uniform(-200, 200))
+            for M in (Z, Z.real, Z.T, Z.real.T, np.array([Z, 2 * Z])):
+                assert frobenius(M) == float(np.linalg.norm(M)), (n, M)
+
+
 class TestIsHermitian:
     @pytest.mark.parametrize("k", [600, -600, -1060])
     def test_far_scales_keep_the_verdict(self, k):
@@ -335,11 +346,11 @@ class TestPdCertificate:
         rng = np.random.default_rng(7)
         Hs = np.array([random_hermitian(rng, 4) + 4.0 * np.eye(4) for _ in range(5)])
         Hs[bad] -= 8.0 * np.eye(4)
-        passes, S, L = pd_certificate(Hs)
+        passes, d, L = pd_certificate(Hs)
         assert passes.tolist() == [k != bad for k in range(5)]
-        for H, ok, Sk, Lk in zip(Hs, passes, S, L):
+        for H, ok, dk, Lk in zip(Hs, passes, d, L):
             one = pd_certificate(H)
-            assert one[0] == ok and np.array_equal(one[1], Sk) and np.array_equal(one[2], Lk, equal_nan=True)
+            assert one[0] == ok and np.array_equal(one[1], dk) and np.array_equal(one[2], Lk, equal_nan=True)
         assert np.isnan(L[bad]).all()
 
     @pytest.mark.parametrize("bad", [0, 37, 63])
@@ -359,22 +370,22 @@ class TestPdCertificate:
         assert np.isnan(L[bad]).all()
 
     def test_subnormal_diagonal_is_scaled_without_overflow(self):
-        # d_i d_j overflows for a subnormal H_ii; such a lane is scaled as
-        # (d_i H_ij) d_j, certifies a positive definite matrix and raises no
-        # overflow warning (an error under the test settings), while a lane
-        # beside it keeps the bits of a call of its own.
+        # d_i d_j overflows for a subnormal H_ii; every lane is scaled as
+        # (d_i H_ij) d_j, so such a lane certifies a positive definite matrix
+        # and raises no overflow warning (an error under the test settings),
+        # while a lane beside it keeps the bits of a call of its own.
         H = np.diag([1e-310, 1.0]).astype(complex)
-        passes, S, L = pd_certificate(H)
-        assert passes and np.isinf(S[0, 0]) and np.isfinite(L).all()
+        passes, d, L = pd_certificate(H)
+        assert passes and d[0] > 2.0**512 and np.isfinite(L).all()
         assert not pd_certificate(np.array([[1e-310, 1e-100], [1e-100, 1.0]], dtype=complex))[0]
         assert not pd_certificate(np.array([[1e-310, 1e200], [1e200, 1.0]], dtype=complex))[0]
         rng = np.random.default_rng(310)
         normal = random_hermitian(rng, 2) + 3.0 * np.eye(2)
-        passes, S, L = pd_certificate(np.array([normal, H]))
+        passes, d, L = pd_certificate(np.array([normal, H]))
         one = pd_certificate(normal)
         assert passes.tolist() == [True, True]
-        assert np.array_equal(S[0], one[1]) and np.array_equal(L[0], one[2])
-        # Sound: a lane the subnormal scaling certifies is positive definite.
+        assert np.array_equal(d[0], one[1]) and np.array_equal(L[0], one[2])
+        # Sound: a lane with a subnormal diagonal entry is certified only when positive definite.
         e = np.ones(4)
         e[0] = 2.0**-520
         certified = 0
@@ -390,6 +401,15 @@ class TestPdCertificate:
     def test_subnormal_diagonal_input_is_positive_definite_to_a_check(self):
         r = check_inequality("L6_had_diag_norm", [np.eye(2), np.diag([1e-310, 1.0])])
         assert r.verdict != "inapplicable", r.note
+
+    def test_overflowing_scaling_fails_without_a_warning(self):
+        # D Y D has off-diagonal entries near 1e500: the lane fails, and
+        # neither the certificate nor the check's note warns of the overflow
+        # (an error under the test settings).
+        Y = np.array([[1e-300, 1e200], [1e200, 1e-300]], dtype=complex)
+        assert not pd_certificate(Y)[0]
+        r = check_inequality("L6_had_diag_norm", [np.eye(2), Y])
+        assert r.verdict == "inapplicable" and "not positive definite" in r.note, r.note
 
     def test_extra_shift_per_lane(self):
         # Unit diagonal and lambda_min 0.5: certified below that extra, not above.

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from sector_radius.generator import GenConfig, random_accretive_dissipative, random_ginibre, random_unitary
 from sector_radius.harness import CheckContext
-from sector_radius.linalg import LAPACK_BACKWARD, DomainError, cartesian_decompose
+from sector_radius.linalg import LAPACK_BACKWARD, DomainError, cartesian_decompose, frobenius
 from sector_radius.norms import (
     FROBENIUS,
     OPERATOR,
@@ -771,7 +771,7 @@ class TestRotationCertificate:
         for spec in (TRACE, schatten(3), OPERATOR):
             p = spec.schatten_p
             value = float(one_lane(A, B, thetas, p).max())
-            bound = _rotation_bound(value, radius._sample_error(A, B, p), h, _rotation_drift(X, K, p, radius._fro(X)))
+            bound = _rotation_bound(value, radius._sample_error(A, B, p), h, _rotation_drift(X, K, p, frobenius(X)))
             pad = 16 * n ** (1.0 / p) * n * EPS * float(np.linalg.norm(X))
             assert bound >= oracle_omega(X, p, 2000) - pad, spec.label
 
@@ -788,33 +788,33 @@ class TestRotationCertificate:
             value = radius_profile(spec, X, 0.5 * math.pi)
             assert value <= 1e-15
             slack = radius._sample_error(A, B, p)
-            assert _rotation_bound(value, slack, math.pi, _rotation_drift(X, K, p, radius._fro(X))) >= 1.0, spec.label
+            assert _rotation_bound(value, slack, math.pi, _rotation_drift(X, K, p, frobenius(X))) >= 1.0, spec.label
 
     def test_shift_grading_is_exact(self):
         # K X - X K = -X on every orthogonal sum of weighted shifts, up to
         # the rounding of one SVD and the doubling's matrix products.
         for name, X in grading_inputs():
             n = X.shape[0]
-            K = _flag_grading(X, radius._fro(X))
+            K = _flag_grading(X, frobenius(X))
             assert K is not None, name
             assert np.array_equal(K, K.conj().T)
             residual = np.linalg.norm(K @ X - X @ K + X)
             assert residual <= 4 * n * n * EPS * np.linalg.norm(X), (name, residual)
         Y = np.eye(3) + jordan(3)
-        assert _flag_grading(Y, radius._fro(Y)) is None
+        assert _flag_grading(Y, frobenius(Y)) is None
 
     def test_grading_takes_one_svd(self, monkeypatch):
         counts = count_linalg_matrices(monkeypatch, ("svd",))
         for name, X in flat_fixtures():
             before = len(counts)
-            assert _flag_grading(X, radius._fro(X)) is not None, name
+            assert _flag_grading(X, frobenius(X)) is not None, name
             assert counts[before:] == [1], name
 
     def test_no_certificate_without_rotation_symmetry(self):
         refine_tol = 1e-10
         for name, X in rotation_inputs(19):
             A, B = cartesian_decompose(X)
-            K = _flag_grading(X, radius._fro(X))
+            K = _flag_grading(X, frobenius(X))
             if name == "random":
                 assert K is None
             for spec in (TRACE, schatten(3), OPERATOR):
@@ -823,7 +823,7 @@ class TestRotationCertificate:
                 if K is not None:
                     h = math.pi / radius.DEFAULT_GRID
                     f0 = float(one_lane(A, B, np.arange(radius.DEFAULT_GRID) * h, p).max())
-                    drift = _rotation_drift(X, K, p, radius._fro(X))
+                    drift = _rotation_drift(X, K, p, frobenius(X))
                     bound = _rotation_bound(f0, radius._sample_error(A, B, p), h, drift)
                     assert bound - f0 > g_stop, (name, spec.label)
                 est = omega_n(spec, X, refine_tol=refine_tol)

@@ -96,6 +96,24 @@ def test_each_moved_id_is_listed_with_old_and_new_values(tmp_path):
     assert not any(line.startswith("id ") for line in done.stdout.splitlines())
 
 
+def test_each_id_counts_its_moved_results(tmp_path):
+    # Two fields of one result count it once; ids with no moved result
+    # get no line.
+    old = small_report()
+    new = json.loads(json.dumps(old))
+    ineq = new["results"][-1]["id"]
+    mine = [r for r in new["results"] if r["id"] == ineq]
+    mine[0]["note"] = "a new note"
+    mine[0]["rhs"][1] *= 2.0
+    mine[1]["ratio"] = None
+    done = run_tool(tmp_path, old, new)
+    assert done.returncode == 1
+    counted = [line for line in done.stdout.splitlines() if line.startswith("results ")]
+    assert counted == [f"results {ineq}: 2 of {len(mine)} moved"], counted
+    done = run_tool(tmp_path, old, old)
+    assert not any(line.startswith("results ") for line in done.stdout.splitlines())
+
+
 def test_the_last_line_compares_the_bytes(tmp_path):
     # Two runs of one suite differ only in their wall time line.
     texts = [run_suite(["A_lower", "P1_re_mono"], 2, [2, 3], [OPERATOR], seed=5).to_json() for _ in range(2)]

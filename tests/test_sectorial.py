@@ -421,10 +421,9 @@ class TestLockstepGates:
 
     @pytest.mark.filterwarnings("error")
     def test_subnormal_diagonal_is_scaled_without_overflow(self):
-        # The gate's S = d_i d_j is inf on a lane with a subnormal diagonal
-        # entry; the search scales Im X there as (d_i B_ij) d_j, so the
-        # index is exact, nothing warns, and the other lanes keep the bits
-        # of S * B.
+        # d_i d_j overflows on a lane with a subnormal diagonal entry; the
+        # search scales Im X as (d_i B_ij) d_j, so the index is exact,
+        # nothing warns, and the other lanes keep the bits of their own calls.
         from sector_radius.harness import check_inequality
 
         X = np.diag([1e-310, 1.0]) + 1j * np.diag([1e-311, 0.5])
@@ -438,6 +437,14 @@ class TestLockstepGates:
             for Y in family(2, 47):
                 assert info_bits(fn(Y, X)[0]) == info_bits(fn(Y))
                 assert info_bits(fn(X, Y)[1]) == info_bits(fn(Y))
+
+    def test_overflowing_scaling_raises_without_a_warning(self):
+        # D Re X D has off-diagonal entries near 1e500: the gate fails, and
+        # neither it nor the error's lambda_min warns of the overflow (an
+        # error under the test settings).
+        Y = np.array([[1e-300, 1e200], [1e200, 1e-300]]) + 0.5j * np.eye(2)
+        with pytest.raises(DomainError, match="not accretive"):
+            sector_index(Y)
 
     @pytest.mark.parametrize("fn", [rotation_to_sector, sector_index], ids=["rotation_to_sector", "sector_index"])
     def test_a_lane_failing_the_gate_raises_its_own_error(self, fn):

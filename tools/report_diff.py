@@ -14,7 +14,9 @@ no relative size: the line counts those moves by what happened
 the line also counts the moves that widened the interval (``hi`` up or
 ``lo`` down) and those that narrowed it.  Then one line per id whose
 ``max_ratio`` or ``worst_margin`` moved gives both fields' old and new
-values.  Results are matched by position, so both reports must list
+values, and one line per id with a moved result counts the results
+that moved in any field, such as ``results P3_sec: 90 of 200 moved``.
+Results are matched by position, so both reports must list
 the same (id, norm, dim, seed) in the same order.
 Wall time is ignored.  The last line compares the files' bytes: it says
 that they are byte-identical apart from the ``"wall_time_s"`` line, or
@@ -111,6 +113,15 @@ def per_id_moves(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def results_moved(old: dict, new: dict) -> list[str]:
+    """One line per id with a result that moved in any field, counting those results."""
+    moved, total = Counter(), Counter()
+    for a, b in zip(old["results"], new["results"]):
+        total[a["id"]] += 1
+        moved[a["id"]] += result_fields(a) != result_fields(b)
+    return [f"results {ineq}: {moved[ineq]} of {total[ineq]} moved" for ineq in sorted(total) if moved[ineq]]
+
+
 def diff(old: dict, new: dict) -> list[str]:
     """Lines of the comparison; the first starts with "no moves" when nothing moved."""
     lines = []
@@ -139,7 +150,7 @@ def diff(old: dict, new: dict) -> list[str]:
         if wider is not None:
             line += f"; {wider} widened, {count - wider} narrowed"
         lines.append(line)
-    return lines + per_id_moves(old, new)
+    return lines + per_id_moves(old, new) + results_moved(old, new)
 
 
 WALL_TIME_LINE = b'    "wall_time_s": '
