@@ -591,6 +591,26 @@ class TestInputPin:
         assert digest.hexdigest() == "789d37af06e5b2a6300ef99aab55bbd6a28719e6593dfe713bbe425eefb6a94b"
 
 
+class TestExplicitPin:
+    def test_explicit_sector_checks_are_pinned(self):
+        # check_inequality searches the sector data of explicit inputs,
+        # which suites never do for rows of several inputs.  Every
+        # SECTORIAL and ACCRETIVE row at n = 2 and 5, in tr, as drawn and
+        # with its last input replaced by a Ginibre matrix, which most
+        # rows refuse with a note naming that input: 480 checks.
+        rows = [info for info in REGISTRY.values() if info.requires in (Hypothesis.SECTORIAL, Hypothesis.ACCRETIVE)]
+        assert len(rows) == 20
+        digest = hashlib.sha256()
+        for info in rows:
+            for n in (2, 5):
+                for seed in range(6):
+                    mats = generate_inputs(info, n, seed=seed)
+                    for inputs in (mats, mats[:-1] + [random_ginibre(GenConfig(n, seed))]):
+                        obj = check_inequality(info.id, inputs, TRACE).to_obj()
+                        digest.update(json.dumps(obj, sort_keys=True).encode())
+        assert digest.hexdigest() == "c9d9bacc464457e447ff672504ac44107171d2dd41fd12c85994f14f92e42769"
+
+
 def radius_terms(ineq, mats, spec, grid, refine_tol):
     """Every Omega term of one check certified to ``refine_tol`` from ``grid``, and its verdict."""
     info = REGISTRY[ineq]
