@@ -26,8 +26,9 @@ refine_tol, each pass only while the sides of the one before overlap
 check_inequality and tightness_scan always certify on the context's grid
 to its refine_tol.
 
-The sector data of explicit inputs come from a search
-(sectorial.rotation_to_sector or sector_index) and are then verified.
+The sector data of explicit inputs come from a search, one
+sectorial.rotation_to_sector or sector_index call per input in order,
+and are then verified.
 A suite's sectorial draw already knows its witness, the index and
 rotation of the exact draw, and claims it (generate_inputs); the suite
 gate of a row of several inputs verifies that claim and skips the search
@@ -74,7 +75,7 @@ from .linalg import (
     hadamard,
     is_hermitian,
     pd_certificate,
-    unit_scaled,
+    scaled_lambda_min,
 )
 from .norms import FROBENIUS, OPERATOR, TRACE, NormSpec, evaluate_norm, schatten
 from .radius import DEFAULT_GRID, DEFAULT_REFINE_TOL, check_grid, check_refine_tol, omega_n
@@ -190,23 +191,23 @@ def _input_name(k: int, arity: int) -> str:
     return ("first input", "second input")[k] if arity else f"input {k}"
 
 
-def _sector_data(sector, mats, arity: int, errors, what: str) -> list[SectorInfo]:
-    """Verified sector data of every input, from one stacked ``sector`` call.
+def _sector_data(search, mats, arity: int, errors, what: str) -> list[SectorInfo]:
+    """Verified sector data of every input, from one ``search`` call per input, in order.
 
-    ``sector`` is rotation_to_sector or sector_index.  Inputs are refused
-    in order, as if each were gated and verified alone: when the stacked
-    call raises one of ``errors``, the inputs before the first that fails
-    alone (``failed_at``) are verified from their data (``before``), so an
-    index of theirs that reaches pi/2 names the note, and otherwise the
-    failing input does.
+    ``search`` is rotation_to_sector or sector_index.  When input k
+    raises one of ``errors``, inputs 0..k-1 are verified first, so an
+    index of theirs that reaches pi/2 names the note, and otherwise input
+    k does.
     """
-    try:
-        infos = sector(*mats)
-    except errors as exc:
-        if exc.failed_at:
-            _verified(list(exc.before), mats[: exc.failed_at])
-        raise Inapplicable(f"{_input_name(exc.failed_at, arity)}: {what}: {exc}") from None
-    return _verified([infos] if len(mats) == 1 else list(infos), mats)
+    infos = []
+    for k, X in enumerate(mats):
+        try:
+            infos.append(search(X))
+        except errors as exc:
+            if k:
+                _verified(infos, mats[:k])
+            raise Inapplicable(f"{_input_name(k, arity)}: {what}: {exc}") from None
+    return _verified(infos, mats)
 
 
 def _inflated(infos: list[SectorInfo], clears) -> list[tuple[float, object]]:
@@ -283,7 +284,7 @@ def _require_accretive_dissipative(mats, arity: int) -> None:
     passes, d, _ = pd_certificate(H)
     for k, (ok, Hk, dk) in enumerate(zip(passes, H, d)):
         if not ok.all():
-            lam_re, lam_im = np.linalg.eigvalsh(unit_scaled(dk, Hk))[:, 0]
+            lam_re, lam_im = scaled_lambda_min(dk, Hk)
             raise Inapplicable(
                 f"{_input_name(k, arity)} is not accretive-dissipative: lambda_min(D Re D) = {lam_re:.3e}, "
                 f"lambda_min(D' Im D') = {lam_im:.3e} (unit-diagonal scalings D, D')"
@@ -296,7 +297,7 @@ def _require_pd(X: np.ndarray, which: str) -> None:
     A = cartesian_decompose(X)[0]
     passes, d, _ = pd_certificate(A)
     if not passes:
-        lam = np.linalg.eigvalsh(unit_scaled(d, A))[0]
+        lam = scaled_lambda_min(d, A)
         raise Inapplicable(f"{which} is not positive definite: lambda_min(D X D) = {lam:.3e} (unit-diagonal scaling D)")
 
 
@@ -315,10 +316,11 @@ def _check_hypothesis(kind, mats, arity: int, claims=None) -> tuple[list[SectorI
     """Sector data of each input and a note, once ``kind`` holds.
 
     Inputs are tested in order and the first violation raises
-    Inapplicable, so its note is the one reported; the sector data and
-    the accretive-dissipative gate still take one stacked pass over all
-    inputs.  Only SECTORIAL and ACCRETIVE return sector data; PSD_NOTE
-    returns a note instead of raising.
+    Inapplicable, so its note is the one reported; the sector search runs
+    once per input, while the verification of its data and the
+    accretive-dissipative gate take one stacked pass over all inputs.
+    Only SECTORIAL and ACCRETIVE return sector data; PSD_NOTE returns a
+    note instead of raising.
 
     ``claims``, a SectorInfo per input, is a candidate for that sector
     data, given only for the rows _takes_claims names: the gate then

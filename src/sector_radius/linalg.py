@@ -20,7 +20,6 @@ __all__ = [
     "DomainError",
     "HermEigResult",
     "as_matrix",
-    "as_stack",
     "as_scaled_stack",
     "adjoint",
     "frobenius",
@@ -34,6 +33,7 @@ __all__ = [
     "is_psd",
     "pd_certificate",
     "unit_scaled",
+    "scaled_lambda_min",
     "matrix_to_obj",
     "matrix_from_obj",
     "read_matrix",
@@ -84,35 +84,22 @@ def _square(x, name: str) -> np.ndarray:
     return A
 
 
-def as_stack(X, *more) -> np.ndarray:
-    """One or more matrices of one size, validated by ``as_matrix``, as a stack.
-
-    The stack has shape (1 + len(more), n, n); functions with a
-    ``(X, *more)`` form run it as lanes of one batch.
-    """
-    return _stack(as_matrix, (X, *more))
-
-
-def _stack(coerce, mats) -> np.ndarray:
-    mats = [coerce(M, f"matrix {k}" if len(mats) > 1 else "matrix") for k, M in enumerate(mats)]
-    n = mats[0].shape[0]
-    for k, M in enumerate(mats):
-        if M.shape != mats[0].shape:
-            raise DimensionError(f"matrix {k} has dimension {M.shape[0]}, expected {n}")
-    return np.array(mats)
-
-
 def as_scaled_stack(X, *more) -> tuple[np.ndarray, dict[int, int]]:
-    """``as_stack(X, *more)`` with each matrix far from unit size scaled, and {k: e} of those.
+    """X, *more as one stack, each matrix far from unit size scaled, and {k: e} of those.
 
-    A nonzero matrix k whose largest real or imaginary part t lies
+    The matrices must be square, of one size, with finite entries.  A
+    nonzero matrix k whose largest real or imaginary part t lies
     outside [2^-256, 2^256] is replaced by 2^-e X_k, e the exponent of t,
     so its largest part lies in [1/2, 1); the scaling is exact in every
     entry whose parts stay normal.  One reduction per matrix gives this
     test and the finiteness test of ``as_matrix``: t is finite exactly
     when every entry is.
     """
-    Xs = _stack(_square, (X, *more))
+    mats = [_square(M, f"matrix {k}" if more else "matrix") for k, M in enumerate((X, *more))]
+    for k, M in enumerate(mats):
+        if M.shape != mats[0].shape:
+            raise DimensionError(f"matrix {k} has dimension {M.shape[0]}, expected {mats[0].shape[0]}")
+    Xs = np.array(mats)
     top = np.maximum.reduce(np.abs(Xs.view(np.float64)), axis=(-2, -1)).tolist()
     far = {}
     for k, t in enumerate(top):
@@ -299,6 +286,22 @@ def unit_scaled(d: np.ndarray, M: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return (d[..., :, None] * M) * d[..., None, :]
+
+
+def scaled_lambda_min(d: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """lambda_min(D H D) of each lane, D H D formed by ``unit_scaled``, or -inf where it is not finite.
+
+    Only a failure's message reads this.  -inf stands for a value below
+    about 1 - 2^512: each d_j is at least 2^-512, so an entry x of D H D
+    that overflowed has |x| >= 2^512, and the principal 2 x 2 minor of
+    D H D through x, whose diagonal entries are at most about 1, gives
+    lambda_min(D H D) <= 1 - |x| up to rounding.
+    """
+    M = unit_scaled(d, H)
+    finite = np.isfinite(M).all(axis=(-2, -1))
+    lam = np.full(finite.shape, -np.inf)
+    lam[finite] = np.linalg.eigvalsh(M[finite])[..., 0]
+    return lam
 
 
 def _cholesky_halves(flat: np.ndarray, L: np.ndarray, lo: int, hi: int) -> None:

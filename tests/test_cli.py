@@ -93,6 +93,15 @@ class TestGenAndCompute:
         assert run_cli("compute", "sector-index", "-i", str(m)) == 2
         assert "not accretive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("what", ["sector-index", "sector-rotation"])
+    def test_overflowing_imaginary_part_is_not_sectorial(self, tmp_path, capsys, what):
+        # D Im X D overflows while D Re X D = I: the index is within 1e-10
+        # of pi/2, so the command fails rather than print an alpha.
+        m = tmp_path / "m.json"
+        write_matrix(m, 1e-200 * np.eye(2) + 1e200j * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert run_cli("compute", what, "-i", str(m)) == 2
+        assert "sector index is within 1e-10 of pi/2" in capsys.readouterr().err
+
     def test_gen_matrix_round_trip(self, tmp_path):
         m = tmp_path / "m.json"
         run_cli("gen", "unitary", "--n", "4", "--seed", "9", "-o", str(m))

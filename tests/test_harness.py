@@ -905,10 +905,9 @@ def claimed_rows() -> list:
 
 
 def searched(info, inputs) -> tuple:
-    """The sector data of each input as the search gives it: rotation_to_sector, or sector_index for ACCRETIVE."""
+    """The sector data of each input as the search gives it alone: rotation_to_sector, or sector_index for ACCRETIVE."""
     search = sector_index if info.requires is Hypothesis.ACCRETIVE else rotation_to_sector
-    got = search(*inputs)
-    return got if isinstance(got, tuple) else (got,)
+    return tuple(search(X) for X in inputs)
 
 
 class TestSectorClaims:
@@ -951,7 +950,7 @@ class TestSectorClaims:
         # widens the sector by exactly that), less rounding, or refused.
         for info in claimed_rows():
             inputs = generate_inputs(info, n, seed=9100 + n)
-            tight = rotation_to_sector(*inputs)
+            tight = [rotation_to_sector(X) for X in inputs]
             for wrong in (
                 [replace(c, index_alpha=0.0) for c in inputs.claims],
                 [replace(c, index_alpha=max(c.index_alpha - 1e-3, 0.0)) for c in inputs.claims],
@@ -1106,7 +1105,8 @@ class TestTable:
     # Radii computed by omega_n and sectors computed by rotation_to_sector
     # and sector_index (matrices over all their calls) in one n = 3 trial
     # with m = 3: every distinct radius and sector is computed exactly
-    # once, and each function is called at most once.
+    # once, omega_n is called at most once, and each sector search once
+    # per input.
     WORK = {
         "A_lower": (1, 0, 0), "A_upper": (1, 0, 0), "B_prod4": (3, 0, 0),
         "C_had2": (3, 0, 0), "I_diag_psd": (2, 0, 0), "II_prod_sec": (3, 2, 0),
@@ -1132,8 +1132,8 @@ class TestTable:
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
-                # omega_n(spec, X, *more): one radius per matrix; the sector
-                # functions take (X, *more): one sector per matrix
+                # omega_n(spec, X, *more): one radius per matrix; a sector
+                # search takes one matrix
                 work[_name] += len(args) - 1 if _name == "omega_n" else len(args)
                 return _original(*args, **kwargs)
 
@@ -1151,4 +1151,4 @@ class TestTable:
             sectors = self.WORK[ineq.value][1]
             want = self.WORK[ineq.value] if m == 3 else (m + 1, m if sectors else 0, 0)
             assert tuple(work[name] for name in names) == want, m
-            assert all(calls[name] <= 1 for name in names), calls
+            assert calls["omega_n"] <= 1 and all(calls[name] == work[name] for name in names[1:]), calls

@@ -19,7 +19,9 @@ from sector_radius.linalg import (
     matrix_to_obj,
     pd_certificate,
     read_matrix,
+    scaled_lambda_min,
     singular_values,
+    unit_scaled,
     write_matrix,
 )
 from helpers import count_linalg_matrices, exact_positive_definite, random_complex, random_hermitian
@@ -409,7 +411,12 @@ class TestPdCertificate:
         Y = np.array([[1e-300, 1e200], [1e200, 1e-300]], dtype=complex)
         assert not pd_certificate(Y)[0]
         r = check_inequality("L6_had_diag_norm", [np.eye(2), Y])
-        assert r.verdict == "inapplicable" and "not positive definite" in r.note, r.note
+        assert r.verdict == "inapplicable" and "not positive definite: lambda_min(D X D) = -inf " in r.note, r.note
+        r = check_inequality("C_AD_prod2", [(1 + 1j) * np.eye(2), (1 + 1j) * Y])
+        assert r.note == (
+            "second input is not accretive-dissipative: lambda_min(D Re D) = -inf, "
+            "lambda_min(D' Im D') = -inf (unit-diagonal scalings D, D')"
+        )
 
     def test_extra_shift_per_lane(self):
         # Unit diagonal and lambda_min 0.5: certified below that extra, not above.
@@ -420,6 +427,25 @@ class TestPdCertificate:
     @pytest.mark.parametrize("H", [np.diag([1.0, 0.0]), np.diag([1.0, -1e-300]), np.zeros((3, 3))])
     def test_nonpositive_diagonal_fails(self, H):
         assert not pd_certificate(H.astype(complex))[0]
+
+
+class TestScaledLambdaMin:
+    def test_finite_lanes_keep_the_bits_of_eigvalsh(self):
+        rng = np.random.default_rng(7)
+        H = np.array([random_hermitian(rng, 4) for _ in range(3)])
+        d = 1.0 / np.sqrt(np.abs(H.diagonal(axis1=-2, axis2=-1).real) + 1.0)
+        want = np.linalg.eigvalsh(unit_scaled(d, H))[:, 0]
+        assert scaled_lambda_min(d, H).tobytes() == want.tobytes()
+        assert scaled_lambda_min(d[1], H[1]) == want[1]
+
+    def test_an_overflowing_lane_is_minus_infinity(self):
+        # D Y D overflows in the second lane alone, and nothing warns.
+        Y = np.array([[1e-300, 1e200], [1e200, 1e-300]], dtype=complex)
+        H = np.array([np.diag([2.0, 1.0]), Y])
+        d = 1.0 / np.sqrt(H.diagonal(axis1=-2, axis2=-1).real)
+        lam = scaled_lambda_min(d, H)
+        assert lam[1] == -np.inf and lam[0] == np.linalg.eigvalsh(unit_scaled(d[0], H[0]))[0]
+        assert scaled_lambda_min(d[1:], H[1:]).tolist() == [-np.inf]
 
 
 class TestMatrixIO:
