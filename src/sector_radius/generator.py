@@ -5,6 +5,48 @@ Randomness comes from the counter-based Philox bit generator keyed by a
 from explicit uniforms.  Identical configurations therefore reproduce
 identical matrices across runs, and derived streams (seed mixed with a
 tag via a splitmix64 finalizer) keep independent draws decoupled.
+
+The positive definite and accretive-dissipative factories and the
+suites' sectorial draw (_exact_sectorial) are exact: each matrix is a
+congruence G diag(d) G* of short dyadics, formed in floating point
+without a rounding error, so the stored matrix is the one whose
+properties the construction proves.
+- G is a Ginibre draw with each real and imaginary part rounded to b
+  fractional bits and clipped to |part| <= 4 - 2^-b, so |G_ij G_kj| < 2^5.
+- d_j is 1 for a positive definite draw.  For a sectorial one it is (c +
+  is)(1 + i t_j), with the tilt t_j rounded to 12 fractional bits, |t_j|
+  <= 7, and the turn (c, s) = (cos phi, sin phi) rounded to 8, so d_j is
+  a multiple of 2^-20 with |d_j| <= (1 + 2^-8.5) sqrt(50) < 2^3.
+- Each product G_ij d_j is exact (at most b + 26 significant bits), so
+  every real product in an entry of (G diag(d)) G* is a multiple of q =
+  2^-(2b + 20) below 2^8, and every partial sum of an entry is one below
+  n 2^10: at most n 2^8 for a product summed term by term, in any order
+  and with any fused multiply-adds, and 3 n 2^8 for a 3M (Karatsuba)
+  complex product.  A multiple of q of modulus at most 2^53 q is a
+  double, so no partial sum rounds (Higham, Accuracy and Stability of
+  Numerical Algorithms, 2nd ed., section 3.5) when ceil(log2 n) + 10 +
+  2b + 20 <= 53.  b is the largest such b >= 0 (_fraction_bits): 11 at n
+  <= 2, 10 at n <= 8, 9 at n <= 32 and 8 at n <= 64; a draw raises
+  ValueError where there is none (n > 2^23) or a tilt exceeds 7.
+  Exactness also makes the bits independent of the BLAS and its thread
+  count.
+- A positive definite draw is P = G G* + 2^-20 I, exactly Hermitian with
+  lambda_min(P) >= 2^-20.  An accretive-dissipative draw is P + iQ for
+  two of them: both sums are exact, so Re X = P and Im X = Q.  A
+  sectorial draw X = (c + is) G (I + i diag(t)) G* has <Xx, x> = (c + is)
+  sum_j (1 + i t_j) |(G* x)_j|^2, so W(X) lies in the closed sector of
+  arguments arg(c + is) + [arctan min t, arctan max t] and reaches both
+  ends when G is nonsingular (every sectorial matrix is such a
+  congruence: Zhang, Linear Multilinear Algebra 63, 2015).
+A public factory draws at scale 1 and multiplies by fl(scale^2).  For a
+power-of-two scale that is exact, and the proof stands.  For another
+scale each entry is rounded once, relative error at most 2^-53: a
+Hermitian part stays exactly Hermitian and, for n < 2^13, positive
+definite, since the rounding's norm, at most 2^-53 scale^2 ||X||_F <=
+2^-53 scale^2 (64 n^2 + 2), is below the shift 2^-20 scale^2.
+sectorial_stack is not exact: its index is alpha to rounding for any
+alpha < pi/2, finer than a 12-bit tilt resolves, so it keeps a float
+construction (_sectorial_draw).
 """
 
 from __future__ import annotations
@@ -17,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _SAFE_HI, adjoint, as_matrix, pd_certificate
+from .linalg import _SAFE_HI, adjoint, as_matrix
 
 __all__ = [
     "GenConfig",
@@ -47,6 +89,15 @@ _STREAM_SECT_TILT = 0xA2
 _STREAM_AD_RE = 0xC1
 _STREAM_AD_IM = 0xC2
 _STREAM_UNITARY = 0xE7
+
+# The exact draws (module docstring): |parts of G| <= 4 - 2^-b, the
+# fractional bits of a tilt and of a turn, the largest tilt, and the
+# positive definite shift.
+_G_LIMIT = 4
+_TILT_BITS = 12
+_TURN_BITS = 8
+_TILT_MAX = 7.0
+_SHIFT = 2.0**-20
 
 
 def mix_seed(seed: int, *tags: int) -> int:
@@ -173,11 +224,12 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
 
 
 # Every factory below draws a stack: one matrix per config, each from its
-# own Philox stream, with one batched product or factorization per step.
-# The single-matrix factories are the stack of one.  A public factory
-# validates its configs (GenConfig) and hands integer seeds and float
-# scales to the private draw of the same name, which turns every Gaussian
-# stream of a draw into Gaussians in one Box-Muller transform.
+# own Philox stream, with one batched product per step.  The
+# single-matrix factories are the stack of one.  A public factory
+# validates its configs (GenConfig) and hands integer seeds to the private
+# draw of the same name, which turns every Gaussian stream of a draw into
+# Gaussians in one Box-Muller transform; an exact draw is made at scale 1
+# and scaled by its public factory (_scaled).
 
 
 def _ginibre(streams: Streams, n: int, seeds, scales) -> np.ndarray:
@@ -199,27 +251,60 @@ def ginibre_stack(cfgs) -> np.ndarray:
     return _ginibre(_local_streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
 
 
-def pd_stack(cfgs) -> np.ndarray:
-    """Hermitian positive definite matrices G G* + 1e-6 * scale^2 * I.
+def _fraction_bits(n: int) -> int:
+    """Fractional bits b of each part of an exact draw's G at dimension n (module docstring).
 
-    G is a Ginibre draw times scale, so G G* and its shift both scale as
-    scale^2, and a power-of-two scale multiplies the scale-1 draw exactly.
-    Each draw is proved positive definite by linalg.pd_certificate, one
-    stacked Cholesky; lambda_min is computed only for a failure's message.
+    The largest b >= 0 with ceil(log2 n) + 10 + 2b + 20 <= 53; ValueError
+    when there is none.  One integer test, made before anything is drawn.
+    """
+    bits = (53 - 30 - (n - 1).bit_length()) // 2
+    if bits < 0:
+        raise ValueError(f"no exact draw at n = {n}: its products need n <= 2^23")
+    return bits
+
+
+def _dyadic(Z: np.ndarray, bits: int, limit: int | None = None) -> np.ndarray:
+    """Z, a C-contiguous complex stack, with each part rounded to a multiple of 2^-bits.
+
+    With ``limit`` each part is then clipped to |part| <= limit - 2^-bits.
+    Scaling by a power of two, rint and the clip are exact.
+    """
+    parts = np.rint(Z.view(np.float64) * 2.0**bits)
+    if limit is not None:
+        top = limit * 2**bits - 1
+        np.clip(parts, -top, top, out=parts)
+    return (parts * 2.0**-bits).view(np.complex128)
+
+
+def _exact_ginibre(streams: Streams, n: int, seeds) -> np.ndarray:
+    """The G of an exact draw: a scale-1 Ginibre draw per seed, rounded as the module docstring states."""
+    bits = _fraction_bits(n)
+    return _dyadic(_ginibre(streams, n, seeds, [1.0] * len(seeds)), bits, _G_LIMIT)
+
+
+def _scaled(X: np.ndarray, cfgs) -> np.ndarray:
+    """Each matrix of a scale-1 draw times fl(cfg.scale^2): exact for a power-of-two scale."""
+    squares = np.array([cfg.scale**2 for cfg in cfgs])
+    return X if (squares == 1.0).all() else X * squares[:, None, None]
+
+
+def pd_stack(cfgs) -> np.ndarray:
+    """Hermitian positive definite matrices scale^2 (G G* + 2^-20 I).
+
+    G is an exact draw's rounded Ginibre matrix, and G G* + 2^-20 I is
+    formed without a rounding error, so it is exactly Hermitian with
+    lambda_min >= 2^-20 (module docstring); nothing factors or solves.
     """
     n = _dimension(cfgs)
-    return _pd(_local_streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
+    return _scaled(_pd(_local_streams(), n, [cfg.seed for cfg in cfgs]), cfgs)
 
 
-def _pd(streams: Streams, n: int, seeds, scales) -> np.ndarray:
-    """pd_stack of the configs (n, seed, scale), one per seed and scale."""
-    G = _ginibre(streams, n, [mix_seed(seed, _STREAM_PD) for seed in seeds], scales)
-    shift = 1e-6 * np.array([scale**2 for scale in scales])
-    P = _hermitian_part(G @ adjoint(G) + shift[:, None, None] * np.eye(n))
-    for ok, Pk in zip(pd_certificate(P)[0], P):
-        if not ok:
-            lam_min = float(np.linalg.eigvalsh(Pk)[0])
-            raise RuntimeError(f"positive definite construction failed: lambda_min = {lam_min}")
+def _pd(streams: Streams, n: int, seeds) -> np.ndarray:
+    """pd_stack of the configs (n, seed, 1.0), one per seed."""
+    G = _exact_ginibre(streams, n, [mix_seed(seed, _STREAM_PD) for seed in seeds])
+    P = G @ adjoint(G)
+    diagonal = np.arange(n)
+    P[:, diagonal, diagonal] += _SHIFT
     return P
 
 
@@ -267,6 +352,16 @@ def _sectorial_draw(streams: Streams, n: int, seeds, scales, alphas) -> tuple[np
     extremes are the draw's sector witness as they stand.
     """
     G = _ginibre(streams, n, [mix_seed(seed, _STREAM_SECT_BASE) for seed in seeds], scales)
+    t = _tilts(streams, n, seeds, alphas)
+    H = _hermitian_part(np.stack((G, G * t[:, None, :])) @ adjoint(G))
+    return H[0] + 1j * H[1], t.min(axis=-1), t.max(axis=-1)
+
+
+def _tilts(streams: Streams, n: int, seeds, alphas) -> np.ndarray:
+    """Each seed's tilt vector: n uniforms u of its tilt stream mapped to 2u - 1 and scaled to max|t_j| = tan(alpha).
+
+    A t of zeros becomes ones, which has a direction to scale.
+    """
     t = 2.0 * np.array([streams.rng(mix_seed(seed, _STREAM_SECT_TILT)).random(n) for seed in seeds]) - 1.0
     peaks = np.max(np.abs(t), axis=-1)
     if not peaks.all():
@@ -274,20 +369,47 @@ def _sectorial_draw(streams: Streams, n: int, seeds, scales, alphas) -> tuple[np
         t[zero] = 1.0
         peaks[zero] = 1.0
     t *= (np.array([math.tan(alpha) for alpha in alphas]) / peaks)[:, None]
-    H = _hermitian_part(np.stack((G, G * t[:, None, :])) @ adjoint(G))
-    return H[0] + 1j * H[1], t.min(axis=-1), t.max(axis=-1)
+    return t
+
+
+def _exact_sectorial(streams: Streams, n: int, seeds, alphas, phases=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact sectorial draws (c + is) G (I + i diag(t)) G* at scale 1, and the arguments [lo, hi] that each W(X) spans.
+
+    G and t come from the streams of _sectorial_draw: G from the base
+    stream, rounded as the module docstring states, and t = _tilts
+    rounded to 12 fractional bits; ValueError when a tilt then exceeds 7
+    (an alpha above about arctan 7 = 1.43).  (c, s) is (cos phi, sin phi) for each of ``phases`` rounded to
+    8 fractional bits, or (1, 0) when ``phases`` is None.  d_j = (c +
+    is)(1 + i t_j) is exact, and X = (G diag(d)) G* is one exact product
+    (module docstring), with no Hermitian part and no turn of its own;
+    no numpy.linalg routine runs.  lo and hi are arg(c + is) + arctan min
+    t and + arctan max t, each within a few ulps; an arc of W(X) is
+    narrower than pi, since |arctan t_j| < pi/2.
+    """
+    G = _exact_ginibre(streams, n, [mix_seed(seed, _STREAM_SECT_BASE) for seed in seeds])
+    t = np.rint(_tilts(streams, n, seeds, alphas) * 2.0**_TILT_BITS) * 2.0**-_TILT_BITS
+    if not np.abs(t).max() <= _TILT_MAX:
+        raise ValueError(f"no exact sectorial draw with a tilt above {_TILT_MAX}: alpha must be at most about arctan(7)")
+    d = 1.0 + 1j * t
+    lo, hi = np.arctan(t.min(axis=-1)), np.arctan(t.max(axis=-1))
+    if phases is not None:
+        turns = _dyadic(np.exp(1j * np.array(phases)), _TURN_BITS)
+        d *= turns[:, None]
+        lo += np.angle(turns)
+        hi += np.angle(turns)
+    return (G * d[:, None, :]) @ adjoint(G), lo, hi
 
 
 def accretive_dissipative_stack(cfgs) -> np.ndarray:
-    """Matrices A + iB with independent positive definite A and B."""
+    """Matrices scale^2 (P + iQ) with independent positive definite P and Q drawn as pd_stack draws them."""
     n = _dimension(cfgs)
-    return _accretive_dissipative(_local_streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
+    return _scaled(_accretive_dissipative(_local_streams(), n, [cfg.seed for cfg in cfgs]), cfgs)
 
 
-def _accretive_dissipative(streams: Streams, n: int, seeds, scales) -> np.ndarray:
-    """accretive_dissipative_stack of the configs (n, seed, scale), one per seed and scale."""
+def _accretive_dissipative(streams: Streams, n: int, seeds) -> np.ndarray:
+    """accretive_dissipative_stack of the configs (n, seed, 1.0), one per seed; P + iQ is exact."""
     tags = (_STREAM_AD_RE, _STREAM_AD_IM)
-    P = _pd(streams, n, [mix_seed(seed, tag) for seed in seeds for tag in tags], [s for s in scales for _ in tags])
+    P = _pd(streams, n, [mix_seed(seed, tag) for seed in seeds for tag in tags])
     return P[0::2] + 1j * P[1::2]
 
 
@@ -297,7 +419,7 @@ def random_ginibre(cfg: GenConfig) -> np.ndarray:
 
 
 def random_pd(cfg: GenConfig) -> np.ndarray:
-    """Hermitian positive definite matrix G G* + 1e-6 * scale^2 * I (see pd_stack)."""
+    """Hermitian positive definite matrix scale^2 (G G* + 2^-20 I) (see pd_stack)."""
     return pd_stack([cfg])[0]
 
 
@@ -307,7 +429,7 @@ def random_sectorial(cfg: GenConfig, alpha: float) -> np.ndarray:
 
 
 def random_accretive_dissipative(cfg: GenConfig) -> np.ndarray:
-    """Matrix A + iB with independent positive definite A and B."""
+    """Matrix scale^2 (P + iQ) with independent positive definite P and Q (see accretive_dissipative_stack)."""
     return accretive_dissipative_stack([cfg])[0]
 
 

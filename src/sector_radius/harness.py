@@ -26,16 +26,17 @@ refine_tol, each pass only while the sides of the one before overlap
 check_inequality and tightness_scan always certify on the context's grid
 to its refine_tol.
 
-The sector data of explicit inputs come from a search, one
+Explicit inputs are verified: their sector data come from a search, one
 sectorial.rotation_to_sector or sector_index call per input in order,
-and are then verified.
-A suite's sectorial draw already knows its witness, the index and
-rotation of the exact draw, and claims it (generate_inputs); the suite
-gate of a row of several inputs verifies that claim and skips the search
-(_takes_claims).  The verifier is the same for both and trusts neither, so
-a wrong claim costs inflation tries or an inapplicable verdict, never a
-false certificate (the certifying-algorithm split of McConnell, Mehlhorn,
-Naher and Schweitzer, Computer Science Review 5(2), 2011).
+verified by an inflated Cholesky test (_verified), and a positive
+definite or accretive-dissipative input passes linalg.pd_certificate.
+Drawn inputs are proven by construction: a suite draw is an exact dyadic
+congruence (see the generator module), so the draw knows the hypothesis
+holds and knows each sectorial input's witness, its index and rotation to
+a few ulps, and generate_inputs hands over that proof.  The suite gate
+accepts it in place of every test (_takes_proof); only the one-input
+sectorial rows still search, since they check a matrix of the rotated zX
+itself.
 
 IDs whose statement involves the classical numerical radius always run
 with the operator norm regardless of the requested norm; the remaining
@@ -58,10 +59,10 @@ from .generator import (
     GenConfig,
     Streams,
     _accretive_dissipative,
+    _exact_sectorial,
     _ginibre,
     _local_streams,
     _pd,
-    _sectorial_draw,
     mix_seed,
 )
 from .linalg import (
@@ -312,7 +313,7 @@ class Hypothesis(Enum):
     PSD_NOTE = "first input PSD; a violation is noted, not refused"
 
 
-def _check_hypothesis(kind, mats, arity: int, claims=None) -> tuple[list[SectorInfo], str]:
+def _check_hypothesis(kind, mats, arity: int, proof=None) -> tuple[list[SectorInfo], str]:
     """Sector data of each input and a note, once ``kind`` holds.
 
     Inputs are tested in order and the first violation raises
@@ -322,14 +323,14 @@ def _check_hypothesis(kind, mats, arity: int, claims=None) -> tuple[list[SectorI
     Only SECTORIAL and ACCRETIVE return sector data; PSD_NOTE returns a
     note instead of raising.
 
-    ``claims``, a SectorInfo per input, is a candidate for that sector
-    data, given only for the rows _takes_claims names: the gate then
-    skips the search and only verifies the claims (_verified), so the
-    data it returns are certified whatever produced them; a wrong claim
-    is inflated until it holds, or is inapplicable.
+    ``proof``, given only by suites (_run_trials) for the drawn inputs of
+    a row that _takes_proof, is the sector data that the draw proves, a
+    verified SectorInfo per SECTORIAL or ACCRETIVE input and none for any
+    other hypothesis (generate_inputs); the gate returns it and tests
+    nothing.
     """
-    if claims is not None:
-        return _verified(list(claims), mats), ""
+    if proof is not None:
+        return list(proof), ""
     if kind is Hypothesis.SECTORIAL:
         return _sector_data(rotation_to_sector, mats, arity, NotSectorialError, "input is not sectorial"), ""
     if kind is Hypothesis.ACCRETIVE:
@@ -804,17 +805,17 @@ def _plan(info: IdInfo, m: int) -> tuple:
     return _PLANS[key]
 
 
-def _evaluate(info: IdInfo, mats, spec: NormSpec, passes, claims=None) -> tuple[Interval, Interval, str]:
+def _evaluate(info: IdInfo, mats, spec: NormSpec, passes, proof=None) -> tuple[Interval, Interval, str]:
     """Both sides of ``info`` with its radii certified by the first of ``passes``.
 
-    After the gate (_check_hypothesis, given ``claims``) a block row
+    After the gate (_check_hypothesis, given ``proof``) a block row
     returns its certificate; any other computes its plan's terms (_plan)
     but the radii once, then per (grid, refine_tol) pass all radii in one
     omega_n call and both sides.  While the sides do not separate, each
     further pass recomputes the radii alone, so the last pass gives the
     bits of a check run at its grid and tolerance only.
     """
-    infos, note = _check_hypothesis(info.requires, mats, info.arity, claims)
+    infos, note = _check_hypothesis(info.requires, mats, info.arity, proof)
     if info.block is not None:
         return _block_certificate(info.block, infos[_X].rotation_z * mats[_X], infos[_X])
     ev = _Evaluator(mats, infos, info.product, spec)
@@ -854,8 +855,8 @@ def check_inequality(
     return _check(id, inputs, norm, seed, _tight(context))
 
 
-def _check(id, inputs, norm: NormSpec, seed, passes, claims=None) -> CheckResult:
-    """check_inequality with its radius passes and sector claims given as in _evaluate."""
+def _check(id, inputs, norm: NormSpec, seed, passes, proof=None) -> CheckResult:
+    """check_inequality with its radius passes and the draw's proof given as in _evaluate."""
     ineq = InequalityId(id)
     info = REGISTRY[ineq]
     mats = [as_matrix(m, f"input {k}") for k, m in enumerate(inputs)]
@@ -870,7 +871,7 @@ def _check(id, inputs, norm: NormSpec, seed, passes, claims=None) -> CheckResult
             raise DimensionError(f"input {k} has dimension {M.shape[0]}, expected {n}")
     spec_eff = OPERATOR if info.classical else norm
     try:
-        lhs, rhs, note = _evaluate(info, mats, spec_eff, passes, claims)
+        lhs, rhs, note = _evaluate(info, mats, spec_eff, passes, proof)
     except Inapplicable as exc:
         return CheckResult.inapplicable(ineq.value, str(exc), seed=seed, norm=spec_eff.label, dim=n)
     return CheckResult.from_comparison(
@@ -881,74 +882,82 @@ def _check(id, inputs, norm: NormSpec, seed, passes, claims=None) -> CheckResult
 # --- input generation ------------------------------------------------------
 #
 # Suites draw each row's inputs from its hypothesis.  Input j comes from the
-# generator seed mix_seed(seed, j + 1); a sector draw takes its index from
-# tag 31 + j (tag 31 for every input of a common_index row) and its rotation
-# phase from tag 41 + j.
+# generator seed mix_seed(seed, j + 1).  A sector draw takes its indices
+# and then its rotation phases from one stream, mix_seed(seed, 31): one
+# index per input, or one for every input of a common_index row, then one
+# phase per input.
 
 _ALPHA_MAX = 1.4
+_ANGLE_TAG = 31
 
 
-def _uniforms(streams: Streams, seed: int, tags, lo: float, hi: float) -> list[float]:
-    return [lo + (hi - lo) * float(streams.rng(mix_seed(seed, tag)).random()) for tag in tags]
+def _angles(streams: Streams, seed: int, count: int, common: bool) -> tuple[list[float], list[float]]:
+    """The sector indices, uniform on [0, _ALPHA_MAX), and rotation phases, uniform on [0, 2 pi), of a trial's ``count`` inputs."""
+    k = 1 if common else count
+    u = streams.rng(mix_seed(seed, _ANGLE_TAG)).random(k + count)
+    return (_ALPHA_MAX * u[:k]).tolist() * (count // k), (2.0 * math.pi * u[k:]).tolist()
 
 
-def _plain(draw):
-    """A draw that needs nothing but its generator seeds, and has no sector claims."""
-    return lambda streams, n, seeds, seed, index_tags, phase_tags: (draw(streams, n, seeds, [1.0] * len(seeds)), None)
+def _accretive(streams: Streams, n: int, seeds, alphas, phases):
+    """Accretive inputs, each claimed at index max(hi, -lo) with z = 1.
+
+    W(X) spans the arguments [lo, hi] (generator._exact_sectorial), so
+    the index is the larger of their moduli, the draw's alpha to the
+    tilts' rounding.
+    """
+    X, lo, hi = _exact_sectorial(streams, n, seeds, alphas)
+    return X, [SectorInfo(max(h, -l), complex(1.0, 0.0)) for l, h in zip(lo.tolist(), hi.tolist())]
 
 
-def _sector_draw(streams: Streams, n: int, seeds, seed: int, index_tags):
-    """Accretive draws at uniform indices, and arctan of the smallest and largest tilt of each."""
-    alphas = _uniforms(streams, seed, index_tags, 0.0, _ALPHA_MAX)
-    X, lo, hi = _sectorial_draw(streams, n, seeds, [1.0] * len(seeds), alphas)
-    return X, [math.atan(v) for v in lo.tolist()], [math.atan(v) for v in hi.tolist()]
-
-
-def _accretive(streams: Streams, n: int, seeds, seed: int, index_tags, phase_tags):
-    """Accretive inputs, each claimed at index max(arctan hi, -arctan lo), its alpha, with z = 1."""
-    X, lo, hi = _sector_draw(streams, n, seeds, seed, index_tags)
-    return X, [SectorInfo(max(h, -l), complex(1.0, 0.0)) for l, h in zip(lo, hi)]
-
-
-def _rotated(streams: Streams, n: int, seeds, seed: int, index_tags, phase_tags):
+def _rotated(streams: Streams, n: int, seeds, alphas, phases):
     """Accretive inputs turned by e^{i phi}, each claimed at the bisector of its arc.
 
-    W(e^{i phi} X) spans the arguments phi + [arctan lo, arctan hi], so
-    z = e^{-i (phi + c)}, c the arc's centre, turns it onto the positive
-    axis with half-width (arctan hi - arctan lo)/2, the minimal index.
+    W(X) spans the arguments [lo, hi] (generator._exact_sectorial, turned
+    by the rounded e^{i phi}), so z = e^{-i (lo + hi)/2} turns it onto the
+    positive axis with half-width (hi - lo)/2, the minimal index.
     """
-    X, lo, hi = _sector_draw(streams, n, seeds, seed, index_tags)
-    phases = _uniforms(streams, seed, phase_tags, 0.0, 2.0 * math.pi)
-    claims = [SectorInfo((h - l) / 2.0, cmath.exp(-1j * (p + (h + l) / 2.0))) for p, l, h in zip(phases, lo, hi)]
-    return np.exp(1j * np.array(phases))[:, None, None] * X, claims
+    X, lo, hi = _exact_sectorial(streams, n, seeds, alphas, phases)
+    claims = [SectorInfo((h - l) / 2.0, cmath.exp(-0.5j * (h + l))) for l, h in zip(lo.tolist(), hi.tolist())]
+    return X, claims
 
 
-_GINIBRE = _plain(_ginibre)
-_PD = _plain(_pd)
-_HERMITIAN = _plain(lambda *args: cartesian_parts(_ginibre(*args))[0])
-# The draw of each input position, or one draw for every input.
+def _ginibre_draw(streams: Streams, n: int, seeds) -> np.ndarray:
+    return _ginibre(streams, n, seeds, [1.0] * len(seeds))
+
+
+def _hermitian_draw(streams: Streams, n: int, seeds) -> np.ndarray:
+    """(G + G*)/2 of a Ginibre draw: Hermitian bit for bit, entries ij and ji taking the same sums."""
+    return cartesian_parts(_ginibre_draw(streams, n, seeds))[0]
+
+
+# The draw of each input position, or one draw for every input.  A sector
+# draw also takes the trial's indices and phases and returns its claims.
 _DRAWS = {
-    None: _GINIBRE,
-    Hypothesis.PSD_NOTE: (_PD, _GINIBRE),
-    Hypothesis.PD_SECOND: (_GINIBRE, _PD),
-    Hypothesis.ONE_HERMITIAN: (_GINIBRE, _HERMITIAN),
+    None: _ginibre_draw,
+    Hypothesis.PSD_NOTE: (_pd, _ginibre_draw),
+    Hypothesis.PD_SECOND: (_ginibre_draw, _pd),
+    Hypothesis.ONE_HERMITIAN: (_ginibre_draw, _hermitian_draw),
     Hypothesis.SECTORIAL: _rotated,
     Hypothesis.ACCRETIVE: _accretive,
-    Hypothesis.ACCRETIVE_DISSIPATIVE: _plain(_accretive_dissipative),
+    Hypothesis.ACCRETIVE_DISSIPATIVE: _accretive_dissipative,
 }
 
 
 class _Inputs(list):
-    """The inputs of one trial, with ``claims``: the draw's SectorInfo of each, or None.
+    """The inputs of one trial, with the draw's ``claims`` and ``proof``.
 
-    Only SECTORIAL and ACCRETIVE draws know a witness: the exact index
-    and rotation of the exact draw, claims that _verified certifies.  The
-    claims ride on generate_inputs' list, so that suites draw through
-    generate_inputs as every other caller does (and as the benchmark's
-    tracer sees the generator layer).
+    ``claims`` holds each SECTORIAL or ACCRETIVE input's witness, the
+    index and rotation of the exact draw to a few ulps, and is None for
+    other rows.  ``proof`` is what the gate would certify, proven by the
+    construction instead: each claim at its index + _ALPHA_INFLATION, or
+    no sector data for any other row, whose draw satisfies its hypothesis
+    exactly.  Both ride on generate_inputs' list, so that suites draw
+    through generate_inputs as every other caller does (and as the
+    benchmark's tracer sees the generator layer).
     """
 
     claims: list[SectorInfo] | None
+    proof: list[SectorInfo]
 
 
 def _draw(info: IdInfo, n: int, seed: int, m_fold: int = 3) -> tuple[list[np.ndarray], list[SectorInfo] | None]:
@@ -965,16 +974,12 @@ def _draw(info: IdInfo, n: int, seed: int, m_fold: int = 3) -> tuple[list[np.nda
     streams = _local_streams()
     count = info.arity or m_fold
     seeds = [mix_seed(seed, j + 1) for j in range(count)]
-    index_tags = [31 if info.common_index else 31 + j for j in range(count)]
-    phase_tags = [41 + j for j in range(count)]
     if isinstance(draws, tuple):
-        mats = [
-            draw(streams, n, [input_seed], seed, [index_tag], [phase_tag])[0][0]
-            for draw, input_seed, index_tag, phase_tag in zip(draws, seeds, index_tags, phase_tags)
-        ]
-        return mats, None
-    X, claims = draws(streams, n, seeds, seed, index_tags, phase_tags)
-    return list(X), claims
+        return [draw(streams, n, [input_seed])[0] for draw, input_seed in zip(draws, seeds)], None
+    if info.requires in (Hypothesis.SECTORIAL, Hypothesis.ACCRETIVE):
+        X, claims = draws(streams, n, seeds, *_angles(streams, seed, count, info.common_index))
+        return list(X), claims
+    return list(draws(streams, n, seeds)), None
 
 
 def generate_inputs(info: IdInfo, n: int, seed: int, m_fold: int = 3) -> list[np.ndarray]:
@@ -982,12 +987,14 @@ def generate_inputs(info: IdInfo, n: int, seed: int, m_fold: int = 3) -> list[np
 
     The list's ``claims`` holds each SECTORIAL or ACCRETIVE input's sector
     witness as the draw knows it, index and rotation, and is None for
-    other rows; the matrices carry no trace of it.  run_suite verifies
-    the claims in place of searching for them (_takes_claims).
+    other rows; its ``proof`` is the sector data that the construction
+    proves (_Inputs).  The matrices carry no trace of either.  run_suite
+    accepts the proof in place of the gate (_takes_proof).
     """
     mats, claims = _draw(info, n, seed, m_fold)
     inputs = _Inputs(mats)
     inputs.claims = claims
+    inputs.proof = [] if claims is None else [SectorInfo(c.index_alpha + _ALPHA_INFLATION, c.rotation_z) for c in claims]
     return inputs
 
 
@@ -1003,18 +1010,19 @@ def _normalize_ids(ids) -> list[InequalityId]:
     return [i for i in all_ids() if i in wanted]  # registry order, no duplicates
 
 
-def _takes_claims(info: IdInfo) -> bool:
-    """Whether suite checks of ``info`` verify the draw's sector claims in place of searching for them.
+def _takes_proof(info: IdInfo) -> bool:
+    """Whether suite checks of ``info`` accept the draw's proof in place of the gate.
 
-    So do the SECTORIAL and ACCRETIVE rows of more than one input:
-    _verified certifies a claim as it certifies a search's result, so only
-    the index and rotation it starts from differ, and there only the index
-    enters a term (sec, tan, 1 + tan).  A one-input row, L1-L3, P2 or P3,
-    checks a matrix of the rotated zX itself, so it keeps the search and
-    the bits check_inequality gives; that also keeps rotation_to_sector
-    running end to end on suite draws.
+    Every row but the one-input sectorial rows does.  A claim's index,
+    inflated by _ALPHA_INFLATION, is what _verified's first try returns
+    for it, and it enters only a term (sec, tan, 1 + tan); the inflation
+    covers the few ulps of the claim's arctangents and of its float
+    rotation z, so W(zX) lies in the sector without a test.  A one-input
+    row, L1-L3, P2 or P3, checks a matrix of the rotated zX itself, so it
+    keeps the search and the bits check_inequality gives; that also keeps
+    rotation_to_sector running end to end on suite draws.
     """
-    return info.requires in (Hypothesis.SECTORIAL, Hypothesis.ACCRETIVE) and info.arity != 1
+    return info.arity != 1 or info.requires is not Hypothesis.SECTORIAL
 
 
 def _run_trials(tagged, trials: int, dims, norms, seed: int, context: CheckContext, passes):
@@ -1024,7 +1032,7 @@ def _run_trials(tagged, trials: int, dims, norms, seed: int, context: CheckConte
     norms[(t div len(dims)) mod len(norms)] and seed mix_seed(seed, tag, t),
     so every dimension/norm combination is exercised.  Radii are
     certified by ``passes`` as in _evaluate, and the gate of a row that
-    _takes_claims verifies the draw's claims (generate_inputs).
+    _takes_proof accepts the draw's proof (generate_inputs).
     """
     results = []
     for ineq, tag in tagged:
@@ -1034,8 +1042,8 @@ def _run_trials(tagged, trials: int, dims, norms, seed: int, context: CheckConte
             norm = norms[(t // len(dims)) % len(norms)]
             tseed = mix_seed(seed, tag, t)
             mats = generate_inputs(info, dim, tseed, context.m_fold)
-            claims = mats.claims if _takes_claims(info) else None
-            results.append(_check(ineq, mats, norm, tseed, passes, claims))
+            proof = mats.proof if _takes_proof(info) else None
+            results.append(_check(ineq, mats, norm, tseed, passes, proof))
     per_id = {ineq.value: IdSummary() for ineq, _ in tagged}
     for r in results:
         per_id[r.id].add(r)
@@ -1062,11 +1070,11 @@ def run_suite(
     then on a start grid of 8 cells to 0.2, and last on ``context.grid``
     to ``context.refine_tol``, which reports the bits check_inequality
     gives from the same sector data.  A suite sectorial check of several
-    inputs verifies the draw's claimed sector data instead of searching
-    for them (_takes_claims), so its sec and tan factors can differ from
-    check_inequality's in the last bits: its index is the draw's exact
-    one within rounding, where the search's comes out slightly wide, and
-    both are certified by the same verifier.  A rung whose tolerance is
+    inputs takes the sector data that its draw proves instead of
+    searching for them (_takes_proof), so its sec and tan factors can
+    differ from check_inequality's in the last bits: its index is the
+    draw's exact one within rounding, where the search's comes out
+    slightly wide.  A rung whose tolerance is
     not above ``context.refine_tol`` is skipped.  A reported interval is
     therefore an enclosure whose width is set by the pass that settled
     it; check_inequality gives tight intervals for any one result.  The

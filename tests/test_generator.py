@@ -1,6 +1,9 @@
 import math
+import os
 import sys
 import threading
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,26 +117,6 @@ class TestRandomPd:
     def test_deterministic(self):
         assert np.array_equal(random_pd(GenConfig(4, 5)), random_pd(GenConfig(4, 5)))
 
-    def test_one_cholesky_certifies_a_stack(self, monkeypatch):
-        # linalg.pd_certificate proves every draw positive definite in one
-        # stacked cholesky; no eigensolve runs unless a draw fails.
-        eigvalsh = count_linalg_matrices(monkeypatch, ("eigvalsh", "eigh"))
-        cholesky = count_linalg_matrices(monkeypatch, ("cholesky",))
-        P = pd_stack([GenConfig(6, 60 + k) for k in range(4)])
-        assert cholesky == [4] and eigvalsh == []
-        assert all(np.linalg.eigvalsh(Pk)[0] > 0 for Pk in P)
-
-    def test_a_failed_certificate_names_lambda_min(self, monkeypatch):
-        # The message computes lambda_min of the first draw that fails.
-        def fails_second(H, extra=0.0):
-            return np.array([True, False]), None, None
-
-        monkeypatch.setattr(generator, "pd_certificate", fails_second)
-        cfgs = [GenConfig(3, 70), GenConfig(3, 71)]
-        lam = np.linalg.eigvalsh(random_pd(cfgs[1]))[0]
-        with pytest.raises(RuntimeError, match=f"lambda_min = {float(lam)}"):
-            pd_stack(cfgs)
-
 
 class TestRandomSectorial:
     def test_alpha_zero_is_positive_definite(self):
@@ -165,15 +148,24 @@ class TestRandomSectorial:
             assert is_psd(sec_block(X, alpha + 1e-8), tol=1e-9)
 
     def test_no_linalg_call_per_stack(self, monkeypatch):
-        # The draw is the congruence G (I + i diag(t)) G*: its tilt is a
-        # vector, scaled by its own largest modulus, so nothing solves,
+        # The sectorial draw is the congruence G (I + i diag(t)) G*: its tilt
+        # is a vector, scaled by its own largest modulus, so nothing solves,
         # factors or eigensolves.  Its alpha = 0 lane is G G*, exactly
-        # Hermitian and positive definite.
+        # Hermitian and positive definite.  The positive definite and
+        # accretive-dissipative draws are exact, so they are proven by
+        # construction, with no certificate, and so is every suite draw.
+        from sector_radius.harness import REGISTRY, generate_inputs
+
         routines = [name for name in np.linalg.__all__ if name != "LinAlgError"]
         calls = count_linalg_matrices(monkeypatch, routines)
         cfgs = [GenConfig(5, 40 + k) for k in range(3)]
         X = sectorial_stack(cfgs, [0.7, 0.0, 1.3])
         X1 = random_sectorial(GenConfig(1, 3), 1.2)
+        pd_stack(cfgs + [GenConfig(5, 50, 3.0)])
+        accretive_dissipative_stack(cfgs)
+        for info in REGISTRY.values():
+            for n in (2, 5, 16):
+                generate_inputs(info, n, seed=60 + n, m_fold=3)
         assert calls == [] and X1.shape == (1, 1)
         P = X[1]
         assert np.array_equal(P, P.conj().T)
@@ -337,3 +329,139 @@ class TestStacks:
             sectorial_stack([GenConfig(2, 1), GenConfig(2, 2)], [0.5])
         with pytest.raises(ValueError, match="alpha must lie"):
             sectorial_stack([GenConfig(2, 1), GenConfig(2, 2)], [0.5, 2.0])
+
+
+# Fractional bits of each part of an exact draw's G, as the generator's
+# module docstring derives them: the largest b with ceil(log2 n) + 10 +
+# 2b + 20 <= 53.
+G_BITS = {1: 11, 2: 11, 3: 10, 4: 10, 5: 10, 6: 10, 8: 10, 9: 9, 16: 9, 32: 9, 33: 8, 64: 8}
+# Every exact draw is a multiple of 2^-UNIT: G of 2^-11, d of 2^-20.
+UNIT = 2 * 11 + 20
+
+
+def integer_parts(Z: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of Z times 2^bits as int64, asserting that they are integers."""
+    re, im = Z.real * 2.0**bits, Z.imag * 2.0**bits
+    assert (re == np.rint(re)).all() and (im == np.rint(im)).all()
+    return re.astype(np.int64), im.astype(np.int64)
+
+
+def rounded_ginibre(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """An exact draw's G rebuilt from ginibre_stack: parts in units of 2^-11, rounded to G_BITS[n] bits and clipped below 4."""
+    bits = G_BITS[n]
+    G = ginibre_stack([GenConfig(n, seed)])[0]
+    top = 4 * 2**bits - 1
+    parts = [np.clip(np.round(part * 2.0**bits), -top, top).astype(np.int64) << (11 - bits) for part in (G.real, G.imag)]
+    return parts[0], parts[1]
+
+
+def exact_congruence(G: tuple, d: tuple, shift: int = 0) -> list[list]:
+    """G diag(d) G* + shift I as Fractions, for integer parts G in units of 2^-11 and d in units of 2^-20 (shift in units of 2^-UNIT).
+
+    int64 holds every sum: an entry is below 2 * 64 * (2 * 2^13 * 2^23) * 2^13 = 2^57 units.
+    """
+    (gr, gi), (dr, di) = G, d
+    ar, ai = gr * dr - gi * di, gr * di + gi * dr
+    xr = ar @ gr.T + ai @ gi.T + shift * np.eye(len(gr), dtype=np.int64)
+    xi = ai @ gr.T - ar @ gi.T
+    return [[(Fraction(int(r), 2**UNIT), Fraction(int(i), 2**UNIT)) for r, i in zip(rr, ii)] for rr, ii in zip(xr, xi)]
+
+
+def stored(X: np.ndarray, factor: float = 1.0) -> list[list]:
+    """The stored matrix X / factor as Fractions, entry by entry."""
+    return [[(Fraction(float(z.real)) / Fraction(factor), Fraction(float(z.imag)) / Fraction(factor)) for z in row] for row in X]
+
+
+class TestExactDraws:
+    # The positive definite, accretive-dissipative and suite sectorial draws
+    # are formed without a rounding error: rebuilt from the same streams in
+    # exact rational arithmetic, every entry must equal the stored one.
+    DIMS = [2, 3, 4, 5, 6, 16, 32, 64]
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_budget_is_the_derived_one(self, n):
+        assert generator._fraction_bits(n) == G_BITS[n]
+        assert (n - 1).bit_length() + 10 + 2 * G_BITS[n] + 20 <= 53 < (n - 1).bit_length() + 10 + 2 * G_BITS[n] + 22
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_sectorial_draws_are_exact(self, n):
+        seeds, alphas, phases = [3100 + n, 3200 + n, 3300 + n], [0.0, 0.9, 1.4], [0.3, 2.5, 5.9]
+        for turned in (None, phases):
+            X, lo, hi = generator._exact_sectorial(Streams(), n, seeds, alphas, turned)
+            for k, (seed, alpha) in enumerate(zip(seeds, alphas)):
+                t = 2.0 * Streams().rng(mix_seed(seed, generator._STREAM_SECT_TILT)).random(n) - 1.0
+                t = np.round(t * (math.tan(alpha) / np.max(np.abs(t))) * 2.0**12).astype(np.int64)
+                c, s = (256, 0) if turned is None else (round(math.cos(phases[k]) * 256), round(math.sin(phases[k]) * 256))
+                d = (c * 4096 - s * t, s * 4096 + c * t)
+                G = rounded_ginibre(n, mix_seed(seed, generator._STREAM_SECT_BASE))
+                assert stored(X[k]) == exact_congruence(G, d), (turned, k)
+                # The arguments of W(X) span arg(c + is) + arctan([min t, max t]).
+                turn = math.atan2(s, c)
+                for got, want in ((lo[k], turn + math.atan(t.min() / 4096)), (hi[k], turn + math.atan(t.max() / 4096))):
+                    assert abs(got - want) <= 1e-15, (turned, k, got, want)
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_positive_definite_and_accretive_dissipative_draws_are_exact(self, n):
+        # At scales 1 and 2^+-8 a public factory is its scale-1 draw times
+        # scale^2, exactly; so is the suite's draw.
+        shift = 2 ** (UNIT - 20)
+        one = (np.full(n, 2**20, dtype=np.int64), np.zeros(n, dtype=np.int64))
+
+        def pd(seed):
+            return exact_congruence(rounded_ginibre(n, mix_seed(seed, generator._STREAM_PD)), one, shift)
+
+        seeds = [4100 + n, 4200 + n]
+        for scale in (1.0, 2.0**-8, 2.0**8):
+            cfgs = [GenConfig(n, seed, scale) for seed in seeds]
+            P, X = pd_stack(cfgs), accretive_dissipative_stack(cfgs)
+            for k, seed in enumerate(seeds):
+                assert stored(P[k], scale**2) == pd(seed)
+                re = pd(mix_seed(seed, generator._STREAM_AD_RE))
+                im = pd(mix_seed(seed, generator._STREAM_AD_IM))
+                want = [[(a[0] - b[1], a[1] + b[0]) for a, b in zip(ra, rb)] for ra, rb in zip(re, im)]
+                assert stored(X[k], scale**2) == want
+        assert np.array_equal(generator._pd(Streams(), n, seeds), pd_stack([GenConfig(n, seed) for seed in seeds]))
+
+    def test_a_budget_that_cannot_hold_raises(self):
+        # Past n = 2^23 no G keeps a fractional bit within the 53; the test
+        # is made before anything is drawn, so nothing is allocated.
+        n = 2**23 + 1
+        assert generator._fraction_bits(2**23) == 0
+        for draw in (
+            lambda: pd_stack([GenConfig(n, 1)]),
+            lambda: accretive_dissipative_stack([GenConfig(n, 1)]),
+            lambda: generator._exact_sectorial(Streams(), n, [1], [0.5]),
+        ):
+            with pytest.raises(ValueError, match=r"no exact draw at n = 8388609: its products need n <= 2\^23"):
+                draw()
+        # A tilt above 7 would let |d_j| reach 2^3.
+        generator._exact_sectorial(Streams(), 3, [1], [math.atan(6.99)])
+        with pytest.raises(ValueError, match="no exact sectorial draw with a tilt above 7.0"):
+            generator._exact_sectorial(Streams(), 3, [1, 2], [0.5, math.atan(7.01)])
+
+    def test_blas_thread_count_leaves_every_draw_unchanged(self, tmp_path):
+        # The draws are exact, so one and two BLAS threads give the same
+        # bytes for every row at n = 64, claims included.
+        import subprocess
+
+        script = (
+            "import hashlib, numpy as np\n"
+            "from sector_radius.harness import REGISTRY, generate_inputs\n"
+            "h = hashlib.sha256()\n"
+            "for info in REGISTRY.values():\n"
+            "    for seed in (1, 2):\n"
+            "        inputs = generate_inputs(info, 64, seed)\n"
+            "        for M in inputs:\n"
+            "            h.update(M.tobytes())\n"
+            "        for c in inputs.claims or ():\n"
+            "            h.update(np.array([c.index_alpha, c.rotation_z.real, c.rotation_z.imag]).tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.strip())
+        assert digests[0] == digests[1] and len(digests[0]) == 64

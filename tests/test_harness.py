@@ -571,11 +571,11 @@ class TestReportPin:
         obj = report.report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == "cdd9ca1d9eff6e532ea6ce18f2287d452702958711a51af22df66506cc817075"
+        assert digest == "1fbf289d38a383bd3cfdcaadd219e2e1608c9bbda957a3fb317359744fea6787"
         # The text `verify --out` writes, layout included.
         report.wall_time_s = 0.0
         layout = hashlib.sha256(report.to_json().encode()).hexdigest()
-        assert layout == "24aebe7cac879bb64d7aa2d575e9bb9b242b6792ea4d17c09c2745342226b8f5"
+        assert layout == "5ded20dc0075da944c14e0052560e721238c5df18db4bc4a73cd05614c867bc9"
 
 
 class TestInputPin:
@@ -588,7 +588,7 @@ class TestInputPin:
                 for seed in range(4):
                     for M in generate_inputs(info, n, seed=5000 + 10 * n + seed):
                         digest.update(M.tobytes())
-        assert digest.hexdigest() == "789d37af06e5b2a6300ef99aab55bbd6a28719e6593dfe713bbe425eefb6a94b"
+        assert digest.hexdigest() == "6f78394e136f098307397941916bb57e3ce53ba12d5f848a3472a9fae35c72ad"
 
 
 class TestExplicitPin:
@@ -608,7 +608,7 @@ class TestExplicitPin:
                     for inputs in (mats, mats[:-1] + [random_ginibre(GenConfig(n, seed))]):
                         obj = check_inequality(info.id, inputs, TRACE).to_obj()
                         digest.update(json.dumps(obj, sort_keys=True).encode())
-        assert digest.hexdigest() == "c9d9bacc464457e447ff672504ac44107171d2dd41fd12c85994f14f92e42769"
+        assert digest.hexdigest() == "27e7504a1ca7418e7e1ce5b535b3bab284ee881e2f0fb2e579ae1fc98d61d817"
 
 
 def radius_terms(ineq, mats, spec, grid, refine_tol):
@@ -637,9 +637,9 @@ def record_radii(monkeypatch) -> list:
     return calls
 
 
-def suite_check(ineq, mats, norm, ctx=DEFAULT_CONTEXT, claims=None):
-    """One check as run_suite runs it: coarse radii first, the gate verifying ``claims`` when given."""
-    return harness._check(ineq, mats, norm, None, harness._passes(ctx), claims)
+def suite_check(ineq, mats, norm, ctx=DEFAULT_CONTEXT, proof=None):
+    """One check as run_suite runs it: coarse radii first, the gate accepting the draw's ``proof`` when given."""
+    return harness._check(ineq, mats, norm, None, harness._passes(ctx), proof)
 
 
 class TestCoarsePass:
@@ -855,18 +855,19 @@ class TestStageBudgets:
                 stage[0] = None
                 checks += 1
         per_check = {k: calls[k] / checks for k in calls}
-        assert per_check["generate"] <= 67 / 34, per_check
+        # Every draw is exact, so generation proves its hypothesis with no
+        # call; the gate of these explicit inputs still runs in full.
+        assert "generate" not in per_check, per_check
         assert per_check["gate"] <= 163 / 34, per_check
-        # Stacking must not add matrices: one per draw step and gate test.
-        assert mats["generate"] / checks <= 137 / 34, mats
+        # Stacking must not add matrices: one per gate test.
         assert mats["gate"] / checks <= 10.5, mats
 
     def test_claimed_gate_is_one_cholesky_per_try(self, monkeypatch):
-        # A suite check of a SECTORIAL or ACCRETIVE row of several inputs
-        # verifies the draw's claims: each inflation try is one stacked
-        # Cholesky of the sector pair, with no search (eigh), no whitening
-        # (inv, eigvalsh) and no other LAPACK call, and every claim at
-        # n = 2..6 certifies on its first try.
+        # Verifying the draw's claims of a SECTORIAL or ACCRETIVE row of
+        # several inputs, as _verified would for explicit inputs: each
+        # inflation try is one stacked Cholesky of the sector pair, with no
+        # search (eigh), no whitening (inv, eigvalsh) and no other LAPACK
+        # call, and every claim at n = 2..6 certifies on its first try.
         calls, tries = Counter(), [0]
         for name in self.LAPACK:
             original = getattr(np.linalg, name)
@@ -890,7 +891,7 @@ class TestStageBudgets:
                     inputs = generate_inputs(info, n, seed=1000 + 10 * n + seed)
                     calls.clear()
                     tries[0] = 0
-                    _check_hypothesis(info.requires, inputs, info.arity, inputs.claims)
+                    _verified(inputs.claims, inputs)
                     assert dict(calls) == {"cholesky": tries[0]}, (info.id, n, seed, calls)
                     assert tries[0] == 1, (info.id, n, seed)
                     checks += 1
@@ -898,8 +899,9 @@ class TestStageBudgets:
 
 
 def claimed_rows() -> list:
-    """The rows whose suite checks verify the draw's sector claims: the 15 SECTORIAL or ACCRETIVE rows of several inputs."""
-    rows = [info for info in REGISTRY.values() if harness._takes_claims(info)]
+    """The rows whose suite checks take the draw's sector data as proven: the 15 SECTORIAL or ACCRETIVE rows of several inputs."""
+    kinds = (Hypothesis.SECTORIAL, Hypothesis.ACCRETIVE)
+    rows = [info for info in REGISTRY.values() if info.requires in kinds and harness._takes_proof(info)]
     assert len(rows) == 15 and all(info.arity != 1 for info in rows)
     return rows
 
@@ -911,9 +913,9 @@ def searched(info, inputs) -> tuple:
 
 
 class TestSectorClaims:
-    # A claim is the exact index and rotation of the exact draw, and the
-    # search's result is an index of the rounded matrix that can only come
-    # out wide (the gate's shift).  Both agree within BOUND, measured at
+    # A claim is the index and rotation of the exact draw to a few ulps,
+    # and the search's result is an index that can only come out wide (the
+    # gate's shift).  Both agree within BOUND, measured at
     # 2.6e-13 at n <= 6 and 2.2e-9 at n = 32; it stays below
     # _ALPHA_INFLATION, so the verified claim is never below the search's
     # index by more than the inflation covers.
@@ -938,12 +940,12 @@ class TestSectorClaims:
                     if claim.index_alpha > self.BOUND:
                         assert abs(got.rotation_z - claim.rotation_z) <= self.BOUND, (info.id, seed, got, claim)
                 norm = ALL_NORMS[(k + seed) % 4]
-                suite = suite_check(info.id, inputs, norm, claims=inputs.claims)
+                suite = suite_check(info.id, inputs, norm, proof=inputs.proof if harness._takes_proof(info) else None)
                 assert suite.verdict == check_inequality(info.id, inputs, norm).verdict, (info.id, seed)
 
     @pytest.mark.parametrize("n", [3, 5, 16])
     def test_wrong_claims_are_certified_or_inapplicable(self, n):
-        # The gate trusts no claim: an index of 0, the true index less
+        # The verifier trusts no claim: an index of 0, the true index less
         # 1e-3, or the true rotation turned by delta = +-0.05 each come out
         # certified at no less than the searched minimal index plus the
         # turn of z off the searched bisector (rotating off the bisector
@@ -958,13 +960,97 @@ class TestSectorClaims:
                 [replace(c, rotation_z=c.rotation_z * np.exp(-0.05j)) for c in inputs.claims],
             ):
                 try:
-                    infos, _ = _check_hypothesis(info.requires, inputs, info.arity, wrong)
+                    infos = _verified(wrong, inputs)
                 except Inapplicable:
                     continue
                 for got, claim, best in zip(infos, wrong, tight):
                     assert got.rotation_z == claim.rotation_z
                     turn = abs(np.angle(claim.rotation_z * np.conj(best.rotation_z)))
                     assert got.index_alpha >= best.index_alpha + turn - self.BOUND, (info.id, claim, got, best)
+
+
+LAPACK = ("eigvalsh", "eigh", "eig", "eigvals", "svd", "solve", "cholesky", "inv", "qr")
+
+
+def proven_rows() -> list:
+    """The rows whose suite gate tests something that the draw proves: the claimed rows and the PD, PSD and AD rows."""
+    kinds = (Hypothesis.PD_SECOND, Hypothesis.PSD_NOTE, Hypothesis.ACCRETIVE_DISSIPATIVE)
+    return claimed_rows() + [info for info in REGISTRY.values() if info.requires in kinds]
+
+
+class TestDrawProofs:
+    def test_proofs_agree_with_the_verifiers_of_explicit_inputs(self, monkeypatch):
+        # 2200 drawn trials: _verified certifies each claimed row's claims
+        # at its first try and returns the draw's proof bit for bit, and the
+        # positive definite and accretive-dissipative gates pass every PD
+        # and AD input, so a suite that takes the proof reports what one
+        # that verified would.
+        tries = [0]
+        certificate = harness.pd_certificate
+
+        def tried(*args, **kwargs):
+            tries[0] += 1
+            return certificate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "pd_certificate", tried)
+        trials = 0
+        for info in proven_rows():
+            for n in range(2, 7):
+                for seed in range(20):
+                    inputs = generate_inputs(info, n, seed=20000 + 100 * n + seed)
+                    tries[0] = 0
+                    if info.requires is Hypothesis.ACCRETIVE_DISSIPATIVE:
+                        harness._require_accretive_dissipative(inputs, info.arity)
+                        assert inputs.proof == []
+                    elif info.requires is Hypothesis.PD_SECOND:
+                        harness._require_pd(inputs[1], "second input")
+                        assert inputs.proof == []
+                    elif info.requires is Hypothesis.PSD_NOTE:
+                        harness._require_pd(inputs[0], "first input")
+                        assert inputs.proof == []
+                    else:
+                        assert _verified(inputs.claims, inputs) == inputs.proof, (info.id, n, seed)
+                        assert tries[0] == 1, (info.id, n, seed)
+                        assert all(p.index_alpha == c.index_alpha + harness._ALPHA_INFLATION for p, c in zip(inputs.proof, inputs.claims))
+                    trials += 1
+        assert trials == 22 * 5 * 20
+
+    def test_suite_gate_of_a_proven_row_calls_no_lapack(self, monkeypatch):
+        # run_suite hands each of these rows its draw's proof, so its gate
+        # calls no numpy.linalg routine; check_inequality on the same
+        # inputs runs the whole gate (Cholesky tests, and for a claimed
+        # row the sector search).
+        calls, gates, inside = Counter(), Counter(), [None]
+        for name in LAPACK:
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                if inside[0] is not None:
+                    calls[inside[0], _name] += 1
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        gate = harness._check_hypothesis
+
+        def staged(kind, mats, arity, proof=None):
+            inside[0] = "suite" if proof is not None else "explicit"
+            gates[inside[0]] += 1
+            try:
+                return gate(kind, mats, arity, proof)
+            finally:
+                inside[0] = None
+
+        monkeypatch.setattr(harness, "_check_hypothesis", staged)
+        rows = proven_rows()
+        report = run_suite([info.id for info in rows], 4, [2, 5], [TRACE], seed=3)
+        assert {r.verdict for r in report.results} == {"certified_pass"}
+        assert gates == {"suite": len(report.results)} and calls == {}, (gates, calls)
+        for info in rows:
+            calls.clear()
+            assert check_inequality(info.id, generate_inputs(info, 4, seed=9), TRACE).verdict == "certified_pass"
+            assert calls[("explicit", "cholesky")] > 0, (info.id, calls)
+            if info.requires is Hypothesis.SECTORIAL:
+                assert calls[("explicit", "eigh")] + calls[("explicit", "inv")] > 0, (info.id, calls)
 
 
 class TestTightnessScan:
@@ -1021,7 +1107,7 @@ class TestExplainAndRegistry:
             for ineq in all_ids():
                 for M in generate_inputs(REGISTRY[ineq], n, seed, m_fold=3):
                     digest.update(M.tobytes())
-        assert digest.hexdigest() == "a54fc27cf5470eebe93e6201147bb4a49fdee4d281c34182a0a4e3bac1b2ad95"
+        assert digest.hexdigest() == "bc34278b37682a009bf4c09904f219346b68be3e6504e7c608580d307a110ef8"
         # Wider: every draw's claims (index and rotation) as well, n = 16,
         # and the stacked public factories at scales 2^-8 and 2^8 with a
         # seed above 2^63.
@@ -1038,7 +1124,7 @@ class TestExplainAndRegistry:
             stacks = (ginibre_stack(cfgs), pd_stack(cfgs), sectorial_stack(cfgs, [0.0, 0.7, 1.4]), accretive_dissipative_stack(cfgs))
             for M in (*stacks, *(random_unitary(cfg) for cfg in cfgs)):
                 digest.update(M.tobytes())
-        assert digest.hexdigest() == "06be1790b4a5f6448c5a0fed1d6d0a17e34f773969b39d03e4d7d7bd91718d65"
+        assert digest.hexdigest() == "c4b2683d21f43976f9064a8ce0a3445567b033aef756e6c2f0a19c6cff62b053"
 
     def test_docs_table_lists_every_id_in_order(self):
         text = (Path(__file__).resolve().parent.parent / "docs" / "inequalities.md").read_text()
