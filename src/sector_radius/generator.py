@@ -343,13 +343,12 @@ def _sectorial_draw(streams: Streams, n: int, seeds, scales, alphas) -> tuple[np
 
     The configs are (n, seed, scale), one per seed and scale, and each
     alpha is a float in [0, pi/2).  G comes from the seed's base stream,
-    with the bits of ginibre_stack, and t from its tilt stream, n
-    uniforms u mapped to 2u - 1 (a t of zeros becomes ones, which has a
-    direction to scale).  X is one broadcast product of the stack
-    (G, G diag(t)) against G* and one Hermitian part; no numpy.linalg
-    routine runs.  The arguments of W(X) span exactly [arctan min t,
-    arctan max t] for the exact product of the float G and t, so the
-    extremes are the draw's sector witness as they stand.
+    with the bits of ginibre_stack, and t is _tilts.  X is one broadcast
+    product of the stack (G, G diag(t)) against G* and one Hermitian
+    part; no numpy.linalg routine runs.  The arguments of W(X) span
+    exactly [arctan min t, arctan max t] for the exact product of the
+    float G and t, which the float X approximates (unlike
+    _exact_sectorial, this draw rounds).
     """
     G = _ginibre(streams, n, [mix_seed(seed, _STREAM_SECT_BASE) for seed in seeds], scales)
     t = _tilts(streams, n, seeds, alphas)
