@@ -335,11 +335,11 @@ def sectorial_stack(cfgs, alphas) -> np.ndarray:
         if not (0.0 <= alpha < math.pi / 2):
             raise ValueError(f"alpha must lie in [0, pi/2), got {alpha}")
     seeds, scales = [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs]
-    return _sectorial_draw(_local_streams(), n, seeds, scales, alphas)[0]
+    return _sectorial_draw(_local_streams(), n, seeds, scales, alphas)
 
 
-def _sectorial_draw(streams: Streams, n: int, seeds, scales, alphas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sectorial_stack's matrices, and the smallest and largest entry of each scaled tilt t.
+def _sectorial_draw(streams: Streams, n: int, seeds, scales, alphas) -> np.ndarray:
+    """sectorial_stack's matrices.
 
     The configs are (n, seed, scale), one per seed and scale, and each
     alpha is a float in [0, pi/2).  G comes from the seed's base stream,
@@ -353,7 +353,7 @@ def _sectorial_draw(streams: Streams, n: int, seeds, scales, alphas) -> tuple[np
     G = _ginibre(streams, n, [mix_seed(seed, _STREAM_SECT_BASE) for seed in seeds], scales)
     t = _tilts(streams, n, seeds, alphas)
     H = _hermitian_part(np.stack((G, G * t[:, None, :])) @ adjoint(G))
-    return H[0] + 1j * H[1], t.min(axis=-1), t.max(axis=-1)
+    return H[0] + 1j * H[1]
 
 
 def _tilts(streams: Streams, n: int, seeds, alphas) -> np.ndarray:

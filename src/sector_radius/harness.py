@@ -51,7 +51,7 @@ import operator
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -769,6 +769,8 @@ _ROWS = (
 )
 InequalityId = Enum("InequalityId", [(row.id, row.id) for row in _ROWS], type=str, module=__name__)
 REGISTRY: dict[InequalityId, IdInfo] = {InequalityId(row.id): row for row in _ROWS}
+# Each id's registry position, which orders a suite's ids and tags its seeds.
+_POSITION = {ineq: k for k, ineq in enumerate(REGISTRY)}
 
 
 def all_ids() -> list[InequalityId]:
@@ -780,6 +782,7 @@ def _tight(ctx: CheckContext) -> tuple[tuple[int, float], ...]:
     return ((ctx.grid, ctx.refine_tol),)
 
 
+@lru_cache(maxsize=8)
 def _passes(ctx: CheckContext) -> tuple[tuple[int, float], ...]:
     """The (grid, radius tolerance) passes of a suite check: the coarse rungs, then _tight(ctx).
 
@@ -869,14 +872,22 @@ def _check(id, inputs, norm: NormSpec, seed, passes, proof=None) -> CheckResult:
     for k, M in enumerate(mats[1:], start=1):
         if M.shape[0] != n:
             raise DimensionError(f"input {k} has dimension {M.shape[0]}, expected {n}")
+    return _certify(info, mats, norm, seed, passes, proof)
+
+
+def _certify(info: IdInfo, mats, norm: NormSpec, seed, passes, proof=None) -> CheckResult:
+    """The result of _check on inputs it has validated, or on generate_inputs' own, which need no validation.
+
+    ``mats`` are complex128 matrices with finite entries, as many as the
+    row takes and all of one size.
+    """
+    n = mats[0].shape[0]
     spec_eff = OPERATOR if info.classical else norm
     try:
         lhs, rhs, note = _evaluate(info, mats, spec_eff, passes, proof)
     except Inapplicable as exc:
-        return CheckResult.inapplicable(ineq.value, str(exc), seed=seed, norm=spec_eff.label, dim=n)
-    return CheckResult.from_comparison(
-        ineq.value, lhs, rhs, seed=seed, norm=spec_eff.label, dim=n, note=note
-    )
+        return CheckResult.inapplicable(info.id, str(exc), seed=seed, norm=spec_eff.label, dim=n)
+    return CheckResult.from_comparison(info.id, lhs, rhs, seed=seed, norm=spec_eff.label, dim=n, note=note)
 
 
 # --- input generation ------------------------------------------------------
@@ -1007,7 +1018,7 @@ def _normalize_ids(ids) -> list[InequalityId]:
     wanted = {InequalityId(i) for i in ([ids] if isinstance(ids, str) else ids)}
     if not wanted:
         raise ValueError("empty id set")
-    return [i for i in all_ids() if i in wanted]  # registry order, no duplicates
+    return sorted(wanted, key=_POSITION.__getitem__)  # registry order, no duplicates
 
 
 def _takes_proof(info: IdInfo) -> bool:
@@ -1032,7 +1043,8 @@ def _run_trials(tagged, trials: int, dims, norms, seed: int, context: CheckConte
     norms[(t div len(dims)) mod len(norms)] and seed mix_seed(seed, tag, t),
     so every dimension/norm combination is exercised.  Radii are
     certified by ``passes`` as in _evaluate, and the gate of a row that
-    _takes_proof accepts the draw's proof (generate_inputs).
+    _takes_proof accepts the draw's proof (generate_inputs).  Each check
+    is _check's on the drawn matrices as they are (_certify).
     """
     results = []
     for ineq, tag in tagged:
@@ -1043,7 +1055,7 @@ def _run_trials(tagged, trials: int, dims, norms, seed: int, context: CheckConte
             tseed = mix_seed(seed, tag, t)
             mats = generate_inputs(info, dim, tseed, context.m_fold)
             proof = mats.proof if _takes_proof(info) else None
-            results.append(_check(ineq, mats, norm, tseed, passes, proof))
+            results.append(_certify(info, mats, norm, tseed, passes, proof))
     per_id = {ineq.value: IdSummary() for ineq, _ in tagged}
     for r in results:
         per_id[r.id].add(r)
@@ -1096,8 +1108,7 @@ def run_suite(
 
     # An id's tag is its registry position, so its trials draw the same
     # inputs whichever other ids run beside it.
-    order = all_ids()
-    tagged = [(ineq, 1000 + order.index(ineq)) for ineq in id_list]
+    tagged = [(ineq, 1000 + _POSITION[ineq]) for ineq in id_list]
     start = time.perf_counter()
     results, per_id = _run_trials(tagged, trials, dims, norm_list, seed, context, _passes(context))
     wall = time.perf_counter() - start

@@ -790,7 +790,16 @@ def _certified_radii(
     # the grading's own tolerance of 0 is graded first, and one that gets
     # a K evaluates theta = 0 and pi/2 alone: the rotation bound on the
     # one-sample grid (step pi) may close it there.  ||X||_F is taken once
-    # for the screen, the grading's tolerance and the rotation pads.
+    # for that screen, the grading's tolerance and the rotation pads, and
+    # only for a lane whose trace is at most 2 n e, e the sample error:
+    # e is at least LAPACK_BACKWARD n eps (||Re X||_F + ||Im X||_F), and
+    # ||X||_F <= ||Re X||_F + ||Im X||_F, which the computed norms keep to
+    # a few ulps in as_scaled_stack's range, so a larger trace exceeds the
+    # tolerance LAPACK_BACKWARD n^2 eps ||X||_F too.
+    # When every lane is general and none is graded, as in every suite
+    # draw, one broadcast forms all lanes' samples, each entry rounded as
+    # _combined_norms rounds it; otherwise _combined_norms forms each
+    # lane's own rows.  A lane's closing test then runs on Python floats.
     re = A.any(axis=(1, 2)).tolist()
     im = B.any(axis=(1, 2)).tolist()
     trace = np.abs(Xs.trace(axis1=1, axis2=2)).tolist()
@@ -804,6 +813,8 @@ def _certified_radii(
             cs[l] = forms["re" if kind[0] else "im"]
             continue
         cs[l] = forms["general"]
+        if trace[l] > 2.0 * n * slack:
+            continue
         fro = frobenius(Xs[l])
         if trace[l] <= LAPACK_BACKWARD * n * n * _EPS * fro:
             K = _flag_grading(Xs[l], fro)
@@ -817,21 +828,24 @@ def _certified_radii(
                 if _rotation_bound(0.0, slack, math.pi, drift) <= reach:
                     cs[l] = forms["graded"]
                     graded.add(l)
-    rows, starts = {}, {}
-    for l, values in _combined_norms(A, B, cs, p).items():
-        slack = slacks[l]
-        if not (re[l] and im[l]):
-            estimates[l] = RadiusEstimate(float(values[0]), 0.0 if re[l] else 0.5 * math.pi, slack, spec)
-            continue
-        nA, nB = float(values[0]), float(values[1 if l in graded else grid // 4])
-        g_stop = 0.5 * (nA + nB) * refine_tol
-        if l in graded:
-            gap = _rotation_bound(nA, slack, math.pi, drifts[l]) - nA
-            if gap <= g_stop:
-                estimates[l] = RadiusEstimate(nA, 0.0, gap, spec)
+    if not graded and all(re) and all(im) and len(Xs) * len(even) <= _EIG_BATCH:
+        c, s = forms["general"]
+        H = c[:, None, None] * A[:, None]
+        H -= s[:, None, None] * B[:, None]
+        rows = dict(enumerate(schatten_value(np.abs(np.linalg.eigvalsh(H)), p)))
+    else:
+        rows = {}
+        for l, values in _combined_norms(A, B, cs, p).items():
+            if not (re[l] and im[l]):
+                estimates[l] = RadiusEstimate(float(values[0]), 0.0 if re[l] else 0.5 * math.pi, slacks[l], spec)
                 continue
-        rows[l] = values
-        starts[l] = (slack, g_stop, math.hypot(nA, nB) + slack)
+            if l in graded:
+                nA, nB = values.tolist()
+                gap = _rotation_bound(nA, slacks[l], math.pi, drifts[l]) - nA
+                if gap <= 0.5 * (nA + nB) * refine_tol:
+                    estimates[l] = RadiusEstimate(nA, 0.0, gap, spec)
+                    continue
+            rows[l] = values
 
     # A graded lane left open evaluates the rest of its even grid, all in
     # one eigvalsh (none on a grid of 4, which has no other even sample),
@@ -852,9 +866,10 @@ def _certified_radii(
     lanes = {}
     for l, row in list(rows.items()):
         samples = row.tolist()
+        slack, nA, nB = slacks[l], samples[0], samples[grid // 4]
+        g_stop, bound = 0.5 * (nA + nB) * refine_tol, math.hypot(nA, nB) + slack
         value = max(samples)
         theta = float(even[samples.index(value)])
-        slack, g_stop, bound = starts[l]
         if l in drifts:
             gap = _rotation_bound(value, slack, 2.0 * h, drifts[l]) - value
             if gap <= g_stop:

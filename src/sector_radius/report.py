@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -236,9 +237,10 @@ class SuiteReport:
         written from one format string, its fields by type as json writes
         them (floats by ``float.__repr__``), since json's indenting encoder
         is pure Python.  ``config`` is written once for both of its places:
-        from one format string when it has run_suite's keys (_config), and
-        otherwise, or when a value is not one that string writes, by the
-        reference ``json.dumps`` call itself.  ``per_id`` keys are id
+        from one format string when it has run_suite's keys (_config), its
+        fields shared by every run_suite report cached, and otherwise, or
+        when a value is not one that string writes, by the reference
+        ``json.dumps`` call itself.  ``per_id`` keys are id
         strings: any other key raises TypeError.  A NaN or an infinity
         raises ValueError and a value json cannot encode raises TypeError,
         as in the reference.
@@ -330,21 +332,56 @@ def _config(config) -> str:
     """``config`` as _json(config, 1) writes it.
 
     A dict with run_suite's keys is written from _CONFIG in sorted key
-    order, each value by the scalar writer of its exact type or else by
-    the writer of its key.  A writer raises TypeError for a value of
-    another type, and the reference then writes the config, so any value
+    order, each value by the writer of its key: the fields every
+    run_suite report of a process shares come from _shared_config's
+    cache, and the per-op ones (_OWN) are written on each call.  A writer
+    raises TypeError for a value of another type and ValueError for a NaN
+    or an infinity; the reference then writes the config, so any value
     json takes is written as json writes it, and any other raises json's
-    error.  A NaN or an infinity raises ValueError here as json would at
-    the same value, since every value before it in key order was one the
-    template writes.
+    own error.
     """
     if isinstance(config, dict) and config.keys() == _CONFIG_KEYS:
-        fields = [(config[key], write) for key, write in _CONFIG_FIELDS]
         try:
-            return _CONFIG % tuple([_SCALARS.get(type(v), write)(v) for v, write in fields])
-        except TypeError:
+            return _shared_config(config) % tuple([write(config[key]) for key, write in _OWN])
+        except (TypeError, ValueError):
             pass
     return _json(config, 1)
+
+
+def _frozen(o) -> bool:
+    """Whether ``o`` is a str, int, float, bool or None of that exact type, or a tuple of such values.
+
+    Such a value can never change, nor can json's text of it.
+    """
+    kind = type(o)
+    if kind is tuple:
+        return all(map(_frozen, o))
+    return kind in _SCALARS
+
+
+def _shared_config(config: dict) -> str:
+    """_CONFIG with the fields of _SHARED written in and a ``%s`` left for each of _OWN.
+
+    The text is cached on the fields' values themselves, keyed by their
+    identities: an entry holds its values, so no other object can take
+    their ids while it stays, and a value is cached only when _frozen, so
+    its text cannot change.  So 1, 1.0 and True, or a list and a tuple,
+    never share an entry, and a list is written afresh each time.  The
+    cache holds at most _SHARED_CACHE_SIZE entries and is emptied when
+    full.
+    """
+    values = _shared_values(config)
+    key = tuple(map(id, values))
+    entry = _SHARED_CACHE.get(key)
+    if entry is not None:
+        return entry[1]
+    written = {name: write(v).replace("%", "%%") for (name, write), v in zip(_SHARED, values)}
+    text = _CONFIG % tuple([written.get(name, "%s") for name, _ in _CONFIG_FIELDS])
+    if all(map(_frozen, values)):
+        if len(_SHARED_CACHE) >= _SHARED_CACHE_SIZE:
+            _SHARED_CACHE.clear()
+        _SHARED_CACHE[key] = (values, text)
+    return text
 
 
 _REPORT = """{
@@ -388,6 +425,14 @@ _CONFIG_FIELDS = (
     ("trials", _scalar),
 )
 _CONFIG_KEYS = frozenset(key for key, _ in _CONFIG_FIELDS)
+# The fields run_suite writes the same for every op of a context, and the
+# ones each op sets; both in sorted key order.
+_OWN_KEYS = ("dims", "ids", "norms", "seed", "trials")
+_SHARED = tuple(field for field in _CONFIG_FIELDS if field[0] not in _OWN_KEYS)
+_OWN = tuple(field for field in _CONFIG_FIELDS if field[0] in _OWN_KEYS)
+_shared_values = operator.itemgetter(*(key for key, _ in _SHARED))
+_SHARED_CACHE: dict[tuple, tuple[tuple, str]] = {}
+_SHARED_CACHE_SIZE = 32
 
 # CheckResult.to_obj's keys in sorted order; the lines after the first are
 # at the indent an item of "results" has.
@@ -409,6 +454,9 @@ _RESULT = """{
       "verdict": %s
     }"""
 
+# Each verdict name as a key of "verdicts" writes it.
+_VERDICT_KEYS = {v: _escape(v) + ": " for v in VERDICTS}
+
 # IdSummary.to_obj's keys in sorted order; the lines after the first are at
 # the indent an entry of "per_id" has.
 _ID_SUMMARY = """%s: {
@@ -425,7 +473,10 @@ def _result(r: CheckResult) -> str:
 
 
 def _id_summary(key: str, s: IdSummary) -> str:
-    verdicts = [_escape(v) + ": " + _SCALARS.get(type(c), _scalar)(c) for v, c in sorted(s.verdicts.items())]
+    verdicts = [
+        (_VERDICT_KEYS.get(v) or _escape(v) + ": ") + _SCALARS.get(type(c), _scalar)(c)
+        for v, c in sorted(s.verdicts.items())
+    ]
     return _ID_SUMMARY % (
         _escape(key),
         _scalar(s.max_ratio),

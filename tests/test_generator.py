@@ -175,22 +175,22 @@ class TestRandomSectorial:
     def test_claimed_extremes_are_the_exact_pencil_extremes(self, n):
         # G and t rebuilt from the draw's streams give the exact X = G (I +
         # i diag(t)) G* at 30 digits: its pencil (Im X, Re X) has
-        # eigenvalues t, so its extremes must be the claimed ones.  The
-        # stored X must be that X to rounding: its own pencil's extremes
-        # lie within (|dB| + |t| |dA|) / lambda_min(Re X) of them, for the
-        # forming error (n + 2) eps ||G||_F^2 (1 + max|t|) of each part.
+        # eigenvalues t, so its extremes must be t's.  The stored X must
+        # be that X to rounding: its own pencil's extremes lie within
+        # (|dB| + |t| |dA|) / lambda_min(Re X) of them, for the forming
+        # error (n + 2) eps ||G||_F^2 (1 + max|t|) of each part.
         # (A tilt that scaled G's rows, not its columns, misses this.)
         import mpmath
 
         from helpers import mp_matrix, mp_pencil_extremes
 
         seeds, alphas = [7000 + n, 7100 + n, 7200 + n], [0.3, 1.0, 1.4]
-        X, lo, hi = generator._sectorial_draw(Streams(), n, seeds, [1.0] * 3, alphas)
+        X = generator._sectorial_draw(Streams(), n, seeds, [1.0] * 3, alphas)
         for k, (seed, alpha) in enumerate(zip(seeds, alphas)):
             G = ginibre_stack([GenConfig(n, mix_seed(seed, generator._STREAM_SECT_BASE))])[0]
             t = 2.0 * Streams().rng(mix_seed(seed, generator._STREAM_SECT_TILT)).random(n) - 1.0
             t *= math.tan(alpha) / np.max(np.abs(t))
-            assert (t.min(), t.max()) == (lo[k], hi[k])
+            lo, hi = t.min(), t.max()
             with mpmath.workdps(30):
                 Gm = mp_matrix(G)
                 A, B = Gm * Gm.H, Gm * mpmath.diag([mpmath.mpf(float(v)) for v in t]) * Gm.H
@@ -198,11 +198,11 @@ class TestRandomSectorial:
                 Xm = mp_matrix(X[k])
                 stored = mp_pencil_extremes((Xm + Xm.H) / 2, (Xm - Xm.H) / mpmath.mpc(0, 2))
                 lam_min = min(mpmath.re(v) for v in mpmath.eighe(A, eigvals_only=True))
-            peak = max(-lo[k], hi[k])
+            peak = max(-lo, hi)
             tol = 2.0 * (n + 2) * 2.0**-53 * np.linalg.norm(G) ** 2 * (1.0 + peak) ** 2 / float(lam_min)
-            for got, want in zip(exact, (lo[k], hi[k])):
+            for got, want in zip(exact, (lo, hi)):
                 assert abs(got - want) <= 1e-25 * (1.0 + peak), (k, got, want)
-            for got, want in zip(stored, (lo[k], hi[k])):
+            for got, want in zip(stored, (lo, hi)):
                 assert abs(got - want) <= tol, (k, got, want, tol)
 
     def test_alpha_validation(self):

@@ -45,7 +45,7 @@ def test_radius_pass_lines_count_each_check_once(monkeypatch, capsys):
     got = {line.rsplit(maxsplit=1)[0]: int(line.split()[-1]) for line in lines[start + 1 : stop]}
 
     sequences = []
-    check, omega_n = harness._check, harness.omega_n
+    check, omega_n = harness._certify, harness.omega_n
 
     def checked(*args, **kwargs):
         sequences.append([])
@@ -55,7 +55,7 @@ def test_radius_pass_lines_count_each_check_once(monkeypatch, capsys):
         sequences[-1].append(f"({grid},{refine_tol!r})")
         return omega_n(spec, *mats, grid=grid, refine_tol=refine_tol)
 
-    monkeypatch.setattr(harness, "_check", checked)
+    monkeypatch.setattr(harness, "_certify", checked)
     monkeypatch.setattr(harness, "omega_n", radius)
     assert main(["verify", *MIXED]) == 0
     capsys.readouterr()

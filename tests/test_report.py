@@ -1,14 +1,21 @@
 import json
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sector_radius import report as report_module
 from sector_radius.harness import DEFAULT_NORMS, run_suite, tightness_scan
 from sector_radius.report import VERDICTS, CheckResult, Interval, SuiteReport, IdSummary, classify
+
+# The benchmark's workloads, read and never changed, as tests/test_bench.py reads them.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
 
 # Finite floats whose sums and products stay finite, subnormals included.
 FLOATS = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
@@ -307,3 +314,91 @@ class TestReportWriter:
         report = SuiteReport(config={}, per_id={1: IdSummary()}, wall_time_s=0.0, results=[])
         with pytest.raises(TypeError):
             report.to_json()
+
+
+class Verb(str):
+    """A str subclass whose str and repr lie; json writes it as the str it is."""
+
+    def __str__(self):
+        return "other"
+
+    __repr__ = __str__
+
+
+class TestConfigCache:
+    """run_suite configs: their shared fields' text is cached, and every report still equals the reference."""
+
+    @pytest.mark.parametrize("name", ["suite_small_n", "suite_large_n"])
+    def test_benchmark_ops_write_the_indented_json_dumps(self, name):
+        # The benchmark's digest hashes report_obj(), not the to_json() text
+        # every suite op writes, so only this test sees a writer fault
+        # there.  op.run() writes the report once, so each to_json() here
+        # runs with the cache warm, and the config's entry is a hit.
+        for op in workloads.WORKLOADS[name].build_round(1, 0):
+            report = op.run()
+            key = tuple(map(id, report_module._shared_values(report.config)))
+            assert key in report_module._SHARED_CACHE, op.label
+            assert report.to_json() == reference(report), op.label
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "backward"])
+    def test_values_equal_but_of_other_types_never_share_text(self, reverse):
+        # 1 == 1.0 == True, [4, 1.0] == (4, 1.0) == (4, 1) and
+        # Verb("verify") == "verify", but json writes each its own way
+        # (a Verb as the str it is); -0.0 == 0.0 too.  Each config is
+        # written twice, the second time after the first could cache it.
+        changes = [
+            {"grid": 1},
+            {"grid": 1.0},
+            {"grid": True},
+            {"m_fold": 3.0},
+            {"coarse_passes": [[4, 1.0], [8, 0.2]]},
+            {"coarse_passes": ((4, 1.0), (8, 0.2))},
+            {"coarse_passes": ((4, 1), (8, 0.2))},
+            {"coarse_passes": ((4, True), [8, 0.2])},
+            {"mode": "verify"},
+            {"mode": Verb("verify")},
+            {"mode": "50% %s"},
+            {"refine_tol": 0.0},
+            {"refine_tol": -0.0},
+            {"alpha_inflation": None},
+        ]
+        for change in changes[::-1] if reverse else changes:
+            report = SuiteReport(config={**VERIFY_CONFIG, **change}, per_id={}, wall_time_s=0.0, results=[])
+            for _ in range(2):
+                assert report.to_json() == reference(report), change
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["list", "tuple_of_lists"])
+    def test_a_list_changed_in_place_is_written_as_it_now_is(self, nested):
+        rung = [4, 1.0]
+        passes = (rung, (8, 0.2)) if nested else [rung, [8, 0.2]]
+        report = SuiteReport(config={**VERIFY_CONFIG, "coarse_passes": passes}, per_id={}, wall_time_s=0.0, results=[])
+        first = report.to_json()
+        assert first == reference(report)
+        rung[1] = 0.5
+        assert report.to_json() == reference(report) != first
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "backward"])
+    def test_bad_values_raise_as_json_raises_whatever_was_cached(self, reverse):
+        bad = [
+            ({"refine_tol": math.nan}, ValueError),
+            ({"coarse_passes": ((4, math.inf),)}, ValueError),
+            ({"grid": object()}, TypeError),
+            ({"mode": b"verify"}, TypeError),
+            ({"dims": [2, math.nan]}, ValueError),
+        ]
+        for change, error in bad[::-1] if reverse else bad:
+            good = SuiteReport(config=VERIFY_CONFIG, per_id={}, wall_time_s=0.0, results=[])
+            assert good.to_json() == reference(good)
+            report = SuiteReport(config={**VERIFY_CONFIG, **change}, per_id={}, wall_time_s=0.0, results=[])
+            for _ in range(2):
+                with pytest.raises(error):
+                    reference(report)
+                with pytest.raises(error):
+                    report.to_json()
+
+    def test_the_cache_stays_bounded(self):
+        for k in range(3 * report_module._SHARED_CACHE_SIZE):
+            config = {**VERIFY_CONFIG, "refine_tol": 1e-3 + k}
+            report = SuiteReport(config=config, per_id={}, wall_time_s=0.0, results=[])
+            assert report.to_json() == reference(report)
+            assert len(report_module._SHARED_CACHE) <= report_module._SHARED_CACHE_SIZE

@@ -11,7 +11,11 @@ it prints the check count, one line per source file of the
 ``sector_radius`` package with the calls of the functions defined there
 (recursive calls included), in all and per check, an ``other`` line for
 every other function profiled (numpy, the standard library, builtins),
-and a total line over all of them.  The check count is that of the
+and a total line over all of them.  A last column counts, per check, the
+calls that a line's functions make directly to functions outside the
+package (pstats' callers), so that work a file hands to numpy, json or
+a builtin shows under that file; on the ``other`` line these are calls
+within non-package code.  The check count is that of the
 reports ``run_suite`` returns.  The package is imported from the
 ``src/`` beside this directory.  Exits with verify's exit code.
 
@@ -37,17 +41,32 @@ from sector_radius.norms import parse_norm  # noqa: E402
 PACKAGE = Path(cli.__file__).resolve().parent
 
 
-def _by_file(profile: cProfile.Profile) -> dict[str, int]:
-    """The calls made to each package file's functions, and to every other function as ``other``."""
-    calls = {path.name: 0 for path in sorted(PACKAGE.glob("*.py"))} | {"other": 0}
-    for (filename, _, _), (_, total, _, _, _) in pstats.Stats(profile).stats.items():
-        path = Path(filename).resolve()
-        calls[path.name if path.parent == PACKAGE else "other"] += total
-    return calls
+def _row(filename: str) -> str:
+    """The table row of a function defined in ``filename``: its package file's name, or ``other``."""
+    path = Path(filename).resolve()
+    return path.name if path.parent == PACKAGE else "other"
 
 
-def count_verify(args: list[str]) -> tuple[int, int, dict[str, int]]:
-    """verify's exit code, its check count, and the calls made to each package file's functions."""
+def _by_file(profile: cProfile.Profile) -> dict[str, tuple[int, int]]:
+    """(calls made to its functions, calls they make to non-package functions) per package file, and as ``other``.
+
+    ``other`` holds every function outside the package.  The second
+    count is read from pstats' callers of each non-package function, so
+    work that a file hands to numpy, json or a builtin shows under that
+    file.
+    """
+    calls = {path.name: [0, 0] for path in sorted(PACKAGE.glob("*.py"))} | {"other": [0, 0]}
+    for (filename, _, _), (_, total, _, _, callers) in pstats.Stats(profile).stats.items():
+        row = _row(filename)
+        calls[row][0] += total
+        if row == "other":
+            for (caller, _, _), (_, made, _, _) in callers.items():
+                calls[_row(caller)][1] += made
+    return {name: (into, out) for name, (into, out) in calls.items()}
+
+
+def count_verify(args: list[str]) -> tuple[int, int, dict[str, tuple[int, int]]]:
+    """verify's exit code, its check count, and each row's calls as _by_file counts them."""
     reports = []
     run_suite = cli.run_suite
 
@@ -64,8 +83,8 @@ def count_verify(args: list[str]) -> tuple[int, int, dict[str, int]]:
     return code, sum(len(report.results) for report in reports), _by_file(profile)
 
 
-def count_one_check(args: list[str]) -> tuple[int, dict[str, int]]:
-    """The op count of verify's flags ``args`` run one check at a time, and the calls made to each file's functions."""
+def count_one_check(args: list[str]) -> tuple[int, dict[str, tuple[int, int]]]:
+    """The op count of verify's flags ``args`` run one check at a time, and each row's calls as _by_file counts them."""
     flags = cli.build_parser().parse_args(["verify", *args])
     ids = cli.all_ids() if flags.ids == "all" else flags.ids
     norms = [parse_norm(t) for t in flags.norms.split(",") if t.strip()]
@@ -80,12 +99,17 @@ def count_one_check(args: list[str]) -> tuple[int, dict[str, int]]:
     return len(ops), _by_file(profile)
 
 
-def table(checks: int, calls: dict[str, int], unit: str = "check") -> list[str]:
-    """The check (or op) count, one line per file and the total line: calls in all and per check."""
+def table(checks: int, calls: dict[str, tuple[int, int]], unit: str = "check") -> list[str]:
+    """The check (or op) count, one line per file and the total line.
+
+    Each line gives the calls made to the row's functions, in all and per
+    check, and the calls per check that they make to non-package
+    functions.
+    """
     per = max(checks, 1)
-    rows = [*calls.items(), ("total", sum(calls.values()))]
-    lines = [f"{unit}s: {checks}", f"{'file':<14} {'calls':>10} {'calls/' + unit:>12}"]
-    return lines + [f"{name:<14} {count:>10} {count / per:>12.1f}" for name, count in rows]
+    rows = [*calls.items(), ("total", tuple(map(sum, zip(*calls.values()))))]
+    lines = [f"{unit}s: {checks}", f"{'file':<14} {'calls':>10} {'calls/' + unit:>12} {'out/' + unit:>10}"]
+    return lines + [f"{name:<14} {into:>10} {into / per:>12.1f} {out / per:>10.1f}" for name, (into, out) in rows]
 
 
 def main(argv: list[str]) -> int:

@@ -50,7 +50,7 @@ def count_verify(args: list[str]) -> tuple[int, int, dict[tuple[str, str], list[
     stage = ["rest"]
     reports = []
     sequences: list[list[tuple[int, float]]] = []
-    run_suite, check, omega_n = cli.run_suite, harness._check, harness.omega_n
+    run_suite, check, omega_n = cli.run_suite, harness._certify, harness.omega_n
     draw, gate = harness._draw, harness._check_hypothesis
     originals = {name: getattr(np.linalg, name) for name in ROUTINES}
 
@@ -86,13 +86,13 @@ def count_verify(args: list[str]) -> tuple[int, int, dict[tuple[str, str], list[
     try:
         for name, original in originals.items():
             setattr(np.linalg, name, counter(name, original))
-        cli.run_suite, harness._check, harness.omega_n = recorded, checked, radius
+        cli.run_suite, harness._certify, harness.omega_n = recorded, checked, radius
         harness._draw, harness._check_hypothesis = staged("draw", draw), staged("gate", gate)
         code = cli.main(["verify", *args])
     finally:
         for name, original in originals.items():
             setattr(np.linalg, name, original)
-        cli.run_suite, harness._check, harness.omega_n = run_suite, check, omega_n
+        cli.run_suite, harness._certify, harness.omega_n = run_suite, check, omega_n
         harness._draw, harness._check_hypothesis = draw, gate
     checks = sum(len(report.results) for report in reports)
     return code, checks, calls, Counter(map(tuple, sequences))
