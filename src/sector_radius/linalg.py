@@ -91,15 +91,26 @@ def as_scaled_stack(X, *more) -> tuple[np.ndarray, dict[int, int]]:
     nonzero matrix k whose largest real or imaginary part t lies
     outside [2^-256, 2^256] is replaced by 2^-e X_k, e the exponent of t,
     so its largest part lies in [1/2, 1); the scaling is exact in every
-    entry whose parts stay normal.  One reduction per matrix gives this
-    test and the finiteness test of ``as_matrix``: t is finite exactly
-    when every entry is.
+    entry whose parts stay normal.  One reduction over the stack gives
+    this test and the finiteness test of ``as_matrix``: t is finite
+    exactly when every entry is.
+
+    The inputs are never written to.  A single aligned C-contiguous
+    complex128 matrix is stacked as a view of the caller's data, any
+    other input as a copy, and the stack is copied before a far matrix is
+    scaled.  The names of the error messages are formatted only when one
+    is raised.
     """
-    mats = [_square(M, f"matrix {k}" if more else "matrix") for k, M in enumerate((X, *more))]
-    for k, M in enumerate(mats):
-        if M.shape != mats[0].shape:
-            raise DimensionError(f"matrix {k} has dimension {M.shape[0]}, expected {mats[0].shape[0]}")
-    Xs = np.array(mats)
+    try:
+        Xs = np.array((X, *more), dtype=np.complex128) if more else np.ascontiguousarray(X, dtype=np.complex128)[None]
+    except (TypeError, ValueError):
+        Xs = None
+    if Xs is None or Xs.ndim != 3 or Xs.shape[1] != Xs.shape[2] or not Xs.shape[1]:
+        Xs = _checked_stack((X, *more))
+    elif not Xs.flags.aligned:
+        # A copy is aligned, so BLAS takes the products and dots of every
+        # stack alike.
+        Xs = Xs.copy()
     top = np.maximum.reduce(np.abs(Xs.view(np.float64)), axis=(-2, -1)).tolist()
     far = {}
     for k, t in enumerate(top):
@@ -107,8 +118,24 @@ def as_scaled_stack(X, *more) -> tuple[np.ndarray, dict[int, int]]:
             raise DomainError(f"{f'matrix {k}' if more else 'matrix'} contains non-finite entries")
         if t > _SAFE_HI or 0.0 < t < 1.0 / _SAFE_HI:
             far[k] = math.frexp(t)[1]
-            Xs[k] = np.ldexp(Xs[k].view(np.float64), -far[k]).view(np.complex128)
+    if far:
+        Xs = Xs.copy()
+        for k, e in far.items():
+            Xs[k] = np.ldexp(Xs[k].view(np.float64), -e).view(np.complex128)
     return Xs, far
+
+
+def _checked_stack(mats: tuple) -> np.ndarray:
+    """The stack of ``mats`` by way of _square, raising the error that names the first matrix at fault.
+
+    Every matrix is checked square before any two are compared; the
+    stack is rebuilt only if none is at fault.
+    """
+    squares = [_square(M, f"matrix {k}" if len(mats) > 1 else "matrix") for k, M in enumerate(mats)]
+    for k, M in enumerate(squares):
+        if M.shape != squares[0].shape:
+            raise DimensionError(f"matrix {k} has dimension {M.shape[0]}, expected {squares[0].shape[0]}")
+    return np.array(squares)
 
 
 def frobenius(M: np.ndarray) -> float:
@@ -149,10 +176,15 @@ def cartesian_parts(Xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian parts (re, im) with X = re + 1j*im of each matrix of a stack.
 
     Elementwise, so each matrix gets the bits ``cartesian_decompose``
-    gives it alone.
+    gives it alone.  Each part is formed on a fresh buffer and halved in
+    place, by the same ufuncs as (X + X*)/2 and (X - X*)/2j.
     """
     Xh = adjoint(Xs)
-    return (Xs + Xh) / 2, (Xs - Xh) / 2j
+    re = np.add(Xs, Xh)
+    re /= 2
+    im = np.subtract(Xs, Xh)
+    im /= 2j
+    return re, im
 
 
 def cartesian_decompose(X) -> tuple[np.ndarray, np.ndarray]:

@@ -103,22 +103,23 @@ def schatten_value(sing, p: float):
     are evaluated on ratios sigma/sigma_max, which cannot overflow.  A
     single vector is reduced as a stack of one, because numpy rounds the
     final power of an array and of a scalar differently: every row of a
-    stack thus gets the bits of that row alone.
+    stack thus gets the bits of that row alone.  The reductions are the
+    ufuncs' own, which ndarray.max and ndarray.sum call.
     """
     s = np.asarray(sing, dtype=np.float64)
     if s.ndim == 1:
         return schatten_value(s[None], p)[0]
     if math.isinf(p):
-        return s.max(axis=-1)
+        return np.maximum.reduce(s, axis=-1)
     if p == 1.0:
-        return s.sum(axis=-1)
+        return np.add.reduce(s, axis=-1)
     if p == 2.0:
-        return np.sqrt((s * s).sum(axis=-1))
-    smax = s.max(axis=-1, keepdims=True)
-    safe = np.where(smax > 0.0, smax, 1.0)
-    ratios = s / safe
-    acc = (ratios**p).sum(axis=-1) ** (1.0 / p)
-    return np.where(smax[..., 0] > 0.0, smax[..., 0] * acc, 0.0)
+        return np.sqrt(np.add.reduce(s * s, axis=-1))
+    smax = np.maximum.reduce(s, axis=-1)
+    nonzero = smax > 0.0
+    ratios = s / np.where(nonzero, smax, 1.0)[..., None]
+    acc = np.add.reduce(ratios**p, axis=-1) ** (1.0 / p)
+    return np.where(nonzero, smax * acc, 0.0)
 
 
 def evaluate_norm(spec: NormSpec, X) -> float:

@@ -67,7 +67,15 @@ omega_n takes any number of same-size matrices and runs them in
 lockstep, as lanes of one batch: the coarse grid, the rest of the graded
 lanes' even samples, the odd samples, each fit round, the ladders and
 each subdivision round is one batched eigvalsh over the lanes still
-open, and a lane leaves as soon as it is certified.
+open, and a lane leaves as soon as it is certified.  The lanes are set
+up in one pass: linalg.as_scaled_stack stacks and range-tests them
+without writing to the caller's data, and the Frobenius norms of each
+lane's Cartesian parts give both its sample error and its kind
+(Hermitian, skew-Hermitian or general) before the trace screen picks
+the lanes to grade.  When every lane takes the same first-stage samples
+(all general, as in every suite draw, or all graded, as a Jordan block
+alone), one broadcast forms them, and the graded lanes' closing test
+runs on Python floats.
 Stacked LAPACK calls and products act on each matrix alone and every
 reduction runs per lane, so each lane's estimate is bit for bit that of
 a call with its matrix alone; a single matrix is a batch of one.
@@ -213,6 +221,24 @@ def _profile_values(
     return values
 
 
+@lru_cache(maxsize=1)
+def _part_forms() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The (c, s) rows of the lane kinds whose samples are the same on every grid.
+
+    "graded" holds theta = 0 and pi/2, the even samples 0 and grid/4 of
+    every grid (_stage_forms): (cos 0, sin 0) = (1, 0), the row Re X, and
+    (0, -1), the row Im X.  "re" and "im" are the one part of a Hermitian
+    and a skew-Hermitian lane.  The arrays are shared between calls, so
+    they are read-only.
+    """
+    rows = {"graded": ([1.0, 0.0], [0.0, -1.0]), "re": ([1.0], [0.0]), "im": ([0.0], [-1.0])}
+    forms = {kind: (np.array(c), np.array(s)) for kind, (c, s) in rows.items()}
+    for pair in forms.values():
+        for a in pair:
+            a.setflags(write=False)
+    return forms
+
+
 @lru_cache(maxsize=8)
 def _stage_forms(grid: int) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
     """The even angles 2kh of a grid of step h = pi/grid, their order by stage, and the (c, s) rows of each lane kind.
@@ -220,27 +246,20 @@ def _stage_forms(grid: int) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.
     "general" holds the even samples.  The one at pi/2 (k = grid/4, as
     the grid is a multiple of 4) takes (c, s) = (0, -1) exactly, the row
     Im X, so it is N(Im X) bit for bit: the start bound reads it there.
-    "graded" holds theta = 0 and pi/2, "rest" the other even samples, and
-    the order lists the even samples' indices as "graded" and then
-    "rest" evaluate them.  "re" and "im" are the one part of a Hermitian
-    and a skew-Hermitian lane.  The arrays are shared between calls, so
-    they are read-only.
+    "rest" holds the even samples other than theta = 0 and pi/2, and
+    the order lists the even samples' indices as "graded" (_part_forms,
+    whose kinds the forms include) and then "rest" evaluate them.  The
+    arrays are shared between calls, so they are read-only.
     """
     h = math.pi / grid
     even = np.arange(0, grid, 2) * h
     c, s = np.cos(even), np.sin(even)
     c[grid // 4], s[grid // 4] = 0.0, -1.0
     order = np.array([0, grid // 4] + [k for k in range(1, grid // 2) if k != grid // 4])
-    forms = {
-        "general": (c, s),
-        "graded": (c[order[:2]], s[order[:2]]),
-        "rest": (c[order[2:]], s[order[2:]]),
-        "re": (np.ones(1), np.zeros(1)),
-        "im": (np.zeros(1), -np.ones(1)),
-    }
-    for a in (even, order, *(a for pair in forms.values() for a in pair)):
+    forms = {"general": (c, s), "rest": (c[order[2:]], s[order[2:]])}
+    for a in (even, order, *forms["general"], *forms["rest"]):
         a.setflags(write=False)
-    return even, order, forms
+    return even, order, forms | _part_forms()
 
 
 @lru_cache(maxsize=8)
@@ -324,16 +343,28 @@ def _flag_grading(X: np.ndarray, fro: float) -> np.ndarray | None:
     n = X.shape[0]
     tol = LAPACK_BACKWARD * n * n * _EPS * fro
     U, s, Vh = np.linalg.svd(X)
-    r = int((s > tol).sum())
+    r = int(np.count_nonzero(s > tol))
     if r == n:
         return None
     P = U[:, :r] @ Vh[:r]
-    M = P @ P.conj().T
-    for _ in range(max(0, n - 2).bit_length()):
-        M += P @ M @ P.conj().T
-        P = P @ P
-    K = (np.trace(M).real / n) * np.eye(n) - M
-    return 0.5 * (K + K.conj().T)
+    Ph = P.conj().T
+    M = P @ Ph
+    for step in range(max(0, n - 2).bit_length()):
+        if step:
+            P = P @ P
+            Ph = P.conj().T
+        M += P @ M @ Ph
+    K = (M.trace().real / n) * _identity(n) - M
+    K += K.conj().T
+    return np.multiply(0.5, K, out=K)
+
+
+@lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity of _flag_grading, shared between calls, so read-only."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
 
 
 def _rotation_drift(X: np.ndarray, K: np.ndarray, p: float, fro: float) -> float:
@@ -346,7 +377,9 @@ def _rotation_drift(X: np.ndarray, K: np.ndarray, p: float, fro: float) -> float
       n^2 eps of relative error (recursive summation).
     """
     n = X.shape[0]
-    R = K @ X - X @ K + X
+    R = K @ X
+    R -= X @ K
+    R += X
     fro_R = frobenius(R) * (1.0 + n * n * _EPS)
     fro_R += 4.0 * n * _EPS * (2.0 * frobenius(K) + 1.0) * fro
     return n ** max(0.0, 1.0 / p - 0.5) * fro_R
@@ -379,9 +412,12 @@ def _sample_error(A: np.ndarray, B: np.ndarray, p: float) -> float:
     eigensolver's backward error, forming the Cartesian parts and
     H = cos A - sin B, and summing n moduli.
     """
-    n = A.shape[0]
-    sample = n ** (1.0 / p) * ((LAPACK_BACKWARD + 1.0) * n + 4.0) * _EPS
-    return sample * (frobenius(A) + frobenius(B))
+    return _sample_factor(A.shape[0], p) * (frobenius(A) + frobenius(B))
+
+
+def _sample_factor(n: int, p: float) -> float:
+    """n^(1/p) ((LAPACK_BACKWARD + 1) n + 4) eps: _sample_error over ||A||_F + ||B||_F."""
+    return n ** (1.0 / p) * ((LAPACK_BACKWARD + 1.0) * n + 4.0) * _EPS
 
 
 def _frobenius_radii(A: np.ndarray, B: np.ndarray, spec: NormSpec) -> list[RadiusEstimate]:
@@ -737,17 +773,20 @@ def omega_n(
     graded first by one SVD, and samples theta = 0 and pi/2 alone in that
     eigvalsh when its one-sample rotation bound can reach the target: a
     circular X (a Jordan block, a weighted shift) closes there, on one
-    eigvalsh of 2 matrices, and a graded lane left open takes the rest of
-    its even samples in one more eigvalsh and tries the bound again on
-    them.  A lane whose coarse cells all pass is done after the first
-    eigvalsh, as is every lane at refine_tol 1.0 on a grid of 4 (the
-    Cartesian bracket, 2 matrices), at 0.2 on a grid of 8 or at 1e-2 on
-    the default grid.  Otherwise one eigvalsh evaluates the odd samples
-    beside the open coarse cells, each open peak is fitted with two
-    batched parabola rounds and one ladder of cells is evaluated around
-    the fitted peaks, which makes 5 eigvalsh calls in all for most random
-    matrices (one more when a first fit round clips).  A lane whose
-    ladder leaves it open subdivides.
+    eigvalsh of 2 matrices formed by one broadcast when every lane is
+    graded, and a graded lane left open takes the rest of its even
+    samples in one more eigvalsh and tries the bound again on them.  The
+    setup before that eigvalsh is one pass over the lanes (the module
+    docstring), and the caller's matrices are never written to.  A lane
+    whose coarse cells all pass is done after the first eigvalsh, as is
+    every lane at refine_tol 1.0 on a grid of 4 (the Cartesian bracket, 2
+    matrices), at 0.2 on a grid of 8 or at 1e-2 on the default grid.
+    Otherwise one eigvalsh evaluates the odd samples beside the open
+    coarse cells, each open peak is fitted with two batched parabola
+    rounds and one ladder of cells is evaluated around the fitted peaks,
+    which makes 5 eigvalsh calls in all for most random matrices (one
+    more when a first fit round clips).  A lane whose ladder leaves it
+    open subdivides.
     """
     Xs, far = as_scaled_stack(X, *more)
     check_grid(grid)
@@ -774,7 +813,6 @@ def _certified_radii(
     p = spec.schatten_p
     n = Xs.shape[1]
     h = math.pi / grid
-    even, order, forms = _stage_forms(grid)
     # Stage 1, one eigvalsh.  A general lane evaluates the even samples
     # 2kh of the grid, the first (theta = 0) being Re X itself and the one
     # at pi/2 Im X (c = 0, s = -1).  The profile of a Hermitian X is
@@ -796,56 +834,68 @@ def _certified_radii(
     # ||X||_F <= ||Re X||_F + ||Im X||_F, which the computed norms keep to
     # a few ulps in as_scaled_stack's range, so a larger trace exceeds the
     # tolerance LAPACK_BACKWARD n^2 eps ||X||_F too.
-    # When every lane is general and none is graded, as in every suite
-    # draw, one broadcast forms all lanes' samples, each entry rounded as
-    # _combined_norms rounds it; otherwise _combined_norms forms each
-    # lane's own rows.  A lane's closing test then runs on Python floats.
-    re = A.any(axis=(1, 2)).tolist()
-    im = B.any(axis=(1, 2)).tolist()
+    # The lanes are set up in one pass: the parts' Frobenius norms give
+    # the sample error and, where they are positive, the test that a part
+    # is nonzero (a norm whose squares underflow to 0 leaves that test to
+    # the part's entries).  When every lane is of one kind (general, as in
+    # every suite draw, graded, as a circular X alone, Hermitian or
+    # skew-Hermitian), one broadcast forms all lanes' samples, each entry
+    # rounded as _combined_norms rounds it; otherwise _combined_norms forms
+    # each lane's own rows.  A lane's closing test then runs on Python
+    # floats.
+    sample = _sample_factor(n, p)
     trace = np.abs(Xs.trace(axis1=1, axis2=2)).tolist()
-    estimates = [None if re[l] or im[l] else RadiusEstimate(0.0, 0.0, 0.0, spec) for l in range(len(Xs))]
-    cs, slacks, drifts, graded = {}, {}, {}, set()
-    for l, kind in enumerate(zip(re, im)):
-        if not any(kind):
+    estimates = [None] * len(Xs)
+    kinds, slacks, drifts = {}, {}, {}
+    for l, X in enumerate(Xs):
+        a, b = frobenius(A[l]), frobenius(B[l])
+        re, im = a > 0.0 or bool(A[l].any()), b > 0.0 or bool(B[l].any())
+        if not (re or im):
+            estimates[l] = RadiusEstimate(0.0, 0.0, 0.0, spec)
             continue
-        slacks[l] = slack = _sample_error(A[l], B[l], p)
-        if not all(kind):
-            cs[l] = forms["re" if kind[0] else "im"]
+        slacks[l] = slack = sample * (a + b)
+        kinds[l] = "general" if re and im else "re" if re else "im"
+        if not (re and im) or trace[l] > 2.0 * n * slack:
             continue
-        cs[l] = forms["general"]
-        if trace[l] > 2.0 * n * slack:
-            continue
-        fro = frobenius(Xs[l])
+        fro = frobenius(X)
         if trace[l] <= LAPACK_BACKWARD * n * n * _EPS * fro:
-            K = _flag_grading(Xs[l], fro)
+            K = _flag_grading(X, fro)
             if K is not None:
-                drifts[l] = drift = _rotation_drift(Xs[l], K, p, fro)
+                drifts[l] = drift = _rotation_drift(X, K, p, fro)
                 # g_stop is at most half n^max(0, 1/p - 1/2) (||Re X||_F +
                 # ||Im X||_F) refine_tol, and ||Re X||_F + ||Im X||_F <=
                 # sqrt(2) ||X||_F; a lane whose one-sample gap exceeds that
                 # takes its even grid at once.
                 reach = 0.5 * n ** max(0.0, 1.0 / p - 0.5) * math.sqrt(2.0) * fro * refine_tol
                 if _rotation_bound(0.0, slack, math.pi, drift) <= reach:
-                    cs[l] = forms["graded"]
-                    graded.add(l)
-    if not graded and all(re) and all(im) and len(Xs) * len(even) <= _EIG_BATCH:
-        c, s = forms["general"]
+                    kinds[l] = "graded"
+    # A grid's samples are formed only for a batch with a general lane.
+    # The samples every lane takes, when they all take the same.
+    shared = set(kinds.values())
+    forms = _stage_forms(grid)[2] if "general" in shared else _part_forms()
+    c, s = forms[shared.pop()] if len(kinds) == len(Xs) and len(shared) == 1 else ((), ())
+    if 0 < len(Xs) * len(c) <= _EIG_BATCH:
         H = c[:, None, None] * A[:, None]
         H -= s[:, None, None] * B[:, None]
-        rows = dict(enumerate(schatten_value(np.abs(np.linalg.eigvalsh(H)), p)))
+        values = enumerate(schatten_value(np.abs(np.linalg.eigvalsh(H)), p))
     else:
-        rows = {}
-        for l, values in _combined_norms(A, B, cs, p).items():
-            if not (re[l] and im[l]):
-                estimates[l] = RadiusEstimate(float(values[0]), 0.0 if re[l] else 0.5 * math.pi, slacks[l], spec)
+        values = _combined_norms(A, B, {l: forms[kind] for l, kind in kinds.items()}, p).items()
+    rows, graded = {}, set()
+    for l, row in values:
+        kind = kinds[l]
+        if kind == "graded":
+            nA, nB = row.tolist()
+            gap = _rotation_bound(nA, slacks[l], math.pi, drifts[l]) - nA
+            if gap <= 0.5 * (nA + nB) * refine_tol:
+                estimates[l] = RadiusEstimate(nA, 0.0, gap, spec)
                 continue
-            if l in graded:
-                nA, nB = values.tolist()
-                gap = _rotation_bound(nA, slacks[l], math.pi, drifts[l]) - nA
-                if gap <= 0.5 * (nA + nB) * refine_tol:
-                    estimates[l] = RadiusEstimate(nA, 0.0, gap, spec)
-                    continue
-            rows[l] = values
+            graded.add(l)
+        elif kind != "general":
+            estimates[l] = RadiusEstimate(float(row[0]), 0.0 if kind == "re" else 0.5 * math.pi, slacks[l], spec)
+            continue
+        rows[l] = row
+    if not rows:
+        return estimates
 
     # A graded lane left open evaluates the rest of its even grid, all in
     # one eigvalsh (none on a grid of 4, which has no other even sample),
@@ -854,7 +904,8 @@ def _certified_radii(
     # sample, so some coarse cell of a lane is open exactly when its best
     # sample's is; a lane whose coarse cells all pass closes on them, as
     # _covering_cells and _subdivide would close it.
-    rest = {l: forms["rest"] for l in graded if l in rows}
+    even, order, forms = _stage_forms(grid)
+    rest = {l: forms["rest"] for l in graded}
     for l, values in (_combined_norms(A, B, rest, p) if rest else {}).items():
         row = np.empty(len(even))
         row[order] = np.concatenate((rows[l], values))

@@ -63,13 +63,14 @@ def test_one_check_ops_stay_capped():
     # stream set in its own transform, the claim gate copied its inputs, the
     # coarse close ran numpy scalars and json's encoder wrote the config;
     # 676.1 while the suite gate verified drawn inputs; 612.8 once it took
-    # the draw's proof; 532.1 measured since run_suite's config fields
-    # shared by every op are written once per process, a suite draw's
-    # first radius stage is one broadcast and the suite shell stopped
-    # scanning the registry and validating drawn inputs.  report.py's own
-    # functions took 82.1 calls per op before that cache and made 116.8
-    # calls out of the package (its share of json, numpy and the
-    # builtins); 71.2 and 93.8 measured since.
+    # the draw's proof; 532.1 once run_suite's config fields shared by
+    # every op are written once per process, a suite draw's first radius
+    # stage is one broadcast and the suite shell stopped scanning the
+    # registry and validating drawn inputs; 512.6 measured since omega_n
+    # sets its lanes up in one pass.  report.py's own functions took 82.1
+    # calls per op before that cache and made 116.8 calls out of the
+    # package (its share of json, numpy and the builtins); 71.2 and 93.8
+    # measured since.
     args = ("--one-check", "--ids", "all", "--dims", "2..6", "--norms", "op,tr,fro,sp:3", "--seed", "42")
     done = subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
@@ -77,6 +78,25 @@ def test_one_check_ops_stay_capped():
     assert lines[0] == "ops: 680"
     rows = parse(lines[1:], "op")
     check_sums(rows, 680)
-    assert rows["total"][1] <= 542
+    assert rows["total"][1] <= 522
     assert rows["report.py"][1] <= 72
     assert rows["report.py"][2] <= 95
+
+
+def test_flat_ops_stay_capped():
+    # Each op is one omega_n call on a densified Jordan block (n = 2..6) or
+    # weighted shift (n = 3..6) in op, tr, fro or sp:3, at DEFAULT_CONTEXT's
+    # grid and tolerance: a flat profile that a graded lane closes on one
+    # eigvalsh.  134.7 calls per op, 11.1 in radius.py and 8.8 in linalg.py,
+    # while the lane setup built a per-matrix list, screened the parts with
+    # two any() reductions and a graded lane's first stage went through
+    # _combined_norms; 108.2, 7.9 and 6.8 measured since.
+    done = subprocess.run([sys.executable, str(TOOL), "--flat"], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "ops: 36"
+    rows = parse(lines[1:], "op")
+    check_sums(rows, 36)
+    assert rows["total"][1] <= 110.3
+    assert rows["radius.py"][1] <= 8.0
+    assert rows["linalg.py"][1] <= 6.9

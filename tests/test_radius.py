@@ -266,6 +266,8 @@ class TestOmegaN:
             c, s = forms["general"]
             assert (c[grid // 4], s[grid // 4]) == (0.0, -1.0) and even[grid // 4] == pytest.approx(0.5 * math.pi)
             assert sorted(order) == list(range(grid // 2)) and list(order[:2]) == [0, grid // 4]
+            # A graded lane's grid-free rows are the grid's samples 0 and pi/2, bit for bit.
+            assert [a.tobytes() for a in forms["graded"]] == [c[order[:2]].tobytes(), s[order[:2]].tobytes()]
             omega_n(OPERATOR, X, grid=grid)
         for grid in (0, 2, 6, 10, 30, -4, 4.0, True):
             with pytest.raises(ValueError, match="multiple of 4"):
@@ -546,6 +548,21 @@ class TestLockstep:
             got = (batch[i].value, batch[i].theta_star, batch[i].cert_error)
             assert got == (single.value, single.theta_star, single.cert_error), (i, batch[i], single)
 
+    # The rungs run_suite climbs first: there the first stage closes every
+    # lane (no subdivision), the graded lanes of a single call take the
+    # all-graded broadcast and the batch takes _combined_norms.
+    @pytest.mark.parametrize("grid, refine_tol", [(4, 1.0), (8, 0.2)], ids=["4-1.0", "8-0.2"])
+    @pytest.mark.parametrize("n", [2, 3, 6, 16])
+    @pytest.mark.parametrize("spec", ALL_NORMS, ids=lambda s: s.label)
+    def test_lanes_equal_single_calls_bitwise_at_suite_rungs(self, spec, n, grid, refine_tol):
+        Xs = lockstep_batch(n)
+        batch = omega_n(spec, *Xs, grid=grid, refine_tol=refine_tol)
+        assert isinstance(batch, tuple) and len(batch) == len(Xs)
+        for i, X in enumerate(Xs):
+            single = omega_n(spec, X, grid=grid, refine_tol=refine_tol)
+            got = (batch[i].value, batch[i].theta_star, batch[i].cert_error)
+            assert got == (single.value, single.theta_star, single.cert_error), (i, batch[i], single)
+
     def test_one_matrix_gives_an_estimate(self):
         est = omega_n(OPERATOR, np.eye(2))
         assert isinstance(est, radius.RadiusEstimate)
@@ -700,6 +717,53 @@ class TestFarScale:
             for spec in ALL_NORMS:
                 tiny = omega_n(spec, math.ldexp(1.0, -1060) * X)
                 assert math.ldexp(tiny.value + tiny.cert_error, 1060) >= omega_n(spec, X).value, (t, spec.label)
+
+
+def caller_input(name: str) -> tuple:
+    """(input, owner) of an input whose data the radius and norm functions must leave as they are.
+
+    "far" is 2^300 J_4 and "tiny" a weighted shift scaled by 2^-1000, both
+    scaled before use; "view" is a strided view, whose owner is the array
+    it views; "list" is a Python list.  Every other owner is None.
+    """
+    if name == "far":
+        return 2.0**300 * jordan(4), None
+    if name == "tiny":
+        weights = np.random.default_rng(44).uniform(0.5, 2.0, 3)
+        return 2.0**-1000 * densified(np.diag(weights, 1), 54), None
+    if name == "view":
+        base = random_complex(np.random.default_rng(45), 8)
+        return base[::2, 1::2], base
+    return jordan(3).tolist(), None
+
+
+class TestCallerData:
+    @staticmethod
+    def snapshot(X, owner) -> str:
+        return repr(X) if isinstance(X, list) else (X if owner is None else owner).tobytes().hex()
+
+    @staticmethod
+    def bits(result) -> list[str]:
+        if isinstance(result, radius.RadiusEstimate):
+            result = (result.value, result.theta_star, result.cert_error)
+        return [float(v).hex() for v in np.atleast_1d(result)]
+
+    @pytest.mark.parametrize("spec", ALL_NORMS, ids=lambda s: s.label)
+    @pytest.mark.parametrize("name", ["far", "tiny", "view", "list"])
+    def test_input_is_left_as_is_and_results_match_a_contiguous_copy(self, spec, name):
+        X, owner = caller_input(name)
+        calls = {
+            "omega_n": lambda M: omega_n(spec, M),
+            "radius_profile": lambda M: radius_profile(spec, M, 0.7),
+            "evaluate_norm": lambda M: evaluate_norm(spec, M),
+            "hermitian_norm": lambda M: hermitian_norm(spec, M),
+        }
+        before = self.snapshot(X, owner)
+        contiguous = np.array(X, dtype=np.complex128)
+        for call, f in calls.items():
+            got = self.bits(f(X))
+            assert self.snapshot(X, owner) == before, (name, call)
+            assert got == self.bits(f(contiguous)), (name, call)
 
 
 def grading_inputs():

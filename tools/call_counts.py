@@ -24,18 +24,31 @@ them, but only ``--ids``, ``--dims``, ``--norms`` and ``--seed`` are
 used: every (id, dim, norm) runs as one op of the benchmark's suite
 workloads, ``run_suite([id], 1, [dim], [norm], seed)`` and then
 ``to_json()``, and the table counts the calls per op.  Exits 0.
+
+    python3 tools/call_counts.py --flat
+
+With ``--flat`` alone, the ops are ``omega_n`` calls on flat angle
+profiles, as the benchmark's ``radius_flat`` workload makes them: the
+Jordan blocks J_n, n = 2..6, and weighted shifts with weights drawn in
+[0.5, 2], n = 3..6, each densified as phase * U S U* by a unitary U and
+phase drawn from fixed seeds (the fixtures of ``tests/test_radius.py``),
+in op, tr, fro and sp:3, one call each at ``DEFAULT_CONTEXT``'s grid and
+tolerance.  The table counts the calls per op.  Exits 0.
 """
 
 from __future__ import annotations
 
 import cProfile
+import math
 import pstats
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sector_radius import cli  # noqa: E402
+from sector_radius import DEFAULT_CONTEXT, DEFAULT_NORMS, GenConfig, cli, omega_n, random_unitary  # noqa: E402
 from sector_radius.norms import parse_norm  # noqa: E402
 
 PACKAGE = Path(cli.__file__).resolve().parent
@@ -99,6 +112,34 @@ def count_one_check(args: list[str]) -> tuple[int, dict[str, tuple[int, int]]]:
     return len(ops), _by_file(profile)
 
 
+def _densified(S: np.ndarray, seed: int) -> np.ndarray:
+    """phase * U S U* for a unitary U and unimodular phase drawn from ``seed``."""
+    U = random_unitary(GenConfig(S.shape[0], seed))
+    phase = np.exp(2j * math.pi * np.random.default_rng(seed).random())
+    return phase * (U @ S.astype(complex) @ U.conj().T)
+
+
+def flat_fixtures() -> list[np.ndarray]:
+    """The densified Jordan blocks n = 2..6 and weighted shifts n = 3..6 that ``--flat`` runs."""
+    jordans = [_densified(np.diag(np.ones(n - 1), 1), 30 + n) for n in range(2, 7)]
+    shifts = [_densified(np.diag(np.random.default_rng(40 + n).uniform(0.5, 2.0, n - 1), 1), 50 + n) for n in range(3, 7)]
+    return jordans + shifts
+
+
+def count_flat() -> tuple[int, dict[str, tuple[int, int]]]:
+    """The op count of the flat fixtures in every default norm, and each row's calls as _by_file counts them."""
+    ops = [(spec, X) for X in flat_fixtures() for spec in DEFAULT_NORMS]
+    grid, refine_tol = DEFAULT_CONTEXT.grid, DEFAULT_CONTEXT.refine_tol
+
+    def run():
+        for spec, X in ops:
+            omega_n(spec, X, grid=grid, refine_tol=refine_tol)
+
+    profile = cProfile.Profile()
+    profile.runcall(run)
+    return len(ops), _by_file(profile)
+
+
 def table(checks: int, calls: dict[str, tuple[int, int]], unit: str = "check") -> list[str]:
     """The check (or op) count, one line per file and the total line.
 
@@ -113,6 +154,10 @@ def table(checks: int, calls: dict[str, tuple[int, int]], unit: str = "check") -
 
 
 def main(argv: list[str]) -> int:
+    if argv == ["--flat"]:
+        ops, calls = count_flat()
+        print("\n".join(table(ops, calls, "op")))
+        return 0
     if argv[:1] == ["--one-check"]:
         ops, calls = count_one_check(argv[1:])
         print("\n".join(table(ops, calls, "op")))
