@@ -36,7 +36,7 @@ from .harness import (
 )
 from .linalg import cartesian_decompose, pd_certificate, read_matrix, write_matrix
 from .norms import parse_norm
-from .radius import DEFAULT_GRID, DEFAULT_REFINE_TOL, numerical_range_boundary, omega, omega_n
+from .radius import DEFAULT_REFINE_TOL, numerical_range_boundary, omega, omega_n
 from .sectorial import rotation_to_sector, sector_index
 
 
@@ -101,10 +101,10 @@ def _estimate_json(est) -> str:
 def _cmd_compute(args) -> int:
     X = read_matrix(args.input)
     if args.what == "omega":
-        _emit(_estimate_json(omega(X, grid=args.grid, refine_tol=args.refine_tol)), args.output)
+        _emit(_estimate_json(omega(X, refine_tol=args.refine_tol)), args.output)
     elif args.what == "omega-n":
         spec = parse_norm(args.norm)
-        _emit(_estimate_json(omega_n(spec, X, grid=args.grid, refine_tol=args.refine_tol)), args.output)
+        _emit(_estimate_json(omega_n(spec, X, refine_tol=args.refine_tol)), args.output)
     elif args.what == "range":
         pts = numerical_range_boundary(X, args.samples)
         lines = ["theta,re,im"]
@@ -153,7 +153,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    context = replace(DEFAULT_CONTEXT, grid=args.grid, m_fold=args.m)
+    context = replace(DEFAULT_CONTEXT, m_fold=args.m)
     norms = [parse_norm(t) for t in args.norms.split(",") if t.strip()]
     report = run_suite(
         args.ids,
@@ -210,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("-i", "--input", required=True, help="matrix JSON file")
     p_compute.add_argument("-o", "--output", default=None, help="output file (default stdout)")
     p_compute.add_argument("--norm", default="op", help="norm spec: op|tr|fro|sp:<p>")
-    p_compute.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p_compute.add_argument("--refine-tol", type=float, default=DEFAULT_REFINE_TOL)
     p_compute.add_argument("--samples", type=int, default=720)
     p_compute.set_defaults(func=_cmd_compute)
@@ -233,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--dims", type=_parse_dims, default=list(DEFAULT_DIMS))
     p_verify.add_argument("--norms", default=",".join(n.label for n in DEFAULT_NORMS))
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--grid", type=int, default=DEFAULT_CONTEXT.grid)
     p_verify.add_argument("--m", type=int, default=DEFAULT_CONTEXT.m_fold, help="inputs per m-fold id")
     p_verify.add_argument("--out", default=None, help="write the full JSON report here")
     p_verify.set_defaults(func=_cmd_verify)

@@ -19,12 +19,12 @@ the hypothesis and evaluates the row's plan, its sides written out once
 per input count (_plan): each term once, its radii in one omega_n call.
 
 A suite certifies each check only as far as its verdict needs, on the
-ladder of radius passes _COARSE_PASSES and then the context's grid at its
-refine_tol, each pass only while the sides of the one before overlap
-(run_suite).  The first rung puts every radius in its Cartesian bracket
-[max(N(Re X), N(Im X)), hypot(N(Re X), N(Im X))] from two samples.
-check_inequality and tightness_scan always certify on the context's grid
-to its refine_tol.
+ladder of radius passes _COARSE_PASSES and then grid 32
+(radius.DEFAULT_GRID) at the context's refine_tol, each pass only while
+the sides of the one before overlap (run_suite).  The first rung puts
+every radius in its Cartesian bracket [max(N(Re X), N(Im X)),
+hypot(N(Re X), N(Im X))] from two samples.  check_inequality and
+tightness_scan always certify from grid 32 to the context's refine_tol.
 
 Explicit inputs are verified: their sector data come from a search, one
 sectorial.rotation_to_sector or sector_index call per input in order,
@@ -52,6 +52,7 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, reduce
+from typing import ClassVar
 
 import numpy as np
 
@@ -79,7 +80,7 @@ from .linalg import (
     scaled_lambda_min,
 )
 from .norms import FROBENIUS, OPERATOR, TRACE, NormSpec, evaluate_norm, schatten
-from .radius import DEFAULT_GRID, DEFAULT_REFINE_TOL, check_grid, check_refine_tol, omega_n
+from .radius import DEFAULT_GRID, DEFAULT_REFINE_TOL, check_refine_tol, omega_n
 from .report import CheckResult, IdSummary, Interval, SuiteReport, classify
 from .sectorial import (
     NotSectorialError,
@@ -116,11 +117,9 @@ def _integer(name: str, value, least: float = -math.inf) -> int:
 class CheckContext:
     """Shared numerical settings for a batch of checks.
 
-    ``grid`` is the resolution of the uniform start grid of every radius
-    computation, a multiple of 4 and at least 4.  A radius evaluates its
-    grid/2 even samples first and an odd sample only beside a coarse cell
-    that stays open; certification down to ``refine_tol`` carries the
-    accuracy, so the grid only seeds it.
+    ``grid`` is a constant, not a field: every tight radius starts on
+    grid 32 (radius.DEFAULT_GRID), since certification down to
+    ``refine_tol`` carries the accuracy and the grid only seeds it.
     ``refine_tol`` (positive) is the certified width of every radius,
     relative to its profile's Lipschitz constant, for check_inequality and
     tightness_scan; run_suite reaches it only for the checks that its
@@ -131,12 +130,11 @@ class CheckContext:
     float (numpy scalars are converted, bools refused).
     """
 
-    grid: int = DEFAULT_GRID
+    grid: ClassVar[int] = DEFAULT_GRID
     refine_tol: float = DEFAULT_REFINE_TOL
     m_fold: int = 3
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", check_grid(self.grid))
         object.__setattr__(self, "refine_tol", check_refine_tol(self.refine_tol))
         object.__setattr__(self, "m_fold", _integer("m_fold", self.m_fold, 2))
 
@@ -778,7 +776,7 @@ def all_ids() -> list[InequalityId]:
 
 
 def _tight(ctx: CheckContext) -> tuple[tuple[int, float], ...]:
-    """The one radius pass of a tight check: ctx.grid at ctx.refine_tol."""
+    """The one radius pass of a tight check: grid 32 (radius.DEFAULT_GRID) at ctx.refine_tol."""
     return ((ctx.grid, ctx.refine_tol),)
 
 
@@ -1079,22 +1077,22 @@ def run_suite(
     first each radius's Cartesian bracket, [max(N(Re X), N(Im X)),
     hypot(N(Re X), N(Im X))] from one eigvalsh of 2 samples per general
     radius, which settles nearly every verdict; while its sides overlap,
-    then on a start grid of 8 cells to 0.2, and last on ``context.grid``
-    to ``context.refine_tol``, which reports the bits check_inequality
-    gives from the same sector data.  A suite sectorial check of several
-    inputs takes the sector data that its draw proves instead of
-    searching for them (_takes_proof), so its sec and tan factors can
-    differ from check_inequality's in the last bits: its index is the
-    draw's exact one within rounding, where the search's comes out
-    slightly wide.  A rung whose tolerance is
-    not above ``context.refine_tol`` is skipped.  A reported interval is
-    therefore an enclosure whose width is set by the pass that settled
-    it; check_inequality gives tight intervals for any one result.  The
+    then on a start grid of 8 cells to 0.2, and last on grid 32
+    (radius.DEFAULT_GRID) to ``context.refine_tol``, which reports the
+    bits check_inequality gives from the same sector data.  A suite
+    sectorial check of several inputs takes the sector data that its
+    draw proves instead of searching for them (_takes_proof), so its sec
+    and tan factors can differ from check_inequality's in the last bits:
+    its index is the draw's exact one within rounding, where the search's
+    comes out slightly wide.  A rung whose tolerance is not above
+    ``context.refine_tol`` is skipped.  A reported interval is therefore
+    an enclosure whose width is set by the pass that settled it;
+    check_inequality gives tight intervals for any one result.  The
     report is a deterministic function of the arguments (wall time
-    aside).  ``trials``, each of
-    ``dims`` and ``seed`` are Python or numpy integers, not bools, and are
-    recorded as Python ints, and ``norms`` holds NormSpec values; anything
-    else raises ValueError before any check runs.
+    aside).  ``trials``, each of ``dims`` and ``seed`` are Python or
+    numpy integers, not bools, and are recorded as Python ints, and
+    ``norms`` holds NormSpec values; anything else raises ValueError
+    before any check runs.
     """
     id_list = _normalize_ids(ids)
     trials = _integer("trials", trials, 1)
@@ -1118,7 +1116,6 @@ def run_suite(
         "dims": dims,
         "norms": [n.label for n in norm_list],
         "seed": seed,
-        "grid": context.grid,
         "refine_tol": context.refine_tol,
         "coarse_passes": _COARSE_PASSES,
         "alpha_inflation": _ALPHA_INFLATION,

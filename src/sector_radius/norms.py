@@ -116,10 +116,10 @@ def schatten_value(sing, p: float):
     if p == 2.0:
         return np.sqrt(np.add.reduce(s * s, axis=-1))
     smax = np.maximum.reduce(s, axis=-1)
-    nonzero = smax > 0.0
-    ratios = s / np.where(nonzero, smax, 1.0)[..., None]
+    # An all-zero row divides by 1, so its ratios are 0 and smax * acc is +0.0.
+    ratios = s / np.where(smax > 0.0, smax, 1.0)[..., None]
     acc = np.add.reduce(ratios**p, axis=-1) ** (1.0 / p)
-    return np.where(nonzero, smax * acc, 0.0)
+    return smax * acc
 
 
 def evaluate_norm(spec: NormSpec, X) -> float:

@@ -789,8 +789,8 @@ def omega_n(
     open subdivides.
     """
     Xs, far = as_scaled_stack(X, *more)
-    check_grid(grid)
-    check_refine_tol(refine_tol)
+    grid = check_grid(grid)
+    refine_tol = check_refine_tol(refine_tol)
     A, B = cartesian_parts(Xs)
     if spec.schatten_p == 2.0:
         estimates = _frobenius_radii(A, B, spec)

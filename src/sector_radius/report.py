@@ -402,7 +402,6 @@ _CONFIG = """{
     "alpha_inflation": %s,
     "coarse_passes": %s,
     "dims": %s,
-    "grid": %s,
     "ids": %s,
     "m_fold": %s,
     "mode": %s,
@@ -415,7 +414,6 @@ _CONFIG_FIELDS = (
     ("alpha_inflation", _scalar),
     ("coarse_passes", _arrays),
     ("dims", _array),
-    ("grid", _scalar),
     ("ids", _array),
     ("m_fold", _scalar),
     ("mode", _scalar),

@@ -33,7 +33,7 @@ class TestGenAndCompute:
         m = tmp_path / "m.json"
         run_cli("gen", "ginibre", "--n", "2", "--seed", "3", "-o", str(m))
         out = tmp_path / "o.json"
-        assert run_cli("compute", "omega-n", "--norm", "sp:3", "--grid", "512", "-i", str(m), "-o", str(out)) == 0
+        assert run_cli("compute", "omega-n", "--norm", "sp:3", "-i", str(m), "-o", str(out)) == 0
         assert json.loads(out.read_text())["value"] > 0
 
     def test_range_csv(self, tmp_path):
@@ -145,7 +145,7 @@ class TestVerify:
         args = build_parser().parse_args(["verify"])
         assert args.dims == list(DEFAULT_DIMS)
         assert [parse_norm(t) for t in args.norms.split(",")] == list(DEFAULT_NORMS)
-        assert (args.grid, args.m) == (DEFAULT_CONTEXT.grid, DEFAULT_CONTEXT.m_fold)
+        assert args.m == DEFAULT_CONTEXT.m_fold and not hasattr(args, "grid")
 
     def test_dims_range_syntax(self, tmp_path):
         report = tmp_path / "r.json"
@@ -166,18 +166,16 @@ class TestVerify:
             run_cli("verify", "--ids", ",", "--trials", "1")
         assert "empty id list" in capsys.readouterr().err
 
-    def test_odd_grid_is_refused(self, tmp_path, capsys):
+    def test_bad_settings_are_refused(self, tmp_path, capsys):
         m = tmp_path / "m.json"
         run_cli("gen", "ginibre", "--n", "2", "--seed", "3", "-o", str(m))
-        for grid in ("33", "6"):
-            assert run_cli("compute", "omega-n", "--norm", "tr", "--grid", grid, "-i", str(m)) == 2
-            assert capsys.readouterr().err.startswith("error: grid must be a multiple of 4")
-        assert run_cli("compute", "omega-n", "--norm", "tr", "--grid", "4", "-i", str(m)) == 0
-        capsys.readouterr()
-        assert run_cli("verify", "--ids", "P1_re_mono", "--trials", "1", "--grid", "33") == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: grid must be a multiple of 4")
-        assert captured.out == ""
+        # There is no grid flag: every radius starts on grid 32.
+        for args in (["verify", "--ids", "P1_re_mono", "--trials", "1"], ["compute", "omega-n", "-i", str(m)]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*args, "--grid", "32")
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert "unrecognized arguments: --grid 32" in captured.err and captured.out == ""
         # A bad m_fold is refused before the first id runs, not at the
         # first m-fold id; a bad tolerance before the first radius.
         assert run_cli("verify", "--ids", "all", "--trials", "1", "--m", "1") == 2

@@ -3,7 +3,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -503,12 +503,24 @@ class TestRunSuite:
     def test_numpy_context_records_python_numbers(self):
         # A context built from numpy scalars stores Python numbers, so the
         # report's config serialises; the default flags keep their report.
-        ctx = CheckContext(grid=np.int64(32), refine_tol=np.float32(1e-3), m_fold=np.int64(3))
-        assert (type(ctx.grid), type(ctx.refine_tol), type(ctx.m_fold)) == (int, float, int)
+        ctx = CheckContext(refine_tol=np.float32(1e-3), m_fold=np.int64(3))
+        assert (type(ctx.refine_tol), type(ctx.m_fold)) == (float, int)
         rep = run_suite(["A_lower"], 1, [2], [OPERATOR], seed=1, context=ctx)
         config = json.loads(rep.to_json())["config"]
-        assert (config["grid"], config["refine_tol"], config["m_fold"]) == (32, float(np.float32(1e-3)), 3)
-        assert CheckContext(np.int64(32), np.float64(1e-10), np.int32(3)) == DEFAULT_CONTEXT
+        assert (config["refine_tol"], config["m_fold"]) == (float(np.float32(1e-3)), 3)
+        assert CheckContext(np.float64(1e-10), np.int32(3)) == DEFAULT_CONTEXT
+
+    def test_the_start_grid_is_a_constant(self):
+        # Every tight pass starts on grid 32; a context has no grid to set,
+        # and a report records none.
+        assert [f.name for f in fields(CheckContext)] == ["refine_tol", "m_fold"]
+        assert DEFAULT_CONTEXT.grid == radius.DEFAULT_GRID == CheckContext(refine_tol=1e-3).grid
+        with pytest.raises(TypeError):
+            CheckContext(grid=8)
+        with pytest.raises(TypeError):
+            replace(DEFAULT_CONTEXT, grid=8)
+        assert harness._tight(DEFAULT_CONTEXT) == ((radius.DEFAULT_GRID, DEFAULT_CONTEXT.refine_tol),)
+        assert "grid" not in run_suite(["A_lower"], 1, [2], [OPERATOR], seed=1).config
 
     def test_a_single_id_is_one_id(self):
         # A string is one id, not an iterable of characters.
@@ -571,11 +583,11 @@ class TestReportPin:
         obj = report.report_obj()
         obj["summary"].pop("wall_time_s")
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == "1fbf289d38a383bd3cfdcaadd219e2e1608c9bbda957a3fb317359744fea6787"
+        assert digest == "ed797c57a02e9943ce1d9a64645f93284dafbe687b005ed34cfc2b69df2cc2e1"
         # The text `verify --out` writes, layout included.
         report.wall_time_s = 0.0
         layout = hashlib.sha256(report.to_json().encode()).hexdigest()
-        assert layout == "5ded20dc0075da944c14e0052560e721238c5df18db4bc4a73cd05614c867bc9"
+        assert layout == "11cdf7743318f5f01e496b466ffa2ebe6ccb17ce1c6b8139cc8bd260cf5fb87f"
 
 
 class TestInputPin:
@@ -766,9 +778,9 @@ class TestCoarsePass:
         calls = record_radii(monkeypatch)
         for tol, rungs in ((0.2, [(4, 1.0)]), (0.25, [(4, 1.0)]), (1.0, []), (1.5, [])):
             calls.clear()
-            ctx = replace(DEFAULT_CONTEXT, grid=16, refine_tol=tol)
+            ctx = replace(DEFAULT_CONTEXT, refine_tol=tol)
             suite_check("B_prod4", [VOLTERRA, VOLTERRA.T.copy()], OPERATOR, ctx)
-            assert [(g, t) for _, _, g, t, _ in calls] == rungs + [(16, tol)]
+            assert [(g, t) for _, _, g, t, _ in calls] == rungs + [(32, tol)]
 
     def test_coarse_pass_closes_on_coarse_cells(self, monkeypatch):
         # A coarse cell's term f/cos(h + pad), h = pi/grid, exceeds its

@@ -139,11 +139,13 @@ class TestEvaluateNorm:
         # numpy rounds the final power of a scalar and of an array
         # differently; a vector is reduced as a stack of one, so
         # hermitian_norm equals the row of a stacked reduction bit for bit.
+        # An all-zero row reduces to +0.0.
         rng = np.random.default_rng(8)
         for n in range(2, 65):
             stack = np.abs(rng.standard_normal((33, n))) * rng.uniform(0.1, 10.0, (33, 1))
             stack[0] = 0.0
             whole = schatten_value(stack, p)
+            assert whole[0] == 0.0 and math.copysign(1.0, whole[0]) == 1.0
             rows = np.array([schatten_value(row, p) for row in stack])
             assert np.array_equal(whole, rows), (n, np.flatnonzero(whole != rows))
 

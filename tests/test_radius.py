@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -272,10 +273,29 @@ class TestOmegaN:
         for grid in (0, 2, 6, 10, 30, -4, 4.0, True):
             with pytest.raises(ValueError, match="multiple of 4"):
                 omega_n(OPERATOR, X, grid=grid)
-            with pytest.raises(ValueError, match="multiple of 4"):
-                CheckContext(grid=grid)
         with pytest.raises(ValueError):
             omega_n(OPERATOR, np.eye(2), refine_tol=0.0)
+
+    @pytest.mark.parametrize("spec", [OPERATOR, TRACE, schatten(3)], ids=lambda s: s.label)
+    def test_numpy_refine_tol_is_taken_as_a_python_float(self, spec):
+        # omega_n runs on the values its checks return: a float32 tolerance
+        # gives the bits of its Python float, and g_stop of a lane at 1e60
+        # is not taken in float32, where it would overflow to inf and leave
+        # the certificate far wider than asked.
+        rng = np.random.default_rng(31)
+        tol = np.float32(1e-6)
+        for n in range(2, 7):
+            X = random_complex(rng, n)
+            got = omega_n(spec, X, grid=8, refine_tol=tol)
+            want = omega_n(spec, X, grid=8, refine_tol=float(tol))
+            assert (got.value, got.theta_star, got.cert_error) == (want.value, want.theta_star, want.cert_error)
+        X = 1e60 * random_complex(rng, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = omega_n(spec, X, refine_tol=np.float32(1e-10))
+        want = omega_n(spec, X, refine_tol=float(np.float32(1e-10)))
+        assert (got.value, got.theta_star, got.cert_error) == (want.value, want.theta_star, want.cert_error)
+        assert got.cert_error <= 1e-9 * got.value
 
     @pytest.mark.parametrize(
         "setting, match",
@@ -292,14 +312,15 @@ class TestOmegaN:
     def test_odd_grid_is_refused(self, setting, match):
         # Only an even grid puts an odd sample (2k + 1) h between every two
         # neighbouring coarse cells k and k + 1, around the period.  A
-        # context refuses a bad grid, tolerance or m_fold when it is built,
+        # context refuses a bad tolerance or m_fold when it is built,
         # before any check runs, and omega_n the settings it takes.  A bool
         # is not a number here, though Python counts it as one.
         if "m_fold" not in setting:
             with pytest.raises(ValueError, match=match):
                 omega_n(TRACE, 1j * np.eye(2), **setting)
-        with pytest.raises(ValueError, match=match):
-            CheckContext(**setting)
+        if "grid" not in setting:
+            with pytest.raises(ValueError, match=match):
+                CheckContext(**setting)
 
 
 class TestEigensolverBudget:

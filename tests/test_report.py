@@ -347,9 +347,9 @@ class TestConfigCache:
         # (a Verb as the str it is); -0.0 == 0.0 too.  Each config is
         # written twice, the second time after the first could cache it.
         changes = [
-            {"grid": 1},
-            {"grid": 1.0},
-            {"grid": True},
+            {"m_fold": 1},
+            {"m_fold": 1.0},
+            {"m_fold": True},
             {"m_fold": 3.0},
             {"coarse_passes": [[4, 1.0], [8, 0.2]]},
             {"coarse_passes": ((4, 1.0), (8, 0.2))},
@@ -382,7 +382,7 @@ class TestConfigCache:
         bad = [
             ({"refine_tol": math.nan}, ValueError),
             ({"coarse_passes": ((4, math.inf),)}, ValueError),
-            ({"grid": object()}, TypeError),
+            ({"m_fold": object()}, TypeError),
             ({"mode": b"verify"}, TypeError),
             ({"dims": [2, math.nan]}, ValueError),
         ]

@@ -36,11 +36,11 @@ def test_a_perturbed_field_is_named(tmp_path):
     new = json.loads(json.dumps(old))
     target = new["results"][3]
     target["rhs"][1] *= 1.0 + 1e-12
-    new["config"]["grid"] = 64
+    new["config"]["m_fold"] = 4
     done = run_tool(tmp_path, old, new)
     assert done.returncode == 1
     lines = done.stdout.splitlines()
-    assert "config grid: 32 -> 64" in lines
+    assert "config m_fold: 3 -> 4" in lines
     moved = [line for line in lines if line.startswith("moved")]
     assert len(moved) == 1, lines
     assert moved[0].startswith(f"moved rhs.hi [{target['norm']}]: 1 values, largest 1e-12 relative")
