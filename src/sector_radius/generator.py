@@ -38,13 +38,13 @@ properties the construction proves.
   arguments arg(c + is) + [arctan min t, arctan max t] and reaches both
   ends when G is nonsingular (every sectorial matrix is such a
   congruence: Zhang, Linear Multilinear Algebra 63, 2015).
-A public factory draws at scale 1 and multiplies by fl(scale^2).  For a
-power-of-two scale that is exact, and the proof stands.  For another
-scale each entry is rounded once, relative error at most 2^-53: a
-Hermitian part stays exactly Hermitian and, for n < 2^13, positive
-definite, since the rounding's norm, at most 2^-53 scale^2 ||X||_F <=
-2^-53 scale^2 (64 n^2 + 2), is below the shift 2^-20 scale^2.
-sectorial_stack is not exact: its index is alpha to rounding for any
+random_pd and random_accretive_dissipative draw at scale 1 and multiply
+by fl(scale^2).  For a power-of-two scale that is exact, and the proof
+stands.  For another scale each entry is rounded once, relative error at
+most 2^-53: a Hermitian part stays exactly Hermitian and, for n < 2^13,
+positive definite, since the rounding's norm, at most 2^-53 scale^2
+||X||_F <= 2^-53 scale^2 (64 n^2 + 2), is below the shift 2^-20 scale^2.
+random_sectorial is not exact: its index is alpha to rounding for any
 alpha < pi/2, finer than a 12-bit tilt resolves, so it keeps a float
 construction (_sectorial_draw).
 """
@@ -60,15 +60,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _SAFE_HI, adjoint, as_matrix
+from .sectorial import _check_alpha
 
 __all__ = [
     "GenConfig",
     "Streams",
     "mix_seed",
-    "ginibre_stack",
-    "pd_stack",
-    "sectorial_stack",
-    "accretive_dissipative_stack",
     "random_ginibre",
     "random_pd",
     "random_sectorial",
@@ -118,9 +115,9 @@ class GenConfig:
     """Factory configuration: dimension, 64-bit seed, overall scale.
 
     n and seed are integers other than bools (a numpy integer is stored as
-    an int), and scale lies in [2^-256, 2^256], linalg's safe range: there
-    a draw's products G G* neither overflow nor leave the normal range.
-    scale is stored as a Python float.
+    an int), and scale, not a bool either, lies in [2^-256, 2^256],
+    linalg's safe range: there a draw's products G G* neither overflow nor
+    leave the normal range.  scale is stored as a Python float.
     """
 
     n: int
@@ -137,6 +134,8 @@ class GenConfig:
                 object.__setattr__(self, name, int(value))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if type(self.scale) in (bool, np.bool_):
+            raise ValueError(f"scale must be a number, not a bool, got {self.scale!r}")
         if not (0 < self.scale < math.inf):
             raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
         # A numpy float32 would take the range test and the draws' products
@@ -208,47 +207,30 @@ def _local_streams() -> Streams:
         return _LOCAL.streams
 
 
-def _dimension(cfgs) -> int:
-    if not cfgs:
-        raise ValueError("a stack needs at least one config")
-    n = cfgs[0].n
-    for k, cfg in enumerate(cfgs):
-        if cfg.n != n:
-            raise ValueError(f"config {k} has n = {cfg.n}, expected {n}")
-    return n
-
-
 def _hermitian_part(M: np.ndarray) -> np.ndarray:
     """(M + M*)/2 of each matrix of a stack: linalg.cartesian_parts' real part, bit for bit, without its skew part."""
     return (M + adjoint(M)) / 2
 
 
-# Every factory below draws a stack: one matrix per config, each from its
-# own Philox stream, with one batched product per step.  The
-# single-matrix factories are the stack of one.  A public factory
-# validates its configs (GenConfig) and hands integer seeds to the private
-# draw of the same name, which turns every Gaussian stream of a draw into
-# Gaussians in one Box-Muller transform; an exact draw is made at scale 1
-# and scaled by its public factory (_scaled).
+# Every private draw below makes a stack, one matrix per seed from its own
+# Philox stream, with one Box-Muller transform and one batched product per
+# step, so each matrix is bit for bit the draw of its seed alone.  The
+# suites (harness._draw) hand them all of a check's seeds at once.  A
+# public factory validates one config (GenConfig) and draws the stack of
+# one; an exact draw is made at scale 1 and scaled by it (_scaled).
 
 
 def _ginibre(streams: Streams, n: int, seeds, scales) -> np.ndarray:
-    """ginibre_stack of the configs (n, seed, scale), one per seed and scale."""
-    count = n * n
-    u = np.array([streams.rng(seed).random(2 * count) for seed in seeds])
-    z = np.sqrt(-np.log(1.0 - u[:, :count])) * np.exp(2j * np.pi * u[:, count:])
-    return np.array(scales)[:, None, None] * z.reshape(-1, n, n)
-
-
-def ginibre_stack(cfgs) -> np.ndarray:
-    """Matrices of i.i.d. standard complex Gaussian entries, each times its cfg.scale.
+    """Matrices of i.i.d. standard complex Gaussian entries, one per seed, each times its scale.
 
     Polar Box-Muller: sqrt(-log u1) * exp(2*pi*i*u2) is standard complex
     Gaussian (E|z|^2 = 1), with u1 shifted into (0, 1] so the log is
     finite; each stream gives its n^2 values of u1, then its n^2 of u2.
     """
-    n = _dimension(cfgs)
-    return _ginibre(_local_streams(), n, [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs])
+    count = n * n
+    u = np.array([streams.rng(seed).random(2 * count) for seed in seeds])
+    z = np.sqrt(-np.log(1.0 - u[:, :count])) * np.exp(2j * np.pi * u[:, count:])
+    return np.array(scales)[:, None, None] * z.reshape(-1, n, n)
 
 
 def _fraction_bits(n: int) -> int:
@@ -282,25 +264,14 @@ def _exact_ginibre(streams: Streams, n: int, seeds) -> np.ndarray:
     return _dyadic(_ginibre(streams, n, seeds, [1.0] * len(seeds)), bits, _G_LIMIT)
 
 
-def _scaled(X: np.ndarray, cfgs) -> np.ndarray:
-    """Each matrix of a scale-1 draw times fl(cfg.scale^2): exact for a power-of-two scale."""
-    squares = np.array([cfg.scale**2 for cfg in cfgs])
-    return X if (squares == 1.0).all() else X * squares[:, None, None]
-
-
-def pd_stack(cfgs) -> np.ndarray:
-    """Hermitian positive definite matrices scale^2 (G G* + 2^-20 I).
-
-    G is an exact draw's rounded Ginibre matrix, and G G* + 2^-20 I is
-    formed without a rounding error, so it is exactly Hermitian with
-    lambda_min >= 2^-20 (module docstring); nothing factors or solves.
-    """
-    n = _dimension(cfgs)
-    return _scaled(_pd(_local_streams(), n, [cfg.seed for cfg in cfgs]), cfgs)
+def _scaled(X: np.ndarray, cfg: GenConfig) -> np.ndarray:
+    """A scale-1 draw times fl(cfg.scale^2): exact for a power-of-two scale."""
+    square = cfg.scale**2
+    return X if square == 1.0 else X * square
 
 
 def _pd(streams: Streams, n: int, seeds) -> np.ndarray:
-    """pd_stack of the configs (n, seed, 1.0), one per seed."""
+    """Hermitian positive definite matrices G G* + 2^-20 I, one per seed, formed exactly (module docstring); nothing factors or solves."""
     G = _exact_ginibre(streams, n, [mix_seed(seed, _STREAM_PD) for seed in seeds])
     P = G @ adjoint(G)
     diagonal = np.arange(n)
@@ -308,47 +279,15 @@ def _pd(streams: Streams, n: int, seeds) -> np.ndarray:
     return P
 
 
-def sectorial_stack(cfgs, alphas) -> np.ndarray:
-    """Accretive matrices whose numerical ranges have angular half-widths ``alphas``.
-
-    Each is the congruence G (I + i diag(t)) G* of a Ginibre matrix G and
-    a real tilt vector t of n i.i.d. uniforms on [-1, 1), rescaled so
-    that max|t_j| = tan(alpha), formed as G G* + i G diag(t) G* with both
-    parts made exactly Hermitian.  Quadratic forms satisfy <Xx,x> =
-    ||y||^2 + i sum_j t_j |y_j|^2 with y = G*x, and G* is invertible, so
-    the arguments over the numerical range span exactly [arctan min t,
-    arctan max t], and the extreme one is arctan(max|t_j|) = alpha.
-    Every sectorial matrix is such a congruence T diag(e^{i theta_j}) T*
-    with |theta_j| <= alpha (Zhang, "A matrix decomposition and its
-    applications", Linear Multilinear Algebra 63, 2015).  A Hermitian
-    tilt would need no more: G (I + i U diag(t) U*) G* = GU (I + i
-    diag(t)) (GU)* for unitary U, and GU is again Ginibre, as G's law is
-    unitarily invariant, so only the tilt's spectrum matters to the law,
-    and it is drawn directly.  An alpha of 0 makes t = 0 and gives the
-    positive definite G G* itself.
-    """
-    n = _dimension(cfgs)
-    alphas = [float(a) for a in alphas]
-    if len(alphas) != len(cfgs):
-        raise ValueError(f"{len(cfgs)} configs need {len(cfgs)} alphas, got {len(alphas)}")
-    for alpha in alphas:
-        if not (0.0 <= alpha < math.pi / 2):
-            raise ValueError(f"alpha must lie in [0, pi/2), got {alpha}")
-    seeds, scales = [cfg.seed for cfg in cfgs], [cfg.scale for cfg in cfgs]
-    return _sectorial_draw(_local_streams(), n, seeds, scales, alphas)
-
-
 def _sectorial_draw(streams: Streams, n: int, seeds, scales, alphas) -> np.ndarray:
-    """sectorial_stack's matrices.
+    """random_sectorial's matrices, one per seed, scale and alpha (a float in [0, pi/2)).
 
-    The configs are (n, seed, scale), one per seed and scale, and each
-    alpha is a float in [0, pi/2).  G comes from the seed's base stream,
-    with the bits of ginibre_stack, and t is _tilts.  X is one broadcast
-    product of the stack (G, G diag(t)) against G* and one Hermitian
-    part; no numpy.linalg routine runs.  The arguments of W(X) span
-    exactly [arctan min t, arctan max t] for the exact product of the
-    float G and t, which the float X approximates (unlike
-    _exact_sectorial, this draw rounds).
+    G comes from the seed's base stream, with the bits of _ginibre, and t
+    is _tilts.  X is one broadcast product of the stack (G, G diag(t))
+    against G* and one Hermitian part; no numpy.linalg routine runs.  The
+    arguments of W(X) span exactly [arctan min t, arctan max t] for the
+    exact product of the float G and t, which the float X approximates
+    (unlike _exact_sectorial, this draw rounds).
     """
     G = _ginibre(streams, n, [mix_seed(seed, _STREAM_SECT_BASE) for seed in seeds], scales)
     t = _tilts(streams, n, seeds, alphas)
@@ -399,37 +338,49 @@ def _exact_sectorial(streams: Streams, n: int, seeds, alphas, phases=None) -> tu
     return (G * d[:, None, :]) @ adjoint(G), lo, hi
 
 
-def accretive_dissipative_stack(cfgs) -> np.ndarray:
-    """Matrices scale^2 (P + iQ) with independent positive definite P and Q drawn as pd_stack draws them."""
-    n = _dimension(cfgs)
-    return _scaled(_accretive_dissipative(_local_streams(), n, [cfg.seed for cfg in cfgs]), cfgs)
-
-
 def _accretive_dissipative(streams: Streams, n: int, seeds) -> np.ndarray:
-    """accretive_dissipative_stack of the configs (n, seed, 1.0), one per seed; P + iQ is exact."""
+    """Matrices P + iQ, one per seed, with independent positive definite P and Q drawn as _pd draws them; P + iQ is exact."""
     tags = (_STREAM_AD_RE, _STREAM_AD_IM)
     P = _pd(streams, n, [mix_seed(seed, tag) for seed in seeds for tag in tags])
     return P[0::2] + 1j * P[1::2]
 
 
 def random_ginibre(cfg: GenConfig) -> np.ndarray:
-    """Matrix of i.i.d. standard complex Gaussian entries, times cfg.scale."""
-    return ginibre_stack([cfg])[0]
+    """Matrix of i.i.d. standard complex Gaussian entries, times cfg.scale (see _ginibre)."""
+    return _ginibre(_local_streams(), cfg.n, [cfg.seed], [cfg.scale])[0]
 
 
 def random_pd(cfg: GenConfig) -> np.ndarray:
-    """Hermitian positive definite matrix scale^2 (G G* + 2^-20 I) (see pd_stack)."""
-    return pd_stack([cfg])[0]
+    """Hermitian positive definite matrix scale^2 (G G* + 2^-20 I) (see _pd)."""
+    return _scaled(_pd(_local_streams(), cfg.n, [cfg.seed])[0], cfg)
 
 
 def random_sectorial(cfg: GenConfig, alpha: float) -> np.ndarray:
-    """Accretive matrix whose numerical range has angular half-width alpha (see sectorial_stack)."""
-    return sectorial_stack([cfg], [alpha])[0]
+    """Accretive matrix whose numerical range has angular half-width ``alpha``, in [0, pi/2).
+
+    It is the congruence G (I + i diag(t)) G* of a Ginibre matrix G and a
+    real tilt vector t of n i.i.d. uniforms on [-1, 1), rescaled so that
+    max|t_j| = tan(alpha), formed as G G* + i G diag(t) G* with both parts
+    made exactly Hermitian (_sectorial_draw).  Quadratic forms satisfy
+    <Xx,x> = ||y||^2 + i sum_j t_j |y_j|^2 with y = G*x, and G* is
+    invertible, so the arguments over the numerical range span exactly
+    [arctan min t, arctan max t], and the extreme one is arctan(max|t_j|)
+    = alpha.  Every sectorial matrix is such a congruence T diag(e^{i
+    theta_j}) T* with |theta_j| <= alpha (Zhang, "A matrix decomposition
+    and its applications", Linear Multilinear Algebra 63, 2015).  A
+    Hermitian tilt would need no more: G (I + i U diag(t) U*) G* = GU (I +
+    i diag(t)) (GU)* for unitary U, and GU is again Ginibre, as G's law is
+    unitarily invariant, so only the tilt's spectrum matters to the law,
+    and it is drawn directly.  An alpha of 0 makes t = 0 and gives the
+    positive definite G G* itself.
+    """
+    alpha = _check_alpha(alpha)
+    return _sectorial_draw(_local_streams(), cfg.n, [cfg.seed], [cfg.scale], [alpha])[0]
 
 
 def random_accretive_dissipative(cfg: GenConfig) -> np.ndarray:
-    """Matrix scale^2 (P + iQ) with independent positive definite P and Q (see accretive_dissipative_stack)."""
-    return accretive_dissipative_stack([cfg])[0]
+    """Matrix scale^2 (P + iQ) with independent positive definite P and Q (see _accretive_dissipative)."""
+    return _scaled(_accretive_dissipative(_local_streams(), cfg.n, [cfg.seed])[0], cfg)
 
 
 def random_unitary(cfg: GenConfig) -> np.ndarray:

@@ -363,7 +363,7 @@ def is_psd(H, tol: float = 0.0) -> bool:
     The test is taken on H scaled as ``as_scaled_stack`` scales it, by a
     power of two that does not change it, so it is relative at every scale.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     H = as_scaled_stack(as_matrix(H, "H"))[0][0]
     Hs = _check_hermitian(H, "H")

@@ -956,19 +956,24 @@ def _support_points(X: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
     When the top eigenvalue is degenerate (gap below 1e-12) the first
     eigenvector attaining it is used; any maximizer yields a valid
-    support point.
+    support point.  At most _EIG_BATCH angles go to one eigh, so memory
+    does not grow with the number of angles; eigh solves each matrix of a
+    batch independently, so the points do not depend on the chunking.
     """
     A, B = cartesian_decompose(X)
     c = np.cos(thetas)
     s = np.sin(thetas)
-    H = c[:, None, None] * A + s[:, None, None] * B
-    w, V = np.linalg.eigh(H)
-    lam_max = w[:, -1]
-    tol = 1e-12 * np.maximum(1.0, np.abs(lam_max))
-    idx = (w >= (lam_max - tol)[:, None]).argmax(axis=1)
-    rows = np.arange(len(thetas))
-    v = V[rows, :, idx]
-    return np.einsum("ki,ij,kj->k", v.conj(), X, v)
+    points = np.empty(len(thetas), dtype=np.complex128)
+    for start in range(0, len(thetas), _EIG_BATCH):
+        chunk = slice(start, start + _EIG_BATCH)
+        H = c[chunk, None, None] * A + s[chunk, None, None] * B
+        w, V = np.linalg.eigh(H)
+        lam_max = w[:, -1]
+        tol = 1e-12 * np.maximum(1.0, np.abs(lam_max))
+        idx = (w >= (lam_max - tol)[:, None]).argmax(axis=1)
+        v = V[np.arange(len(H)), :, idx]
+        points[chunk] = np.einsum("ki,ij,kj->k", v.conj(), X, v)
+    return points
 
 
 def numerical_range_boundary(X, samples: int) -> list[RangePoint]:

@@ -267,7 +267,8 @@ def rotation_to_sector(X) -> SectorInfo:
 
 
 def _check_alpha(alpha: float) -> float:
-    if not (0.0 <= alpha < math.pi / 2):
+    """``alpha`` as a Python float; ValueError unless it lies in [0, pi/2) and is not a bool (Python or numpy)."""
+    if type(alpha) in (bool, np.bool_) or not (0.0 <= alpha < math.pi / 2):
         raise ValueError(f"alpha must lie in [0, pi/2), got {alpha}")
     return float(alpha)
 

@@ -13,16 +13,12 @@ from sector_radius import generator
 from sector_radius.generator import (
     GenConfig,
     Streams,
-    accretive_dissipative_stack,
-    ginibre_stack,
     mix_seed,
-    pd_stack,
     random_accretive_dissipative,
     random_ginibre,
     random_pd,
     random_sectorial,
     random_unitary,
-    sectorial_stack,
 )
 from sector_radius.linalg import is_psd
 from sector_radius.sectorial import sec_block, sector_index, tan_block
@@ -61,6 +57,12 @@ class TestGenConfig:
     def test_seed_must_be_an_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
             GenConfig(3, seed)
+
+    @pytest.mark.parametrize("scale", [True, False, np.bool_(True)])
+    def test_scale_must_not_be_a_bool(self, scale):
+        # True compares as 1, so it was stored as scale 1.0.
+        with pytest.raises(ValueError, match="scale must be a number, not a bool"):
+            GenConfig(2, 1, scale)
 
     def test_python_and_numpy_integers_pass(self):
         import random
@@ -158,11 +160,13 @@ class TestRandomSectorial:
 
         routines = [name for name in np.linalg.__all__ if name != "LinAlgError"]
         calls = count_linalg_matrices(monkeypatch, routines)
-        cfgs = [GenConfig(5, 40 + k) for k in range(3)]
-        X = sectorial_stack(cfgs, [0.7, 0.0, 1.3])
+        seeds = [40, 41, 42]
+        X = generator._sectorial_draw(Streams(), 5, seeds, [1.0] * 3, [0.7, 0.0, 1.3])
         X1 = random_sectorial(GenConfig(1, 3), 1.2)
-        pd_stack(cfgs + [GenConfig(5, 50, 3.0)])
-        accretive_dissipative_stack(cfgs)
+        generator._pd(Streams(), 5, seeds)
+        generator._accretive_dissipative(Streams(), 5, seeds)
+        random_pd(GenConfig(5, 50, 3.0))
+        random_accretive_dissipative(GenConfig(5, 51, 3.0))
         for info in REGISTRY.values():
             for n in (2, 5, 16):
                 generate_inputs(info, n, seed=60 + n, m_fold=3)
@@ -187,7 +191,7 @@ class TestRandomSectorial:
         seeds, alphas = [7000 + n, 7100 + n, 7200 + n], [0.3, 1.0, 1.4]
         X = generator._sectorial_draw(Streams(), n, seeds, [1.0] * 3, alphas)
         for k, (seed, alpha) in enumerate(zip(seeds, alphas)):
-            G = ginibre_stack([GenConfig(n, mix_seed(seed, generator._STREAM_SECT_BASE))])[0]
+            G = random_ginibre(GenConfig(n, mix_seed(seed, generator._STREAM_SECT_BASE)))
             t = 2.0 * Streams().rng(mix_seed(seed, generator._STREAM_SECT_TILT)).random(n) - 1.0
             t *= math.tan(alpha) / np.max(np.abs(t))
             lo, hi = t.min(), t.max()
@@ -210,6 +214,9 @@ class TestRandomSectorial:
             random_sectorial(GenConfig(2, 1), -0.1)
         with pytest.raises(ValueError):
             random_sectorial(GenConfig(2, 1), np.pi / 2)
+        # True compares as 1, so it was drawn at alpha = 1.0.
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            random_sectorial(GenConfig(2, 1), True)
 
 
 class TestRandomAccretiveDissipative:
@@ -265,7 +272,7 @@ class TestStacks:
                 cfg = GenConfig(3 + k % 3, offset + k)
                 out.append(random_sectorial(cfg, 0.9).tobytes())
                 out.append(random_unitary(cfg).tobytes())
-                out.append(pd_stack([cfg, GenConfig(cfg.n, offset - k)]).tobytes())
+                out.extend(random_pd(c).tobytes() for c in (cfg, GenConfig(cfg.n, offset - k)))
                 out.extend(M.tobytes() for M in generate_inputs(REGISTRY[ids[k % 4]], cfg.n, offset + k))
             return out
 
@@ -291,18 +298,28 @@ class TestStacks:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_each_matrix_of_a_stack_is_its_single_draw(self, n):
-        cfgs = [GenConfig(n, 900 + k, scale) for k, scale in enumerate((1.0, 1e-8, 3.5, 1e8))]
-        alphas = [0.3, 0.0, 1.4, math.pi / 2 - 1e-6]
-        stacks = (
-            (ginibre_stack(cfgs), [random_ginibre(c) for c in cfgs]),
-            (pd_stack(cfgs), [random_pd(c) for c in cfgs]),
-            (sectorial_stack(cfgs, alphas), [random_sectorial(c, a) for c, a in zip(cfgs, alphas)]),
-            (accretive_dissipative_stack(cfgs), [random_accretive_dissipative(c) for c in cfgs]),
-        )
-        for stack, singles in stacks:
-            assert stack.shape == (len(cfgs), n, n)
-            for M, single in zip(stack, singles):
-                assert M.tobytes() == single.tobytes()
+        # The suites draw a row's inputs as one stack of the private draws;
+        # each lane must be the draw of its seed alone, bit for bit (the
+        # exact sectorial draw's arguments lo and hi included).
+        streams = Streams()
+        seeds, scales = [900, 901, 902, 2**63 + 5], [1.0, 1e-8, 3.5, 1e8]
+        alphas, phases = [0.3, 0.0, 1.4, 1.0], [0.2, 3.0, 5.5, 1.0]
+        float_alphas = [0.3, 0.0, 1.4, math.pi / 2 - 1e-6]
+        draws = {
+            "ginibre": lambda k: generator._ginibre(streams, n, seeds[k], scales[k]),
+            "pd": lambda k: generator._pd(streams, n, seeds[k]),
+            "accretive_dissipative": lambda k: generator._accretive_dissipative(streams, n, seeds[k]),
+            "sectorial_draw": lambda k: generator._sectorial_draw(streams, n, seeds[k], scales[k], float_alphas[k]),
+            "exact_sectorial": lambda k: generator._exact_sectorial(streams, n, seeds[k], alphas[k]),
+            "turned": lambda k: generator._exact_sectorial(streams, n, seeds[k], alphas[k], phases[k]),
+        }
+        for name, draw in draws.items():
+            stack = draw(slice(None))
+            for k in range(len(seeds)):
+                single = draw(slice(k, k + 1))
+                for part, one in zip(*(out if isinstance(out, tuple) else (out,) for out in (stack, single))):
+                    assert len(part) == len(seeds) and len(one) == 1
+                    assert part[k].tobytes() == one[0].tobytes(), (name, k)
 
     @pytest.mark.parametrize("k", [-200, -40, 40, 200])
     def test_a_power_of_two_scale_scales_the_draw_exactly(self, k):
@@ -319,16 +336,6 @@ class TestStacks:
             for seed in (3, 41):
                 unit = draw(GenConfig(4, seed))
                 assert (draw(GenConfig(4, seed, c)) == factor * unit).all(), (draw, k, seed)
-
-    def test_stack_validation(self):
-        with pytest.raises(ValueError, match="config 1 has n = 3"):
-            ginibre_stack([GenConfig(2, 1), GenConfig(3, 1)])
-        with pytest.raises(ValueError, match="at least one config"):
-            ginibre_stack([])
-        with pytest.raises(ValueError, match="alphas"):
-            sectorial_stack([GenConfig(2, 1), GenConfig(2, 2)], [0.5])
-        with pytest.raises(ValueError, match="alpha must lie"):
-            sectorial_stack([GenConfig(2, 1), GenConfig(2, 2)], [0.5, 2.0])
 
 
 # Fractional bits of each part of an exact draw's G, as the generator's
@@ -347,9 +354,9 @@ def integer_parts(Z: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rounded_ginibre(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """An exact draw's G rebuilt from ginibre_stack: parts in units of 2^-11, rounded to G_BITS[n] bits and clipped below 4."""
+    """An exact draw's G rebuilt from random_ginibre: parts in units of 2^-11, rounded to G_BITS[n] bits and clipped below 4."""
     bits = G_BITS[n]
-    G = ginibre_stack([GenConfig(n, seed)])[0]
+    G = random_ginibre(GenConfig(n, seed))
     top = 4 * 2**bits - 1
     parts = [np.clip(np.round(part * 2.0**bits), -top, top).astype(np.int64) << (11 - bits) for part in (G.real, G.imag)]
     return parts[0], parts[1]
@@ -413,14 +420,16 @@ class TestExactDraws:
         seeds = [4100 + n, 4200 + n]
         for scale in (1.0, 2.0**-8, 2.0**8):
             cfgs = [GenConfig(n, seed, scale) for seed in seeds]
-            P, X = pd_stack(cfgs), accretive_dissipative_stack(cfgs)
+            P, X = [random_pd(c) for c in cfgs], [random_accretive_dissipative(c) for c in cfgs]
             for k, seed in enumerate(seeds):
                 assert stored(P[k], scale**2) == pd(seed)
                 re = pd(mix_seed(seed, generator._STREAM_AD_RE))
                 im = pd(mix_seed(seed, generator._STREAM_AD_IM))
                 want = [[(a[0] - b[1], a[1] + b[0]) for a, b in zip(ra, rb)] for ra, rb in zip(re, im)]
                 assert stored(X[k], scale**2) == want
-        assert np.array_equal(generator._pd(Streams(), n, seeds), pd_stack([GenConfig(n, seed) for seed in seeds]))
+        cfgs = [GenConfig(n, seed) for seed in seeds]
+        assert np.array_equal(generator._pd(Streams(), n, seeds), [random_pd(c) for c in cfgs])
+        assert np.array_equal(generator._accretive_dissipative(Streams(), n, seeds), [random_accretive_dissipative(c) for c in cfgs])
 
     def test_a_budget_that_cannot_hold_raises(self):
         # Past n = 2^23 no G keeps a fractional bit within the 53; the test
@@ -428,8 +437,8 @@ class TestExactDraws:
         n = 2**23 + 1
         assert generator._fraction_bits(2**23) == 0
         for draw in (
-            lambda: pd_stack([GenConfig(n, 1)]),
-            lambda: accretive_dissipative_stack([GenConfig(n, 1)]),
+            lambda: random_pd(GenConfig(n, 1)),
+            lambda: random_accretive_dissipative(GenConfig(n, 1)),
             lambda: generator._exact_sectorial(Streams(), n, [1], [0.5]),
         ):
             with pytest.raises(ValueError, match=r"no exact draw at n = 8388609: its products need n <= 2\^23"):

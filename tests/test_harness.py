@@ -12,15 +12,11 @@ import pytest
 
 from sector_radius.generator import (
     GenConfig,
-    accretive_dissipative_stack,
-    ginibre_stack,
-    pd_stack,
     random_accretive_dissipative,
     random_ginibre,
     random_pd,
     random_sectorial,
     random_unitary,
-    sectorial_stack,
 )
 from sector_radius import harness, radius
 from sector_radius.harness import (
@@ -1121,8 +1117,8 @@ class TestExplainAndRegistry:
                     digest.update(M.tobytes())
         assert digest.hexdigest() == "bc34278b37682a009bf4c09904f219346b68be3e6504e7c608580d307a110ef8"
         # Wider: every draw's claims (index and rotation) as well, n = 16,
-        # and the stacked public factories at scales 2^-8 and 2^8 with a
-        # seed above 2^63.
+        # and the public factories at scales 2^-8 and 2^8 with a seed above
+        # 2^63, hashed factory by factory as their stacks were.
         digest = hashlib.sha256()
         for n, seed in ((3, 5), (6, 11), (16, 7)):
             for ineq in all_ids():
@@ -1133,8 +1129,14 @@ class TestExplainAndRegistry:
                     digest.update(np.array([claim.index_alpha, claim.rotation_z.real, claim.rotation_z.imag]).tobytes())
         for scale in (2.0**-8, 2.0**8):
             cfgs = [GenConfig(4, seed, scale) for seed in (1, 2, 2**63 + 5)]
-            stacks = (ginibre_stack(cfgs), pd_stack(cfgs), sectorial_stack(cfgs, [0.0, 0.7, 1.4]), accretive_dissipative_stack(cfgs))
-            for M in (*stacks, *(random_unitary(cfg) for cfg in cfgs)):
+            draws = (
+                *(random_ginibre(cfg) for cfg in cfgs),
+                *(random_pd(cfg) for cfg in cfgs),
+                *(random_sectorial(cfg, alpha) for cfg, alpha in zip(cfgs, [0.0, 0.7, 1.4])),
+                *(random_accretive_dissipative(cfg) for cfg in cfgs),
+                *(random_unitary(cfg) for cfg in cfgs),
+            )
+            for M in draws:
                 digest.update(M.tobytes())
         assert digest.hexdigest() == "c4b2683d21f43976f9064a8ce0a3445567b033aef756e6c2f0a19c6cff62b053"
 

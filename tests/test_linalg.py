@@ -287,6 +287,11 @@ class TestIsPsd:
         with pytest.raises(ValueError):
             is_psd(np.eye(2), tol=-1e-3)
 
+    def test_nan_tol_rejected(self):
+        # lambda_min >= -nan is False, so a NaN tolerance called every H indefinite.
+        with pytest.raises(ValueError, match="tol must be nonnegative, got nan"):
+            is_psd(np.eye(2), tol=math.nan)
+
 
 def certificate_shift(n: int) -> float:
     """The shift of pd_certificate on its unit-diagonal matrix: 2 sqrt(2) gamma_{2n+1} n."""

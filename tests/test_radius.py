@@ -1469,3 +1469,23 @@ class TestNumericalRangeBoundary:
     def test_samples_validation(self):
         with pytest.raises(ValueError):
             numerical_range_boundary(np.eye(2), 3)
+
+    @pytest.mark.parametrize("n", [2, 6, 16])
+    def test_angles_are_solved_in_bounded_batches(self, monkeypatch, n):
+        # Past _EIG_BATCH angles the support points are solved in chunks,
+        # so memory stays bounded; the points keep the bits of one eigh
+        # and one einsum over every angle.
+        samples = 2 * _EIG_BATCH + 3
+        X = random_complex(np.random.default_rng(16 + n), n)
+        thetas = 2.0 * math.pi * np.arange(samples) / samples
+        A, B = cartesian_decompose(X)
+        w, V = np.linalg.eigh(np.cos(thetas)[:, None, None] * A + np.sin(thetas)[:, None, None] * B)
+        lam_max = w[:, -1]
+        idx = (w >= (lam_max - 1e-12 * np.maximum(1.0, np.abs(lam_max)))[:, None]).argmax(axis=1)
+        v = V[np.arange(samples), :, idx]
+        want = np.einsum("ki,ij,kj->k", v.conj(), X, v)
+        calls = count_linalg_matrices(monkeypatch, ("eigh",))
+        pts = numerical_range_boundary(X, samples)
+        assert calls == [_EIG_BATCH, _EIG_BATCH, 3]
+        assert [p.theta for p in pts] == thetas.tolist()
+        assert np.array([p.boundary_point for p in pts]).tobytes() == want.tobytes()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sector_radius import sectorial
-from sector_radius.generator import GenConfig, random_pd, random_sectorial, random_unitary, sectorial_stack
+from sector_radius.generator import GenConfig, random_pd, random_sectorial, random_unitary
 from sector_radius.linalg import DomainError, is_psd
 from sector_radius.norms import FROBENIUS, OPERATOR, TRACE, evaluate_norm, schatten
 from sector_radius.radius import omega_n
@@ -234,7 +234,7 @@ def gate_tries(monkeypatch) -> list[int]:
 class TestRotationSearch:
     @staticmethod
     def near_half_pi(gap: float, n: int, seed: int) -> np.ndarray:
-        X = sectorial_stack([GenConfig(n, 1000 + seed)], [math.pi / 2 - gap])[0]
+        X = random_sectorial(GenConfig(n, 1000 + seed), math.pi / 2 - gap)
         return np.exp(1j * (0.3 + seed)) * X
 
     @pytest.mark.parametrize("n", [4, 16])
@@ -302,6 +302,11 @@ class TestSectorBlocks:
             tan_block(np.eye(2), -0.1)
         with pytest.raises(ValueError):
             sec_block(np.eye(2), np.pi / 2)
+        # True compares as 1, so it was taken as alpha = 1.0.
+        for block in (tan_block, sec_block):
+            for alpha in (True, np.bool_(True)):
+                with pytest.raises(ValueError, match="alpha must lie in"):
+                    block(np.eye(2), alpha)
 
     def test_blocks_at_witnessed_class_index(self):
         X = np.exp(0.4j) * random_sectorial(GenConfig(3, 18), 0.9)
