@@ -106,9 +106,9 @@ def _cmd_compute(args) -> int:
         spec = parse_norm(args.norm)
         _emit(_estimate_json(omega_n(spec, X, refine_tol=args.refine_tol)), args.output)
     elif args.what == "range":
-        pts = numerical_range_boundary(X, args.samples)
+        thetas, points = numerical_range_boundary(X, args.samples)
         lines = ["theta,re,im"]
-        lines += [f"{p.theta!r},{p.boundary_point.real!r},{p.boundary_point.imag!r}" for p in pts]
+        lines += [f"{t!r},{z.real!r},{z.imag!r}" for t, z in zip(thetas.tolist(), points.tolist())]
         _emit("\n".join(lines), args.output)
     elif args.what == "sector-index":
         _emit(_sector_json(X, sector_index(X)), args.output)

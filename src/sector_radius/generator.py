@@ -51,7 +51,6 @@ construction (_sectorial_draw).
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import threading
@@ -145,27 +144,6 @@ class GenConfig:
             raise ValueError(f"scale must lie in [2^-256, 2^256], got {self.scale!r}")
 
 
-@functools.cache
-def _philox_template():
-    """An all-zero seed sequence and the Philox state it gives, built once.
-
-    Philox(key=k) builds a SeedSequence from OS entropy that the key then
-    overrides, which costs most of its construction; Philox(zero) is
-    Philox(key=0) without it.  Its state is that of Philox(key=k) for a
-    64-bit k but for the key: a zero counter, an empty buffer, and k in
-    the low word of the key.  Built on first use, so that importing the
-    package does not import numpy.random.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class ZeroSeed(ISeedSequence):
-        def generate_state(self, n_words, dtype=np.uint32):
-            return np.zeros(n_words, dtype=dtype)
-
-    zero = ZeroSeed()
-    return zero, np.random.Philox(zero).state
-
-
 class Streams:
     """Philox streams keyed by 64-bit seeds, drawn from one bit generator.
 
@@ -173,15 +151,17 @@ class Streams:
     returns a Generator whose draws are bit for bit those of a fresh
     ``Generator(Philox(key=key))``, at about a sixth of the cost of building
     one.  A Generator it returns is valid until the next ``rng`` call.
+    The bit generator starts from the fixed seed 0, which draws no OS
+    entropy; ``rng`` restores that start state (a zero counter, an empty
+    buffer) with the key replaced.  A thread builds its Streams at its
+    first draw, so importing the package does not import numpy.random.
     """
 
     def __init__(self):
-        zero, fresh = _philox_template()
-        self._bits = np.random.Philox(zero)
+        self._bits = np.random.Philox(0)
         self._rng = np.random.Generator(self._bits)
-        # The template's arrays are only read (setting a state copies
-        # them); the key is this instance's own.
         self._key = np.zeros(2, dtype=np.uint64)
+        fresh = self._bits.state
         self._fresh = {**fresh, "state": {**fresh["state"], "key": self._key}}
 
     def rng(self, key: int) -> np.random.Generator:

@@ -287,8 +287,8 @@ def pd_certificate(H: np.ndarray, extra=0.0) -> tuple[np.ndarray, np.ndarray, np
     fails: its pivot is at most H_ii - c <= 0.
 
     numpy's stacked cholesky raises for the whole stack when one lane
-    fails; that stack is then redone by halves (_cholesky_halves), so
-    every lane keeps the bits of a call with its matrix alone.
+    fails; each lane of that stack is then factored alone, so every lane
+    keeps the bits of a call with its matrix alone.
     """
     n = H.shape[-1]
     a = H.diagonal(axis1=-2, axis2=-1).real
@@ -302,8 +302,14 @@ def pd_certificate(H: np.ndarray, extra=0.0) -> tuple[np.ndarray, np.ndarray, np
     try:
         L = np.linalg.cholesky(flat)
     except np.linalg.LinAlgError:
+        # A lane that fails stays NaN, and a lone lane has failed already.
         L = np.full_like(flat, np.nan)
-        _cholesky_halves(flat, L, 0, len(flat))
+        if len(flat) > 1:
+            for k, M in enumerate(flat):
+                try:
+                    L[k] = np.linalg.cholesky(M)
+                except np.linalg.LinAlgError:
+                    pass
     passes = np.logical_and.reduce(np.isfinite(L.view(np.float64)), (-2, -1))
     return passes.reshape(H.shape[:-2]), d, L.reshape(H.shape)
 
@@ -334,27 +340,6 @@ def scaled_lambda_min(d: np.ndarray, H: np.ndarray) -> np.ndarray:
     lam = np.full(finite.shape, -np.inf)
     lam[finite] = np.linalg.eigvalsh(M[finite])[..., 0]
     return lam
-
-
-def _cholesky_halves(flat: np.ndarray, L: np.ndarray, lo: int, hi: int) -> None:
-    """Cholesky factors, into L, of the lanes lo:hi of a stack whose factorization raised.
-
-    Each half is factored as one stack, and a half that raises is split
-    again, down to single lanes; a lane that fails alone stays NaN in L.
-    When the first half passes, the second holds the failure, so a second
-    half of one lane is not redone.  One failing lane in a stack of 2^k
-    costs 2k more calls, each lane with the bits of a call of its own.
-    """
-    if hi - lo < 2:
-        return
-    mid = (lo + hi) // 2
-    for start, stop in ((lo, mid), (mid, hi)):
-        if start == mid and stop - start == 1 and np.isfinite(L[lo:mid]).all():
-            break
-        try:
-            L[start:stop] = np.linalg.cholesky(flat[start:stop])
-        except np.linalg.LinAlgError:
-            _cholesky_halves(flat, L, start, stop)
 
 
 def is_psd(H, tol: float = 0.0) -> bool:

@@ -91,7 +91,6 @@ import numpy as np
 
 from .linalg import (
     LAPACK_BACKWARD,
-    as_matrix,
     as_scaled_stack,
     cartesian_decompose,
     cartesian_parts,
@@ -103,7 +102,6 @@ __all__ = [
     "DEFAULT_GRID",
     "DEFAULT_REFINE_TOL",
     "RadiusEstimate",
-    "RangePoint",
     "radius_profile",
     "omega_n",
     "omega",
@@ -157,15 +155,6 @@ class RadiusEstimate:
     value: float
     theta_star: float
     cert_error: float
-    norm: NormSpec
-
-
-@dataclass(frozen=True)
-class RangePoint:
-    """Support point <Xv, v> of the numerical range at angle theta."""
-
-    theta: float
-    boundary_point: complex
 
 
 def _combined_norms(A: np.ndarray, B: np.ndarray, cs: dict, p: float) -> dict[int, np.ndarray]:
@@ -420,7 +409,7 @@ def _sample_factor(n: int, p: float) -> float:
     return n ** (1.0 / p) * ((LAPACK_BACKWARD + 1.0) * n + 4.0) * _EPS
 
 
-def _frobenius_radii(A: np.ndarray, B: np.ndarray, spec: NormSpec) -> list[RadiusEstimate]:
+def _frobenius_radii(A: np.ndarray, B: np.ndarray) -> list[RadiusEstimate]:
     """Closed-form Frobenius radius of each X_l = A_l + i B_l, with no eigensolve.
 
     With a = ||A||_F^2, b = ||B||_F^2 and c = <A, B> = Re tr(AB),
@@ -445,14 +434,14 @@ def _frobenius_radii(A: np.ndarray, B: np.ndarray, spec: NormSpec) -> list[Radiu
         a = float(np.vdot(Al, Al).real)
         b = float(np.vdot(Bl, Bl).real)
         if a + b == 0.0:
-            estimates.append(RadiusEstimate(0.0, 0.0, 0.0, spec))
+            estimates.append(RadiusEstimate(0.0, 0.0, 0.0))
             continue
         c = float(np.vdot(Al, Bl).real)
         top = 0.5 * (a + b) + math.hypot(0.5 * (a - b), c)
         value = math.sqrt(top)
         upper = math.sqrt(top + (6 * n * n + 44) * _EPS * (a + b))
         theta = (0.5 * math.atan2(-2.0 * c, a - b)) % math.pi
-        estimates.append(RadiusEstimate(value, theta, upper - value, spec))
+        estimates.append(RadiusEstimate(value, theta, upper - value))
     return estimates
 
 
@@ -793,7 +782,7 @@ def omega_n(
     refine_tol = check_refine_tol(refine_tol)
     A, B = cartesian_parts(Xs)
     if spec.schatten_p == 2.0:
-        estimates = _frobenius_radii(A, B, spec)
+        estimates = _frobenius_radii(A, B)
     else:
         estimates = _certified_radii(spec, Xs, A, B, grid, refine_tol)
     for l, e in far.items():
@@ -802,7 +791,7 @@ def omega_n(
         if min(value, cert_error) < _TINY:
             # A subnormal result may have rounded down.
             cert_error = math.nextafter(cert_error, math.inf)
-        estimates[l] = RadiusEstimate(value, est.theta_star, cert_error, spec)
+        estimates[l] = RadiusEstimate(value, est.theta_star, cert_error)
     return estimates[0] if len(estimates) == 1 else tuple(estimates)
 
 
@@ -851,7 +840,7 @@ def _certified_radii(
         a, b = frobenius(A[l]), frobenius(B[l])
         re, im = a > 0.0 or bool(A[l].any()), b > 0.0 or bool(B[l].any())
         if not (re or im):
-            estimates[l] = RadiusEstimate(0.0, 0.0, 0.0, spec)
+            estimates[l] = RadiusEstimate(0.0, 0.0, 0.0)
             continue
         slacks[l] = slack = sample * (a + b)
         kinds[l] = "general" if re and im else "re" if re else "im"
@@ -887,11 +876,11 @@ def _certified_radii(
             nA, nB = row.tolist()
             gap = _rotation_bound(nA, slacks[l], math.pi, drifts[l]) - nA
             if gap <= 0.5 * (nA + nB) * refine_tol:
-                estimates[l] = RadiusEstimate(nA, 0.0, gap, spec)
+                estimates[l] = RadiusEstimate(nA, 0.0, gap)
                 continue
             graded.add(l)
         elif kind != "general":
-            estimates[l] = RadiusEstimate(float(row[0]), 0.0 if kind == "re" else 0.5 * math.pi, slacks[l], spec)
+            estimates[l] = RadiusEstimate(float(row[0]), 0.0 if kind == "re" else 0.5 * math.pi, slacks[l])
             continue
         rows[l] = row
     if not rows:
@@ -924,12 +913,12 @@ def _certified_radii(
         if l in drifts:
             gap = _rotation_bound(value, slack, 2.0 * h, drifts[l]) - value
             if gap <= g_stop:
-                estimates[l] = RadiusEstimate(value, theta, gap, spec)
+                estimates[l] = RadiusEstimate(value, theta, gap)
                 del rows[l]
                 continue
         term = (value + slack) / cos_h
         if term - value <= g_stop:
-            estimates[l] = RadiusEstimate(value, theta, max(0.0, min(bound, term) - value), spec)
+            estimates[l] = RadiusEstimate(value, theta, max(0.0, min(bound, term) - value))
             del rows[l]
         else:
             lanes[l] = _Lane(value, theta, slack, g_stop, bound)
@@ -942,7 +931,7 @@ def _certified_radii(
     _subdivide(A, B, p, _covering_cells(A, B, p, rows, h, lanes), lanes)
     for l in rows:
         lane = lanes[l]
-        estimates[l] = RadiusEstimate(lane.value, lane.theta % math.pi, max(0.0, lane.bound - lane.value), spec)
+        estimates[l] = RadiusEstimate(lane.value, lane.theta % math.pi, max(0.0, lane.bound - lane.value))
     return estimates
 
 
@@ -954,11 +943,12 @@ def omega(X, grid: int = DEFAULT_GRID, refine_tol: float = DEFAULT_REFINE_TOL) -
 def _support_points(X: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Support points <Xv, v>, v a top eigenvector of Re(e^{-i*theta} X).
 
-    When the top eigenvalue is degenerate (gap below 1e-12) the first
-    eigenvector attaining it is used; any maximizer yields a valid
-    support point.  At most _EIG_BATCH angles go to one eigh, so memory
-    does not grow with the number of angles; eigh solves each matrix of a
-    batch independently, so the points do not depend on the chunking.
+    When the top eigenvalue is degenerate (gap below 1e-12 of the largest
+    eigenvalue modulus) the first eigenvector attaining it is used; any
+    maximizer yields a valid support point.  At most _EIG_BATCH angles go
+    to one eigh, so memory does not grow with the number of angles; eigh
+    solves each matrix of a batch independently, so the points do not
+    depend on the chunking.
     """
     A, B = cartesian_decompose(X)
     c = np.cos(thetas)
@@ -969,18 +959,24 @@ def _support_points(X: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         H = c[chunk, None, None] * A + s[chunk, None, None] * B
         w, V = np.linalg.eigh(H)
         lam_max = w[:, -1]
-        tol = 1e-12 * np.maximum(1.0, np.abs(lam_max))
+        tol = 1e-12 * np.maximum(np.abs(w[:, 0]), np.abs(lam_max))
         idx = (w >= (lam_max - tol)[:, None]).argmax(axis=1)
         v = V[np.arange(len(H)), :, idx]
         points[chunk] = np.einsum("ki,ij,kj->k", v.conj(), X, v)
     return points
 
 
-def numerical_range_boundary(X, samples: int) -> list[RangePoint]:
-    """Support points of the numerical range at angles 2*pi*k/samples."""
-    X = as_matrix(X)
+def numerical_range_boundary(X, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The angles theta_k = 2*pi*k/samples and the support points of the numerical range at them.
+
+    X far from unit size is scaled as linalg.as_scaled_stack scales it,
+    and its points are scaled back, as omega_n does.
+    """
+    (X,), far = as_scaled_stack(X)
     if not isinstance(samples, (int, np.integer)) or samples < 4:
         raise ValueError(f"samples must be an integer >= 4, got {samples}")
     thetas = 2.0 * math.pi * np.arange(samples) / samples
-    pts = _support_points(X, thetas)
-    return [RangePoint(float(t), complex(z)) for t, z in zip(thetas, pts)]
+    points = _support_points(X, thetas)
+    if far:
+        points = np.ldexp(points.view(np.float64), far[0]).view(np.complex128)
+    return thetas, points

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -46,6 +47,15 @@ class TestGenAndCompute:
         assert len(lines) == 17
         theta, re, im = (float(t) for t in lines[1].split(","))
         assert theta == 0.0 and re > 0
+
+    def test_range_csv_is_pinned(self, tmp_path):
+        # The bytes of a fixed 5 x 5 matrix's boundary at 2051 samples.
+        j, k = np.indices((5, 5))
+        write_matrix(tmp_path / "m.json", ((3 * j - 2 * k) % 7 - 3) / 4 + 1j * ((j * k + 2 * j + 1) % 5 - 2) / 8)
+        out = tmp_path / "range.csv"
+        assert run_cli("compute", "range", "--samples", "2051", "-i", str(tmp_path / "m.json"), "-o", str(out)) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "7a0c183f11f5daa8b605c3b474130882ca7fb1df80082e4a50947e6e38c218bc"
 
     def test_sector_rotation_json(self, tmp_path):
         m = tmp_path / "m.json"

@@ -1,5 +1,6 @@
 import math
 import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -257,6 +258,21 @@ class TestStacks:
         for key in (0, 1, 2**63 + 5, 2**64 - 1, mix_seed(7, 3)):
             fresh = np.random.Generator(np.random.Philox(key=key))
             assert np.array_equal(streams.rng(key).random(13), fresh.random(13))
+
+    def test_numpy_random_is_imported_at_the_first_draw(self):
+        # A Streams is built on a thread's first draw, so importing the
+        # package and its CLI leaves numpy.random unimported.
+        script = (
+            "import sys\n"
+            "import sector_radius, sector_radius.cli\n"
+            "print('numpy.random' in sys.modules)\n"
+            "sector_radius.random_ginibre(sector_radius.GenConfig(2, 1))\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True"]
 
     def test_draws_interleaved_across_threads_equal_single_thread_draws(self):
         # Each thread re-keys its own Streams, and a re-key sets the whole

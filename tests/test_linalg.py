@@ -348,8 +348,8 @@ class TestPdCertificate:
 
     @pytest.mark.parametrize("bad", [2, 4], ids=["middle", "last"])
     def test_stacked_lanes_equal_single_calls(self, bad):
-        # A failing lane makes numpy's stacked cholesky raise; the stack is
-        # then redone by halves, and every lane keeps its own bits.
+        # A failing lane makes numpy's stacked cholesky raise; each lane is
+        # then factored alone, and every lane keeps its own bits.
         rng = np.random.default_rng(7)
         Hs = np.array([random_hermitian(rng, 4) + 4.0 * np.eye(4) for _ in range(5)])
         Hs[bad] -= 8.0 * np.eye(4)
@@ -361,20 +361,24 @@ class TestPdCertificate:
         assert np.isnan(L[bad]).all()
 
     @pytest.mark.parametrize("bad", [0, 37, 63])
-    def test_a_failing_lane_costs_two_calls_per_halving(self, bad, monkeypatch):
-        # 64 lanes, one indefinite: the whole stack, then two halves per
-        # level down to the failing lane, 1 + 2 log2(64) = 13 calls at most.
+    def test_a_failing_stack_is_redone_one_lane_per_call(self, bad, monkeypatch):
+        # 64 lanes, one indefinite: the whole stack, then one call per lane,
+        # 1 + 64 calls.
         rng = np.random.default_rng(64)
         Hs = np.array([random_hermitian(rng, 3) + 3.0 * np.eye(3) for _ in range(64)])
         Hs[bad] -= 6.0 * np.eye(3)
         singles = [pd_certificate(H) for H in Hs]
         calls = count_linalg_matrices(monkeypatch, ("cholesky",))
         passes, _, L = pd_certificate(Hs)
-        assert len(calls) <= 13 and calls[0] == 64
+        assert calls == [64] + [1] * 64
         assert passes.tolist() == [k != bad for k in range(64)]
         for ok, Lk, one in zip(passes, L, singles):
             assert one[0] == ok and np.array_equal(one[2], Lk, equal_nan=True)
         assert np.isnan(L[bad]).all()
+        # A lone lane that fails is not factored again.
+        calls.clear()
+        assert not pd_certificate(Hs[bad])[0]
+        assert calls == [1]
 
     def test_subnormal_diagonal_is_scaled_without_overflow(self):
         # d_i d_j overflows for a subnormal H_ii; every lane is scaled as

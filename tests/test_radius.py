@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -1429,12 +1430,11 @@ class TestOmega:
 
 class TestNumericalRangeBoundary:
     def test_identity_collapses_to_point(self):
-        pts = numerical_range_boundary(np.eye(2), 16)
-        assert all(abs(p.boundary_point - 1.0) <= 1e-12 for p in pts)
+        _, pts = numerical_range_boundary(np.eye(2), 16)
+        assert all(abs(p - 1.0) <= 1e-12 for p in pts)
 
     def test_normal_diag_segment(self):
-        pts = numerical_range_boundary(np.diag([0.0, 1.0]), 64)
-        vals = np.array([p.boundary_point for p in pts])
+        _, vals = numerical_range_boundary(np.diag([0.0, 1.0]), 64)
         assert np.all(vals.real >= -1e-12) and np.all(vals.real <= 1 + 1e-12)
         assert np.max(np.abs(vals.imag)) <= 1e-12
         assert vals.real.min() == pytest.approx(0.0, abs=1e-12)
@@ -1445,22 +1445,22 @@ class TestNumericalRangeBoundary:
         # must be reproducible as <Xv, v> with unit v.
         rng = np.random.default_rng(14)
         X = random_complex(rng, 4)
-        pts = numerical_range_boundary(X, 32)
+        thetas, pts = numerical_range_boundary(X, 32)
         A = (X + X.conj().T) / 2
         B = (X - X.conj().T) / 2j
-        for p in pts:
-            H = math.cos(p.theta) * A + math.sin(p.theta) * B
+        for theta, p in zip(thetas, pts):
+            H = math.cos(theta) * A + math.sin(theta) * B
             w, V = np.linalg.eigh(H)
             v = V[:, -1]
-            assert abs(np.vdot(v, X @ v) - p.boundary_point) <= 1e-9 * max(1.0, abs(p.boundary_point))
+            assert abs(np.vdot(v, X @ v) - p) <= 1e-9 * max(1.0, abs(p))
 
     def test_max_modulus_consistent_with_omega(self):
         rng = np.random.default_rng(15)
         for _ in range(5):
             X = random_complex(rng, 4)
             samples = 360
-            pts = numerical_range_boundary(X, samples)
-            m = max(abs(p.boundary_point) for p in pts)
+            _, pts = numerical_range_boundary(X, samples)
+            m = max(abs(p) for p in pts)
             est = omega(X)
             slack = est.cert_error + 2 * math.pi * evaluate_norm(OPERATOR, X) / samples
             assert m <= est.value + est.cert_error + 1e-12
@@ -1481,11 +1481,46 @@ class TestNumericalRangeBoundary:
         A, B = cartesian_decompose(X)
         w, V = np.linalg.eigh(np.cos(thetas)[:, None, None] * A + np.sin(thetas)[:, None, None] * B)
         lam_max = w[:, -1]
-        idx = (w >= (lam_max - 1e-12 * np.maximum(1.0, np.abs(lam_max)))[:, None]).argmax(axis=1)
+        idx = (w >= (lam_max - 1e-12 * np.maximum(np.abs(w[:, 0]), np.abs(lam_max)))[:, None]).argmax(axis=1)
         v = V[np.arange(samples), :, idx]
         want = np.einsum("ki,ij,kj->k", v.conj(), X, v)
         calls = count_linalg_matrices(monkeypatch, ("eigh",))
-        pts = numerical_range_boundary(X, samples)
+        got_thetas, pts = numerical_range_boundary(X, samples)
         assert calls == [_EIG_BATCH, _EIG_BATCH, 3]
-        assert [p.theta for p in pts] == thetas.tolist()
-        assert np.array([p.boundary_point for p in pts]).tobytes() == want.tobytes()
+        assert got_thetas.tolist() == thetas.tolist()
+        assert pts.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-300, 1e300, 2.0**-1060])
+    def test_points_scale_with_the_matrix(self, scale):
+        # Every eigenvalue at an angle lies within 1e-12 of the top one when
+        # ||X|| is tiny, so the degeneracy tolerance is relative to the
+        # eigenvalues; a matrix far from unit size is scaled by a power of
+        # two, so subnormal and huge inputs keep their precision.
+        j, k = np.indices((5, 5))
+        X5 = ((3 * j - 2 * k) % 7 - 3) / 4 + 1j * ((j * k + 2 * j + 1) % 5 - 2) / 8
+        for X in (np.array([[1.0, 2.0], [0.5, -1.0]], dtype=complex), X5):
+            thetas, unit = numerical_range_boundary(X, 64)
+            got_thetas, got = numerical_range_boundary(scale * X, 64)
+            assert got_thetas.tolist() == thetas.tolist()
+            err = np.abs(got - scale * unit).max()
+            if scale < np.finfo(np.float64).tiny:
+                # The dyadic entries scale exactly; the points round to the
+                # subnormal grid.
+                assert err <= 4 * 2.0**-1074
+            else:
+                assert err <= 16 * EPS * scale * np.abs(unit).max()
+
+    def test_retained_memory_is_two_arrays(self):
+        # The result is the angles and the points, 24 bytes a sample, and
+        # no object per sample.
+        X = random_complex(np.random.default_rng(17), 6)
+        samples = 20000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = numerical_range_boundary(X, samples)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result[1]) == samples
+        assert retained <= 40 * samples
