@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,7 @@ from .harness import (
 )
 from .linalg import cartesian_decompose, pd_certificate, read_matrix, write_matrix
 from .norms import parse_norm
-from .radius import DEFAULT_REFINE_TOL, numerical_range_boundary, omega, omega_n
+from .radius import _EIG_BATCH, DEFAULT_REFINE_TOL, numerical_range_boundary, omega, omega_n
 from .sectorial import rotation_to_sector, sector_index
 
 
@@ -78,16 +79,19 @@ def _parse_ids(text: str):
     return ids
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+def _emit(texts, path: str | None) -> None:
+    """Write each of ``texts`` in turn and then a newline to the file ``path``, or to stdout when it is None or "-"."""
+    with nullcontext(sys.stdout) if path is None or path == "-" else open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(texts)
+        fh.write("\n")
+
+
+def _range_csv(thetas, points):
+    """The texts of the ``compute range`` CSV before _emit's last newline: its header, then its rows _EIG_BATCH at a time."""
+    yield "theta,re,im"
+    for start in range(0, len(thetas), _EIG_BATCH):
+        rows = zip(thetas[start : start + _EIG_BATCH].tolist(), points[start : start + _EIG_BATCH].tolist())
+        yield "".join(f"\n{t!r},{z.real!r},{z.imag!r}" for t, z in rows)
 
 
 def _estimate_json(est) -> str:
@@ -101,19 +105,16 @@ def _estimate_json(est) -> str:
 def _cmd_compute(args) -> int:
     X = read_matrix(args.input)
     if args.what == "omega":
-        _emit(_estimate_json(omega(X, refine_tol=args.refine_tol)), args.output)
+        _emit([_estimate_json(omega(X, refine_tol=args.refine_tol))], args.output)
     elif args.what == "omega-n":
         spec = parse_norm(args.norm)
-        _emit(_estimate_json(omega_n(spec, X, refine_tol=args.refine_tol)), args.output)
+        _emit([_estimate_json(omega_n(spec, X, refine_tol=args.refine_tol))], args.output)
     elif args.what == "range":
-        thetas, points = numerical_range_boundary(X, args.samples)
-        lines = ["theta,re,im"]
-        lines += [f"{t!r},{z.real!r},{z.imag!r}" for t, z in zip(thetas.tolist(), points.tolist())]
-        _emit("\n".join(lines), args.output)
+        _emit(_range_csv(*numerical_range_boundary(X, args.samples)), args.output)
     elif args.what == "sector-index":
-        _emit(_sector_json(X, sector_index(X)), args.output)
+        _emit([_sector_json(X, sector_index(X))], args.output)
     elif args.what == "sector-rotation":
-        _emit(_sector_json(X, rotation_to_sector(X)), args.output)
+        _emit([_sector_json(X, rotation_to_sector(X))], args.output)
     return 0
 
 
@@ -164,7 +165,7 @@ def _cmd_verify(args) -> int:
         context=context,
     )
     if args.out:
-        _emit(report.to_json(), args.out)
+        _emit([report.to_json()], args.out)
     for ineq_id, summary in report.per_id.items():
         v = summary.verdicts
         ratio = "-" if summary.max_ratio is None else f"{summary.max_ratio:.6f}"
@@ -184,7 +185,7 @@ def _cmd_tighten(args) -> int:
     report = tightness_scan(args.id, args.trials, args.seed)
     summary = report.per_id[args.id]
     if args.out:
-        _emit(report.to_json(), args.out)
+        _emit([report.to_json()], args.out)
     ratio = "-" if summary.max_ratio is None else f"{summary.max_ratio:.9f}"
     print(f"{args.id}: max ratio {ratio} over {summary.trials} checks")
     return 0

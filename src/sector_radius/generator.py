@@ -38,12 +38,14 @@ properties the construction proves.
   arguments arg(c + is) + [arctan min t, arctan max t] and reaches both
   ends when G is nonsingular (every sectorial matrix is such a
   congruence: Zhang, Linear Multilinear Algebra 63, 2015).
-random_pd and random_accretive_dissipative draw at scale 1 and multiply
-by fl(scale^2).  For a power-of-two scale that is exact, and the proof
-stands.  For another scale each entry is rounded once, relative error at
-most 2^-53: a Hermitian part stays exactly Hermitian and, for n < 2^13,
-positive definite, since the rounding's norm, at most 2^-53 scale^2
-||X||_F <= 2^-53 scale^2 (64 n^2 + 2), is below the shift 2^-20 scale^2.
+Every private draw is made at scale 1 (_ginibre).  random_ginibre and
+random_sectorial multiply G by the scale, random_pd and
+random_accretive_dissipative their draw by fl(scale^2).  For a
+power-of-two scale that is exact, and the proof stands.  For another
+scale each entry is rounded once, relative error at most 2^-53: a
+Hermitian part stays exactly Hermitian and, for n < 2^13, positive
+definite, since the rounding's norm, at most 2^-53 scale^2 ||X||_F <=
+2^-53 scale^2 (64 n^2 + 2), is below the shift 2^-20 scale^2.
 random_sectorial is not exact: its index is alpha to rounding for any
 alpha < pi/2, finer than a 12-bit tilt resolves, so it keeps a float
 construction (_sectorial_draw).
@@ -192,16 +194,15 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
     return (M + adjoint(M)) / 2
 
 
-# Every private draw below makes a stack, one matrix per seed from its own
-# Philox stream, with one Box-Muller transform and one batched product per
-# step, so each matrix is bit for bit the draw of its seed alone.  The
-# suites (harness._draw) hand them all of a check's seeds at once.  A
-# public factory validates one config (GenConfig) and draws the stack of
-# one; an exact draw is made at scale 1 and scaled by it (_scaled).
+# Every private draw below makes a stack at scale 1, one matrix per seed
+# from its own Philox stream, with one Box-Muller transform and one batched
+# product per step, so each matrix is bit for bit its seed's draw alone.
+# The suites (harness._draw) hand them all of a check's seeds at once; a
+# public factory draws a stack of one and applies its GenConfig's scale.
 
 
-def _ginibre(streams: Streams, n: int, seeds, scales) -> np.ndarray:
-    """Matrices of i.i.d. standard complex Gaussian entries, one per seed, each times its scale.
+def _ginibre(streams: Streams, n: int, seeds) -> np.ndarray:
+    """Matrices of i.i.d. standard complex Gaussian entries, one per seed, at scale 1.
 
     Polar Box-Muller: sqrt(-log u1) * exp(2*pi*i*u2) is standard complex
     Gaussian (E|z|^2 = 1), with u1 shifted into (0, 1] so the log is
@@ -210,7 +211,7 @@ def _ginibre(streams: Streams, n: int, seeds, scales) -> np.ndarray:
     count = n * n
     u = np.array([streams.rng(seed).random(2 * count) for seed in seeds])
     z = np.sqrt(-np.log(1.0 - u[:, :count])) * np.exp(2j * np.pi * u[:, count:])
-    return np.array(scales)[:, None, None] * z.reshape(-1, n, n)
+    return z.reshape(-1, n, n)
 
 
 def _fraction_bits(n: int) -> int:
@@ -241,7 +242,7 @@ def _dyadic(Z: np.ndarray, bits: int, limit: int | None = None) -> np.ndarray:
 def _exact_ginibre(streams: Streams, n: int, seeds) -> np.ndarray:
     """The G of an exact draw: a scale-1 Ginibre draw per seed, rounded as the module docstring states."""
     bits = _fraction_bits(n)
-    return _dyadic(_ginibre(streams, n, seeds, [1.0] * len(seeds)), bits, _G_LIMIT)
+    return _dyadic(_ginibre(streams, n, seeds), bits, _G_LIMIT)
 
 
 def _scaled(X: np.ndarray, cfg: GenConfig) -> np.ndarray:
@@ -262,14 +263,14 @@ def _pd(streams: Streams, n: int, seeds) -> np.ndarray:
 def _sectorial_draw(streams: Streams, n: int, seeds, scales, alphas) -> np.ndarray:
     """random_sectorial's matrices, one per seed, scale and alpha (a float in [0, pi/2)).
 
-    G comes from the seed's base stream, with the bits of _ginibre, and t
-    is _tilts.  X is one broadcast product of the stack (G, G diag(t))
-    against G* and one Hermitian part; no numpy.linalg routine runs.  The
-    arguments of W(X) span exactly [arctan min t, arctan max t] for the
-    exact product of the float G and t, which the float X approximates
-    (unlike _exact_sectorial, this draw rounds).
+    G is the scale-1 _ginibre draw of the seed's base stream times its
+    scale, and t is _tilts.  X is one broadcast product of the stack (G,
+    G diag(t)) against G* and one Hermitian part; no numpy.linalg routine
+    runs.  The arguments of W(X) span exactly [arctan min t, arctan max t]
+    for the exact product of the float G and t, which the float X
+    approximates (unlike _exact_sectorial, this draw rounds).
     """
-    G = _ginibre(streams, n, [mix_seed(seed, _STREAM_SECT_BASE) for seed in seeds], scales)
+    G = np.array(scales)[:, None, None] * _ginibre(streams, n, [mix_seed(seed, _STREAM_SECT_BASE) for seed in seeds])
     t = _tilts(streams, n, seeds, alphas)
     H = _hermitian_part(np.stack((G, G * t[:, None, :])) @ adjoint(G))
     return H[0] + 1j * H[1]
@@ -326,8 +327,8 @@ def _accretive_dissipative(streams: Streams, n: int, seeds) -> np.ndarray:
 
 
 def random_ginibre(cfg: GenConfig) -> np.ndarray:
-    """Matrix of i.i.d. standard complex Gaussian entries, times cfg.scale (see _ginibre)."""
-    return _ginibre(_local_streams(), cfg.n, [cfg.seed], [cfg.scale])[0]
+    """Matrix of i.i.d. standard complex Gaussian entries, the scale-1 draw of _ginibre times cfg.scale."""
+    return cfg.scale * _ginibre(_local_streams(), cfg.n, [cfg.seed])[0]
 
 
 def random_pd(cfg: GenConfig) -> np.ndarray:
@@ -365,7 +366,7 @@ def random_accretive_dissipative(cfg: GenConfig) -> np.ndarray:
 
 def random_unitary(cfg: GenConfig) -> np.ndarray:
     """Haar-like unitary from QR of a Ginibre draw with phase-fixed R."""
-    G = _ginibre(_local_streams(), cfg.n, [mix_seed(cfg.seed, _STREAM_UNITARY)], [1.0])[0]
+    G = _ginibre(_local_streams(), cfg.n, [mix_seed(cfg.seed, _STREAM_UNITARY)])[0]
     Q, R = np.linalg.qr(G)
     d = np.diag(R)
     phases = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)

@@ -62,6 +62,7 @@ from .generator import (
     _accretive_dissipative,
     _exact_sectorial,
     _ginibre,
+    _hermitian_part,
     _local_streams,
     _pd,
     mix_seed,
@@ -856,8 +857,8 @@ def check_inequality(
     return _check(id, inputs, norm, seed, _tight(context))
 
 
-def _check(id, inputs, norm: NormSpec, seed, passes, proof=None) -> CheckResult:
-    """check_inequality with its radius passes and the draw's proof given as in _evaluate."""
+def _check(id, inputs, norm: NormSpec, seed, passes) -> CheckResult:
+    """check_inequality with its radius passes given as in _evaluate."""
     ineq = InequalityId(id)
     info = REGISTRY[ineq]
     mats = [as_matrix(m, f"input {k}") for k, m in enumerate(inputs)]
@@ -870,7 +871,7 @@ def _check(id, inputs, norm: NormSpec, seed, passes, proof=None) -> CheckResult:
     for k, M in enumerate(mats[1:], start=1):
         if M.shape[0] != n:
             raise DimensionError(f"input {k} has dimension {M.shape[0]}, expected {n}")
-    return _certify(info, mats, norm, seed, passes, proof)
+    return _certify(info, mats, norm, seed, passes)
 
 
 def _certify(info: IdInfo, mats, norm: NormSpec, seed, passes, proof=None) -> CheckResult:
@@ -930,22 +931,18 @@ def _rotated(streams: Streams, n: int, seeds, alphas, phases):
     return X, claims
 
 
-def _ginibre_draw(streams: Streams, n: int, seeds) -> np.ndarray:
-    return _ginibre(streams, n, seeds, [1.0] * len(seeds))
-
-
 def _hermitian_draw(streams: Streams, n: int, seeds) -> np.ndarray:
-    """(G + G*)/2 of a Ginibre draw: Hermitian bit for bit, entries ij and ji taking the same sums."""
-    return cartesian_parts(_ginibre_draw(streams, n, seeds))[0]
+    """(G + G*)/2 of a scale-1 Ginibre draw (generator._hermitian_part): Hermitian bit for bit, entries ij and ji taking the same sums."""
+    return _hermitian_part(_ginibre(streams, n, seeds))
 
 
 # The draw of each input position, or one draw for every input.  A sector
 # draw also takes the trial's indices and phases and returns its claims.
 _DRAWS = {
-    None: _ginibre_draw,
-    Hypothesis.PSD_NOTE: (_pd, _ginibre_draw),
-    Hypothesis.PD_SECOND: (_ginibre_draw, _pd),
-    Hypothesis.ONE_HERMITIAN: (_ginibre_draw, _hermitian_draw),
+    None: _ginibre,
+    Hypothesis.PSD_NOTE: (_pd, _ginibre),
+    Hypothesis.PD_SECOND: (_ginibre, _pd),
+    Hypothesis.ONE_HERMITIAN: (_ginibre, _hermitian_draw),
     Hypothesis.SECTORIAL: _rotated,
     Hypothesis.ACCRETIVE: _accretive,
     Hypothesis.ACCRETIVE_DISSIPATIVE: _accretive_dissipative,
@@ -969,7 +966,7 @@ class _Inputs(list):
     proof: list[SectorInfo]
 
 
-def _draw(info: IdInfo, n: int, seed: int, m_fold: int = 3) -> tuple[list[np.ndarray], list[SectorInfo] | None]:
+def _draw(info: IdInfo, n: int, seed: int, m_fold: int) -> tuple[list[np.ndarray], list[SectorInfo] | None]:
     """The inputs of one trial of ``info`` and their sector claims (generate_inputs).
 
     n and seed are validated once, as GenConfig validates them, and the

@@ -1,6 +1,9 @@
+import cProfile
+import importlib.util
 import json
 import subprocess
 import sys
+from dataclasses import make_dataclass
 from pathlib import Path
 
 import pytest
@@ -70,7 +73,10 @@ def test_one_check_ops_stay_capped():
     # sets its lanes up in one pass.  report.py's own functions took 82.1
     # calls per op before that cache and made 116.8 calls out of the
     # package (its share of json, numpy and the builtins); 71.2 and 93.8
-    # measured since.
+    # measured since.  Those counts lost the calls of dataclass-generated
+    # __init__, __eq__ and __hash__ methods that share a line (pstats
+    # merged them); counted by code object, 543.2 calls per op and report.py
+    # 98.8 out.
     args = ("--one-check", "--ids", "all", "--dims", "2..6", "--norms", "op,tr,fro,sp:3", "--seed", "42")
     done = subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
@@ -78,9 +84,9 @@ def test_one_check_ops_stay_capped():
     assert lines[0] == "ops: 680"
     rows = parse(lines[1:], "op")
     check_sums(rows, 680)
-    assert rows["total"][1] <= 522
+    assert rows["total"][1] <= 554
     assert rows["report.py"][1] <= 72
-    assert rows["report.py"][2] <= 95
+    assert rows["report.py"][2] <= 100
 
 
 def test_flat_ops_stay_capped():
@@ -90,13 +96,32 @@ def test_flat_ops_stay_capped():
     # eigvalsh.  134.7 calls per op, 11.1 in radius.py and 8.8 in linalg.py,
     # while the lane setup built a per-matrix list, screened the parts with
     # two any() reductions and a graded lane's first stage went through
-    # _combined_norms; 108.2, 7.9 and 6.8 measured since.
+    # _combined_norms; 108.2, 7.9 and 6.8 measured since, and 108.0 for the
+    # total when functions are counted by code object.
     done = subprocess.run([sys.executable, str(TOOL), "--flat"], capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "ops: 36"
     rows = parse(lines[1:], "op")
     check_sums(rows, 36)
-    assert rows["total"][1] <= 110.3
+    assert rows["total"][1] <= 110.1
     assert rows["radius.py"][1] <= 8.0
     assert rows["linalg.py"][1] <= 6.9
+
+
+def test_generated_dunders_of_two_dataclasses_are_both_counted():
+    # Two dataclasses' generated __init__ methods share the file <string>,
+    # a line and a name; each is its own code object, and the tool counts
+    # both: k more of each adds 2k calls to the other line.
+    spec = importlib.util.spec_from_file_location("call_counts", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    A, B = make_dataclass("A", ["x"]), make_dataclass("B", ["x"])
+    assert A.__init__.__code__ is not B.__init__.__code__
+
+    def other_calls(k: int) -> int:
+        profile = cProfile.Profile()
+        profile.runcall(lambda: [(A(j), B(j)) for j in range(k)])
+        return tool._by_file(profile)["other"][0]
+
+    assert other_calls(7) - other_calls(2) == 2 * 5

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -322,7 +323,7 @@ class TestStacks:
         alphas, phases = [0.3, 0.0, 1.4, 1.0], [0.2, 3.0, 5.5, 1.0]
         float_alphas = [0.3, 0.0, 1.4, math.pi / 2 - 1e-6]
         draws = {
-            "ginibre": lambda k: generator._ginibre(streams, n, seeds[k], scales[k]),
+            "ginibre": lambda k: generator._ginibre(streams, n, seeds[k]),
             "pd": lambda k: generator._pd(streams, n, seeds[k]),
             "accretive_dissipative": lambda k: generator._accretive_dissipative(streams, n, seeds[k]),
             "sectorial_draw": lambda k: generator._sectorial_draw(streams, n, seeds[k], scales[k], float_alphas[k]),
@@ -336,6 +337,27 @@ class TestStacks:
                 for part, one in zip(*(out if isinstance(out, tuple) else (out,) for out in (stack, single))):
                     assert len(part) == len(seeds) and len(one) == 1
                     assert part[k].tobytes() == one[0].tobytes(), (name, k)
+
+    def test_public_draws_are_pinned(self):
+        # The bytes of every public factory (random_sectorial at alpha 0,
+        # 0.7 and just below pi/2) at n = 1, 2, 3, 5, 8, seeds 0..39 and
+        # five scales, one of them far below and one far above 1: 7000
+        # draws hashed in the order n, seed, scale, factory.
+        factories = (
+            random_ginibre,
+            random_pd,
+            random_accretive_dissipative,
+            *(lambda cfg, alpha=alpha: random_sectorial(cfg, alpha) for alpha in (0.0, 0.7, math.pi / 2 - 1e-9)),
+            random_unitary,
+        )
+        digest = hashlib.sha256()
+        for n in (1, 2, 3, 5, 8):
+            for seed in range(40):
+                for scale in (1.0, 0.5, 3.0, 2.0**-100, 1e70):
+                    cfg = GenConfig(n, seed, scale)
+                    for draw in factories:
+                        digest.update(draw(cfg).tobytes())
+        assert digest.hexdigest() == "74b6cb613ee7e8e40f64511a5a9aca6155e14a81361c3e4d522916ebe8f2c23e"
 
     @pytest.mark.parametrize("k", [-200, -40, 40, 200])
     def test_a_power_of_two_scale_scales_the_draw_exactly(self, k):

@@ -646,8 +646,11 @@ def record_radii(monkeypatch) -> list:
 
 
 def suite_check(ineq, mats, norm, ctx=DEFAULT_CONTEXT, proof=None):
-    """One check as run_suite runs it: coarse radii first, the gate accepting the draw's ``proof`` when given."""
-    return harness._check(ineq, mats, norm, None, harness._passes(ctx), proof)
+    """One check as run_suite runs it (_certify): coarse radii first, the gate accepting the draw's ``proof`` when given.
+
+    ``mats`` are complex128 matrices of one size, as many as the row takes.
+    """
+    return harness._certify(REGISTRY[ineq], mats, norm, None, harness._passes(ctx), proof)
 
 
 class TestCoarsePass:

@@ -11,13 +11,15 @@ it prints the check count, one line per source file of the
 ``sector_radius`` package with the calls of the functions defined there
 (recursive calls included), in all and per check, an ``other`` line for
 every other function profiled (numpy, the standard library, builtins),
-and a total line over all of them.  A last column counts, per check, the
-calls that a line's functions make directly to functions outside the
-package (pstats' callers), so that work a file hands to numpy, json or
-a builtin shows under that file; on the ``other`` line these are calls
-within non-package code.  The check count is that of the
-reports ``run_suite`` returns.  The package is imported from the
-``src/`` beside this directory.  Exits with verify's exit code.
+and a total line over all of them.  Functions are told apart by code
+object, so each dataclass's generated ``__init__``, ``__eq__`` and
+``__hash__`` counts.  A last column counts, per check, the calls that a
+line's functions make directly to functions outside the package, so
+that work a file hands to numpy, json or a builtin shows under that
+file; on the ``other`` line these are calls within non-package code.
+The check count is that of the reports ``run_suite`` returns.  The
+package is imported from the ``src/`` beside this directory.  Exits
+with verify's exit code.
 
 With ``--one-check`` first, the other flags are read as verify reads
 them, but only ``--ids``, ``--dims``, ``--norms`` and ``--seed`` are
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import cProfile
 import math
-import pstats
 import sys
 from pathlib import Path
 
@@ -54,27 +55,35 @@ from sector_radius.norms import parse_norm  # noqa: E402
 PACKAGE = Path(cli.__file__).resolve().parent
 
 
-def _row(filename: str) -> str:
-    """The table row of a function defined in ``filename``: its package file's name, or ``other``."""
-    path = Path(filename).resolve()
+def _row(code) -> str:
+    """The table row of a profiled function: its package file's name, or ``other``.
+
+    ``code`` is a profile entry's code object, or a string naming a builtin.
+    """
+    if isinstance(code, str):
+        return "other"
+    path = Path(code.co_filename).resolve()
     return path.name if path.parent == PACKAGE else "other"
 
 
 def _by_file(profile: cProfile.Profile) -> dict[str, tuple[int, int]]:
     """(calls made to its functions, calls they make to non-package functions) per package file, and as ``other``.
 
-    ``other`` holds every function outside the package.  The second
-    count is read from pstats' callers of each non-package function, so
-    work that a file hands to numpy, json or a builtin shows under that
-    file.
+    ``other`` holds every function outside the package.  Each profile
+    entry is one code object, so functions that share a file, line and
+    name (such as the ``__init__`` that dataclasses generate in
+    ``<string>``) each count, where pstats would merge them.  The second
+    count is read from each function's calls to non-package functions,
+    so work that a file hands to numpy, json or a builtin shows under
+    that file.
     """
     calls = {path.name: [0, 0] for path in sorted(PACKAGE.glob("*.py"))} | {"other": [0, 0]}
-    for (filename, _, _), (_, total, _, _, callers) in pstats.Stats(profile).stats.items():
-        row = _row(filename)
-        calls[row][0] += total
-        if row == "other":
-            for (caller, _, _), (_, made, _, _) in callers.items():
-                calls[_row(caller)][1] += made
+    for entry in profile.getstats():
+        row = calls[_row(entry.code)]
+        row[0] += entry.callcount
+        for sub in entry.calls or ():
+            if _row(sub.code) == "other":
+                row[1] += sub.callcount - sub.reccallcount
     return {name: (into, out) for name, (into, out) in calls.items()}
 
 
