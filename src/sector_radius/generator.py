@@ -197,8 +197,9 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
 # Every private draw below makes a stack at scale 1, one matrix per seed
 # from its own Philox stream, with one Box-Muller transform and one batched
 # product per step, so each matrix is bit for bit its seed's draw alone.
-# The suites (harness._draw) hand them all of a check's seeds at once; a
-# public factory draws a stack of one and applies its GenConfig's scale.
+# The suites (harness.generate_inputs, checked by harness._certify) hand
+# them all of a check's seeds at once; a public factory draws a stack of
+# one and applies its GenConfig's scale.
 
 
 def _ginibre(streams: Streams, n: int, seeds) -> np.ndarray:

@@ -14,9 +14,11 @@ The verdict is certified only when the intervals separate.
 Each identifier is one row of REGISTRY and is stated nowhere else: its
 inputs, its hypothesis, and both sides written in a small vocabulary of
 terms (see docs/inequalities.md).  InequalityId is built from the rows,
-and suites draw each row's inputs from its hypothesis.  A check gates
-the hypothesis and evaluates the row's plan, its sides written out once
-per input count (_plan): each term once, its radii in one omega_n call.
+and suites draw each row's inputs from its hypothesis (generate_inputs).
+Every check, explicit (check_inequality) or drawn (run_suite), is one
+_certify call: it gates the hypothesis and evaluates the row's plan, its
+sides written out once per input count (_plan): each term once, its
+radii in one omega_n call.
 
 A suite certifies each check only as far as its verdict needs, on the
 ladder of radius passes _COARSE_PASSES and then grid 32
@@ -424,7 +426,7 @@ class Omega:
     """w_N as [value, value + cert_error] from omega_n.
 
     A check computes every Omega term of its plan in one omega_n call per
-    pass (_evaluate) before either side is evaluated.
+    pass (_certify) before either side is evaluated.
     """
 
     of: object
@@ -807,34 +809,6 @@ def _plan(info: IdInfo, m: int) -> tuple:
     return _PLANS[key]
 
 
-def _evaluate(info: IdInfo, mats, spec: NormSpec, passes, proof=None) -> tuple[Interval, Interval, str]:
-    """Both sides of ``info`` with its radii certified by the first of ``passes``.
-
-    After the gate (_check_hypothesis, given ``proof``) a block row
-    returns its certificate; any other computes its plan's terms (_plan)
-    but the radii once, then per (grid, refine_tol) pass all radii in one
-    omega_n call and both sides.  While the sides do not separate, each
-    further pass recomputes the radii alone, so the last pass gives the
-    bits of a check run at its grid and tolerance only.
-    """
-    infos, note = _check_hypothesis(info.requires, mats, info.arity, proof)
-    if info.block is not None:
-        return _block_certificate(info.block, infos[_X].rotation_z * mats[_X], infos[_X])
-    ev = _Evaluator(mats, infos, info.product, spec)
-    lhs, rhs, omegas, others = _plan(info, len(mats))
-    values = {term: term.interval(ev) for term in others}
-    radii = [ev.matrix(term.of) for term in omegas]
-    for grid, tol in passes:
-        if omegas:
-            ests = omega_n(spec, *radii, grid=grid, refine_tol=tol)
-            for term, est in zip(omegas, ests if len(radii) > 1 else (ests,)):
-                values[term] = Interval(est.value, math.nextafter(est.value + est.cert_error, math.inf))
-        sides = _side(lhs, values), _side(rhs, values)
-        if not omegas or classify(*sides) in _SETTLED:
-            break
-    return (*sides, note)
-
-
 def check_inequality(
     id: InequalityId | str,
     inputs,
@@ -854,11 +828,6 @@ def check_inequality(
     """
     if not isinstance(norm, NormSpec):
         raise ValueError(f"norm must be a NormSpec, got {norm!r}")
-    return _check(id, inputs, norm, seed, _tight(context))
-
-
-def _check(id, inputs, norm: NormSpec, seed, passes) -> CheckResult:
-    """check_inequality with its radius passes given as in _evaluate."""
     ineq = InequalityId(id)
     info = REGISTRY[ineq]
     mats = [as_matrix(m, f"input {k}") for k, m in enumerate(inputs)]
@@ -871,44 +840,70 @@ def _check(id, inputs, norm: NormSpec, seed, passes) -> CheckResult:
     for k, M in enumerate(mats[1:], start=1):
         if M.shape[0] != n:
             raise DimensionError(f"input {k} has dimension {M.shape[0]}, expected {n}")
-    return _certify(info, mats, norm, seed, passes)
+    return _certify(info, mats, norm, seed, _tight(context))
 
 
 def _certify(info: IdInfo, mats, norm: NormSpec, seed, passes, proof=None) -> CheckResult:
-    """The result of _check on inputs it has validated, or on generate_inputs' own, which need no validation.
+    """One check of ``info`` on ``mats``, its radii certified by the first of ``passes``.
 
     ``mats`` are complex128 matrices with finite entries, as many as the
-    row takes and all of one size.
+    row takes and all of one size: check_inequality validates explicit
+    inputs, and generate_inputs' own need no validation.  After the gate
+    (_check_hypothesis, given ``proof``) a block row takes its certificate;
+    any other computes its plan's terms (_plan) but the radii once, then
+    per (grid, refine_tol) pass all radii in one omega_n call and both
+    sides.  While the sides do not separate, each further pass recomputes
+    the radii alone, so the last pass gives the bits of a check run at its
+    grid and tolerance only.  A hypothesis that the gate or the block
+    certificate refutes makes the result inapplicable.
     """
     n = mats[0].shape[0]
-    spec_eff = OPERATOR if info.classical else norm
+    spec = OPERATOR if info.classical else norm
     try:
-        lhs, rhs, note = _evaluate(info, mats, spec_eff, passes, proof)
+        infos, note = _check_hypothesis(info.requires, mats, info.arity, proof)
+        if info.block is not None:
+            lhs, rhs, note = _block_certificate(info.block, infos[_X].rotation_z * mats[_X], infos[_X])
+        else:
+            ev = _Evaluator(mats, infos, info.product, spec)
+            left, right, omegas, others = _plan(info, len(mats))
+            values = {term: term.interval(ev) for term in others}
+            radii = [ev.matrix(term.of) for term in omegas]
+            for grid, tol in passes:
+                if omegas:
+                    ests = omega_n(spec, *radii, grid=grid, refine_tol=tol)
+                    for term, est in zip(omegas, ests if len(radii) > 1 else (ests,)):
+                        values[term] = Interval(est.value, math.nextafter(est.value + est.cert_error, math.inf))
+                lhs, rhs = _side(left, values), _side(right, values)
+                if not omegas or classify(lhs, rhs) in _SETTLED:
+                    break
     except Inapplicable as exc:
-        return CheckResult.inapplicable(info.id, str(exc), seed=seed, norm=spec_eff.label, dim=n)
-    return CheckResult.from_comparison(info.id, lhs, rhs, seed=seed, norm=spec_eff.label, dim=n, note=note)
+        return CheckResult.inapplicable(info.id, str(exc), seed=seed, norm=spec.label, dim=n)
+    return CheckResult.from_comparison(info.id, lhs, rhs, seed=seed, norm=spec.label, dim=n, note=note)
 
 
 # --- input generation ------------------------------------------------------
 #
 # Suites draw each row's inputs from its hypothesis.  Input j comes from the
 # generator seed mix_seed(seed, j + 1).  A sector draw takes its indices
-# and then its rotation phases from one stream, mix_seed(seed, 31): one
-# index per input, or one for every input of a common_index row, then one
-# phase per input.
+# and then a SECTORIAL draw its rotation phases from one stream,
+# mix_seed(seed, 31): one index per input, or one for every input of a
+# common_index row, then one phase per input.  An ACCRETIVE draw is not
+# rotated, and the phases are the stream's tail, so it stops at the indices.
 
 _ALPHA_MAX = 1.4
 _ANGLE_TAG = 31
 
 
-def _angles(streams: Streams, seed: int, count: int, common: bool) -> tuple[list[float], list[float]]:
-    """The sector indices, uniform on [0, _ALPHA_MAX), and rotation phases, uniform on [0, 2 pi), of a trial's ``count`` inputs."""
-    k = 1 if common else count
-    u = streams.rng(mix_seed(seed, _ANGLE_TAG)).random(k + count)
-    return (_ALPHA_MAX * u[:k]).tolist() * (count // k), (2.0 * math.pi * u[k:]).tolist()
+def _angles(streams: Streams, seed: int, count: int, info: IdInfo) -> list[list[float]]:
+    """The sector indices, uniform on [0, _ALPHA_MAX), of a trial's ``count`` inputs, and for a SECTORIAL row their rotation phases, uniform on [0, 2 pi)."""
+    k = 1 if info.common_index else count
+    phases = count if info.requires is Hypothesis.SECTORIAL else 0
+    u = streams.rng(mix_seed(seed, _ANGLE_TAG)).random(k + phases)
+    alphas = (_ALPHA_MAX * u[:k]).tolist() * (count // k)
+    return [alphas, (2.0 * math.pi * u[k:]).tolist()] if phases else [alphas]
 
 
-def _accretive(streams: Streams, n: int, seeds, alphas, phases):
+def _accretive(streams: Streams, n: int, seeds, alphas):
     """Accretive inputs, each claimed at index max(hi, -lo) with z = 1.
 
     W(X) spans the arguments [lo, hi] (generator._exact_sectorial), so
@@ -937,7 +932,7 @@ def _hermitian_draw(streams: Streams, n: int, seeds) -> np.ndarray:
 
 
 # The draw of each input position, or one draw for every input.  A sector
-# draw also takes the trial's indices and phases and returns its claims.
+# draw also takes the trial's angles (_angles) and returns its claims.
 _DRAWS = {
     None: _ginibre,
     Hypothesis.PSD_NOTE: (_pd, _ginibre),
@@ -966,13 +961,18 @@ class _Inputs(list):
     proof: list[SectorInfo]
 
 
-def _draw(info: IdInfo, n: int, seed: int, m_fold: int) -> tuple[list[np.ndarray], list[SectorInfo] | None]:
-    """The inputs of one trial of ``info`` and their sector claims (generate_inputs).
+def generate_inputs(info: IdInfo, n: int, seed: int, m_fold: int = 3) -> list[np.ndarray]:
+    """Deterministic inputs for one trial of ``info``, drawn to satisfy its hypothesis.
 
     n and seed are validated once, as GenConfig validates them, and the
     draws take the inputs' integer seeds.  A row with one draw for every
     input draws them all as one stack; every Philox stream comes from the
-    thread's one re-keyed bit generator.
+    thread's one re-keyed bit generator.  The list's ``claims`` holds each
+    SECTORIAL or ACCRETIVE input's sector witness as the draw knows it,
+    index and rotation, and is None for other rows; its ``proof`` is the
+    sector data that the construction proves (_Inputs).  The matrices
+    carry no trace of either.  run_suite accepts the proof in place of the
+    gate (_takes_proof).
     """
     cfg = GenConfig(n, seed)
     n, seed = cfg.n, cfg.seed
@@ -980,25 +980,14 @@ def _draw(info: IdInfo, n: int, seed: int, m_fold: int) -> tuple[list[np.ndarray
     streams = _local_streams()
     count = info.arity or m_fold
     seeds = [mix_seed(seed, j + 1) for j in range(count)]
+    claims = None
     if isinstance(draws, tuple):
-        return [draw(streams, n, [input_seed])[0] for draw, input_seed in zip(draws, seeds)], None
-    if info.requires in (Hypothesis.SECTORIAL, Hypothesis.ACCRETIVE):
-        X, claims = draws(streams, n, seeds, *_angles(streams, seed, count, info.common_index))
-        return list(X), claims
-    return list(draws(streams, n, seeds)), None
-
-
-def generate_inputs(info: IdInfo, n: int, seed: int, m_fold: int = 3) -> list[np.ndarray]:
-    """Deterministic inputs for one trial of ``info``, drawn to satisfy its hypothesis.
-
-    The list's ``claims`` holds each SECTORIAL or ACCRETIVE input's sector
-    witness as the draw knows it, index and rotation, and is None for
-    other rows; its ``proof`` is the sector data that the construction
-    proves (_Inputs).  The matrices carry no trace of either.  run_suite
-    accepts the proof in place of the gate (_takes_proof).
-    """
-    mats, claims = _draw(info, n, seed, m_fold)
-    inputs = _Inputs(mats)
+        inputs = _Inputs([draw(streams, n, [input_seed])[0] for draw, input_seed in zip(draws, seeds)])
+    elif info.requires in (Hypothesis.SECTORIAL, Hypothesis.ACCRETIVE):
+        X, claims = draws(streams, n, seeds, *_angles(streams, seed, count, info))
+        inputs = _Inputs(X)
+    else:
+        inputs = _Inputs(draws(streams, n, seeds))
     inputs.claims = claims
     inputs.proof = [] if claims is None else [SectorInfo(c.index_alpha + _ALPHA_INFLATION, c.rotation_z) for c in claims]
     return inputs
@@ -1036,10 +1025,10 @@ def _run_trials(tagged, trials: int, dims, norms, seed: int, context: CheckConte
 
     Trial t of an id uses dimension dims[t mod len(dims)], norm
     norms[(t div len(dims)) mod len(norms)] and seed mix_seed(seed, tag, t),
-    so every dimension/norm combination is exercised.  Radii are
-    certified by ``passes`` as in _evaluate, and the gate of a row that
-    _takes_proof accepts the draw's proof (generate_inputs).  Each check
-    is _check's on the drawn matrices as they are (_certify).
+    so every dimension/norm combination is exercised.  Each check is
+    _certify's on the matrices that generate_inputs draws, as they are:
+    radii certified by ``passes``, and the gate of a row that _takes_proof
+    accepting the draw's proof.
     """
     results = []
     for ineq, tag in tagged:

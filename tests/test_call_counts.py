@@ -55,9 +55,11 @@ def test_harness_calls_per_check_stay_capped(counted):
     # count; walking the row's expressions on every check made 82.1 here.
     # A suite gate that takes the draw's proof tests nothing: 46.2 while
     # it verified every drawn input, 34.4 measured without, and 33.4 since
-    # suite checks skip the validation of explicit inputs (_certify).
+    # suite checks skip the validation of explicit inputs (_certify); 33.1
+    # with PYTHONHASHSEED=0 while a suite check passed through _draw and
+    # _evaluate, 31.1 since generate_inputs and _certify do their work.
     _, rows, _ = counted
-    assert rows["harness.py"][1] <= 34
+    assert rows["harness.py"][1] <= 31.7
 
 
 def test_one_check_ops_stay_capped():
@@ -76,7 +78,8 @@ def test_one_check_ops_stay_capped():
     # measured since.  Those counts lost the calls of dataclass-generated
     # __init__, __eq__ and __hash__ methods that share a line (pstats
     # merged them); counted by code object, 543.2 calls per op and report.py
-    # 98.8 out.
+    # 98.8 out; 540.7 (PYTHONHASHSEED=0) while a suite check passed through
+    # _draw and _evaluate, 538.6 since.
     args = ("--one-check", "--ids", "all", "--dims", "2..6", "--norms", "op,tr,fro,sp:3", "--seed", "42")
     done = subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
@@ -84,7 +87,7 @@ def test_one_check_ops_stay_capped():
     assert lines[0] == "ops: 680"
     rows = parse(lines[1:], "op")
     check_sums(rows, 680)
-    assert rows["total"][1] <= 554
+    assert rows["total"][1] <= 549
     assert rows["report.py"][1] <= 72
     assert rows["report.py"][2] <= 100
 

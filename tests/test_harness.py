@@ -558,7 +558,7 @@ class TestNormSpecRefusal:
         # Classical rows replace the norm with op and others would fail only
         # after their gate, so the type is checked up front.
         checks = []
-        monkeypatch.setattr(harness, "_check", lambda *a, **k: checks.append(a))
+        monkeypatch.setattr(harness, "_certify", lambda *a, **k: checks.append(a))
         X = random_sectorial(GenConfig(3, 9), 0.5)
         for ineq in ("A_upper", "SA_omega_le_N", "P3_sec"):
             for norm in ("op", None):
@@ -625,10 +625,10 @@ def radius_terms(ineq, mats, spec, grid, refine_tol):
     omegas = harness._plan(info, len(mats))[2]
     with pytest.MonkeyPatch.context() as mp:
         calls = record_radii(mp)
-        lhs, rhs, _ = harness._evaluate(info, mats, spec, ((grid, refine_tol),))
+        result = harness._certify(info, mats, spec, None, ((grid, refine_tol),))
     ests = calls[0][4] if calls else ()
     terms = {t: Interval(e.value, math.nextafter(e.value + e.cert_error, math.inf)) for t, e in zip(omegas, ests)}
-    return terms, classify(lhs, rhs)
+    return terms, classify(result.lhs, result.rhs)
 
 
 def record_radii(monkeypatch) -> list:

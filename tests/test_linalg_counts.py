@@ -67,7 +67,7 @@ def test_radius_pass_lines_count_each_check_once(monkeypatch, capsys):
 def test_stage_lines_split_the_calls_by_draw_and_gate(monkeypatch, capsys):
     # draw, gate and rest partition the routine calls, so they add up to the
     # total line; the draw and gate lines match a count taken inside
-    # harness._draw and harness._check_hypothesis on the same run.
+    # harness.generate_inputs and harness._check_hypothesis on the same run.
     args = ("--ids", "T1_prod_sec_N,T_onetan_min,P3_sec", "--trials", "4", "--dims", "3,5", "--norms", "op,tr")
     done = subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
@@ -91,7 +91,7 @@ def test_stage_lines_split_the_calls_by_draw_and_gate(monkeypatch, capsys):
 
         return run
 
-    monkeypatch.setattr(harness, "_draw", staged("draw", harness._draw))
+    monkeypatch.setattr(harness, "generate_inputs", staged("draw", harness.generate_inputs))
     monkeypatch.setattr(harness, "_check_hypothesis", staged("gate", harness._check_hypothesis))
     assert main(["verify", *args]) == 0
     capsys.readouterr()

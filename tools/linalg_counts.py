@@ -5,22 +5,22 @@
 Runs ``sector-radius verify`` in-process with exactly the given flags
 (the tool adds none of its own) while wrapping numpy.linalg's
 eigvalsh, eigh, eig, eigvals, svd, cholesky, solve, inv and qr, and the
-harness's ``omega_n``, ``_draw`` and ``_check_hypothesis``.  After
-verify's own output it prints the check count; numpy.linalg calls and
-matrices by stage, ``draw`` (inside ``_draw``: the inputs and their
-sector claims), ``gate`` (inside ``_check_hypothesis``: the hypothesis
-and the sector data) and ``rest`` (everything else: radii, norms,
-blocks); one line per (stage, routine) pair that made a call, such as
-``gate/cholesky``, which split each stage line; how many checks ended
-after each sequence of radius passes, such as ``(4,1.0)`` or
-``(4,1.0)->(8,0.2)->(32,1e-10)`` (one ``(grid,refine_tol)`` per
-``omega_n`` call of the check, ``none`` for a check that computes no
-radius); and last one line per routine and a total line.  Stage, pair
-and routine lines give calls and matrices in all, then per check, where
-a call on a stack of matrices counts each matrix of the stack and the
-check count is that of the report ``run_suite`` returns.  The package
-is imported from the ``src/`` beside this directory.  Exits with
-verify's exit code.
+harness's ``omega_n``, ``generate_inputs``, ``_certify`` and
+``_check_hypothesis``.  After verify's own output it prints the check
+count; numpy.linalg calls and matrices by stage, ``draw`` (inside
+``generate_inputs``: the inputs and their sector claims), ``gate``
+(inside ``_check_hypothesis``: the hypothesis and the sector data) and
+``rest`` (everything else: radii, norms, blocks); one line per (stage,
+routine) pair that made a call, such as ``gate/cholesky``, which split
+each stage line; how many checks ended after each sequence of radius
+passes, such as ``(4,1.0)`` or ``(4,1.0)->(8,0.2)->(32,1e-10)`` (one
+``(grid,refine_tol)`` per ``omega_n`` call of the check's ``_certify``
+call, ``none`` for a check that computes no radius); and last one line
+per routine and a total line.  Stage, pair and routine lines give calls
+and matrices in all, then per check, where a call on a stack of
+matrices counts each matrix of the stack and the check count is that of
+the report ``run_suite`` returns.  The package is imported from the
+``src/`` beside this directory.  Exits with verify's exit code.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def count_verify(args: list[str]) -> tuple[int, int, dict[tuple[str, str], list[
     reports = []
     sequences: list[list[tuple[int, float]]] = []
     run_suite, check, omega_n = cli.run_suite, harness._certify, harness.omega_n
-    draw, gate = harness._draw, harness._check_hypothesis
+    draw, gate = harness.generate_inputs, harness._check_hypothesis
     originals = {name: getattr(np.linalg, name) for name in ROUTINES}
 
     def counter(name, original):
@@ -87,13 +87,13 @@ def count_verify(args: list[str]) -> tuple[int, int, dict[tuple[str, str], list[
         for name, original in originals.items():
             setattr(np.linalg, name, counter(name, original))
         cli.run_suite, harness._certify, harness.omega_n = recorded, checked, radius
-        harness._draw, harness._check_hypothesis = staged("draw", draw), staged("gate", gate)
+        harness.generate_inputs, harness._check_hypothesis = staged("draw", draw), staged("gate", gate)
         code = cli.main(["verify", *args])
     finally:
         for name, original in originals.items():
             setattr(np.linalg, name, original)
         cli.run_suite, harness._certify, harness.omega_n = run_suite, check, omega_n
-        harness._draw, harness._check_hypothesis = draw, gate
+        harness.generate_inputs, harness._check_hypothesis = draw, gate
     checks = sum(len(report.results) for report in reports)
     return code, checks, calls, Counter(map(tuple, sequences))
 
